@@ -12,7 +12,8 @@
 # Every bench is attempted even if an earlier one fails; a failing bench's
 # partial JSON is removed (a truncated BENCH_*.json must never pass for a
 # real data point) and the script exits non-zero with a summary of the
-# failures.
+# failures. A bench that completed but failed its regression gate (JSON
+# "gate": "failed") keeps its output as BENCH_<name>.failed.json.
 set -uo pipefail
 
 build_dir="${1:-build}"
@@ -47,9 +48,18 @@ run_bench() {
   local name="$1" json="$2"
   shift 2
   echo "== ${name}"
-  if ! "$@"; then
-    echo "FAIL ${name} (exit $?)" >&2
-    rm -f "${json}"
+  "$@"
+  local status=$?
+  if (( status != 0 )); then
+    echo "FAIL ${name} (exit ${status})" >&2
+    if grep -q '"gate": "failed"' "${json}" 2>/dev/null; then
+      # A complete run whose regression gate failed: keep its numbers
+      # under a name no trajectory tool reads as a data point.
+      mv -f "${json}" "${json%.json}.failed.json"
+      echo "kept ${json%.json}.failed.json (gate failed)" >&2
+    else
+      rm -f "${json}"
+    fi
     failed+=("${name}")
   fi
 }

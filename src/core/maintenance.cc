@@ -1,8 +1,8 @@
 #include "core/maintenance.h"
 
-#include <algorithm>
 #include <memory>
 
+#include "core/run_stats.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 
@@ -20,7 +20,7 @@ void FixpointMaintainer::Invalidate() {
   negated_preds_.clear();
 }
 
-bool FixpointMaintainer::EnsureBound(const Program& program,
+void FixpointMaintainer::EnsureBound(const Program& program,
                                      const ParkOptions& options) {
   const bool program_changed =
       bound_program_ != &program || bound_rule_count_ != program.size();
@@ -75,7 +75,6 @@ bool FixpointMaintainer::EnsureBound(const Program& program,
     parallel_.reset();
     bound_threads_ = 1;
   }
-  return true;
 }
 
 void FixpointMaintainer::NoteFullCommit(const Program& program,
@@ -90,7 +89,7 @@ void FixpointMaintainer::NoteFullCommit(const Program& program,
   stable_ = static_eligible_ && conflict_free;
 }
 
-std::optional<MaintenanceOutcome> FixpointMaintainer::TryCommit(
+std::optional<ParkDiffResult> FixpointMaintainer::TryCommit(
     const Database& db, const Program& program,
     const std::vector<Update>& updates, const ParkOptions& options) {
   EnsureBound(program, options);
@@ -134,19 +133,11 @@ std::optional<MaintenanceOutcome> FixpointMaintainer::TryCommit(
   const RuleDependencyGraph* graph = scheduled ? &*graph_ : nullptr;
   ParallelGamma* parallel = parallel_.get();
   ExecStats exec_stats;
-  const uint64_t plans_compiled_before = plans_->plans_compiled();
-  const uint64_t cache_hits_before = plans_->cache_hits();
-  const uint64_t replans_before = plans_->replans();
-  const uint64_t est_rows_before = plans_->estimated_rows();
-  const uint64_t act_rows_before = plans_->actual_rows();
-  const uint64_t sections_before =
-      parallel != nullptr ? parallel->pool().sections_run() : 0;
-  const uint64_t tasks_before =
-      parallel != nullptr ? parallel->pool().tasks_executed() : 0;
-  const uint64_t sliced_before =
-      parallel != nullptr ? parallel->sliced_units() : 0;
-  const uint64_t slices_before =
-      parallel != nullptr ? parallel->slice_tasks() : 0;
+  // The warm caches outlive this commit, so their counters are reported
+  // as this commit's deltas over their lifetime totals.
+  ParkStats before;
+  RecordPlannerStats(*plans_, before);
+  if (parallel != nullptr) RecordParallelStats(*parallel, before);
 
   // Seed the closure: U's marks, exactly what the body-less seed rules of
   // P_U would produce in the full run's first step.
@@ -178,10 +169,7 @@ std::optional<MaintenanceOutcome> FixpointMaintainer::TryCommit(
     if (timed) {
       gamma_ns += static_cast<uint64_t>(MonotonicNanos() - gamma_start_ns);
     }
-    stats.rule_evaluations += gamma.rules_evaluated;
-    stats.sched_rules_considered += gamma.rules_considered;
-    stats.sched_rules_skipped += gamma.rules_skipped;
-    stats.sched_pipeline_stages += gamma.pipeline_stages;
+    RecordGammaSection(gamma, stats);
     // A clash inside the cone means this commit has real conflicts; the
     // full evaluator owns conflict construction and SELECT policies.
     if (!gamma.consistent) return std::nullopt;
@@ -198,19 +186,10 @@ std::optional<MaintenanceOutcome> FixpointMaintainer::TryCommit(
     ++steps;
   }
 
-  // The commit's diff, read straight off the marks in O(|marks|): the
-  // result instance is (D ∪ plus) \ minus with plus ∩ minus = ∅.
-  MaintenanceOutcome outcome;
-  interp.plus().ForEach([&](const GroundAtom& atom) {
-    if (!db.Contains(atom)) outcome.inserted.push_back(atom);
-  });
-  interp.minus().ForEach([&](const GroundAtom& atom) {
-    if (db.Contains(atom)) outcome.deleted.push_back(atom);
-  });
-  // Same order Database::DiffWith reports, so CommitReports are
-  // bit-identical between the incremental and the full path.
-  std::sort(outcome.inserted.begin(), outcome.inserted.end());
-  std::sort(outcome.deleted.begin(), outcome.deleted.end());
+  // The commit's diff, read straight off the marks in O(|marks|) and
+  // sorted like the full path's, so CommitReports are bit-identical.
+  ParkDiffResult outcome;
+  outcome.diff = interp.MarkDiff();
 
   stats.num_threads = static_cast<size_t>(
       parallel != nullptr ? parallel->num_threads() : 1);
@@ -218,43 +197,22 @@ std::optional<MaintenanceOutcome> FixpointMaintainer::TryCommit(
   stats.scheduler_mode = options.scheduler_mode;
   stats.exec_mode = options.exec_mode;
   if (scheduled) stats.sched_strata = graph_->num_strata();
-  stats.plans_compiled = plans_->plans_compiled() - plans_compiled_before;
-  stats.plan_cache_hits = plans_->cache_hits() - cache_hits_before;
-  stats.plan_replans = plans_->replans() - replans_before;
-  stats.planner_estimated_rows = plans_->estimated_rows() - est_rows_before;
-  stats.planner_actual_rows = plans_->actual_rows() - act_rows_before;
-  if (parallel != nullptr) {
-    stats.parallel_sections =
-        parallel->pool().sections_run() - sections_before;
-    stats.parallel_tasks = parallel->pool().tasks_executed() - tasks_before;
-    stats.parallel_sliced_units = parallel->sliced_units() - sliced_before;
-    stats.parallel_slices = parallel->slice_tasks() - slices_before;
-    stats.parallel_max_queue_depth = parallel->pool().max_section_tasks();
-  }
-  {
-    Database::ColumnarFootprint fp = interp.base().ColumnarStats();
-    const Database::ColumnarFootprint plus_fp = interp.plus().ColumnarStats();
-    const Database::ColumnarFootprint minus_fp =
-        interp.minus().ColumnarStats();
-    fp.segments += plus_fp.segments + minus_fp.segments;
-    fp.segment_rows += plus_fp.segment_rows + minus_fp.segment_rows;
-    fp.compactions += plus_fp.compactions + minus_fp.compactions;
-    fp.dict_entries += plus_fp.dict_entries + minus_fp.dict_entries;
-    stats.storage_segments = static_cast<size_t>(fp.segments);
-    stats.storage_segment_rows = static_cast<size_t>(fp.segment_rows);
-    stats.storage_compactions = static_cast<size_t>(fp.compactions);
-    stats.storage_dict_entries = static_cast<size_t>(fp.dict_entries);
-  }
-  stats.exec_batch_rows =
-      exec_stats.batch_rows.load(std::memory_order_relaxed);
-  stats.exec_probe_rows =
-      exec_stats.probe_rows.load(std::memory_order_relaxed);
-  stats.exec_merge_rows =
-      exec_stats.merge_rows.load(std::memory_order_relaxed);
+  RecordPlannerStats(*plans_, stats);
+  if (parallel != nullptr) RecordParallelStats(*parallel, stats);
+  stats.plans_compiled -= before.plans_compiled;
+  stats.plan_cache_hits -= before.plan_cache_hits;
+  stats.plan_replans -= before.plan_replans;
+  stats.planner_estimated_rows -= before.planner_estimated_rows;
+  stats.planner_actual_rows -= before.planner_actual_rows;
+  stats.parallel_sections -= before.parallel_sections;
+  stats.parallel_tasks -= before.parallel_tasks;
+  stats.parallel_sliced_units -= before.parallel_sliced_units;
+  stats.parallel_slices -= before.parallel_slices;
+  RecordStorageStats(interp, exec_stats, stats);
 
   stats.maintenance_mode = MaintenanceMode::kIncremental;
   stats.maint_commits = 1;
-  stats.maint_atoms_overdeleted = outcome.deleted.size();
+  stats.maint_atoms_overdeleted = outcome.diff.only_in_other.size();
   {
     std::vector<PredicateId> plus_preds;
     std::vector<PredicateId> minus_preds;

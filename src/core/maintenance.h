@@ -40,17 +40,6 @@
 
 namespace park {
 
-/// What an incrementally served commit did: the exact diff the full
-/// evaluator's DiffWith would report (both lists sorted the same way
-/// Database::Diff sorts them) plus the evaluation stats, maintenance
-/// block filled. The maintainer never mutates the database — the caller
-/// applies the diff, journals, and keeps its existing rollback semantics.
-struct MaintenanceOutcome {
-  std::vector<GroundAtom> inserted;
-  std::vector<GroundAtom> deleted;
-  ParkStats stats;
-};
-
 /// One per ActiveDatabase. Not thread-safe (commits are already
 /// serialized by the owner: directly for a bare ActiveDatabase, by the
 /// group-commit leader for a Session).
@@ -58,8 +47,12 @@ class FixpointMaintainer {
  public:
   /// Serves PARK(D, P, U) incrementally if every gate passes; returns
   /// nullopt (database untouched, INV flag untouched) when the commit
-  /// must go through the full evaluator. `db` is read, never written.
-  std::optional<MaintenanceOutcome> TryCommit(
+  /// must go through the full evaluator. On success the result holds the
+  /// exact diff ParkDiff would report (both lists sorted the same way)
+  /// and the evaluation stats with the maintenance block filled; its
+  /// trace is empty. `db` is read, never written — the caller applies
+  /// the diff, journals, and keeps its rollback semantics.
+  std::optional<ParkDiffResult> TryCommit(
       const Database& db, const Program& program,
       const std::vector<Update>& updates, const ParkOptions& options);
 
@@ -81,11 +74,9 @@ class FixpointMaintainer {
  private:
   /// (Re)binds the warm caches to (program, options) — dependency graph,
   /// plan cache, parallel pool, static gate analysis — rebuilding only
-  /// what the changed knobs require. Returns false (and drops INV) when
-  /// the program identity changed without an Invalidate() call.
-  bool EnsureBound(const Program& program, const ParkOptions& options);
-
-  bool StaticGatePasses() const { return static_eligible_; }
+  /// what the changed knobs require. Drops INV when the program identity
+  /// changed without an Invalidate() call.
+  void EnsureBound(const Program& program, const ParkOptions& options);
 
   // --- binding (valid while bound_program_ matches) ---
   const Program* bound_program_ = nullptr;

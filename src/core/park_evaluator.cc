@@ -5,6 +5,7 @@
 #include <optional>
 #include <set>
 
+#include "core/run_stats.h"
 #include "engine/rule_graph.h"
 #include "util/cancellation.h"
 #include "util/json.h"
@@ -305,7 +306,21 @@ Result<Program> ProgramWithUpdates(const Program& program,
   return extended;
 }
 
-Result<ParkResult> Park(const Program& program, const Database& db,
+namespace {
+
+/// What the Δ loop leaves at its fixpoint: the final interpretation over
+/// `db`, the blocked set B, and the run's stats and trace. Park() and
+/// ParkDiff() are the two finishers that turn it into a result.
+struct ParkRun {
+  IInterpretation interp;
+  BlockedSet blocked;
+  ParkStats stats;
+  Trace trace;
+};
+
+/// ω_P(⟨∅, D⟩): runs the Δ operator to its fixpoint (§4.2), restarting
+/// from I° after every conflict round.
+Result<ParkRun> RunPark(const Program& program, const Database& db,
                         const ParkOptions& options) {
   PARK_CHECK(program.symbols() == db.symbols())
       << "program and database must share a symbol table";
@@ -411,10 +426,7 @@ Result<ParkResult> Park(const Program& program, const Database& db,
                                            sizeof(Derivation));
       if (cancel->Check()) return cancel->ToStatus();
     }
-    stats.rule_evaluations += gamma.rules_evaluated;
-    stats.sched_rules_considered += gamma.rules_considered;
-    stats.sched_rules_skipped += gamma.rules_skipped;
-    stats.sched_pipeline_stages += gamma.pipeline_stages;
+    RecordGammaSection(gamma, stats);
     observer.Notify([&](RunObserver& o) {
       o.OnGammaSection(GammaSectionInfo{
           step, gamma.rules_evaluated, gamma.derivations.size(),
@@ -468,10 +480,7 @@ Result<ParkResult> Park(const Program& program, const Database& db,
             static_cast<uint64_t>(MonotonicNanos() - gamma_start_ns);
       }
       if (cancel != nullptr && cancel->Check()) return cancel->ToStatus();
-      stats.rule_evaluations += gamma.rules_evaluated;
-      stats.sched_rules_considered += gamma.rules_considered;
-      stats.sched_rules_skipped += gamma.rules_skipped;
-      stats.sched_pipeline_stages += gamma.pipeline_stages;
+      RecordGammaSection(gamma, stats);
       observer.Notify([&](RunObserver& o) {
         o.OnGammaSection(GammaSectionInfo{
             step, gamma.rules_evaluated, gamma.derivations.size(),
@@ -565,54 +574,81 @@ Result<ParkResult> Park(const Program& program, const Database& db,
     stats.peak_memory_bytes = cancel->peak_bytes();
     stats.derivations_charged = cancel->work_charged();
   }
-  {
-    // Sum the columnar footprint over the run's three stores. All three
-    // are compacted by the coordinator at every batch-mode Γ step, so
-    // these counters are deterministic and thread-count invariant (zero
-    // on tuple-mode runs: nothing triggers a compaction).
-    Database::ColumnarFootprint fp = interp.base().ColumnarStats();
-    const Database::ColumnarFootprint plus_fp = interp.plus().ColumnarStats();
-    const Database::ColumnarFootprint minus_fp =
-        interp.minus().ColumnarStats();
-    fp.segments += plus_fp.segments + minus_fp.segments;
-    fp.segment_rows += plus_fp.segment_rows + minus_fp.segment_rows;
-    fp.compactions += plus_fp.compactions + minus_fp.compactions;
-    fp.dict_entries += plus_fp.dict_entries + minus_fp.dict_entries;
-    stats.storage_segments = static_cast<size_t>(fp.segments);
-    stats.storage_segment_rows = static_cast<size_t>(fp.segment_rows);
-    stats.storage_compactions = static_cast<size_t>(fp.compactions);
-    stats.storage_dict_entries = static_cast<size_t>(fp.dict_entries);
+  RecordStorageStats(interp, exec_stats, stats);
+  RecordPlannerStats(plans, stats);
+  if (parallel != nullptr) RecordParallelStats(*parallel, stats);
+  if (timed) {
+    stats.timings.total_ns =
+        static_cast<uint64_t>(MonotonicNanos() - run_start_ns);
   }
+  observer.Notify([&](RunObserver& o) { o.OnRunEnd(stats); });
+  return ParkRun{std::move(interp), std::move(blocked), std::move(stats),
+                 std::move(trace)};
+}
+
+}  // namespace
+
+void RecordGammaSection(const GammaResult& gamma, ParkStats& stats) {
+  stats.rule_evaluations += gamma.rules_evaluated;
+  stats.sched_rules_considered += gamma.rules_considered;
+  stats.sched_rules_skipped += gamma.rules_skipped;
+  stats.sched_pipeline_stages += gamma.pipeline_stages;
+}
+
+void RecordPlannerStats(const PlanCache& plans, ParkStats& stats) {
+  stats.plans_compiled = plans.plans_compiled();
+  stats.plan_cache_hits = plans.cache_hits();
+  stats.plan_replans = plans.replans();
+  stats.planner_estimated_rows = plans.estimated_rows();
+  stats.planner_actual_rows = plans.actual_rows();
+}
+
+void RecordParallelStats(const ParallelGamma& parallel, ParkStats& stats) {
+  stats.parallel_sections = parallel.pool().sections_run();
+  stats.parallel_tasks = parallel.pool().tasks_executed();
+  stats.parallel_sliced_units = parallel.sliced_units();
+  stats.parallel_slices = parallel.slice_tasks();
+  stats.parallel_max_queue_depth = parallel.pool().max_section_tasks();
+  stats.timings.parallel_match_ns = parallel.match_ns();
+  stats.timings.parallel_merge_ns = parallel.merge_ns();
+  stats.timings.pool_busy_ns = parallel.pool().busy_ns();
+}
+
+void RecordStorageStats(const IInterpretation& interp,
+                        const ExecStats& exec_stats, ParkStats& stats) {
+  // Sum the columnar footprint over the run's three stores. All three
+  // are compacted by the coordinator at every batch-mode Γ step, so
+  // these counters are deterministic and thread-count invariant (zero
+  // on tuple-mode runs: nothing triggers a compaction).
+  Database::ColumnarFootprint fp;
+  for (const Database* store : {&interp.base(), &interp.plus(),
+                                &interp.minus()}) {
+    const Database::ColumnarFootprint part = store->ColumnarStats();
+    fp.segments += part.segments;
+    fp.segment_rows += part.segment_rows;
+    fp.compactions += part.compactions;
+    fp.dict_entries += part.dict_entries;
+  }
+  stats.storage_segments = static_cast<size_t>(fp.segments);
+  stats.storage_segment_rows = static_cast<size_t>(fp.segment_rows);
+  stats.storage_compactions = static_cast<size_t>(fp.compactions);
+  stats.storage_dict_entries = static_cast<size_t>(fp.dict_entries);
   stats.exec_batch_rows =
       exec_stats.batch_rows.load(std::memory_order_relaxed);
   stats.exec_probe_rows =
       exec_stats.probe_rows.load(std::memory_order_relaxed);
   stats.exec_merge_rows =
       exec_stats.merge_rows.load(std::memory_order_relaxed);
-  stats.plans_compiled = plans.plans_compiled();
-  stats.plan_cache_hits = plans.cache_hits();
-  stats.plan_replans = plans.replans();
-  stats.planner_estimated_rows = plans.estimated_rows();
-  stats.planner_actual_rows = plans.actual_rows();
-  if (parallel != nullptr) {
-    stats.parallel_sections = parallel->pool().sections_run();
-    stats.parallel_tasks = parallel->pool().tasks_executed();
-    stats.parallel_sliced_units = parallel->sliced_units();
-    stats.parallel_slices = parallel->slice_tasks();
-    stats.parallel_max_queue_depth = parallel->pool().max_section_tasks();
-    stats.timings.parallel_match_ns = parallel->match_ns();
-    stats.timings.parallel_merge_ns = parallel->merge_ns();
-    stats.timings.pool_busy_ns = parallel->pool().busy_ns();
-  }
-  if (timed) {
-    stats.timings.total_ns =
-        static_cast<uint64_t>(MonotonicNanos() - run_start_ns);
-  }
-  observer.Notify([&](RunObserver& o) { o.OnRunEnd(stats); });
-  ParkResult result{interp.Incorporate(), stats, std::move(trace),
-                    RenderBlocked(blocked, program), {}};
+}
+
+Result<ParkResult> Park(const Program& program, const Database& db,
+                        const ParkOptions& options) {
+  PARK_ASSIGN_OR_RETURN(ParkRun run, RunPark(program, db, options));
+  ParkResult result{run.interp.Incorporate(), std::move(run.stats),
+                    std::move(run.trace), RenderBlocked(run.blocked, program),
+                    {}};
   if (options.record_provenance) {
-    result.provenance = RenderProvenance(interp, program);
+    result.provenance = RenderProvenance(run.interp, program);
   }
   return result;
 }
@@ -623,6 +659,16 @@ Result<ParkResult> Park(const Database& db, const Program& program,
   PARK_ASSIGN_OR_RETURN(Program extended,
                         ProgramWithUpdates(program, updates));
   return Park(extended, db, options);
+}
+
+Result<ParkDiffResult> ParkDiff(const Database& db, const Program& program,
+                                const std::vector<Update>& updates,
+                                const ParkOptions& options) {
+  PARK_ASSIGN_OR_RETURN(Program extended,
+                        ProgramWithUpdates(program, updates));
+  PARK_ASSIGN_OR_RETURN(ParkRun run, RunPark(extended, db, options));
+  return ParkDiffResult{run.interp.MarkDiff(), std::move(run.stats),
+                        std::move(run.trace)};
 }
 
 }  // namespace park

@@ -404,7 +404,20 @@ struct ParkResult {
   std::vector<AtomProvenance> provenance;
 };
 
+/// What PARK(D, P, U) changes, for a caller that already holds D: the
+/// diff of incorp(I) against I°, with the run's stats and trace (the
+/// size of the final blocked set is stats.blocked_instances).
+struct ParkDiffResult {
+  /// only_in_this: atoms the commit inserts; only_in_other: it deletes.
+  Database::Diff diff;
+  ParkStats stats;
+  Trace trace;
+};
+
 /// Computes PARK(P, D). `program` and `db` must share a symbol table.
+/// Runs the Δ loop to its fixpoint I and returns incorp(I) as a new
+/// Database, which costs one copy of `db` (O(|D|)); a caller that only
+/// needs what changed should use ParkDiff instead.
 /// Errors: kAborted if the policy abstains or makes no progress,
 /// kResourceExhausted past options.max_steps / max_memory_bytes /
 /// max_derivations, kDeadlineExceeded past options.deadline_ms,
@@ -417,6 +430,16 @@ Result<ParkResult> Park(const Program& program, const Database& db,
 Result<ParkResult> Park(const Database& db, const Program& program,
                         const std::vector<Update>& updates,
                         const ParkOptions& options = {});
+
+/// The same evaluation as Park(db, program, updates, options), finished
+/// with IInterpretation::MarkDiff instead of incorp(I): `diff` equals
+/// `Park(...).database.DiffWith(db)` in O(|marks|), never copying `db`.
+/// No provenance or rendered blocked set. The commit path
+/// (ActiveDatabase, Session, journal replay) uses this. Same errors as
+/// Park().
+Result<ParkDiffResult> ParkDiff(const Database& db, const Program& program,
+                                const std::vector<Update>& updates,
+                                const ParkOptions& options = {});
 
 /// Builds P_U: a clone of `program` extended with a body-less seed rule
 /// `-> ±a` per update. Exposed for tests and tools.

@@ -1,5 +1,6 @@
 #include "core/stepper.h"
 
+#include "core/run_stats.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
 
@@ -76,51 +77,10 @@ ParkStepper::ParkStepper(const Program& program, const Database& db,
   });
 }
 
-void ParkStepper::RefreshParallelStats() {
-  if (!parallel_.has_value()) return;
-  stats_.parallel_sections = parallel_->pool().sections_run();
-  stats_.parallel_tasks = parallel_->pool().tasks_executed();
-  stats_.parallel_sliced_units = parallel_->sliced_units();
-  stats_.parallel_slices = parallel_->slice_tasks();
-  stats_.parallel_max_queue_depth = parallel_->pool().max_section_tasks();
-  stats_.timings.parallel_match_ns = parallel_->match_ns();
-  stats_.timings.parallel_merge_ns = parallel_->merge_ns();
-  stats_.timings.pool_busy_ns = parallel_->pool().busy_ns();
-}
-
-void ParkStepper::RefreshPlannerStats() {
-  stats_.plans_compiled = plans_.plans_compiled();
-  stats_.plan_cache_hits = plans_.cache_hits();
-  stats_.plan_replans = plans_.replans();
-  stats_.planner_estimated_rows = plans_.estimated_rows();
-  stats_.planner_actual_rows = plans_.actual_rows();
-}
-
 void ParkStepper::RefreshResourceStats() {
   if (cancel_ == nullptr) return;
   stats_.peak_memory_bytes = cancel_->peak_bytes();
   stats_.derivations_charged = cancel_->work_charged();
-}
-
-void ParkStepper::RefreshStorageStats() {
-  Database::ColumnarFootprint fp = interp_.base().ColumnarStats();
-  const Database::ColumnarFootprint plus_fp = interp_.plus().ColumnarStats();
-  const Database::ColumnarFootprint minus_fp =
-      interp_.minus().ColumnarStats();
-  fp.segments += plus_fp.segments + minus_fp.segments;
-  fp.segment_rows += plus_fp.segment_rows + minus_fp.segment_rows;
-  fp.compactions += plus_fp.compactions + minus_fp.compactions;
-  fp.dict_entries += plus_fp.dict_entries + minus_fp.dict_entries;
-  stats_.storage_segments = static_cast<size_t>(fp.segments);
-  stats_.storage_segment_rows = static_cast<size_t>(fp.segment_rows);
-  stats_.storage_compactions = static_cast<size_t>(fp.compactions);
-  stats_.storage_dict_entries = static_cast<size_t>(fp.dict_entries);
-  stats_.exec_batch_rows =
-      exec_stats_.batch_rows.load(std::memory_order_relaxed);
-  stats_.exec_probe_rows =
-      exec_stats_.probe_rows.load(std::memory_order_relaxed);
-  stats_.exec_merge_rows =
-      exec_stats_.merge_rows.load(std::memory_order_relaxed);
 }
 
 Result<StepOutcome> ParkStepper::Step() {
@@ -175,14 +135,11 @@ Result<StepOutcome> ParkStepper::Step() {
       return cancel_->ToStatus();
     }
   }
-  stats_.rule_evaluations += gamma.rules_evaluated;
-  stats_.sched_rules_considered += gamma.rules_considered;
-  stats_.sched_rules_skipped += gamma.rules_skipped;
-  stats_.sched_pipeline_stages += gamma.pipeline_stages;
-  RefreshParallelStats();
-  RefreshPlannerStats();
+  RecordGammaSection(gamma, stats_);
+  if (parallel_.has_value()) RecordParallelStats(*parallel_, stats_);
+  RecordPlannerStats(plans_, stats_);
   RefreshResourceStats();
-  RefreshStorageStats();
+  RecordStorageStats(interp_, exec_stats_, stats_);
   observer_.Notify([&](RunObserver& o) {
     o.OnGammaSection(GammaSectionInfo{
         step_number, gamma.rules_evaluated, gamma.derivations.size(),
@@ -244,14 +201,11 @@ Result<StepOutcome> ParkStepper::Step() {
         return cancel_->ToStatus();
       }
     }
-    stats_.rule_evaluations += gamma.rules_evaluated;
-    stats_.sched_rules_considered += gamma.rules_considered;
-    stats_.sched_rules_skipped += gamma.rules_skipped;
-    stats_.sched_pipeline_stages += gamma.pipeline_stages;
-    RefreshParallelStats();
-    RefreshPlannerStats();
+    RecordGammaSection(gamma, stats_);
+    if (parallel_.has_value()) RecordParallelStats(*parallel_, stats_);
+    RecordPlannerStats(plans_, stats_);
     RefreshResourceStats();
-    RefreshStorageStats();
+    RecordStorageStats(interp_, exec_stats_, stats_);
     observer_.Notify([&](RunObserver& o) {
       o.OnGammaSection(GammaSectionInfo{
           step_number, gamma.rules_evaluated, gamma.derivations.size(),

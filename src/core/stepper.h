@@ -69,14 +69,8 @@ class ParkStepper {
   Result<Database> Finish();
 
  private:
-  /// Folds the parallel pool's counters and clocks into stats_.
-  void RefreshParallelStats();
-  /// Folds the plan cache's counters into stats_.
-  void RefreshPlannerStats();
   /// Folds the run token's budget counters into stats_.
   void RefreshResourceStats();
-  /// Folds the columnar footprint and batch-executor rows into stats_.
-  void RefreshStorageStats();
 
   const Program& program_;
   const Database& db_;

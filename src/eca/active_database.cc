@@ -102,18 +102,21 @@ CommitResult ActiveDatabase::CommitUpdates(const UpdateSet& updates,
   bool served_incrementally = false;
   bool full_conflict_free = false;
   if (maintaining) {
-    std::optional<MaintenanceOutcome> maintained =
+    std::optional<ParkDiffResult> maintained =
         maintainer_.TryCommit(database_, program_, updates.updates(),
                               options_);
     if (maintained.has_value()) {
       served_incrementally = true;
-      report.inserted = std::move(maintained->inserted);
-      report.deleted = std::move(maintained->deleted);
+      report.inserted = std::move(maintained->diff.only_in_this);
+      report.deleted = std::move(maintained->diff.only_in_other);
       report.stats = std::move(maintained->stats);
     }
   }
   if (!served_incrementally) {
-    auto evaluated = Park(database_, program_, updates.updates(), options_);
+    // The diff comes straight off the run's marks: the commit never
+    // materializes incorp(I) as a second copy of the stored instance.
+    auto evaluated =
+        ParkDiff(database_, program_, updates.updates(), options_);
     if (!evaluated.ok()) {
       // Evaluation is copy-on-write, so the stored instance is untouched.
       CommitFailure failure;
@@ -121,14 +124,13 @@ CommitResult ActiveDatabase::CommitUpdates(const UpdateSet& updates,
       failure.cause = evaluated.status();
       return CommitResult(evaluated.status(), std::move(failure));
     }
-    ParkResult park = std::move(*evaluated);
-    Database::Diff diff = park.database.DiffWith(database_);
-    report.inserted = std::move(diff.only_in_this);
-    report.deleted = std::move(diff.only_in_other);
+    ParkDiffResult park = std::move(*evaluated);
+    report.inserted = std::move(park.diff.only_in_this);
+    report.deleted = std::move(park.diff.only_in_other);
     report.stats = std::move(park.stats);
     report.trace = std::move(park.trace);
-    full_conflict_free =
-        park.blocked.empty() && report.stats.restarts == 0;
+    full_conflict_free = report.stats.blocked_instances == 0 &&
+                         report.stats.restarts == 0;
     if (maintaining) {
       report.stats.maintenance_mode = MaintenanceMode::kIncremental;
       report.stats.maint_full_recompute_fallbacks = 1;

@@ -104,6 +104,7 @@ class ParallelGamma {
 
   int num_threads() const { return pool_.num_threads(); }
   ThreadPool& pool() { return pool_; }
+  const ThreadPool& pool() const { return pool_; }
   const IndexRequirements& requirements() const { return requirements_; }
   size_t min_slice_size() const { return min_slice_size_; }
 

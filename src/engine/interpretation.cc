@@ -87,6 +87,20 @@ Database IInterpretation::Incorporate() const {
   return result;
 }
 
+Database::Diff IInterpretation::MarkDiff() const {
+  PARK_CHECK(IsConsistent()) << "incorp on an inconsistent i-interpretation";
+  Database::Diff diff;
+  plus_.ForEach([&](const GroundAtom& atom) {
+    if (!base_->Contains(atom)) diff.only_in_this.push_back(atom);
+  });
+  minus_.ForEach([&](const GroundAtom& atom) {
+    if (base_->Contains(atom)) diff.only_in_other.push_back(atom);
+  });
+  std::sort(diff.only_in_this.begin(), diff.only_in_this.end());
+  std::sort(diff.only_in_other.begin(), diff.only_in_other.end());
+  return diff;
+}
+
 std::vector<std::string> IInterpretation::SortedLiteralStrings() const {
   std::vector<std::string> out;
   out.reserve(base_->size() + plus_.size() + minus_.size());

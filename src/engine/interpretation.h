@@ -76,8 +76,16 @@ class IInterpretation {
   size_t num_minus() const { return minus_.size(); }
 
   /// incorp(I) (paper §4.2): (I° ∪ {a | +a ∈ I⁺}) − {a | -a ∈ I⁻}.
-  /// Must only be called on a consistent interpretation.
+  /// Must only be called on a consistent interpretation. O(|I°|): it
+  /// copies the base.
   Database Incorporate() const;
+
+  /// How incorp(I) differs from I°, equal to
+  /// `Incorporate().DiffWith(base())`: only_in_this = {a | +a ∈ I⁺,
+  /// a ∉ I°}, only_in_other = {a | -a ∈ I⁻, a ∈ I°}, both sorted the same
+  /// way. O(|marks|): reads the marks and probes the base, never copies
+  /// it. Must only be called on a consistent interpretation.
+  Database::Diff MarkDiff() const;
 
   /// Renders like the paper's traces: "{p, +q, -a}", atoms sorted within
   /// each mark class (unmarked first, then +, then -).

@@ -5,6 +5,10 @@
 namespace park {
 
 SymbolId SymbolTable::InternSymbol(std::string_view name) {
+  // Hits (the common case: re-parsing known names) share the lock with
+  // other readers; only a miss takes it exclusively, and re-checks since
+  // another writer may have interned `name` in between.
+  if (std::optional<SymbolId> found = FindSymbol(name)) return *found;
   std::unique_lock<std::shared_mutex> lock(mutex_);
   auto it = symbol_ids_.find(std::string(name));
   if (it != symbol_ids_.end()) return it->second;
@@ -34,6 +38,12 @@ PredicateId SymbolTable::InternPredicate(std::string_view name, int arity) {
   std::string key(name);
   key += '/';
   key += std::to_string(arity);
+  {
+    // Shared-lock fast path and exclusive re-check, as in InternSymbol.
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    auto it = predicate_ids_.find(key);
+    if (it != predicate_ids_.end()) return it->second;
+  }
   std::unique_lock<std::shared_mutex> lock(mutex_);
   auto it = predicate_ids_.find(key);
   if (it != predicate_ids_.end()) return it->second;

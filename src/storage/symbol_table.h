@@ -30,7 +30,9 @@ using PredicateId = uint32_t;
 
 /// Bidirectional name<->id maps for symbols and predicates.
 ///
-/// Thread-safe: interning takes an exclusive lock, lookups a shared lock.
+/// Thread-safe: lookups take a shared lock, and so does interning a name
+/// that is already present; only interning a new name takes the exclusive
+/// lock.
 /// Name references returned by SymbolName/PredicateName stay valid for the
 /// table's lifetime — entries live in deques and are never moved or erased —
 /// so concurrent serving sessions can intern and resolve names freely.
