@@ -189,10 +189,10 @@ ConfigResult RunConfig(const BenchCase& bench_case, int threads,
   double best_off = -1;
   double best_on = -1;
   ScriptRun off_first;
-  // All from-scratch reps first, then all incremental reps (same
-  // rationale as bench_scheduler: interleaving leaves each timed script
-  // with the other's allocator/cache wake). The identity checks stay
-  // outside the timed region — RunScript times Commit() only.
+  // All from-scratch reps first, then all incremental reps: interleaving
+  // leaves each timed script with the other's allocator/cache wake. The
+  // identity checks stay outside the timed region — RunScript times
+  // Commit() only.
   for (int rep = 0; rep < repetitions; ++rep) {
     ScriptRun off = RunScript(bench_case, MaintenanceMode::kOff, threads);
     if (best_off < 0 || off.total_ms < best_off) best_off = off.total_ms;

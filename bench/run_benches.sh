@@ -6,8 +6,9 @@
 #
 # Defaults: build-dir = ./build, output-dir = current directory. Each
 # google-benchmark binary writes BENCH_<name>.json via --benchmark_out;
-# bench_parallel, bench_planner and bench_paper_examples manage their own
-# output formats.
+# bench_parallel, bench_paper_examples, bench_columnar, bench_incremental
+# and bench_serve write their own JSON (the park-bench-*-v1 envelope of
+# bench/bench_json.h).
 #
 # Every bench is attempted even if an earlier one fails; a failing bench's
 # partial JSON is removed (a truncated BENCH_*.json must never pass for a
@@ -94,9 +95,8 @@ done
 # whose speedup comes entirely from intra-rule candidate slicing; its JSON
 # records hardware_concurrency plus per-config parallel_sliced_units /
 # parallel_slices so a flat curve on a small host is explainable. It
-# shares the park-bench-*-v1 envelope (bench/bench_json.h) with
-# bench_paper_examples and bench_planner; all are validated by
-# tools/check_stats_schema.py.
+# shares the park-bench-*-v1 envelope (bench/bench_json.h) with the other
+# self-writing benches; all are validated by tools/check_stats_schema.py.
 if [[ -x "${bench_dir}/bench_parallel" ]]; then
   run_bench bench_parallel "${out_dir}/BENCH_parallel.json" \
     "${bench_dir}/bench_parallel" "${out_dir}/BENCH_parallel.json"
@@ -107,12 +107,6 @@ if [[ -x "${bench_dir}/bench_parallel" ]]; then
          "(host has ${hw_threads} hardware thread(s)); BENCH_parallel.json" \
          "records gate=skipped — this is not a pass" >&2
   fi
-fi
-
-# Cost-based planner vs the static heuristic (skewed and control cases).
-if [[ -x "${bench_dir}/bench_planner" ]]; then
-  run_bench bench_planner "${out_dir}/BENCH_planner.json" \
-    "${bench_dir}/bench_planner" "${out_dir}/BENCH_planner.json"
 fi
 
 # Paper-fidelity record (E1-E9) in the same JSON envelope.
@@ -126,14 +120,6 @@ fi
 if [[ -x "${bench_dir}/bench_columnar" ]]; then
   run_bench bench_columnar "${out_dir}/BENCH_columnar.json" \
     "${bench_dir}/bench_columnar" "${out_dir}/BENCH_columnar.json"
-fi
-
-# Delta-driven Γ scheduling on the kilorule workload (scheduler on vs
-# off, in-run bit-identity check, >= 3x speedup gate on the non-smoke
-# delta_filtered@1 config).
-if [[ -x "${bench_dir}/bench_scheduler" ]]; then
-  run_bench bench_scheduler "${out_dir}/BENCH_scheduler.json" \
-    "${bench_dir}/bench_scheduler" "${out_dir}/BENCH_scheduler.json"
 fi
 
 # Incremental fixpoint maintenance: multi-commit scripts replayed with

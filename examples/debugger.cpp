@@ -48,8 +48,9 @@ int main() {
     }
     std::printf("step %-2d %-8s %s\n", step, kind,
                 stepper.Snapshot().ToString().c_str());
-    for (const std::string& conflict : outcome->conflicts) {
-      std::printf("        resolved: %s\n", conflict.c_str());
+    for (const park::Conflict& conflict : outcome->conflicts) {
+      std::printf("        resolved: %s\n",
+                  conflict.ToString(*program, *symbols).c_str());
     }
   }
 

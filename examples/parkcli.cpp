@@ -21,20 +21,11 @@
 //                      0 = one per hardware thread); results identical
 //   --min-slice-size N smallest per-slice candidate count for intra-rule
 //                      parallelism (default 256, min 1); results identical
-//   --planner NAME     cost (default) | heuristic — how rule bodies are
-//                      ordered for matching (docs/PLANNER.md). The match
-//                      set is identical; derivation order may differ
 //   --exec-mode NAME   tuple (default) | batch — how compiled plans are
 //                      executed (docs/STORAGE.md). batch runs column
 //                      batches over the relations' sorted segments with
 //                      merge joins where the planner chose them; results
 //                      are bit-identical to tuple mode
-//   --scheduler NAME   on (default) | off — the rule dependency
-//                      scheduler (docs/SCHEDULER.md): on, each Γ step
-//                      selects rules via the predicate watcher index
-//                      and quick-exits steps whose delta nobody
-//                      watches; off, every step scans the whole
-//                      program. Results are bit-identical either way
 //   --maintenance NAME on | off (default) — incremental fixpoint
 //                      maintenance across commits (docs/INCREMENTAL.md):
 //                      on, an ActiveDatabase keeps its materialized PARK
@@ -136,8 +127,7 @@ park::Result<park::PolicyPtr> MakePolicy(const std::string& name) {
 /// result leaves stdout clean. Plans are compiled against the initial
 /// database's statistics — the same plans the evaluation starts with;
 /// drift replans during the run surface via --observe.
-void PrintExplain(const park::Program& program, const park::Database& db,
-                  park::PlannerMode planner_mode) {
+void PrintExplain(const park::Program& program, const park::Database& db) {
   std::printf("program (%zu rule(s)):\n", program.size());
   std::printf("%s", park::ProgramToString(program).c_str());
   park::ProgramAnalysis analysis = park::AnalyzeProgram(program);
@@ -165,12 +155,10 @@ void PrintExplain(const park::Program& program, const park::Database& db,
   }
   std::printf("\n");
   park::IInterpretation interp(&db);
-  std::fprintf(stderr, "body evaluation plans (%s):\n",
-               planner_mode == park::PlannerMode::kCostBased ? "cost-based"
-                                                             : "heuristic");
+  std::fprintf(stderr, "body evaluation plans:\n");
   for (const park::Rule& rule : program.rules()) {
     park::CompiledPlan plan =
-        park::CompilePlan(rule, /*seed_index=*/-1, planner_mode, &interp);
+        park::CompilePlan(rule, /*seed_index=*/-1, interp);
     std::fprintf(stderr, "  %s\n",
                  park::ExplainPlanLine(park::ExplainPlan(plan)).c_str());
   }
@@ -273,8 +261,7 @@ int Usage(const char* argv0) {
                "usage: %s --rules FILE --facts FILE [--update ±atom]...\n"
                "          [--policy NAME] [--block-first] [--max-steps N]\n"
                "          [--deadline-ms N] [--threads N]\n"
-               "          [--min-slice-size N] [--planner cost|heuristic]\n"
-               "          [--exec-mode tuple|batch] [--scheduler on|off]\n"
+               "          [--min-slice-size N] [--exec-mode tuple|batch]\n"
                "          [--maintenance on|off] [--stats-json FILE]\n"
                "          [--max-memory-bytes N] [--max-derivations N]\n"
                "          [--observe] [--trace] [--explain]\n"
@@ -415,18 +402,6 @@ int main(int argc, char** argv) {
                              std::numeric_limits<int64_t>::max()));
       if (!ParseIntFlag("--min-slice-size", v, 1, max, &slice)) return 2;
       options.min_slice_size = static_cast<size_t>(slice);
-    } else if (arg == "--planner") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      if (std::strcmp(v, "cost") == 0) {
-        options.planner_mode = park::PlannerMode::kCostBased;
-      } else if (std::strcmp(v, "heuristic") == 0) {
-        options.planner_mode = park::PlannerMode::kHeuristic;
-      } else {
-        std::fprintf(stderr,
-                     "--planner wants 'cost' or 'heuristic', got '%s'\n", v);
-        return 2;
-      }
     } else if (arg == "--exec-mode") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -437,18 +412,6 @@ int main(int argc, char** argv) {
       } else {
         std::fprintf(stderr,
                      "--exec-mode wants 'tuple' or 'batch', got '%s'\n", v);
-        return 2;
-      }
-    } else if (arg == "--scheduler") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      if (std::strcmp(v, "on") == 0) {
-        options.scheduler_mode = park::SchedulerMode::kDependency;
-      } else if (std::strcmp(v, "off") == 0) {
-        options.scheduler_mode = park::SchedulerMode::kOff;
-      } else {
-        std::fprintf(stderr,
-                     "--scheduler wants 'on' or 'off', got '%s'\n", v);
         return 2;
       }
     } else if (arg == "--maintenance") {
@@ -509,7 +472,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (explain) PrintExplain(*program, *db, options.planner_mode);
+  if (explain) PrintExplain(*program, *db);
 
   park::UpdateSet updates;
   for (const std::string& text : update_texts) {

@@ -10,13 +10,14 @@ Result<IInterpretation> UnblockedFixpoint(const Program& program,
                                           size_t* steps_out) {
   IInterpretation interp(&base);
   BlockedSet no_blocked;
+  PlanCache plans(program);
   size_t steps = 0;
   while (true) {
     if (steps >= max_steps) {
       return ResourceExhaustedError(StrFormat(
           "inflationary fixpoint exceeded max_steps=%zu", max_steps));
     }
-    GammaResult gamma = ComputeGamma(program, no_blocked, interp);
+    GammaResult gamma = ComputeGamma(program, no_blocked, interp, plans);
     if (gamma.newly_marked == 0) break;
     ApplyDerivations(gamma.derivations, interp);
     ++steps;

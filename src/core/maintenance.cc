@@ -3,7 +3,7 @@
 #include <memory>
 
 #include "core/run_stats.h"
-#include "util/metrics.h"
+#include "core/stepper.h"
 #include "util/thread_pool.h"
 
 namespace park {
@@ -58,16 +58,13 @@ void FixpointMaintainer::EnsureBound(const Program& program,
     }
   }
   if (!graph_.has_value()) graph_.emplace(program);
-  if (!plans_.has_value() || bound_planner_ != options.planner_mode) {
-    plans_.emplace(program, options.planner_mode);
-    bound_planner_ = options.planner_mode;
-  }
+  if (!plans_.has_value()) plans_.emplace(program);
   const int threads = ResolveNumThreads(options.num_threads);
   if (threads > 1) {
     if (parallel_ == nullptr || bound_threads_ != threads ||
         bound_slice_ != options.min_slice_size) {
-      parallel_ = std::make_unique<ParallelGamma>(program, threads,
-                                                  options.min_slice_size);
+      parallel_ =
+          std::make_unique<ParallelGamma>(threads, options.min_slice_size);
       bound_threads_ = threads;
       bound_slice_ = options.min_slice_size;
     }
@@ -127,78 +124,28 @@ std::optional<ParkDiffResult> FixpointMaintainer::TryCommit(
     }
   }
 
-  const bool timed = options.collect_timings;
-  const int64_t run_start_ns = timed ? MonotonicNanos() : 0;
-  const bool scheduled = options.scheduler_mode == SchedulerMode::kDependency;
-  const RuleDependencyGraph* graph = scheduled ? &*graph_ : nullptr;
-  ParallelGamma* parallel = parallel_.get();
-  ExecStats exec_stats;
   // The warm caches outlive this commit, so their counters are reported
   // as this commit's deltas over their lifetime totals.
+  ParallelGamma* parallel = parallel_.get();
   ParkStats before;
   RecordPlannerStats(*plans_, before);
   if (parallel != nullptr) RecordParallelStats(*parallel, before);
 
-  // Seed the closure: U's marks, exactly what the body-less seed rules of
-  // P_U would produce in the full run's first step.
-  IInterpretation interp(&db);
-  DeltaAtoms delta;
-  delta.initial = false;
-  const RuleGrounding seed;  // rule_index -1: "seeded by the transaction"
-  ParkStats stats;
-  for (const Update& u : updates) {
-    if (interp.AddMarked(u.action, u.atom, seed)) {
-      (u.action == ActionKind::kInsert ? delta.plus : delta.minus)
-          .push_back(u.atom);
-      ++stats.derived_marks;
-    }
-  }
-
-  // Semi-naive closure over the stable base. Rules untouched by the
-  // delta never re-fire — INV says their heads are already stored.
-  const BlockedSet no_blocked;
-  size_t steps = 0;
-  uint64_t gamma_ns = 0;
-  uint64_t apply_ns = 0;
-  while (true) {
-    if (steps >= options.max_steps) return std::nullopt;
-    const int64_t gamma_start_ns = timed ? MonotonicNanos() : 0;
-    GammaResult gamma = ComputeGammaSemiNaive(
-        program, no_blocked, interp, delta, parallel, &*plans_,
-        /*cancel=*/nullptr, options.exec_mode, &exec_stats, graph);
-    if (timed) {
-      gamma_ns += static_cast<uint64_t>(MonotonicNanos() - gamma_start_ns);
-    }
-    RecordGammaSection(gamma, stats);
-    // A clash inside the cone means this commit has real conflicts; the
-    // full evaluator owns conflict construction and SELECT policies.
-    if (!gamma.consistent) return std::nullopt;
-    if (gamma.newly_marked == 0) break;
-    const int64_t apply_start_ns = timed ? MonotonicNanos() : 0;
-    const size_t added =
-        ApplyDerivationsTrackedAtoms(gamma.derivations, interp, delta);
-    if (timed) {
-      apply_ns += static_cast<uint64_t>(MonotonicNanos() - apply_start_ns);
-    }
-    stats.derived_marks += added;
-    stats.maint_atoms_rederived += added;
-    ++stats.gamma_steps;
-    ++steps;
-  }
+  // Semi-naive closure seeded from U over the stable base. Rules untouched
+  // by the delta never re-fire — INV says their heads are already stored.
+  // The first clash inside the cone, max_steps, or any other error ends
+  // the closure: the full evaluator owns conflicts and SELECT policies.
+  ParkStepper closure(program, db, options, updates,
+                      ParkStepper::WarmState{&*plans_, &*graph_, parallel});
+  if (!closure.Run().ok()) return std::nullopt;
 
   // The commit's diff, read straight off the marks in O(|marks|) and
   // sorted like the full path's, so CommitReports are bit-identical.
   ParkDiffResult outcome;
-  outcome.diff = interp.MarkDiff();
-
-  stats.num_threads = static_cast<size_t>(
-      parallel != nullptr ? parallel->num_threads() : 1);
-  stats.planner_mode = options.planner_mode;
-  stats.scheduler_mode = options.scheduler_mode;
-  stats.exec_mode = options.exec_mode;
-  if (scheduled) stats.sched_strata = graph_->num_strata();
-  RecordPlannerStats(*plans_, stats);
-  if (parallel != nullptr) RecordParallelStats(*parallel, stats);
+  outcome.diff = closure.interpretation().MarkDiff();
+  ParkStats stats = closure.stats();
+  stats.maint_atoms_rederived =
+      stats.derived_marks - (plus_seen.size() + minus_seen.size());
   stats.plans_compiled -= before.plans_compiled;
   stats.plan_cache_hits -= before.plan_cache_hits;
   stats.plan_replans -= before.plan_replans;
@@ -208,7 +155,6 @@ std::optional<ParkDiffResult> FixpointMaintainer::TryCommit(
   stats.parallel_tasks -= before.parallel_tasks;
   stats.parallel_sliced_units -= before.parallel_sliced_units;
   stats.parallel_slices -= before.parallel_slices;
-  RecordStorageStats(interp, exec_stats, stats);
 
   stats.maintenance_mode = MaintenanceMode::kIncremental;
   stats.maint_commits = 1;
@@ -223,13 +169,6 @@ std::optional<ParkDiffResult> FixpointMaintainer::TryCommit(
       minus_preds.push_back(atom.predicate());
     }
     stats.maint_cone_rules = graph_->ConeRules(plus_preds, minus_preds).size();
-  }
-  stats.timings.collected = timed;
-  if (timed) {
-    stats.timings.gamma_ns = gamma_ns;
-    stats.timings.apply_ns = apply_ns;
-    stats.timings.total_ns =
-        static_cast<uint64_t>(MonotonicNanos() - run_start_ns);
   }
   outcome.stats = std::move(stats);
   // The applied commit preserves INV (docs/INCREMENTAL.md): the closure

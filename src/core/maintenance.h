@@ -10,8 +10,9 @@
 // nothing — the invariant INV, established by any conflict-free full
 // commit), a new commit's effect is exactly the semi-naive closure seeded
 // from U over the stored instance. The maintainer tracks INV, checks the
-// eligibility gates, runs that seeded closure with the warm caches it
-// keeps across commits (dependency graph, plan cache, thread pool), and
+// eligibility gates, runs that seeded closure as a seeded ParkStepper
+// (the engine's one Δ loop) over the warm caches it keeps across commits
+// (dependency graph, plan cache, thread pool), and
 // hands back the commit's diff — bit-identical to the from-scratch
 // PARK(D, P, U) (proved in docs/INCREMENTAL.md, swept by
 // incremental_oracle_test) at cost proportional to |U| and its cone
@@ -81,7 +82,6 @@ class FixpointMaintainer {
   // --- binding (valid while bound_program_ matches) ---
   const Program* bound_program_ = nullptr;
   size_t bound_rule_count_ = 0;
-  PlannerMode bound_planner_ = PlannerMode::kCostBased;
   int bound_threads_ = 1;            // resolved
   size_t bound_slice_ = 0;
   std::optional<RuleDependencyGraph> graph_;

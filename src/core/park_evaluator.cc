@@ -1,49 +1,19 @@
 #include "core/park_evaluator.h"
 
 #include <algorithm>
-#include <chrono>
-#include <optional>
-#include <set>
 
 #include "core/run_stats.h"
-#include "engine/rule_graph.h"
-#include "util/cancellation.h"
+#include "core/stepper.h"
 #include "util/json.h"
-#include "util/metrics.h"
 #include "util/string_util.h"
 
 namespace park {
 namespace {
 
-const char* GammaModeName(GammaMode mode) {
-  switch (mode) {
-    case GammaMode::kNaive: return "naive";
-    case GammaMode::kDeltaFiltered: return "delta_filtered";
-    case GammaMode::kSemiNaive: return "semi_naive";
-  }
-  return "unknown";
-}
-
-const char* PlannerModeName(PlannerMode mode) {
-  switch (mode) {
-    case PlannerMode::kHeuristic: return "heuristic";
-    case PlannerMode::kCostBased: return "cost_based";
-  }
-  return "unknown";
-}
-
 const char* ExecModeName(ExecMode mode) {
   switch (mode) {
     case ExecMode::kTuple: return "tuple";
     case ExecMode::kBatch: return "batch";
-  }
-  return "unknown";
-}
-
-const char* SchedulerModeName(SchedulerMode mode) {
-  switch (mode) {
-    case SchedulerMode::kOff: return "off";
-    case SchedulerMode::kDependency: return "dependency";
   }
   return "unknown";
 }
@@ -54,63 +24,6 @@ const char* MaintenanceModeName(MaintenanceMode mode) {
     case MaintenanceMode::kIncremental: return "incremental";
   }
   return "unknown";
-}
-
-/// Arms the run's CancellationToken from the options (deadline, memory /
-/// derivation budgets, chained external cancel). Returns nullptr when no
-/// governance is configured — the matcher and Γ workers then skip polling
-/// entirely, keeping the ungoverned fast path free of even the stride
-/// counters' branches.
-CancellationToken* ArmRunToken(CancellationToken& token,
-                               const ParkOptions& options,
-                               std::chrono::steady_clock::time_point start) {
-  if (options.deadline_ms <= 0 && options.cancel == nullptr &&
-      options.max_memory_bytes == 0 && options.max_derivations == 0) {
-    return nullptr;
-  }
-  if (options.deadline_ms > 0) {
-    token.SetDeadline(start + std::chrono::milliseconds(options.deadline_ms));
-  }
-  if (options.max_memory_bytes > 0) {
-    token.SetMemoryLimit(options.max_memory_bytes);
-  }
-  if (options.max_derivations > 0) {
-    token.SetWorkLimit(options.max_derivations);
-  }
-  token.ChainParent(options.cancel);
-  return &token;
-}
-
-/// Renders I ∪ {Γ-derived marks} — the inconsistent interpretation the
-/// paper prints as a numbered step before resolving, never applied to I.
-std::vector<std::string> RenderWithDerivations(
-    const IInterpretation& interp, const std::vector<Derivation>& derived,
-    const SymbolTable& symbols) {
-  std::set<std::string> unmarked;
-  std::set<std::string> plus;
-  std::set<std::string> minus;
-  interp.base().ForEach([&](const GroundAtom& atom) {
-    unmarked.insert(atom.ToString(symbols));
-  });
-  interp.plus().ForEach([&](const GroundAtom& atom) {
-    plus.insert("+" + atom.ToString(symbols));
-  });
-  interp.minus().ForEach([&](const GroundAtom& atom) {
-    minus.insert("-" + atom.ToString(symbols));
-  });
-  for (const Derivation& d : derived) {
-    if (d.action == ActionKind::kInsert) {
-      plus.insert("+" + d.atom.ToString(symbols));
-    } else {
-      minus.insert("-" + d.atom.ToString(symbols));
-    }
-  }
-  std::vector<std::string> out;
-  out.reserve(unmarked.size() + plus.size() + minus.size());
-  out.insert(out.end(), unmarked.begin(), unmarked.end());
-  out.insert(out.end(), plus.begin(), plus.end());
-  out.insert(out.end(), minus.begin(), minus.end());
-  return out;
 }
 
 /// Renders the provenance of every marked atom of the final fixpoint.
@@ -210,7 +123,6 @@ std::string ParkStats::ToJson() const {
                                 : timings.pool_busy_ns / parallel_tasks);
   w.EndObject();
   w.Key("planner").BeginObject();
-  w.Key("mode").String(PlannerModeName(planner_mode));
   w.Key("plans_compiled").UInt(plans_compiled);
   w.Key("cache_hits").UInt(plan_cache_hits);
   w.Key("replans").UInt(plan_replans);
@@ -218,7 +130,6 @@ std::string ParkStats::ToJson() const {
   w.Key("actual_rows").UInt(planner_actual_rows);
   w.EndObject();
   w.Key("scheduler").BeginObject();
-  w.Key("mode").String(SchedulerModeName(scheduler_mode));
   w.Key("rules_considered").UInt(sched_rules_considered);
   w.Key("rules_skipped").UInt(sched_rules_skipped);
   w.Key("strata").UInt(sched_strata);
@@ -306,288 +217,6 @@ Result<Program> ProgramWithUpdates(const Program& program,
   return extended;
 }
 
-namespace {
-
-/// What the Δ loop leaves at its fixpoint: the final interpretation over
-/// `db`, the blocked set B, and the run's stats and trace. Park() and
-/// ParkDiff() are the two finishers that turn it into a result.
-struct ParkRun {
-  IInterpretation interp;
-  BlockedSet blocked;
-  ParkStats stats;
-  Trace trace;
-};
-
-/// ω_P(⟨∅, D⟩): runs the Δ operator to its fixpoint (§4.2), restarting
-/// from I° after every conflict round.
-Result<ParkRun> RunPark(const Program& program, const Database& db,
-                        const ParkOptions& options) {
-  PARK_CHECK(program.symbols() == db.symbols())
-      << "program and database must share a symbol table";
-  PolicyPtr policy = options.policy ? options.policy : MakeInertiaPolicy();
-
-  IInterpretation interp(&db);
-  BlockedSet blocked;
-  ParkStats stats;
-  Trace trace(options.trace_level);
-  DeltaState delta;
-  DeltaAtoms delta_atoms;
-  const GammaMode mode = options.gamma_mode;
-  const int num_threads = ResolveNumThreads(options.num_threads);
-  std::optional<ParallelGamma> parallel_state;
-  if (num_threads > 1) {
-    parallel_state.emplace(program, num_threads, options.min_slice_size);
-  }
-  ParallelGamma* parallel =
-      parallel_state.has_value() ? &*parallel_state : nullptr;
-  stats.num_threads = static_cast<size_t>(num_threads);
-  stats.planner_mode = options.planner_mode;
-  stats.scheduler_mode = options.scheduler_mode;
-  // Echoed so one-shot stats reports show the configured mode; the
-  // maintenance counters themselves are owned by FixpointMaintainer and
-  // ActiveDatabase (a bare Park() call is by definition from-scratch).
-  stats.maintenance_mode = options.maintenance_mode;
-  // The dependency graph behind delta-driven scheduling, built once per
-  // evaluation. Naive Γ matches every rule every step by definition, so
-  // the graph would never be consulted — skip building it.
-  std::optional<RuleDependencyGraph> graph_state;
-  if (options.scheduler_mode == SchedulerMode::kDependency &&
-      mode != GammaMode::kNaive) {
-    graph_state.emplace(program);
-    stats.sched_strata = graph_state->num_strata();
-  }
-  const RuleDependencyGraph* graph =
-      graph_state.has_value() ? &*graph_state : nullptr;
-  const ExecMode exec = options.exec_mode;
-  stats.exec_mode = exec;
-  ExecStats exec_stats;
-  ObserverHook observer(options.observer);
-  PlanCache plans(program, options.planner_mode);
-  if (options.observer != nullptr) {
-    plans.set_compile_listener([&](const PlanExplanation& explanation) {
-      observer.Notify(
-          [&](RunObserver& o) { o.OnPlanCompiled(explanation); });
-    });
-  }
-  const bool timed = options.collect_timings;
-  stats.timings.collected = timed;
-  if (timed && parallel != nullptr) parallel->EnableTiming();
-  const int64_t run_start_ns = timed ? MonotonicNanos() : 0;
-  const auto start_time = std::chrono::steady_clock::now();
-  // Run governance: one token shared by every thread of this evaluation.
-  // Null when no deadline / cancel / budget is configured.
-  CancellationToken token;
-  CancellationToken* cancel = ArmRunToken(token, options, start_time);
-  // Coordinator-side memory scope: the merged Γ derivation list (workers
-  // charge their own scratch + buffers while matching).
-  CancellationToken::MemoryScope gamma_scope;
-  int step = 0;
-
-  trace.RecordInitial(interp, step);
-  observer.Notify([&](RunObserver& o) {
-    o.OnRunStart(RunStartInfo{program.size(), num_threads,
-                              GammaModeName(mode)});
-  });
-
-  while (true) {
-    if (static_cast<size_t>(step) >= options.max_steps) {
-      return ResourceExhaustedError(StrFormat(
-          "PARK evaluation exceeded max_steps=%zu", options.max_steps));
-    }
-    if (cancel != nullptr && cancel->Check()) return cancel->ToStatus();
-    observer.Notify([&](RunObserver& o) { o.OnStepStart(step); });
-    int64_t gamma_start_ns = timed ? MonotonicNanos() : 0;
-    GammaResult gamma;
-    switch (mode) {
-      case GammaMode::kNaive:
-        gamma = ComputeGamma(program, blocked, interp, parallel, &plans,
-                             cancel, exec, &exec_stats);
-        break;
-      case GammaMode::kDeltaFiltered:
-        gamma = ComputeGammaFiltered(program, blocked, interp, delta,
-                                     parallel, &plans, cancel, exec,
-                                     &exec_stats, graph);
-        break;
-      case GammaMode::kSemiNaive:
-        gamma = ComputeGammaSemiNaive(program, blocked, interp, delta_atoms,
-                                      parallel, &plans, cancel, exec,
-                                      &exec_stats, graph);
-        break;
-    }
-    if (timed) {
-      stats.timings.gamma_ns +=
-          static_cast<uint64_t>(MonotonicNanos() - gamma_start_ns);
-    }
-    // A fired token makes the Γ result partial: discard it and surface
-    // the cause. The input database is untouched (evaluation mutates only
-    // the copy-on-write interpretation, incorporated on success below).
-    if (cancel != nullptr) {
-      cancel->UpdateScope(gamma_scope, gamma.derivations.capacity() *
-                                           sizeof(Derivation));
-      if (cancel->Check()) return cancel->ToStatus();
-    }
-    RecordGammaSection(gamma, stats);
-    observer.Notify([&](RunObserver& o) {
-      o.OnGammaSection(GammaSectionInfo{
-          step, gamma.rules_evaluated, gamma.derivations.size(),
-          gamma.newly_marked, gamma.consistent});
-    });
-
-    if (gamma.consistent) {
-      if (gamma.newly_marked == 0) {
-        // Γ(P,B)(I) = I: the bi-structure is a fixpoint of Δ.
-        trace.RecordFixpoint(interp, step);
-        observer.Notify([&](RunObserver& o) { o.OnFixpoint(step); });
-        break;
-      }
-      int64_t apply_start_ns = timed ? MonotonicNanos() : 0;
-      switch (mode) {
-        case GammaMode::kNaive:
-          stats.derived_marks += ApplyDerivations(gamma.derivations, interp);
-          break;
-        case GammaMode::kDeltaFiltered:
-          stats.derived_marks +=
-              ApplyDerivationsTracked(gamma.derivations, interp, delta);
-          break;
-        case GammaMode::kSemiNaive:
-          stats.derived_marks += ApplyDerivationsTrackedAtoms(
-              gamma.derivations, interp, delta_atoms);
-          break;
-      }
-      if (timed) {
-        stats.timings.apply_ns +=
-            static_cast<uint64_t>(MonotonicNanos() - apply_start_ns);
-      }
-      ++stats.gamma_steps;
-      ++step;
-      trace.RecordGammaStep(interp, step);
-      continue;
-    }
-
-    // Inconsistent: this Γ application is counted and shown as a step (the
-    // paper's traces include it) but never applied; instead conflicts are
-    // resolved, B is extended, and the computation restarts from I°.
-    //
-    // Conflict triples must be MAXIMAL (§4.2) — they need every currently
-    // firable instance on each side, which a delta-driven evaluation may
-    // have skipped — so recompute the full Γ before building them.
-    if (mode != GammaMode::kNaive) {
-      gamma_start_ns = timed ? MonotonicNanos() : 0;
-      gamma = ComputeGamma(program, blocked, interp, parallel, &plans,
-                           cancel, exec, &exec_stats);
-      if (timed) {
-        stats.timings.gamma_ns +=
-            static_cast<uint64_t>(MonotonicNanos() - gamma_start_ns);
-      }
-      if (cancel != nullptr && cancel->Check()) return cancel->ToStatus();
-      RecordGammaSection(gamma, stats);
-      observer.Notify([&](RunObserver& o) {
-        o.OnGammaSection(GammaSectionInfo{
-            step, gamma.rules_evaluated, gamma.derivations.size(),
-            gamma.newly_marked, gamma.consistent});
-      });
-    }
-    ++step;
-    if (trace.level() == TraceLevel::kFull) {
-      trace.RecordInconsistentStep(
-          RenderWithDerivations(interp, gamma.derivations,
-                                *program.symbols()),
-          step);
-    }
-    const int64_t conflict_start_ns = timed ? MonotonicNanos() : 0;
-    std::vector<Conflict> conflicts = BuildConflicts(gamma, interp);
-    if (options.block_granularity == BlockGranularity::kFirstConflictOnly &&
-        conflicts.size() > 1) {
-      conflicts.resize(1);
-    }
-    if (trace.level() != TraceLevel::kNone) {
-      std::vector<std::string> descriptions;
-      descriptions.reserve(conflicts.size());
-      for (const Conflict& c : conflicts) {
-        descriptions.push_back(c.ToString(program, *program.symbols()));
-      }
-      trace.RecordConflict(std::move(descriptions), step);
-    }
-
-    PolicyContext context{db, program, interp,
-                          static_cast<int>(stats.restarts)};
-    size_t newly_blocked = 0;
-    std::vector<std::string> resolution_notes;
-    for (const Conflict& conflict : conflicts) {
-      ++stats.policy_invocations;
-      const int64_t policy_start_ns = timed ? MonotonicNanos() : 0;
-      PARK_ASSIGN_OR_RETURN(Vote vote, policy->Select(context, conflict));
-      if (timed) {
-        stats.timings.policy_ns +=
-            static_cast<uint64_t>(MonotonicNanos() - policy_start_ns);
-      }
-      if (vote == Vote::kAbstain) {
-        return AbortedError(StrFormat(
-            "policy '%s' abstained on conflict over %s; wrap it in a "
-            "composite with a complete fallback (e.g. inertia)",
-            std::string(policy->name()).c_str(),
-            conflict.atom.ToString(*program.symbols()).c_str()));
-      }
-      ++stats.conflicts_resolved;
-      observer.Notify(
-          [&](RunObserver& o) { o.OnPolicyDecision(conflict, vote); });
-      const std::vector<RuleGrounding>& losing =
-          vote == Vote::kInsert ? conflict.deleters : conflict.inserters;
-      for (const RuleGrounding& g : losing) {
-        if (blocked.insert(g).second) ++newly_blocked;
-      }
-      if (trace.level() != TraceLevel::kNone) {
-        resolution_notes.push_back(StrFormat(
-            "%s on %s: block %zu instance(s)", VoteToString(vote),
-            conflict.atom.ToString(*program.symbols()).c_str(),
-            losing.size()));
-      }
-    }
-    observer.Notify([&](RunObserver& o) {
-      o.OnConflictRound(ConflictRoundInfo{stats.restarts, conflicts.size(),
-                                          newly_blocked});
-    });
-    if (timed) {
-      stats.timings.conflict_ns +=
-          static_cast<uint64_t>(MonotonicNanos() - conflict_start_ns);
-    }
-    if (newly_blocked == 0) {
-      return AbortedError(
-          "conflict resolution made no progress (no new blocked "
-          "instances); the policy decisions are cyclic");
-    }
-    trace.RecordResolution(std::move(resolution_notes), step);
-    interp.ClearMarks();
-    delta.Reset();
-    delta_atoms.Reset();
-    ++stats.restarts;
-    observer.Notify(
-        [&](RunObserver& o) { o.OnRestart(stats.restarts); });
-    trace.RecordRestart(step);
-    trace.RecordInitial(interp, step);
-  }
-
-  stats.blocked_instances = blocked.size();
-  stats.memory_limit_bytes = options.max_memory_bytes;
-  stats.derivation_limit = options.max_derivations;
-  if (cancel != nullptr) {
-    stats.peak_memory_bytes = cancel->peak_bytes();
-    stats.derivations_charged = cancel->work_charged();
-  }
-  RecordStorageStats(interp, exec_stats, stats);
-  RecordPlannerStats(plans, stats);
-  if (parallel != nullptr) RecordParallelStats(*parallel, stats);
-  if (timed) {
-    stats.timings.total_ns =
-        static_cast<uint64_t>(MonotonicNanos() - run_start_ns);
-  }
-  observer.Notify([&](RunObserver& o) { o.OnRunEnd(stats); });
-  return ParkRun{std::move(interp), std::move(blocked), std::move(stats),
-                 std::move(trace)};
-}
-
-}  // namespace
-
 void RecordGammaSection(const GammaResult& gamma, ParkStats& stats) {
   stats.rule_evaluations += gamma.rules_evaluated;
   stats.sched_rules_considered += gamma.rules_considered;
@@ -643,12 +272,13 @@ void RecordStorageStats(const IInterpretation& interp,
 
 Result<ParkResult> Park(const Program& program, const Database& db,
                         const ParkOptions& options) {
-  PARK_ASSIGN_OR_RETURN(ParkRun run, RunPark(program, db, options));
-  ParkResult result{run.interp.Incorporate(), std::move(run.stats),
-                    std::move(run.trace), RenderBlocked(run.blocked, program),
-                    {}};
+  ParkStepper stepper(program, db, options);
+  PARK_RETURN_IF_ERROR(stepper.Run());
+  const IInterpretation& interp = stepper.interpretation();
+  ParkResult result{interp.Incorporate(), stepper.stats(), stepper.trace(),
+                    RenderBlocked(stepper.blocked(), program), {}};
   if (options.record_provenance) {
-    result.provenance = RenderProvenance(run.interp, program);
+    result.provenance = RenderProvenance(interp, program);
   }
   return result;
 }
@@ -666,9 +296,10 @@ Result<ParkDiffResult> ParkDiff(const Database& db, const Program& program,
                                 const ParkOptions& options) {
   PARK_ASSIGN_OR_RETURN(Program extended,
                         ProgramWithUpdates(program, updates));
-  PARK_ASSIGN_OR_RETURN(ParkRun run, RunPark(extended, db, options));
-  return ParkDiffResult{run.interp.MarkDiff(), std::move(run.stats),
-                        std::move(run.trace)};
+  ParkStepper stepper(extended, db, options);
+  PARK_RETURN_IF_ERROR(stepper.Run());
+  return ParkDiffResult{stepper.interpretation().MarkDiff(), stepper.stats(),
+                        stepper.trace()};
 }
 
 }  // namespace park

@@ -7,6 +7,10 @@
 // where P_U = P ∪ { → ±a | ±a ∈ U } seeds the transaction's updates as
 // body-less rules, so update/rule conflicts are handled uniformly and the
 // updates survive restarts.
+//
+// Park() and ParkDiff() are drivers over ParkStepper (core/stepper.h), the
+// one implementation of the Δ loop: each constructs a stepper, runs it to
+// its fixpoint, and finishes the run.
 
 #ifndef PARK_CORE_PARK_EVALUATOR_H_
 #define PARK_CORE_PARK_EVALUATOR_H_
@@ -58,24 +62,6 @@ enum class GammaMode {
   /// recursive derivations (transitive closure) where even the live rules
   /// would otherwise re-derive everything every step.
   kSemiNaive,
-};
-
-/// Whether Γ steps are driven through the program's rule/predicate
-/// dependency graph (docs/SCHEDULER.md). Like the planner and exec modes
-/// this is a pure performance knob: the scheduled evaluation produces
-/// bit-identical results for any fixed configuration (asserted in
-/// scheduler_oracle_test), so kDependency is the default.
-enum class SchedulerMode {
-  /// Legacy per-step behavior: delta-filtered Γ scans every rule for
-  /// affectedness, semi-naive crosses every rule's body with the delta.
-  kOff,
-  /// Build a RuleDependencyGraph once per evaluation and use its watcher
-  /// index to reach the affected rules in O(|changed predicates|), quick-
-  /// exit steps whose delta wakes no rule, and (delta-filtered, parallel)
-  /// dispatch the affected rules stratum by stratum with per-stage plan
-  /// prewarm. Naive Γ mode matches everything by definition and ignores
-  /// the scheduler.
-  kDependency,
 };
 
 /// Whether ActiveDatabase commits maintain the materialized PARK
@@ -156,27 +142,10 @@ struct ParkOptions {
   /// kBatch runs batch-at-a-time over the relations' columnar segments
   /// (selection vectors, sorted-merge joins where the planner chose
   /// them), compacting each relation's columnar view at Γ-step
-  /// boundaries. Results are bit-identical to tuple mode for a fixed
-  /// configuration and across thread counts — the batch executor emits
-  /// candidates in the same binding-major order the tuple path would
-  /// (asserted in planner_oracle_test). Only consulted on the compiled-
-  /// plan path; the legacy per-call matcher always runs tuple-at-a-time.
-  ExecMode exec_mode = ExecMode::kTuple;
-  /// How rule bodies are ordered for matching (see docs/PLANNER.md).
-  /// kCostBased (default) compiles each rule — and each Δ-seeded variant —
-  /// once into a plan ordered by live storage statistics, recompiling only
-  /// when the consulted stores drift; kHeuristic uses the legacy static
-  /// greedy order. REPLAY-STABLE, not free: the match SET is identical in
-  /// both modes (planner_oracle_test), but the enumeration ORDER differs,
-  /// and order feeds policies, traces, and provenance. For a fixed mode
-  /// (and fixed other options) results are bit-identical across runs and
+  /// boundaries. The match SET is identical in both modes
+  /// (planner_oracle_test); each mode is bit-identical across runs and
   /// thread counts.
-  PlannerMode planner_mode = PlannerMode::kCostBased;
-  /// Delta-driven Γ scheduling over the rule dependency graph (see
-  /// SchedulerMode above and docs/SCHEDULER.md). Never affects results,
-  /// only how fast sparse deltas find their rules; `parkcli --scheduler
-  /// on|off` exposes it and bench_scheduler quantifies it.
-  SchedulerMode scheduler_mode = SchedulerMode::kDependency;
+  ExecMode exec_mode = ExecMode::kTuple;
   /// Incremental fixpoint maintenance across commits (see MaintenanceMode
   /// above and docs/INCREMENTAL.md). Default off until a deployment has
   /// been oracle-swept; `parkcli --maintenance on|off` exposes it and
@@ -246,12 +215,10 @@ struct ParkStats {
   /// Largest single ParallelFor section of the run — the peak "queue
   /// depth" the pool saw (0 on sequential runs).
   size_t parallel_max_queue_depth = 0;
-  // Join-planner counters (see ParkOptions::planner_mode and
-  // docs/PLANNER.md). Deterministic for a fixed configuration and
-  // invariant across thread counts: the coordinator fetches plans and
-  // accumulates rows in unit order on both the sequential and parallel
-  // paths (asserted in planner_oracle_test).
-  PlannerMode planner_mode = PlannerMode::kCostBased;
+  // Join-planner counters (see docs/PLANNER.md). Deterministic for a
+  // fixed configuration and invariant across thread counts: the
+  // coordinator fetches plans and accumulates rows in unit order on both
+  // the sequential and parallel paths (asserted in planner_oracle_test).
   size_t plans_compiled = 0;   // plan compilations, replans included
   size_t plan_cache_hits = 0;  // Get() calls served from the cache
   size_t plan_replans = 0;     // recompiles triggered by stats drift
@@ -259,17 +226,16 @@ struct ParkStats {
   /// of actually enumerated stream rows — the cost model's calibration.
   size_t planner_estimated_rows = 0;
   size_t planner_actual_rows = 0;
-  // Scheduler counters (see ParkOptions::scheduler_mode and
-  // docs/SCHEDULER.md), summed over every Γ call of the run. Thread- and
-  // schedule-partition-invariant: the affected set and its stage
-  // structure are properties of the delta, never of the pool.
-  // `sched_rules_considered` counts rules examined for affectedness
-  // (program size per scan-mode step, watcher hits per scheduled step,
-  // 0 on quick-exited steps); `sched_rules_skipped` counts rules not
-  // matched; `sched_strata` is the static stratum count of the program's
-  // dependency graph (0 with the scheduler off); `sched_pipeline_stages`
-  // sums the per-step stratum groups among scheduled rules.
-  SchedulerMode scheduler_mode = SchedulerMode::kDependency;
+  // Scheduler counters (see docs/SCHEDULER.md), summed over every Γ call
+  // of the run. Thread- and schedule-partition-invariant: the affected
+  // set and its stage structure are properties of the delta, never of
+  // the pool. `sched_rules_considered` counts rules examined for
+  // affectedness (the whole program on a full Γ, watcher hits on a
+  // scheduled step, 0 on quick-exited steps); `sched_rules_skipped`
+  // counts rules not matched; `sched_strata` is the static stratum count
+  // of the program's dependency graph (0 under naive Γ, which builds
+  // none); `sched_pipeline_stages` sums the per-step stratum groups among
+  // scheduled rules.
   size_t sched_rules_considered = 0;
   size_t sched_rules_skipped = 0;
   size_t sched_strata = 0;
@@ -379,7 +345,7 @@ struct ParkStats {
   /// The "counters" object is invariant across num_threads /
   /// min_slice_size settings (asserted in stats_invariance_test);
   /// "parallel" and "timings" are explicitly not. "planner" is invariant
-  /// across thread counts but does depend on planner_mode / gamma_mode.
+  /// across thread counts but does depend on gamma_mode.
   std::string ToJson() const;
 };
 
@@ -415,7 +381,7 @@ struct ParkDiffResult {
 };
 
 /// Computes PARK(P, D). `program` and `db` must share a symbol table.
-/// Runs the Δ loop to its fixpoint I and returns incorp(I) as a new
+/// Runs a ParkStepper to its fixpoint I and returns incorp(I) as a new
 /// Database, which costs one copy of `db` (O(|D|)); a caller that only
 /// needs what changed should use ParkDiff instead.
 /// Errors: kAborted if the policy abstains or makes no progress,

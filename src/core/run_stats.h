@@ -1,6 +1,6 @@
-// ParkStats bookkeeping shared by the three Γ loops — Park(),
-// ParkStepper and FixpointMaintainer — so each counter has one
-// definition. Defined in park_evaluator.cc.
+// ParkStats bookkeeping of the Δ loop (ParkStepper), also used by
+// FixpointMaintainer to turn its warm caches' lifetime counters into
+// per-commit deltas. Defined in park_evaluator.cc.
 
 #ifndef PARK_CORE_RUN_STATS_H_
 #define PARK_CORE_RUN_STATS_H_

@@ -1,5 +1,7 @@
 #include "core/stepper.h"
 
+#include <set>
+
 #include "core/run_stats.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
@@ -7,7 +9,7 @@
 namespace park {
 namespace {
 
-const char* StepperGammaModeName(GammaMode mode) {
+const char* GammaModeName(GammaMode mode) {
   switch (mode) {
     case GammaMode::kNaive: return "naive";
     case GammaMode::kDeltaFiltered: return "delta_filtered";
@@ -16,71 +18,199 @@ const char* StepperGammaModeName(GammaMode mode) {
   return "unknown";
 }
 
+/// Arms the run's CancellationToken from the options (deadline, memory /
+/// derivation budgets, chained external cancel). Returns nullptr when no
+/// governance is configured — the matcher and Γ workers then skip polling
+/// entirely, keeping the ungoverned fast path free of even the stride
+/// counters' branches.
+CancellationToken* ArmRunToken(CancellationToken& token,
+                               const ParkOptions& options,
+                               std::chrono::steady_clock::time_point start) {
+  if (options.deadline_ms <= 0 && options.cancel == nullptr &&
+      options.max_memory_bytes == 0 && options.max_derivations == 0) {
+    return nullptr;
+  }
+  if (options.deadline_ms > 0) {
+    token.SetDeadline(start + std::chrono::milliseconds(options.deadline_ms));
+  }
+  if (options.max_memory_bytes > 0) {
+    token.SetMemoryLimit(options.max_memory_bytes);
+  }
+  if (options.max_derivations > 0) {
+    token.SetWorkLimit(options.max_derivations);
+  }
+  token.ChainParent(options.cancel);
+  return &token;
+}
+
+/// Renders I ∪ {Γ-derived marks} — the inconsistent interpretation the
+/// paper prints as a numbered step before resolving, never applied to I.
+std::vector<std::string> RenderWithDerivations(
+    const IInterpretation& interp, const std::vector<Derivation>& derived,
+    const SymbolTable& symbols) {
+  auto marked = [&](char sign, const GroundAtom& atom) {
+    std::string out(1, sign);
+    out += atom.ToString(symbols);
+    return out;
+  };
+  std::set<std::string> unmarked;
+  std::set<std::string> plus;
+  std::set<std::string> minus;
+  interp.base().ForEach([&](const GroundAtom& atom) {
+    unmarked.insert(atom.ToString(symbols));
+  });
+  interp.plus().ForEach(
+      [&](const GroundAtom& atom) { plus.insert(marked('+', atom)); });
+  interp.minus().ForEach(
+      [&](const GroundAtom& atom) { minus.insert(marked('-', atom)); });
+  for (const Derivation& d : derived) {
+    if (d.action == ActionKind::kInsert) {
+      plus.insert(marked('+', d.atom));
+    } else {
+      minus.insert(marked('-', d.atom));
+    }
+  }
+  std::vector<std::string> out;
+  out.reserve(unmarked.size() + plus.size() + minus.size());
+  out.insert(out.end(), unmarked.begin(), unmarked.end());
+  out.insert(out.end(), plus.begin(), plus.end());
+  out.insert(out.end(), minus.begin(), minus.end());
+  return out;
+}
+
 }  // namespace
 
 ParkStepper::ParkStepper(const Program& program, const Database& db,
                          ParkOptions options)
+    : ParkStepper(program, db, std::move(options), nullptr) {
+  Start();
+}
+
+ParkStepper::ParkStepper(const Program& program, const Database& db,
+                         ParkOptions options,
+                         const std::vector<Update>& seeds, WarmState warm)
+    : ParkStepper(program, db, std::move(options), &warm) {
+  seeded_ = true;
+  options_.gamma_mode = GammaMode::kSemiNaive;
+  // U's marks: exactly what the body-less seed rules of P_U would produce
+  // in a full run's first step.
+  const RuleGrounding seed;  // rule_index -1: "seeded by the transaction"
+  delta_atoms_.initial = false;
+  for (const Update& u : seeds) {
+    if (interp_.AddMarked(u.action, u.atom, seed)) {
+      (u.action == ActionKind::kInsert ? delta_atoms_.plus
+                                       : delta_atoms_.minus)
+          .push_back(u.atom);
+      ++stats_.derived_marks;
+    }
+  }
+  Start();
+}
+
+ParkStepper::ParkStepper(const Program& program, const Database& db,
+                         ParkOptions options, const WarmState* warm)
     : program_(program),
       db_(db),
       options_(std::move(options)),
       policy_(options_.policy ? options_.policy : MakeInertiaPolicy()),
-      plans_(program, options_.planner_mode),
       interp_(&db),
       observer_(options_.observer),
+      trace_(options_.trace_level),
       start_time_(std::chrono::steady_clock::now()) {
   PARK_CHECK(program.symbols() == db.symbols())
       << "program and database must share a symbol table";
-  int num_threads = ResolveNumThreads(options_.num_threads);
-  stats_.num_threads = static_cast<size_t>(num_threads);
-  stats_.planner_mode = options_.planner_mode;
-  stats_.exec_mode = options_.exec_mode;
-  stats_.timings.collected = options_.collect_timings;
-  stats_.memory_limit_bytes = options_.max_memory_bytes;
-  stats_.derivation_limit = options_.max_derivations;
-  // Arm the run token only when some form of governance is configured;
-  // ungoverned runs keep cancel_ == nullptr and skip all polling.
-  if (options_.deadline_ms > 0 || options_.cancel != nullptr ||
-      options_.max_memory_bytes > 0 || options_.max_derivations > 0) {
-    if (options_.deadline_ms > 0) {
-      token_.SetDeadline(start_time_ +
-                         std::chrono::milliseconds(options_.deadline_ms));
-    }
-    if (options_.max_memory_bytes > 0) {
-      token_.SetMemoryLimit(options_.max_memory_bytes);
-    }
-    if (options_.max_derivations > 0) {
-      token_.SetWorkLimit(options_.max_derivations);
-    }
-    token_.ChainParent(options_.cancel);
-    cancel_ = &token_;
+  if (warm != nullptr) {
+    PARK_CHECK(warm->plans != nullptr && warm->graph != nullptr)
+        << "a seeded stepper borrows a plan cache and a dependency graph";
+    parallel_ = warm->parallel;
+    graph_ = warm->graph;
+    plans_ = warm->plans;
+    return;
   }
+  const int num_threads = ResolveNumThreads(options_.num_threads);
   if (num_threads > 1) {
-    parallel_.emplace(program_, num_threads, options_.min_slice_size);
-    if (options_.collect_timings) parallel_->EnableTiming();
+    own_parallel_.emplace(num_threads, options_.min_slice_size);
+    if (options_.collect_timings) own_parallel_->EnableTiming();
+    parallel_ = &*own_parallel_;
   }
-  stats_.scheduler_mode = options_.scheduler_mode;
-  if (options_.scheduler_mode == SchedulerMode::kDependency &&
-      options_.gamma_mode != GammaMode::kNaive) {
-    graph_.emplace(program_);
-    stats_.sched_strata = graph_->num_strata();
+  if (options_.gamma_mode != GammaMode::kNaive) {
+    own_graph_.emplace(program_);
+    graph_ = &*own_graph_;
   }
+  own_plans_.emplace(program_);
+  plans_ = &*own_plans_;
   if (options_.observer != nullptr) {
-    plans_.set_compile_listener([this](const PlanExplanation& explanation) {
+    plans_->set_compile_listener([this](const PlanExplanation& explanation) {
       observer_.Notify(
           [&](RunObserver& o) { o.OnPlanCompiled(explanation); });
     });
   }
+}
+
+void ParkStepper::Start() {
+  const int num_threads =
+      parallel_ != nullptr ? parallel_->num_threads() : 1;
+  stats_.num_threads = static_cast<size_t>(num_threads);
+  stats_.exec_mode = options_.exec_mode;
+  // Echoed so one-shot stats reports show the configured mode; the
+  // maintenance counters themselves are owned by FixpointMaintainer and
+  // ActiveDatabase.
+  stats_.maintenance_mode = options_.maintenance_mode;
+  stats_.memory_limit_bytes = options_.max_memory_bytes;
+  stats_.derivation_limit = options_.max_derivations;
+  if (graph_ != nullptr) stats_.sched_strata = graph_->num_strata();
+  stats_.timings.collected = options_.collect_timings;
+  cancel_ = ArmRunToken(token_, options_, start_time_);
   if (options_.collect_timings) run_start_ns_ = MonotonicNanos();
+  trace_.RecordInitial(interp_, 0);
   observer_.Notify([&](RunObserver& o) {
     o.OnRunStart(RunStartInfo{program_.size(), num_threads,
-                              StepperGammaModeName(options_.gamma_mode)});
+                              GammaModeName(options_.gamma_mode)});
   });
 }
 
-void ParkStepper::RefreshResourceStats() {
-  if (cancel_ == nullptr) return;
-  stats_.peak_memory_bytes = cancel_->peak_bytes();
-  stats_.derivations_charged = cancel_->work_charged();
+GammaResult ParkStepper::ComputeSection(bool full) {
+  const GammaMode mode = full ? GammaMode::kNaive : options_.gamma_mode;
+  switch (mode) {
+    case GammaMode::kNaive:
+      return ComputeGamma(program_, blocked_, interp_, *plans_, parallel_,
+                          cancel_, options_.exec_mode, &exec_stats_);
+    case GammaMode::kDeltaFiltered:
+      return ComputeGammaFiltered(program_, blocked_, interp_, delta_,
+                                  *graph_, *plans_, parallel_, cancel_,
+                                  options_.exec_mode, &exec_stats_);
+    case GammaMode::kSemiNaive:
+      return ComputeGammaSemiNaive(program_, blocked_, interp_, delta_atoms_,
+                                   *graph_, *plans_, parallel_, cancel_,
+                                   options_.exec_mode, &exec_stats_);
+  }
+  return GammaResult{};
+}
+
+Result<GammaResult> ParkStepper::GammaSection(int step, bool full) {
+  const bool timed = options_.collect_timings;
+  const int64_t gamma_start_ns = timed ? MonotonicNanos() : 0;
+  GammaResult gamma = ComputeSection(full);
+  if (timed) {
+    stats_.timings.gamma_ns +=
+        static_cast<uint64_t>(MonotonicNanos() - gamma_start_ns);
+  }
+  if (cancel_ != nullptr) {
+    // The merged derivation list lives on the coordinator until applied.
+    // A fired token makes the Γ result partial: discard it and surface
+    // the cause (the input database is untouched — evaluation mutates
+    // only the copy-on-write interpretation).
+    cancel_->UpdateScope(gamma_scope_,
+                         gamma.derivations.capacity() * sizeof(Derivation));
+    if (cancel_->Check()) return cancel_->ToStatus();
+  }
+  RecordGammaSection(gamma, stats_);
+  observer_.Notify([&](RunObserver& o) {
+    o.OnGammaSection(GammaSectionInfo{
+        step, gamma.rules_evaluated, gamma.derivations.size(),
+        gamma.newly_marked, gamma.consistent});
+  });
+  return gamma;
 }
 
 Result<StepOutcome> ParkStepper::Step() {
@@ -89,140 +219,90 @@ Result<StepOutcome> ParkStepper::Step() {
     return ResourceExhaustedError(StrFormat(
         "PARK evaluation exceeded max_steps=%zu", options_.max_steps));
   }
-  if (cancel_ != nullptr && cancel_->Check()) {
-    RefreshResourceStats();
-    return cancel_->ToStatus();
+  if (cancel_ != nullptr && cancel_->Check()) return cancel_->ToStatus();
+  const int step = static_cast<int>(steps_taken_++);
+  observer_.Notify([&](RunObserver& o) { o.OnStepStart(step); });
+  PARK_ASSIGN_OR_RETURN(GammaResult gamma, GammaSection(step, /*full=*/false));
+
+  if (!gamma.consistent) {
+    if (seeded_) {
+      // A clash inside the cone means the commit has real conflicts; the
+      // full evaluator owns conflict construction and SELECT policies.
+      return AbortedError("conflict inside a seeded closure");
+    }
+    return Resolve(std::move(gamma), step);
   }
-  const int step_number = static_cast<int>(steps_taken_);
-  ++steps_taken_;
-  observer_.Notify([&](RunObserver& o) { o.OnStepStart(step_number); });
   const bool timed = options_.collect_timings;
-
+  if (gamma.newly_marked == 0) {
+    // Γ(P,B)(I) = I: the bi-structure is a fixpoint of Δ.
+    done_ = true;
+    FoldRunStats(stats_);
+    if (timed) {
+      stats_.timings.total_ns =
+          static_cast<uint64_t>(MonotonicNanos() - run_start_ns_);
+    }
+    trace_.RecordFixpoint(interp_, step);
+    observer_.Notify([&](RunObserver& o) { o.OnFixpoint(step); });
+    observer_.Notify([&](RunObserver& o) { o.OnRunEnd(stats_); });
+    return StepOutcome{};  // kFixpoint
+  }
+  StepOutcome outcome;
+  outcome.kind = StepOutcome::Kind::kGamma;
   const GammaMode mode = options_.gamma_mode;
-  ParallelGamma* parallel = parallel_.has_value() ? &*parallel_ : nullptr;
-  int64_t gamma_start_ns = timed ? MonotonicNanos() : 0;
-  GammaResult gamma;
-  switch (mode) {
-    case GammaMode::kNaive:
-      gamma = ComputeGamma(program_, blocked_, interp_, parallel, &plans_,
-                           cancel_, options_.exec_mode, &exec_stats_);
-      break;
-    case GammaMode::kDeltaFiltered:
-      gamma = ComputeGammaFiltered(program_, blocked_, interp_, delta_,
-                                   parallel, &plans_, cancel_,
-                                   options_.exec_mode, &exec_stats_,
-                                   graph_.has_value() ? &*graph_ : nullptr);
-      break;
-    case GammaMode::kSemiNaive:
-      gamma = ComputeGammaSemiNaive(program_, blocked_, interp_,
-                                    delta_atoms_, parallel, &plans_,
-                                    cancel_, options_.exec_mode,
-                                    &exec_stats_,
-                                    graph_.has_value() ? &*graph_ : nullptr);
-      break;
-  }
+  const int64_t apply_start_ns = timed ? MonotonicNanos() : 0;
+  outcome.new_marks = ApplyDerivations(
+      gamma.derivations, interp_,
+      mode == GammaMode::kDeltaFiltered ? &delta_ : nullptr,
+      mode == GammaMode::kSemiNaive ? &delta_atoms_ : nullptr);
   if (timed) {
-    stats_.timings.gamma_ns +=
-        static_cast<uint64_t>(MonotonicNanos() - gamma_start_ns);
+    stats_.timings.apply_ns +=
+        static_cast<uint64_t>(MonotonicNanos() - apply_start_ns);
   }
-  if (cancel_ != nullptr) {
-    // The merged derivation list lives on the coordinator until applied.
-    cancel_->UpdateScope(gamma_scope_,
-                         gamma.derivations.capacity() * sizeof(Derivation));
-    if (cancel_->Check()) {
-      // gamma is partial — discard it and surface the cause.
-      RefreshResourceStats();
-      return cancel_->ToStatus();
-    }
-  }
-  RecordGammaSection(gamma, stats_);
-  if (parallel_.has_value()) RecordParallelStats(*parallel_, stats_);
-  RecordPlannerStats(plans_, stats_);
-  RefreshResourceStats();
-  RecordStorageStats(interp_, exec_stats_, stats_);
-  observer_.Notify([&](RunObserver& o) {
-    o.OnGammaSection(GammaSectionInfo{
-        step_number, gamma.rules_evaluated, gamma.derivations.size(),
-        gamma.newly_marked, gamma.consistent});
-  });
+  stats_.derived_marks += outcome.new_marks;
+  ++stats_.gamma_steps;
+  trace_.RecordGammaStep(interp_, step + 1);
+  return outcome;
+}
 
-  if (gamma.consistent) {
-    if (gamma.newly_marked == 0) {
-      done_ = true;
-      stats_.blocked_instances = blocked_.size();
-      RefreshResourceStats();
-      if (timed) {
-        stats_.timings.total_ns =
-            static_cast<uint64_t>(MonotonicNanos() - run_start_ns_);
-      }
-      observer_.Notify([&](RunObserver& o) { o.OnFixpoint(step_number); });
-      observer_.Notify([&](RunObserver& o) { o.OnRunEnd(stats_); });
-      return StepOutcome{};  // kFixpoint
-    }
-    StepOutcome outcome;
-    outcome.kind = StepOutcome::Kind::kGamma;
-    int64_t apply_start_ns = timed ? MonotonicNanos() : 0;
-    switch (mode) {
-      case GammaMode::kNaive:
-        outcome.new_marks = ApplyDerivations(gamma.derivations, interp_);
-        break;
-      case GammaMode::kDeltaFiltered:
-        outcome.new_marks =
-            ApplyDerivationsTracked(gamma.derivations, interp_, delta_);
-        break;
-      case GammaMode::kSemiNaive:
-        outcome.new_marks = ApplyDerivationsTrackedAtoms(
-            gamma.derivations, interp_, delta_atoms_);
-        break;
-    }
-    if (timed) {
-      stats_.timings.apply_ns +=
-          static_cast<uint64_t>(MonotonicNanos() - apply_start_ns);
-    }
-    stats_.derived_marks += outcome.new_marks;
-    ++stats_.gamma_steps;
-    return outcome;
+Result<StepOutcome> ParkStepper::Resolve(GammaResult gamma, int step) {
+  // Inconsistent: this Γ application is counted and shown as a step (the
+  // paper's traces include it) but never applied; instead conflicts are
+  // resolved, B is extended, and the computation restarts from I°.
+  //
+  // Conflict triples must be MAXIMAL (§4.2) — they need every currently
+  // firable instance on each side, which a delta-driven evaluation may
+  // have skipped — so recompute the full Γ before building them.
+  if (options_.gamma_mode != GammaMode::kNaive) {
+    PARK_ASSIGN_OR_RETURN(gamma, GammaSection(step, /*full=*/true));
   }
-
-  // Resolution transition: same logic as the batch evaluator.
-  if (mode != GammaMode::kNaive) {
-    gamma_start_ns = timed ? MonotonicNanos() : 0;
-    gamma = ComputeGamma(program_, blocked_, interp_, parallel, &plans_,
-                         cancel_, options_.exec_mode, &exec_stats_);
-    if (timed) {
-      stats_.timings.gamma_ns +=
-          static_cast<uint64_t>(MonotonicNanos() - gamma_start_ns);
-    }
-    if (cancel_ != nullptr) {
-      cancel_->UpdateScope(
-          gamma_scope_, gamma.derivations.capacity() * sizeof(Derivation));
-      if (cancel_->Check()) {
-        RefreshResourceStats();
-        return cancel_->ToStatus();
-      }
-    }
-    RecordGammaSection(gamma, stats_);
-    if (parallel_.has_value()) RecordParallelStats(*parallel_, stats_);
-    RecordPlannerStats(plans_, stats_);
-    RefreshResourceStats();
-    RecordStorageStats(interp_, exec_stats_, stats_);
-    observer_.Notify([&](RunObserver& o) {
-      o.OnGammaSection(GammaSectionInfo{
-          step_number, gamma.rules_evaluated, gamma.derivations.size(),
-          gamma.newly_marked, gamma.consistent});
-    });
+  const int shown = step + 1;
+  const SymbolTable& symbols = *program_.symbols();
+  const bool tracing = trace_.level() != TraceLevel::kNone;
+  if (trace_.level() == TraceLevel::kFull) {
+    trace_.RecordInconsistentStep(
+        RenderWithDerivations(interp_, gamma.derivations, symbols), shown);
   }
+  const bool timed = options_.collect_timings;
   const int64_t conflict_start_ns = timed ? MonotonicNanos() : 0;
   std::vector<Conflict> conflicts = BuildConflicts(gamma, interp_);
   if (options_.block_granularity == BlockGranularity::kFirstConflictOnly &&
       conflicts.size() > 1) {
     conflicts.resize(1);
   }
+  if (tracing) {
+    std::vector<std::string> descriptions;
+    descriptions.reserve(conflicts.size());
+    for (const Conflict& c : conflicts) {
+      descriptions.push_back(c.ToString(program_, symbols));
+    }
+    trace_.RecordConflict(std::move(descriptions), shown);
+  }
 
   StepOutcome outcome;
   outcome.kind = StepOutcome::Kind::kResolution;
   PolicyContext context{db_, program_, interp_,
                         static_cast<int>(stats_.restarts)};
+  std::vector<std::string> resolution_notes;
   for (const Conflict& conflict : conflicts) {
     ++stats_.policy_invocations;
     const int64_t policy_start_ns = timed ? MonotonicNanos() : 0;
@@ -233,24 +313,28 @@ Result<StepOutcome> ParkStepper::Step() {
     }
     if (vote == Vote::kAbstain) {
       return AbortedError(StrFormat(
-          "policy '%s' abstained on conflict over %s",
+          "policy '%s' abstained on conflict over %s; wrap it in a "
+          "composite with a complete fallback (e.g. inertia)",
           std::string(policy_->name()).c_str(),
-          conflict.atom.ToString(*program_.symbols()).c_str()));
+          conflict.atom.ToString(symbols).c_str()));
     }
     ++stats_.conflicts_resolved;
     observer_.Notify(
         [&](RunObserver& o) { o.OnPolicyDecision(conflict, vote); });
-    outcome.conflicts.push_back(
-        conflict.ToString(program_, *program_.symbols()));
     const std::vector<RuleGrounding>& losing =
         vote == Vote::kInsert ? conflict.deleters : conflict.inserters;
     for (const RuleGrounding& g : losing) {
       if (blocked_.insert(g).second) ++outcome.newly_blocked;
     }
+    if (tracing) {
+      resolution_notes.push_back(StrFormat(
+          "%s on %s: block %zu instance(s)", VoteToString(vote),
+          conflict.atom.ToString(symbols).c_str(), losing.size()));
+    }
   }
   observer_.Notify([&](RunObserver& o) {
-    o.OnConflictRound(ConflictRoundInfo{
-        stats_.restarts, conflicts.size(), outcome.newly_blocked});
+    o.OnConflictRound(ConflictRoundInfo{stats_.restarts, conflicts.size(),
+                                        outcome.newly_blocked});
   });
   if (timed) {
     stats_.timings.conflict_ns +=
@@ -258,20 +342,46 @@ Result<StepOutcome> ParkStepper::Step() {
   }
   if (outcome.newly_blocked == 0) {
     return AbortedError(
-        "conflict resolution made no progress (no new blocked instances)");
+        "conflict resolution made no progress (no new blocked "
+        "instances); the policy decisions are cyclic");
   }
+  trace_.RecordResolution(std::move(resolution_notes), shown);
   interp_.ClearMarks();
   delta_.Reset();
   delta_atoms_.Reset();
   ++stats_.restarts;
   observer_.Notify([&](RunObserver& o) { o.OnRestart(stats_.restarts); });
+  trace_.RecordRestart(shown);
+  trace_.RecordInitial(interp_, shown);
+  outcome.conflicts = std::move(conflicts);
   return outcome;
 }
 
-Result<Database> ParkStepper::Finish() {
-  while (!done_) {
-    PARK_RETURN_IF_ERROR(Step().status());
+void ParkStepper::FoldRunStats(ParkStats& stats) const {
+  stats.blocked_instances = blocked_.size();
+  if (cancel_ != nullptr) {
+    stats.peak_memory_bytes = cancel_->peak_bytes();
+    stats.derivations_charged = cancel_->work_charged();
   }
+  RecordStorageStats(interp_, exec_stats_, stats);
+  RecordPlannerStats(*plans_, stats);
+  if (parallel_ != nullptr) RecordParallelStats(*parallel_, stats);
+}
+
+ParkStats ParkStepper::stats() const {
+  if (done_) return stats_;
+  ParkStats stats = stats_;
+  FoldRunStats(stats);
+  return stats;
+}
+
+Status ParkStepper::Run() {
+  while (!done_) PARK_RETURN_IF_ERROR(Step().status());
+  return Status::OK();
+}
+
+Result<Database> ParkStepper::Finish() {
+  PARK_RETURN_IF_ERROR(Run());
   return interp_.Incorporate();
 }
 

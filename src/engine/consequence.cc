@@ -43,12 +43,11 @@ void AnalyzeDerivations(const IInterpretation& interp, GammaResult& result) {
 }
 
 /// Appends every firable, non-blocked grounding of `rule` (restricted to
-/// first-literal candidates in `slice`; full slice = whole rule) to `out`.
-/// With `plan` the cached compiled plan executes (and the number of
-/// claimed step-0 candidates is returned — the planner's actual-rows
-/// counter); without, the legacy per-call heuristic path runs.
+/// first-literal candidates in `slice`; full slice = whole rule) to `out`
+/// by executing the rule's compiled `plan`. Returns the number of claimed
+/// step-0 candidates — the planner's actual-rows counter.
 size_t MatchRule(const Rule& rule, const BlockedSet& blocked,
-                 const IInterpretation& interp, const CompiledPlan* plan,
+                 const IInterpretation& interp, const CompiledPlan& plan,
                  std::vector<Derivation>& out,
                  CandidateSlice slice = CandidateSlice{},
                  CancellationToken* cancel = nullptr,
@@ -71,17 +70,23 @@ size_t MatchRule(const Rule& rule, const BlockedSet& blocked,
       cancel->UpdateScope(mem_scope, out.capacity() * sizeof(Derivation));
     }
   };
-  size_t claimed = 0;
-  if (plan != nullptr) {
-    claimed = ExecutePlan(*plan, rule, interp, slice, emit, cancel, exec,
-                          exec_stats);
-  } else {
-    // The legacy per-call heuristic path has no compiled plan to execute
-    // in batch mode; it always runs the tuple executor.
-    ForEachBodyMatch(rule, interp, slice, emit, cancel);
-  }
+  const size_t claimed =
+      ExecutePlan(plan, rule, interp, slice, emit, cancel, exec, exec_stats);
   if (cancel != nullptr) cancel->CloseScope(mem_scope);
   return claimed;
+}
+
+/// MatchRule over the rule's whole candidate stream with its cached plan,
+/// feeding the cache's estimated/actual row counters.
+void MatchRuleSequential(const Rule& rule, const BlockedSet& blocked,
+                         const IInterpretation& interp, PlanCache& plans,
+                         std::vector<Derivation>& out,
+                         CancellationToken* cancel, ExecMode exec,
+                         ExecStats* exec_stats) {
+  const CompiledPlan& plan = plans.Get(rule, /*seed_index=*/-1, interp);
+  plans.AddEstimatedRows(plan.estimated_candidates);
+  plans.AddActualRows(MatchRule(rule, blocked, interp, plan, out,
+                                CandidateSlice{}, cancel, exec, exec_stats));
 }
 
 // --- Intra-rule slicing policy ---
@@ -221,7 +226,7 @@ class FrozenInterpretation {
 void MatchRulesParallel(const std::vector<const Rule*>& rules,
                         const BlockedSet& blocked,
                         const IInterpretation& interp,
-                        ParallelGamma& parallel, PlanCache* plans,
+                        ParallelGamma& parallel, PlanCache& plans,
                         std::vector<Derivation>& out,
                         CancellationToken* cancel = nullptr,
                         ExecMode exec = ExecMode::kTuple,
@@ -235,21 +240,17 @@ void MatchRulesParallel(const std::vector<const Rule*>& rules,
   // grow the cache's index requirements, which the prewarm below must
   // already include.
   std::vector<const CompiledPlan*> rule_plans(rules.size(), nullptr);
-  if (plans != nullptr) {
-    for (size_t i = 0; i < rules.size(); ++i) {
-      rule_plans[i] = &plans->Get(*rules[i], /*seed_index=*/-1, interp);
-      plans->AddEstimatedRows(rule_plans[i]->estimated_candidates);
-    }
+  for (size_t i = 0; i < rules.size(); ++i) {
+    rule_plans[i] = &plans.Get(*rules[i], /*seed_index=*/-1, interp);
+    plans.AddEstimatedRows(rule_plans[i]->estimated_candidates);
   }
   std::vector<RuleSliceTask> tasks;
   tasks.reserve(rules.size());
   std::vector<std::vector<Derivation>> buffers;
   std::vector<size_t> claimed;
   {
-    FrozenInterpretation frozen(
-        interp,
-        plans != nullptr ? plans->requirements() : parallel.requirements(),
-        /*prewarm_indexes=*/exec == ExecMode::kTuple || plans == nullptr);
+    FrozenInterpretation frozen(interp, plans.requirements(),
+                                /*prewarm_indexes=*/exec == ExecMode::kTuple);
     const int threads = parallel.num_threads();
     const size_t min_slice = parallel.min_slice_size();
     if (ShouldConsiderSlicing(rules.size(), threads)) {
@@ -261,13 +262,9 @@ void MatchRulesParallel(const std::vector<const Rule*>& rules,
         // — for many tiny units the counting pass itself was the
         // dominant parallel overhead.
         size_t candidates = 0;
-        if (plans != nullptr) {
-          if (rule_plans[i]->estimated_candidates >=
-              2.0 * static_cast<double>(min_slice)) {
-            candidates = CountPlanCandidates(*rule_plans[i], interp, exec);
-          }
-        } else {
-          candidates = CountFirstLiteralCandidates(*rules[i], interp);
+        if (rule_plans[i]->estimated_candidates >=
+            2.0 * static_cast<double>(min_slice)) {
+          candidates = CountPlanCandidates(*rule_plans[i], interp, exec);
         }
         size_t num_slices = NumSlicesFor(candidates, min_slice, threads);
         if (num_slices > 1) {
@@ -280,11 +277,7 @@ void MatchRulesParallel(const std::vector<const Rule*>& rules,
     } else {
       AppendChunkTasks(
           rules.size(), threads,
-          [&](size_t i) {
-            return plans != nullptr
-                       ? 1.0 + rule_plans[i]->estimated_candidates
-                       : 1.0;
-          },
+          [&](size_t i) { return 1.0 + rule_plans[i]->estimated_candidates; },
           tasks);
     }
     buffers.resize(tasks.size());
@@ -298,7 +291,7 @@ void MatchRulesParallel(const std::vector<const Rule*>& rules,
       size_t task_claimed = 0;
       for (size_t u = tasks[i].begin; u < tasks[i].end; ++u) {
         task_claimed +=
-            MatchRule(*rules[u], blocked, interp, rule_plans[u], buffers[i],
+            MatchRule(*rules[u], blocked, interp, *rule_plans[u], buffers[i],
                       tasks[i].slice, cancel, exec, exec_stats);
       }
       claimed[i] = task_claimed;
@@ -308,13 +301,11 @@ void MatchRulesParallel(const std::vector<const Rule*>& rules,
           static_cast<uint64_t>(MonotonicNanos() - match_start));
     }
   }
-  if (plans != nullptr) {
-    // Slices of a unit claim disjoint ordinal ranges, so this sum is the
-    // full per-unit stream count — independent of the slicing partition.
-    size_t total_claimed = 0;
-    for (size_t c : claimed) total_claimed += c;
-    plans->AddActualRows(total_claimed);
-  }
+  // Slices of a unit claim disjoint ordinal ranges, so this sum is the
+  // full per-unit stream count — independent of the slicing partition.
+  size_t total_claimed = 0;
+  for (size_t c : claimed) total_claimed += c;
+  plans.AddActualRows(total_claimed);
   const int64_t merge_start =
       parallel.timing_enabled() ? MonotonicNanos() : 0;
   size_t total = 0;
@@ -331,11 +322,8 @@ void MatchRulesParallel(const std::vector<const Rule*>& rules,
 
 }  // namespace
 
-ParallelGamma::ParallelGamma(const Program& program, int num_threads,
-                             size_t min_slice_size)
-    : requirements_(CollectIndexRequirements(program)),
-      min_slice_size_(min_slice_size),
-      pool_(num_threads) {}
+ParallelGamma::ParallelGamma(int num_threads, size_t min_slice_size)
+    : min_slice_size_(min_slice_size), pool_(num_threads) {}
 
 /// Batch-mode Γ-section prewarm: compact every relation's columnar view
 /// on the coordinator, in BOTH the sequential and parallel paths, so (a)
@@ -350,10 +338,9 @@ void CompactForBatch(const IInterpretation& interp, ExecMode exec) {
 }
 
 GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
-                         const IInterpretation& interp,
-                         ParallelGamma* parallel, PlanCache* plans,
-                         CancellationToken* cancel, ExecMode exec,
-                         ExecStats* exec_stats) {
+                         const IInterpretation& interp, PlanCache& plans,
+                         ParallelGamma* parallel, CancellationToken* cancel,
+                         ExecMode exec, ExecStats* exec_stats) {
   GammaResult result;
   CompactForBatch(interp, exec);
   // Even a one-rule program fans out: intra-rule slicing can split it.
@@ -367,30 +354,14 @@ GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
   } else {
     for (const Rule& rule : program.rules()) {
       if (cancel != nullptr && cancel->fired()) break;
-      const CompiledPlan* plan = nullptr;
-      if (plans != nullptr) {
-        plan = &plans->Get(rule, /*seed_index=*/-1, interp);
-        plans->AddEstimatedRows(plan->estimated_candidates);
-      }
-      size_t claimed = MatchRule(rule, blocked, interp, plan,
-                                 result.derivations, CandidateSlice{},
-                                 cancel, exec, exec_stats);
-      if (plans != nullptr) plans->AddActualRows(claimed);
+      MatchRuleSequential(rule, blocked, interp, plans, result.derivations,
+                          cancel, exec, exec_stats);
       ++result.rules_evaluated;
     }
   }
   result.rules_considered = program.size();
   AnalyzeDerivations(interp, result);
   return result;
-}
-
-size_t ApplyDerivations(const std::vector<Derivation>& derivations,
-                        IInterpretation& interp) {
-  size_t added = 0;
-  for (const Derivation& d : derivations) {
-    if (interp.AddMarked(d.action, d.atom, d.grounding)) ++added;
-  }
-  return added;
 }
 
 bool RuleIsAffected(const Rule& rule, const DeltaState& delta) {
@@ -414,41 +385,30 @@ GammaResult ComputeGammaFiltered(const Program& program,
                                  const BlockedSet& blocked,
                                  const IInterpretation& interp,
                                  const DeltaState& delta,
-                                 ParallelGamma* parallel,
-                                 PlanCache* plans,
+                                 const RuleDependencyGraph& graph,
+                                 PlanCache& plans, ParallelGamma* parallel,
                                  CancellationToken* cancel, ExecMode exec,
-                                 ExecStats* exec_stats,
-                                 const RuleDependencyGraph* graph) {
+                                 ExecStats* exec_stats) {
   GammaResult result;
   CompactForBatch(interp, exec);
-  std::vector<const Rule*> affected;
-  std::vector<std::vector<int>> stages;
-  if (graph != nullptr) {
-    // Scheduled path: the watcher index yields {r : RuleIsAffected(r,
-    // delta)} — same set, same program order — in O(|changed predicates|)
-    // instead of the all-rules scan below.
-    GammaSchedule schedule = graph->Schedule(delta);
-    result.rules_considered = schedule.rules.size();
-    result.pipeline_stages = schedule.stages.size();
-    if (schedule.rules.empty()) {
-      // Quick exit: no watched predicate changed, so Γ restricted to
-      // affected rules is empty — an O(1) no-op step that never touches
-      // the pool, the plan cache, or the derivation analysis
-      // (stepper_test pins this with the scheduler counters).
-      result.rules_skipped = program.size();
-      result.consistent = true;
-      return result;
-    }
-    affected.reserve(schedule.rules.size());
-    for (int r : schedule.rules) affected.push_back(&program.rule(r));
-    stages = std::move(schedule.stages);
-  } else {
-    affected.reserve(program.size());
-    for (const Rule& rule : program.rules()) {
-      if (RuleIsAffected(rule, delta)) affected.push_back(&rule);
-    }
-    result.rules_considered = program.size();
+  // The watcher index yields {r : RuleIsAffected(r, delta)} — in program
+  // order — in O(|changed predicates|).
+  GammaSchedule schedule = graph.Schedule(delta);
+  result.rules_considered = schedule.rules.size();
+  result.pipeline_stages = schedule.stages.size();
+  if (schedule.rules.empty()) {
+    // Quick exit: no watched predicate changed, so Γ restricted to
+    // affected rules is empty — an O(1) no-op step that never touches the
+    // pool, the plan cache, or the derivation analysis (stepper_test pins
+    // this with the scheduler counters).
+    result.rules_skipped = program.size();
+    result.consistent = true;
+    return result;
   }
+  std::vector<const Rule*> affected;
+  affected.reserve(schedule.rules.size());
+  for (int r : schedule.rules) affected.push_back(&program.rule(r));
+  const std::vector<std::vector<int>>& stages = schedule.stages;
   result.rules_skipped = program.size() - affected.size();
   if (parallel != nullptr && stages.size() > 1) {
     // Pipelined dispatch: one pool section per stratum group, each with
@@ -490,15 +450,8 @@ GammaResult ComputeGammaFiltered(const Program& program,
   } else {
     for (const Rule* rule : affected) {
       if (cancel != nullptr && cancel->fired()) break;
-      const CompiledPlan* plan = nullptr;
-      if (plans != nullptr) {
-        plan = &plans->Get(*rule, /*seed_index=*/-1, interp);
-        plans->AddEstimatedRows(plan->estimated_candidates);
-      }
-      size_t claimed = MatchRule(*rule, blocked, interp, plan,
-                                 result.derivations, CandidateSlice{},
-                                 cancel, exec, exec_stats);
-      if (plans != nullptr) plans->AddActualRows(claimed);
+      MatchRuleSequential(*rule, blocked, interp, plans, result.derivations,
+                          cancel, exec, exec_stats);
     }
   }
   result.rules_evaluated = affected.size();
@@ -510,45 +463,37 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
                                   const BlockedSet& blocked,
                                   const IInterpretation& interp,
                                   const DeltaAtoms& delta,
-                                  ParallelGamma* parallel,
-                                  PlanCache* plans,
+                                  const RuleDependencyGraph& graph,
+                                  PlanCache& plans, ParallelGamma* parallel,
                                   CancellationToken* cancel, ExecMode exec,
-                                  ExecStats* exec_stats,
-                                  const RuleDependencyGraph* graph) {
+                                  ExecStats* exec_stats) {
   if (delta.initial) {
-    return ComputeGamma(program, blocked, interp, parallel, plans, cancel,
+    return ComputeGamma(program, blocked, interp, plans, parallel, cancel,
                         exec, exec_stats);
   }
   GammaResult result;
   CompactForBatch(interp, exec);
 
-  // With a dependency graph, collapse the delta atoms to their changed
-  // predicates and let the watcher index name the rules that can hold a
-  // seed — task building then iterates those rules only, instead of
-  // crossing every rule's body with the delta. The rules come back in
-  // program order and the inner loops below are unchanged, so the task
-  // list (hence the derivation list) is bit-identical to the full scan's.
-  GammaSchedule schedule;
-  if (graph != nullptr) {
-    DeltaState changed;
-    changed.initial = false;
-    for (const GroundAtom& atom : delta.plus) {
-      changed.plus_changed.insert(atom.predicate());
-    }
-    for (const GroundAtom& atom : delta.minus) {
-      changed.minus_changed.insert(atom.predicate());
-    }
-    schedule = graph->Schedule(changed);
-    result.rules_considered = schedule.rules.size();
-    result.pipeline_stages = schedule.stages.size();
-    if (schedule.rules.empty()) {
-      // Quick exit — see ComputeGammaFiltered.
-      result.rules_skipped = program.size();
-      result.consistent = true;
-      return result;
-    }
-  } else {
-    result.rules_considered = program.size();
+  // Collapse the delta atoms to their changed predicates and let the
+  // watcher index name the rules that can hold a seed — task building
+  // then iterates those rules only (in program order), instead of
+  // crossing every rule's body with the delta.
+  DeltaState changed;
+  changed.initial = false;
+  for (const GroundAtom& atom : delta.plus) {
+    changed.plus_changed.insert(atom.predicate());
+  }
+  for (const GroundAtom& atom : delta.minus) {
+    changed.minus_changed.insert(atom.predicate());
+  }
+  const GammaSchedule schedule = graph.Schedule(changed);
+  result.rules_considered = schedule.rules.size();
+  result.pipeline_stages = schedule.stages.size();
+  if (schedule.rules.empty()) {
+    // Quick exit — see ComputeGammaFiltered.
+    result.rules_skipped = program.size();
+    result.consistent = true;
+    return result;
   }
 
   // Enumerate the (rule, seed literal, seed atom) completions to run.
@@ -585,29 +530,23 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
     }
     if (evaluated) ++rules_evaluated;
   };
-  if (graph != nullptr) {
-    for (int r : schedule.rules) seed_rule(program.rule(r));
-  } else {
-    for (const Rule& rule : program.rules()) seed_rule(rule);
-  }
+  for (int r : schedule.rules) seed_rule(program.rule(r));
 
   result.rules_evaluated = rules_evaluated;
   result.rules_skipped = program.size() - rules_evaluated;
 
-  // With a plan cache, fetch every task's Δ-seeded plan up front on the
-  // coordinator (tasks sharing a (rule, literal) hit the cache) so the
-  // parallel freeze below sees the final index requirements. The counter
-  // stream (hits / replans / estimates) is identical in the sequential
-  // path because the fetch loop order is task order in both.
+  // Fetch every task's Δ-seeded plan up front on the coordinator (tasks
+  // sharing a (rule, literal) hit the cache) so the parallel freeze below
+  // sees the final index requirements. The counter stream (hits / replans
+  // / estimates) is identical in the sequential path because the fetch
+  // loop order is task order in both.
   std::vector<const CompiledPlan*> task_plans(tasks.size(), nullptr);
-  if (plans != nullptr) {
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      task_plans[i] = &plans->Get(*tasks[i].rule, tasks[i].literal, interp);
-      plans->AddEstimatedRows(task_plans[i]->estimated_candidates);
-    }
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    task_plans[i] = &plans.Get(*tasks[i].rule, tasks[i].literal, interp);
+    plans.AddEstimatedRows(task_plans[i]->estimated_candidates);
   }
 
-  auto run_task = [&](const SeedTask& task, const CompiledPlan* plan,
+  auto run_task = [&](const SeedTask& task, const CompiledPlan& plan,
                       std::vector<Derivation>& out,
                       CandidateSlice slice = CandidateSlice{}) -> size_t {
     // Same governance as MatchRule: derivations feed the work budget, the
@@ -626,14 +565,9 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
         cancel->UpdateScope(mem_scope, out.capacity() * sizeof(Derivation));
       }
     };
-    size_t claimed = 0;
-    if (plan != nullptr) {
-      claimed = ExecutePlanSeeded(*plan, *task.rule, interp, *task.atom,
-                                  slice, emit, cancel, exec, exec_stats);
-    } else {
-      ForEachBodyMatchSeeded(*task.rule, interp, task.literal, *task.atom,
-                             slice, emit, cancel);
-    }
+    const size_t claimed = ExecutePlanSeeded(
+        plan, *task.rule, interp, *task.atom, slice, emit, cancel, exec,
+        exec_stats);
     if (cancel != nullptr) cancel->CloseScope(mem_scope);
     return claimed;
   };
@@ -666,10 +600,8 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
     std::vector<size_t> claimed;
     {
       FrozenInterpretation frozen(
-          interp,
-          plans != nullptr ? plans->requirements()
-                           : parallel->requirements(),
-          /*prewarm_indexes=*/exec == ExecMode::kTuple || plans == nullptr);
+          interp, plans.requirements(),
+          /*prewarm_indexes=*/exec == ExecMode::kTuple);
       const int threads = parallel->num_threads();
       const size_t min_slice = parallel->min_slice_size();
       if (ShouldConsiderSlicing(tasks.size(), threads)) {
@@ -680,16 +612,11 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
           // counting probe for a seed the planner already predicts to be
           // far below one slice's worth.
           size_t candidates = 0;
-          if (plans != nullptr) {
-            if (task_plans[i]->estimated_candidates >=
-                2.0 * static_cast<double>(min_slice)) {
-              candidates =
-                  CountPlanCandidatesSeeded(*task_plans[i], *tasks[i].rule,
-                                            interp, *tasks[i].atom, exec);
-            }
-          } else {
-            candidates = CountFirstLiteralCandidatesSeeded(
-                *tasks[i].rule, interp, tasks[i].literal, *tasks[i].atom);
+          if (task_plans[i]->estimated_candidates >=
+              2.0 * static_cast<double>(min_slice)) {
+            candidates =
+                CountPlanCandidatesSeeded(*task_plans[i], *tasks[i].rule,
+                                          interp, *tasks[i].atom, exec);
           }
           size_t num_slices = NumSlicesFor(candidates, min_slice, threads);
           if (num_slices > 1) {
@@ -703,9 +630,7 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
         AppendChunkTasks(
             tasks.size(), threads,
             [&](size_t i) {
-              return plans != nullptr
-                         ? 1.0 + task_plans[i]->estimated_candidates
-                         : 1.0;
+              return 1.0 + task_plans[i]->estimated_candidates;
             },
             slice_tasks);
       }
@@ -717,7 +642,7 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
         if (cancel != nullptr && cancel->fired()) return;
         size_t task_claimed = 0;
         for (size_t u = slice_tasks[i].begin; u < slice_tasks[i].end; ++u) {
-          task_claimed += run_task(tasks[u], task_plans[u], buffers[i],
+          task_claimed += run_task(tasks[u], *task_plans[u], buffers[i],
                                    slice_tasks[i].slice);
         }
         claimed[i] = task_claimed;
@@ -727,11 +652,9 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
             static_cast<uint64_t>(MonotonicNanos() - match_start));
       }
     }
-    if (plans != nullptr) {
-      size_t total_claimed = 0;
-      for (size_t c : claimed) total_claimed += c;
-      plans->AddActualRows(total_claimed);
-    }
+    size_t total_claimed = 0;
+    for (size_t c : claimed) total_claimed += c;
+    plans.AddActualRows(total_claimed);
     const int64_t merge_start =
         parallel->timing_enabled() ? MonotonicNanos() : 0;
     for (auto& buffer : buffers) merge_deduped(buffer);
@@ -745,50 +668,39 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
     for (size_t i = 0; i < tasks.size(); ++i) {
       if (cancel != nullptr && cancel->fired()) break;
       buffer.clear();
-      total_claimed += run_task(tasks[i], task_plans[i], buffer);
+      total_claimed += run_task(tasks[i], *task_plans[i], buffer);
       merge_deduped(buffer);
     }
-    if (plans != nullptr) plans->AddActualRows(total_claimed);
+    plans.AddActualRows(total_claimed);
   }
   AnalyzeDerivations(interp, result);
   return result;
 }
 
-size_t ApplyDerivationsTrackedAtoms(
-    const std::vector<Derivation>& derivations, IInterpretation& interp,
-    DeltaAtoms& next_delta) {
-  next_delta.initial = false;
-  next_delta.plus.clear();
-  next_delta.minus.clear();
-  size_t added = 0;
-  for (const Derivation& d : derivations) {
-    if (interp.AddMarked(d.action, d.atom, d.grounding)) {
-      ++added;
-      if (d.action == ActionKind::kInsert) {
-        next_delta.plus.push_back(d.atom);
-      } else {
-        next_delta.minus.push_back(d.atom);
-      }
-    }
+size_t ApplyDerivations(const std::vector<Derivation>& derivations,
+                        IInterpretation& interp, DeltaState* next_delta,
+                        DeltaAtoms* next_atoms) {
+  if (next_delta != nullptr) {
+    next_delta->initial = false;
+    next_delta->plus_changed.clear();
+    next_delta->minus_changed.clear();
   }
-  return added;
-}
-
-size_t ApplyDerivationsTracked(const std::vector<Derivation>& derivations,
-                               IInterpretation& interp,
-                               DeltaState& next_delta) {
-  next_delta.initial = false;
-  next_delta.plus_changed.clear();
-  next_delta.minus_changed.clear();
+  if (next_atoms != nullptr) {
+    next_atoms->initial = false;
+    next_atoms->plus.clear();
+    next_atoms->minus.clear();
+  }
   size_t added = 0;
   for (const Derivation& d : derivations) {
-    if (interp.AddMarked(d.action, d.atom, d.grounding)) {
-      ++added;
-      if (d.action == ActionKind::kInsert) {
-        next_delta.plus_changed.insert(d.atom.predicate());
-      } else {
-        next_delta.minus_changed.insert(d.atom.predicate());
-      }
+    if (!interp.AddMarked(d.action, d.atom, d.grounding)) continue;
+    ++added;
+    const bool insert = d.action == ActionKind::kInsert;
+    if (next_delta != nullptr) {
+      (insert ? next_delta->plus_changed : next_delta->minus_changed)
+          .insert(d.atom.predicate());
+    }
+    if (next_atoms != nullptr) {
+      (insert ? next_atoms->plus : next_atoms->minus).push_back(d.atom);
     }
   }
   return added;

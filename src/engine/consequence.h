@@ -69,13 +69,13 @@ struct GammaResult {
   size_t rules_evaluated = 0;
 
   // Scheduler counters (docs/SCHEDULER.md). `rules_considered` counts
-  // rules this Γ call examined for affectedness: the whole program on the
-  // scan paths, only the watcher hits with a RuleDependencyGraph, and 0
-  // on a quick-exited empty schedule. `rules_skipped` is the complement
+  // rules this Γ call examined for affectedness: the whole program on a
+  // full Γ (ComputeGamma), only the watcher hits on a scheduled call, and
+  // 0 on a quick-exited empty schedule. `rules_skipped` is the complement
   // of the rules matched (program size - rules_evaluated).
   // `pipeline_stages` is the number of strata groups among the scheduled
-  // rules — with a graph and a thread pool, the number of pool sections
-  // the delta-filtered call dispatched; 0 on unscheduled calls. All three
+  // rules — with a thread pool, the number of pool sections the
+  // delta-filtered call dispatched; 0 on full Γ calls. All three
   // are schedule properties, invariant across thread counts.
   size_t rules_considered = 0;
   size_t rules_skipped = 0;
@@ -89,23 +89,23 @@ struct GammaResult {
 inline constexpr size_t kDefaultMinSliceSize = 256;
 
 /// Shared state for parallel Γ evaluation: the worker pool plus the
-/// per-program index-prewarm plan. One evaluation (a Park() call or a
-/// ParkStepper) owns at most one and threads it through every
-/// ComputeGamma* call; passing nullptr selects the sequential path.
+/// slicing policy and counters. One evaluation (a ParkStepper, or the
+/// FixpointMaintainer across commits) owns at most one and threads it
+/// through every ComputeGamma* call; passing nullptr selects the
+/// sequential path. The indexes a parallel section prewarms come from
+/// the PlanCache's requirements().
 class ParallelGamma {
  public:
   /// `num_threads` must be >= 2 (1 thread IS the sequential path; callers
-  /// simply don't construct a ParallelGamma for it). The index
-  /// requirements are planned once here, from `program`'s body plans.
-  /// `min_slice_size` is the smallest first-literal candidate count one
-  /// intra-rule slice may carry (0 behaves as 1).
-  ParallelGamma(const Program& program, int num_threads,
-                size_t min_slice_size = kDefaultMinSliceSize);
+  /// simply don't construct a ParallelGamma for it). `min_slice_size` is
+  /// the smallest first-literal candidate count one intra-rule slice may
+  /// carry (0 behaves as 1).
+  explicit ParallelGamma(int num_threads,
+                         size_t min_slice_size = kDefaultMinSliceSize);
 
   int num_threads() const { return pool_.num_threads(); }
   ThreadPool& pool() { return pool_; }
   const ThreadPool& pool() const { return pool_; }
-  const IndexRequirements& requirements() const { return requirements_; }
   size_t min_slice_size() const { return min_slice_size_; }
 
   /// Intra-rule slicing counters, accumulated across sections by the
@@ -135,7 +135,6 @@ class ParallelGamma {
   void RecordMergeNs(uint64_t ns) { merge_ns_ += ns; }
 
  private:
-  IndexRequirements requirements_;
   size_t min_slice_size_;
   uint64_t sliced_units_ = 0;
   uint64_t slice_tasks_ = 0;
@@ -148,12 +147,10 @@ class ParallelGamma {
 /// Evaluates Γ(P,B)(I) as a derivation list; does not modify `interp`
 /// (with `parallel`, rule matching fans out over the pool).
 ///
-/// With `plans`, matching runs through the cache's compiled plans
-/// (ExecutePlan) instead of the per-call heuristic path, and the frozen
-/// sections prewarm from the cache's accumulated requirements. The match
-/// SET is identical either way; the enumeration ORDER (hence derivation
-/// order) follows the cached plan's literal order, so the planner mode is
-/// a replay-stable knob like the Γ mode — see docs/PLANNER.md. The cache's
+/// Matching runs through the compiled plans of `plans` (ExecutePlan), and
+/// the frozen parallel sections prewarm from the cache's accumulated
+/// requirements. The enumeration ORDER (hence derivation order) follows
+/// the cached plan's literal order — see docs/PLANNER.md. The cache's
 /// plan/row counters are advanced by the coordinator only, in unit order,
 /// so they are thread-count invariant.
 ///
@@ -166,26 +163,18 @@ class ParallelGamma {
 /// work budget and the per-task buffers to its memory budget as they
 /// grow.
 ///
-/// `exec` selects the plan executor (requires `plans`; the legacy
-/// per-call path always runs tuple-at-a-time). In batch mode each Γ call
-/// first compacts every relation's columnar view on the coordinator —
+/// `exec` selects the plan executor. In batch mode each Γ call first
+/// compacts every relation's columnar view on the coordinator —
 /// sequential or parallel alike, so the storage counters stay
 /// thread-invariant — and the frozen sections skip the hash-index
 /// prewarm (batch plans probe segments, not indexes). `exec_stats` (may
 /// be null) accumulates the batch row counters across workers.
 GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
-                         const IInterpretation& interp,
+                         const IInterpretation& interp, PlanCache& plans,
                          ParallelGamma* parallel = nullptr,
-                         PlanCache* plans = nullptr,
                          CancellationToken* cancel = nullptr,
                          ExecMode exec = ExecMode::kTuple,
                          ExecStats* exec_stats = nullptr);
-
-/// Applies `derivations` to `interp` (AddMarked + provenance). The caller
-/// must have checked `consistent`. Returns the number of marked atoms that
-/// were new.
-size_t ApplyDerivations(const std::vector<Derivation>& derivations,
-                        IInterpretation& interp);
 
 // --- Delta-filtered (semi-naive style) evaluation ---
 //
@@ -214,44 +203,39 @@ struct DeltaState {
   }
 };
 
-/// True if `rule` may produce a new derivation given `delta`.
+/// True if `rule` may produce a new derivation given `delta`. The
+/// reference definition of the affected set: RuleDependencyGraph::Schedule
+/// returns exactly {r : RuleIsAffected(r, delta)}, in program order
+/// (rule_graph_test).
 bool RuleIsAffected(const Rule& rule, const DeltaState& delta);
 
 /// Γ(P,B)(I) restricted to affected rules. `rules_evaluated` in the result
 /// counts the rules actually matched.
 ///
-/// `graph` (here and in ComputeGammaSemiNaive) is the program's optional
-/// dependency analysis (engine/rule_graph.h). With it, the affected set
-/// comes from the watcher index in O(|changed predicates|) instead of the
-/// all-rules RuleIsAffected scan — the same set, in the same order, so
-/// the derivation list is bit-identical — an empty schedule quick-exits
+/// `graph` (here and in ComputeGammaSemiNaive) is the program's dependency
+/// analysis (engine/rule_graph.h): the affected set comes from its watcher
+/// index in O(|changed predicates|), an empty schedule quick-exits
 /// without touching the pool or the plan cache, and the parallel path
 /// dispatches the affected rules stratum by stratum, prewarming each
 /// stage's plans separately and merging the stage buffers back into
-/// program order. nullptr keeps the legacy scan.
+/// program order.
 GammaResult ComputeGammaFiltered(const Program& program,
                                  const BlockedSet& blocked,
                                  const IInterpretation& interp,
                                  const DeltaState& delta,
+                                 const RuleDependencyGraph& graph,
+                                 PlanCache& plans,
                                  ParallelGamma* parallel = nullptr,
-                                 PlanCache* plans = nullptr,
                                  CancellationToken* cancel = nullptr,
                                  ExecMode exec = ExecMode::kTuple,
-                                 ExecStats* exec_stats = nullptr,
-                                 const RuleDependencyGraph* graph = nullptr);
-
-/// ApplyDerivations variant that also records, into `next_delta`, which
-/// predicates gained new marks (for the next filtered step).
-size_t ApplyDerivationsTracked(const std::vector<Derivation>& derivations,
-                               IInterpretation& interp,
-                               DeltaState& next_delta);
+                                 ExecStats* exec_stats = nullptr);
 
 // --- Semi-naive evaluation (per-literal delta joins) ---
 //
 // Strictly stronger than delta filtering: instead of fully re-matching
 // every affected rule, each new mark SEEDS the body literals it can
 // satisfy and only the completions of those seeds are enumerated
-// (ForEachBodyMatchSeeded). Every genuinely new match contains at least
+// (ExecutePlanSeeded). Every genuinely new match contains at least
 // one literal that only a new mark satisfies — positive/+event literals
 // gain witnesses from new `+` marks, -event literals from new `-` marks,
 // and negated literals become valid only through new `-` marks (validity
@@ -280,17 +264,22 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
                                   const BlockedSet& blocked,
                                   const IInterpretation& interp,
                                   const DeltaAtoms& delta,
+                                  const RuleDependencyGraph& graph,
+                                  PlanCache& plans,
                                   ParallelGamma* parallel = nullptr,
-                                  PlanCache* plans = nullptr,
                                   CancellationToken* cancel = nullptr,
                                   ExecMode exec = ExecMode::kTuple,
-                                  ExecStats* exec_stats = nullptr,
-                                  const RuleDependencyGraph* graph = nullptr);
+                                  ExecStats* exec_stats = nullptr);
 
-/// ApplyDerivations variant recording the newly marked atoms themselves.
-size_t ApplyDerivationsTrackedAtoms(
-    const std::vector<Derivation>& derivations, IInterpretation& interp,
-    DeltaAtoms& next_delta);
+/// Applies `derivations` to `interp` (AddMarked + provenance). The caller
+/// must have checked `consistent`. Returns the number of marked atoms that
+/// were new. When given, `next_delta` (delta-filtered Γ) is reset to the
+/// predicates that gained new marks and `next_atoms` (semi-naive Γ) to the
+/// newly marked atoms themselves — the delta the next step reads.
+size_t ApplyDerivations(const std::vector<Derivation>& derivations,
+                        IInterpretation& interp,
+                        DeltaState* next_delta = nullptr,
+                        DeltaAtoms* next_atoms = nullptr);
 
 }  // namespace park
 

@@ -45,18 +45,6 @@ bool FullyBound(const AtomPattern& atom, const std::vector<bool>& bound) {
   return true;
 }
 
-int CountBoundPositions(const AtomPattern& atom,
-                        const std::vector<bool>& bound) {
-  int n = 0;
-  for (const Term& t : atom.terms) {
-    if (t.is_constant() ||
-        bound[static_cast<size_t>(t.var_index())]) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 /// The stores a literal kind draws candidates from. kPositive enumerates
 /// unmarked base atoms and +marked atoms; +event only plus; -event only
 /// minus. Entries may be null (relation not created yet).
@@ -91,62 +79,6 @@ void ForEachStore(const LiteralStores& stores, Fn fn) {
   if (stores.base != nullptr) fn(*stores.base);
   if (stores.plus != nullptr) fn(*stores.plus);
   if (stores.minus != nullptr) fn(*stores.minus);
-}
-
-/// Greedy heuristic literal ordering; when `pre_bound` >= 0 that literal
-/// is treated as already evaluated (its variables bound, itself excluded).
-/// This is the legacy static planner, still pinned by matcher_test.
-std::vector<int> PlanBodyOrderImpl(const Rule& rule, int pre_bound) {
-  const auto& body = rule.body();
-  std::vector<int> order;
-  order.reserve(body.size());
-  std::vector<bool> scheduled(body.size(), false);
-  std::vector<bool> bound(static_cast<size_t>(rule.num_variables()), false);
-  size_t to_schedule = body.size();
-  if (pre_bound >= 0) {
-    scheduled[static_cast<size_t>(pre_bound)] = true;
-    for (const Term& t : body[static_cast<size_t>(pre_bound)].atom.terms) {
-      if (t.is_variable()) bound[static_cast<size_t>(t.var_index())] = true;
-    }
-    --to_schedule;
-  }
-
-  auto bind_vars = [&bound](const AtomPattern& atom) {
-    for (const Term& t : atom.terms) {
-      if (t.is_variable()) bound[static_cast<size_t>(t.var_index())] = true;
-    }
-  };
-
-  for (size_t n = 0; n < to_schedule; ++n) {
-    // 1. Prefer any literal that is already fully bound: it is a constant-
-    //    time filter and prunes the search space earliest.
-    int chosen = -1;
-    for (size_t i = 0; i < body.size(); ++i) {
-      if (!scheduled[i] && FullyBound(body[i].atom, bound)) {
-        chosen = static_cast<int>(i);
-        break;
-      }
-    }
-    // 2. Otherwise the binding literal with the most bound positions (uses
-    //    the narrowest index); break ties by source order.
-    if (chosen < 0) {
-      int best_bound = -1;
-      for (size_t i = 0; i < body.size(); ++i) {
-        if (scheduled[i] || !IsBindingKind(body[i].kind)) continue;
-        int b = CountBoundPositions(body[i].atom, bound);
-        if (b > best_bound) {
-          best_bound = b;
-          chosen = static_cast<int>(i);
-        }
-      }
-    }
-    PARK_CHECK_GE(chosen, 0)
-        << "no schedulable literal (unsafe rule slipped past validation)";
-    scheduled[static_cast<size_t>(chosen)] = true;
-    bind_vars(body[static_cast<size_t>(chosen)].atom);
-    order.push_back(chosen);
-  }
-  return order;
 }
 
 /// Cost estimate for enumerating `lit` next, given the current bound set:
@@ -188,13 +120,13 @@ StreamEstimate EstimateStream(const BodyLiteral& lit,
   return best;
 }
 
-/// Greedy cost-based ordering: filters first (same as the heuristic —
-/// a fully bound literal is a constant-time check), then repeatedly the
+/// Greedy cost-based ordering: filters first (a fully bound literal is a
+/// constant-time check), then repeatedly the
 /// binding literal with the smallest estimated candidate stream. Ties
 /// break to source order, so for a fixed statistics snapshot the order is
 /// a pure function of the rule.
-std::vector<int> PlanBodyOrderCost(const Rule& rule, int pre_bound,
-                                   const IInterpretation& interp) {
+std::vector<int> CostBasedOrder(const Rule& rule, int pre_bound,
+                                const IInterpretation& interp) {
   const auto& body = rule.body();
   std::vector<int> order;
   order.reserve(body.size());
@@ -1152,7 +1084,6 @@ PlanExplanation ExplainFromPlan(const CompiledPlan& plan, bool replan) {
   PlanExplanation out;
   out.rule_index = plan.rule_index;
   out.seed_index = plan.seed_index;
-  out.mode = plan.mode;
   out.replan = replan;
   out.estimated_candidates = plan.estimated_candidates;
   out.steps.reserve(plan.steps.size());
@@ -1170,14 +1101,11 @@ PlanExplanation ExplainPlan(const CompiledPlan& plan, bool replan) {
   return ExplainFromPlan(plan, replan);
 }
 
-CompiledPlan CompilePlan(const Rule& rule, int seed_index, PlannerMode mode,
-                         const IInterpretation* interp) {
-  PARK_CHECK(mode == PlannerMode::kHeuristic || interp != nullptr)
-      << "cost-based compilation needs an interpretation for statistics";
+CompiledPlan CompilePlan(const Rule& rule, int seed_index,
+                         const IInterpretation& interp) {
   CompiledPlan plan;
   plan.rule_index = rule.index();
   plan.seed_index = seed_index;
-  plan.mode = mode;
 
   const auto& body = rule.body();
   std::vector<bool> bound(static_cast<size_t>(rule.num_variables()), false);
@@ -1203,10 +1131,7 @@ CompiledPlan CompilePlan(const Rule& rule, int seed_index, PlannerMode mode,
     }
   }
 
-  std::vector<int> order =
-      mode == PlannerMode::kHeuristic
-          ? PlanBodyOrderImpl(rule, seed_index)
-          : PlanBodyOrderCost(rule, seed_index, *interp);
+  std::vector<int> order = CostBasedOrder(rule, seed_index, interp);
 
   plan.steps.reserve(order.size());
   bool have_generator = false;
@@ -1255,39 +1180,18 @@ CompiledPlan CompilePlan(const Rule& rule, int seed_index, PlannerMode mode,
     }
 
     if (!step.filter) {
-      // Probe column: the heuristic probes the first bound position
-      // (matching the storage layer's historical default); the cost
-      // planner the most selective bound column per the statistics.
-      if (mode == PlannerMode::kHeuristic) {
-        for (size_t i = 0; i < step.slots.size(); ++i) {
-          if (step.slots[i].kind != CompiledStep::Slot::Kind::kFree) {
-            step.probe_column = static_cast<int>(i);
-            break;
-          }
-        }
-        if (interp != nullptr) {
-          LiteralStores stores = StoresFor(step.kind, step.predicate, *interp);
-          double rows = 0;
-          ForEachStore(stores, [&](const Relation& rel) {
-            rows += step.probe_column < 0
-                        ? static_cast<double>(rel.size())
-                        : rel.stats().SelectivityRows(step.probe_column);
-          });
-          step.estimated_rows = rows;
-        }
-      } else {
-        StreamEstimate est = EstimateStream(lit, bound, *interp);
-        step.probe_column = est.probe_column;
-        step.estimated_rows = est.rows;
-      }
+      // Probe column: the most selective bound column per the statistics.
+      StreamEstimate est = EstimateStream(lit, bound, interp);
+      step.probe_column = est.probe_column;
+      step.estimated_rows = est.rows;
 
       // Batch-mode join operator: a probed join step (not the plan's
       // first generator — that is the step-0 scan) over enough store
       // rows amortizes its per-distinct-key range resolution, so pick
       // sorted-merge; everything else keeps per-binding probes. Tuple
       // execution ignores this.
-      if (have_generator && step.probe_column >= 0 && interp != nullptr) {
-        LiteralStores stores = StoresFor(step.kind, step.predicate, *interp);
+      if (have_generator && step.probe_column >= 0) {
+        LiteralStores stores = StoresFor(step.kind, step.predicate, interp);
         size_t rows = 0;
         ForEachStore(stores, [&](const Relation& rel) { rows += rel.size(); });
         if (rows >= kMergeJoinMinRows) step.join = JoinAlgo::kMerge;
@@ -1298,8 +1202,8 @@ CompiledPlan CompilePlan(const Rule& rule, int seed_index, PlannerMode mode,
     // The drift snapshot covers every store whose size the ordering can
     // depend on (all binding-kind literals, scheduled or not as
     // generators).
-    if (interp != nullptr && IsBindingKind(lit.kind)) {
-      LiteralStores stores = StoresFor(lit.kind, lit.atom.predicate, *interp);
+    if (IsBindingKind(lit.kind)) {
+      LiteralStores stores = StoresFor(lit.kind, lit.atom.predicate, interp);
       switch (lit.kind) {
         case LiteralKind::kPositive:
           SnapshotStore(0, lit.atom.predicate, stores.base, plan);
@@ -1408,64 +1312,6 @@ size_t CountPlanCandidatesSeeded(const CompiledPlan& plan, const Rule& rule,
   return CountStream(plan.steps[0], interp, pattern);
 }
 
-std::vector<int> PlanBodyOrder(const Rule& rule) {
-  return PlanBodyOrderImpl(rule, /*pre_bound=*/-1);
-}
-
-std::vector<int> PlanBodyOrderSeeded(const Rule& rule, int seed_index) {
-  return PlanBodyOrderImpl(rule, seed_index);
-}
-
-void ForEachBodyMatch(const Rule& rule, const IInterpretation& interp,
-                      FunctionRef<void(const Tuple& binding)> fn) {
-  CompiledPlan plan =
-      CompilePlan(rule, -1, PlannerMode::kHeuristic, nullptr);
-  ExecutePlan(plan, rule, interp, CandidateSlice{}, fn);
-}
-
-void ForEachBodyMatch(const Rule& rule, const IInterpretation& interp,
-                      CandidateSlice slice,
-                      FunctionRef<void(const Tuple& binding)> fn,
-                      CancellationToken* cancel) {
-  CompiledPlan plan =
-      CompilePlan(rule, -1, PlannerMode::kHeuristic, nullptr);
-  ExecutePlan(plan, rule, interp, slice, fn, cancel);
-}
-
-size_t CountFirstLiteralCandidates(const Rule& rule,
-                                   const IInterpretation& interp) {
-  CompiledPlan plan =
-      CompilePlan(rule, -1, PlannerMode::kHeuristic, nullptr);
-  return CountPlanCandidates(plan, interp);
-}
-
-void ForEachBodyMatchSeeded(const Rule& rule, const IInterpretation& interp,
-                            int seed_index, const GroundAtom& seed_atom,
-                            FunctionRef<void(const Tuple&)> fn) {
-  CompiledPlan plan =
-      CompilePlan(rule, seed_index, PlannerMode::kHeuristic, nullptr);
-  ExecutePlanSeeded(plan, rule, interp, seed_atom, CandidateSlice{}, fn);
-}
-
-void ForEachBodyMatchSeeded(const Rule& rule, const IInterpretation& interp,
-                            int seed_index, const GroundAtom& seed_atom,
-                            CandidateSlice slice,
-                            FunctionRef<void(const Tuple&)> fn,
-                            CancellationToken* cancel) {
-  CompiledPlan plan =
-      CompilePlan(rule, seed_index, PlannerMode::kHeuristic, nullptr);
-  ExecutePlanSeeded(plan, rule, interp, seed_atom, slice, fn, cancel);
-}
-
-size_t CountFirstLiteralCandidatesSeeded(const Rule& rule,
-                                         const IInterpretation& interp,
-                                         int seed_index,
-                                         const GroundAtom& seed_atom) {
-  CompiledPlan plan =
-      CompilePlan(rule, seed_index, PlannerMode::kHeuristic, nullptr);
-  return CountPlanCandidatesSeeded(plan, rule, interp, seed_atom);
-}
-
 void AddPlanRequirements(const CompiledPlan& plan, IndexRequirements& out) {
   auto add = [](IndexRequirements::ColumnsByPredicate& columns,
                 PredicateId pred, int column) {
@@ -1493,26 +1339,8 @@ void AddPlanRequirements(const CompiledPlan& plan, IndexRequirements& out) {
   }
 }
 
-IndexRequirements CollectIndexRequirements(const Program& program) {
-  IndexRequirements out;
-  for (const Rule& rule : program.rules()) {
-    AddPlanRequirements(
-        CompilePlan(rule, -1, PlannerMode::kHeuristic, nullptr), out);
-    // Every literal can be a delta seed under semi-naive evaluation
-    // (positive/+event literals via new + marks, negated/-event via new
-    // - marks), each inducing its own plan with the seed's variables
-    // pre-bound.
-    for (size_t s = 0; s < rule.body().size(); ++s) {
-      AddPlanRequirements(CompilePlan(rule, static_cast<int>(s),
-                                      PlannerMode::kHeuristic, nullptr),
-                          out);
-    }
-  }
-  return out;
-}
-
-PlanCache::PlanCache(const Program& program, PlannerMode mode)
-    : program_(program), mode_(mode), plans_(program.size()) {
+PlanCache::PlanCache(const Program& program)
+    : program_(program), plans_(program.size()) {
   for (size_t r = 0; r < program.size(); ++r) {
     plans_[r].resize(program.rules()[r].body().size() + 1);
   }
@@ -1526,8 +1354,7 @@ const CompiledPlan& PlanCache::Get(const Rule& rule, int seed_index,
   if (slot == nullptr) {
     return Install(slot, rule, seed_index, interp, /*replan=*/false);
   }
-  // Heuristic plans do not depend on statistics, so they never go stale.
-  if (mode_ == PlannerMode::kCostBased && Drifted(*slot, interp)) {
+  if (Drifted(*slot, interp)) {
     return Install(slot, rule, seed_index, interp, /*replan=*/true);
   }
   ++cache_hits_;
@@ -1555,7 +1382,7 @@ const CompiledPlan& PlanCache::Install(std::unique_ptr<CompiledPlan>& slot,
                                        const IInterpretation& interp,
                                        bool replan) {
   slot = std::make_unique<CompiledPlan>(
-      CompilePlan(rule, seed_index, mode_, &interp));
+      CompilePlan(rule, seed_index, interp));
   AddPlanRequirements(*slot, requirements_);
   ++plans_compiled_;
   if (replan) ++replans_;
@@ -1575,9 +1402,6 @@ std::string ExplainPlanLine(const PlanExplanation& explanation) {
   if (explanation.seed_index >= 0) {
     out << " seed=" << explanation.seed_index;
   }
-  out << " mode="
-      << (explanation.mode == PlannerMode::kCostBased ? "cost-based"
-                                                      : "heuristic");
   if (explanation.replan) out << " (replan)";
   out << ":";
   if (explanation.steps.empty()) out << " <empty body>";

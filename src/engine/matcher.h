@@ -4,18 +4,12 @@
 // Matching is plan-driven. A rule (or a (rule, Δ-seed-literal) variant) is
 // compiled once into a CompiledPlan: a literal order, one CompiledStep per
 // body literal with pre-resolved pattern slots, bind/check ops, and the
-// index column each generator probes. Two planners produce plans:
-//
-//   - kHeuristic: the original static ordering (fully-bound filters first,
-//     then most bound argument positions, ties by source order; probe =
-//     first bound position). Needs no statistics; this is the order
-//     PlanBodyOrder exposes and the legacy ForEachBodyMatch entry points
-//     execute.
-//   - kCostBased: greedy smallest-estimated-candidate-stream ordering
-//     driven by live storage statistics (RelationStats: row counts and
-//     per-column distinct estimates), with the probe column chosen as the
-//     most selective bound column. See docs/PLANNER.md for the cost model
-//     and the determinism argument.
+// index column each generator probes. The planner is cost-based: greedy
+// smallest-estimated-candidate-stream ordering driven by live storage
+// statistics (RelationStats: row counts and per-column distinct
+// estimates), with the probe column chosen as the most selective bound
+// column. See docs/PLANNER.md for the cost model and the determinism
+// argument.
 //
 // Plans are cached per (rule, seed literal) in a PlanCache and invalidated
 // only when the statistics they were computed from drift past a threshold,
@@ -30,8 +24,6 @@
 // themselves (a monotone union over every plan ever compiled), so the
 // parallel evaluator can build exactly the indexes any cached plan probes
 // and freeze the relations for the duration of the parallel section.
-// CollectIndexRequirements is the program-level variant for the heuristic
-// planner, likewise derived from compiled plans.
 
 #ifndef PARK_ENGINE_MATCHER_H_
 #define PARK_ENGINE_MATCHER_H_
@@ -50,15 +42,6 @@
 namespace park {
 
 class CancellationToken;
-
-/// Which join planner compiles rule plans (see file comment). The two
-/// planners enumerate the same match SET for every rule — only the
-/// enumeration order differs — so results are equal as sets either way;
-/// planner_oracle_test sweeps this.
-enum class PlannerMode {
-  kHeuristic,
-  kCostBased,
-};
 
 /// How compiled plans execute (ParkOptions::exec_mode). kTuple is the
 /// classic tuple-at-a-time backtracking executor over per-column hash
@@ -141,13 +124,12 @@ struct CompiledStep {
 };
 
 /// A rule body compiled against one statistics snapshot. Pure function of
-/// (rule, seed_index, mode, stats snapshot) — recompiling with unchanged
+/// (rule, seed_index, stats snapshot) — recompiling with unchanged
 /// statistics yields an identical plan, which is what makes fixed-config
 /// runs bit-identical across repeats.
 struct CompiledPlan {
   int rule_index = 0;
   int seed_index = -1;  // body literal pre-bound by a Δ seed; -1 = none
-  PlannerMode mode = PlannerMode::kHeuristic;
   std::vector<CompiledStep> steps;
   /// Seed literal binding program (seed plans only): how to bind/check the
   /// rule's variables against the seed atom.
@@ -172,7 +154,6 @@ struct CompiledPlan {
 struct PlanExplanation {
   int rule_index = 0;
   int seed_index = -1;
-  PlannerMode mode = PlannerMode::kHeuristic;
   bool replan = false;  // recompile triggered by statistics drift
   double estimated_candidates = 0;
   struct Step {
@@ -184,15 +165,6 @@ struct PlanExplanation {
   };
   std::vector<Step> steps;
 };
-
-/// Invokes `fn(binding)` once per distinct ground substitution θ (a Tuple
-/// indexed by the rule's variable indexes) such that every body literal of
-/// `rule` is valid in `interp`. A rule with an empty body yields exactly
-/// one (empty) binding. `fn` must not mutate `interp`. Executes the
-/// heuristic plan (legacy entry point; the evaluator's plan-cached path is
-/// ExecutePlan below).
-void ForEachBodyMatch(const Rule& rule, const IInterpretation& interp,
-                      FunctionRef<void(const Tuple& binding)> fn);
 
 // --- Candidate-range slicing (intra-rule parallelism) ---
 //
@@ -216,85 +188,27 @@ struct CandidateSlice {
   bool IsFull() const { return begin == 0 && end == kSliceEnd; }
 };
 
-/// Number of candidate tuples the first planned literal of `rule` would
-/// draw from its stream(s) in `interp` (before any dedup or binding
-/// checks), under the heuristic plan. Returns 0 when the rule is not
-/// sliceable — empty body, or a first plan literal that is fully bound and
-/// therefore a constant-time filter rather than a generator. Callers treat
-/// 0 as "run unsliced".
-size_t CountFirstLiteralCandidates(const Rule& rule,
-                                   const IInterpretation& interp);
+// --- Compiled-plan interface ---
 
-/// Sliced variant of ForEachBodyMatch: enumerates only the matches rooted
-/// at first-literal candidates with ordinals in `slice`. Concatenating the
-/// outputs of a partition of [0, CountFirstLiteralCandidates(...)) in
-/// slice order reproduces the unsliced output exactly. A full slice is
-/// identical to the unsliced overload (including for unsliceable rules).
-///
-/// `cancel` (here and on every execution entry point below) is the run's
-/// cooperative cancellation token, polled every
-/// CancellationToken::kCheckStride visited tuples; nullptr disables
-/// polling. Once the token fires, enumeration stops early and the partial
-/// output MUST be discarded by the caller — the evaluator converts the
-/// token's cause into the run's error status.
-void ForEachBodyMatch(const Rule& rule, const IInterpretation& interp,
-                      CandidateSlice slice,
-                      FunctionRef<void(const Tuple& binding)> fn,
-                      CancellationToken* cancel = nullptr);
-
-/// Returns the body-literal evaluation order the HEURISTIC planner uses
-/// for `rule` (indexes into rule.body()). Exposed for tests; the detailed
-/// EXPLAIN path goes through PlanCache / PlanExplanation.
-std::vector<int> PlanBodyOrder(const Rule& rule);
-
-/// The heuristic order when literal `seed_index` is pre-bound by a delta
-/// seed (it is excluded from the returned order). Exposed for tests.
-std::vector<int> PlanBodyOrderSeeded(const Rule& rule, int seed_index);
-
-/// Semi-naive building block: enumerates the matches of `rule` in which
-/// body literal `seed_index` is grounded by exactly `seed_atom`. The
-/// seed literal's constants and repeated variables are checked against
-/// the atom; its variables are pre-bound; the remaining literals are then
-/// enumerated as usual. The caller guarantees `seed_atom` makes the seed
-/// literal valid (it came from the engine's delta of new marks).
-void ForEachBodyMatchSeeded(const Rule& rule, const IInterpretation& interp,
-                            int seed_index, const GroundAtom& seed_atom,
-                            FunctionRef<void(const Tuple&)> fn);
-
-/// CountFirstLiteralCandidates for the seeded heuristic plan: candidates
-/// of the first literal scheduled AFTER the seed pre-binding. Returns 0
-/// when the seeded rule is unsliceable (no remaining generator literal, or
-/// the seed atom already fails the seed literal's constants / repeated
-/// variables, in which case there are no matches at all).
-size_t CountFirstLiteralCandidatesSeeded(const Rule& rule,
-                                         const IInterpretation& interp,
-                                         int seed_index,
-                                         const GroundAtom& seed_atom);
-
-/// Sliced variant of ForEachBodyMatchSeeded, with the same concatenation
-/// guarantee as the sliced ForEachBodyMatch (and the same `cancel`
-/// contract).
-void ForEachBodyMatchSeeded(const Rule& rule, const IInterpretation& interp,
-                            int seed_index, const GroundAtom& seed_atom,
-                            CandidateSlice slice,
-                            FunctionRef<void(const Tuple&)> fn,
-                            CancellationToken* cancel = nullptr);
-
-// --- Compiled-plan interface (the evaluator's hot path) ---
-
-/// Compiles `rule` (with `seed_index` pre-bound; -1 for unseeded) under
-/// `mode`. `interp` supplies the statistics; it may be null only in
-/// kHeuristic mode (ordering is then static and estimates stay 0).
-CompiledPlan CompilePlan(const Rule& rule, int seed_index, PlannerMode mode,
-                         const IInterpretation* interp);
+/// Compiles `rule` (with `seed_index` pre-bound; -1 for unseeded) against
+/// the statistics of `interp`.
+CompiledPlan CompilePlan(const Rule& rule, int seed_index,
+                         const IInterpretation& interp);
 
 /// Executes `plan` over `interp`, restricted to first-generator-step
 /// candidates with ordinals in `slice`; `fn` is invoked once per match.
 /// Returns the number of step-0 candidates the slice claimed (pre-dedup;
 /// the planner's actual-rows counter — slice counts of a partition sum to
 /// the full stream count). `rule` must be the rule the plan was compiled
-/// from. With a fired `cancel` the claimed count and emitted matches are
-/// partial and must be discarded.
+/// from. A rule with an empty body yields exactly one (empty) binding.
+///
+/// `cancel` (here and on every execution entry point below) is the run's
+/// cooperative cancellation token, polled every
+/// CancellationToken::kCheckStride visited tuples; nullptr disables
+/// polling. Once the token fires, enumeration stops early: the claimed
+/// count and emitted matches are partial and MUST be discarded by the
+/// caller — the evaluator converts the token's cause into the run's error
+/// status.
 ///
 /// `exec` picks the executor (see ExecMode). In batch mode the step-0
 /// stream is the probe range of the stores' columnar segments, so a
@@ -307,8 +221,12 @@ size_t ExecutePlan(const CompiledPlan& plan, const Rule& rule,
                    ExecMode exec = ExecMode::kTuple,
                    ExecStats* exec_stats = nullptr);
 
-/// Seeded execution: binds the seed literal against `seed_atom` first
-/// (returning 0 matches if constants / repeated variables disagree).
+/// Seeded execution (the semi-naive building block): enumerates the
+/// matches in which body literal `plan.seed_index` is grounded by exactly
+/// `seed_atom`. The seed literal is bound against the atom first
+/// (returning 0 matches if constants / repeated variables disagree); the
+/// caller guarantees `seed_atom` makes the literal valid (it came from the
+/// engine's delta of new marks).
 size_t ExecutePlanSeeded(const CompiledPlan& plan, const Rule& rule,
                          const IInterpretation& interp,
                          const GroundAtom& seed_atom, CandidateSlice slice,
@@ -344,12 +262,6 @@ struct IndexRequirements {
   ColumnsByPredicate minus;
 };
 
-/// Requirements of every HEURISTIC plan of `program` — the unseeded plan
-/// and all Δ-seeded variants of each rule. Implemented by compiling those
-/// plans and unioning their probes (planner_test asserts it can never
-/// diverge from what the compiled plans execute).
-IndexRequirements CollectIndexRequirements(const Program& program);
-
 /// Adds the probes of `plan` into `out` (dedup'd).
 void AddPlanRequirements(const CompiledPlan& plan, IndexRequirements& out);
 
@@ -361,9 +273,7 @@ void AddPlanRequirements(const CompiledPlan& plan, IndexRequirements& out);
 /// workers only execute the returned plans.
 class PlanCache {
  public:
-  PlanCache(const Program& program, PlannerMode mode);
-
-  PlannerMode mode() const { return mode_; }
+  explicit PlanCache(const Program& program);
 
   /// The plan for (`rule`, `seed_index`), compiling or replanning as
   /// needed. The reference stays valid until the next Get for the same
@@ -403,7 +313,6 @@ class PlanCache {
                               const IInterpretation& interp, bool replan);
 
   const Program& program_;
-  PlannerMode mode_;
   // plans_[rule][seed_index + 1]; null = not compiled yet.
   std::vector<std::vector<std::unique_ptr<CompiledPlan>>> plans_;
   IndexRequirements requirements_;
@@ -420,8 +329,8 @@ class PlanCache {
 /// outside a cache — parkcli compiles and explains per rule.
 PlanExplanation ExplainPlan(const CompiledPlan& plan, bool replan = false);
 
-/// Renders a one-line summary ("rule 2 [seed 1] cost-based: lit3 probe c0
-/// ~12 rows | lit1 filter") for traces and EXPLAIN.
+/// Renders a one-line summary ("plan rule=2 seed=1: lit3[probe c0 ~12
+/// rows] -> lit1[filter]") for traces and EXPLAIN.
 std::string ExplainPlanLine(const PlanExplanation& explanation);
 
 }  // namespace park

@@ -8,8 +8,8 @@
 // engine/consequence.h) — and which predicate its head WRITES. Inverting
 // the watch relation gives the per-predicate watcher index the scheduler
 // uses to turn a Γ step's delta into its affected rule set in
-// O(|changed predicates|) instead of the O(|P|) all-rules scan
-// ComputeGammaFiltered otherwise pays per step.
+// O(|changed predicates|) instead of an O(|P|) all-rules RuleIsAffected
+// scan per step.
 //
 // On top of the same edges (rule r feeds rule s iff r's head write is
 // watched by s's body) the graph condenses strongly connected components
@@ -19,9 +19,9 @@
 // partitions into strata-ordered pipeline stages the parallel evaluator
 // dispatches as separate pool sections, prewarming each stage's plans
 // (and indexes) right before the stage runs. Scheduling NEVER changes
-// results: the affected set equals the scan's set by construction, and
-// staged buffers are merged back into program order (scheduler_oracle_test
-// pins bit-identity against unscheduled runs).
+// results: the affected set equals RuleIsAffected's by construction
+// (rule_graph_test), and staged buffers are merged back into program
+// order (scheduler_oracle_test pins staged runs against sequential ones).
 
 #ifndef PARK_ENGINE_RULE_GRAPH_H_
 #define PARK_ENGINE_RULE_GRAPH_H_

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "lang/parser.h"
+#include "test_util.h"
 
 namespace park {
 namespace {
+
+using ::park::testing_util::FreshGamma;
 
 class ConflictTest : public ::testing::Test {
  protected:
@@ -28,7 +31,7 @@ TEST_F(ConflictTest, PaperExampleTwoSidedConflict) {
   Program program = MustProgram("r1: p(X) -> +q(X). r2: p(X) -> -q(X).");
   Database db = ParseDatabase("p(a).", symbols_).value();
   IInterpretation interp(&db);
-  GammaResult gamma = ComputeGamma(program, {}, interp);
+  GammaResult gamma = FreshGamma(program, {}, interp);
   ASSERT_FALSE(gamma.consistent);
   std::vector<Conflict> conflicts = BuildConflicts(gamma, interp);
   ASSERT_EQ(conflicts.size(), 1u);
@@ -50,7 +53,7 @@ TEST_F(ConflictTest, MaximalityAllGroundingsIncluded) {
   )");
   Database db = ParseDatabase("a. b. c.", symbols_).value();
   IInterpretation interp(&db);
-  GammaResult gamma = ComputeGamma(program, {}, interp);
+  GammaResult gamma = FreshGamma(program, {}, interp);
   std::vector<Conflict> conflicts = BuildConflicts(gamma, interp);
   ASSERT_EQ(conflicts.size(), 1u);
   EXPECT_EQ(conflicts[0].inserters.size(), 3u);
@@ -66,7 +69,7 @@ TEST_F(ConflictTest, ProvenanceCompletesStaleSide) {
   RuleGrounding stale(/*rule_index=*/99, Tuple{});
   interp.AddMarked(ActionKind::kInsert,
                    ParseGroundAtom("x", symbols_).value(), stale);
-  GammaResult gamma = ComputeGamma(program, {}, interp);
+  GammaResult gamma = FreshGamma(program, {}, interp);
   ASSERT_FALSE(gamma.consistent);
   std::vector<Conflict> conflicts = BuildConflicts(gamma, interp);
   ASSERT_EQ(conflicts.size(), 1u);
@@ -85,7 +88,7 @@ TEST_F(ConflictTest, CurrentAndProvenanceSidesDeduplicate) {
   interp.AddMarked(ActionKind::kInsert,
                    ParseGroundAtom("x", symbols_).value(),
                    RuleGrounding(0, Tuple{}));
-  GammaResult gamma = ComputeGamma(program, {}, interp);
+  GammaResult gamma = FreshGamma(program, {}, interp);
   std::vector<Conflict> conflicts = BuildConflicts(gamma, interp);
   ASSERT_EQ(conflicts.size(), 1u);
   EXPECT_EQ(conflicts[0].inserters.size(), 1u);
@@ -99,7 +102,7 @@ TEST_F(ConflictTest, ConflictsSortedByAtom) {
   )");
   Database db = ParseDatabase("p.", symbols_).value();
   IInterpretation interp(&db);
-  GammaResult gamma = ComputeGamma(program, {}, interp);
+  GammaResult gamma = FreshGamma(program, {}, interp);
   std::vector<Conflict> conflicts = BuildConflicts(gamma, interp);
   ASSERT_EQ(conflicts.size(), 3u);
   EXPECT_LT(conflicts[0].atom, conflicts[1].atom);
@@ -110,7 +113,7 @@ TEST_F(ConflictTest, NoConflictNoTriples) {
   Program program = MustProgram("p -> +x. p -> +y.");
   Database db = ParseDatabase("p.", symbols_).value();
   IInterpretation interp(&db);
-  GammaResult gamma = ComputeGamma(program, {}, interp);
+  GammaResult gamma = FreshGamma(program, {}, interp);
   EXPECT_TRUE(gamma.consistent);
   EXPECT_TRUE(BuildConflicts(gamma, interp).empty());
 }

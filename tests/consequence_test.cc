@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "lang/parser.h"
+#include "test_util.h"
 
 namespace park {
 namespace {
+
+using ::park::testing_util::FreshGamma;
 
 class ConsequenceTest : public ::testing::Test {
  protected:
@@ -30,7 +33,7 @@ TEST_F(ConsequenceTest, DerivationsFromValidBodies) {
   Database db = MustDb("p.");
   IInterpretation interp(&db);
   BlockedSet blocked;
-  GammaResult gamma = ComputeGamma(program, blocked, interp);
+  GammaResult gamma = FreshGamma(program, blocked, interp);
   EXPECT_TRUE(gamma.consistent);
   EXPECT_EQ(gamma.derivations.size(), 2u);  // q not valid yet
   EXPECT_EQ(gamma.newly_marked, 2u);
@@ -41,7 +44,7 @@ TEST_F(ConsequenceTest, BlockedInstancesDoNotFire) {
   Database db = MustDb("p.");
   IInterpretation interp(&db);
   BlockedSet blocked{RuleGrounding(0, Tuple{})};
-  GammaResult gamma = ComputeGamma(program, blocked, interp);
+  GammaResult gamma = FreshGamma(program, blocked, interp);
   EXPECT_TRUE(gamma.derivations.empty());
   EXPECT_EQ(gamma.newly_marked, 0u);
 }
@@ -50,7 +53,7 @@ TEST_F(ConsequenceTest, InconsistencyWithinOneStep) {
   Program program = MustProgram("p -> +q. p -> -q.");
   Database db = MustDb("p.");
   IInterpretation interp(&db);
-  GammaResult gamma = ComputeGamma(program, {}, interp);
+  GammaResult gamma = FreshGamma(program, {}, interp);
   EXPECT_FALSE(gamma.consistent);
   ASSERT_EQ(gamma.clashing_atoms.size(), 1u);
   EXPECT_EQ(gamma.clashing_atoms[0].ToString(*symbols_), "q");
@@ -63,7 +66,7 @@ TEST_F(ConsequenceTest, InconsistencyAgainstExistingMark) {
   interp.AddMarked(ActionKind::kInsert,
                    ParseGroundAtom("q", symbols_).value(),
                    RuleGrounding(7, Tuple{}));
-  GammaResult gamma = ComputeGamma(program, {}, interp);
+  GammaResult gamma = FreshGamma(program, {}, interp);
   EXPECT_FALSE(gamma.consistent);
   ASSERT_EQ(gamma.clashing_atoms.size(), 1u);
 }
@@ -72,9 +75,9 @@ TEST_F(ConsequenceTest, RederivationIsNotNew) {
   Program program = MustProgram("p -> +q.");
   Database db = MustDb("p.");
   IInterpretation interp(&db);
-  GammaResult first = ComputeGamma(program, {}, interp);
+  GammaResult first = FreshGamma(program, {}, interp);
   ApplyDerivations(first.derivations, interp);
-  GammaResult second = ComputeGamma(program, {}, interp);
+  GammaResult second = FreshGamma(program, {}, interp);
   EXPECT_EQ(second.derivations.size(), 1u);  // still fires
   EXPECT_EQ(second.newly_marked, 0u);        // but derives nothing new
 }
@@ -83,7 +86,7 @@ TEST_F(ConsequenceTest, ApplyDerivationsCountsNewMarks) {
   Program program = MustProgram("p -> +q. p -> +q.");  // two rules, one atom
   Database db = MustDb("p.");
   IInterpretation interp(&db);
-  GammaResult gamma = ComputeGamma(program, {}, interp);
+  GammaResult gamma = FreshGamma(program, {}, interp);
   EXPECT_EQ(gamma.derivations.size(), 2u);
   EXPECT_EQ(gamma.newly_marked, 1u);
   EXPECT_EQ(ApplyDerivations(gamma.derivations, interp), 1u);
@@ -98,7 +101,7 @@ TEST_F(ConsequenceTest, FirstOrderGroundingsCarryBindings) {
   Program program = MustProgram("p(X) -> +q(X).");
   Database db = MustDb("p(a). p(b).");
   IInterpretation interp(&db);
-  GammaResult gamma = ComputeGamma(program, {}, interp);
+  GammaResult gamma = FreshGamma(program, {}, interp);
   ASSERT_EQ(gamma.derivations.size(), 2u);
   for (const Derivation& d : gamma.derivations) {
     EXPECT_EQ(d.grounding.rule_index(), 0);
@@ -113,7 +116,7 @@ TEST_F(ConsequenceTest, BlockingOneGroundingKeepsOthers) {
   IInterpretation interp(&db);
   SymbolId a = symbols_->InternSymbol("a");
   BlockedSet blocked{RuleGrounding(0, Tuple{Value::Symbol(a)})};
-  GammaResult gamma = ComputeGamma(program, blocked, interp);
+  GammaResult gamma = FreshGamma(program, blocked, interp);
   ASSERT_EQ(gamma.derivations.size(), 1u);
   EXPECT_EQ(gamma.derivations[0].atom.ToString(*symbols_), "q(b)");
 }
@@ -125,7 +128,7 @@ TEST_F(ConsequenceTest, ClashingAtomsSortedAndUnique) {
   )");
   Database db = MustDb("p.");
   IInterpretation interp(&db);
-  GammaResult gamma = ComputeGamma(program, {}, interp);
+  GammaResult gamma = FreshGamma(program, {}, interp);
   ASSERT_EQ(gamma.clashing_atoms.size(), 2u);
   EXPECT_LT(gamma.clashing_atoms[0], gamma.clashing_atoms[1]);
 }

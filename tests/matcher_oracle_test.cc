@@ -1,8 +1,12 @@
-// Oracle test for the body matcher: ForEachBodyMatch must return exactly
-// the substitutions a brute-force enumeration over the active domain
-// accepts, for random rules, random databases, and random marked atoms.
-// This pins down the trickiest module (join planning, index usage,
-// repeated variables, negation ordering, event literals) against a
+// Oracle test for the body matcher: the cost-based plan (CompilePlan)
+// executed by ExecutePlan / ExecutePlanSeeded must return exactly the
+// substitutions a brute-force enumeration over the active domain accepts,
+// for random rules, random databases, and random marked atoms — under
+// both executors, for every seed literal, and for any candidate-slice
+// partition (slices concatenate back to the unsliced list). Half the
+// scenarios skew the stores so the planner reorders bodies away from
+// source order. This pins down the trickiest module (join planning, index
+// usage, repeated variables, negation ordering, event literals) against a
 // definition-level implementation.
 
 #include <gtest/gtest.h>
@@ -22,7 +26,7 @@ namespace {
 constexpr int kNumConstants = 4;  // c0..c3
 constexpr int kNumPredicates = 3; // q0/1, q1/2, q2/1
 
-std::string ConstName(int i) { return "c" + std::to_string(i); }
+std::string ConstName(int i) { return StrFormat("c%d", i); }
 
 /// Builds a random safe rule as text; retries until it parses safely.
 std::string RandomRuleText(Rng& rng) {
@@ -36,7 +40,7 @@ std::string RandomRuleText(Rng& rng) {
   auto atom = [&](bool allow_var) {
     int pred = static_cast<int>(rng.Uniform(kNumPredicates));
     int arity = pred == 1 ? 2 : 1;
-    std::string out = "q" + std::to_string(pred) + "(";
+    std::string out = StrFormat("q%d(", pred);
     for (int i = 0; i < arity; ++i) {
       if (i > 0) out += ", ";
       out += term(allow_var);
@@ -67,12 +71,22 @@ std::string RandomRuleText(Rng& rng) {
   return text;
 }
 
+std::string BindingKey(const std::vector<Value>& binding,
+                       const SymbolTable& symbols) {
+  std::string key;
+  for (const Value& v : binding) key += v.ToString(symbols) + ",";
+  return key;
+}
+
 /// Definition-level match enumeration: every assignment of the rule's
-/// variables over the constant domain, accepted iff all literals valid.
+/// variables over the constant domain, accepted iff all literals valid
+/// (and, with a seed, iff literal `seed_index` grounds to `seed`).
 std::set<std::string> OracleMatches(const Rule& rule,
                                     const IInterpretation& interp,
                                     const std::vector<Value>& domain,
-                                    const SymbolTable& symbols) {
+                                    const SymbolTable& symbols,
+                                    int seed_index = -1,
+                                    const GroundAtom* seed = nullptr) {
   std::set<std::string> accepted;
   int vars = rule.num_variables();
   std::vector<size_t> choice(static_cast<size_t>(vars), 0);
@@ -83,17 +97,16 @@ std::set<std::string> OracleMatches(const Rule& rule,
       binding.push_back(domain[choice[static_cast<size_t>(v)]]);
     }
     bool valid = true;
-    for (const BodyLiteral& lit : rule.body()) {
-      if (!interp.IsValid(lit.atom.Ground(binding), lit.kind)) {
+    for (size_t i = 0; i < rule.body().size(); ++i) {
+      const BodyLiteral& lit = rule.body()[i];
+      GroundAtom ground = lit.atom.Ground(binding);
+      if (!interp.IsValid(ground, lit.kind) ||
+          (static_cast<int>(i) == seed_index && !(ground == *seed))) {
         valid = false;
         break;
       }
     }
-    if (valid) {
-      std::string key;
-      for (const Value& v : binding) key += v.ToString(symbols) + ",";
-      accepted.insert(key);
-    }
+    if (valid) accepted.insert(BindingKey(binding, symbols));
     // Odometer increment.
     int pos = 0;
     while (pos < vars) {
@@ -104,6 +117,76 @@ std::set<std::string> OracleMatches(const Rule& rule,
     if (vars == 0 || pos == vars) break;
   }
   return accepted;
+}
+
+/// Runs `plan` (seeded with `seed` when non-null) unsliced and, when it is
+/// sliceable, over a random 2–4-way partition of its candidate stream,
+/// checks that the slices concatenate to the unsliced enumeration, and
+/// returns the matches as keys.
+std::vector<std::string> ExecuteSliced(const CompiledPlan& plan,
+                                       const Rule& rule,
+                                       const IInterpretation& interp,
+                                       const GroundAtom* seed, ExecMode exec,
+                                       const SymbolTable& symbols, Rng& rng) {
+  auto run = [&](CandidateSlice slice) {
+    std::vector<std::string> out;
+    auto emit = [&](const Tuple& binding) {
+      out.push_back(BindingKey(binding.values(), symbols));
+    };
+    if (seed != nullptr) {
+      ExecutePlanSeeded(plan, rule, interp, *seed, slice, emit, nullptr,
+                        exec);
+    } else {
+      ExecutePlan(plan, rule, interp, slice, emit, nullptr, exec);
+    }
+    return out;
+  };
+  std::vector<std::string> whole = run(CandidateSlice{});
+  const size_t candidates =
+      seed != nullptr
+          ? CountPlanCandidatesSeeded(plan, rule, interp, *seed, exec)
+          : CountPlanCandidates(plan, interp, exec);
+  // 0 means unsliceable (or an empty stream): callers run it unsliced.
+  if (candidates == 0) return whole;
+  const size_t parts = 2 + rng.Uniform(3);
+  std::vector<size_t> cuts;
+  for (size_t i = 1; i < parts; ++i) {
+    cuts.push_back(rng.Uniform(candidates + 1));
+  }
+  std::sort(cuts.begin(), cuts.end());
+  std::vector<std::string> concatenated;
+  size_t begin = 0;
+  for (size_t i = 0; i < parts; ++i) {
+    CandidateSlice slice;
+    slice.begin = begin;
+    slice.end = i + 1 < parts ? cuts[i] : CandidateSlice::kSliceEnd;
+    for (std::string& key : run(slice)) {
+      concatenated.push_back(std::move(key));
+    }
+    begin = slice.end;
+  }
+  EXPECT_EQ(whole, concatenated)
+      << parts << "-way slicing of " << candidates << " candidates";
+  return whole;
+}
+
+/// The matches as a set, failing on duplicate bindings.
+std::set<std::string> AsSet(const std::vector<std::string>& keys) {
+  std::set<std::string> out;
+  for (const std::string& key : keys) {
+    EXPECT_TRUE(out.insert(key).second) << "duplicate binding: " << key;
+  }
+  return out;
+}
+
+/// True if the plan's steps leave body source order.
+bool Reordered(const CompiledPlan& plan) {
+  for (size_t i = 1; i < plan.steps.size(); ++i) {
+    if (plan.steps[i].literal_index < plan.steps[i - 1].literal_index) {
+      return true;
+    }
+  }
+  return false;
 }
 
 class MatcherOracleTest : public ::testing::TestWithParam<uint64_t> {};
@@ -121,34 +204,34 @@ TEST_P(MatcherOracleTest, MatcherAgreesWithBruteForce) {
   PredicateId preds[kNumPredicates] = {
       symbols->InternPredicate("q0", 1), symbols->InternPredicate("q1", 2),
       symbols->InternPredicate("q2", 1)};
+  auto random_atom = [&](int p) {
+    Tuple t;
+    for (int i = 0; i < (p == 1 ? 2 : 1); ++i) {
+      t.Append(domain[rng.Uniform(kNumConstants)]);
+    }
+    return GroundAtom(preds[p], std::move(t));
+  };
 
+  int reordered = 0;
   for (int scenario = 0; scenario < 30; ++scenario) {
-    // Random base facts.
+    // Random base facts; odd scenarios skew the stores (one predicate
+    // dense, the others nearly empty) so the cost planner's order
+    // departs from source order.
+    const bool skewed = scenario % 2 == 1;
+    const int dense = static_cast<int>(rng.Uniform(kNumPredicates));
     Database db(symbols);
     for (int p = 0; p < kNumPredicates; ++p) {
-      int arity = p == 1 ? 2 : 1;
       int facts = static_cast<int>(rng.Uniform(6));
-      for (int f = 0; f < facts; ++f) {
-        Tuple t;
-        for (int i = 0; i < arity; ++i) {
-          t.Append(domain[rng.Uniform(kNumConstants)]);
-        }
-        db.Insert(GroundAtom(preds[p], std::move(t)));
-      }
+      if (skewed) facts = p == dense ? 24 : static_cast<int>(rng.Uniform(2));
+      for (int f = 0; f < facts; ++f) db.Insert(random_atom(p));
     }
     // Random marked atoms (events / pending deletions).
     IInterpretation interp(&db);
     RuleGrounding dummy(0, Tuple{});
     for (int m = 0; m < 4; ++m) {
-      int p = static_cast<int>(rng.Uniform(kNumPredicates));
-      int arity = p == 1 ? 2 : 1;
-      Tuple t;
-      for (int i = 0; i < arity; ++i) {
-        t.Append(domain[rng.Uniform(kNumConstants)]);
-      }
       interp.AddMarked(
           rng.Bernoulli(0.5) ? ActionKind::kInsert : ActionKind::kDelete,
-          GroundAtom(preds[p], std::move(t)), dummy);
+          random_atom(static_cast<int>(rng.Uniform(kNumPredicates))), dummy);
     }
 
     // Random safe rule.
@@ -161,23 +244,49 @@ TEST_P(MatcherOracleTest, MatcherAgreesWithBruteForce) {
       }
       ASSERT_LT(attempt, 200) << "cannot generate a safe random rule";
     }
+    SCOPED_TRACE("rule: " + RuleToString(rule, *symbols) +
+                 "\n  db: " + db.ToString() +
+                 "\n  interp: " + interp.ToString());
 
-    std::set<std::string> matcher;
-    ForEachBodyMatch(rule, interp, [&](const Tuple& binding) {
-      std::string key;
-      for (const Value& v : binding.values()) {
-        key += v.ToString(*symbols) + ",";
-      }
-      bool inserted = matcher.insert(key).second;
-      EXPECT_TRUE(inserted) << "duplicate binding from matcher: " << key;
-    });
-
-    std::set<std::string> oracle =
+    const CompiledPlan plan = CompilePlan(rule, /*seed_index=*/-1, interp);
+    if (Reordered(plan)) ++reordered;
+    const std::set<std::string> oracle =
         OracleMatches(rule, interp, domain, *symbols);
-    EXPECT_EQ(matcher, oracle)
-        << "rule: " << RuleToString(rule, *symbols) << "\n  db: "
-        << db.ToString() << "\n  interp: " << interp.ToString();
+    for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
+      SCOPED_TRACE(exec == ExecMode::kBatch ? "batch" : "tuple");
+      EXPECT_EQ(AsSet(ExecuteSliced(plan, rule, interp, nullptr, exec,
+                                    *symbols, rng)),
+                oracle);
+    }
+
+    // Every seed literal, seeded by every ground atom that makes it
+    // valid (the semi-naive contract: seeds come from valid new marks).
+    for (size_t s = 0; s < rule.body().size(); ++s) {
+      const BodyLiteral& lit = rule.body()[s];
+      const CompiledPlan seeded =
+          CompilePlan(rule, static_cast<int>(s), interp);
+      if (Reordered(seeded)) ++reordered;
+      const int arity = symbols->PredicateArity(lit.atom.predicate);
+      for (size_t code = 0; code < (arity == 2 ? 16u : 4u); ++code) {
+        Tuple t;
+        t.Append(domain[code % kNumConstants]);
+        if (arity == 2) t.Append(domain[code / kNumConstants]);
+        GroundAtom seed(lit.atom.predicate, std::move(t));
+        if (!interp.IsValid(seed, lit.kind)) continue;
+        SCOPED_TRACE(StrFormat("seed literal %zu = %s", s,
+                               seed.ToString(*symbols).c_str()));
+        const std::set<std::string> seeded_oracle = OracleMatches(
+            rule, interp, domain, *symbols, static_cast<int>(s), &seed);
+        for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
+          SCOPED_TRACE(exec == ExecMode::kBatch ? "batch" : "tuple");
+          EXPECT_EQ(AsSet(ExecuteSliced(seeded, rule, interp, &seed, exec,
+                                        *symbols, rng)),
+                    seeded_oracle);
+        }
+      }
+    }
   }
+  EXPECT_GT(reordered, 0) << "no scenario exercised a non-source order";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatcherOracleTest,

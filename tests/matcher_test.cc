@@ -10,6 +10,44 @@
 namespace park {
 namespace {
 
+/// Enumerates `rule`'s matches through its compiled plan.
+void ForEachMatch(const Rule& rule, const IInterpretation& interp,
+                  CandidateSlice slice, FunctionRef<void(const Tuple&)> fn) {
+  ExecutePlan(CompilePlan(rule, /*seed_index=*/-1, interp), rule, interp,
+              slice, fn);
+}
+
+/// Seeded enumeration through the rule's seeded plan.
+void ForEachSeededMatch(const Rule& rule, const IInterpretation& interp,
+                        int seed_index, const GroundAtom& seed,
+                        CandidateSlice slice,
+                        FunctionRef<void(const Tuple&)> fn) {
+  ExecutePlanSeeded(CompilePlan(rule, seed_index, interp), rule, interp,
+                    seed, slice, fn);
+}
+
+/// The planned literal order of `rule` over `interp`'s statistics.
+std::vector<int> PlannedOrder(const Rule& rule,
+                              const IInterpretation& interp) {
+  std::vector<int> order;
+  for (const CompiledStep& step :
+       CompilePlan(rule, /*seed_index=*/-1, interp).steps) {
+    order.push_back(step.literal_index);
+  }
+  return order;
+}
+
+size_t CountCandidates(const Rule& rule, const IInterpretation& interp) {
+  return CountPlanCandidates(CompilePlan(rule, /*seed_index=*/-1, interp),
+                             interp);
+}
+
+size_t CountSeededCandidates(const Rule& rule, const IInterpretation& interp,
+                             int seed_index, const GroundAtom& seed) {
+  return CountPlanCandidatesSeeded(CompilePlan(rule, seed_index, interp),
+                                   rule, interp, seed);
+}
+
 class MatcherTest : public ::testing::Test {
  protected:
   MatcherTest() : symbols_(MakeSymbolTable()) {}
@@ -28,7 +66,7 @@ class MatcherTest : public ::testing::Test {
   std::vector<std::string> Matches(const Rule& rule,
                                    const IInterpretation& interp) {
     std::vector<std::string> out;
-    ForEachBodyMatch(rule, interp, [&](const Tuple& binding) {
+    ForEachMatch(rule, interp, CandidateSlice{}, [&](const Tuple& binding) {
       std::string s;
       for (int i = 0; i < binding.arity(); ++i) {
         if (i > 0) s += ",";
@@ -158,25 +196,32 @@ TEST_F(MatcherTest, AnonymousVariablesEnumerate) {
 }
 
 TEST_F(MatcherTest, PlanPutsGroundFilterFirst) {
+  Database db = MustDb("");
+  IInterpretation interp(&db);
   Rule rule = MustRule("p(X), q(a), r(X) -> +s(X).");
-  std::vector<int> order = PlanBodyOrder(rule);
+  std::vector<int> order = PlannedOrder(rule, interp);
   // q(a) is fully bound from the start: scheduled first.
   EXPECT_EQ(order[0], 1);
 }
 
 TEST_F(MatcherTest, PlanDefersNegationUntilBound) {
+  Database db = MustDb("");
+  IInterpretation interp(&db);
   Rule rule = MustRule("!q(X), p(X) -> +s(X).");
-  std::vector<int> order = PlanBodyOrder(rule);
+  std::vector<int> order = PlannedOrder(rule, interp);
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1);  // p(X) binds X
   EXPECT_EQ(order[1], 0);  // then the negation filters
 }
 
-TEST_F(MatcherTest, PlanPrefersMoreBoundLiterals) {
-  // After edge(X, Y) binds X and Y, edge(Y, Z) has one bound position
-  // while edge(W, V) has none: the planner must pick edge(Y, Z) next.
+TEST_F(MatcherTest, PlanPrefersSelectiveProbes) {
+  // After edge(X, Y) binds X and Y, edge(Y, Z) is a probe on a bound
+  // column (~1 row per key) while edge(W, V) is a full scan (4 rows):
+  // the planner must pick edge(Y, Z) next.
+  Database db = MustDb("edge(a, b). edge(b, c). edge(c, d). edge(d, a).");
+  IInterpretation interp(&db);
   Rule rule = MustRule("edge(X, Y), edge(W, V), edge(Y, Z) -> +t(X, Z, W, V).");
-  std::vector<int> order = PlanBodyOrder(rule);
+  std::vector<int> order = PlannedOrder(rule, interp);
   EXPECT_EQ(order[0], 0);
   EXPECT_EQ(order[1], 2);
   EXPECT_EQ(order[2], 1);
@@ -196,15 +241,15 @@ std::vector<std::string> SeededMatches(const Rule& rule,
                                        const GroundAtom& seed_atom,
                                        const SymbolTable& symbols) {
   std::vector<std::string> out;
-  ForEachBodyMatchSeeded(rule, interp, seed_index, seed_atom,
-                         [&](const Tuple& binding) {
-                           std::string s;
-                           for (int i = 0; i < binding.arity(); ++i) {
-                             if (i > 0) s += ",";
-                             s += binding[i].ToString(symbols);
-                           }
-                           out.push_back(s);
-                         });
+  ForEachSeededMatch(rule, interp, seed_index, seed_atom, CandidateSlice{},
+                     [&](const Tuple& binding) {
+                       std::string s;
+                       for (int i = 0; i < binding.arity(); ++i) {
+                         if (i > 0) s += ",";
+                         s += binding[i].ToString(symbols);
+                       }
+                       out.push_back(s);
+                     });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -269,7 +314,7 @@ class MatcherSliceTest : public MatcherTest {
                                         const IInterpretation& interp,
                                         CandidateSlice slice) {
     std::vector<std::string> out;
-    ForEachBodyMatch(rule, interp, slice, [&](const Tuple& binding) {
+    ForEachMatch(rule, interp, slice, [&](const Tuple& binding) {
       out.push_back(Render(rule, binding));
     });
     return out;
@@ -277,11 +322,7 @@ class MatcherSliceTest : public MatcherTest {
 
   std::vector<std::string> FullMatches(const Rule& rule,
                                        const IInterpretation& interp) {
-    std::vector<std::string> out;
-    ForEachBodyMatch(rule, interp, [&](const Tuple& binding) {
-      out.push_back(Render(rule, binding));
-    });
-    return out;
+    return SliceMatches(rule, interp, CandidateSlice{});
   }
 
   std::string Render(const Rule& rule, const Tuple& binding) {
@@ -300,7 +341,7 @@ TEST_F(MatcherSliceTest, SliceConcatenationEqualsFullEnumeration) {
       "e(a, b). e(b, c). e(c, d). e(d, a). e(a, c). e(b, d). e(c, a).");
   IInterpretation interp(&db);
   Rule rule = MustRule("e(X, Y), e(Y, Z) -> +r(X, Z).");
-  size_t candidates = CountFirstLiteralCandidates(rule, interp);
+  size_t candidates = CountCandidates(rule, interp);
   EXPECT_EQ(candidates, 7u);
   std::vector<std::string> full = FullMatches(rule, interp);
   // Every partition of the ordinal space must concatenate back to the
@@ -320,14 +361,6 @@ TEST_F(MatcherSliceTest, SliceConcatenationEqualsFullEnumeration) {
   }
 }
 
-TEST_F(MatcherSliceTest, FullSliceMatchesUnslicedOverload) {
-  Database db = MustDb("p(a). p(b). p(c).");
-  IInterpretation interp(&db);
-  Rule rule = MustRule("p(X), !q(X) -> +q(X).");
-  EXPECT_EQ(SliceMatches(rule, interp, CandidateSlice{}),
-            FullMatches(rule, interp));
-}
-
 TEST_F(MatcherSliceTest, CountsBaseAndPlusStreams) {
   // Positive literals draw from base AND plus; the count is raw (the
   // base-duplicate skip happens per candidate, after ordinal claim).
@@ -339,7 +372,7 @@ TEST_F(MatcherSliceTest, CountsBaseAndPlusStreams) {
   interp.AddMarked(ActionKind::kInsert,
                    ParseGroundAtom("p(a)", symbols_).value(), g);  // dup
   Rule rule = MustRule("p(X) -> +q(X).");
-  EXPECT_EQ(CountFirstLiteralCandidates(rule, interp), 4u);
+  EXPECT_EQ(CountCandidates(rule, interp), 4u);
   // The duplicate is still enumerated exactly once across any partition.
   std::vector<std::string> merged;
   for (size_t i = 0; i < 4; ++i) {
@@ -354,9 +387,9 @@ TEST_F(MatcherSliceTest, UnsliceableRulesReportZero) {
   Database db = MustDb("p(a).");
   IInterpretation interp(&db);
   // Empty body: nothing to slice.
-  EXPECT_EQ(CountFirstLiteralCandidates(MustRule("-> +q(c)."), interp), 0u);
+  EXPECT_EQ(CountCandidates(MustRule("-> +q(c)."), interp), 0u);
   // Fully ground first literal: a constant-time filter, not a generator.
-  EXPECT_EQ(CountFirstLiteralCandidates(MustRule("p(a) -> +q(c)."), interp),
+  EXPECT_EQ(CountCandidates(MustRule("p(a) -> +q(c)."), interp),
             0u);
 }
 
@@ -368,21 +401,19 @@ TEST_F(MatcherSliceTest, SeededSlicesConcatenate) {
   // Seeding literal 0 with e(a, b) binds X=a, Y=b; literal 1's stream is
   // the index probe for e(b, _).
   size_t candidates =
-      CountFirstLiteralCandidatesSeeded(rule, interp, 0, seed);
+      CountSeededCandidates(rule, interp, 0, seed);
   EXPECT_EQ(candidates, 3u);
   std::vector<std::string> full;
-  ForEachBodyMatchSeeded(rule, interp, 0, seed, [&](const Tuple& b) {
-    full.push_back(Render(rule, b));
-  });
+  ForEachSeededMatch(rule, interp, 0, seed, CandidateSlice{},
+                     [&](const Tuple& b) { full.push_back(Render(rule, b)); });
   EXPECT_EQ(full.size(), 3u);
   std::vector<std::string> merged;
   for (size_t i = 0; i < candidates; ++i) {
     CandidateSlice slice{i, i + 1 == candidates ? CandidateSlice::kSliceEnd
                                                 : i + 1};
-    ForEachBodyMatchSeeded(rule, interp, 0, seed, slice,
-                           [&](const Tuple& b) {
-                             merged.push_back(Render(rule, b));
-                           });
+    ForEachSeededMatch(rule, interp, 0, seed, slice, [&](const Tuple& b) {
+      merged.push_back(Render(rule, b));
+    });
   }
   EXPECT_EQ(merged, full);
 }
@@ -393,7 +424,7 @@ TEST_F(MatcherSliceTest, SeededCountZeroOnSeedMismatch) {
   Rule rule = MustRule("e(X, X), e(X, Y) -> +r(X, Y).");
   GroundAtom seed = ParseGroundAtom("e(a, b)", symbols_).value();
   // Seed literal requires a repeated variable; e(a, b) cannot bind it.
-  EXPECT_EQ(CountFirstLiteralCandidatesSeeded(rule, interp, 0, seed), 0u);
+  EXPECT_EQ(CountSeededCandidates(rule, interp, 0, seed), 0u);
 }
 
 }  // namespace

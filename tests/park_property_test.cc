@@ -16,6 +16,7 @@
 namespace park {
 namespace {
 
+using ::park::testing_util::FreshGamma;
 using ::park::testing_util::MustParseDatabase;
 using ::park::testing_util::MustParseProgram;
 
@@ -149,7 +150,7 @@ class DeltaHarness {
 
   /// Applies Δ once; returns false when a fixpoint is reached.
   bool Step() {
-    GammaResult gamma = ComputeGamma(program_, blocked_, interp_);
+    GammaResult gamma = FreshGamma(program_, blocked_, interp_);
     if (gamma.consistent) {
       if (gamma.newly_marked == 0) return false;
       ApplyDerivations(gamma.derivations, interp_);

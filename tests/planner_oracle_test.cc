@@ -1,10 +1,10 @@
-// Planner oracle: the planner mode (heuristic vs cost-based) and the
-// thread count are replay-stable knobs, never semantic ones. Sweeping
-// threads {1, 2, 4} × Γ modes × planner modes over representative
-// workloads must give identical final databases, blocked sets, and
-// restart/step counters; repeating a fixed configuration must be
-// bit-identical (traces and provenance included); and the planner
-// counters must not depend on the thread count.
+// Planner oracle: the cost-based planner's literal orders and the thread
+// count are replay-stable, never semantic. Sweeping threads {1, 2, 4} ×
+// Γ modes over representative workloads (skewed ones included, where
+// the planner reorders bodies) must give identical final databases,
+// blocked sets, and restart/step counters; repeating a fixed
+// configuration must be bit-identical (traces and provenance included);
+// and the planner counters must not depend on the thread count.
 
 #include <gtest/gtest.h>
 
@@ -33,12 +33,11 @@ struct RunOutcome {
 };
 
 RunOutcome RunConfig(const Program& program, const Database& db,
-                     GammaMode mode, PlannerMode planner, int num_threads,
+                     GammaMode mode, int num_threads,
                      ParkStats* stats_out = nullptr,
                      ExecMode exec = ExecMode::kTuple) {
   ParkOptions options;
   options.gamma_mode = mode;
-  options.planner_mode = planner;
   options.num_threads = num_threads;
   options.exec_mode = exec;
   options.trace_level = TraceLevel::kFull;
@@ -69,32 +68,24 @@ const char* ModeName(GammaMode mode) {
   return "?";
 }
 
-/// The full sweep: for each Γ mode, the heuristic single-thread run is
-/// the oracle; every (planner, threads) cell must reproduce its database,
-/// blocked set, and counters. Trace history and provenance are rendered
-/// from sorted structures, so they too are planner-invariant.
+/// The full sweep: for each Γ mode, the single-thread run is the oracle;
+/// every thread count must reproduce its database, blocked set,
+/// counters, trace history, and provenance.
 void ExpectSweepAgrees(const Program& program, const Database& db) {
   for (GammaMode mode : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
                          GammaMode::kSemiNaive}) {
     SCOPED_TRACE(ModeName(mode));
-    RunOutcome oracle =
-        RunConfig(program, db, mode, PlannerMode::kHeuristic, 1);
-    for (PlannerMode planner :
-         {PlannerMode::kHeuristic, PlannerMode::kCostBased}) {
-      for (int threads : {1, 2, 4}) {
-        SCOPED_TRACE(StrFormat(
-            "planner=%s threads=%d",
-            planner == PlannerMode::kHeuristic ? "heuristic" : "cost",
-            threads));
-        RunOutcome run = RunConfig(program, db, mode, planner, threads);
-        EXPECT_EQ(oracle.database, run.database);
-        EXPECT_EQ(oracle.blocked, run.blocked);
-        EXPECT_EQ(oracle.restarts, run.restarts);
-        EXPECT_EQ(oracle.gamma_steps, run.gamma_steps);
-        EXPECT_EQ(oracle.rule_evaluations, run.rule_evaluations);
-        EXPECT_EQ(oracle.history, run.history);
-        EXPECT_EQ(oracle.provenance, run.provenance);
-      }
+    RunOutcome oracle = RunConfig(program, db, mode, 1);
+    for (int threads : {2, 4}) {
+      SCOPED_TRACE(StrFormat("threads=%d", threads));
+      RunOutcome run = RunConfig(program, db, mode, threads);
+      EXPECT_EQ(oracle.database, run.database);
+      EXPECT_EQ(oracle.blocked, run.blocked);
+      EXPECT_EQ(oracle.restarts, run.restarts);
+      EXPECT_EQ(oracle.gamma_steps, run.gamma_steps);
+      EXPECT_EQ(oracle.rule_evaluations, run.rule_evaluations);
+      EXPECT_EQ(oracle.history, run.history);
+      EXPECT_EQ(oracle.provenance, run.provenance);
     }
   }
 }
@@ -138,7 +129,8 @@ TEST(PlannerOracleTest, PayrollEcaAgrees) {
 
 TEST(PlannerOracleTest, SkewedJoinAgrees) {
   // The case cost-based planning exists for: one tiny literal next to a
-  // large scan. The sweep proves reordering never changes the result.
+  // large scan. The sweep proves the reordered plans replay identically
+  // on every thread count.
   auto symbols = MakeSymbolTable();
   std::string facts = "sel(c0). ";
   Rng rng(17);
@@ -156,31 +148,25 @@ TEST(PlannerOracleTest, SkewedJoinAgrees) {
 
 TEST(PlannerOracleTest, FixedConfigurationIsBitIdentical) {
   Workload w = MakeTransitiveClosureWorkload(GraphShape::kRandom, 12, 30, 9);
-  for (PlannerMode planner :
-       {PlannerMode::kHeuristic, PlannerMode::kCostBased}) {
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE(StrFormat(
-          "planner=%s threads=%d",
-          planner == PlannerMode::kHeuristic ? "heuristic" : "cost",
-          threads));
-      ParkStats first_stats;
-      ParkStats second_stats;
-      RunOutcome first = RunConfig(w.program, w.database, GammaMode::kNaive,
-                                   planner, threads, &first_stats);
-      RunOutcome second = RunConfig(w.program, w.database, GammaMode::kNaive,
-                                    planner, threads, &second_stats);
-      EXPECT_EQ(first.database, second.database);
-      EXPECT_EQ(first.blocked, second.blocked);
-      EXPECT_EQ(first.history, second.history);
-      EXPECT_EQ(first.provenance, second.provenance);
-      EXPECT_EQ(first_stats.plans_compiled, second_stats.plans_compiled);
-      EXPECT_EQ(first_stats.plan_cache_hits, second_stats.plan_cache_hits);
-      EXPECT_EQ(first_stats.plan_replans, second_stats.plan_replans);
-      EXPECT_EQ(first_stats.planner_estimated_rows,
-                second_stats.planner_estimated_rows);
-      EXPECT_EQ(first_stats.planner_actual_rows,
-                second_stats.planner_actual_rows);
-    }
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(StrFormat("threads=%d", threads));
+    ParkStats first_stats;
+    ParkStats second_stats;
+    RunOutcome first = RunConfig(w.program, w.database, GammaMode::kNaive,
+                                 threads, &first_stats);
+    RunOutcome second = RunConfig(w.program, w.database, GammaMode::kNaive,
+                                  threads, &second_stats);
+    EXPECT_EQ(first.database, second.database);
+    EXPECT_EQ(first.blocked, second.blocked);
+    EXPECT_EQ(first.history, second.history);
+    EXPECT_EQ(first.provenance, second.provenance);
+    EXPECT_EQ(first_stats.plans_compiled, second_stats.plans_compiled);
+    EXPECT_EQ(first_stats.plan_cache_hits, second_stats.plan_cache_hits);
+    EXPECT_EQ(first_stats.plan_replans, second_stats.plan_replans);
+    EXPECT_EQ(first_stats.planner_estimated_rows,
+              second_stats.planner_estimated_rows);
+    EXPECT_EQ(first_stats.planner_actual_rows,
+              second_stats.planner_actual_rows);
   }
 }
 
@@ -194,15 +180,13 @@ TEST(PlannerOracleTest, PlannerCountersAreThreadInvariant) {
                          GammaMode::kSemiNaive}) {
     SCOPED_TRACE(ModeName(mode));
     ParkStats base;
-    RunConfig(w.program, w.database, mode, PlannerMode::kCostBased, 1,
-              &base);
+    RunConfig(w.program, w.database, mode, 1, &base);
     EXPECT_GT(base.plans_compiled, 0u);
     EXPECT_GT(base.planner_actual_rows, 0u);
     for (int threads : {2, 4}) {
       SCOPED_TRACE(threads);
       ParkStats stats;
-      RunConfig(w.program, w.database, mode, PlannerMode::kCostBased,
-                threads, &stats);
+      RunConfig(w.program, w.database, mode, threads, &stats);
       EXPECT_EQ(stats.plans_compiled, base.plans_compiled);
       EXPECT_EQ(stats.plan_cache_hits, base.plan_cache_hits);
       EXPECT_EQ(stats.plan_replans, base.plan_replans);
@@ -214,55 +198,42 @@ TEST(PlannerOracleTest, PlannerCountersAreThreadInvariant) {
 
 TEST(PlannerOracleTest, SteppedEvaluationMatchesBatch) {
   Workload w = MakeTransitiveClosureWorkload(GraphShape::kRandom, 12, 30, 9);
-  for (PlannerMode planner :
-       {PlannerMode::kHeuristic, PlannerMode::kCostBased}) {
-    SCOPED_TRACE(planner == PlannerMode::kHeuristic ? "heuristic" : "cost");
-    ParkOptions options;
-    options.planner_mode = planner;
-    auto batch = Park(w.program, w.database, options);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    ParkStepper stepper(w.program, w.database, options);
-    auto stepped = stepper.Finish();
-    ASSERT_TRUE(stepped.ok()) << stepped.status().ToString();
-    EXPECT_EQ(batch->database.ToString(), stepped->ToString());
-    EXPECT_EQ(batch->stats.plans_compiled, stepper.stats().plans_compiled);
-    EXPECT_EQ(batch->stats.planner_actual_rows,
-              stepper.stats().planner_actual_rows);
-  }
+  auto batch = Park(w.program, w.database);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ParkStepper stepper(w.program, w.database);
+  auto stepped = stepper.Finish();
+  ASSERT_TRUE(stepped.ok()) << stepped.status().ToString();
+  EXPECT_EQ(batch->database.ToString(), stepped->ToString());
+  EXPECT_EQ(batch->stats.plans_compiled, stepper.stats().plans_compiled);
+  EXPECT_EQ(batch->stats.planner_actual_rows,
+            stepper.stats().planner_actual_rows);
 }
 
 // --- Batch execution oracle (see ParkOptions::exec_mode) ---
 //
-// The executor mode is a third replay-stable knob: batch-at-a-time
+// The executor mode is a replay-stable knob: batch-at-a-time
 // execution over columnar segments (sorted-merge joins included) must
 // reproduce the tuple executor's results exactly.
 
 /// For each Γ mode, the tuple single-thread run is the oracle; every
-/// (planner, threads) batch cell must reproduce its database, blocked
-/// set, counters, trace history, and provenance.
+/// batch thread count must reproduce its database, blocked set,
+/// counters, trace history, and provenance.
 void ExpectExecSweepAgrees(const Program& program, const Database& db) {
   for (GammaMode mode : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
                          GammaMode::kSemiNaive}) {
     SCOPED_TRACE(ModeName(mode));
-    RunOutcome oracle =
-        RunConfig(program, db, mode, PlannerMode::kHeuristic, 1);
-    for (PlannerMode planner :
-         {PlannerMode::kHeuristic, PlannerMode::kCostBased}) {
-      for (int threads : {1, 2, 4, 8}) {
-        SCOPED_TRACE(StrFormat(
-            "exec=batch planner=%s threads=%d",
-            planner == PlannerMode::kHeuristic ? "heuristic" : "cost",
-            threads));
-        RunOutcome run = RunConfig(program, db, mode, planner, threads,
-                                   nullptr, ExecMode::kBatch);
-        EXPECT_EQ(oracle.database, run.database);
-        EXPECT_EQ(oracle.blocked, run.blocked);
-        EXPECT_EQ(oracle.restarts, run.restarts);
-        EXPECT_EQ(oracle.gamma_steps, run.gamma_steps);
-        EXPECT_EQ(oracle.rule_evaluations, run.rule_evaluations);
-        EXPECT_EQ(oracle.history, run.history);
-        EXPECT_EQ(oracle.provenance, run.provenance);
-      }
+    RunOutcome oracle = RunConfig(program, db, mode, 1);
+    for (int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(StrFormat("exec=batch threads=%d", threads));
+      RunOutcome run = RunConfig(program, db, mode, threads, nullptr,
+                                 ExecMode::kBatch);
+      EXPECT_EQ(oracle.database, run.database);
+      EXPECT_EQ(oracle.blocked, run.blocked);
+      EXPECT_EQ(oracle.restarts, run.restarts);
+      EXPECT_EQ(oracle.gamma_steps, run.gamma_steps);
+      EXPECT_EQ(oracle.rule_evaluations, run.rule_evaluations);
+      EXPECT_EQ(oracle.history, run.history);
+      EXPECT_EQ(oracle.provenance, run.provenance);
     }
   }
 }
@@ -309,35 +280,27 @@ TEST(PlannerOracleTest, BatchExecSkewedJoinAgrees) {
 
 TEST(PlannerOracleTest, BatchFixedConfigurationIsBitIdentical) {
   Workload w = MakeTransitiveClosureWorkload(GraphShape::kRandom, 12, 30, 9);
-  for (PlannerMode planner :
-       {PlannerMode::kHeuristic, PlannerMode::kCostBased}) {
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE(StrFormat(
-          "exec=batch planner=%s threads=%d",
-          planner == PlannerMode::kHeuristic ? "heuristic" : "cost",
-          threads));
-      ParkStats first_stats;
-      ParkStats second_stats;
-      RunOutcome first =
-          RunConfig(w.program, w.database, GammaMode::kNaive, planner,
-                    threads, &first_stats, ExecMode::kBatch);
-      RunOutcome second =
-          RunConfig(w.program, w.database, GammaMode::kNaive, planner,
-                    threads, &second_stats, ExecMode::kBatch);
-      EXPECT_EQ(first.database, second.database);
-      EXPECT_EQ(first.blocked, second.blocked);
-      EXPECT_EQ(first.history, second.history);
-      EXPECT_EQ(first.provenance, second.provenance);
-      EXPECT_EQ(first_stats.exec_batch_rows, second_stats.exec_batch_rows);
-      EXPECT_EQ(first_stats.exec_probe_rows, second_stats.exec_probe_rows);
-      EXPECT_EQ(first_stats.exec_merge_rows, second_stats.exec_merge_rows);
-      EXPECT_EQ(first_stats.storage_compactions,
-                second_stats.storage_compactions);
-      EXPECT_EQ(first_stats.storage_segment_rows,
-                second_stats.storage_segment_rows);
-      EXPECT_EQ(first_stats.storage_dict_entries,
-                second_stats.storage_dict_entries);
-    }
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(StrFormat("exec=batch threads=%d", threads));
+    ParkStats first_stats;
+    ParkStats second_stats;
+    RunOutcome first = RunConfig(w.program, w.database, GammaMode::kNaive,
+                                 threads, &first_stats, ExecMode::kBatch);
+    RunOutcome second = RunConfig(w.program, w.database, GammaMode::kNaive,
+                                  threads, &second_stats, ExecMode::kBatch);
+    EXPECT_EQ(first.database, second.database);
+    EXPECT_EQ(first.blocked, second.blocked);
+    EXPECT_EQ(first.history, second.history);
+    EXPECT_EQ(first.provenance, second.provenance);
+    EXPECT_EQ(first_stats.exec_batch_rows, second_stats.exec_batch_rows);
+    EXPECT_EQ(first_stats.exec_probe_rows, second_stats.exec_probe_rows);
+    EXPECT_EQ(first_stats.exec_merge_rows, second_stats.exec_merge_rows);
+    EXPECT_EQ(first_stats.storage_compactions,
+              second_stats.storage_compactions);
+    EXPECT_EQ(first_stats.storage_segment_rows,
+              second_stats.storage_segment_rows);
+    EXPECT_EQ(first_stats.storage_dict_entries,
+              second_stats.storage_dict_entries);
   }
 }
 
@@ -350,16 +313,15 @@ TEST(PlannerOracleTest, BatchCountersAreThreadInvariant) {
                          GammaMode::kSemiNaive}) {
     SCOPED_TRACE(ModeName(mode));
     ParkStats base;
-    RunConfig(w.program, w.database, mode, PlannerMode::kCostBased, 1, &base,
-              ExecMode::kBatch);
+    RunConfig(w.program, w.database, mode, 1, &base, ExecMode::kBatch);
     EXPECT_GT(base.exec_batch_rows, 0u);
     EXPECT_GT(base.storage_compactions, 0u);
     EXPECT_GT(base.storage_dict_entries, 0u);
     for (int threads : {2, 4}) {
       SCOPED_TRACE(threads);
       ParkStats stats;
-      RunConfig(w.program, w.database, mode, PlannerMode::kCostBased,
-                threads, &stats, ExecMode::kBatch);
+      RunConfig(w.program, w.database, mode, threads, &stats,
+                ExecMode::kBatch);
       EXPECT_EQ(stats.exec_batch_rows, base.exec_batch_rows);
       EXPECT_EQ(stats.exec_probe_rows, base.exec_probe_rows);
       EXPECT_EQ(stats.exec_merge_rows, base.exec_merge_rows);
@@ -378,8 +340,8 @@ TEST(PlannerOracleTest, RandomRelationalProgramsAgree) {
     std::string facts;
     auto pred = [](int i) { return "p" + std::to_string(i); };
     auto constant = [](int i) { return "c" + std::to_string(i); };
-    // Deliberately skewed relation sizes so the two planners pick
-    // different literal orders.
+    // Deliberately skewed relation sizes so the planner departs from
+    // source order.
     for (int p = 0; p < 4; ++p) {
       int rows = p == 0 ? 40 : 4;
       for (int n = 0; n < rows; ++n) {

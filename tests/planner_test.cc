@@ -1,9 +1,9 @@
 // The cost-based join planner: literal ordering driven by storage
 // statistics, probe-column selection, plan caching with drift-triggered
-// replanning, and the invariant that a PlanCache's index requirements
-// never diverge from CollectIndexRequirements (the prewarm contract).
-// The executor itself is pinned by matcher_test; the oracle sweep across
-// planner modes lives in planner_oracle_test.
+// replanning, and the invariant that a PlanCache's index requirements are
+// exactly the probes of the plans it handed out (the prewarm contract).
+// The executor itself is pinned by matcher_test and matcher_oracle_test;
+// the thread/exec/Γ-mode sweep lives in planner_oracle_test.
 
 #include <gtest/gtest.h>
 
@@ -84,24 +84,15 @@ TEST_F(PlannerTest, CostOrderStartsFromTheSmallStream) {
   IInterpretation interp(&db);
   Rule rule = MustRule("big(X, Y), sel(Y) -> +out(X).");
 
-  // Heuristic: no literal has bound positions up front, so source order
-  // wins and the 120-row scan of `big` generates first.
-  CompiledPlan heuristic =
-      CompilePlan(rule, -1, PlannerMode::kHeuristic, &interp);
-  EXPECT_EQ(Order(heuristic), (std::vector<int>{0, 1}));
-
-  // Cost-based: sel's one row is the cheaper stream; big is then probed
-  // on its bound second column instead of scanned.
-  CompiledPlan cost = CompilePlan(rule, -1, PlannerMode::kCostBased, &interp);
+  // sel's one row is the cheaper stream; big is then probed on its bound
+  // second column instead of scanned.
+  CompiledPlan cost = CompilePlan(rule, -1, interp);
   EXPECT_EQ(Order(cost), (std::vector<int>{1, 0}));
   ASSERT_EQ(cost.steps.size(), 2u);
   EXPECT_EQ(cost.steps[0].probe_column, -1);  // sel: full scan of 1 row
   EXPECT_EQ(cost.steps[1].probe_column, 1);   // big probed on Y
   EXPECT_LE(cost.steps[0].estimated_rows, 2.0);
 
-  // Same match set either way (different enumeration order only).
-  EXPECT_EQ(PlanMatches(cost, rule, interp),
-            PlanMatches(heuristic, rule, interp));
   EXPECT_EQ(PlanMatches(cost, rule, interp),
             (std::vector<std::string>{
                 "X=x0,Y=c0", "X=x100,Y=c0", "X=x104,Y=c0", "X=x108,Y=c0",
@@ -114,25 +105,21 @@ TEST_F(PlannerTest, CostOrderStartsFromTheSmallStream) {
                 "X=x92,Y=c0", "X=x96,Y=c0"}));
 }
 
-TEST_F(PlannerTest, GroundFiltersRunFirstUnderBothModes) {
+TEST_F(PlannerTest, GroundFiltersRunFirst) {
   Database db = MustDb("flag. p(a). p(b).");
   IInterpretation interp(&db);
   Rule rule = MustRule("p(X), flag -> +q(X).");
-  for (PlannerMode mode :
-       {PlannerMode::kHeuristic, PlannerMode::kCostBased}) {
-    CompiledPlan plan = CompilePlan(rule, -1, mode, &interp);
-    ASSERT_EQ(plan.steps.size(), 2u);
-    EXPECT_EQ(plan.steps[0].literal_index, 1);  // the ground filter
-    EXPECT_TRUE(plan.steps[0].filter);
-    EXPECT_FALSE(plan.steps[1].filter);
-  }
+  CompiledPlan plan = CompilePlan(rule, -1, interp);
+  ASSERT_EQ(plan.steps.size(), 2u);
+  EXPECT_EQ(plan.steps[0].literal_index, 1);  // the ground filter
+  EXPECT_TRUE(plan.steps[0].filter);
+  EXPECT_FALSE(plan.steps[1].filter);
 }
 
 TEST_F(PlannerTest, CostProbePicksTheMoreSelectiveColumn) {
   // fact(D, K, Z): column 0 has 2 distinct values, column 1 is a key.
-  // After src binds D and K, the cost-based probe must use column 1
-  // (~1 row per probe) while the heuristic uses the first bound
-  // position, column 0 (~30 rows per probe).
+  // After src binds D and K, the probe must use column 1 (~1 row per
+  // probe), not the first bound position, column 0 (~30 rows per probe).
   std::string facts = "src(d0, k8).";
   for (int i = 0; i < 60; ++i) {
     facts += " fact(d" + std::to_string(i % 2) + ", k" + std::to_string(i) +
@@ -142,27 +129,19 @@ TEST_F(PlannerTest, CostProbePicksTheMoreSelectiveColumn) {
   IInterpretation interp(&db);
   Rule rule = MustRule("src(D, K), fact(D, K, Z) -> +out(Z).");
 
-  CompiledPlan cost = CompilePlan(rule, -1, PlannerMode::kCostBased, &interp);
+  CompiledPlan cost = CompilePlan(rule, -1, interp);
   ASSERT_EQ(Order(cost), (std::vector<int>{0, 1}));
   EXPECT_EQ(cost.steps[1].probe_column, 1);
-
-  CompiledPlan heuristic =
-      CompilePlan(rule, -1, PlannerMode::kHeuristic, &interp);
-  ASSERT_EQ(Order(heuristic), (std::vector<int>{0, 1}));
-  EXPECT_EQ(heuristic.steps[1].probe_column, 0);
-
   EXPECT_EQ(PlanMatches(cost, rule, interp),
             (std::vector<std::string>{"D=d0,K=k8,Z=z8"}));
-  EXPECT_EQ(PlanMatches(cost, rule, interp),
-            PlanMatches(heuristic, rule, interp));
 }
 
 TEST_F(PlannerTest, PlanIsAPureFunctionOfTheStatistics) {
   Database db = MustDb(SkewedFacts());
   IInterpretation interp(&db);
   Rule rule = MustRule("big(X, Y), sel(Y) -> +out(X).");
-  CompiledPlan a = CompilePlan(rule, -1, PlannerMode::kCostBased, &interp);
-  CompiledPlan b = CompilePlan(rule, -1, PlannerMode::kCostBased, &interp);
+  CompiledPlan a = CompilePlan(rule, -1, interp);
+  CompiledPlan b = CompilePlan(rule, -1, interp);
   EXPECT_EQ(Order(a), Order(b));
   ASSERT_EQ(a.steps.size(), b.steps.size());
   for (size_t i = 0; i < a.steps.size(); ++i) {
@@ -177,7 +156,7 @@ TEST_F(PlannerTest, CacheHitsThenDriftTriggersReplan) {
   IInterpretation interp(&db);
   const Rule& rule = program.rules()[0];
 
-  PlanCache cache(program, PlannerMode::kCostBased);
+  PlanCache cache(program);
   const CompiledPlan& first = cache.Get(rule, -1, interp);
   EXPECT_EQ(Order(first), (std::vector<int>{1, 0}));
   EXPECT_EQ(cache.plans_compiled(), 1u);
@@ -204,37 +183,20 @@ TEST_F(PlannerTest, CacheHitsThenDriftTriggersReplan) {
   EXPECT_EQ(cache.replans(), 1u);
 }
 
-TEST_F(PlannerTest, HeuristicCacheNeverReplans) {
-  Program program = MustProgram("r: big(X, Y), sel(Y) -> +out(X).");
-  Database db = MustDb(SkewedFacts());
-  IInterpretation interp(&db);
-  const Rule& rule = program.rules()[0];
-
-  PlanCache cache(program, PlannerMode::kHeuristic);
-  cache.Get(rule, -1, interp);
-  for (int i = 0; i < 500; ++i) {
-    db.InsertAtom("sel", {"s" + std::to_string(i)});
-  }
-  cache.Get(rule, -1, interp);
-  EXPECT_EQ(cache.plans_compiled(), 1u);
-  EXPECT_EQ(cache.cache_hits(), 1u);
-  EXPECT_EQ(cache.replans(), 0u);
-}
-
 TEST_F(PlannerTest, CompileListenerSeesEveryCompile) {
   Program program = MustProgram("r: big(X, Y), sel(Y) -> +out(X).");
   Database db = MustDb(SkewedFacts());
   IInterpretation interp(&db);
   const Rule& rule = program.rules()[0];
 
-  PlanCache cache(program, PlannerMode::kCostBased);
+  PlanCache cache(program);
   std::vector<std::string> lines;
   cache.set_compile_listener([&](const PlanExplanation& explanation) {
     lines.push_back(ExplainPlanLine(explanation));
   });
   cache.Get(rule, -1, interp);
   ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("mode=cost-based"), std::string::npos);
+  EXPECT_EQ(lines[0].find("plan rule=0:"), 0u);
   EXPECT_NE(lines[0].find("lit1"), std::string::npos);
   EXPECT_EQ(lines[0].find("replan"), std::string::npos);
 
@@ -268,12 +230,11 @@ std::string RenderRequirements(const IndexRequirements& reqs) {
          render(reqs.minus, "minus/");
 }
 
-TEST_F(PlannerTest, CacheRequirementsMatchCollectIndexRequirements) {
-  // CollectIndexRequirements promises exactly the probes the compiled
-  // heuristic plans use. Drive a heuristic PlanCache through every
-  // (rule, seed) slot and assert the two derivations are identical —
-  // they share AddPlanRequirements, so divergence would mean the plan
-  // sets differ.
+TEST_F(PlannerTest, CacheRequirementsAreTheProbesOfItsPlans) {
+  // The parallel sections prewarm exactly cache.requirements(), so it
+  // must cover every probe of every plan the cache handed out — and
+  // nothing else. Drive the cache through every (rule, seed) slot, with
+  // a replan in between, and compare against the plans' own probes.
   Program program = MustProgram(R"(
     t: edge(X, Y), edge(Y, Z), !blocked(Z) -> +path(X, Z).
     fire: +alarm(L), sensor(L, S) -> +notify(S).
@@ -282,15 +243,23 @@ TEST_F(PlannerTest, CacheRequirementsMatchCollectIndexRequirements) {
   Database db = MustDb("edge(a, b). sensor(l1, s1). notify(s1).");
   IInterpretation interp(&db);
 
-  PlanCache cache(program, PlannerMode::kHeuristic);
-  for (const Rule& rule : program.rules()) {
-    cache.Get(rule, -1, interp);
-    for (size_t s = 0; s < rule.body().size(); ++s) {
-      cache.Get(rule, static_cast<int>(s), interp);
+  PlanCache cache(program);
+  IndexRequirements expected;
+  auto drive = [&] {
+    for (const Rule& rule : program.rules()) {
+      for (int s = -1; s < static_cast<int>(rule.body().size()); ++s) {
+        AddPlanRequirements(cache.Get(rule, s, interp), expected);
+      }
     }
+  };
+  drive();
+  for (int i = 0; i < 200; ++i) {
+    db.InsertAtom("edge", {"n" + std::to_string(i), "a"});
   }
+  drive();
+  EXPECT_GT(cache.replans(), 0u);
   EXPECT_EQ(RenderRequirements(cache.requirements()),
-            RenderRequirements(CollectIndexRequirements(program)));
+            RenderRequirements(expected));
 }
 
 }  // namespace

@@ -6,9 +6,12 @@
 
 #include "core/park_evaluator.h"
 #include "lang/parser.h"
+#include "test_util.h"
 
 namespace park {
 namespace {
+
+using ::park::testing_util::FreshGamma;
 
 /// Fixture that manufactures a real conflict (via Γ) so policies see the
 /// same shapes the evaluator hands them.
@@ -24,7 +27,7 @@ class PolicyTest : public ::testing::Test {
     program_ = ParseProgram(program_text, symbols_).value();
     db_ = ParseDatabase(facts, symbols_).value();
     interp_.emplace(&db_);
-    GammaResult gamma = ComputeGamma(program_, {}, *interp_);
+    GammaResult gamma = FreshGamma(program_, {}, *interp_);
     conflicts_ = BuildConflicts(gamma, *interp_);
     ASSERT_FALSE(conflicts_.empty());
   }

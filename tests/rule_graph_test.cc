@@ -1,0 +1,188 @@
+// RuleDependencyGraph against its reference definitions. The scheduler
+// replaced an all-rules scan, so the scan's definitions are the oracle:
+//   - Schedule(delta).rules is exactly {r : RuleIsAffected(r, delta)}, in
+//     program order;
+//   - its stages partition those rules, each in program order, in
+//     ascending stratum order, and strata never decrease along a feed
+//     edge;
+//   - for semi-naive Γ, the rules scheduled from a delta's changed
+//     predicates are exactly the rules whose body holds a seed for one of
+//     the delta's atoms.
+// Programs are random, with ± heads and positive, negated, +event and
+// -event body literals; deltas are random too.
+
+#include "engine/rule_graph.h"
+
+#include <gtest/gtest.h>
+
+#include <map>
+#include <set>
+
+#include "lang/parser.h"
+#include "test_util.h"
+#include "util/random.h"
+
+namespace park {
+namespace {
+
+using ::park::testing_util::MustParseProgram;
+
+constexpr int kNumPredicates = 8;
+
+std::string Pred(int i) {
+  std::string name = "p";
+  name += std::to_string(i);
+  return name;
+}
+
+/// A random propositional program over p0..p7: 1–3 body literals of any
+/// kind (at least one binding literal keeps every rule safe) and a ± head.
+std::string RandomProgramText(Rng& rng, int num_rules) {
+  std::string text;
+  for (int r = 0; r < num_rules; ++r) {
+    const int body = 1 + static_cast<int>(rng.UniformInt(0, 2));
+    for (int i = 0; i < body; ++i) {
+      if (i > 0) text += ", ";
+      switch (rng.UniformInt(0, 3)) {
+        case 0: text += "!"; break;
+        case 1: text += "+"; break;
+        case 2: text += "-"; break;
+        default: break;
+      }
+      text += Pred(static_cast<int>(rng.UniformInt(0, kNumPredicates - 1)));
+    }
+    text += rng.Bernoulli(0.6) ? " -> +" : " -> -";
+    text += Pred(static_cast<int>(rng.UniformInt(0, kNumPredicates - 1)));
+    text += ".\n";
+  }
+  return text;
+}
+
+/// Random changed-predicate sets (never `initial`).
+DeltaState RandomDelta(Rng& rng, const SymbolTable& symbols) {
+  DeltaState delta;
+  delta.initial = false;
+  for (int p = 0; p < kNumPredicates; ++p) {
+    const PredicateId pred = symbols.FindPredicate(Pred(p), 0).value();
+    if (rng.Bernoulli(0.2)) delta.plus_changed.insert(pred);
+    if (rng.Bernoulli(0.2)) delta.minus_changed.insert(pred);
+  }
+  return delta;
+}
+
+/// Checks the stage structure of `schedule` against the graph's strata.
+void ExpectStagesPartition(const GammaSchedule& schedule,
+                           const RuleDependencyGraph& graph) {
+  std::multiset<int> staged;
+  int previous_stratum = -1;
+  for (const std::vector<int>& stage : schedule.stages) {
+    ASSERT_FALSE(stage.empty());
+    const int stratum = graph.stratum(stage.front());
+    EXPECT_GT(stratum, previous_stratum) << "stages out of stratum order";
+    previous_stratum = stratum;
+    for (size_t i = 0; i < stage.size(); ++i) {
+      EXPECT_EQ(graph.stratum(stage[i]), stratum);
+      if (i > 0) {
+        EXPECT_LT(stage[i - 1], stage[i]);
+      }
+      staged.insert(stage[i]);
+    }
+  }
+  EXPECT_EQ(staged, std::multiset<int>(schedule.rules.begin(),
+                                       schedule.rules.end()))
+      << "every scheduled rule lies in exactly one stage";
+}
+
+TEST(RuleGraphTest, ScheduleIsTheAffectedSet) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(trial);
+    auto symbols = MakeSymbolTable();
+    for (int p = 0; p < kNumPredicates; ++p) {
+      symbols->InternPredicate(Pred(p), 0);
+    }
+    Program program = MustParseProgram(
+        RandomProgramText(rng, 4 + static_cast<int>(rng.UniformInt(0, 20))),
+        symbols);
+    const RuleDependencyGraph graph(program);
+
+    // Strata never decrease along a feed edge: rule r feeds rule s iff
+    // r's head mark can affect s.
+    for (const Rule& r : program.rules()) {
+      DeltaState head;
+      head.initial = false;
+      (r.head().action == ActionKind::kInsert ? head.plus_changed
+                                              : head.minus_changed)
+          .insert(r.head().atom.predicate);
+      for (const Rule& s : program.rules()) {
+        if (RuleIsAffected(s, head)) {
+          EXPECT_LE(graph.stratum(r.index()), graph.stratum(s.index()));
+        }
+      }
+    }
+
+    for (int d = 0; d < 10; ++d) {
+      DeltaState delta = d == 0 ? DeltaState{} : RandomDelta(rng, *symbols);
+      std::vector<int> affected;
+      for (const Rule& rule : program.rules()) {
+        if (RuleIsAffected(rule, delta)) affected.push_back(rule.index());
+      }
+      const GammaSchedule schedule = graph.Schedule(delta);
+      EXPECT_EQ(schedule.rules, affected);
+      ExpectStagesPartition(schedule, graph);
+    }
+  }
+}
+
+TEST(RuleGraphTest, SemiNaiveScheduleIsTheSeededSet) {
+  // ComputeGammaSemiNaive collapses its delta atoms to changed predicates
+  // and builds seed tasks only for the scheduled rules; that must lose no
+  // rule with a seedable literal and add none without one.
+  Rng rng(77);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(trial);
+    auto symbols = MakeSymbolTable();
+    std::vector<GroundAtom> atoms;
+    for (int p = 0; p < kNumPredicates; ++p) {
+      atoms.emplace_back(symbols->InternPredicate(Pred(p), 0), Tuple{});
+    }
+    Program program = MustParseProgram(
+        RandomProgramText(rng, 4 + static_cast<int>(rng.UniformInt(0, 20))),
+        symbols);
+    const RuleDependencyGraph graph(program);
+    for (int d = 0; d < 10; ++d) {
+      DeltaAtoms delta;
+      delta.initial = false;
+      for (const GroundAtom& atom : atoms) {
+        if (rng.Bernoulli(0.2)) delta.plus.push_back(atom);
+        if (rng.Bernoulli(0.2)) delta.minus.push_back(atom);
+      }
+      std::vector<int> seeded;
+      for (const Rule& rule : program.rules()) {
+        bool has_seed = false;
+        for (const BodyLiteral& lit : rule.body()) {
+          const bool plus_side = lit.kind == LiteralKind::kPositive ||
+                                 lit.kind == LiteralKind::kEventInsert;
+          for (const GroundAtom& atom : plus_side ? delta.plus : delta.minus) {
+            if (atom.predicate() == lit.atom.predicate) has_seed = true;
+          }
+        }
+        if (has_seed) seeded.push_back(rule.index());
+      }
+      DeltaState changed;
+      changed.initial = false;
+      for (const GroundAtom& atom : delta.plus) {
+        changed.plus_changed.insert(atom.predicate());
+      }
+      for (const GroundAtom& atom : delta.minus) {
+        changed.minus_changed.insert(atom.predicate());
+      }
+      const GammaSchedule schedule = graph.Schedule(changed);
+      EXPECT_EQ(schedule.rules, seeded);
+      ExpectStagesPartition(schedule, graph);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace park

@@ -1,16 +1,20 @@
-// ParkStepper: step-by-step Δ transitions agree with the batch evaluator.
+// ParkStepper: the engine's one Δ loop. Park() and ParkDiff() drive it to
+// its fixpoint, so a hand-stepped stepper must agree with both on every
+// observable: result bytes, stats, trace, observer events, and errors.
 
 #include "core/stepper.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <sstream>
 #include <thread>
 
 #include "test_util.h"
 #include "util/random.h"
 #include "util/string_util.h"
 #include "workload/conflict_gen.h"
+#include "workload/graph_gen.h"
 
 namespace park {
 namespace {
@@ -39,7 +43,8 @@ TEST(StepperTest, WalksTheSection5Example) {
   EXPECT_EQ(s2->kind, StepOutcome::Kind::kResolution);
   EXPECT_EQ(s2->newly_blocked, 1u);
   ASSERT_EQ(s2->conflicts.size(), 1u);
-  EXPECT_NE(s2->conflicts[0].find("q:"), std::string::npos);
+  EXPECT_NE(s2->conflicts[0].ToString(program, *symbols).find("q:"),
+            std::string::npos);
   EXPECT_EQ(stepper.interpretation().ToString(), "{p}");
 
   // Continue to completion.
@@ -77,43 +82,287 @@ TEST(StepperTest, SnapshotsGrowPerTheorem41) {
   }
 }
 
-TEST(StepperTest, FinishAgreesWithBatchEvaluator) {
-  Rng rng(99);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::string rules;
-    std::string facts;
-    auto atom = [](int i) { return "a" + std::to_string(i); };
-    for (int i = 0; i < 8; ++i) {
-      if (rng.Bernoulli(0.5)) facts += atom(i) + ". ";
-    }
-    for (int r = 0; r < 14; ++r) {
-      rules += atom(static_cast<int>(rng.UniformInt(0, 7)));
-      rules += rng.Bernoulli(0.5) ? " -> +" : " -> -";
-      rules += atom(static_cast<int>(rng.UniformInt(0, 7)));
-      rules += ".\n";
-    }
-    auto symbols = MakeSymbolTable();
-    Program program = MustParseProgram(rules, symbols);
-    Database db = MustParseDatabase(facts, symbols);
+// --- One loop: Park(), ParkDiff() and a hand-stepped ParkStepper ---
 
-    auto batch = Park(program, db);
-    ASSERT_TRUE(batch.ok());
-    ParkStepper stepper(program, db);
-    auto stepped = stepper.Finish();
-    ASSERT_TRUE(stepped.ok());
-    EXPECT_TRUE(batch->database.SameAtoms(*stepped))
-        << "trial " << trial << ": " << batch->database.ToString()
-        << " vs " << stepped->ToString();
-    EXPECT_EQ(batch->stats.restarts, stepper.stats().restarts);
-    EXPECT_EQ(batch->stats.gamma_steps, stepper.stats().gamma_steps);
+/// Records every Δ-loop observer event, with its payload, as one line.
+class RecordingObserver : public RunObserver {
+ public:
+  explicit RecordingObserver(const Program& program) : program_(program) {}
+
+  void OnRunStart(const RunStartInfo& info) override {
+    Add(StrFormat("run_start rules=%zu threads=%d mode=%s", info.num_rules,
+                  info.num_threads, info.gamma_mode));
+  }
+  void OnStepStart(int step) override { Add(StrFormat("step %d", step)); }
+  void OnGammaSection(const GammaSectionInfo& info) override {
+    Add(StrFormat("gamma step=%d rules=%zu derivations=%zu new=%zu %s",
+                  info.step, info.rules_evaluated, info.derivations,
+                  info.newly_marked,
+                  info.consistent ? "consistent" : "clash"));
+  }
+  void OnPlanCompiled(const PlanExplanation& explanation) override {
+    Add(ExplainPlanLine(explanation));
+  }
+  void OnPolicyDecision(const Conflict& conflict, Vote vote) override {
+    Add(StrFormat("decide %s %s",
+                  conflict.ToString(program_, *program_.symbols()).c_str(),
+                  VoteToString(vote)));
+  }
+  void OnConflictRound(const ConflictRoundInfo& info) override {
+    Add(StrFormat("round restart=%zu conflicts=%zu blocked=%zu",
+                  info.restart, info.conflicts, info.newly_blocked));
+  }
+  void OnRestart(size_t restart) override {
+    Add(StrFormat("restart %zu", restart));
+  }
+  void OnFixpoint(int step) override { Add(StrFormat("fixpoint %d", step)); }
+  void OnRunEnd(const ParkStats& stats) override {
+    Add(StrFormat("run_end steps=%zu restarts=%zu marks=%zu",
+                  stats.gamma_steps, stats.restarts, stats.derived_marks));
+  }
+
+  const std::vector<std::string>& events() const { return events_; }
+
+ private:
+  void Add(std::string event) { events_.push_back(std::move(event)); }
+
+  const Program& program_;
+  std::vector<std::string> events_;
+};
+
+/// Everything one evaluation exposes, rendered to bytes.
+struct LoopOutcome {
+  std::string status;
+  std::string database;
+  std::string diff;
+  std::string stats;
+  std::string trace;
+  std::vector<std::string> events;
+
+  friend bool operator==(const LoopOutcome&, const LoopOutcome&) = default;
+};
+
+std::string RenderDiff(const Database::Diff& diff, const SymbolTable& symbols) {
+  std::string out = "+{";
+  for (const GroundAtom& atom : diff.only_in_this) {
+    out += atom.ToString(symbols) + " ";
+  }
+  out += "} -{";
+  for (const GroundAtom& atom : diff.only_in_other) {
+    out += atom.ToString(symbols) + " ";
+  }
+  return out + "}";
+}
+
+/// Stats bytes. The memory high-water mark of a parallel run depends on
+/// how the pool's tasks overlap in time, so it is compared on sequential
+/// runs only.
+std::string RenderStats(ParkStats stats) {
+  if (stats.num_threads > 1) stats.peak_memory_bytes = 0;
+  return stats.ToJson();
+}
+
+/// Runs `fn` on a thread of its own. Matching charges the growth of the
+/// thread's retained scratch arena to the memory budget, so every
+/// evaluation starts from a cold arena to make peak_memory_bytes a
+/// property of the evaluation alone.
+template <typename Fn>
+void OnFreshThread(Fn fn) {
+  std::thread thread(fn);
+  thread.join();
+}
+
+enum class Driver { kPark, kParkDiff, kStepped };
+
+LoopOutcome RunLoop(Driver driver, const Program& program,
+                    const Database& db, const std::vector<Update>& updates,
+                    ParkOptions options) {
+  const SymbolTable& symbols = *program.symbols();
+  auto extended = ProgramWithUpdates(program, updates);
+  EXPECT_TRUE(extended.ok());
+  RecordingObserver observer(*extended);
+  options.observer = &observer;
+  LoopOutcome out;
+  OnFreshThread([&] {
+    switch (driver) {
+      case Driver::kPark: {
+        auto result = Park(*extended, db, options);
+        out.status = result.status().ToString();
+        if (!result.ok()) return;
+        out.database = result->database.ToString();
+        out.diff = RenderDiff(result->database.DiffWith(db), symbols);
+        out.stats = RenderStats(result->stats);
+        out.trace = result->trace.ToString();
+        break;
+      }
+      case Driver::kParkDiff: {
+        auto result = ParkDiff(db, program, updates, options);
+        out.status = result.status().ToString();
+        if (!result.ok()) return;
+        Database applied = db.Clone();
+        for (const GroundAtom& atom : result->diff.only_in_this) {
+          applied.Insert(atom);
+        }
+        for (const GroundAtom& atom : result->diff.only_in_other) {
+          applied.Erase(atom);
+        }
+        out.database = applied.ToString();
+        out.diff = RenderDiff(result->diff, symbols);
+        out.stats = RenderStats(result->stats);
+        out.trace = result->trace.ToString();
+        break;
+      }
+      case Driver::kStepped: {
+        ParkStepper stepper(*extended, db, options);
+        Status status = Status::OK();
+        while (!stepper.done() && status.ok()) {
+          status = stepper.Step().status();
+        }
+        out.status = status.ToString();
+        if (!status.ok()) return;
+        out.database = stepper.interpretation().Incorporate().ToString();
+        out.diff = RenderDiff(stepper.interpretation().MarkDiff(), symbols);
+        out.stats = RenderStats(stepper.stats());
+        out.trace = stepper.trace().ToString();
+        break;
+      }
+    }
+  });
+  out.events = observer.events();
+  return out;
+}
+
+/// A random ±-headed propositional program over a0..a7 (with negated
+/// bodies), facts over the same atoms, and one or two updates — dense
+/// enough that most trials hit genuine conflicts and restarts.
+struct RandomCase {
+  std::shared_ptr<SymbolTable> symbols = MakeSymbolTable();
+  Program program{symbols};
+  Database db{symbols};
+  std::vector<Update> updates;
+};
+
+RandomCase MakeRandomCase(Rng& rng) {
+  RandomCase c;
+  auto name = [](int i) { return StrFormat("a%d", i); };
+  auto atom = [&] { return name(static_cast<int>(rng.UniformInt(0, 7))); };
+  std::string rules;
+  std::string facts;
+  for (int i = 0; i < 8; ++i) {
+    if (rng.Bernoulli(0.5)) facts += name(i) + ". ";
+  }
+  for (int r = 0; r < 14; ++r) {
+    rules += rng.Bernoulli(0.2) ? "!" : "";
+    rules += atom();
+    if (rng.Bernoulli(0.3)) rules += ", " + atom();
+    rules += rng.Bernoulli(0.5) ? " -> +" : " -> -";
+    rules += atom() + ".\n";
+  }
+  c.program = MustParseProgram(rules, c.symbols);
+  c.db = MustParseDatabase(facts, c.symbols);
+  for (int u = 0; u < 1 + static_cast<int>(rng.UniformInt(0, 1)); ++u) {
+    auto parsed = ParseGroundAtom(atom(), c.symbols);
+    EXPECT_TRUE(parsed.ok());
+    c.updates.push_back(Update{
+        rng.Bernoulli(0.5) ? ActionKind::kInsert : ActionKind::kDelete,
+        *parsed});
+  }
+  return c;
+}
+
+void ExpectOneLoop(const Program& program, const Database& db,
+                   const std::vector<Update>& updates,
+                   const ParkOptions& options) {
+  const LoopOutcome park =
+      RunLoop(Driver::kPark, program, db, updates, options);
+  const LoopOutcome diff =
+      RunLoop(Driver::kParkDiff, program, db, updates, options);
+  const LoopOutcome stepped =
+      RunLoop(Driver::kStepped, program, db, updates, options);
+  for (const LoopOutcome* other : {&diff, &stepped}) {
+    const char* name = other == &diff ? "ParkDiff" : "stepped";
+    EXPECT_EQ(park.status, other->status) << name;
+    EXPECT_EQ(park.database, other->database) << name;
+    EXPECT_EQ(park.diff, other->diff) << name;
+    EXPECT_EQ(park.stats, other->stats) << name;
+    EXPECT_EQ(park.trace, other->trace) << name;
+    EXPECT_EQ(park.events, other->events) << name;
+  }
+}
+
+TEST(StepperTest, ParkParkDiffAndSteppingAreOneLoop) {
+  Rng rng(99);
+  size_t with_restarts = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    SCOPED_TRACE(StrFormat("trial %d", trial));
+    RandomCase c = MakeRandomCase(rng);
+    for (GammaMode mode : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
+                           GammaMode::kSemiNaive}) {
+      for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
+        for (int threads : {1, 4}) {
+          SCOPED_TRACE(StrFormat("mode=%d exec=%d threads=%d",
+                                 static_cast<int>(mode),
+                                 static_cast<int>(exec), threads));
+          ParkOptions options;
+          options.gamma_mode = mode;
+          options.exec_mode = exec;
+          options.num_threads = threads;
+          options.trace_level = TraceLevel::kFull;
+          options.max_memory_bytes = size_t{1} << 32;
+          ExpectOneLoop(c.program, c.db, c.updates, options);
+        }
+      }
+    }
+    auto run = Park(c.db, c.program, c.updates);
+    if (run.ok() && run->stats.restarts > 0) ++with_restarts;
+  }
+  EXPECT_GE(with_restarts, 3u) << "too few trials had genuine conflicts";
+}
+
+TEST(StepperTest, OneLoopOnTheConflictWorkload) {
+  // The paper's irreflexive-graph program: conflicts, SELECT, and
+  // restarts dominate, with a custom policy.
+  Workload w = MakeIrreflexiveGraphWorkload(8);
+  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
+                         GammaMode::kSemiNaive}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ParkOptions options;
+    options.gamma_mode = mode;
+    options.policy = MakeIrreflexiveGraphPolicy();
+    options.trace_level = TraceLevel::kFull;
+    options.max_memory_bytes = size_t{1} << 32;
+    ExpectOneLoop(w.program, w.database, {}, options);
+  }
+}
+
+TEST(StepperTest, OneLoopErrors) {
+  // Abstention, max_steps, and an exhausted derivation budget: the same
+  // code and message from every driver.
+  auto symbols = MakeSymbolTable();
+  Program program = MustParseProgram("p -> +a. p -> -a. a -> +b.", symbols);
+  Database db = MustParseDatabase("p.", symbols);
+  ParkOptions abstain;
+  abstain.policy = MakeSpecificityPolicy();  // abstains on this tie
+  ParkOptions steps;
+  steps.max_steps = 1;
+  ParkOptions budget;
+  budget.max_derivations = 1;
+  for (const ParkOptions& options : {abstain, steps, budget}) {
+    for (GammaMode mode : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
+      ParkOptions o = options;
+      o.gamma_mode = mode;
+      const LoopOutcome park = RunLoop(Driver::kPark, program, db, {}, o);
+      EXPECT_NE(park.status, "OK");
+      ExpectOneLoop(program, db, {}, o);
+    }
   }
 }
 
 TEST(StepperTest, EmptyWatchedDeltaQuickExits) {
   // The last Γ step of any terminating chain has a delta nobody watches
-  // (the chain tip appears in no rule body). With the dependency
-  // scheduler that step is an O(1) no-op: the watcher lookup comes back
-  // empty and Γ returns before scanning, matching, or touching the plan
+  // (the chain tip appears in no rule body). The dependency scheduler
+  // makes that step an O(1) no-op: the watcher lookup comes back empty
+  // and Γ returns before scanning, matching, or touching the plan
   // cache — pinned here via sched_rules_considered, which must not grow
   // on the quick-exited step.
   auto symbols = MakeSymbolTable();
@@ -122,7 +371,6 @@ TEST(StepperTest, EmptyWatchedDeltaQuickExits) {
   Database db = MustParseDatabase("a0.", symbols);
   ParkOptions options;
   options.gamma_mode = GammaMode::kDeltaFiltered;
-  options.scheduler_mode = SchedulerMode::kDependency;
   ParkStepper stepper(program, db, options);
   std::vector<size_t> considered;
   while (!stepper.done()) {
@@ -134,20 +382,6 @@ TEST(StepperTest, EmptyWatchedDeltaQuickExits) {
       << "fixpoint-detecting step must consider zero rules";
   // Every step still skipped the rest of the program.
   EXPECT_GT(stepper.stats().sched_rules_skipped, 0u);
-
-  // Contrast: with the scheduler off, the same step scans the whole
-  // program to discover that nothing is affected.
-  options.scheduler_mode = SchedulerMode::kOff;
-  ParkStepper scanning(program, db, options);
-  std::vector<size_t> scanned;
-  while (!scanning.done()) {
-    ASSERT_TRUE(scanning.Step().ok());
-    scanned.push_back(scanning.stats().sched_rules_considered);
-  }
-  ASSERT_GE(scanned.size(), 2u);
-  EXPECT_EQ(scanned.back(), scanned[scanned.size() - 2] + program.size());
-  // Same fixpoint, same step count, either way.
-  EXPECT_EQ(stepper.stats().gamma_steps, scanning.stats().gamma_steps);
 }
 
 TEST(StepperTest, ErrorsMatchBatchSemantics) {
@@ -160,6 +394,8 @@ TEST(StepperTest, ErrorsMatchBatchSemantics) {
   auto outcome = stepper.Step();
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kAborted);
+  EXPECT_NE(outcome.status().ToString().find("wrap it in a composite"),
+            std::string::npos);
 }
 
 TEST(StepperTest, MaxStepsGuard) {

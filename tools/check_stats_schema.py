@@ -8,11 +8,8 @@ Each FILE is dispatched on its "schema" tag:
 
   park-stats-v1                -- ParkStats::ToJson (parkcli --stats-json)
   park-bench-parallel-v1       -- bench_parallel
-  park-bench-planner-v1        -- bench_planner
   park-bench-paper-examples-v1 -- bench_paper_examples
   park-bench-columnar-v1       -- bench_columnar (tuple vs batch exec)
-  park-bench-scheduler-v1      -- bench_scheduler (dependency scheduler
-                                  on vs off on the kilorule workload)
   park-bench-serving-v1        -- bench_serve (group commit + snapshot
                                   readers against the Session front-end)
   park-bench-incremental-v1    -- bench_incremental (maintenance on vs
@@ -146,17 +143,11 @@ def check_park_stats(errors, doc):
                 [(k, _is_int, "integer") for k in PARK_STATS_COUNTERS])
     _check_keys(errors, "$.parallel", doc.get("parallel", {}),
                 [(k, _is_int, "integer") for k in PARK_STATS_PARALLEL])
-    planner_spec = [("mode", lambda v: v in ("heuristic", "cost_based"),
-                     '"heuristic" or "cost_based"')]
-    planner_spec += [(k, _is_int, "integer")
-                     for k in PARK_STATS_PLANNER_COUNTERS]
-    _check_keys(errors, "$.planner", doc.get("planner", {}), planner_spec)
-    scheduler_spec = [("mode", lambda v: v in ("off", "dependency"),
-                       '"off" or "dependency"')]
-    scheduler_spec += [(k, _is_int, "integer")
-                       for k in PARK_STATS_SCHEDULER]
+    _check_keys(errors, "$.planner", doc.get("planner", {}),
+                [(k, _is_int, "integer")
+                 for k in PARK_STATS_PLANNER_COUNTERS])
     _check_keys(errors, "$.scheduler", doc.get("scheduler", {}),
-                scheduler_spec)
+                [(k, _is_int, "integer") for k in PARK_STATS_SCHEDULER])
     _check_keys(errors, "$.resource", doc.get("resource", {}),
                 [(k, _is_int, "integer") for k in PARK_STATS_RESOURCE])
     _check_keys(errors, "$.io_retry", doc.get("io_retry", {}),
@@ -223,41 +214,6 @@ def check_bench_parallel(errors, doc):
                         BENCH_CONFIG_SPEC)
 
 
-PLANNER_CONFIG_SPEC = [
-    ("planner", lambda v: v in ("heuristic", "cost_based"),
-     '"heuristic" or "cost_based"'),
-    ("best_ms", _is_num, "number"),
-    ("speedup", _is_num, "number"),
-    ("gamma_steps", _is_int, "integer"),
-    ("plans_compiled", _is_int, "integer"),
-    ("replans", _is_int, "integer"),
-    ("estimated_rows", _is_int, "integer"),
-    ("actual_rows", _is_int, "integer"),
-]
-
-
-def check_bench_planner(errors, doc):
-    _check_keys(errors, "$", doc, BENCH_ENVELOPE_SPEC + [
-        ("schema", lambda v: v == "park-bench-planner-v1",
-         '"park-bench-planner-v1"'),
-        ("smoke", lambda v: isinstance(v, bool), "bool"),
-        ("set_identical", lambda v: v is True, "true"),
-        ("cases", lambda v: isinstance(v, list) and v, "non-empty array"),
-    ])
-    for i, case in enumerate(doc.get("cases") or []):
-        where = f"$.cases[{i}]"
-        _check_keys(errors, where, case, [
-            ("name", lambda v: isinstance(v, str) and v, "non-empty string"),
-            ("configs", lambda v: isinstance(v, list) and v,
-             "non-empty array"),
-        ])
-        if not isinstance(case, dict):
-            continue
-        for j, config in enumerate(case.get("configs") or []):
-            _check_keys(errors, f"{where}.configs[{j}]", config,
-                        PLANNER_CONFIG_SPEC)
-
-
 def check_bench_paper_examples(errors, doc):
     _check_keys(errors, "$", doc, BENCH_ENVELOPE_SPEC + [
         ("schema", lambda v: v == "park-bench-paper-examples-v1",
@@ -312,49 +268,6 @@ def check_bench_columnar(errors, doc):
         for j, config in enumerate(case.get("configs") or []):
             _check_keys(errors, f"{where}.configs[{j}]", config,
                         COLUMNAR_CONFIG_SPEC)
-
-
-SCHEDULER_CONFIG_SPEC = [
-    ("gamma_mode", lambda v: v in ("delta_filtered", "semi_naive"),
-     '"delta_filtered" or "semi_naive"'),
-    ("threads", _is_int, "integer"),
-    ("scheduler_off_ms", _is_num, "number"),
-    ("scheduler_on_ms", _is_num, "number"),
-    ("speedup", _is_num, "number"),
-    ("gamma_steps", _is_int, "integer"),
-    ("rules_considered", _is_int, "integer"),
-    ("rules_skipped", _is_int, "integer"),
-    ("strata", _is_int, "integer"),
-    ("pipeline_stages", _is_int, "integer"),
-    ("off_rules_considered", _is_int, "integer"),
-]
-
-
-def check_bench_scheduler(errors, doc):
-    _check_keys(errors, "$", doc, BENCH_ENVELOPE_SPEC + [
-        ("schema", lambda v: v == "park-bench-scheduler-v1",
-         '"park-bench-scheduler-v1"'),
-        ("smoke", lambda v: isinstance(v, bool), "bool"),
-        ("bit_identical", lambda v: v is True, "true"),
-        # kilorule delta_filtered@1 speedup gate: "skipped" only in smoke
-        # mode; a failed gate exits non-zero before writing any JSON.
-        ("gate", lambda v: v in ("passed", "skipped"),
-         '"passed" or "skipped"'),
-        ("cases", lambda v: isinstance(v, list) and v, "non-empty array"),
-    ])
-    for i, case in enumerate(doc.get("cases") or []):
-        where = f"$.cases[{i}]"
-        _check_keys(errors, where, case, [
-            ("name", lambda v: isinstance(v, str) and v, "non-empty string"),
-            ("rules", _is_int, "integer"),
-            ("configs", lambda v: isinstance(v, list) and v,
-             "non-empty array"),
-        ])
-        if not isinstance(case, dict):
-            continue
-        for j, config in enumerate(case.get("configs") or []):
-            _check_keys(errors, f"{where}.configs[{j}]", config,
-                        SCHEDULER_CONFIG_SPEC)
 
 
 SERVING_CONFIG_SPEC = [
@@ -451,10 +364,8 @@ def check_bench_incremental(errors, doc):
 CHECKERS = {
     "park-stats-v1": check_park_stats,
     "park-bench-parallel-v1": check_bench_parallel,
-    "park-bench-planner-v1": check_bench_planner,
     "park-bench-paper-examples-v1": check_bench_paper_examples,
     "park-bench-columnar-v1": check_bench_columnar,
-    "park-bench-scheduler-v1": check_bench_scheduler,
     "park-bench-serving-v1": check_bench_serving,
     "park-bench-incremental-v1": check_bench_incremental,
 }
