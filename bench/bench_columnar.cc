@@ -179,7 +179,6 @@ std::vector<ConfigResult> RunCase(const BenchCase& bench, int repetitions) {
 const char* ModeName(GammaMode mode) {
   switch (mode) {
     case GammaMode::kNaive: return "naive";
-    case GammaMode::kDeltaFiltered: return "delta_filtered";
     case GammaMode::kSemiNaive: return "semi_naive";
   }
   return "unknown";
@@ -268,7 +267,7 @@ int Main(int argc, char** argv) {
     params.inactive_fraction = 0.1;
     params.seed = 23;
     BenchCase c{"payroll", MakePayrollWorkload(params),
-                GammaMode::kDeltaFiltered};
+                GammaMode::kSemiNaive};
     cases.push_back(std::move(c));
   }
 

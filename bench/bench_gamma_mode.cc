@@ -1,9 +1,11 @@
 // A2 — ablation of the Γ evaluation strategy: the paper's literal
-// "apply all rules in parallel at every step" (kNaive) vs delta-filtered
-// rule scheduling (kDeltaFiltered). Same semantics (asserted continuously
-// by gamma_mode_test); this bench measures the work saved — dramatic on
-// programs with many rules that fire rarely, negligible on tiny programs
-// where every rule is live every step.
+// "apply all rules in parallel at every step" (kNaive) vs semi-naive
+// evaluation (kSemiNaive), whose scheduler skips the rules no new mark
+// can wake and whose seeds enumerate only new completions. Same semantics
+// (asserted continuously by gamma_mode_test); this bench measures the
+// work saved — dramatic on programs with many rules that fire rarely and
+// on deep recursion, negligible on tiny programs where every rule is live
+// every step.
 
 #include <benchmark/benchmark.h>
 
@@ -60,22 +62,17 @@ void RunWide(benchmark::State& state, GammaMode mode) {
 void BM_WideNaive(benchmark::State& state) {
   RunWide(state, GammaMode::kNaive);
 }
-void BM_WideDeltaFiltered(benchmark::State& state) {
-  RunWide(state, GammaMode::kDeltaFiltered);
-}
 void BM_WideSemiNaive(benchmark::State& state) {
   RunWide(state, GammaMode::kSemiNaive);
 }
 BENCHMARK(BM_WideNaive)->Arg(0)->Arg(64)->Arg(512)->Arg(2048)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_WideDeltaFiltered)->Arg(0)->Arg(64)->Arg(512)->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WideSemiNaive)->Arg(0)->Arg(64)->Arg(512)->Arg(2048)
     ->Unit(benchmark::kMillisecond);
 
 // Deep recursive closure: the case where per-literal deltas dominate —
-// naive and delta-filtered Γ re-derive the entire known closure at every
-// step; semi-naive only extends the frontier.
+// naive Γ re-derives the entire known closure at every step; semi-naive
+// only extends the frontier.
 void RunClosure(benchmark::State& state, GammaMode mode) {
   Workload w = MakeTransitiveClosureWorkload(
       GraphShape::kPath, static_cast<int>(state.range(0)), 0, 1);
@@ -96,21 +93,16 @@ void RunClosure(benchmark::State& state, GammaMode mode) {
 void BM_ClosureNaive(benchmark::State& state) {
   RunClosure(state, GammaMode::kNaive);
 }
-void BM_ClosureDeltaFiltered(benchmark::State& state) {
-  RunClosure(state, GammaMode::kDeltaFiltered);
-}
 void BM_ClosureSemiNaive(benchmark::State& state) {
   RunClosure(state, GammaMode::kSemiNaive);
 }
 BENCHMARK(BM_ClosureNaive)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ClosureDeltaFiltered)->Arg(16)->Arg(32)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ClosureSemiNaive)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
 // On conflict-dense flat workloads both modes do the same work (all rules
-// live in step 1): the filtered overhead must be ~zero.
+// live in step 1): the semi-naive overhead must be ~zero.
 void RunFlat(benchmark::State& state, GammaMode mode) {
   Workload w = MakeConflictPairsWorkload(512, 0.5, 83);
   ParkStats last;
@@ -129,14 +121,10 @@ void RunFlat(benchmark::State& state, GammaMode mode) {
 void BM_FlatNaive(benchmark::State& state) {
   RunFlat(state, GammaMode::kNaive);
 }
-void BM_FlatDeltaFiltered(benchmark::State& state) {
-  RunFlat(state, GammaMode::kDeltaFiltered);
-}
 void BM_FlatSemiNaive(benchmark::State& state) {
   RunFlat(state, GammaMode::kSemiNaive);
 }
 BENCHMARK(BM_FlatNaive)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FlatDeltaFiltered)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FlatSemiNaive)->Unit(benchmark::kMillisecond);
 
 }  // namespace

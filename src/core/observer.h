@@ -44,7 +44,7 @@ struct RunStartInfo {
   size_t num_rules = 0;
   /// Resolved thread count (after ResolveNumThreads), not the raw knob.
   int num_threads = 1;
-  /// "naive" | "delta_filtered" | "semi_naive".
+  /// "naive" | "semi_naive".
   const char* gamma_mode = "";
 };
 

@@ -46,21 +46,19 @@ enum class BlockGranularity {
   kFirstConflictOnly,
 };
 
-/// How the Γ operator is evaluated at each step. All three modes are
+/// How the Γ operator is evaluated at each step. Both modes are
 /// semantically identical (proven in gamma_mode_test); they differ only
 /// in how much repeated work each fixpoint step performs. The ablation
-/// bench_gamma_mode quantifies the differences.
+/// bench_gamma_mode quantifies the difference.
 enum class GammaMode {
-  /// Match every rule body at every step — the paper's literal algorithm.
+  /// Match every rule body at every step — the paper's literal algorithm,
+  /// and the full recompute conflict construction runs before SELECT.
   kNaive,
-  /// Skip rules none of whose body literals could have gained a match
-  /// since the previous step (rule-granularity delta filtering; see
-  /// engine/consequence.h). Fast on wide schemas with narrow activity.
-  kDeltaFiltered,
-  /// Full semi-naive evaluation: each new mark seeds the body literals it
-  /// satisfies and only completions of seeds are enumerated. Fast on deep
-  /// recursive derivations (transitive closure) where even the live rules
-  /// would otherwise re-derive everything every step.
+  /// Semi-naive evaluation (the default): each new mark seeds the body
+  /// literals it satisfies and only completions of seeds are enumerated,
+  /// each derived once, by the first body literal that holds a Δ atom
+  /// (engine/consequence.h). Rules no new mark can wake are skipped by
+  /// the scheduler without being touched.
   kSemiNaive,
 };
 
@@ -86,7 +84,7 @@ struct ParkOptions {
   /// The SELECT policy. If null, MakeInertiaPolicy() is used.
   PolicyPtr policy;
   BlockGranularity block_granularity = BlockGranularity::kAllConflicts;
-  GammaMode gamma_mode = GammaMode::kDeltaFiltered;
+  GammaMode gamma_mode = GammaMode::kSemiNaive;
   /// Upper bound on Γ applications across all restarts; exceeding it
   /// returns kResourceExhausted. PARK terminates on every input, so this
   /// only guards against misconfigured gigantic workloads.

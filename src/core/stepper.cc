@@ -12,7 +12,6 @@ namespace {
 const char* GammaModeName(GammaMode mode) {
   switch (mode) {
     case GammaMode::kNaive: return "naive";
-    case GammaMode::kDeltaFiltered: return "delta_filtered";
     case GammaMode::kSemiNaive: return "semi_naive";
   }
   return "unknown";
@@ -175,10 +174,6 @@ GammaResult ParkStepper::ComputeSection(bool full) {
     case GammaMode::kNaive:
       return ComputeGamma(program_, blocked_, interp_, *plans_, parallel_,
                           cancel_, options_.exec_mode, &exec_stats_);
-    case GammaMode::kDeltaFiltered:
-      return ComputeGammaFiltered(program_, blocked_, interp_, delta_,
-                                  *graph_, *plans_, parallel_, cancel_,
-                                  options_.exec_mode, &exec_stats_);
     case GammaMode::kSemiNaive:
       return ComputeGammaSemiNaive(program_, blocked_, interp_, delta_atoms_,
                                    *graph_, *plans_, parallel_, cancel_,
@@ -248,12 +243,10 @@ Result<StepOutcome> ParkStepper::Step() {
   }
   StepOutcome outcome;
   outcome.kind = StepOutcome::Kind::kGamma;
-  const GammaMode mode = options_.gamma_mode;
   const int64_t apply_start_ns = timed ? MonotonicNanos() : 0;
   outcome.new_marks = ApplyDerivations(
       gamma.derivations, interp_,
-      mode == GammaMode::kDeltaFiltered ? &delta_ : nullptr,
-      mode == GammaMode::kSemiNaive ? &delta_atoms_ : nullptr);
+      options_.gamma_mode == GammaMode::kSemiNaive ? &delta_atoms_ : nullptr);
   if (timed) {
     stats_.timings.apply_ns +=
         static_cast<uint64_t>(MonotonicNanos() - apply_start_ns);
@@ -347,7 +340,6 @@ Result<StepOutcome> ParkStepper::Resolve(GammaResult gamma, int step) {
   }
   trace_.RecordResolution(std::move(resolution_notes), shown);
   interp_.ClearMarks();
-  delta_.Reset();
   delta_atoms_.Reset();
   ++stats_.restarts;
   observer_.Notify([&](RunObserver& o) { o.OnRestart(stats_.restarts); });

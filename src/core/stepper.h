@@ -140,7 +140,6 @@ class ParkStepper {
   PlanCache* plans_ = nullptr;
   IInterpretation interp_;
   BlockedSet blocked_;
-  DeltaState delta_;
   DeltaAtoms delta_atoms_;
   ParkStats stats_;
   /// Batch-executor row counters (see ParkOptions::exec_mode). All zero

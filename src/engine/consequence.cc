@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "engine/rule_graph.h"
 #include "util/cancellation.h"
@@ -320,6 +321,69 @@ void MatchRulesParallel(const std::vector<const Rule*>& rules,
   }
 }
 
+// --- Semi-naive seed ownership ---
+
+/// Δ atoms of one sign class, bucketed by predicate in Δ order.
+using DeltaBuckets =
+    std::unordered_map<PredicateId, std::vector<const GroundAtom*>>;
+
+/// The Δ atoms of one predicate as a tuple set, probed by span (no Tuple
+/// is materialized per probe).
+using DeltaTupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
+
+/// True for the literal kinds seeded by (and owning through) Δ⁺ —
+/// positive and +event literals; negated and -event literals go with Δ⁻.
+bool SeededByPlus(LiteralKind kind) {
+  return kind == LiteralKind::kPositive || kind == LiteralKind::kEventInsert;
+}
+
+/// True iff every atom that can satisfy `lit` in I is one of the
+/// `delta_count` Δ atoms of its predicate and class — its pre-Δ store
+/// (base ∪ plus for a positive literal, plus for +event, minus for
+/// -event) lies inside Δ, which holds those atoms. O(1): relation sizes
+/// only. Negated literals hold by absence, so never.
+bool StoreInsideDelta(const BodyLiteral& lit, const IInterpretation& interp,
+                      size_t delta_count) {
+  auto rows = [&](const Database& db) -> size_t {
+    const Relation* rel = db.GetRelation(lit.atom.predicate);
+    return rel != nullptr ? rel->size() : 0;
+  };
+  switch (lit.kind) {
+    case LiteralKind::kPositive:
+      return rows(interp.base()) == 0 && rows(interp.plus()) == delta_count;
+    case LiteralKind::kEventInsert:
+      return rows(interp.plus()) == delta_count;
+    case LiteralKind::kEventDelete:
+      return rows(interp.minus()) == delta_count;
+    case LiteralKind::kNegated:
+      return false;
+  }
+  return false;
+}
+
+/// An earlier body literal j of a seed group whose predicate has Δ atoms
+/// of j's class: a completion g with lit_j(g) among `atoms` is also a
+/// completion of the earlier seed (r, j, lit_j(g)), which owns it.
+struct OwnerProbe {
+  const AtomPattern* atom;
+  const DeltaTupleSet* atoms;
+};
+
+/// True iff some owner probe claims the completion `binding` (`key` is
+/// reused scratch).
+bool OwnedByEarlierSeed(const std::vector<OwnerProbe>& owners,
+                        const Tuple& binding, std::vector<Value>& key) {
+  for (const OwnerProbe& owner : owners) {
+    key.clear();
+    for (const Term& term : owner.atom->terms) {
+      key.push_back(term.is_constant() ? term.constant()
+                                       : binding[term.var_index()]);
+    }
+    if (owner.atoms->contains(TupleSpan{key.data(), key.size()})) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 ParallelGamma::ParallelGamma(int num_threads, size_t min_slice_size)
@@ -381,84 +445,6 @@ bool RuleIsAffected(const Rule& rule, const DeltaState& delta) {
   return false;
 }
 
-GammaResult ComputeGammaFiltered(const Program& program,
-                                 const BlockedSet& blocked,
-                                 const IInterpretation& interp,
-                                 const DeltaState& delta,
-                                 const RuleDependencyGraph& graph,
-                                 PlanCache& plans, ParallelGamma* parallel,
-                                 CancellationToken* cancel, ExecMode exec,
-                                 ExecStats* exec_stats) {
-  GammaResult result;
-  CompactForBatch(interp, exec);
-  // The watcher index yields {r : RuleIsAffected(r, delta)} — in program
-  // order — in O(|changed predicates|).
-  GammaSchedule schedule = graph.Schedule(delta);
-  result.rules_considered = schedule.rules.size();
-  result.pipeline_stages = schedule.stages.size();
-  if (schedule.rules.empty()) {
-    // Quick exit: no watched predicate changed, so Γ restricted to
-    // affected rules is empty — an O(1) no-op step that never touches the
-    // pool, the plan cache, or the derivation analysis (stepper_test pins
-    // this with the scheduler counters).
-    result.rules_skipped = program.size();
-    result.consistent = true;
-    return result;
-  }
-  std::vector<const Rule*> affected;
-  affected.reserve(schedule.rules.size());
-  for (int r : schedule.rules) affected.push_back(&program.rule(r));
-  const std::vector<std::vector<int>>& stages = schedule.stages;
-  result.rules_skipped = program.size() - affected.size();
-  if (parallel != nullptr && stages.size() > 1) {
-    // Pipelined dispatch: one pool section per stratum group, each with
-    // its own plan fetch + index prewarm (inside MatchRulesParallel), so
-    // a deep program warms the cache stage by stage instead of
-    // front-loading every rule's plan. Every rule lives in exactly one
-    // stage and every stage keeps program order internally, so walking
-    // the affected list while draining each stage's buffer by rule index
-    // reassembles the exact unstaged derivation order.
-    std::vector<std::vector<Derivation>> stage_out(stages.size());
-    std::unordered_map<int, size_t> stage_of;
-    for (size_t s = 0; s < stages.size(); ++s) {
-      for (int r : stages[s]) stage_of.emplace(r, s);
-    }
-    for (size_t s = 0; s < stages.size(); ++s) {
-      if (cancel != nullptr && cancel->fired()) break;
-      std::vector<const Rule*> stage_rules;
-      stage_rules.reserve(stages[s].size());
-      for (int r : stages[s]) stage_rules.push_back(&program.rule(r));
-      MatchRulesParallel(stage_rules, blocked, interp, *parallel, plans,
-                         stage_out[s], cancel, exec, exec_stats);
-    }
-    std::vector<size_t> cursor(stages.size(), 0);
-    size_t total = 0;
-    for (const auto& buffer : stage_out) total += buffer.size();
-    result.derivations.reserve(total);
-    for (const Rule* rule : affected) {
-      const size_t s = stage_of.at(rule->index());
-      std::vector<Derivation>& buffer = stage_out[s];
-      size_t& c = cursor[s];
-      while (c < buffer.size() &&
-             buffer[c].grounding.rule_index() == rule->index()) {
-        result.derivations.push_back(std::move(buffer[c++]));
-      }
-    }
-  } else if (parallel != nullptr && !affected.empty()) {
-    MatchRulesParallel(affected, blocked, interp, *parallel, plans,
-                       result.derivations, cancel, exec, exec_stats);
-  } else {
-    for (const Rule* rule : affected) {
-      if (cancel != nullptr && cancel->fired()) break;
-      MatchRuleSequential(*rule, blocked, interp, plans, result.derivations,
-                          cancel, exec, exec_stats);
-    }
-  }
-  result.rules_evaluated = affected.size();
-  AnalyzeDerivations(interp, result);
-  return result;
-}
-
 GammaResult ComputeGammaSemiNaive(const Program& program,
                                   const BlockedSet& blocked,
                                   const IInterpretation& interp,
@@ -474,121 +460,147 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
   GammaResult result;
   CompactForBatch(interp, exec);
 
-  // Collapse the delta atoms to their changed predicates and let the
-  // watcher index name the rules that can hold a seed — task building
-  // then iterates those rules only (in program order), instead of
-  // crossing every rule's body with the delta.
+  // Bucket the delta atoms by predicate (in Δ order) and let the watcher
+  // index name the rules that can hold a seed — task building then
+  // iterates those rules only (in program order), instead of crossing
+  // every rule's body with the delta.
+  DeltaBuckets plus_atoms;
+  DeltaBuckets minus_atoms;
   DeltaState changed;
   changed.initial = false;
   for (const GroundAtom& atom : delta.plus) {
+    plus_atoms[atom.predicate()].push_back(&atom);
     changed.plus_changed.insert(atom.predicate());
   }
   for (const GroundAtom& atom : delta.minus) {
+    minus_atoms[atom.predicate()].push_back(&atom);
     changed.minus_changed.insert(atom.predicate());
   }
   const GammaSchedule schedule = graph.Schedule(changed);
   result.rules_considered = schedule.rules.size();
   result.pipeline_stages = schedule.stages.size();
   if (schedule.rules.empty()) {
-    // Quick exit — see ComputeGammaFiltered.
+    // Quick exit: no watched predicate changed, so no literal holds a
+    // seed — an O(1) no-op step that never touches the pool, the plan
+    // cache, or the derivation analysis (stepper_test pins this with the
+    // scheduler counters).
     result.rules_skipped = program.size();
     result.consistent = true;
     return result;
   }
 
-  // Enumerate the (rule, seed literal, seed atom) completions to run.
-  // Listing them up front (in the same nested order the sequential loop
-  // uses) is what lets the parallel path merge per-task buffers back into
-  // the exact sequential derivation order.
-  struct SeedTask {
+  // The Δ atoms a literal can be seeded by (null: none).
+  auto seeds_of = [&](const BodyLiteral& lit) {
+    const DeltaBuckets& buckets =
+        SeededByPlus(lit.kind) ? plus_atoms : minus_atoms;
+    auto it = buckets.find(lit.atom.predicate);
+    return it == buckets.end() ? nullptr : &it->second;
+  };
+  // Ownership probes' Δ tuple sets, built on first use: a program whose
+  // seed literals never follow a literal over a changed predicate (every
+  // one-literal rule, for one) builds none.
+  std::unordered_map<PredicateId, DeltaTupleSet> plus_sets;
+  std::unordered_map<PredicateId, DeltaTupleSet> minus_sets;
+  auto tuple_set = [&](const BodyLiteral& lit,
+                       const std::vector<const GroundAtom*>& atoms) {
+    auto& sets = SeededByPlus(lit.kind) ? plus_sets : minus_sets;
+    auto [it, inserted] = sets.try_emplace(lit.atom.predicate);
+    if (inserted) {
+      it->second.reserve(atoms.size());
+      for (const GroundAtom* atom : atoms) it->second.insert(atom->args());
+    }
+    return &it->second;
+  };
+
+  // Enumerate the (rule, seed literal) groups and their (group, seed
+  // atom) tasks. Listing them up front (in the nested order the
+  // sequential loop uses) is what lets the parallel path merge per-task
+  // buffers back into the exact sequential derivation order.
+  struct SeedGroup {
     const Rule* rule;
-    int literal;
+    const CompiledPlan* plan;
+    std::vector<OwnerProbe> owners;
+  };
+  struct SeedTask {
+    size_t group;
     const GroundAtom* atom;
   };
+  std::vector<SeedGroup> groups;
   std::vector<SeedTask> tasks;
-  size_t rules_evaluated = 0;
-  auto seed_rule = [&](const Rule& rule) {
+  for (int r : schedule.rules) {
+    const Rule& rule = program.rule(r);
+    const std::vector<BodyLiteral>& body = rule.body();
     bool evaluated = false;
-    for (size_t i = 0; i < rule.body().size(); ++i) {
-      const BodyLiteral& lit = rule.body()[i];
-      const std::vector<GroundAtom>* source = nullptr;
-      switch (lit.kind) {
-        case LiteralKind::kPositive:
-        case LiteralKind::kEventInsert:
-          source = &delta.plus;
-          break;
-        case LiteralKind::kNegated:
-        case LiteralKind::kEventDelete:
-          source = &delta.minus;
-          break;
+    for (size_t i = 0; i < body.size(); ++i) {
+      const std::vector<const GroundAtom*>* seeds = seeds_of(body[i]);
+      if (seeds == nullptr) continue;
+      // An earlier literal that only Δ atoms can satisfy owns every
+      // completion of this group.
+      bool owned = false;
+      for (size_t j = 0; j < i && !owned; ++j) {
+        const std::vector<const GroundAtom*>* earlier = seeds_of(body[j]);
+        owned = earlier != nullptr &&
+                StoreInsideDelta(body[j], interp, earlier->size());
       }
-      for (const GroundAtom& atom : *source) {
-        if (atom.predicate() != lit.atom.predicate) continue;
-        tasks.push_back(SeedTask{&rule, static_cast<int>(i), &atom});
-        evaluated = true;
+      if (owned) continue;
+      SeedGroup group{&rule, nullptr, {}};
+      for (size_t j = 0; j < i; ++j) {
+        if (const auto* earlier = seeds_of(body[j])) {
+          group.owners.push_back(
+              OwnerProbe{&body[j].atom, tuple_set(body[j], *earlier)});
+        }
       }
+      // One plan fetch per group, on the coordinator BEFORE any parallel
+      // freeze (compiling can grow the prewarm requirements): Γ never
+      // mutates I, so every seed of the group would get the same plan.
+      // The estimate is still fed per task, like the actual rows.
+      group.plan = &plans.Get(rule, static_cast<int>(i), interp);
+      for (const GroundAtom* atom : *seeds) {
+        tasks.push_back(SeedTask{groups.size(), atom});
+        plans.AddEstimatedRows(group.plan->estimated_candidates);
+      }
+      groups.push_back(std::move(group));
+      evaluated = true;
     }
-    if (evaluated) ++rules_evaluated;
-  };
-  for (int r : schedule.rules) seed_rule(program.rule(r));
-
-  result.rules_evaluated = rules_evaluated;
-  result.rules_skipped = program.size() - rules_evaluated;
-
-  // Fetch every task's Δ-seeded plan up front on the coordinator (tasks
-  // sharing a (rule, literal) hit the cache) so the parallel freeze below
-  // sees the final index requirements. The counter stream (hits / replans
-  // / estimates) is identical in the sequential path because the fetch
-  // loop order is task order in both.
-  std::vector<const CompiledPlan*> task_plans(tasks.size(), nullptr);
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    task_plans[i] = &plans.Get(*tasks[i].rule, tasks[i].literal, interp);
-    plans.AddEstimatedRows(task_plans[i]->estimated_candidates);
+    if (evaluated) ++result.rules_evaluated;
   }
+  result.rules_skipped = program.size() - result.rules_evaluated;
 
-  auto run_task = [&](const SeedTask& task, const CompiledPlan& plan,
-                      std::vector<Derivation>& out,
+  auto run_task = [&](const SeedTask& task, std::vector<Derivation>& out,
                       CandidateSlice slice = CandidateSlice{}) -> size_t {
+    const SeedGroup& group = groups[task.group];
+    const Rule& rule = *group.rule;
+    std::vector<Value> key;  // ownership probe scratch
     // Same governance as MatchRule: derivations feed the work budget, the
     // buffer's capacity the memory budget, and a fired token stops
     // emission (the evaluator discards the partial Γ).
     CancellationToken::MemoryScope mem_scope;
     auto emit = [&](const Tuple& binding) {
       if (cancel != nullptr && cancel->fired()) return;
-      RuleGrounding grounding(task.rule->index(), binding);
+      if (OwnedByEarlierSeed(group.owners, binding, key)) return;
+      RuleGrounding grounding(rule.index(), binding);
       if (blocked.contains(grounding)) return;
-      GroundAtom head = task.rule->head().atom.Ground(binding.values());
-      out.push_back(Derivation{std::move(grounding),
-                               task.rule->head().action, std::move(head)});
+      GroundAtom head = rule.head().atom.Ground(binding.values());
+      out.push_back(
+          Derivation{std::move(grounding), rule.head().action, std::move(head)});
       if (cancel != nullptr) {
         cancel->ChargeWork(1);
         cancel->UpdateScope(mem_scope, out.capacity() * sizeof(Derivation));
       }
     };
-    const size_t claimed = ExecutePlanSeeded(
-        plan, *task.rule, interp, *task.atom, slice, emit, cancel, exec,
-        exec_stats);
+    const size_t claimed =
+        ExecutePlanSeeded(*group.plan, rule, interp, *task.atom, slice, emit,
+                          cancel, exec, exec_stats);
     if (cancel != nullptr) cancel->CloseScope(mem_scope);
     return claimed;
-  };
-
-  // A grounding reachable from several seeds is derived once. Sequential
-  // and parallel paths both keep the FIRST occurrence in task order, so
-  // the surviving list is identical.
-  std::unordered_set<RuleGrounding, RuleGroundingHash> seen;
-  auto merge_deduped = [&](std::vector<Derivation>& buffer) {
-    for (Derivation& d : buffer) {
-      if (!seen.insert(d.grounding).second) continue;  // multi-seeded
-      result.derivations.push_back(std::move(d));
-    }
   };
 
   if (parallel != nullptr && !tasks.empty()) {
     // Second task level: a seed whose remaining candidate stream is large
     // splits into (rule, Δ-seed, slice) tasks. The flattened order is
-    // (seed in nested-loop order, slice in ordinal order), so replaying
-    // the cross-seed grounding dedup over the buffers in task order keeps
-    // first-occurrence-in-sequential-order exactly.
+    // (seed in nested-loop order, slice in ordinal order), and ownership
+    // is decided per completion, not per buffer, so concatenating the
+    // buffers in task order reproduces the sequential list exactly.
     struct SeedSliceTask {
       size_t begin;  // [begin, end) of `tasks`; sliced tasks cover one
       size_t end;
@@ -598,6 +610,9 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
     slice_tasks.reserve(tasks.size());
     std::vector<std::vector<Derivation>> buffers;
     std::vector<size_t> claimed;
+    auto task_plan = [&](size_t i) -> const CompiledPlan& {
+      return *groups[tasks[i].group].plan;
+    };
     {
       FrozenInterpretation frozen(
           interp, plans.requirements(),
@@ -612,11 +627,11 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
           // counting probe for a seed the planner already predicts to be
           // far below one slice's worth.
           size_t candidates = 0;
-          if (task_plans[i]->estimated_candidates >=
+          if (task_plan(i).estimated_candidates >=
               2.0 * static_cast<double>(min_slice)) {
-            candidates =
-                CountPlanCandidatesSeeded(*task_plans[i], *tasks[i].rule,
-                                          interp, *tasks[i].atom, exec);
+            candidates = CountPlanCandidatesSeeded(
+                task_plan(i), *groups[tasks[i].group].rule, interp,
+                *tasks[i].atom, exec);
           }
           size_t num_slices = NumSlicesFor(candidates, min_slice, threads);
           if (num_slices > 1) {
@@ -629,9 +644,7 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
       } else {
         AppendChunkTasks(
             tasks.size(), threads,
-            [&](size_t i) {
-              return 1.0 + task_plans[i]->estimated_candidates;
-            },
+            [&](size_t i) { return 1.0 + task_plan(i).estimated_candidates; },
             slice_tasks);
       }
       buffers.resize(slice_tasks.size());
@@ -642,8 +655,7 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
         if (cancel != nullptr && cancel->fired()) return;
         size_t task_claimed = 0;
         for (size_t u = slice_tasks[i].begin; u < slice_tasks[i].end; ++u) {
-          task_claimed += run_task(tasks[u], *task_plans[u], buffers[i],
-                                   slice_tasks[i].slice);
+          task_claimed += run_task(tasks[u], buffers[i], slice_tasks[i].slice);
         }
         claimed[i] = task_claimed;
       });
@@ -657,19 +669,21 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
     plans.AddActualRows(total_claimed);
     const int64_t merge_start =
         parallel->timing_enabled() ? MonotonicNanos() : 0;
-    for (auto& buffer : buffers) merge_deduped(buffer);
+    size_t total = 0;
+    for (const auto& buffer : buffers) total += buffer.size();
+    result.derivations.reserve(total);
+    for (auto& buffer : buffers) {
+      for (Derivation& d : buffer) result.derivations.push_back(std::move(d));
+    }
     if (parallel->timing_enabled()) {
       parallel->RecordMergeNs(
           static_cast<uint64_t>(MonotonicNanos() - merge_start));
     }
   } else {
-    std::vector<Derivation> buffer;
     size_t total_claimed = 0;
-    for (size_t i = 0; i < tasks.size(); ++i) {
+    for (const SeedTask& task : tasks) {
       if (cancel != nullptr && cancel->fired()) break;
-      buffer.clear();
-      total_claimed += run_task(tasks[i], *task_plans[i], buffer);
-      merge_deduped(buffer);
+      total_claimed += run_task(task, result.derivations);
     }
     plans.AddActualRows(total_claimed);
   }
@@ -678,13 +692,7 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
 }
 
 size_t ApplyDerivations(const std::vector<Derivation>& derivations,
-                        IInterpretation& interp, DeltaState* next_delta,
-                        DeltaAtoms* next_atoms) {
-  if (next_delta != nullptr) {
-    next_delta->initial = false;
-    next_delta->plus_changed.clear();
-    next_delta->minus_changed.clear();
-  }
+                        IInterpretation& interp, DeltaAtoms* next_atoms) {
   if (next_atoms != nullptr) {
     next_atoms->initial = false;
     next_atoms->plus.clear();
@@ -694,13 +702,9 @@ size_t ApplyDerivations(const std::vector<Derivation>& derivations,
   for (const Derivation& d : derivations) {
     if (!interp.AddMarked(d.action, d.atom, d.grounding)) continue;
     ++added;
-    const bool insert = d.action == ActionKind::kInsert;
-    if (next_delta != nullptr) {
-      (insert ? next_delta->plus_changed : next_delta->minus_changed)
-          .insert(d.atom.predicate());
-    }
     if (next_atoms != nullptr) {
-      (insert ? next_atoms->plus : next_atoms->minus).push_back(d.atom);
+      (d.action == ActionKind::kInsert ? next_atoms->plus : next_atoms->minus)
+          .push_back(d.atom);
     }
   }
   return added;

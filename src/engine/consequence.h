@@ -6,21 +6,21 @@
 // consistent case) or hands them to conflict construction (the
 // inconsistent case).
 //
-// All three Γ evaluators optionally run on a thread pool (see
-// ParallelGamma below). Parallel evaluation is an implementation detail,
-// never a semantic one: matching is read-only (the storage layer's lazy
-// index builds are hoisted out and the relations frozen for the section),
-// every task writes into its own buffer, and the buffers are merged in
-// task order — which is exactly the sequential enumeration order (rules
-// in program order; (rule, literal, seed-atom) triples in nested loop
-// order; candidate slices of one unit in ordinal order). The resulting
+// Both Γ evaluators optionally run on a thread pool (see ParallelGamma
+// below). Parallel evaluation is an implementation detail, never a
+// semantic one: matching is read-only (the storage layer's lazy index
+// builds are hoisted out and the relations frozen for the section), every
+// task writes into its own buffer, and the buffers are merged in task
+// order — which is exactly the sequential enumeration order (rules in
+// program order; (rule, literal, seed-atom) triples in nested loop order;
+// candidate slices of one unit in ordinal order). The resulting
 // derivation list, and hence every downstream artifact (traces,
 // conflicts, provenance, the fixpoint itself), is bit-identical to the
 // sequential engine's. docs/PARALLELISM.md spells out the argument.
 //
-// Task generation is two-level: a unit is a rule (ComputeGamma /
-// ComputeGammaFiltered) or a (rule, Δ-seed) pair (ComputeGammaSemiNaive),
-// and a unit whose first-literal candidate stream is large enough (see
+// Task generation is two-level: a unit is a rule (ComputeGamma) or a
+// (rule, Δ-seed) pair (ComputeGammaSemiNaive), and a unit whose
+// first-literal candidate stream is large enough (see
 // ParkOptions::min_slice_size) is split into [begin, end) candidate
 // slices, each its own pool task — so a single skewed rule no longer
 // serializes its whole section.
@@ -65,7 +65,7 @@ struct GammaResult {
   std::vector<GroundAtom> clashing_atoms;
 
   /// Number of rules whose bodies were actually matched (= program size
-  /// for ComputeGamma; possibly fewer for ComputeGammaFiltered).
+  /// for ComputeGamma; possibly fewer for ComputeGammaSemiNaive).
   size_t rules_evaluated = 0;
 
   // Scheduler counters (docs/SCHEDULER.md). `rules_considered` counts
@@ -74,9 +74,8 @@ struct GammaResult {
   // 0 on a quick-exited empty schedule. `rules_skipped` is the complement
   // of the rules matched (program size - rules_evaluated).
   // `pipeline_stages` is the number of strata groups among the scheduled
-  // rules — with a thread pool, the number of pool sections the
-  // delta-filtered call dispatched; 0 on full Γ calls. All three
-  // are schedule properties, invariant across thread counts.
+  // rules; 0 on full Γ calls. All three are schedule properties,
+  // invariant across thread counts.
   size_t rules_considered = 0;
   size_t rules_skipped = 0;
   size_t pipeline_stages = 0;
@@ -176,31 +175,33 @@ GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
                          ExecMode exec = ExecMode::kTuple,
                          ExecStats* exec_stats = nullptr);
 
-// --- Delta-filtered (semi-naive style) evaluation ---
+// --- Semi-naive evaluation (per-literal delta joins) ---
 //
 // Between two Γ applications of the same round, a rule can only produce a
-// NEW derivation if some body literal gained satisfying atoms since the
-// last step: positive and +event literals gain from new `+` marks of
-// their predicate, -event and negated literals gain from new `-` marks
-// (negation-by-absence only ever *loses* witnesses as I grows). Rules
-// whose body predicates saw no relevant new marks are skipped entirely.
-// The filtered result has exactly the same `newly_marked`, consistency
-// verdict, and new derivations as the full Γ; it may omit re-derivations
-// of already-present marks, so conflict construction (which needs maximal
-// ins/del sides) recomputes a full Γ when a clash is detected.
+// NEW derivation through a body literal that gained satisfying atoms since
+// the last step: positive and +event literals gain from new `+` marks of
+// their predicate, -event and negated literals from new `-` marks
+// (validity by absence can only be lost as I grows). So each new mark
+// SEEDS the body literals it can satisfy and only the completions of
+// those seeds are enumerated (ExecutePlanSeeded) — seeding is complete.
+// The result omits re-derivations of already-present marks, which is why
+// the evaluator recomputes a full Γ before building (maximal) conflicts.
+//
+// A grounding g whose body holds Δ atoms at several literals is reachable
+// from several seeds. It belongs to the FIRST such literal: the task
+// (r, i, a) drops g when some earlier literal j < i has lit_j(g) in the Δ
+// of j's sign class (Δ⁺ for positive and +event literals, Δ⁻ for negated
+// and -event ones), because the task (r, j, lit_j(g)) — earlier in task
+// order — emits g too. Each completion is thus derived exactly once, at
+// its first occurrence in task order, with no grounding set.
 
-/// Which predicates gained +/- marks in the previous Γ application.
-/// `initial` forces a full evaluation (start of a round / after restart).
+/// Which predicates gained +/- marks in the previous Γ application — the
+/// scheduler's changed-predicate key. `initial` marks a full evaluation
+/// (start of a round / after restart).
 struct DeltaState {
   bool initial = true;
   std::unordered_set<PredicateId> plus_changed;
   std::unordered_set<PredicateId> minus_changed;
-
-  void Reset() {
-    initial = true;
-    plus_changed.clear();
-    minus_changed.clear();
-  }
 };
 
 /// True if `rule` may produce a new derivation given `delta`. The
@@ -209,41 +210,8 @@ struct DeltaState {
 /// (rule_graph_test).
 bool RuleIsAffected(const Rule& rule, const DeltaState& delta);
 
-/// Γ(P,B)(I) restricted to affected rules. `rules_evaluated` in the result
-/// counts the rules actually matched.
-///
-/// `graph` (here and in ComputeGammaSemiNaive) is the program's dependency
-/// analysis (engine/rule_graph.h): the affected set comes from its watcher
-/// index in O(|changed predicates|), an empty schedule quick-exits
-/// without touching the pool or the plan cache, and the parallel path
-/// dispatches the affected rules stratum by stratum, prewarming each
-/// stage's plans separately and merging the stage buffers back into
-/// program order.
-GammaResult ComputeGammaFiltered(const Program& program,
-                                 const BlockedSet& blocked,
-                                 const IInterpretation& interp,
-                                 const DeltaState& delta,
-                                 const RuleDependencyGraph& graph,
-                                 PlanCache& plans,
-                                 ParallelGamma* parallel = nullptr,
-                                 CancellationToken* cancel = nullptr,
-                                 ExecMode exec = ExecMode::kTuple,
-                                 ExecStats* exec_stats = nullptr);
-
-// --- Semi-naive evaluation (per-literal delta joins) ---
-//
-// Strictly stronger than delta filtering: instead of fully re-matching
-// every affected rule, each new mark SEEDS the body literals it can
-// satisfy and only the completions of those seeds are enumerated
-// (ExecutePlanSeeded). Every genuinely new match contains at least
-// one literal that only a new mark satisfies — positive/+event literals
-// gain witnesses from new `+` marks, -event literals from new `-` marks,
-// and negated literals become valid only through new `-` marks (validity
-// by absence can only be lost as I grows) — so seeding is complete.
-// The result omits re-derivations of already-present marks, which is why
-// the evaluator recomputes a full Γ before building (maximal) conflicts.
-
-/// The actual atoms newly marked by the previous Γ application.
+/// The actual atoms newly marked by the previous Γ application (each at
+/// most once).
 struct DeltaAtoms {
   bool initial = true;
   std::vector<GroundAtom> plus;
@@ -258,8 +226,17 @@ struct DeltaAtoms {
 
 /// Γ(P,B)(I) as the set of seed-completions of `delta`. With
 /// `delta.initial`, identical to ComputeGamma. Derivations are
-/// duplicate-free. With `parallel`, the (rule, seed) completions fan out
-/// over the pool.
+/// duplicate-free, each at its first occurrence in (rule, literal,
+/// Δ-atom) task order. With `parallel`, the (rule, seed) completions fan
+/// out over the pool.
+///
+/// `graph` is the program's dependency analysis (engine/rule_graph.h):
+/// the rules that can hold a seed come from its watcher index in
+/// O(|changed predicates|), and an empty schedule quick-exits without
+/// touching the pool or the plan cache. Each (rule, seed literal) group
+/// fetches its plan once; a group whose earlier literal can only be
+/// satisfied by Δ atoms (its pre-Δ store lies inside Δ) owns no
+/// completion and is skipped whole.
 GammaResult ComputeGammaSemiNaive(const Program& program,
                                   const BlockedSet& blocked,
                                   const IInterpretation& interp,
@@ -273,12 +250,10 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
 
 /// Applies `derivations` to `interp` (AddMarked + provenance). The caller
 /// must have checked `consistent`. Returns the number of marked atoms that
-/// were new. When given, `next_delta` (delta-filtered Γ) is reset to the
-/// predicates that gained new marks and `next_atoms` (semi-naive Γ) to the
-/// newly marked atoms themselves — the delta the next step reads.
+/// were new. When given, `next_atoms` is reset to the newly marked atoms —
+/// the delta the next semi-naive step reads.
 size_t ApplyDerivations(const std::vector<Derivation>& derivations,
                         IInterpretation& interp,
-                        DeltaState* next_delta = nullptr,
                         DeltaAtoms* next_atoms = nullptr);
 
 }  // namespace park

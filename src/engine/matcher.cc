@@ -1404,7 +1404,15 @@ std::string ExplainPlanLine(const PlanExplanation& explanation) {
   }
   if (explanation.replan) out << " (replan)";
   out << ":";
-  if (explanation.steps.empty()) out << " <empty body>";
+  if (explanation.steps.empty()) {
+    // No step left to run: the seed literal alone covers a one-literal
+    // body; only a body-less rule is truly empty.
+    if (explanation.seed_index >= 0) {
+      out << " lit" << explanation.seed_index << "[seed]";
+    } else {
+      out << " <empty body>";
+    }
+  }
   for (size_t i = 0; i < explanation.steps.size(); ++i) {
     const PlanExplanation::Step& step = explanation.steps[i];
     if (i > 0) out << " ->";

@@ -330,7 +330,8 @@ class PlanCache {
 PlanExplanation ExplainPlan(const CompiledPlan& plan, bool replan = false);
 
 /// Renders a one-line summary ("plan rule=2 seed=1: lit3[probe c0 ~12
-/// rows] -> lit1[filter]") for traces and EXPLAIN.
+/// rows] -> lit1[filter]") for traces and EXPLAIN. A seeded plan with no
+/// step left renders its seed literal ("lit0[seed]").
 std::string ExplainPlanLine(const PlanExplanation& explanation);
 
 }  // namespace park

@@ -16,12 +16,9 @@
 // and assigns each rule a STRATUM: the longest feed path from any source
 // component to the rule's component. Rules in one stratum never feed each
 // other through rules of later strata, so a Γ section's affected set
-// partitions into strata-ordered pipeline stages the parallel evaluator
-// dispatches as separate pool sections, prewarming each stage's plans
-// (and indexes) right before the stage runs. Scheduling NEVER changes
-// results: the affected set equals RuleIsAffected's by construction
-// (rule_graph_test), and staged buffers are merged back into program
-// order (scheduler_oracle_test pins staged runs against sequential ones).
+// partitions into strata-ordered stages, reported as the section's
+// pipeline_stages counter. Scheduling NEVER changes results: the affected
+// set equals RuleIsAffected's by construction (rule_graph_test).
 
 #ifndef PARK_ENGINE_RULE_GRAPH_H_
 #define PARK_ENGINE_RULE_GRAPH_H_
@@ -35,8 +32,8 @@
 namespace park {
 
 /// One Γ section's schedule: the affected rules (program order — exactly
-/// the set ComputeGammaFiltered's RuleIsAffected scan would select) plus
-/// their partition into strata-ordered stages for pipelined dispatch.
+/// the set a RuleIsAffected scan would select) plus their partition into
+/// strata-ordered stages.
 struct GammaSchedule {
   /// Affected rule indexes, ascending (= program order).
   std::vector<int> rules;
@@ -73,16 +70,10 @@ class RuleDependencyGraph {
   /// Distinct rule → rule feed edges (self-loops included).
   size_t num_edges() const { return num_edges_; }
 
-  /// The schedule for a delta-filtered Γ section: affected rules gathered
+  /// The schedule for a semi-naive Γ section: affected rules gathered
   /// through the watcher index (identical, by construction, to the set
   /// {r : RuleIsAffected(r, delta)}), partitioned into stages by stratum.
   GammaSchedule Schedule(const DeltaState& delta) const;
-
-  /// Partitions an already-computed affected set (ascending rule indexes)
-  /// into strata-ordered stages. Exposed for the semi-naive path, which
-  /// derives its affected set from seed tasks.
-  std::vector<std::vector<int>> StagesFor(
-      const std::vector<int>& rules) const;
 
   /// Every rule transitively reachable from marks of the given polarities:
   /// the closure of the watcher wake-up relation starting from `+` marks
@@ -96,6 +87,11 @@ class RuleDependencyGraph {
       const;
 
  private:
+  /// Partitions an affected set (ascending rule indexes) into
+  /// strata-ordered stages.
+  std::vector<std::vector<int>> StagesFor(
+      const std::vector<int>& rules) const;
+
   using WatcherIndex = std::unordered_map<PredicateId, std::vector<int>>;
 
   const std::vector<int>& Watchers(const WatcherIndex& index,

@@ -19,7 +19,7 @@ namespace park {
 /// (`cq(X) -> +cs(X)`, `cs(X) -> +cq(X)`) so the dependency graph has a
 /// non-trivial SCC. Total rules: chains * levels + 2.
 ///
-/// Under delta-filtered evaluation the run takes ~`levels` Γ steps, each
+/// Under semi-naive evaluation the run takes ~`levels` Γ steps, each
 /// affecting exactly `chains` rules — so an unscheduled step scans
 /// chains * levels rules to find `chains`, while the scheduled step pays
 /// O(1) watcher lookups. The final step's delta wakes no rule at all

@@ -91,8 +91,7 @@ struct Config {
 
 std::vector<Config> AllConfigs() {
   std::vector<Config> configs;
-  for (GammaMode gamma : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
-                          GammaMode::kSemiNaive}) {
+  for (GammaMode gamma : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
     for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
       for (int threads : {1, 4}) configs.push_back({gamma, exec, threads});
     }

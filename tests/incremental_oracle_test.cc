@@ -49,7 +49,7 @@ struct ScriptOutcome {
 
 struct Config {
   MaintenanceMode maint = MaintenanceMode::kOff;
-  GammaMode gamma = GammaMode::kDeltaFiltered;
+  GammaMode gamma = GammaMode::kSemiNaive;
   ExecMode exec = ExecMode::kTuple;
   int threads = 1;
 };
@@ -69,7 +69,9 @@ ScriptOutcome RunScript(const std::string& rules, const std::string& facts,
   ScriptOutcome outcome;
   ActiveDatabase db;
   EXPECT_TRUE(db.LoadRules(rules).ok());
-  if (!facts.empty()) EXPECT_TRUE(db.LoadFacts(facts).ok());
+  if (!facts.empty()) {
+    EXPECT_TRUE(db.LoadFacts(facts).ok());
+  }
   EXPECT_TRUE(db.Configure(OptionsFor(config)).ok());
   EXPECT_TRUE(db.Stabilize().ok());
   for (const std::vector<std::string>& commit : script) {
@@ -114,7 +116,6 @@ void ExpectSameResults(const ScriptOutcome& reference,
 const char* GammaName(GammaMode mode) {
   switch (mode) {
     case GammaMode::kNaive: return "naive";
-    case GammaMode::kDeltaFiltered: return "delta-filtered";
     case GammaMode::kSemiNaive: return "semi-naive";
   }
   return "?";
@@ -166,8 +167,7 @@ void ExpectMaintenanceInvisible(const std::string& rules,
   Config reference_config;  // maintenance off, threads 1
   ScriptOutcome reference = RunScript(rules, facts, script, reference_config);
   uint64_t total_maintained = 0;
-  for (GammaMode gamma : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
-                          GammaMode::kSemiNaive}) {
+  for (GammaMode gamma : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
     for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
       for (int threads : {1, 4}) {
         for (MaintenanceMode maint :

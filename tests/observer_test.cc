@@ -119,7 +119,7 @@ TEST(ObserverTest, ParkFiresEventsInStructuralOrder) {
   EXPECT_TRUE(log.Has("gamma step=0"));
   // run_start reports the resolved configuration.
   EXPECT_EQ(log.events[0],
-            "run_start rules=5 threads=1 mode=delta_filtered");
+            "run_start rules=5 threads=1 mode=semi_naive");
 }
 
 TEST(ObserverTest, StepperFiresSameEventSkeleton) {

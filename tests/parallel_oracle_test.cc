@@ -67,7 +67,6 @@ RunOutcome RunWithThreads(const Program& program, const Database& db,
 const char* ModeName(GammaMode mode) {
   switch (mode) {
     case GammaMode::kNaive: return "naive";
-    case GammaMode::kDeltaFiltered: return "delta-filtered";
     case GammaMode::kSemiNaive: return "semi-naive";
   }
   return "?";
@@ -75,8 +74,7 @@ const char* ModeName(GammaMode mode) {
 
 void ExpectThreadCountsAgree(const Program& program, const Database& db,
                              PolicyPtr policy = nullptr) {
-  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
-                         GammaMode::kSemiNaive}) {
+  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
     SCOPED_TRACE(ModeName(mode));
     RunOutcome sequential = RunWithThreads(program, db, mode, 1, policy);
     for (int threads : {2, 4}) {
@@ -226,8 +224,7 @@ Workload MakeSkewedJoinWorkload() {
 
 TEST(ParallelOracleTest, SkewedRuleSlicingAgrees) {
   Workload w = MakeSkewedJoinWorkload();
-  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
-                         GammaMode::kSemiNaive}) {
+  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
     SCOPED_TRACE(ModeName(mode));
     RunOutcome sequential = RunWithThreads(w.program, w.database, mode, 1);
     for (size_t min_slice_size : {size_t{1}, size_t{7},

@@ -62,7 +62,6 @@ RunOutcome RunConfig(const Program& program, const Database& db,
 const char* ModeName(GammaMode mode) {
   switch (mode) {
     case GammaMode::kNaive: return "naive";
-    case GammaMode::kDeltaFiltered: return "delta-filtered";
     case GammaMode::kSemiNaive: return "semi-naive";
   }
   return "?";
@@ -72,8 +71,7 @@ const char* ModeName(GammaMode mode) {
 /// every thread count must reproduce its database, blocked set,
 /// counters, trace history, and provenance.
 void ExpectSweepAgrees(const Program& program, const Database& db) {
-  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
-                         GammaMode::kSemiNaive}) {
+  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
     SCOPED_TRACE(ModeName(mode));
     RunOutcome oracle = RunConfig(program, db, mode, 1);
     for (int threads : {2, 4}) {
@@ -176,8 +174,7 @@ TEST(PlannerOracleTest, PlannerCountersAreThreadInvariant) {
   // partition — so every planner counter must be independent of the
   // thread count.
   Workload w = MakeTransitiveClosureWorkload(GraphShape::kRandom, 14, 40, 3);
-  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
-                         GammaMode::kSemiNaive}) {
+  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
     SCOPED_TRACE(ModeName(mode));
     ParkStats base;
     RunConfig(w.program, w.database, mode, 1, &base);
@@ -219,8 +216,7 @@ TEST(PlannerOracleTest, SteppedEvaluationMatchesBatch) {
 /// batch thread count must reproduce its database, blocked set,
 /// counters, trace history, and provenance.
 void ExpectExecSweepAgrees(const Program& program, const Database& db) {
-  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
-                         GammaMode::kSemiNaive}) {
+  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
     SCOPED_TRACE(ModeName(mode));
     RunOutcome oracle = RunConfig(program, db, mode, 1);
     for (int threads : {1, 2, 4, 8}) {
@@ -309,8 +305,7 @@ TEST(PlannerOracleTest, BatchCountersAreThreadInvariant) {
   // counters are sums over a disjoint partition of the same stream, so
   // the storage and exec stats must be independent of the thread count.
   Workload w = MakeTransitiveClosureWorkload(GraphShape::kRandom, 14, 40, 3);
-  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
-                         GammaMode::kSemiNaive}) {
+  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
     SCOPED_TRACE(ModeName(mode));
     ParkStats base;
     RunConfig(w.program, w.database, mode, 1, &base, ExecMode::kBatch);

@@ -208,6 +208,26 @@ TEST_F(PlannerTest, CompileListenerSeesEveryCompile) {
   EXPECT_NE(lines[1].find("(replan)"), std::string::npos);
 }
 
+TEST_F(PlannerTest, ExplainRendersTheSeedOfAOneLiteralBody) {
+  // Seeding a one-literal body leaves no step to run; the line names the
+  // seed literal instead of claiming the body is empty.
+  Program program = MustProgram("r: p(X) -> +q(X). s: p(X), q(X) -> +r(X).");
+  Database db = MustDb("p(a). q(a).");
+  IInterpretation interp(&db);
+  PlanCache cache(program);
+  EXPECT_EQ(ExplainPlanLine(ExplainPlan(cache.Get(program.rules()[0], 0,
+                                                  interp))),
+            "plan rule=0 seed=0: lit0[seed]");
+  const std::string unseeded =
+      ExplainPlanLine(ExplainPlan(cache.Get(program.rules()[0], -1, interp)));
+  EXPECT_EQ(unseeded.find("plan rule=0: lit0["), 0u) << unseeded;
+  const std::string two_literals =
+      ExplainPlanLine(ExplainPlan(cache.Get(program.rules()[1], 1, interp)));
+  EXPECT_EQ(two_literals.find("plan rule=1 seed=1: lit0["), 0u)
+      << two_literals;
+  EXPECT_EQ(two_literals.find("[seed]"), std::string::npos) << two_literals;
+}
+
 // --- index requirements (the prewarm contract) -----------------------------
 
 std::string RenderRequirements(const IndexRequirements& reqs) {

@@ -37,7 +37,7 @@ struct RunOutcome {
 };
 
 struct Config {
-  GammaMode gamma = GammaMode::kDeltaFiltered;
+  GammaMode gamma = GammaMode::kSemiNaive;
   ExecMode exec = ExecMode::kTuple;
   int threads = 1;
 };
@@ -71,7 +71,6 @@ RunOutcome RunConfig(const Program& program, const Database& db,
 const char* GammaName(GammaMode mode) {
   switch (mode) {
     case GammaMode::kNaive: return "naive";
-    case GammaMode::kDeltaFiltered: return "delta-filtered";
     case GammaMode::kSemiNaive: return "semi-naive";
   }
   return "?";
@@ -84,8 +83,7 @@ void ExpectSchedulerInvisible(const Program& program, const Database& db) {
   Config naive_config;
   naive_config.gamma = GammaMode::kNaive;
   const RunOutcome naive = RunConfig(program, db, naive_config);
-  for (GammaMode gamma : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
-                          GammaMode::kSemiNaive}) {
+  for (GammaMode gamma : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
     for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
       SCOPED_TRACE(StrFormat("gamma=%s exec=%s", GammaName(gamma),
                              exec == ExecMode::kBatch ? "batch" : "tuple"));

@@ -41,8 +41,7 @@ TEST(StatsInvarianceTest, CountersIdenticalAcrossThreadCounts) {
   Workload w = MakeTransitiveClosureWorkload(GraphShape::kRandom,
                                              /*num_nodes=*/64,
                                              /*num_edges=*/256, /*seed=*/7);
-  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
-                         GammaMode::kSemiNaive}) {
+  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
     ParkOptions sequential;
     sequential.gamma_mode = mode;
     sequential.num_threads = 1;
@@ -94,39 +93,34 @@ TEST(StatsInvarianceTest, FieldLevelCountersMatchToo) {
 TEST(StatsInvarianceTest, PlannerCountersInvariantAcrossThreads) {
   // The drift-envelope replan statistics (and every other planner
   // counter) come from the coordinator's plan fetches, which happen in
-  // unit order whether the scheduled rules run on the pool — staged by
-  // stratum — or sequentially.
+  // unit order whether the scheduled rules run on the pool or
+  // sequentially.
   Workload w = MakeKiloruleWorkload(/*chains=*/4, /*levels=*/12,
                                     /*facts=*/2);
-  for (GammaMode mode :
-       {GammaMode::kDeltaFiltered, GammaMode::kSemiNaive}) {
-    ParkOptions reference;
-    reference.gamma_mode = mode;
-    reference.num_threads = 1;
-    auto ref = Park(w.program, w.database, reference);
-    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-    const std::string ref_json = ref->stats.ToJson();
-    const std::string ref_planner = PlannerSection(ref_json);
-    const std::string ref_counters = CountersSection(ref_json);
+  ParkOptions reference;
+  reference.gamma_mode = GammaMode::kSemiNaive;
+  reference.num_threads = 1;
+  auto ref = Park(w.program, w.database, reference);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  const std::string ref_json = ref->stats.ToJson();
+  const std::string ref_planner = PlannerSection(ref_json);
+  const std::string ref_counters = CountersSection(ref_json);
 
-    for (int threads : {2, 4}) {
-      ParkOptions parallel = reference;
-      parallel.num_threads = threads;
-      auto run = Park(w.program, w.database, parallel);
-      ASSERT_TRUE(run.ok()) << run.status().ToString();
-      const std::string json = run->stats.ToJson();
-      EXPECT_EQ(PlannerSection(json), ref_planner)
-          << "gamma mode " << static_cast<int>(mode) << " at " << threads
-          << " thread(s): planner counters must not see the pool";
-      EXPECT_EQ(CountersSection(json), ref_counters);
-      EXPECT_EQ(run->stats.plans_compiled, ref->stats.plans_compiled);
-      EXPECT_EQ(run->stats.plan_cache_hits, ref->stats.plan_cache_hits);
-      EXPECT_EQ(run->stats.plan_replans, ref->stats.plan_replans);
-      EXPECT_EQ(run->stats.planner_estimated_rows,
-                ref->stats.planner_estimated_rows);
-      EXPECT_EQ(run->stats.planner_actual_rows,
-                ref->stats.planner_actual_rows);
-    }
+  for (int threads : {2, 4}) {
+    ParkOptions parallel = reference;
+    parallel.num_threads = threads;
+    auto run = Park(w.program, w.database, parallel);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const std::string json = run->stats.ToJson();
+    EXPECT_EQ(PlannerSection(json), ref_planner)
+        << threads << " thread(s): planner counters must not see the pool";
+    EXPECT_EQ(CountersSection(json), ref_counters);
+    EXPECT_EQ(run->stats.plans_compiled, ref->stats.plans_compiled);
+    EXPECT_EQ(run->stats.plan_cache_hits, ref->stats.plan_cache_hits);
+    EXPECT_EQ(run->stats.plan_replans, ref->stats.plan_replans);
+    EXPECT_EQ(run->stats.planner_estimated_rows,
+              ref->stats.planner_estimated_rows);
+    EXPECT_EQ(run->stats.planner_actual_rows, ref->stats.planner_actual_rows);
   }
 }
 

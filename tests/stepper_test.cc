@@ -296,8 +296,7 @@ TEST(StepperTest, ParkParkDiffAndSteppingAreOneLoop) {
   for (int trial = 0; trial < 8; ++trial) {
     SCOPED_TRACE(StrFormat("trial %d", trial));
     RandomCase c = MakeRandomCase(rng);
-    for (GammaMode mode : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
-                           GammaMode::kSemiNaive}) {
+    for (GammaMode mode : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
       for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
         for (int threads : {1, 4}) {
           SCOPED_TRACE(StrFormat("mode=%d exec=%d threads=%d",
@@ -323,8 +322,7 @@ TEST(StepperTest, OneLoopOnTheConflictWorkload) {
   // The paper's irreflexive-graph program: conflicts, SELECT, and
   // restarts dominate, with a custom policy.
   Workload w = MakeIrreflexiveGraphWorkload(8);
-  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kDeltaFiltered,
-                         GammaMode::kSemiNaive}) {
+  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
     SCOPED_TRACE(static_cast<int>(mode));
     ParkOptions options;
     options.gamma_mode = mode;
@@ -370,7 +368,7 @@ TEST(StepperTest, EmptyWatchedDeltaQuickExits) {
       "r1: a0 -> +a1. r2: a1 -> +a2. r3: a2 -> +a3.", symbols);
   Database db = MustParseDatabase("a0.", symbols);
   ParkOptions options;
-  options.gamma_mode = GammaMode::kDeltaFiltered;
+  options.gamma_mode = GammaMode::kSemiNaive;
   ParkStepper stepper(program, db, options);
   std::vector<size_t> considered;
   while (!stepper.done()) {
