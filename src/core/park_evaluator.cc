@@ -132,8 +132,6 @@ std::string ParkStats::ToJson() const {
   w.Key("scheduler").BeginObject();
   w.Key("rules_considered").UInt(sched_rules_considered);
   w.Key("rules_skipped").UInt(sched_rules_skipped);
-  w.Key("strata").UInt(sched_strata);
-  w.Key("pipeline_stages").UInt(sched_pipeline_stages);
   w.EndObject();
   w.Key("resource").BeginObject();
   w.Key("memory_limit_bytes").UInt(memory_limit_bytes);
@@ -221,7 +219,6 @@ void RecordGammaSection(const GammaResult& gamma, ParkStats& stats) {
   stats.rule_evaluations += gamma.rules_evaluated;
   stats.sched_rules_considered += gamma.rules_considered;
   stats.sched_rules_skipped += gamma.rules_skipped;
-  stats.sched_pipeline_stages += gamma.pipeline_stages;
 }
 
 void RecordPlannerStats(const PlanCache& plans, ParkStats& stats) {

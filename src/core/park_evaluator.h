@@ -225,19 +225,13 @@ struct ParkStats {
   size_t planner_estimated_rows = 0;
   size_t planner_actual_rows = 0;
   // Scheduler counters (see docs/SCHEDULER.md), summed over every Γ call
-  // of the run. Thread- and schedule-partition-invariant: the affected
-  // set and its stage structure are properties of the delta, never of
-  // the pool. `sched_rules_considered` counts rules examined for
-  // affectedness (the whole program on a full Γ, watcher hits on a
-  // scheduled step, 0 on quick-exited steps); `sched_rules_skipped`
-  // counts rules not matched; `sched_strata` is the static stratum count
-  // of the program's dependency graph (0 under naive Γ, which builds
-  // none); `sched_pipeline_stages` sums the per-step stratum groups among
-  // scheduled rules.
+  // of the run. Thread-invariant: the affected set is a property of the
+  // delta, never of the pool. `sched_rules_considered` counts rules
+  // examined for affectedness (the whole program on a full Γ, watcher
+  // hits on a scheduled step, 0 on quick-exited steps);
+  // `sched_rules_skipped` counts rules not matched.
   size_t sched_rules_considered = 0;
   size_t sched_rules_skipped = 0;
-  size_t sched_strata = 0;
-  size_t sched_pipeline_stages = 0;
   // Resource-governance counters (see ParkOptions::{deadline_ms,
   // max_memory_bytes, max_derivations, cancel} and docs/ROBUSTNESS.md).
   // The limits echo the options; peak_memory_bytes is the high-water mark

@@ -157,7 +157,6 @@ void ParkStepper::Start() {
   stats_.maintenance_mode = options_.maintenance_mode;
   stats_.memory_limit_bytes = options_.max_memory_bytes;
   stats_.derivation_limit = options_.max_derivations;
-  if (graph_ != nullptr) stats_.sched_strata = graph_->num_strata();
   stats_.timings.collected = options_.collect_timings;
   cancel_ = ArmRunToken(token_, options_, start_time_);
   if (options_.collect_timings) run_start_ns_ = MonotonicNanos();

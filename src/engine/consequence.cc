@@ -1,6 +1,7 @@
 #include "engine/consequence.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -43,67 +44,107 @@ void AnalyzeDerivations(const IInterpretation& interp, GammaResult& result) {
   result.consistent = result.clashing_atoms.empty();
 }
 
-/// Appends every firable, non-blocked grounding of `rule` (restricted to
-/// first-literal candidates in `slice`; full slice = whole rule) to `out`
-/// by executing the rule's compiled `plan`. Returns the number of claimed
-/// step-0 candidates — the planner's actual-rows counter.
-size_t MatchRule(const Rule& rule, const BlockedSet& blocked,
-                 const IInterpretation& interp, const CompiledPlan& plan,
-                 std::vector<Derivation>& out,
-                 CandidateSlice slice = CandidateSlice{},
-                 CancellationToken* cancel = nullptr,
-                 ExecMode exec = ExecMode::kTuple,
-                 ExecStats* exec_stats = nullptr) {
-  // Governance: each derivation is charged to the token's work budget and
-  // the output buffer's capacity to its memory budget (UpdateScope is a
-  // no-op branch while the capacity is unchanged). A fired token stops
-  // emission — the partial buffer is discarded by the evaluator.
-  CancellationToken::MemoryScope mem_scope;
-  auto emit = [&](const Tuple& binding) {
-    if (cancel != nullptr && cancel->fired()) return;
-    RuleGrounding grounding(rule.index(), binding);
-    if (blocked.contains(grounding)) return;
-    GroundAtom head = rule.head().atom.Ground(binding.values());
-    out.push_back(Derivation{
-        std::move(grounding), rule.head().action, std::move(head)});
-    if (cancel != nullptr) {
-      cancel->ChargeWork(1);
-      cancel->UpdateScope(mem_scope, out.capacity() * sizeof(Derivation));
-    }
-  };
-  const size_t claimed =
-      ExecutePlan(plan, rule, interp, slice, emit, cancel, exec, exec_stats);
-  if (cancel != nullptr) cancel->CloseScope(mem_scope);
-  return claimed;
+// --- Semi-naive seed ownership ---
+
+/// Δ atoms of one sign class, bucketed by predicate in Δ order.
+using DeltaBuckets =
+    std::unordered_map<PredicateId, std::vector<const GroundAtom*>>;
+
+/// The Δ atoms of one predicate as a tuple set, probed by span (no Tuple
+/// is materialized per probe).
+using DeltaTupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
+
+/// True for the literal kinds seeded by (and owning through) Δ⁺ —
+/// positive and +event literals; negated and -event literals go with Δ⁻.
+bool SeededByPlus(LiteralKind kind) {
+  return kind == LiteralKind::kPositive || kind == LiteralKind::kEventInsert;
 }
 
-/// MatchRule over the rule's whole candidate stream with its cached plan,
-/// feeding the cache's estimated/actual row counters.
-void MatchRuleSequential(const Rule& rule, const BlockedSet& blocked,
-                         const IInterpretation& interp, PlanCache& plans,
-                         std::vector<Derivation>& out,
-                         CancellationToken* cancel, ExecMode exec,
-                         ExecStats* exec_stats) {
-  const CompiledPlan& plan = plans.Get(rule, /*seed_index=*/-1, interp);
-  plans.AddEstimatedRows(plan.estimated_candidates);
-  plans.AddActualRows(MatchRule(rule, blocked, interp, plan, out,
-                                CandidateSlice{}, cancel, exec, exec_stats));
+/// True iff every atom that can satisfy `lit` in I is one of the
+/// `delta_count` Δ atoms of its predicate and class — its pre-Δ store
+/// (base ∪ plus for a positive literal, plus for +event, minus for
+/// -event) lies inside Δ, which holds those atoms. O(1): relation sizes
+/// only. Negated literals hold by absence, so never.
+bool StoreInsideDelta(const BodyLiteral& lit, const IInterpretation& interp,
+                      size_t delta_count) {
+  auto rows = [&](const Database& db) -> size_t {
+    const Relation* rel = db.GetRelation(lit.atom.predicate);
+    return rel != nullptr ? rel->size() : 0;
+  };
+  switch (lit.kind) {
+    case LiteralKind::kPositive:
+      return rows(interp.base()) == 0 && rows(interp.plus()) == delta_count;
+    case LiteralKind::kEventInsert:
+      return rows(interp.plus()) == delta_count;
+    case LiteralKind::kEventDelete:
+      return rows(interp.minus()) == delta_count;
+    case LiteralKind::kNegated:
+      return false;
+  }
+  return false;
 }
+
+/// An earlier body literal j of a seed group whose predicate has Δ atoms
+/// of j's class: a completion g with lit_j(g) among `atoms` is also a
+/// completion of the earlier seed (r, j, lit_j(g)), which owns it.
+struct OwnerProbe {
+  const AtomPattern* atom;
+  const DeltaTupleSet* atoms;
+};
+
+/// True iff some owner probe claims the completion `binding` (`key` is
+/// reused scratch).
+bool OwnedByEarlierSeed(std::span<const OwnerProbe> owners,
+                        const Tuple& binding, std::vector<Value>& key) {
+  for (const OwnerProbe& owner : owners) {
+    key.clear();
+    for (const Term& term : owner.atom->terms) {
+      key.push_back(term.is_constant() ? term.constant()
+                                       : binding[term.var_index()]);
+    }
+    if (owner.atoms->contains(TupleSpan{key.data(), key.size()})) return true;
+  }
+  return false;
+}
+
+// --- Γ units and their one runner ---
+
+/// One Γ evaluation unit: `rule` matched through its cached `plan`, either
+/// whole (`seed` null: full Γ) or from one Δ atom at the plan's seed
+/// literal (semi-naive), dropping the completions `owners` assign to an
+/// earlier seed. Plans are fetched on the coordinator before any parallel
+/// freeze: compiling can grow the cache's index requirements, which the
+/// freeze's prewarm must already include.
+struct GammaUnit {
+  const Rule* rule;
+  const CompiledPlan* plan;
+  const GroundAtom* seed;
+  std::span<const OwnerProbe> owners;
+};
 
 // --- Intra-rule slicing policy ---
 //
-// A unit (one rule, or one (rule, Δ-seed) pair) is split into candidate
-// slices only when splitting can pay for the counting pass: the section
-// must not already have ample units to fill the pool, and the unit's
-// first-literal candidate stream must be big enough that every slice
-// carries at least min_slice_size candidates. The resulting partition
-// NEVER affects the merged derivation list (slices of a unit concatenate
-// back to the unit's sequential enumeration), so any policy change here
-// is a pure performance knob.
+// A unit is split into candidate slices only when splitting can pay for
+// the counting pass: the section must not already have ample units to
+// fill the pool, and the unit's first-literal candidate stream must be
+// big enough that every slice carries at least min_slice_size
+// candidates. The resulting partition NEVER affects the merged
+// derivation list (slices of a unit concatenate back to the unit's
+// sequential enumeration), so any policy change here is a pure
+// performance knob.
 
 /// Slice-task fan-out cap per unit, in multiples of the pool size; also
 /// the unit-count threshold above which sections skip slicing entirely.
 constexpr size_t kSlicesPerThread = 4;
+
+/// One pool task: the units [begin, end), each restricted to `slice`. A
+/// sliced task always covers exactly one unit; a chunk task covers a run
+/// of whole units.
+struct UnitTask {
+  size_t begin;
+  size_t end;
+  CandidateSlice slice;
+};
 
 /// True if a section with `units` tasks should consider splitting them.
 bool ShouldConsiderSlicing(size_t units, int threads) {
@@ -121,14 +162,11 @@ size_t NumSlicesFor(size_t candidates, size_t min_slice_size, int threads) {
 
 /// Appends the `num_slices`-way partition of [0, candidates) for `unit`.
 /// The last slice is open-ended (kSliceEnd) so coverage never depends on
-/// the counted total. Tasks are [begin, end) unit ranges so the same task
-/// shape also carries the multi-unit chunks of AppendChunkTasks; a sliced
-/// task always covers exactly one unit.
-template <typename Task>
+/// the counted total.
 void AppendSliceTasks(size_t unit, size_t candidates, size_t num_slices,
-                      std::vector<Task>& out) {
+                      std::vector<UnitTask>& out) {
   if (num_slices <= 1) {
-    out.push_back(Task{unit, unit + 1, CandidateSlice{}});
+    out.push_back(UnitTask{unit, unit + 1, CandidateSlice{}});
     return;
   }
   for (size_t s = 0; s < num_slices; ++s) {
@@ -136,7 +174,7 @@ void AppendSliceTasks(size_t unit, size_t candidates, size_t num_slices,
     slice.begin = candidates * s / num_slices;
     slice.end = s + 1 == num_slices ? CandidateSlice::kSliceEnd
                                     : candidates * (s + 1) / num_slices;
-    out.push_back(Task{unit, unit + 1, slice});
+    out.push_back(UnitTask{unit, unit + 1, slice});
   }
 }
 
@@ -147,9 +185,9 @@ void AppendSliceTasks(size_t unit, size_t candidates, size_t num_slices,
 /// buffer overhead that can swamp the matching itself — the regression
 /// profile of fine-grained ECA workloads. Chunks preserve unit order, so
 /// the merged buffers still concatenate to the sequential enumeration.
-template <typename Task, typename WeightFn>
+template <typename WeightFn>
 void AppendChunkTasks(size_t units, int threads, WeightFn weight,
-                      std::vector<Task>& out) {
+                      std::vector<UnitTask>& out) {
   const size_t num_chunks =
       kSlicesPerThread * static_cast<size_t>(threads);
   double total_weight = 0;
@@ -163,7 +201,7 @@ void AppendChunkTasks(size_t units, int threads, WeightFn weight,
                acc >= total_weight * static_cast<double>(chunk + 1) /
                           static_cast<double>(num_chunks);
     if (cut || i + 1 == units) {
-      out.push_back(Task{begin, i + 1, CandidateSlice{}});
+      out.push_back(UnitTask{begin, i + 1, CandidateSlice{}});
       begin = i + 1;
       ++chunk;
     }
@@ -219,53 +257,82 @@ class FrozenInterpretation {
   const IInterpretation& interp_;
 };
 
-/// Fans rule matching out over the pool as a flat (rule, slice) task
-/// list — skewed rules are split into candidate slices — then
-/// concatenates the per-task buffers in task order: rules in program
-/// order, slices of one rule in ordinal order. That is exactly the order
-/// the sequential loop produces.
-void MatchRulesParallel(const std::vector<const Rule*>& rules,
-                        const BlockedSet& blocked,
-                        const IInterpretation& interp,
-                        ParallelGamma& parallel, PlanCache& plans,
-                        std::vector<Derivation>& out,
-                        CancellationToken* cancel = nullptr,
-                        ExecMode exec = ExecMode::kTuple,
-                        ExecStats* exec_stats = nullptr) {
-  struct RuleSliceTask {
-    size_t begin;  // [begin, end) of `rules`; sliced tasks cover one unit
-    size_t end;
-    CandidateSlice slice;
+/// Appends the derivations of `units` to `out` in unit order and feeds
+/// the cache's actual-rows counter. Sequentially, the units run one after
+/// another. With `parallel`, they fan out over the pool as a flat task
+/// list — large units split into candidate slices, many small units
+/// grouped into chunks — and the per-task buffers are concatenated in
+/// task order, which is exactly the sequential order: ownership is
+/// decided per completion, never per buffer.
+void RunUnits(const std::vector<GammaUnit>& units, const BlockedSet& blocked,
+              const IInterpretation& interp, PlanCache& plans,
+              ParallelGamma* parallel, CancellationToken* cancel,
+              ExecMode exec, ExecStats* exec_stats,
+              std::vector<Derivation>& out) {
+  // Matches one unit, restricted to first-literal candidates in `slice`,
+  // into `buffer`; returns the claimed step-0 candidates (the planner's
+  // actual-rows counter). Governance: each derivation is charged to the
+  // token's work budget and the buffer's capacity to its memory budget
+  // (UpdateScope is a no-op branch while the capacity is unchanged). A
+  // fired token stops emission — the evaluator discards the partial Γ.
+  auto run = [&](const GammaUnit& unit, CandidateSlice slice,
+                 std::vector<Derivation>& buffer) -> size_t {
+    const Rule& rule = *unit.rule;
+    std::vector<Value> key;  // ownership probe scratch
+    CancellationToken::MemoryScope mem_scope;
+    auto emit = [&](const Tuple& binding) {
+      if (cancel != nullptr && cancel->fired()) return;
+      if (OwnedByEarlierSeed(unit.owners, binding, key)) return;
+      RuleGrounding grounding(rule.index(), binding);
+      if (blocked.contains(grounding)) return;
+      GroundAtom head = rule.head().atom.Ground(binding.values());
+      buffer.push_back(Derivation{
+          std::move(grounding), rule.head().action, std::move(head)});
+      if (cancel != nullptr) {
+        cancel->ChargeWork(1);
+        cancel->UpdateScope(mem_scope,
+                            buffer.capacity() * sizeof(Derivation));
+      }
+    };
+    const size_t claimed = ExecutePlan(*unit.plan, rule, interp, unit.seed,
+                                       slice, emit, cancel, exec, exec_stats);
+    if (cancel != nullptr) cancel->CloseScope(mem_scope);
+    return claimed;
   };
-  // Plan fetch happens on the coordinator BEFORE the freeze: compiling can
-  // grow the cache's index requirements, which the prewarm below must
-  // already include.
-  std::vector<const CompiledPlan*> rule_plans(rules.size(), nullptr);
-  for (size_t i = 0; i < rules.size(); ++i) {
-    rule_plans[i] = &plans.Get(*rules[i], /*seed_index=*/-1, interp);
-    plans.AddEstimatedRows(rule_plans[i]->estimated_candidates);
+
+  if (parallel == nullptr || units.empty()) {
+    size_t claimed = 0;
+    for (const GammaUnit& unit : units) {
+      if (cancel != nullptr && cancel->fired()) break;
+      claimed += run(unit, CandidateSlice{}, out);
+    }
+    plans.AddActualRows(claimed);
+    return;
   }
-  std::vector<RuleSliceTask> tasks;
-  tasks.reserve(rules.size());
+
+  std::vector<UnitTask> tasks;
+  tasks.reserve(units.size());
   std::vector<std::vector<Derivation>> buffers;
   std::vector<size_t> claimed;
   {
     FrozenInterpretation frozen(interp, plans.requirements(),
                                 /*prewarm_indexes=*/exec == ExecMode::kTuple);
-    const int threads = parallel.num_threads();
-    const size_t min_slice = parallel.min_slice_size();
-    if (ShouldConsiderSlicing(rules.size(), threads)) {
+    const int threads = parallel->num_threads();
+    const size_t min_slice = parallel->min_slice_size();
+    if (ShouldConsiderSlicing(units.size(), threads)) {
       size_t sliced_units = 0;
       size_t slice_tasks = 0;
-      for (size_t i = 0; i < rules.size(); ++i) {
+      for (size_t i = 0; i < units.size(); ++i) {
+        const GammaUnit& unit = units[i];
         // Estimate gate: when the planner already predicts the unit's
         // stream is well below one slice's worth, skip the counting probe
         // — for many tiny units the counting pass itself was the
         // dominant parallel overhead.
         size_t candidates = 0;
-        if (rule_plans[i]->estimated_candidates >=
+        if (unit.plan->estimated_candidates >=
             2.0 * static_cast<double>(min_slice)) {
-          candidates = CountPlanCandidates(*rule_plans[i], interp, exec);
+          candidates = CountPlanCandidates(*unit.plan, *unit.rule, interp,
+                                           unit.seed, exec);
         }
         size_t num_slices = NumSlicesFor(candidates, min_slice, threads);
         if (num_slices > 1) {
@@ -274,114 +341,49 @@ void MatchRulesParallel(const std::vector<const Rule*>& rules,
         }
         AppendSliceTasks(i, candidates, num_slices, tasks);
       }
-      parallel.RecordSlicing(sliced_units, slice_tasks);
+      parallel->RecordSlicing(sliced_units, slice_tasks);
     } else {
       AppendChunkTasks(
-          rules.size(), threads,
-          [&](size_t i) { return 1.0 + rule_plans[i]->estimated_candidates; },
+          units.size(), threads,
+          [&](size_t i) { return 1.0 + units[i].plan->estimated_candidates; },
           tasks);
     }
     buffers.resize(tasks.size());
     claimed.assign(tasks.size(), 0);
     const int64_t match_start =
-        parallel.timing_enabled() ? MonotonicNanos() : 0;
-    parallel.pool().ParallelFor(tasks.size(), [&](size_t i) {
+        parallel->timing_enabled() ? MonotonicNanos() : 0;
+    parallel->pool().ParallelFor(tasks.size(), [&](size_t i) {
       // A queued task whose token already fired starts no work at all —
       // the sticky flag drains the remaining section promptly.
       if (cancel != nullptr && cancel->fired()) return;
       size_t task_claimed = 0;
       for (size_t u = tasks[i].begin; u < tasks[i].end; ++u) {
-        task_claimed +=
-            MatchRule(*rules[u], blocked, interp, *rule_plans[u], buffers[i],
-                      tasks[i].slice, cancel, exec, exec_stats);
+        task_claimed += run(units[u], tasks[i].slice, buffers[i]);
       }
       claimed[i] = task_claimed;
     });
-    if (parallel.timing_enabled()) {
-      parallel.RecordMatchNs(
+    if (parallel->timing_enabled()) {
+      parallel->RecordMatchNs(
           static_cast<uint64_t>(MonotonicNanos() - match_start));
     }
   }
   // Slices of a unit claim disjoint ordinal ranges, so this sum is the
-  // full per-unit stream count — independent of the slicing partition.
+  // full per-unit stream count — independent of the task partition.
   size_t total_claimed = 0;
   for (size_t c : claimed) total_claimed += c;
   plans.AddActualRows(total_claimed);
   const int64_t merge_start =
-      parallel.timing_enabled() ? MonotonicNanos() : 0;
+      parallel->timing_enabled() ? MonotonicNanos() : 0;
   size_t total = 0;
   for (const auto& buffer : buffers) total += buffer.size();
   out.reserve(out.size() + total);
   for (auto& buffer : buffers) {
     for (Derivation& d : buffer) out.push_back(std::move(d));
   }
-  if (parallel.timing_enabled()) {
-    parallel.RecordMergeNs(
+  if (parallel->timing_enabled()) {
+    parallel->RecordMergeNs(
         static_cast<uint64_t>(MonotonicNanos() - merge_start));
   }
-}
-
-// --- Semi-naive seed ownership ---
-
-/// Δ atoms of one sign class, bucketed by predicate in Δ order.
-using DeltaBuckets =
-    std::unordered_map<PredicateId, std::vector<const GroundAtom*>>;
-
-/// The Δ atoms of one predicate as a tuple set, probed by span (no Tuple
-/// is materialized per probe).
-using DeltaTupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
-
-/// True for the literal kinds seeded by (and owning through) Δ⁺ —
-/// positive and +event literals; negated and -event literals go with Δ⁻.
-bool SeededByPlus(LiteralKind kind) {
-  return kind == LiteralKind::kPositive || kind == LiteralKind::kEventInsert;
-}
-
-/// True iff every atom that can satisfy `lit` in I is one of the
-/// `delta_count` Δ atoms of its predicate and class — its pre-Δ store
-/// (base ∪ plus for a positive literal, plus for +event, minus for
-/// -event) lies inside Δ, which holds those atoms. O(1): relation sizes
-/// only. Negated literals hold by absence, so never.
-bool StoreInsideDelta(const BodyLiteral& lit, const IInterpretation& interp,
-                      size_t delta_count) {
-  auto rows = [&](const Database& db) -> size_t {
-    const Relation* rel = db.GetRelation(lit.atom.predicate);
-    return rel != nullptr ? rel->size() : 0;
-  };
-  switch (lit.kind) {
-    case LiteralKind::kPositive:
-      return rows(interp.base()) == 0 && rows(interp.plus()) == delta_count;
-    case LiteralKind::kEventInsert:
-      return rows(interp.plus()) == delta_count;
-    case LiteralKind::kEventDelete:
-      return rows(interp.minus()) == delta_count;
-    case LiteralKind::kNegated:
-      return false;
-  }
-  return false;
-}
-
-/// An earlier body literal j of a seed group whose predicate has Δ atoms
-/// of j's class: a completion g with lit_j(g) among `atoms` is also a
-/// completion of the earlier seed (r, j, lit_j(g)), which owns it.
-struct OwnerProbe {
-  const AtomPattern* atom;
-  const DeltaTupleSet* atoms;
-};
-
-/// True iff some owner probe claims the completion `binding` (`key` is
-/// reused scratch).
-bool OwnedByEarlierSeed(const std::vector<OwnerProbe>& owners,
-                        const Tuple& binding, std::vector<Value>& key) {
-  for (const OwnerProbe& owner : owners) {
-    key.clear();
-    for (const Term& term : owner.atom->terms) {
-      key.push_back(term.is_constant() ? term.constant()
-                                       : binding[term.var_index()]);
-    }
-    if (owner.atoms->contains(TupleSpan{key.data(), key.size()})) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -407,22 +409,20 @@ GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
                          ExecMode exec, ExecStats* exec_stats) {
   GammaResult result;
   CompactForBatch(interp, exec);
-  // Even a one-rule program fans out: intra-rule slicing can split it.
-  if (parallel != nullptr && program.size() > 0) {
-    std::vector<const Rule*> rules;
-    rules.reserve(program.size());
-    for (const Rule& rule : program.rules()) rules.push_back(&rule);
-    MatchRulesParallel(rules, blocked, interp, *parallel, plans,
-                       result.derivations, cancel, exec, exec_stats);
-    result.rules_evaluated = rules.size();
-  } else {
-    for (const Rule& rule : program.rules()) {
-      if (cancel != nullptr && cancel->fired()) break;
-      MatchRuleSequential(rule, blocked, interp, plans, result.derivations,
-                          cancel, exec, exec_stats);
-      ++result.rules_evaluated;
-    }
+  // One unseeded unit per rule, in program order. Γ never mutates I, so
+  // fetching every plan up front gives the plans (and planner counters)
+  // that fetching them one by one would. Even a one-rule program fans
+  // out: intra-rule slicing can split it.
+  std::vector<GammaUnit> units;
+  units.reserve(program.size());
+  for (const Rule& rule : program.rules()) {
+    const CompiledPlan& plan = plans.Get(rule, /*seed_index=*/-1, interp);
+    plans.AddEstimatedRows(plan.estimated_candidates);
+    units.push_back(GammaUnit{&rule, &plan, nullptr, {}});
   }
+  RunUnits(units, blocked, interp, plans, parallel, cancel, exec, exec_stats,
+           result.derivations);
+  result.rules_evaluated = program.size();
   result.rules_considered = program.size();
   AnalyzeDerivations(interp, result);
   return result;
@@ -476,10 +476,9 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
     minus_atoms[atom.predicate()].push_back(&atom);
     changed.minus_changed.insert(atom.predicate());
   }
-  const GammaSchedule schedule = graph.Schedule(changed);
-  result.rules_considered = schedule.rules.size();
-  result.pipeline_stages = schedule.stages.size();
-  if (schedule.rules.empty()) {
+  const std::vector<int> affected = graph.Schedule(changed);
+  result.rules_considered = affected.size();
+  if (affected.empty()) {
     // Quick exit: no watched predicate changed, so no literal holds a
     // seed — an O(1) no-op step that never touches the pool, the plan
     // cache, or the derivation analysis (stepper_test pins this with the
@@ -512,22 +511,16 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
     return &it->second;
   };
 
-  // Enumerate the (rule, seed literal) groups and their (group, seed
-  // atom) tasks. Listing them up front (in the nested order the
-  // sequential loop uses) is what lets the parallel path merge per-task
-  // buffers back into the exact sequential derivation order.
+  // The (rule, seed literal) groups of the affected rules, in program
+  // then literal order.
   struct SeedGroup {
     const Rule* rule;
     const CompiledPlan* plan;
+    const std::vector<const GroundAtom*>* seeds;
     std::vector<OwnerProbe> owners;
   };
-  struct SeedTask {
-    size_t group;
-    const GroundAtom* atom;
-  };
   std::vector<SeedGroup> groups;
-  std::vector<SeedTask> tasks;
-  for (int r : schedule.rules) {
+  for (int r : affected) {
     const Rule& rule = program.rule(r);
     const std::vector<BodyLiteral>& body = rule.body();
     bool evaluated = false;
@@ -543,22 +536,16 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
                 StoreInsideDelta(body[j], interp, earlier->size());
       }
       if (owned) continue;
-      SeedGroup group{&rule, nullptr, {}};
+      SeedGroup group{&rule, nullptr, seeds, {}};
       for (size_t j = 0; j < i; ++j) {
         if (const auto* earlier = seeds_of(body[j])) {
           group.owners.push_back(
               OwnerProbe{&body[j].atom, tuple_set(body[j], *earlier)});
         }
       }
-      // One plan fetch per group, on the coordinator BEFORE any parallel
-      // freeze (compiling can grow the prewarm requirements): Γ never
-      // mutates I, so every seed of the group would get the same plan.
-      // The estimate is still fed per task, like the actual rows.
+      // One plan fetch per group: Γ never mutates I, so every seed of the
+      // group would get the same plan.
       group.plan = &plans.Get(rule, static_cast<int>(i), interp);
-      for (const GroundAtom* atom : *seeds) {
-        tasks.push_back(SeedTask{groups.size(), atom});
-        plans.AddEstimatedRows(group.plan->estimated_candidates);
-      }
       groups.push_back(std::move(group));
       evaluated = true;
     }
@@ -566,127 +553,17 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
   }
   result.rules_skipped = program.size() - result.rules_evaluated;
 
-  auto run_task = [&](const SeedTask& task, std::vector<Derivation>& out,
-                      CandidateSlice slice = CandidateSlice{}) -> size_t {
-    const SeedGroup& group = groups[task.group];
-    const Rule& rule = *group.rule;
-    std::vector<Value> key;  // ownership probe scratch
-    // Same governance as MatchRule: derivations feed the work budget, the
-    // buffer's capacity the memory budget, and a fired token stops
-    // emission (the evaluator discards the partial Γ).
-    CancellationToken::MemoryScope mem_scope;
-    auto emit = [&](const Tuple& binding) {
-      if (cancel != nullptr && cancel->fired()) return;
-      if (OwnedByEarlierSeed(group.owners, binding, key)) return;
-      RuleGrounding grounding(rule.index(), binding);
-      if (blocked.contains(grounding)) return;
-      GroundAtom head = rule.head().atom.Ground(binding.values());
-      out.push_back(
-          Derivation{std::move(grounding), rule.head().action, std::move(head)});
-      if (cancel != nullptr) {
-        cancel->ChargeWork(1);
-        cancel->UpdateScope(mem_scope, out.capacity() * sizeof(Derivation));
-      }
-    };
-    const size_t claimed =
-        ExecutePlanSeeded(*group.plan, rule, interp, *task.atom, slice, emit,
-                          cancel, exec, exec_stats);
-    if (cancel != nullptr) cancel->CloseScope(mem_scope);
-    return claimed;
-  };
-
-  if (parallel != nullptr && !tasks.empty()) {
-    // Second task level: a seed whose remaining candidate stream is large
-    // splits into (rule, Δ-seed, slice) tasks. The flattened order is
-    // (seed in nested-loop order, slice in ordinal order), and ownership
-    // is decided per completion, not per buffer, so concatenating the
-    // buffers in task order reproduces the sequential list exactly.
-    struct SeedSliceTask {
-      size_t begin;  // [begin, end) of `tasks`; sliced tasks cover one
-      size_t end;
-      CandidateSlice slice;
-    };
-    std::vector<SeedSliceTask> slice_tasks;
-    slice_tasks.reserve(tasks.size());
-    std::vector<std::vector<Derivation>> buffers;
-    std::vector<size_t> claimed;
-    auto task_plan = [&](size_t i) -> const CompiledPlan& {
-      return *groups[tasks[i].group].plan;
-    };
-    {
-      FrozenInterpretation frozen(
-          interp, plans.requirements(),
-          /*prewarm_indexes=*/exec == ExecMode::kTuple);
-      const int threads = parallel->num_threads();
-      const size_t min_slice = parallel->min_slice_size();
-      if (ShouldConsiderSlicing(tasks.size(), threads)) {
-        size_t sliced_units = 0;
-        size_t new_slice_tasks = 0;
-        for (size_t i = 0; i < tasks.size(); ++i) {
-          // Same estimate gate as MatchRulesParallel: don't pay a
-          // counting probe for a seed the planner already predicts to be
-          // far below one slice's worth.
-          size_t candidates = 0;
-          if (task_plan(i).estimated_candidates >=
-              2.0 * static_cast<double>(min_slice)) {
-            candidates = CountPlanCandidatesSeeded(
-                task_plan(i), *groups[tasks[i].group].rule, interp,
-                *tasks[i].atom, exec);
-          }
-          size_t num_slices = NumSlicesFor(candidates, min_slice, threads);
-          if (num_slices > 1) {
-            ++sliced_units;
-            new_slice_tasks += num_slices;
-          }
-          AppendSliceTasks(i, candidates, num_slices, slice_tasks);
-        }
-        parallel->RecordSlicing(sliced_units, new_slice_tasks);
-      } else {
-        AppendChunkTasks(
-            tasks.size(), threads,
-            [&](size_t i) { return 1.0 + task_plan(i).estimated_candidates; },
-            slice_tasks);
-      }
-      buffers.resize(slice_tasks.size());
-      claimed.assign(slice_tasks.size(), 0);
-      const int64_t match_start =
-          parallel->timing_enabled() ? MonotonicNanos() : 0;
-      parallel->pool().ParallelFor(slice_tasks.size(), [&](size_t i) {
-        if (cancel != nullptr && cancel->fired()) return;
-        size_t task_claimed = 0;
-        for (size_t u = slice_tasks[i].begin; u < slice_tasks[i].end; ++u) {
-          task_claimed += run_task(tasks[u], buffers[i], slice_tasks[i].slice);
-        }
-        claimed[i] = task_claimed;
-      });
-      if (parallel->timing_enabled()) {
-        parallel->RecordMatchNs(
-            static_cast<uint64_t>(MonotonicNanos() - match_start));
-      }
+  // One unit per (group, seed atom), in nested-loop order; the estimate
+  // is fed per unit, like the actual rows.
+  std::vector<GammaUnit> units;
+  for (const SeedGroup& group : groups) {
+    for (const GroundAtom* atom : *group.seeds) {
+      units.push_back(GammaUnit{group.rule, group.plan, atom, group.owners});
+      plans.AddEstimatedRows(group.plan->estimated_candidates);
     }
-    size_t total_claimed = 0;
-    for (size_t c : claimed) total_claimed += c;
-    plans.AddActualRows(total_claimed);
-    const int64_t merge_start =
-        parallel->timing_enabled() ? MonotonicNanos() : 0;
-    size_t total = 0;
-    for (const auto& buffer : buffers) total += buffer.size();
-    result.derivations.reserve(total);
-    for (auto& buffer : buffers) {
-      for (Derivation& d : buffer) result.derivations.push_back(std::move(d));
-    }
-    if (parallel->timing_enabled()) {
-      parallel->RecordMergeNs(
-          static_cast<uint64_t>(MonotonicNanos() - merge_start));
-    }
-  } else {
-    size_t total_claimed = 0;
-    for (const SeedTask& task : tasks) {
-      if (cancel != nullptr && cancel->fired()) break;
-      total_claimed += run_task(task, result.derivations);
-    }
-    plans.AddActualRows(total_claimed);
   }
+  RunUnits(units, blocked, interp, plans, parallel, cancel, exec, exec_stats,
+           result.derivations);
   AnalyzeDerivations(interp, result);
   return result;
 }

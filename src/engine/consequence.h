@@ -6,21 +6,22 @@
 // consistent case) or hands them to conflict construction (the
 // inconsistent case).
 //
-// Both Γ evaluators optionally run on a thread pool (see ParallelGamma
+// Both Γ evaluators list their work as one kind of unit — a rule matched
+// through its cached plan, either unseeded (ComputeGamma: one unit per
+// rule, in program order) or seeded by one Δ atom (ComputeGammaSemiNaive:
+// (rule, literal, seed-atom) triples in nested loop order) — and hand the
+// list to one runner, optionally on a thread pool (see ParallelGamma
 // below). Parallel evaluation is an implementation detail, never a
 // semantic one: matching is read-only (the storage layer's lazy index
 // builds are hoisted out and the relations frozen for the section), every
 // task writes into its own buffer, and the buffers are merged in task
-// order — which is exactly the sequential enumeration order (rules in
-// program order; (rule, literal, seed-atom) triples in nested loop order;
-// candidate slices of one unit in ordinal order). The resulting
-// derivation list, and hence every downstream artifact (traces,
-// conflicts, provenance, the fixpoint itself), is bit-identical to the
-// sequential engine's. docs/PARALLELISM.md spells out the argument.
+// order — which is exactly the sequential unit order, with the candidate
+// slices of one unit in ordinal order. The resulting derivation list, and
+// hence every downstream artifact (traces, conflicts, provenance, the
+// fixpoint itself), is bit-identical to the sequential engine's.
+// docs/PARALLELISM.md spells out the argument.
 //
-// Task generation is two-level: a unit is a rule (ComputeGamma) or a
-// (rule, Δ-seed) pair (ComputeGammaSemiNaive), and a unit whose
-// first-literal candidate stream is large enough (see
+// A unit whose first-literal candidate stream is large enough (see
 // ParkOptions::min_slice_size) is split into [begin, end) candidate
 // slices, each its own pool task — so a single skewed rule no longer
 // serializes its whole section.
@@ -72,13 +73,10 @@ struct GammaResult {
   // rules this Γ call examined for affectedness: the whole program on a
   // full Γ (ComputeGamma), only the watcher hits on a scheduled call, and
   // 0 on a quick-exited empty schedule. `rules_skipped` is the complement
-  // of the rules matched (program size - rules_evaluated).
-  // `pipeline_stages` is the number of strata groups among the scheduled
-  // rules; 0 on full Γ calls. All three are schedule properties,
-  // invariant across thread counts.
+  // of the rules matched (program size - rules_evaluated). Both are
+  // schedule properties, invariant across thread counts.
   size_t rules_considered = 0;
   size_t rules_skipped = 0;
-  size_t pipeline_stages = 0;
 };
 
 /// Default for ParkOptions::min_slice_size / ParallelGamma: small enough
@@ -183,7 +181,8 @@ GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
 // their predicate, -event and negated literals from new `-` marks
 // (validity by absence can only be lost as I grows). So each new mark
 // SEEDS the body literals it can satisfy and only the completions of
-// those seeds are enumerated (ExecutePlanSeeded) — seeding is complete.
+// those seeds are enumerated (ExecutePlan with a seed atom) — seeding is
+// complete.
 // The result omits re-derivations of already-present marks, which is why
 // the evaluator recomputes a full Γ before building (maximal) conflicts.
 //

@@ -256,12 +256,41 @@ MatchScratch& ThreadScratch() {
   return scratch;
 }
 
-/// Shared executor for seeded and unseeded plans (see ExecutePlan /
-/// ExecutePlanSeeded). Returns the number of step-0 stream candidates the
-/// slice claimed. `cancel` (may be null) is polled every kCheckStride
-/// visited tuples — candidate materialization and the join loop both stop
-/// early once it fires, so a deadline interrupts even one giant stream
-/// within a bounded number of tuples.
+/// The seed binding program: grounds body literal `plan.seed_index` by
+/// `seed`, writing the seed's free variables into `binding` (sized for the
+/// rule's variables). Returns false when `seed` cannot ground the literal
+/// (another predicate, or a constant / repeated variable disagrees). An
+/// unseeded plan binds nothing.
+bool BindSeed(const CompiledPlan& plan, const Rule& rule,
+              const GroundAtom* seed, std::vector<Value>& binding) {
+  if (plan.seed_index < 0) return true;
+  const AtomPattern& pattern =
+      rule.body()[static_cast<size_t>(plan.seed_index)].atom;
+  if (pattern.predicate != seed->predicate()) return false;
+  for (size_t i = 0; i < plan.seed_slots.size(); ++i) {
+    const CompiledStep::Slot& slot = plan.seed_slots[i];
+    const Value& value = seed->args()[static_cast<int>(i)];
+    switch (slot.kind) {
+      case CompiledStep::Slot::Kind::kConst:
+        if (slot.constant != value) return false;
+        break;
+      case CompiledStep::Slot::Kind::kFree:
+        binding[static_cast<size_t>(slot.var)] = value;
+        break;
+      case CompiledStep::Slot::Kind::kBoundVar:  // repeated seed variable
+        if (binding[static_cast<size_t>(slot.var)] != value) return false;
+        break;
+    }
+  }
+  return true;
+}
+
+/// Shared executor for seeded and unseeded plans (see ExecutePlan).
+/// Returns the number of step-0 stream candidates the slice claimed.
+/// `cancel` (may be null) is polled every kCheckStride visited tuples —
+/// candidate materialization and the join loop both stop early once it
+/// fires, so a deadline interrupts even one giant stream within a bounded
+/// number of tuples.
 size_t RunPlan(const CompiledPlan& plan, const Rule& rule,
                const IInterpretation& interp, const GroundAtom* seed_atom,
                CandidateSlice slice, FunctionRef<void(const Tuple&)> fn,
@@ -282,29 +311,7 @@ size_t RunPlan(const CompiledPlan& plan, const Rule& rule,
   const size_t nvars = static_cast<size_t>(rule.num_variables());
   if (scratch.binding.size() < nvars) scratch.binding.resize(nvars);
 
-  if (plan.seed_index >= 0) {
-    PARK_CHECK(seed_atom != nullptr) << "seeded plan without a seed atom";
-    const AtomPattern& seed_pattern =
-        rule.body()[static_cast<size_t>(plan.seed_index)].atom;
-    if (seed_pattern.predicate != seed_atom->predicate()) return 0;
-    for (size_t i = 0; i < plan.seed_slots.size(); ++i) {
-      const CompiledStep::Slot& slot = plan.seed_slots[i];
-      const Value& value = seed_atom->args()[static_cast<int>(i)];
-      switch (slot.kind) {
-        case CompiledStep::Slot::Kind::kConst:
-          if (slot.constant != value) return 0;
-          break;
-        case CompiledStep::Slot::Kind::kFree:
-          scratch.binding[static_cast<size_t>(slot.var)] = value;
-          break;
-        case CompiledStep::Slot::Kind::kBoundVar:  // repeated seed variable
-          if (scratch.binding[static_cast<size_t>(slot.var)] != value) {
-            return 0;
-          }
-          break;
-      }
-    }
-  }
+  if (!BindSeed(plan, rule, seed_atom, scratch.binding)) return 0;
 
   auto emit = [&]() {
     Tuple result;
@@ -618,27 +625,7 @@ size_t RunPlanBatch(const CompiledPlan& plan, const Rule& rule,
   scratch.cur.assign(nvars, Value());
   size_t nrows = 1;
 
-  if (plan.seed_index >= 0) {
-    PARK_CHECK(seed_atom != nullptr) << "seeded plan without a seed atom";
-    const AtomPattern& seed_pattern =
-        rule.body()[static_cast<size_t>(plan.seed_index)].atom;
-    if (seed_pattern.predicate != seed_atom->predicate()) return 0;
-    for (size_t i = 0; i < plan.seed_slots.size(); ++i) {
-      const CompiledStep::Slot& slot = plan.seed_slots[i];
-      const Value& value = seed_atom->args()[static_cast<int>(i)];
-      switch (slot.kind) {
-        case CompiledStep::Slot::Kind::kConst:
-          if (slot.constant != value) return 0;
-          break;
-        case CompiledStep::Slot::Kind::kFree:
-          scratch.cur[static_cast<size_t>(slot.var)] = value;
-          break;
-        case CompiledStep::Slot::Kind::kBoundVar:  // repeated seed variable
-          if (scratch.cur[static_cast<size_t>(slot.var)] != value) return 0;
-          break;
-      }
-    }
-  }
+  if (!BindSeed(plan, rule, seed_atom, scratch.cur)) return 0;
 
   if (plan.steps.empty()) {
     Tuple result;
@@ -1242,73 +1229,35 @@ CompiledPlan CompilePlan(const Rule& rule, int seed_index,
 }
 
 size_t ExecutePlan(const CompiledPlan& plan, const Rule& rule,
-                   const IInterpretation& interp, CandidateSlice slice,
+                   const IInterpretation& interp, const GroundAtom* seed,
+                   CandidateSlice slice,
                    FunctionRef<void(const Tuple& binding)> fn,
                    CancellationToken* cancel, ExecMode exec,
                    ExecStats* exec_stats) {
-  PARK_CHECK_EQ(plan.seed_index, -1) << "seeded plan passed to ExecutePlan";
+  PARK_CHECK_EQ(plan.seed_index >= 0, seed != nullptr)
+      << "seed atom and plan.seed_index disagree";
   if (exec == ExecMode::kBatch) {
-    return RunPlanBatch(plan, rule, interp, nullptr, slice, fn, cancel,
+    return RunPlanBatch(plan, rule, interp, seed, slice, fn, cancel,
                         exec_stats);
   }
-  return RunPlan(plan, rule, interp, nullptr, slice, fn, cancel);
+  return RunPlan(plan, rule, interp, seed, slice, fn, cancel);
 }
 
-size_t ExecutePlanSeeded(const CompiledPlan& plan, const Rule& rule,
-                         const IInterpretation& interp,
-                         const GroundAtom& seed_atom, CandidateSlice slice,
-                         FunctionRef<void(const Tuple& binding)> fn,
-                         CancellationToken* cancel, ExecMode exec,
-                         ExecStats* exec_stats) {
-  PARK_CHECK_GE(plan.seed_index, 0)
-      << "unseeded plan passed to ExecutePlanSeeded";
-  if (exec == ExecMode::kBatch) {
-    return RunPlanBatch(plan, rule, interp, &seed_atom, slice, fn, cancel,
-                        exec_stats);
-  }
-  return RunPlan(plan, rule, interp, &seed_atom, slice, fn, cancel);
-}
-
-size_t CountPlanCandidates(const CompiledPlan& plan,
-                           const IInterpretation& interp, ExecMode exec) {
+size_t CountPlanCandidates(const CompiledPlan& plan, const Rule& rule,
+                           const IInterpretation& interp,
+                           const GroundAtom* seed, ExecMode exec) {
+  PARK_CHECK_EQ(plan.seed_index >= 0, seed != nullptr)
+      << "seed atom and plan.seed_index disagree";
   if (plan.steps.empty() || plan.steps[0].filter) return 0;
+  // The seed binding resolves step-0 kBoundVar slots (unseeded: none).
+  std::vector<Value> binding(
+      seed != nullptr ? static_cast<size_t>(rule.num_variables()) : 0);
+  if (!BindSeed(plan, rule, seed, binding)) return 0;
+  const std::vector<Value>* bound = seed != nullptr ? &binding : nullptr;
   if (exec == ExecMode::kBatch) {
-    return CountStreamBatch(plan.steps[0], interp, nullptr);
+    return CountStreamBatch(plan.steps[0], interp, bound);
   }
-  TuplePattern pattern = CountPattern(plan.steps[0], nullptr);
-  return CountStream(plan.steps[0], interp, pattern);
-}
-
-size_t CountPlanCandidatesSeeded(const CompiledPlan& plan, const Rule& rule,
-                                 const IInterpretation& interp,
-                                 const GroundAtom& seed_atom,
-                                 ExecMode exec) {
-  PARK_CHECK_GE(plan.seed_index, 0) << "unseeded plan";
-  if (plan.steps.empty() || plan.steps[0].filter) return 0;
-  // Replay the seed binding program to resolve step-0 kBoundVar slots.
-  const AtomPattern& seed_pattern =
-      rule.body()[static_cast<size_t>(plan.seed_index)].atom;
-  if (seed_pattern.predicate != seed_atom.predicate()) return 0;
-  std::vector<Value> binding(static_cast<size_t>(rule.num_variables()));
-  for (size_t i = 0; i < plan.seed_slots.size(); ++i) {
-    const CompiledStep::Slot& slot = plan.seed_slots[i];
-    const Value& value = seed_atom.args()[static_cast<int>(i)];
-    switch (slot.kind) {
-      case CompiledStep::Slot::Kind::kConst:
-        if (slot.constant != value) return 0;
-        break;
-      case CompiledStep::Slot::Kind::kFree:
-        binding[static_cast<size_t>(slot.var)] = value;
-        break;
-      case CompiledStep::Slot::Kind::kBoundVar:
-        if (binding[static_cast<size_t>(slot.var)] != value) return 0;
-        break;
-    }
-  }
-  if (exec == ExecMode::kBatch) {
-    return CountStreamBatch(plan.steps[0], interp, &binding);
-  }
-  TuplePattern pattern = CountPattern(plan.steps[0], &binding);
+  TuplePattern pattern = CountPattern(plan.steps[0], bound);
   return CountStream(plan.steps[0], interp, pattern);
 }
 

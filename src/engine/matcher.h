@@ -202,8 +202,15 @@ CompiledPlan CompilePlan(const Rule& rule, int seed_index,
 /// the full stream count). `rule` must be the rule the plan was compiled
 /// from. A rule with an empty body yields exactly one (empty) binding.
 ///
-/// `cancel` (here and on every execution entry point below) is the run's
-/// cooperative cancellation token, polled every
+/// `seed` is non-null exactly when the plan is seeded (`plan.seed_index`
+/// >= 0), the semi-naive building block: only the matches in which body
+/// literal `plan.seed_index` is grounded by exactly `*seed` are
+/// enumerated. The seed literal is bound against the atom first
+/// (returning 0 matches if constants / repeated variables disagree); the
+/// caller guarantees the atom makes the literal valid (it came from the
+/// engine's delta of new marks).
+///
+/// `cancel` is the run's cooperative cancellation token, polled every
 /// CancellationToken::kCheckStride visited tuples; nullptr disables
 /// polling. Once the token fires, enumeration stops early: the claimed
 /// count and emitted matches are partial and MUST be discarded by the
@@ -215,38 +222,23 @@ CompiledPlan CompilePlan(const Rule& rule, int seed_index,
 /// slice's ordinals resolve by range arithmetic (no per-tuple claiming),
 /// and `exec_stats` (optional) accumulates the batch row counters.
 size_t ExecutePlan(const CompiledPlan& plan, const Rule& rule,
-                   const IInterpretation& interp, CandidateSlice slice,
+                   const IInterpretation& interp, const GroundAtom* seed,
+                   CandidateSlice slice,
                    FunctionRef<void(const Tuple& binding)> fn,
                    CancellationToken* cancel = nullptr,
                    ExecMode exec = ExecMode::kTuple,
                    ExecStats* exec_stats = nullptr);
 
-/// Seeded execution (the semi-naive building block): enumerates the
-/// matches in which body literal `plan.seed_index` is grounded by exactly
-/// `seed_atom`. The seed literal is bound against the atom first
-/// (returning 0 matches if constants / repeated variables disagree); the
-/// caller guarantees `seed_atom` makes the literal valid (it came from the
-/// engine's delta of new marks).
-size_t ExecutePlanSeeded(const CompiledPlan& plan, const Rule& rule,
-                         const IInterpretation& interp,
-                         const GroundAtom& seed_atom, CandidateSlice slice,
-                         FunctionRef<void(const Tuple& binding)> fn,
-                         CancellationToken* cancel = nullptr,
-                         ExecMode exec = ExecMode::kTuple,
-                         ExecStats* exec_stats = nullptr);
-
-/// Size of the plan's first generator step candidate stream (0 when
+/// Size of the plan's first generator step candidate stream under `seed`
+/// (null exactly for unseeded plans, as for ExecutePlan; 0 when
 /// unsliceable), consistent with the ordinals the matching executor
 /// claims. Tuple mode counts full-pattern index matches (touching
 /// exactly the indexes execution would); batch mode is the probe range
 /// of the columnar segments — O(log rows) arithmetic, no scan.
-size_t CountPlanCandidates(const CompiledPlan& plan,
+size_t CountPlanCandidates(const CompiledPlan& plan, const Rule& rule,
                            const IInterpretation& interp,
+                           const GroundAtom* seed,
                            ExecMode exec = ExecMode::kTuple);
-size_t CountPlanCandidatesSeeded(const CompiledPlan& plan, const Rule& rule,
-                                 const IInterpretation& interp,
-                                 const GroundAtom& seed_atom,
-                                 ExecMode exec = ExecMode::kTuple);
 
 /// The column indexes that evaluating a program's bodies can probe, per
 /// predicate, split by which part of the i-interpretation the matcher

@@ -205,6 +205,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GammaModeRandomTest,
 // ComputeGammaSemiNaive against a test-local reference that shares only
 // the plan executor with it: every (rule, literal, Δ-atom) completion in
 // nested-loop order, de-duplicated by grounding, first occurrence kept.
+// Its unseeded case (a `delta.initial` section) must equal FreshGamma,
+// and at 4 threads the sweep must split seeded units into slices, so both
+// unit kinds run through the parallel fan-out.
 // The programs self-join changed predicates (r3-style), and put negated,
 // +event and -event literals over changed predicates; `p3` has no base
 // facts, so after the seed step its groups' pre-Δ stores lie inside Δ.
@@ -225,8 +228,8 @@ std::vector<Derivation> ReferenceSeededGamma(const Program& program,
         if (atom.predicate() != lit.atom.predicate) continue;
         const CompiledPlan& plan =
             plans.Get(rule, static_cast<int>(i), interp);
-        ExecutePlanSeeded(
-            plan, rule, interp, atom, CandidateSlice{},
+        ExecutePlan(
+            plan, rule, interp, &atom, CandidateSlice{},
             [&](const Tuple& binding) {
               RuleGrounding grounding(rule.index(), binding);
               if (blocked.contains(grounding)) return;
@@ -308,7 +311,17 @@ TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
   const SeededCase c = GetParam();
   std::optional<ParallelGamma> parallel;
   if (c.threads > 1) parallel.emplace(c.threads, /*min_slice_size=*/2);
+  auto expect_same = [](const std::vector<Derivation>& got,
+                        const std::vector<Derivation>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(got[k].grounding, want[k].grounding) << k;
+      EXPECT_EQ(got[k].action, want[k].action) << k;
+      EXPECT_EQ(got[k].atom, want[k].atom) << k;
+    }
+  };
   size_t compared = 0;
+  uint64_t seeded_sliced_units = 0;
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE(StrFormat("seed %llu", static_cast<unsigned long long>(seed)));
     Rng rng(seed);
@@ -355,23 +368,50 @@ TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
         if (rng.Bernoulli(0.2)) blocked.insert(d.grounding);
       }
       ExecStats exec_stats;
-      GammaResult got = ComputeGammaSemiNaive(
-          program, blocked, interp, delta, graph, plans,
+      // The unseeded section through a fresh cache, like FreshGamma: the
+      // enumeration order follows the plans, which `plans` compiled
+      // against an earlier I.
+      const DeltaAtoms initial;
+      PlanCache fresh_plans(program);
+      GammaResult full = ComputeGammaSemiNaive(
+          program, blocked, interp, initial, graph, fresh_plans,
           parallel ? &*parallel : nullptr, nullptr, c.exec, &exec_stats);
-      std::vector<Derivation> want =
-          ReferenceSeededGamma(program, blocked, interp, delta, plans, c.exec);
-      ASSERT_EQ(got.derivations.size(), want.size());
-      for (size_t k = 0; k < want.size(); ++k) {
-        EXPECT_EQ(got.derivations[k].grounding, want[k].grounding) << k;
-        EXPECT_EQ(got.derivations[k].action, want[k].action) << k;
-        EXPECT_EQ(got.derivations[k].atom, want[k].atom) << k;
-      }
-      compared += want.size();
+      expect_same(full.derivations,
+                  testing_util::FreshGamma(program, blocked, interp, c.exec)
+                      .derivations);
+      // One seeded section against the reference; returns its result and
+      // counts the seeded units the fan-out split into slices.
+      auto seeded_section = [&](const DeltaAtoms& d) {
+        const uint64_t sliced_before =
+            parallel ? parallel->sliced_units() : 0;
+        GammaResult got = ComputeGammaSemiNaive(
+            program, blocked, interp, d, graph, plans,
+            parallel ? &*parallel : nullptr, nullptr, c.exec, &exec_stats);
+        if (parallel) {
+          seeded_sliced_units += parallel->sliced_units() - sliced_before;
+        }
+        std::vector<Derivation> want =
+            ReferenceSeededGamma(program, blocked, interp, d, plans, c.exec);
+        expect_same(got.derivations, want);
+        return std::make_pair(std::move(got), want.size());
+      };
+      // A thin Δ (the step's first + and first - atom) keeps the section
+      // below the pool's chunking threshold, where seeded units can split.
+      DeltaAtoms thin;
+      thin.initial = false;
+      if (!delta.plus.empty()) thin.plus.push_back(delta.plus.front());
+      if (!delta.minus.empty()) thin.minus.push_back(delta.minus.front());
+      seeded_section(thin);
+      auto [got, num_compared] = seeded_section(delta);
+      compared += num_compared;
       if (!got.consistent || got.newly_marked == 0) break;
       ApplyDerivations(got.derivations, interp, &delta);
     }
   }
   EXPECT_GT(compared, 500u);  // the sweep must exercise real completions
+  if (parallel) {
+    EXPECT_GT(seeded_sliced_units, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

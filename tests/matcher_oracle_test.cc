@@ -1,5 +1,5 @@
 // Oracle test for the body matcher: the cost-based plan (CompilePlan)
-// executed by ExecutePlan / ExecutePlanSeeded must return exactly the
+// executed by ExecutePlan (unseeded or seeded) must return exactly the
 // substitutions a brute-force enumeration over the active domain accepts,
 // for random rules, random databases, and random marked atoms — under
 // both executors, for every seed literal, and for any candidate-slice
@@ -133,19 +133,12 @@ std::vector<std::string> ExecuteSliced(const CompiledPlan& plan,
     auto emit = [&](const Tuple& binding) {
       out.push_back(BindingKey(binding.values(), symbols));
     };
-    if (seed != nullptr) {
-      ExecutePlanSeeded(plan, rule, interp, *seed, slice, emit, nullptr,
-                        exec);
-    } else {
-      ExecutePlan(plan, rule, interp, slice, emit, nullptr, exec);
-    }
+    ExecutePlan(plan, rule, interp, seed, slice, emit, nullptr, exec);
     return out;
   };
   std::vector<std::string> whole = run(CandidateSlice{});
   const size_t candidates =
-      seed != nullptr
-          ? CountPlanCandidatesSeeded(plan, rule, interp, *seed, exec)
-          : CountPlanCandidates(plan, interp, exec);
+      CountPlanCandidates(plan, rule, interp, seed, exec);
   // 0 means unsliceable (or an empty stream): callers run it unsliced.
   if (candidates == 0) return whole;
   const size_t parts = 2 + rng.Uniform(3);

@@ -14,7 +14,7 @@ namespace {
 void ForEachMatch(const Rule& rule, const IInterpretation& interp,
                   CandidateSlice slice, FunctionRef<void(const Tuple&)> fn) {
   ExecutePlan(CompilePlan(rule, /*seed_index=*/-1, interp), rule, interp,
-              slice, fn);
+              /*seed=*/nullptr, slice, fn);
 }
 
 /// Seeded enumeration through the rule's seeded plan.
@@ -22,8 +22,8 @@ void ForEachSeededMatch(const Rule& rule, const IInterpretation& interp,
                         int seed_index, const GroundAtom& seed,
                         CandidateSlice slice,
                         FunctionRef<void(const Tuple&)> fn) {
-  ExecutePlanSeeded(CompilePlan(rule, seed_index, interp), rule, interp,
-                    seed, slice, fn);
+  ExecutePlan(CompilePlan(rule, seed_index, interp), rule, interp, &seed,
+              slice, fn);
 }
 
 /// The planned literal order of `rule` over `interp`'s statistics.
@@ -39,13 +39,13 @@ std::vector<int> PlannedOrder(const Rule& rule,
 
 size_t CountCandidates(const Rule& rule, const IInterpretation& interp) {
   return CountPlanCandidates(CompilePlan(rule, /*seed_index=*/-1, interp),
-                             interp);
+                             rule, interp, /*seed=*/nullptr);
 }
 
 size_t CountSeededCandidates(const Rule& rule, const IInterpretation& interp,
                              int seed_index, const GroundAtom& seed) {
-  return CountPlanCandidatesSeeded(CompilePlan(rule, seed_index, interp),
-                                   rule, interp, seed);
+  return CountPlanCandidates(CompilePlan(rule, seed_index, interp), rule,
+                             interp, &seed);
 }
 
 class MatcherTest : public ::testing::Test {

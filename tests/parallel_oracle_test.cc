@@ -250,21 +250,25 @@ TEST(ParallelOracleTest, SkewedRuleSlicingAgrees) {
 TEST(ParallelOracleTest, SkewedRuleActuallySlices) {
   // With fine slicing, the dominant rule must split: more slice tasks
   // than rule evaluations in at least one section, surfaced in ParkStats.
+  // Both Γ modes run their units through the same fan-out.
   Workload w = MakeSkewedJoinWorkload();
-  ParkStats stats;
-  RunWithThreads(w.program, w.database, GammaMode::kNaive, 4, nullptr,
-                 /*min_slice_size=*/1, &stats);
-  EXPECT_GT(stats.parallel_sliced_units, 0u);
-  EXPECT_GT(stats.parallel_slices, stats.parallel_sliced_units);
-  // Slice tasks inflate the pool task count past the units evaluated.
-  EXPECT_GT(stats.parallel_tasks, stats.rule_evaluations);
-  // Conservative default: a tiny workload with a large min_slice_size
-  // must NOT slice.
-  ParkStats unsliced;
-  RunWithThreads(w.program, w.database, GammaMode::kNaive, 4, nullptr,
-                 /*min_slice_size=*/100000, &unsliced);
-  EXPECT_EQ(unsliced.parallel_sliced_units, 0u);
-  EXPECT_EQ(unsliced.parallel_slices, 0u);
+  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
+    SCOPED_TRACE(ModeName(mode));
+    ParkStats stats;
+    RunWithThreads(w.program, w.database, mode, 4, nullptr,
+                   /*min_slice_size=*/1, &stats);
+    EXPECT_GT(stats.parallel_sliced_units, 0u);
+    EXPECT_GT(stats.parallel_slices, stats.parallel_sliced_units);
+    // Slice tasks inflate the pool task count past the units evaluated.
+    EXPECT_GT(stats.parallel_tasks, stats.rule_evaluations);
+    // Conservative default: a tiny workload with a large min_slice_size
+    // must NOT slice.
+    ParkStats unsliced;
+    RunWithThreads(w.program, w.database, mode, 4, nullptr,
+                   /*min_slice_size=*/100000, &unsliced);
+    EXPECT_EQ(unsliced.parallel_sliced_units, 0u);
+    EXPECT_EQ(unsliced.parallel_slices, 0u);
+  }
 }
 
 TEST(ParallelOracleTest, SingleRuleProgramFansOut) {

@@ -42,7 +42,7 @@ class PlannerTest : public ::testing::Test {
                                        const Rule& rule,
                                        const IInterpretation& interp) {
     std::vector<std::string> out;
-    ExecutePlan(plan, rule, interp, CandidateSlice{},
+    ExecutePlan(plan, rule, interp, /*seed=*/nullptr, CandidateSlice{},
                 [&](const Tuple& binding) {
                   std::string s;
                   for (int i = 0; i < binding.arity(); ++i) {

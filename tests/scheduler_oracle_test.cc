@@ -4,9 +4,9 @@
 // chains whose sparse deltas the scheduler exists for — every scheduled
 // Γ mode must reproduce naive Γ (which matches every rule every step and
 // builds no graph) at the set level: final database, blocked set,
-// step/restart counters, and full trace. And the staged parallel
-// dispatch, which runs one pool section per stratum group and re-merges
-// the stage buffers into program order, must be bit-identical to the
+// step/restart counters, and full trace. And the parallel runs, which fan
+// each scheduled section's seed units out over the pool and concatenate
+// the task buffers in unit order, must be bit-identical to the
 // sequential run at 2 and 4 threads, evaluation counters and provenance
 // included, for both executors. The set-level identity of the watcher
 // index with RuleIsAffected is pinned in rule_graph_test.
@@ -78,7 +78,7 @@ const char* GammaName(GammaMode mode) {
 
 /// The full sweep: naive Γ is the unscheduled reference for the result;
 /// for each fixed (Γ, exec) configuration the sequential run is the
-/// reference for the staged parallel runs.
+/// reference for the parallel runs.
 void ExpectSchedulerInvisible(const Program& program, const Database& db) {
   Config naive_config;
   naive_config.gamma = GammaMode::kNaive;
@@ -160,8 +160,6 @@ TEST(SchedulerOracleTest, KiloruleCountersShowSkips) {
                                     /*facts=*/2);
   ParkStats scheduled;
   RunConfig(w.program, w.database, Config{}, &scheduled);
-  // One stratum per chain level plus the cyclic tail component.
-  EXPECT_GE(scheduled.sched_strata, 16u);
   EXPECT_GT(scheduled.sched_rules_skipped, 0u);
   // Every Γ section either matches or skips each rule; the watcher index
   // considers strictly fewer rules than a per-step scan over the whole
@@ -175,36 +173,16 @@ TEST(SchedulerOracleTest, KiloruleCountersShowSkips) {
 
 TEST(SchedulerOracleTest, NaiveModeIgnoresTheScheduler) {
   // Naive Γ re-derives everything every step by definition; there is no
-  // delta to schedule from, so the graph is not even built.
+  // delta to schedule from, so every Γ call considers and matches every
+  // rule and skips none.
   Workload w = MakeKiloruleWorkload(/*chains=*/2, /*levels=*/4,
                                     /*facts=*/1);
   ParkStats stats;
   Config config;
   config.gamma = GammaMode::kNaive;
   RunConfig(w.program, w.database, config, &stats);
-  EXPECT_EQ(stats.sched_strata, 0u);
-  EXPECT_EQ(stats.sched_pipeline_stages, 0u);
-}
-
-TEST(SchedulerOracleTest, StagedDispatchReportsStages) {
-  // With >= 2 threads and a scheduled step whose affected rules span
-  // several strata, the staged dispatch must surface in the stats — and
-  // the count is a property of the schedule, not the thread count.
-  Workload w = MakeKiloruleWorkload(/*chains=*/4, /*levels=*/8,
-                                    /*facts=*/2);
-  ParkStats at2;
-  ParkStats at4;
-  Config config;
-  config.threads = 2;
-  RunConfig(w.program, w.database, config, &at2);
-  config.threads = 4;
-  RunConfig(w.program, w.database, config, &at4);
-  EXPECT_GT(at2.sched_pipeline_stages, 0u);
-  EXPECT_EQ(at2.sched_pipeline_stages, at4.sched_pipeline_stages);
-  ParkStats at1;
-  config.threads = 1;
-  RunConfig(w.program, w.database, config, &at1);
-  EXPECT_EQ(at1.sched_pipeline_stages, at2.sched_pipeline_stages);
+  EXPECT_EQ(stats.sched_rules_skipped, 0u);
+  EXPECT_EQ(stats.sched_rules_considered, stats.rule_evaluations);
 }
 
 }  // namespace

@@ -31,12 +31,14 @@ inline Database MustParseDatabase(std::string_view text,
   return std::move(result).value();
 }
 
-/// Γ(P,B)(I) through a fresh plan cache, for tests that evaluate Γ
-/// directly instead of through ParkStepper.
+/// Sequential Γ(P,B)(I) through a fresh plan cache, for tests that
+/// evaluate Γ directly instead of through ParkStepper.
 inline GammaResult FreshGamma(const Program& program, const BlockedSet& blocked,
-                              const IInterpretation& interp) {
+                              const IInterpretation& interp,
+                              ExecMode exec = ExecMode::kTuple) {
   PlanCache plans(program);
-  return ComputeGamma(program, blocked, interp, plans);
+  return ComputeGamma(program, blocked, interp, plans, /*parallel=*/nullptr,
+                      /*cancel=*/nullptr, exec);
 }
 
 /// Runs PARK(P, D) from textual program/facts; failing the test on any

@@ -92,9 +92,9 @@ PARK_STATS_EXEC = [
     "batch_rows", "probe_rows", "merge_rows",
 ]
 # Dependency-scheduler accounting (docs/SCHEDULER.md): rules examined
-# for affectedness vs pruned, static stratum count, per-step stage sum.
+# for affectedness vs pruned.
 PARK_STATS_SCHEDULER = [
-    "rules_considered", "rules_skipped", "strata", "pipeline_stages",
+    "rules_considered", "rules_skipped",
 ]
 # Serving-layer accounting (docs/SERVING.md): group-commit batches and
 # snapshot pins. batch_size_hist is checked separately (array, buckets
