@@ -7,12 +7,12 @@
 // executor counters (stream rows, probe-join vs sorted-merge-join rows,
 // compactions) so the join mix is inspectable.
 //
-// The join-heavy naive-mode cases (closure, skew, chain) are the
-// showcase: every Γ step re-joins full relations, which is exactly the
-// regime where dictionary-coded equal-range probes and sorted-merge
-// joins beat per-tuple hash probing. The payroll case guards the other
-// direction: thousands of tiny per-employee units, where batch setup
-// and compaction must not regress the run.
+// The join-heavy cases (closure, skew, chain) are the showcase: their
+// first Γ step joins full relations and every later one joins Δ seeds
+// against them, the regime where dictionary-coded equal-range probes and
+// sorted-merge joins compete with per-tuple hash probing. The payroll
+// case guards the other direction: thousands of tiny per-employee units,
+// where batch setup and compaction must not regress the run.
 //
 //   bench_columnar [--smoke] [--case NAME] [output.json]
 //                                            (default: BENCH_columnar.json)
@@ -40,7 +40,6 @@ namespace {
 struct BenchCase {
   std::string name;
   Workload workload;
-  GammaMode gamma_mode = GammaMode::kNaive;
 };
 
 struct ConfigResult {
@@ -122,7 +121,6 @@ Workload MakeChainWorkload(int num_nodes, int num_edges, uint64_t seed) {
 ParkResult RunOnce(const BenchCase& bench, ExecMode exec,
                    double* elapsed_ms) {
   ParkOptions options;
-  options.gamma_mode = bench.gamma_mode;
   options.exec_mode = exec;
   auto start = std::chrono::steady_clock::now();
   auto result = Park(bench.workload.program, bench.workload.database,
@@ -176,14 +174,6 @@ std::vector<ConfigResult> RunCase(const BenchCase& bench, int repetitions) {
   return configs;
 }
 
-const char* ModeName(GammaMode mode) {
-  switch (mode) {
-    case GammaMode::kNaive: return "naive";
-    case GammaMode::kSemiNaive: return "semi_naive";
-  }
-  return "unknown";
-}
-
 std::string ToJson(
     const std::vector<std::pair<const BenchCase*, std::vector<ConfigResult>>>&
         results,
@@ -195,7 +185,6 @@ std::string ToJson(
   for (const auto& [bench, configs] : results) {
     w.BeginObject();
     w.Key("name").String(bench->name);
-    w.Key("gamma_mode").String(ModeName(bench->gamma_mode));
     w.Key("configs").BeginArray();
     for (const ConfigResult& c : configs) {
       w.BeginObject();
@@ -246,19 +235,17 @@ int Main(int argc, char** argv) {
     BenchCase c{"closure",
                 MakeTransitiveClosureWorkload(GraphShape::kRandom,
                                               closure_nodes, closure_edges,
-                                              /*seed=*/17),
-                GammaMode::kNaive};
+                                              /*seed=*/17)};
     cases.push_back(std::move(c));
   }
   {
-    BenchCase c{"skew", MakeSkewWorkload(skew_nodes, skew_edges, /*seed=*/41),
-                GammaMode::kNaive};
+    BenchCase c{"skew",
+                MakeSkewWorkload(skew_nodes, skew_edges, /*seed=*/41)};
     cases.push_back(std::move(c));
   }
   {
     BenchCase c{"chain", MakeChainWorkload(chain_nodes, chain_edges,
-                                           /*seed=*/7),
-                GammaMode::kNaive};
+                                           /*seed=*/7)};
     cases.push_back(std::move(c));
   }
   {
@@ -266,8 +253,7 @@ int Main(int argc, char** argv) {
     params.num_employees = payroll_employees;
     params.inactive_fraction = 0.1;
     params.seed = 23;
-    BenchCase c{"payroll", MakePayrollWorkload(params),
-                GammaMode::kSemiNaive};
+    BenchCase c{"payroll", MakePayrollWorkload(params)};
     cases.push_back(std::move(c));
   }
 

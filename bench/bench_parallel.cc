@@ -85,7 +85,6 @@ Workload MakeSkewWorkload(int num_nodes, int num_edges, uint64_t seed) {
 ParkResult RunOnce(const Workload& w, int threads, double* elapsed_ms) {
   ParkOptions options;
   options.num_threads = threads;
-  options.gamma_mode = GammaMode::kSemiNaive;
   auto start = std::chrono::steady_clock::now();
   auto result = Park(w.program, w.database, options);
   auto end = std::chrono::steady_clock::now();

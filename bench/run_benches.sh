@@ -75,7 +75,6 @@ gbenches=(
   bench_recursion
   bench_eca
   bench_block_granularity
-  bench_gamma_mode
   bench_substrate
   bench_durability
 )

@@ -68,6 +68,9 @@ void FixpointMaintainer::EnsureBound(const Program& program,
       bound_threads_ = threads;
       bound_slice_ = options.min_slice_size;
     }
+    // Follows each commit's options: a pool kept across commits must not
+    // keep the timing setting of the commit that built it.
+    parallel_->SetTiming(options.collect_timings);
   } else {
     parallel_.reset();
     bound_threads_ = 1;
@@ -155,6 +158,9 @@ std::optional<ParkDiffResult> FixpointMaintainer::TryCommit(
   stats.parallel_tasks -= before.parallel_tasks;
   stats.parallel_sliced_units -= before.parallel_sliced_units;
   stats.parallel_slices -= before.parallel_slices;
+  stats.timings.parallel_match_ns -= before.timings.parallel_match_ns;
+  stats.timings.parallel_merge_ns -= before.timings.parallel_merge_ns;
+  stats.timings.pool_busy_ns -= before.timings.pool_busy_ns;
 
   stats.maintenance_mode = MaintenanceMode::kIncremental;
   stats.maint_commits = 1;

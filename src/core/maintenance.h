@@ -12,11 +12,11 @@
 // from U over the stored instance. The maintainer tracks INV, checks the
 // eligibility gates, runs that seeded closure as a seeded ParkStepper
 // (the engine's one Δ loop) over the warm caches it keeps across commits
-// (dependency graph, plan cache, thread pool), and
-// hands back the commit's diff — bit-identical to the from-scratch
-// PARK(D, P, U) (proved in docs/INCREMENTAL.md, swept by
-// incremental_oracle_test) at cost proportional to |U| and its cone
-// instead of |D|.
+// (dependency graph, plan cache, thread pool), and hands back the
+// commit's diff — bit-identical to the from-scratch PARK(D, P, U) (proved
+// in docs/INCREMENTAL.md, checked against the reference evaluator by
+// differential_test) at cost proportional to |U| and its cone instead of
+// |D|.
 //
 // Anything outside the proof obligations falls back to the full
 // evaluator: programs with delete heads or event/negation feedback onto

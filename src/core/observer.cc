@@ -27,8 +27,7 @@ void ObserverHook::ReportObserverFailure() {
 
 void TracingObserver::OnRunStart(const RunStartInfo& info) {
   out_ << "[park] run start: " << info.num_rules << " rule(s), "
-       << info.num_threads << " thread(s), gamma=" << info.gamma_mode
-       << "\n";
+       << info.num_threads << " thread(s)\n";
 }
 
 void TracingObserver::OnStepStart(int step) {

@@ -44,8 +44,6 @@ struct RunStartInfo {
   size_t num_rules = 0;
   /// Resolved thread count (after ResolveNumThreads), not the raw knob.
   int num_threads = 1;
-  /// "naive" | "semi_naive".
-  const char* gamma_mode = "";
 };
 
 /// One Γ(P,B)(I) evaluation, parallel or sequential, reported after its

@@ -10,7 +10,9 @@
 //
 // Park() and ParkDiff() are drivers over ParkStepper (core/stepper.h), the
 // one implementation of the Δ loop: each constructs a stepper, runs it to
-// its fixpoint, and finishes the run.
+// its fixpoint, and finishes the run. differential_test checks every
+// configuration of them against ReferencePark, a definition-level
+// evaluator (docs/SEMANTICS.md, "Reference evaluator").
 
 #ifndef PARK_CORE_PARK_EVALUATOR_H_
 #define PARK_CORE_PARK_EVALUATOR_H_
@@ -46,28 +48,12 @@ enum class BlockGranularity {
   kFirstConflictOnly,
 };
 
-/// How the Γ operator is evaluated at each step. Both modes are
-/// semantically identical (proven in gamma_mode_test); they differ only
-/// in how much repeated work each fixpoint step performs. The ablation
-/// bench_gamma_mode quantifies the difference.
-enum class GammaMode {
-  /// Match every rule body at every step — the paper's literal algorithm,
-  /// and the full recompute conflict construction runs before SELECT.
-  kNaive,
-  /// Semi-naive evaluation (the default): each new mark seeds the body
-  /// literals it satisfies and only completions of seeds are enumerated,
-  /// each derived once, by the first body literal that holds a Δ atom
-  /// (engine/consequence.h). Rules no new mark can wake are skipped by
-  /// the scheduler without being touched.
-  kSemiNaive,
-};
-
 /// Whether ActiveDatabase commits maintain the materialized PARK
 /// fixpoint incrementally across commits (docs/INCREMENTAL.md). With
 /// kIncremental, a commit whose program and update set pass the
 /// eligibility gates re-derives only the cone seeded from U over the
 /// already-stable database instead of recomputing PARK(D, P, U) from
-/// scratch — bit-identical results (incremental_oracle_test), commit
+/// scratch — bit-identical results (differential_test), commit
 /// cost proportional to |U| and its cone. Ineligible commits (conflicts,
 /// event/negation feedback, derived-predicate deletes, governance or
 /// tracing armed) fall back to the full evaluator transparently and are
@@ -84,7 +70,6 @@ struct ParkOptions {
   /// The SELECT policy. If null, MakeInertiaPolicy() is used.
   PolicyPtr policy;
   BlockGranularity block_granularity = BlockGranularity::kAllConflicts;
-  GammaMode gamma_mode = GammaMode::kSemiNaive;
   /// Upper bound on Γ applications across all restarts; exceeding it
   /// returns kResourceExhausted. PARK terminates on every input, so this
   /// only guards against misconfigured gigantic workloads.
@@ -140,8 +125,8 @@ struct ParkOptions {
   /// kBatch runs batch-at-a-time over the relations' columnar segments
   /// (selection vectors, sorted-merge joins where the planner chose
   /// them), compacting each relation's columnar view at Γ-step
-  /// boundaries. The match SET is identical in both modes
-  /// (planner_oracle_test); each mode is bit-identical across runs and
+  /// boundaries. Both modes give the reference results
+  /// (differential_test); each mode is bit-identical across runs and
   /// thread counts.
   ExecMode exec_mode = ExecMode::kTuple;
   /// Incremental fixpoint maintenance across commits (see MaintenanceMode
@@ -216,7 +201,7 @@ struct ParkStats {
   // Join-planner counters (see docs/PLANNER.md). Deterministic for a
   // fixed configuration and invariant across thread counts: the
   // coordinator fetches plans and accumulates rows in unit order on both
-  // the sequential and parallel paths (asserted in planner_oracle_test).
+  // the sequential and parallel paths (asserted in differential_test).
   size_t plans_compiled = 0;   // plan compilations, replans included
   size_t plan_cache_hits = 0;  // Get() calls served from the cache
   size_t plan_replans = 0;     // recompiles triggered by stats drift
@@ -337,7 +322,7 @@ struct ParkStats {
   /// The "counters" object is invariant across num_threads /
   /// min_slice_size settings (asserted in stats_invariance_test);
   /// "parallel" and "timings" are explicitly not. "planner" is invariant
-  /// across thread counts but does depend on gamma_mode.
+  /// across thread counts too (differential_test).
   std::string ToJson() const;
 };
 

@@ -9,14 +9,6 @@
 namespace park {
 namespace {
 
-const char* GammaModeName(GammaMode mode) {
-  switch (mode) {
-    case GammaMode::kNaive: return "naive";
-    case GammaMode::kSemiNaive: return "semi_naive";
-  }
-  return "unknown";
-}
-
 /// Arms the run's CancellationToken from the options (deadline, memory /
 /// derivation budgets, chained external cancel). Returns nullptr when no
 /// governance is configured — the matcher and Γ workers then skip polling
@@ -90,7 +82,6 @@ ParkStepper::ParkStepper(const Program& program, const Database& db,
                          const std::vector<Update>& seeds, WarmState warm)
     : ParkStepper(program, db, std::move(options), &warm) {
   seeded_ = true;
-  options_.gamma_mode = GammaMode::kSemiNaive;
   // U's marks: exactly what the body-less seed rules of P_U would produce
   // in a full run's first step.
   const RuleGrounding seed;  // rule_index -1: "seeded by the transaction"
@@ -129,13 +120,11 @@ ParkStepper::ParkStepper(const Program& program, const Database& db,
   const int num_threads = ResolveNumThreads(options_.num_threads);
   if (num_threads > 1) {
     own_parallel_.emplace(num_threads, options_.min_slice_size);
-    if (options_.collect_timings) own_parallel_->EnableTiming();
+    own_parallel_->SetTiming(options_.collect_timings);
     parallel_ = &*own_parallel_;
   }
-  if (options_.gamma_mode != GammaMode::kNaive) {
-    own_graph_.emplace(program_);
-    graph_ = &*own_graph_;
-  }
+  own_graph_.emplace(program_);
+  graph_ = &*own_graph_;
   own_plans_.emplace(program_);
   plans_ = &*own_plans_;
   if (options_.observer != nullptr) {
@@ -162,23 +151,18 @@ void ParkStepper::Start() {
   if (options_.collect_timings) run_start_ns_ = MonotonicNanos();
   trace_.RecordInitial(interp_, 0);
   observer_.Notify([&](RunObserver& o) {
-    o.OnRunStart(RunStartInfo{program_.size(), num_threads,
-                              GammaModeName(options_.gamma_mode)});
+    o.OnRunStart(RunStartInfo{program_.size(), num_threads});
   });
 }
 
 GammaResult ParkStepper::ComputeSection(bool full) {
-  const GammaMode mode = full ? GammaMode::kNaive : options_.gamma_mode;
-  switch (mode) {
-    case GammaMode::kNaive:
-      return ComputeGamma(program_, blocked_, interp_, *plans_, parallel_,
-                          cancel_, options_.exec_mode, &exec_stats_);
-    case GammaMode::kSemiNaive:
-      return ComputeGammaSemiNaive(program_, blocked_, interp_, delta_atoms_,
-                                   *graph_, *plans_, parallel_, cancel_,
-                                   options_.exec_mode, &exec_stats_);
+  if (full) {
+    return ComputeGamma(program_, blocked_, interp_, *plans_, parallel_,
+                        cancel_, options_.exec_mode, &exec_stats_);
   }
-  return GammaResult{};
+  return ComputeGammaSemiNaive(program_, blocked_, interp_, delta_atoms_,
+                               *graph_, *plans_, parallel_, cancel_,
+                               options_.exec_mode, &exec_stats_);
 }
 
 Result<GammaResult> ParkStepper::GammaSection(int step, bool full) {
@@ -243,9 +227,8 @@ Result<StepOutcome> ParkStepper::Step() {
   StepOutcome outcome;
   outcome.kind = StepOutcome::Kind::kGamma;
   const int64_t apply_start_ns = timed ? MonotonicNanos() : 0;
-  outcome.new_marks = ApplyDerivations(
-      gamma.derivations, interp_,
-      options_.gamma_mode == GammaMode::kSemiNaive ? &delta_atoms_ : nullptr);
+  outcome.new_marks =
+      ApplyDerivations(gamma.derivations, interp_, &delta_atoms_);
   if (timed) {
     stats_.timings.apply_ns +=
         static_cast<uint64_t>(MonotonicNanos() - apply_start_ns);
@@ -264,9 +247,7 @@ Result<StepOutcome> ParkStepper::Resolve(GammaResult gamma, int step) {
   // Conflict triples must be MAXIMAL (§4.2) — they need every currently
   // firable instance on each side, which a delta-driven evaluation may
   // have skipped — so recompute the full Γ before building them.
-  if (options_.gamma_mode != GammaMode::kNaive) {
-    PARK_ASSIGN_OR_RETURN(gamma, GammaSection(step, /*full=*/true));
-  }
+  PARK_ASSIGN_OR_RETURN(gamma, GammaSection(step, /*full=*/true));
   const int shown = step + 1;
   const SymbolTable& symbols = *program_.symbols();
   const bool tracing = trace_.level() != TraceLevel::kNone;

@@ -58,11 +58,10 @@ class ParkStepper {
 
   /// The seeded closure of incremental maintenance (docs/INCREMENTAL.md):
   /// starts from I = I° plus U's marks (counted in derived_marks, not as
-  /// a step) and runs semi-naive Γ from that delta, whatever
-  /// options.gamma_mode says. The closure owns no conflict machinery: the
-  /// first inconsistent Γ section ends the run with kAborted, before any
-  /// conflict or SELECT work. Planner and pool counters in stats() are the
-  /// borrowed objects' lifetime totals.
+  /// a step) and runs semi-naive Γ from that delta. The closure owns no
+  /// conflict machinery: the first inconsistent Γ section ends the run
+  /// with kAborted, before any conflict or SELECT work. Planner and pool
+  /// counters in stats() are the borrowed objects' lifetime totals.
   ParkStepper(const Program& program, const Database& db,
               ParkOptions options, const std::vector<Update>& seeds,
               WarmState warm);
@@ -110,8 +109,8 @@ class ParkStepper {
               ParkOptions options, const WarmState* warm);
   /// Shared construction tail: stats echoes, governance, observer start.
   void Start();
-  /// The one Γ dispatch: the section `options_.gamma_mode` calls for, or
-  /// the full Γ when `full` (maximal conflict sides).
+  /// The one Γ dispatch: the semi-naive section seeded by the last
+  /// step's delta, or the full Γ when `full` (maximal conflict sides).
   GammaResult ComputeSection(bool full);
   /// Computes one Γ section and does its bookkeeping (timings, budgets,
   /// counters, observer). Errors only when the run token fired.
@@ -128,9 +127,9 @@ class ParkStepper {
   /// Seeded maintenance closure: an inconsistent section aborts the run.
   bool seeded_ = false;
   /// Owned evaluation state; a seeded stepper borrows it instead. The
-  /// pool is engaged iff options_.num_threads resolves to > 1, the
-  /// dependency graph (docs/SCHEDULER.md) iff the Γ mode has a delta to
-  /// schedule (naive matches everything by definition).
+  /// pool is engaged iff options_.num_threads resolves to > 1; the
+  /// dependency graph (docs/SCHEDULER.md) schedules every semi-naive
+  /// section.
   std::optional<ParallelGamma> own_parallel_;
   std::optional<RuleDependencyGraph> own_graph_;
   std::optional<PlanCache> own_plans_;

@@ -62,9 +62,9 @@ class ActiveDatabase {
   /// are left untouched and a kInvalidArgument status names the bad knob.
   ///
   /// Two kinds of knobs live in ParkOptions (see docs/OBSERVABILITY.md):
-  ///   - replay-stable: policy, block_granularity, gamma_mode — these pin
-  ///     down WHICH database a commit produces, so they must match across
-  ///     journal replays of the same directory;
+  ///   - replay-stable: policy, block_granularity — these pin down WHICH
+  ///     database a commit produces, so they must match across journal
+  ///     replays of the same directory;
   ///   - free: num_threads, min_slice_size, trace_level, observer,
   ///     collect_timings — performance/observability only; results are
   ///     bit-identical whatever they are set to.

@@ -115,13 +115,13 @@ class ParallelGamma {
     slice_tasks_ += slices;
   }
 
-  /// Enables wall-clock instrumentation of the parallel sections (see
+  /// Switches wall-clock instrumentation of the parallel sections (see
   /// ParkOptions::collect_timings): fan-out time vs. merge time, plus the
-  /// pool's own busy clock. Off by default; when off the accessors
-  /// return 0 and the sections read no clocks.
-  void EnableTiming() {
-    timing_enabled_ = true;
-    pool_.set_collect_timing(true);
+  /// pool's own busy clock. Off by default; while off the sections read
+  /// no clocks and the totals below stop advancing.
+  void SetTiming(bool enabled) {
+    timing_enabled_ = enabled;
+    pool_.set_collect_timing(enabled);
   }
   bool timing_enabled() const { return timing_enabled_; }
   /// Coordinator wall time inside pool fan-outs / merging the per-task

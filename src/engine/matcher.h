@@ -52,7 +52,7 @@ class CancellationToken;
 /// The two modes enumerate the same match SET for every plan — the batch
 /// candidate stream is the canonical sorted segment order instead of hash
 /// order — and each mode is bit-identical across thread counts
-/// (docs/STORAGE.md; planner_oracle_test sweeps exec_mode).
+/// (docs/STORAGE.md; differential_test sweeps exec_mode).
 enum class ExecMode {
   kTuple,
   kBatch,

@@ -44,12 +44,12 @@
 
 namespace park {
 
-/// Configuration for Session::Create/Open. The replay-stable knobs
-/// inside `options` (policy, block_granularity, gamma_mode) must match
-/// across Opens of the same directory, exactly as for
-/// ActiveDatabase::Open; batching adds NO new replay-stable knobs — a
-/// journal written with any max_group_size replays identically under any
-/// other, because a batch is one ordinary (folded) journal record.
+/// Configuration for Session::Create/Open. The replay-stable knobs inside
+/// `options` (policy, block_granularity) must match across Opens of the
+/// same directory, exactly as for ActiveDatabase::Open; batching adds NO
+/// new replay-stable knobs — a journal written with any max_group_size
+/// replays identically under any other, because a batch is one ordinary
+/// (folded) journal record.
 /// (Namespace-scope so `= {}` default arguments work; spelled
 /// Session::Params in client code.)
 struct SessionParams {

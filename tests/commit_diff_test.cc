@@ -1,10 +1,8 @@
-// Commit-diff differential test: ActiveDatabase builds every commit's
-// inserted/deleted lists from the final marks (ParkDiff, O(|marks|)).
-// For seeded random programs and update scripts, each CommitReport must be
-// bit-identical to the from-scratch reference `Park(D, P, U).database
-// .DiffWith(D)`, and the stored instance must equal `Park(...).database`,
-// across Γ modes × exec modes × thread counts. The journal-failure
-// rollback, which undoes the diff in place, must restore D exactly.
+// Commit-diff rollback: ActiveDatabase applies every commit's diff in
+// place, and a journal failure must undo it exactly, restoring D. The
+// successful commits in between are checked against
+// `Park(D, P, U).database.DiffWith(D)`; differential_test checks commit
+// scripts against the reference evaluator in every configuration.
 
 #include <gtest/gtest.h>
 
@@ -83,35 +81,6 @@ bool SameInstance(const Database& a, const Database& b) {
   return same;
 }
 
-struct Config {
-  GammaMode gamma;
-  ExecMode exec;
-  int threads;
-};
-
-std::vector<Config> AllConfigs() {
-  std::vector<Config> configs;
-  for (GammaMode gamma : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
-    for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
-      for (int threads : {1, 4}) configs.push_back({gamma, exec, threads});
-    }
-  }
-  return configs;
-}
-
-std::string ConfigName(const Config& c) {
-  return StrFormat("gamma=%d exec=%d threads=%d", static_cast<int>(c.gamma),
-                   static_cast<int>(c.exec), c.threads);
-}
-
-ParkOptions OptionsFor(const Config& config) {
-  ParkOptions options;
-  options.gamma_mode = config.gamma;
-  options.exec_mode = config.exec;
-  options.num_threads = config.threads;
-  return options;
-}
-
 /// Tallies across a sweep, so the test can assert its cases really
 /// exercised conflicts and non-empty diffs.
 struct Coverage {
@@ -159,54 +128,6 @@ void CommitAndCompare(ActiveDatabase& db,
   coverage.restarts += report->stats.restarts;
   coverage.inserted += report->inserted.size();
   coverage.deleted += report->deleted.size();
-}
-
-TEST(CommitDiffTest, RandomScriptsMatchReferenceDiff) {
-  for (const Config& config : AllConfigs()) {
-    SCOPED_TRACE(ConfigName(config));
-    Coverage coverage;
-    for (uint64_t seed = 1; seed <= 12; ++seed) {
-      SCOPED_TRACE(StrFormat("seed %llu",
-                             static_cast<unsigned long long>(seed)));
-      Rng rng(seed);
-      ActiveDatabase db;
-      ASSERT_TRUE(db.LoadRules(RandomRules(rng, 10)).ok());
-      ASSERT_TRUE(db.LoadFacts(RandomFacts(rng)).ok());
-      ASSERT_TRUE(db.Configure(OptionsFor(config)).ok());
-      // The initial Stabilize is itself a full-path commit with U = ∅.
-      CommitAndCompare(db, {}, coverage);
-      for (int c = 0; c < 6; ++c) {
-        CommitAndCompare(db, RandomCommit(rng), coverage);
-      }
-    }
-    EXPECT_GT(coverage.restarts, 0u);
-    EXPECT_GT(coverage.inserted, 0u);
-    EXPECT_GT(coverage.deleted, 0u);
-  }
-}
-
-TEST(CommitDiffTest, TraceMatchesReference) {
-  Rng rng(99);
-  ActiveDatabase db;
-  ASSERT_TRUE(db.LoadRules(RandomRules(rng, 10)).ok());
-  ASSERT_TRUE(db.LoadFacts(RandomFacts(rng)).ok());
-  ParkOptions options;
-  options.trace_level = TraceLevel::kFull;
-  ASSERT_TRUE(db.Configure(std::move(options)).ok());
-  for (int c = 0; c < 6; ++c) {
-    UpdateSet set;
-    Transaction tx = db.Begin();
-    for (const std::string& text : RandomCommit(rng)) {
-      ASSERT_TRUE(set.AddParsed(text, db.symbols()).ok());
-      ASSERT_TRUE(tx.Stage(text).ok());
-    }
-    auto reference =
-        Park(db.database(), db.program(), set.updates(), db.options());
-    ASSERT_TRUE(reference.ok());
-    auto report = std::move(tx).Commit();
-    ASSERT_TRUE(report.ok());
-    EXPECT_EQ(report->trace.ToString(), reference->trace.ToString());
-  }
 }
 
 TEST(CommitDiffTest, JournalFailureRollbackRestoresDatabase) {

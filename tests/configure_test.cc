@@ -61,11 +61,12 @@ TEST(ConfigureTest, InstallsValidatedBundle) {
   ParkOptions options;
   options.num_threads = 2;
   options.min_slice_size = 64;
-  options.gamma_mode = GammaMode::kSemiNaive;
+  options.block_granularity = BlockGranularity::kFirstConflictOnly;
   ASSERT_TRUE(db.Configure(std::move(options)).ok());
   EXPECT_EQ(db.options().num_threads, 2);
   EXPECT_EQ(db.options().min_slice_size, 64u);
-  EXPECT_EQ(db.options().gamma_mode, GammaMode::kSemiNaive);
+  EXPECT_EQ(db.options().block_granularity,
+            BlockGranularity::kFirstConflictOnly);
 }
 
 TEST(ConfigureTest, RejectionLeavesPreviousOptionsUntouched) {
@@ -127,11 +128,12 @@ TEST(ConfigureTest, OpenParamsOptionsReachTheDatabase) {
   params.rules = "r1: p(X) -> +q(X).";
   params.sync_mode = JournalSyncMode::kNone;
   params.options.num_threads = 2;
-  params.options.gamma_mode = GammaMode::kSemiNaive;
+  params.options.block_granularity = BlockGranularity::kFirstConflictOnly;
   auto db = ActiveDatabase::Open(dir, std::move(params));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   EXPECT_EQ(db->options().num_threads, 2);
-  EXPECT_EQ(db->options().gamma_mode, GammaMode::kSemiNaive);
+  EXPECT_EQ(db->options().block_granularity,
+            BlockGranularity::kFirstConflictOnly);
 }
 
 TEST(ConfigureTest, LegacyOpenPolicyOverridesOptionsPolicy) {

@@ -1,0 +1,1072 @@
+// Differential test of the engine against ReferencePark, the
+// definition-level evaluator in tests/reference/.
+//
+// Every case (a program, facts, a sequence of update sets U_1..U_n and a
+// SELECT policy) runs through every production configuration — threads
+// {1, 4} × exec {tuple, batch} × min_slice_size {1, default} at 4 threads
+// × block granularity — and every driver: Park(), ParkDiff(), a stepped
+// ParkStepper, ActiveDatabase commit scripts with maintenance off and on,
+// and a Session whose concurrent group commits are replayed from the
+// journal through the reference.
+//
+//  - Layer 1: each evaluation matches the reference on the result
+//    database, the rendered blocked set, `restarts` and `gamma_steps`
+//    (and, for Park(), the provenance; for ParkDiff() and every commit,
+//    the reported inserted/deleted lists, entry for entry).
+//  - Layer 2: each configuration matches the default one (1 thread, tuple,
+//    default slice, same granularity) on the trace, the provenance, and
+//    the park-stats-v1 counters/planner/scheduler blocks (plus the
+//    maintenance block for commit scripts); batch configurations also
+//    match the single-thread batch run on the storage/exec blocks.
+//  - Theorem 4.1 on every case, for the engine and the reference: the run
+//    terminates, the result is consistent, B grows strictly at each
+//    restart, and restarts ≤ the number of ground instances of P_U.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <filesystem>
+#include <iterator>
+#include <map>
+#include <optional>
+#include <set>
+#include <thread>
+
+#include <unistd.h>
+
+#include "core/stepper.h"
+#include "eca/journal.h"
+#include "lang/printer.h"
+#include "reference/reference_park.h"
+#include "serve/session.h"
+#include "test_util.h"
+#include "util/random.h"
+#include "util/string_util.h"
+#include "workload/conflict_gen.h"
+#include "workload/graph_gen.h"
+#include "workload/kilorule_gen.h"
+#include "workload/payroll_gen.h"
+
+namespace park {
+namespace {
+
+using reference::ReferencePark;
+using reference::ReferenceRun;
+using Atoms = std::set<GroundAtom>;
+
+// --- cases ---
+
+enum class PolicyKind {
+  kInertia,
+  kAlwaysInsert,
+  kAlwaysDelete,
+  kPriorityOverInertia,
+  kSpecificityOverInertia,
+  kIrreflexiveGraph,
+};
+
+PolicyPtr MakePolicy(PolicyKind kind) {
+  switch (kind) {
+    case PolicyKind::kInertia: return MakeInertiaPolicy();
+    case PolicyKind::kAlwaysInsert: return MakeAlwaysInsertPolicy();
+    case PolicyKind::kAlwaysDelete: return MakeAlwaysDeletePolicy();
+    case PolicyKind::kPriorityOverInertia:
+      return MakeCompositePolicy(
+          {MakeRulePriorityPolicy(), MakeInertiaPolicy()});
+    case PolicyKind::kSpecificityOverInertia:
+      return MakeCompositePolicy(
+          {MakeSpecificityPolicy(), MakeInertiaPolicy()});
+    case PolicyKind::kIrreflexiveGraph: return MakeIrreflexiveGraphPolicy();
+  }
+  return nullptr;
+}
+
+/// One case, all text. The single-run drivers evaluate PARK(D, P, U_1);
+/// the commit scripts stabilize D and then commit U_1..U_n in order.
+struct Case {
+  std::string rules;
+  std::string facts;
+  std::vector<std::vector<std::string>> commits;
+  PolicyKind policy = PolicyKind::kInertia;
+};
+
+std::string RenderFacts(const Database& db) {
+  std::string facts;
+  for (const std::string& atom : db.SortedAtomStrings()) facts += atom + ". ";
+  return facts;
+}
+
+/// A generator workload as a case: its updates become U_1, followed by
+/// `more` commits.
+Case FromWorkload(const Workload& w, PolicyKind policy,
+                  std::vector<std::vector<std::string>> more = {}) {
+  Case c;
+  c.rules = ProgramToString(w.program);
+  c.facts = RenderFacts(w.database);
+  std::vector<std::string> first;
+  for (const Update& u : w.updates.updates()) {
+    first.push_back(ActionKindSign(u.action) + u.atom.ToString(*w.symbols));
+  }
+  c.commits.push_back(std::move(first));
+  for (auto& commit : more) c.commits.push_back(std::move(commit));
+  c.policy = policy;
+  return c;
+}
+
+/// A case parsed into one symbol table, in the order every driver repeats
+/// (rules, facts, then each commit's updates): symbol ids — hence atom
+/// order, and with it the first conflict under kFirstConflictOnly — are
+/// the same for the engine and the reference.
+struct Parsed {
+  std::shared_ptr<SymbolTable> symbols = MakeSymbolTable();
+  Program program{symbols};
+  Database db{symbols};
+  std::vector<std::vector<Update>> commits;
+};
+
+std::unique_ptr<Parsed> Parse(const Case& c) {
+  auto parsed = std::make_unique<Parsed>();
+  parsed->program = testing_util::MustParseProgram(c.rules, parsed->symbols);
+  parsed->db = testing_util::MustParseDatabase(c.facts, parsed->symbols);
+  for (const std::vector<std::string>& commit : c.commits) {
+    UpdateSet set;
+    for (const std::string& text : commit) {
+      EXPECT_TRUE(set.AddParsed(text, parsed->symbols).ok()) << text;
+    }
+    parsed->commits.push_back(set.updates());
+  }
+  return parsed;
+}
+
+const std::vector<Update>& FirstCommit(const Parsed& parsed) {
+  static const std::vector<Update> kNone;
+  return parsed.commits.empty() ? kNone : parsed.commits.front();
+}
+
+// --- configurations ---
+
+struct Config {
+  int threads = 1;
+  ExecMode exec = ExecMode::kTuple;
+  size_t min_slice_size = kDefaultMinSliceSize;
+  BlockGranularity granularity = BlockGranularity::kAllConflicts;
+};
+
+/// Every production configuration, grouped by granularity; the first of
+/// each group is that group's default (the Layer 2 baseline).
+std::vector<Config> AllConfigs() {
+  std::vector<Config> configs;
+  for (BlockGranularity g : {BlockGranularity::kAllConflicts,
+                             BlockGranularity::kFirstConflictOnly}) {
+    for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
+      configs.push_back({1, exec, kDefaultMinSliceSize, g});
+    }
+    for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
+      for (size_t slice : {size_t{1}, kDefaultMinSliceSize}) {
+        configs.push_back({4, exec, slice, g});
+      }
+    }
+  }
+  return configs;
+}
+
+std::string ConfigName(const Config& c) {
+  return StrFormat(
+      "threads=%d exec=%s min_slice_size=%zu granularity=%s", c.threads,
+      c.exec == ExecMode::kTuple ? "tuple" : "batch", c.min_slice_size,
+      c.granularity == BlockGranularity::kAllConflicts ? "all" : "first");
+}
+
+ParkOptions OptionsFor(const Config& c, PolicyKind policy) {
+  ParkOptions options;
+  options.policy = MakePolicy(policy);
+  options.num_threads = c.threads;
+  options.exec_mode = c.exec;
+  options.min_slice_size = c.min_slice_size;
+  options.block_granularity = c.granularity;
+  return options;
+}
+
+// --- observations ---
+
+template <typename AtomRange>
+std::vector<std::string> Render(const AtomRange& atoms, const SymbolTable& s) {
+  std::vector<std::string> out;
+  for (const GroundAtom& atom : atoms) out.push_back(atom.ToString(s));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+Atoms AtomsOf(const Database& db) {
+  Atoms atoms;
+  db.ForEach([&](const GroundAtom& atom) { atoms.insert(atom); });
+  return atoms;
+}
+
+Database ToDatabase(const Atoms& atoms,
+                    const std::shared_ptr<SymbolTable>& symbols) {
+  Database db(symbols);
+  for (const GroundAtom& atom : atoms) db.Insert(atom);
+  return db;
+}
+
+/// The object `"key": {...}` of a park-stats-v1 document, verbatim; a
+/// missing or unterminated block fails the test.
+std::string JsonBlock(const std::string& json, const std::string& key) {
+  const size_t at = json.find("\"" + key + "\": {");
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "park-stats-v1 document has no \"" << key << "\" block";
+    return "";
+  }
+  int depth = 0;
+  for (size_t i = json.find('{', at); i < json.size(); ++i) {
+    if (json[i] == '{') ++depth;
+    if (json[i] == '}' && --depth == 0) return json.substr(at, i + 1 - at);
+  }
+  ADD_FAILURE() << "park-stats-v1 block \"" << key << "\" is unterminated";
+  return "";
+}
+
+/// The blocks every configuration must agree on, and (`exec` true) the
+/// storage/exec blocks, which only configurations with the same executor
+/// share.
+std::string DeterministicBlocks(const ParkStats& stats, bool maintenance,
+                                bool exec = false) {
+  const std::string json = stats.ToJson();
+  if (exec) return JsonBlock(json, "storage") + JsonBlock(json, "exec");
+  std::string out = JsonBlock(json, "counters") + JsonBlock(json, "planner") +
+                    JsonBlock(json, "scheduler");
+  if (maintenance) out += JsonBlock(json, "maintenance");
+  return out;
+}
+
+/// One engine evaluation as a driver sees it. Fields a driver cannot see
+/// stay empty and are not compared.
+struct Observation {
+  StatusCode code = StatusCode::kOk;
+  std::vector<std::string> database;
+  std::optional<std::vector<std::string>> blocked;
+  size_t blocked_instances = 0;
+  size_t restarts = 0;
+  size_t gamma_steps = 0;
+  std::optional<std::vector<std::string>> provenance;
+  /// The commit diff as reported (ParkDiff(), CommitReport), entries and
+  /// order verbatim.
+  std::optional<std::vector<GroundAtom>> inserted;
+  std::optional<std::vector<GroundAtom>> deleted;
+  std::string trace;
+  std::string blocks;
+  std::string exec_blocks;
+  ParkStats stats;
+  /// Served by the incremental maintainer: its counters describe the
+  /// seeded closure, not the full Δ loop the reference runs.
+  bool maintained = false;
+};
+
+/// One reference evaluation, or its error, with the diff it makes to D:
+/// incorp(I) \ D and D \ incorp(I), in GroundAtom order.
+struct Expected {
+  StatusCode code = StatusCode::kOk;
+  ReferenceRun run;
+  std::vector<GroundAtom> inserted;
+  std::vector<GroundAtom> deleted;
+};
+
+Expected Reference(const Database& db, const Program& program,
+                   const std::vector<Update>& updates, PolicyKind policy,
+                   BlockGranularity granularity) {
+  auto run = ReferencePark(db, program, updates, MakePolicy(policy),
+                           granularity);
+  if (!run.ok()) return Expected{run.status().code(), {}, {}, {}};
+  Expected e{StatusCode::kOk, std::move(run).value(), {}, {}};
+  const Atoms before = AtomsOf(db);
+  std::set_difference(e.run.database.begin(), e.run.database.end(),
+                      before.begin(), before.end(),
+                      std::back_inserter(e.inserted));
+  std::set_difference(before.begin(), before.end(), e.run.database.begin(),
+                      e.run.database.end(), std::back_inserter(e.deleted));
+  return e;
+}
+
+/// Theorem 4.1 on a reference run.
+void ExpectTheorem41(const ReferenceRun& run) {
+  EXPECT_TRUE(run.consistent);
+  EXPECT_EQ(run.blocked_sizes.size(), run.restarts);
+  for (size_t i = 1; i < run.blocked_sizes.size(); ++i) {
+    EXPECT_LT(run.blocked_sizes[i - 1], run.blocked_sizes[i]);
+  }
+  EXPECT_LE(run.restarts, run.ground_instances);
+}
+
+/// Layer 1.
+void ExpectMatchesReference(const Observation& got, const Expected& want,
+                            const SymbolTable& symbols) {
+  ASSERT_EQ(got.code, want.code);
+  if (want.code != StatusCode::kOk) return;
+  EXPECT_EQ(got.database, Render(want.run.database, symbols));
+  // Exactly the atoms that changed: no insert of an atom already in D, no
+  // delete of an absent one, no duplicates. The rendered comparison is the
+  // readable one; the raw one also holds the engine to GroundAtom order.
+  if (got.inserted) {
+    EXPECT_EQ(Render(*got.inserted, symbols), Render(want.inserted, symbols));
+    EXPECT_EQ(*got.inserted, want.inserted);
+  }
+  if (got.deleted) {
+    EXPECT_EQ(Render(*got.deleted, symbols), Render(want.deleted, symbols));
+    EXPECT_EQ(*got.deleted, want.deleted);
+  }
+  if (got.maintained) {
+    // The seeded closure aborts on any clash, so a maintained commit is
+    // one the reference resolves without conflicts.
+    EXPECT_EQ(want.run.restarts, 0u);
+    EXPECT_TRUE(want.run.blocked.empty());
+    return;
+  }
+  if (got.blocked) {
+    EXPECT_EQ(*got.blocked, want.run.blocked);
+  }
+  EXPECT_EQ(got.blocked_instances, want.run.blocked.size());
+  EXPECT_EQ(got.restarts, want.run.restarts);
+  EXPECT_EQ(got.gamma_steps, want.run.gamma_steps);
+  if (got.provenance) {
+    EXPECT_EQ(*got.provenance, want.run.provenance);
+  }
+}
+
+/// Layer 2: `base` is the default configuration's observation, `batch`
+/// (batch configurations only) the single-thread batch one. Tuple runs
+/// are not compared on the storage block: at 4 threads one of them
+/// reports a compaction the single-thread run does not (ROADMAP).
+void ExpectMatchesDefault(const Observation& got, const Observation& base,
+                          const Observation* batch) {
+  EXPECT_EQ(got.trace, base.trace);
+  EXPECT_EQ(got.provenance, base.provenance);
+  EXPECT_EQ(got.blocks, base.blocks);
+  if (batch != nullptr) {
+    EXPECT_EQ(got.exec_blocks, batch->exec_blocks);
+  }
+}
+
+void FillFromStats(const ParkStats& stats, Observation& obs) {
+  obs.stats = stats;
+  obs.blocked_instances = stats.blocked_instances;
+  obs.restarts = stats.restarts;
+  obs.gamma_steps = stats.gamma_steps;
+  obs.blocks = DeterministicBlocks(stats, /*maintenance=*/false);
+  obs.exec_blocks = DeterministicBlocks(stats, false, /*exec=*/true);
+}
+
+// --- drivers ---
+
+void Stage(Transaction& tx, const Update& u) {
+  if (u.action == ActionKind::kInsert) {
+    tx.Insert(u.atom);
+  } else {
+    tx.Delete(u.atom);
+  }
+}
+
+Observation RunPark(const Parsed& parsed, ParkOptions options) {
+  options.trace_level = TraceLevel::kFull;
+  options.record_provenance = true;
+  auto result = Park(parsed.db, parsed.program, FirstCommit(parsed), options);
+  Observation obs;
+  if (!result.ok()) {
+    obs.code = result.status().code();
+    return obs;
+  }
+  obs.database = result->database.SortedAtomStrings();
+  obs.blocked = result->blocked;
+  FillFromStats(result->stats, obs);
+  std::vector<std::string> provenance;
+  for (const AtomProvenance& p : result->provenance) {
+    provenance.push_back(p.atom + " <- " + Join(p.derived_by, ", "));
+  }
+  obs.provenance = std::move(provenance);
+  obs.trace = result->trace.ToString();
+  return obs;
+}
+
+Observation RunParkDiff(const Parsed& parsed, ParkOptions options) {
+  options.trace_level = TraceLevel::kFull;
+  auto result =
+      ParkDiff(parsed.db, parsed.program, FirstCommit(parsed), options);
+  Observation obs;
+  if (!result.ok()) {
+    obs.code = result.status().code();
+    return obs;
+  }
+  Atoms atoms = AtomsOf(parsed.db);
+  for (const GroundAtom& atom : result->diff.only_in_other) atoms.erase(atom);
+  atoms.insert(result->diff.only_in_this.begin(),
+               result->diff.only_in_this.end());
+  obs.database = Render(atoms, *parsed.symbols);
+  obs.inserted = result->diff.only_in_this;
+  obs.deleted = result->diff.only_in_other;
+  FillFromStats(result->stats, obs);
+  obs.trace = result->trace.ToString();
+  return obs;
+}
+
+/// The stepper, one Δ transition at a time, asserting Theorem 4.1 along
+/// the way: ⟨B, I⟩ grows in the bi-structure order, B grows strictly at
+/// each restart, the run reaches a fixpoint, and I there is consistent.
+Observation RunStepped(const Parsed& parsed, ParkOptions options,
+                       size_t ground_instances) {
+  options.trace_level = TraceLevel::kFull;
+  auto extended = ProgramWithUpdates(parsed.program, FirstCommit(parsed));
+  EXPECT_TRUE(extended.ok()) << extended.status().ToString();
+  Observation obs;
+  if (!extended.ok()) return obs;
+  ParkStepper stepper(*extended, parsed.db, options);
+  BiStructureSnapshot before = stepper.Snapshot();
+  // Any terminating run takes fewer transitions than this.
+  const size_t kTransitionBound = 1'000'000;
+  size_t transitions = 0;
+  while (!stepper.done() && transitions++ < kTransitionBound) {
+    const size_t blocked_before = stepper.blocked().size();
+    auto outcome = stepper.Step();
+    if (!outcome.ok()) {
+      obs.code = outcome.status().code();
+      return obs;
+    }
+    BiStructureSnapshot after = stepper.Snapshot();
+    if (outcome->kind == StepOutcome::Kind::kResolution) {
+      EXPECT_GT(stepper.blocked().size(), blocked_before);
+      EXPECT_EQ(outcome->newly_blocked,
+                stepper.blocked().size() - blocked_before);
+    }
+    EXPECT_TRUE(BiStructureLeq(before, after))
+        << before.ToString() << " then " << after.ToString();
+    before = std::move(after);
+  }
+  EXPECT_TRUE(stepper.done()) << "no fixpoint within the transition bound";
+  EXPECT_TRUE(stepper.interpretation().IsConsistent());
+  EXPECT_LE(stepper.stats().restarts, ground_instances);
+  auto database = stepper.Finish();
+  EXPECT_TRUE(database.ok());
+  if (!database.ok()) return obs;
+  obs.database = database->SortedAtomStrings();
+  std::vector<std::string> blocked;
+  for (const RuleGrounding& g : stepper.blocked()) {
+    blocked.push_back(g.ToString(*extended, *parsed.symbols));
+  }
+  std::sort(blocked.begin(), blocked.end());
+  obs.blocked = std::move(blocked);
+  FillFromStats(stepper.stats(), obs);
+  obs.trace = stepper.trace().ToString();
+  return obs;
+}
+
+/// Stabilize, then commit U_1..U_n, on a fresh ActiveDatabase: one
+/// observation per commit.
+std::vector<Observation> RunScript(const Case& c, const Parsed& parsed,
+                                   ParkOptions options) {
+  ActiveDatabase db(parsed.symbols);
+  EXPECT_TRUE(db.LoadRules(c.rules).ok());
+  EXPECT_TRUE(db.LoadFacts(c.facts).ok());
+  EXPECT_TRUE(db.Configure(std::move(options)).ok());
+  std::vector<Observation> observations;
+  auto observe = [&](CommitResult report) {
+    Observation obs;
+    if (report.ok()) {
+      FillFromStats(report->stats, obs);
+      obs.blocks = DeterministicBlocks(report->stats, /*maintenance=*/true);
+      obs.maintained = report->stats.maint_commits == 1;
+      obs.inserted = report->inserted;
+      obs.deleted = report->deleted;
+    } else {
+      obs.code = report.status().code();
+    }
+    obs.database = db.database().SortedAtomStrings();
+    observations.push_back(std::move(obs));
+  };
+  observe(db.Stabilize());
+  for (const std::vector<Update>& commit : parsed.commits) {
+    Transaction tx = db.Begin();
+    for (const Update& u : commit) Stage(tx, u);
+    observe(std::move(tx).Commit());
+  }
+  return observations;
+}
+
+/// The reference side of a commit script: D_0 = facts, then
+/// D_{k+1} = PARK(D_k, P, U_k) with U_0 = ∅; a failed commit leaves D.
+std::vector<Expected> ReferenceScript(const Parsed& parsed, PolicyKind policy,
+                                      BlockGranularity granularity) {
+  std::vector<Expected> out;
+  Atoms state = AtomsOf(parsed.db);
+  auto commit = [&](const std::vector<Update>& updates) {
+    Database db = ToDatabase(state, parsed.symbols);
+    Expected e = Reference(db, parsed.program, updates, policy, granularity);
+    if (e.code == StatusCode::kOk) {
+      ExpectTheorem41(e.run);
+      state = e.run.database;
+    }
+    out.push_back(std::move(e));
+  };
+  commit({});
+  for (const std::vector<Update>& updates : parsed.commits) commit(updates);
+  return out;
+}
+
+/// A durable Session: U_1..U_n are committed from three writer threads,
+/// so the pipeline folds concurrent ones into group commits. The journal
+/// records, replayed one by one through the reference from the loaded
+/// facts, must reproduce the served state.
+void RunSessionAndReplay(const Case& c, const Parsed& parsed,
+                           ParkOptions options, const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  const PolicyKind policy = c.policy;
+  const BlockGranularity granularity = options.block_granularity;
+  std::string served;
+  {
+    Session::Params params;
+    params.rules = c.rules;
+    params.symbols = parsed.symbols;
+    params.sync_mode = JournalSyncMode::kNone;
+    params.options = std::move(options);
+    auto session_or = Session::Open(dir, std::move(params));
+    EXPECT_TRUE(session_or.ok()) << session_or.status().ToString();
+    if (!session_or.ok()) return;
+    std::unique_ptr<Session> session = std::move(session_or).value();
+    EXPECT_TRUE(session->LoadFacts(c.facts).ok());
+    EXPECT_TRUE(session->Stabilize().ok());
+    constexpr size_t kWriters = 3;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> writers;
+    for (size_t w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        for (size_t i = w; i < parsed.commits.size(); i += kWriters) {
+          Transaction tx = session->Begin();
+          for (const Update& u : parsed.commits[i]) Stage(tx, u);
+          if (!std::move(tx).Commit().ok()) ++failures;
+        }
+      });
+    }
+    for (std::thread& t : writers) t.join();
+    EXPECT_EQ(failures.load(), 0);
+    served = session->Snapshot().ToString();
+  }
+  auto records =
+      TransactionJournal::ReadRecords(dir + "/journal.log", parsed.symbols);
+  EXPECT_TRUE(records.ok()) << records.status().ToString();
+  if (!records.ok()) return;
+  Atoms state = AtomsOf(parsed.db);
+  for (const JournalRecord& record : *records) {
+    Database db = ToDatabase(state, parsed.symbols);
+    Expected e = Reference(db, parsed.program, record.updates.updates(),
+                           policy, granularity);
+    EXPECT_EQ(e.code, StatusCode::kOk) << "record " << record.seq;
+    if (e.code != StatusCode::kOk) return;
+    ExpectTheorem41(e.run);
+    state = e.run.database;
+  }
+  EXPECT_EQ(served, ToDatabase(state, parsed.symbols).ToString());
+  std::filesystem::remove_all(dir, ec);
+}
+
+/// What a sweep exercised, so the cases can be held to covering
+/// conflicts, a result that depends on the block granularity, maintained
+/// commits, non-empty diffs, and the machinery each configuration selects
+/// (tallied from Park()'s stats).
+struct Coverage {
+  size_t cases = 0;
+  size_t restarts = 0;
+  size_t granularity_splits = 0;
+  size_t maintained_commits = 0;
+  size_t inserted = 0;  // atoms in commit reports' inserted lists
+  size_t deleted = 0;   // ... and deleted lists
+  size_t plans_compiled = 0;
+  size_t planner_actual_rows = 0;
+  size_t parallel_tasks = 0;         // threads 4
+  size_t parallel_sliced_units = 0;  // threads 4, min_slice_size 1
+  uint64_t exec_batch_rows = 0;      // exec batch
+  size_t storage_compactions = 0;    // exec batch
+  size_t storage_dict_entries = 0;   // exec batch
+
+  void Tally(const Config& config, const ParkStats& stats) {
+    plans_compiled += stats.plans_compiled;
+    planner_actual_rows += stats.planner_actual_rows;
+    if (config.threads > 1) {
+      parallel_tasks += stats.parallel_tasks;
+      if (config.min_slice_size == 1) {
+        parallel_sliced_units += stats.parallel_sliced_units;
+      }
+    }
+    if (config.exec == ExecMode::kBatch) {
+      exec_batch_rows += stats.exec_batch_rows;
+      storage_compactions += stats.storage_compactions;
+      storage_dict_entries += stats.storage_dict_entries;
+    }
+  }
+};
+
+/// The configurations really ran what they select: the planner, the
+/// 4-thread fan-out, and the batch executor over columnar storage.
+/// `slices`: some rule or Δ-seed was split into slices at min_slice_size 1.
+void ExpectMachineryRan(const Coverage& coverage, bool slices) {
+  EXPECT_GT(coverage.plans_compiled, 0u);
+  EXPECT_GT(coverage.planner_actual_rows, 0u);
+  EXPECT_GT(coverage.parallel_tasks, 0u);
+  if (slices) {
+    EXPECT_GT(coverage.parallel_sliced_units, 0u);
+  }
+  EXPECT_GT(coverage.exec_batch_rows, 0u);
+  EXPECT_GT(coverage.storage_compactions, 0u);
+  EXPECT_GT(coverage.storage_dict_entries, 0u);
+}
+
+/// Runs `c` through every configuration and driver, adding to `coverage`.
+void CheckCase(const Case& c, Coverage& coverage) {
+  std::unique_ptr<Parsed> parsed = Parse(c);
+  if (::testing::Test::HasFailure()) return;
+  const SymbolTable& symbols = *parsed->symbols;
+  ++coverage.cases;
+
+  // The reference, once per granularity.
+  std::map<BlockGranularity, Expected> single;
+  std::map<BlockGranularity, std::vector<Expected>> script;
+  for (BlockGranularity g : {BlockGranularity::kAllConflicts,
+                             BlockGranularity::kFirstConflictOnly}) {
+    single[g] = Reference(parsed->db, parsed->program, FirstCommit(*parsed),
+                          c.policy, g);
+    if (single[g].code == StatusCode::kOk) {
+      ExpectTheorem41(single[g].run);
+      coverage.restarts += single[g].run.restarts;
+    }
+    script[g] = ReferenceScript(*parsed, c.policy, g);
+  }
+  const Expected& all = single[BlockGranularity::kAllConflicts];
+  const Expected& first = single[BlockGranularity::kFirstConflictOnly];
+  if (all.code == StatusCode::kOk && first.code == StatusCode::kOk &&
+      all.run.database != first.run.database) {
+    ++coverage.granularity_splits;
+  }
+
+  // Layer 2 baselines: the single-thread observations of each executor;
+  // the tuple ones are the default configuration's.
+  struct Baseline {
+    Observation park, diff, stepped;
+    std::vector<Observation> scripts[2];  // maintenance off, on
+  };
+  std::map<std::pair<BlockGranularity, ExecMode>, Baseline> baselines;
+  // Per process, so concurrent runs of this binary cannot share it.
+  const std::string session_dir = ::testing::TempDir() +
+                                  "park_differential_session_" +
+                                  std::to_string(getpid());
+  for (const Config& config : AllConfigs()) {
+    SCOPED_TRACE(ConfigName(config));
+    const Expected& want = single[config.granularity];
+    const ParkOptions options = OptionsFor(config, c.policy);
+    const size_t ground_instances =
+        want.code == StatusCode::kOk ? want.run.ground_instances : 0;
+
+    Observation park = RunPark(*parsed, options);
+    Observation diff = RunParkDiff(*parsed, options);
+    Observation stepped = RunStepped(*parsed, options, ground_instances);
+    coverage.Tally(config, park.stats);
+    {
+      SCOPED_TRACE("Park()");
+      ExpectMatchesReference(park, want, symbols);
+    }
+    {
+      SCOPED_TRACE("ParkDiff()");
+      ExpectMatchesReference(diff, want, symbols);
+    }
+    {
+      SCOPED_TRACE("ParkStepper");
+      ExpectMatchesReference(stepped, want, symbols);
+    }
+
+    std::vector<Observation> scripts[2];
+    for (MaintenanceMode maintenance :
+         {MaintenanceMode::kOff, MaintenanceMode::kIncremental}) {
+      const bool on = maintenance == MaintenanceMode::kIncremental;
+      SCOPED_TRACE(on ? "ActiveDatabase, maintenance on"
+                      : "ActiveDatabase, maintenance off");
+      ParkOptions script_options = options;
+      script_options.maintenance_mode = maintenance;
+      std::vector<Observation>& observed = scripts[on];
+      observed = RunScript(c, *parsed, script_options);
+      const std::vector<Expected>& expected = script[config.granularity];
+      ASSERT_EQ(observed.size(), expected.size());
+      for (size_t k = 0; k < observed.size(); ++k) {
+        SCOPED_TRACE(StrFormat("commit %zu", k));
+        ExpectMatchesReference(observed[k], expected[k], symbols);
+        if (observed[k].inserted) {
+          coverage.inserted += observed[k].inserted->size();
+          coverage.deleted += observed[k].deleted->size();
+        }
+        if (on) {
+          coverage.maintained_commits += observed[k].maintained;
+        } else {
+          EXPECT_FALSE(observed[k].maintained);
+        }
+      }
+
+      SCOPED_TRACE("Session");
+      RunSessionAndReplay(c, *parsed, script_options, session_dir);
+    }
+
+    if (config.threads == 1) {
+      baselines[{config.granularity, config.exec}] =
+          Baseline{park, diff, stepped, {scripts[0], scripts[1]}};
+      if (config.exec == ExecMode::kTuple) continue;  // the default
+    }
+    const Baseline& base =
+        baselines.at({config.granularity, ExecMode::kTuple});
+    const Baseline* batch = config.exec == ExecMode::kBatch
+                                ? &baselines.at({config.granularity,
+                                                 ExecMode::kBatch})
+                                : nullptr;
+    {
+      SCOPED_TRACE("Park() vs default");
+      ExpectMatchesDefault(park, base.park, batch ? &batch->park : nullptr);
+    }
+    {
+      SCOPED_TRACE("ParkDiff() vs default");
+      ExpectMatchesDefault(diff, base.diff, batch ? &batch->diff : nullptr);
+    }
+    {
+      SCOPED_TRACE("ParkStepper vs default");
+      ExpectMatchesDefault(stepped, base.stepped,
+                           batch ? &batch->stepped : nullptr);
+    }
+    for (int on = 0; on < 2; ++on) {
+      ASSERT_EQ(scripts[on].size(), base.scripts[on].size());
+      for (size_t k = 0; k < scripts[on].size(); ++k) {
+        SCOPED_TRACE(StrFormat("script maintenance=%s commit %zu",
+                               on ? "on" : "off", k));
+        ExpectMatchesDefault(scripts[on][k], base.scripts[on][k],
+                             batch ? &batch->scripts[on][k] : nullptr);
+      }
+    }
+  }
+}
+
+// --- generated cases ---
+
+const char* const kConstants[] = {"a", "b", "c"};
+struct Predicate {
+  const char* name;
+  int arity;
+};
+const Predicate kPredicates[] = {{"u0", 1}, {"u1", 1}, {"b0", 2}};
+
+std::string RandomGroundAtom(Rng& rng) {
+  const Predicate& p = kPredicates[rng.UniformInt(0, 2)];
+  std::string atom = std::string(p.name) + "(";
+  for (int i = 0; i < p.arity; ++i) {
+    atom += (i > 0 ? ", " : "") + std::string(kConstants[rng.UniformInt(0, 2)]);
+  }
+  return atom + ")";
+}
+
+/// A random safe program over u0/1, u1/1 and b0/2: each body opens with
+/// a positive or event literal, adds positive, event and negated ones,
+/// and heads insert or delete, so conflicts, restarts and ECA triggers
+/// are common.
+std::string RandomRules(Rng& rng) {
+  const char* const kVars[] = {"X", "Y", "Z"};
+  std::string rules;
+  const int64_t num_rules = rng.UniformInt(5, 9);
+  for (int64_t r = 0; r < num_rules; ++r) {
+    std::vector<std::string> bound;
+    // A term: a constant, a bound variable, or (when the literal binds)
+    // a fresh one.
+    auto term = [&](bool binds) -> std::string {
+      if (rng.Bernoulli(0.15) || (bound.empty() && !binds)) {
+        return kConstants[rng.UniformInt(0, 2)];
+      }
+      if (binds && bound.size() < 3 && (bound.empty() || rng.Bernoulli(0.5))) {
+        bound.push_back(kVars[bound.size()]);
+        return bound.back();
+      }
+      return bound[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(bound.size()) - 1))];
+    };
+    auto atom = [&](bool binds) {
+      const Predicate& p = kPredicates[rng.UniformInt(0, 2)];
+      std::string out = std::string(p.name) + "(";
+      for (int i = 0; i < p.arity; ++i) {
+        out += (i > 0 ? ", " : "") + term(binds);
+      }
+      return out + ")";
+    };
+    auto event_or_positive = [&](double event) {
+      const double roll = rng.UniformDouble();
+      return roll < event / 2 ? "+" : roll < event ? "-" : "";
+    };
+    std::vector<std::string> body;
+    body.push_back(event_or_positive(0.4) + atom(/*binds=*/true));
+    const int64_t extra = rng.UniformInt(0, 2);
+    for (int64_t b = 0; b < extra; ++b) {
+      if (rng.Bernoulli(0.5)) {
+        body.push_back("!" + atom(/*binds=*/false));
+      } else {
+        body.push_back(event_or_positive(0.3) + atom(/*binds=*/true));
+      }
+    }
+    rules += StrFormat("r%lld: ", static_cast<long long>(r)) +
+             Join(body, ", ") + (rng.Bernoulli(0.55) ? " -> +" : " -> -") +
+             atom(/*binds=*/false) + ".\n";
+  }
+  return rules;
+}
+
+Case RandomCase(uint64_t seed) {
+  Rng rng(seed);
+  Case c;
+  c.rules = RandomRules(rng);
+  for (int i = 0; i < 10; ++i) c.facts += RandomGroundAtom(rng) + ". ";
+  const int64_t commits = rng.UniformInt(2, 4);
+  for (int64_t k = 0; k < commits; ++k) {
+    std::vector<std::string> updates;
+    const int64_t n = rng.UniformInt(0, 3);
+    for (int64_t u = 0; u < n; ++u) {
+      updates.push_back((rng.Bernoulli(0.5) ? "+" : "-") +
+                        RandomGroundAtom(rng));
+    }
+    c.commits.push_back(std::move(updates));
+  }
+  const PolicyKind kPolicies[] = {
+      PolicyKind::kInertia, PolicyKind::kAlwaysInsert,
+      PolicyKind::kAlwaysDelete, PolicyKind::kPriorityOverInertia,
+      PolicyKind::kSpecificityOverInertia};
+  c.policy = kPolicies[seed % 5];
+  return c;
+}
+
+TEST(DifferentialTest, GeneratedCases) {
+  Coverage coverage;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(StrFormat("seed %llu", static_cast<unsigned long long>(seed)));
+    const Case c = RandomCase(seed);
+    SCOPED_TRACE(c.rules);
+    CheckCase(c, coverage);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(coverage.cases, 60u);
+  EXPECT_GT(coverage.restarts, 60u);
+  EXPECT_GT(coverage.granularity_splits, 0u);
+  EXPECT_GT(coverage.inserted, 0u);
+  EXPECT_GT(coverage.deleted, 0u);
+  ExpectMachineryRan(coverage, /*slices=*/true);
+}
+
+// --- fixed cases ---
+
+TEST(DifferentialTest, PaperExamples) {
+  const char* programs[] = {
+      "r1: p -> +q. r2: p -> -a. r3: q -> +a.",
+      "r1: p -> +q. r2: p -> -a. r3: q -> +a. r4: !a -> +r. r5: a -> +s.",
+      "r1: p -> +q. r2: p -> -q. r3: q -> +a. r4: q -> -a. r5: p -> +a.",
+      "r1: p -> +a. r2: p -> +q. r3: a -> +b. r4: a -> -q. r5: b -> +q.",
+      "r1: a -> +b. r2: a -> +d. r3: b -> +c. r4: b -> -d. r5: c -> -b.",
+  };
+  const char* facts[] = {"p.", "p.", "p.", "p.", "a."};
+  Coverage coverage;
+  for (int i = 0; i < 5; ++i) {
+    SCOPED_TRACE(programs[i]);
+    CheckCase(Case{programs[i], facts[i], {}, PolicyKind::kInertia},
+              coverage);
+  }
+  // E9: the §5 program under rule priority.
+  CheckCase(Case{programs[3], "p.", {}, PolicyKind::kPriorityOverInertia},
+            coverage);
+  // E5/E6: the §4.3 ECA examples.
+  CheckCase(Case{"r1: p(X) -> +q(X). r2: q(X) -> +r(X). r3: +r(X) -> -s(X).",
+                 "p(a). s(a). s(b).",
+                 {{"+q(b)"}, {"-p(a)"}},
+                 PolicyKind::kInertia},
+            coverage);
+  CheckCase(Case{"r1: q(X, a) -> -p(X, a). r2: q(a, X) -> +r(a, X). "
+                 "r3: +r(X, a) -> +p(X, a).",
+                 "p(a, a). p(a, b). p(a, c).",
+                 {{"+q(a, a)"}, {"+q(a, b)", "-p(a, c)"}},
+                 PolicyKind::kInertia},
+            coverage);
+  // E4: the §4.2 graph example, whose SELECT is the workload's own.
+  CheckCase(FromWorkload(MakeIrreflexiveGraphWorkload(4),
+                         PolicyKind::kIrreflexiveGraph),
+            coverage);
+  ExpectMachineryRan(coverage, /*slices=*/true);
+}
+
+TEST(DifferentialTest, ValidityCorners) {
+  // Propositional, like ConflictPairs' workloads: no rows to plan, batch
+  // or slice, so neither holds its coverage to ExpectMachineryRan.
+  //
+  // A pending deletion keeps `q` valid and makes `!q` valid; `+s`/`-q`
+  // events hold only once marked; `+u` falsifies `!u`. r3 is matched
+  // through its first literal's seed and checks `!q` as a filter.
+  Coverage coverage;
+  CheckCase(Case{"r1: p -> -q. r2: p -> +s. r3: s, !q -> +t. "
+                 "r4: t, q -> +w. r5: +s, -q -> +e. r6: e -> +u. "
+                 "r7: w, !u -> +late.",
+                 "p. q.",
+                 {{"-p"}, {"+q", "+p"}},
+                 PolicyKind::kInertia},
+            coverage);
+}
+
+/// Random edge commits for the closure program: mostly inserts of random
+/// edges (some already present), and deletes of edges inserted earlier.
+std::vector<std::vector<std::string>> RandomEdgeCommits(uint64_t seed,
+                                                        int commits,
+                                                        int updates_per) {
+  Rng rng(seed);
+  std::vector<std::pair<int64_t, int64_t>> present;
+  std::vector<std::vector<std::string>> script;
+  for (int c = 0; c < commits; ++c) {
+    std::vector<std::string> commit;
+    for (int u = 0; u < updates_per; ++u) {
+      if (present.empty() || rng.UniformInt(0, 9) < 7) {
+        present.emplace_back(rng.UniformInt(0, 9), rng.UniformInt(0, 9));
+        commit.push_back(StrFormat("+e(n%lld, n%lld)",
+                                   static_cast<long long>(present.back().first),
+                                   static_cast<long long>(present.back().second)));
+      } else {
+        const size_t at = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(present.size()) - 1));
+        commit.push_back(StrFormat("-e(n%lld, n%lld)",
+                                   static_cast<long long>(present[at].first),
+                                   static_cast<long long>(present[at].second)));
+        present.erase(present.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+    }
+    script.push_back(std::move(commit));
+  }
+  return script;
+}
+
+TEST(DifferentialTest, ClosureScripts) {
+  // Insert-only heads over positive bodies: statically eligible, so the
+  // maintainer serves the edge commits incrementally.
+  Coverage coverage;
+  Workload w = MakeTransitiveClosureWorkload(GraphShape::kRandom, 8, 14, 3);
+  CheckCase(FromWorkload(w, PolicyKind::kInertia,
+                         {{"+edge(0, 5)", "+edge(5, 6)"},
+                          {"-edge(0, 5)"},
+                          {"+edge(7, 0)"}}),
+            coverage);
+  for (uint64_t seed : {1u, 42u}) {
+    SCOPED_TRACE(StrFormat("seed %llu", static_cast<unsigned long long>(seed)));
+    CheckCase(Case{"base: e(X, Y) -> +t(X, Y). "
+                   "step: t(X, Z), e(Z, Y) -> +t(X, Y).",
+                   "e(n0, n1). e(n1, n2).",
+                   RandomEdgeCommits(seed, /*commits=*/8, /*updates_per=*/3),
+                   PolicyKind::kInertia},
+              coverage);
+  }
+  EXPECT_GT(coverage.maintained_commits, 0u);
+  EXPECT_GT(coverage.inserted, 0u);
+  EXPECT_GT(coverage.deleted, 0u);
+  ExpectMachineryRan(coverage, /*slices=*/true);
+}
+
+TEST(DifferentialTest, MaintenanceGateScripts) {
+  Coverage coverage;
+  // A derived-predicate delete, a both-signs conflict (whose restart
+  // drops the invariant for one commit), then eligible commits again.
+  CheckCase(Case{"base: e(X, Y) -> +t(X, Y). "
+                 "step: t(X, Z), e(Z, Y) -> +t(X, Y).",
+                 "e(n0, n1). e(n1, n2).",
+                 {{"+e(n0, n3)"},
+                  {"-t(n0, n1)"},
+                  {"+e(n4, n5)", "-e(n4, n5)"},
+                  {"+e(n3, n4)"},
+                  {"+e(n5, n6)"}},
+                 PolicyKind::kInertia},
+            coverage);
+  // An insert into a negated (non-head) predicate trips the dynamic gate.
+  CheckCase(Case{"r: e(X, Y), !blocked(X) -> +t(X, Y).",
+                 "",
+                 {{"+e(n0, n1)"}, {"+blocked(n0)"}, {"+e(n2, n3)"}},
+                 PolicyKind::kInertia},
+            coverage);
+  // Statically ineligible: delete heads, negation and events over heads.
+  CheckCase(Case{"onboard: +emp(X) -> +active(X). "
+                 "cleanup: emp(X), !active(X), payroll(X, S) -> "
+                 "-payroll(X, S). "
+                 "notify: +active(X) -> +notified(X).",
+                 "",
+                 {{"+emp(ann)", "+payroll(ann, s1)"},
+                  {"+emp(bob)"},
+                  {"-emp(ann)"}},
+                 PolicyKind::kInertia},
+            coverage);
+  // Event feedback onto a head predicate: statically ineligible.
+  CheckCase(Case{"a: p(X) -> +active(X). b: +active(X) -> +notified(X).",
+                 "",
+                 {{"+p(ann)"}, {"+p(bob)"}, {"+q(zz)"}},
+                 PolicyKind::kInertia},
+            coverage);
+  EXPECT_GT(coverage.maintained_commits, 0u);
+  ExpectMachineryRan(coverage, /*slices=*/true);
+}
+
+TEST(DifferentialTest, ConflictPairs) {
+  Coverage coverage;
+  for (double fraction : {0.3, 1.0}) {
+    SCOPED_TRACE(fraction);
+    CheckCase(FromWorkload(MakeConflictPairsWorkload(12, fraction, 77),
+                           PolicyKind::kInertia),
+              coverage);
+  }
+  CheckCase(FromWorkload(MakeRestartChainWorkload(8, 3),
+                         PolicyKind::kPriorityOverInertia),
+            coverage);
+  EXPECT_GT(coverage.restarts, 0u);
+  EXPECT_GT(coverage.parallel_tasks, 0u);
+}
+
+TEST(DifferentialTest, KiloruleChain) {
+  Coverage coverage;
+  CheckCase(FromWorkload(MakeKiloruleWorkload(/*chains=*/4, /*levels=*/8,
+                                              /*facts=*/2),
+                         PolicyKind::kInertia,
+                         {{"+p_0_0(7)"}, {"-p_1_0(0)"}}),
+            coverage);
+  // Each rule matches a handful of rows: too few to slice.
+  ExpectMachineryRan(coverage, /*slices=*/false);
+}
+
+TEST(DifferentialTest, PayrollEca) {
+  PayrollParams params;
+  params.num_employees = 24;
+  params.inactive_fraction = 0.2;
+  params.num_deactivations = 4;
+  params.seed = 5;
+  Coverage coverage;
+  CheckCase(FromWorkload(MakePayrollWorkload(params), PolicyKind::kInertia,
+                         {{"+emp(e_new)", "+payroll(e_new, 900)"}}),
+            coverage);
+  ExpectMachineryRan(coverage, /*slices=*/true);
+}
+
+TEST(DifferentialTest, SkewedJoins) {
+  // One small literal next to a large scan, so the planner reorders the
+  // body, the batch executor picks sorted-merge joins, and at
+  // min_slice_size 1 the 4-thread runs slice the skewed rule.
+  std::string facts = "sel(c0). sel(c1). ";
+  Rng rng(17);
+  for (int i = 0; i < 150; ++i) {
+    facts += StrFormat("big(x%d, c%d). ", i,
+                       static_cast<int>(rng.UniformInt(0, 5)));
+  }
+  Coverage coverage;
+  CheckCase(Case{"skew: big(X, Y), sel(Y) -> +out(X). "
+                 "chain: out(X), big(X, Y) -> +hit(Y).",
+                 facts,
+                 {{"+sel(c2)"}, {"-sel(c0)"}},
+                 PolicyKind::kInertia},
+            coverage);
+  ExpectMachineryRan(coverage, /*slices=*/true);
+}
+
+}  // namespace
+}  // namespace park

@@ -36,9 +36,8 @@ struct Fixture {
 class EventLog : public RunObserver {
  public:
   void OnRunStart(const RunStartInfo& info) override {
-    events.push_back(StrFormat("run_start rules=%zu threads=%d mode=%s",
-                               info.num_rules, info.num_threads,
-                               info.gamma_mode));
+    events.push_back(StrFormat("run_start rules=%zu threads=%d",
+                               info.num_rules, info.num_threads));
   }
   void OnStepStart(int step) override {
     events.push_back(StrFormat("step %d", step));
@@ -118,8 +117,7 @@ TEST(ObserverTest, ParkFiresEventsInStructuralOrder) {
   // Every gamma event carries its step; the first is step 0.
   EXPECT_TRUE(log.Has("gamma step=0"));
   // run_start reports the resolved configuration.
-  EXPECT_EQ(log.events[0],
-            "run_start rules=5 threads=1 mode=semi_naive");
+  EXPECT_EQ(log.events[0], "run_start rules=5 threads=1");
 }
 
 TEST(ObserverTest, StepperFiresSameEventSkeleton) {

@@ -3,8 +3,8 @@
 // num_threads or min_slice_size is set to. Only the "parallel" and
 // "timings" sections may differ between configurations. This is the
 // machine-checked form of the schema's invariance promise
-// (docs/OBSERVABILITY.md), on top of the bit-identical-database oracle
-// in parallel_oracle_test.
+// (docs/OBSERVABILITY.md), on top of differential_test's database and
+// counter checks.
 
 #include <gtest/gtest.h>
 
@@ -41,30 +41,26 @@ TEST(StatsInvarianceTest, CountersIdenticalAcrossThreadCounts) {
   Workload w = MakeTransitiveClosureWorkload(GraphShape::kRandom,
                                              /*num_nodes=*/64,
                                              /*num_edges=*/256, /*seed=*/7);
-  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
-    ParkOptions sequential;
-    sequential.gamma_mode = mode;
-    sequential.num_threads = 1;
-    sequential.collect_timings = true;
-    auto ref = Park(w.program, w.database, sequential);
-    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-    const std::string ref_counters = CountersSection(ref->stats.ToJson());
+  ParkOptions sequential;
+  sequential.num_threads = 1;
+  sequential.collect_timings = true;
+  auto ref = Park(w.program, w.database, sequential);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  const std::string ref_counters = CountersSection(ref->stats.ToJson());
 
-    ParkOptions parallel = sequential;
-    parallel.num_threads = 4;
-    parallel.min_slice_size = 16;  // force slicing into the picture
-    auto par = Park(w.program, w.database, parallel);
-    ASSERT_TRUE(par.ok()) << par.status().ToString();
-    const std::string json = par->stats.ToJson();
+  ParkOptions parallel = sequential;
+  parallel.num_threads = 4;
+  parallel.min_slice_size = 16;  // force slicing into the picture
+  auto par = Park(w.program, w.database, parallel);
+  ASSERT_TRUE(par.ok()) << par.status().ToString();
+  const std::string json = par->stats.ToJson();
 
-    EXPECT_EQ(CountersSection(json), ref_counters)
-        << "gamma mode " << static_cast<int>(mode)
-        << ": counters must not depend on the thread count";
-    // The parallel section, by contrast, must reflect the configuration.
-    EXPECT_EQ(par->stats.num_threads, 4u);
-    EXPECT_GT(par->stats.parallel_sections, 0u);
-    EXPECT_NE(json.find("\"num_threads\": 4"), std::string::npos);
-  }
+  EXPECT_EQ(CountersSection(json), ref_counters)
+      << "counters must not depend on the thread count";
+  // The parallel section, by contrast, must reflect the configuration.
+  EXPECT_EQ(par->stats.num_threads, 4u);
+  EXPECT_GT(par->stats.parallel_sections, 0u);
+  EXPECT_NE(json.find("\"num_threads\": 4"), std::string::npos);
 }
 
 TEST(StatsInvarianceTest, FieldLevelCountersMatchToo) {
@@ -98,7 +94,6 @@ TEST(StatsInvarianceTest, PlannerCountersInvariantAcrossThreads) {
   Workload w = MakeKiloruleWorkload(/*chains=*/4, /*levels=*/12,
                                     /*facts=*/2);
   ParkOptions reference;
-  reference.gamma_mode = GammaMode::kSemiNaive;
   reference.num_threads = 1;
   auto ref = Park(w.program, w.database, reference);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();

@@ -90,8 +90,8 @@ class RecordingObserver : public RunObserver {
   explicit RecordingObserver(const Program& program) : program_(program) {}
 
   void OnRunStart(const RunStartInfo& info) override {
-    Add(StrFormat("run_start rules=%zu threads=%d mode=%s", info.num_rules,
-                  info.num_threads, info.gamma_mode));
+    Add(StrFormat("run_start rules=%zu threads=%d", info.num_rules,
+                  info.num_threads));
   }
   void OnStepStart(int step) override { Add(StrFormat("step %d", step)); }
   void OnGammaSection(const GammaSectionInfo& info) override {
@@ -296,20 +296,16 @@ TEST(StepperTest, ParkParkDiffAndSteppingAreOneLoop) {
   for (int trial = 0; trial < 8; ++trial) {
     SCOPED_TRACE(StrFormat("trial %d", trial));
     RandomCase c = MakeRandomCase(rng);
-    for (GammaMode mode : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
-      for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
-        for (int threads : {1, 4}) {
-          SCOPED_TRACE(StrFormat("mode=%d exec=%d threads=%d",
-                                 static_cast<int>(mode),
-                                 static_cast<int>(exec), threads));
-          ParkOptions options;
-          options.gamma_mode = mode;
-          options.exec_mode = exec;
-          options.num_threads = threads;
-          options.trace_level = TraceLevel::kFull;
-          options.max_memory_bytes = size_t{1} << 32;
-          ExpectOneLoop(c.program, c.db, c.updates, options);
-        }
+    for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(StrFormat("exec=%d threads=%d", static_cast<int>(exec),
+                               threads));
+        ParkOptions options;
+        options.exec_mode = exec;
+        options.num_threads = threads;
+        options.trace_level = TraceLevel::kFull;
+        options.max_memory_bytes = size_t{1} << 32;
+        ExpectOneLoop(c.program, c.db, c.updates, options);
       }
     }
     auto run = Park(c.db, c.program, c.updates);
@@ -322,15 +318,11 @@ TEST(StepperTest, OneLoopOnTheConflictWorkload) {
   // The paper's irreflexive-graph program: conflicts, SELECT, and
   // restarts dominate, with a custom policy.
   Workload w = MakeIrreflexiveGraphWorkload(8);
-  for (GammaMode mode : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
-    SCOPED_TRACE(static_cast<int>(mode));
-    ParkOptions options;
-    options.gamma_mode = mode;
-    options.policy = MakeIrreflexiveGraphPolicy();
-    options.trace_level = TraceLevel::kFull;
-    options.max_memory_bytes = size_t{1} << 32;
-    ExpectOneLoop(w.program, w.database, {}, options);
-  }
+  ParkOptions options;
+  options.policy = MakeIrreflexiveGraphPolicy();
+  options.trace_level = TraceLevel::kFull;
+  options.max_memory_bytes = size_t{1} << 32;
+  ExpectOneLoop(w.program, w.database, {}, options);
 }
 
 TEST(StepperTest, OneLoopErrors) {
@@ -346,13 +338,9 @@ TEST(StepperTest, OneLoopErrors) {
   ParkOptions budget;
   budget.max_derivations = 1;
   for (const ParkOptions& options : {abstain, steps, budget}) {
-    for (GammaMode mode : {GammaMode::kNaive, GammaMode::kSemiNaive}) {
-      ParkOptions o = options;
-      o.gamma_mode = mode;
-      const LoopOutcome park = RunLoop(Driver::kPark, program, db, {}, o);
-      EXPECT_NE(park.status, "OK");
-      ExpectOneLoop(program, db, {}, o);
-    }
+    const LoopOutcome park = RunLoop(Driver::kPark, program, db, {}, options);
+    EXPECT_NE(park.status, "OK");
+    ExpectOneLoop(program, db, {}, options);
   }
 }
 
@@ -367,9 +355,7 @@ TEST(StepperTest, EmptyWatchedDeltaQuickExits) {
   Program program = MustParseProgram(
       "r1: a0 -> +a1. r2: a1 -> +a2. r3: a2 -> +a3.", symbols);
   Database db = MustParseDatabase("a0.", symbols);
-  ParkOptions options;
-  options.gamma_mode = GammaMode::kSemiNaive;
-  ParkStepper stepper(program, db, options);
+  ParkStepper stepper(program, db);
   std::vector<size_t> considered;
   while (!stepper.done()) {
     ASSERT_TRUE(stepper.Step().ok());

@@ -257,9 +257,6 @@ def check_bench_columnar(errors, doc):
         where = f"$.cases[{i}]"
         _check_keys(errors, where, case, [
             ("name", lambda v: isinstance(v, str) and v, "non-empty string"),
-            ("gamma_mode",
-             lambda v: v in ("naive", "semi_naive"),
-             "gamma mode name"),
             ("configs", lambda v: isinstance(v, list) and v,
              "non-empty array"),
         ])
