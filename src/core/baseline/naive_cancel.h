@@ -6,7 +6,7 @@
 // On program P2 of §4.1 this produces {p, q, r, s}, keeping the atom `s`
 // whose only derivation went through the cancelled +a — which is exactly
 // why PARK restarts from I° with blocked instances instead. The divergence
-// is asserted in tests and measured in bench_vs_baselines.
+// is asserted in park_paper_examples_test (PaperE2) and baseline_test.
 
 #ifndef PARK_CORE_BASELINE_NAIVE_CANCEL_H_
 #define PARK_CORE_BASELINE_NAIVE_CANCEL_H_

@@ -244,8 +244,10 @@ void RecordStorageStats(const IInterpretation& interp,
                         const ExecStats& exec_stats, ParkStats& stats) {
   // Sum the columnar footprint over the run's three stores. All three
   // are compacted by the coordinator at every batch-mode Γ step, so
-  // these counters are deterministic and thread-count invariant (zero
-  // on tuple-mode runs: nothing triggers a compaction).
+  // these counters are deterministic and thread-count invariant. A
+  // tuple-mode run reads no segment, so it reports none, even over a
+  // base that an earlier batch run or a Session publication compacted.
+  if (stats.exec_mode != ExecMode::kBatch) return;
   Database::ColumnarFootprint fp;
   for (const Database* store : {&interp.base(), &interp.plus(),
                                 &interp.minus()}) {

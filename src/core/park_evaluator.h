@@ -132,8 +132,8 @@ struct ParkOptions {
   /// Incremental fixpoint maintenance across commits (see MaintenanceMode
   /// above and docs/INCREMENTAL.md). Default off until a deployment has
   /// been oracle-swept; `parkcli --maintenance on|off` exposes it and
-  /// bench_incremental quantifies it. Never affects results — ineligible
-  /// commits fall back to the full evaluator.
+  /// park_bench's kilorule_commit measures it. Never affects results —
+  /// ineligible commits fall back to the full evaluator.
   MaintenanceMode maintenance_mode = MaintenanceMode::kOff;
   /// Observation hooks at the loop's structural points (see
   /// core/observer.h). Not owned; must outlive the evaluation. Null means
@@ -240,7 +240,7 @@ struct ParkStats {
   uint64_t io_retries_exhausted = 0;
   // Columnar-storage counters (see ParkOptions::exec_mode and
   // docs/STORAGE.md), summed over the base/plus/minus stores at run end.
-  // Zero on tuple-mode runs (no compactions are triggered). Deterministic
+  // Zero on tuple-mode runs (they read no segment). Deterministic
   // for a fixed configuration and invariant across thread counts:
   // compaction happens on the coordinator at Γ-step boundaries in both
   // the sequential and parallel paths.

@@ -11,39 +11,6 @@ IInterpretation::IInterpretation(const Database* base)
   PARK_CHECK(base != nullptr) << "IInterpretation requires a base database";
 }
 
-bool IInterpretation::IsValid(const GroundAtom& atom, LiteralKind kind) const {
-  switch (kind) {
-    case LiteralKind::kPositive:
-      return base_->Contains(atom) || plus_.Contains(atom);
-    case LiteralKind::kNegated:
-      return minus_.Contains(atom) ||
-             (!base_->Contains(atom) && !plus_.Contains(atom));
-    case LiteralKind::kEventInsert:
-      return plus_.Contains(atom);
-    case LiteralKind::kEventDelete:
-      return minus_.Contains(atom);
-  }
-  return false;
-}
-
-bool IInterpretation::IsValid(PredicateId predicate, const Value* args,
-                              size_t n, LiteralKind kind) const {
-  switch (kind) {
-    case LiteralKind::kPositive:
-      return base_->Contains(predicate, args, n) ||
-             plus_.Contains(predicate, args, n);
-    case LiteralKind::kNegated:
-      return minus_.Contains(predicate, args, n) ||
-             (!base_->Contains(predicate, args, n) &&
-              !plus_.Contains(predicate, args, n));
-    case LiteralKind::kEventInsert:
-      return plus_.Contains(predicate, args, n);
-    case LiteralKind::kEventDelete:
-      return minus_.Contains(predicate, args, n);
-  }
-  return false;
-}
-
 bool IInterpretation::AddMarked(ActionKind action, const GroundAtom& atom,
                                 const RuleGrounding& by) {
   Database& target = action == ActionKind::kInsert ? plus_ : minus_;

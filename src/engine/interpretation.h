@@ -16,6 +16,32 @@
 
 namespace park {
 
+/// The three stores of an i-interpretation: I°, I⁺ and I⁻.
+enum class MarkStore { kUnmarked, kPlus, kMinus };
+
+/// Literal validity per §4.2 (conditions) and §4.3 (events), the one copy
+/// of the table. `in(store)` says whether the literal's atom is in that
+/// store; it is called lazily, for only the stores the answer needs.
+///  - kPositive:    atom ∈ I° or +atom ∈ I⁺
+///  - kNegated:     -atom ∈ I⁻, or (atom ∉ I° and +atom ∉ I⁺)
+///  - kEventInsert: +atom ∈ I⁺
+///  - kEventDelete: -atom ∈ I⁻
+template <class In>
+bool LiteralHolds(LiteralKind kind, In in) {
+  switch (kind) {
+    case LiteralKind::kPositive:
+      return in(MarkStore::kUnmarked) || in(MarkStore::kPlus);
+    case LiteralKind::kNegated:
+      return in(MarkStore::kMinus) ||
+             (!in(MarkStore::kUnmarked) && !in(MarkStore::kPlus));
+    case LiteralKind::kEventInsert:
+      return in(MarkStore::kPlus);
+    case LiteralKind::kEventDelete:
+      return in(MarkStore::kMinus);
+  }
+  return false;
+}
+
 /// An i-interpretation I = I° ∪ I⁺ ∪ I⁻ over a fixed base database.
 ///
 /// The base (I°) is borrowed and never mutated; marked atoms accumulate via
@@ -36,18 +62,25 @@ class IInterpretation {
   const Database& plus() const { return plus_; }
   const Database& minus() const { return minus_; }
 
-  /// Literal validity per §4.2 (conditions) and §4.3 (events):
-  ///  - kPositive:    atom ∈ I° or +atom ∈ I⁺
-  ///  - kNegated:     -atom ∈ I⁻, or (atom ∉ I° and +atom ∉ I⁺)
-  ///  - kEventInsert: +atom ∈ I⁺
-  ///  - kEventDelete: -atom ∈ I⁻
-  bool IsValid(const GroundAtom& atom, LiteralKind kind) const;
+  /// Whether `atom` makes a literal of `kind` valid in I (LiteralHolds).
+  bool IsValid(const GroundAtom& atom, LiteralKind kind) const {
+    return LiteralHolds(kind, [&](MarkStore store) {
+      return Store(store).Contains(atom);
+    });
+  }
 
-  /// IsValid over a flat argument span — same truth table, no GroundAtom
-  /// or Tuple materialized. The executors' filter steps (fully bound
-  /// literals) evaluate through here, once per candidate binding.
-  bool IsValid(PredicateId predicate, const Value* args, size_t n,
-               LiteralKind kind) const;
+  /// I°, I⁺ or I⁻.
+  const Database& Store(MarkStore store) const {
+    switch (store) {
+      case MarkStore::kUnmarked:
+        return *base_;
+      case MarkStore::kPlus:
+        return plus_;
+      case MarkStore::kMinus:
+        return minus_;
+    }
+    return *base_;
+  }
 
   bool HasPlus(const GroundAtom& atom) const { return plus_.Contains(atom); }
   bool HasMinus(const GroundAtom& atom) const { return minus_.Contains(atom); }

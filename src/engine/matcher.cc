@@ -197,42 +197,29 @@ struct StepState {
 };
 
 /// Pre-resolved stores for a filter step — the relations a fully bound
-/// literal consults, fetched once per step instead of once per row.
-/// IInterpretation::IsValid's per-call predicate-map lookups (two or
-/// three hashtable finds per row) dominate tight filter loops; with the
-/// relations in hand a filter row is one set probe in the common case.
-struct FilterStores {
-  const Relation* base = nullptr;
-  const Relation* plus = nullptr;
-  const Relation* minus = nullptr;
-};
+/// literal consults, fetched once per step instead of once per row, by
+/// MarkStore. With the relations in hand a filter row is one set probe in
+/// the common case, not two or three predicate-map lookups first.
+using FilterStores = std::array<const Relation*, 3>;
 
 FilterStores ResolveFilterStores(const CompiledStep& st,
                                  const IInterpretation& interp) {
   FilterStores out;
-  out.base = interp.base().GetRelation(st.predicate);
-  out.plus = interp.plus().GetRelation(st.predicate);
-  out.minus = interp.minus().GetRelation(st.predicate);
+  for (MarkStore store :
+       {MarkStore::kUnmarked, MarkStore::kPlus, MarkStore::kMinus}) {
+    out[static_cast<size_t>(store)] =
+        interp.Store(store).GetRelation(st.predicate);
+  }
   return out;
 }
 
-/// IInterpretation::IsValid's truth table over pre-resolved stores.
+/// LiteralHolds over pre-resolved stores.
 bool FilterValid(const FilterStores& fs, LiteralKind kind, const Value* args,
                  size_t n) {
-  auto has = [&](const Relation* r) {
+  return LiteralHolds(kind, [&](MarkStore store) {
+    const Relation* r = fs[static_cast<size_t>(store)];
     return r != nullptr && r->Contains(args, n);
-  };
-  switch (kind) {
-    case LiteralKind::kPositive:
-      return has(fs.base) || has(fs.plus);
-    case LiteralKind::kNegated:
-      return has(fs.minus) || (!has(fs.base) && !has(fs.plus));
-    case LiteralKind::kEventInsert:
-      return has(fs.plus);
-    case LiteralKind::kEventDelete:
-      return has(fs.minus);
-  }
-  return false;
+  });
 }
 
 struct MatchScratch {
@@ -873,18 +860,14 @@ size_t RunPlanBatch(const CompiledPlan& plan, const Rule& rule,
   auto run_filter = [&](const CompiledStep& st, const Value* src,
                         size_t src_rows) {
     const FilterStores stores = ResolveFilterStores(st, interp);
-    const Segment* segs[3] = {
-        stores.base != nullptr ? stores.base->Columnar().segment : nullptr,
-        stores.plus != nullptr ? stores.plus->Columnar().segment : nullptr,
-        stores.minus != nullptr ? stores.minus->Columnar().segment
-                                : nullptr};
+    std::array<const Segment*, 3> segs;
+    for (size_t i = 0; i < segs.size(); ++i) {
+      segs[i] = stores[i] != nullptr ? stores[i]->Columnar().segment : nullptr;
+    }
     const size_t nargs = st.slots.size();
     constexpr size_t kBlock = 32;
     scratch.filter_args.resize(kBlock * nargs);
     std::array<size_t, kBlock> hashes;
-    auto has = [&](const Segment* seg, const Value* args, size_t hash) {
-      return seg != nullptr && seg->ContainsRow(args, nargs, hash);
-    };
     for (size_t r0 = 0; r0 < src_rows && !interrupted; r0 += kBlock) {
       const size_t bn = std::min(kBlock, src_rows - r0);
       for (size_t i = 0; i < bn; ++i) {
@@ -906,22 +889,10 @@ size_t RunPlanBatch(const CompiledPlan& plan, const Rule& rule,
         const Value* brow = src + (r0 + i) * nvars;
         const Value* args = scratch.filter_args.data() + i * nargs;
         const size_t h = hashes[i];
-        bool pass = false;
-        switch (st.kind) {
-          case LiteralKind::kPositive:
-            pass = has(segs[0], args, h) || has(segs[1], args, h);
-            break;
-          case LiteralKind::kNegated:
-            pass = has(segs[2], args, h) ||
-                   (!has(segs[0], args, h) && !has(segs[1], args, h));
-            break;
-          case LiteralKind::kEventInsert:
-            pass = has(segs[1], args, h);
-            break;
-          case LiteralKind::kEventDelete:
-            pass = has(segs[2], args, h);
-            break;
-        }
+        const bool pass = LiteralHolds(st.kind, [&](MarkStore store) {
+          const Segment* seg = segs[static_cast<size_t>(store)];
+          return seg != nullptr && seg->ContainsRow(args, nargs, h);
+        });
         if (pass) {
           scratch.next.insert(scratch.next.end(), brow, brow + nvars);
           ++next_rows;

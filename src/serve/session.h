@@ -64,8 +64,7 @@ struct SessionParams {
   /// Full evaluation-options bundle (validated via Configure).
   ParkOptions options;
   /// Most transactions one group commit may fold. 1 disables batching
-  /// (every commit pays its own firing and fsync — the baseline
-  /// bench_serve compares against).
+  /// (every commit pays its own firing and fsync).
   size_t max_group_size = 64;
 };
 

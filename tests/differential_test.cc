@@ -16,8 +16,8 @@
 //  - Layer 2: each configuration matches the default one (1 thread, tuple,
 //    default slice, same granularity) on the trace, the provenance, and
 //    the park-stats-v1 counters/planner/scheduler blocks (plus the
-//    maintenance block for commit scripts); batch configurations also
-//    match the single-thread batch run on the storage/exec blocks.
+//    maintenance block for commit scripts), and the single-thread run
+//    with the same executor on the storage/exec blocks.
 //  - Theorem 4.1 on every case, for the engine and the reference: the run
 //    terminates, the result is consistent, B grows strictly at each
 //    restart, and restarts ≤ the number of ground instances of P_U.
@@ -334,18 +334,14 @@ void ExpectMatchesReference(const Observation& got, const Expected& want,
   }
 }
 
-/// Layer 2: `base` is the default configuration's observation, `batch`
-/// (batch configurations only) the single-thread batch one. Tuple runs
-/// are not compared on the storage block: at 4 threads one of them
-/// reports a compaction the single-thread run does not (ROADMAP).
+/// Layer 2: `base` is the default configuration's observation, `same_exec`
+/// the single-thread one with this configuration's executor.
 void ExpectMatchesDefault(const Observation& got, const Observation& base,
-                          const Observation* batch) {
+                          const Observation& same_exec) {
   EXPECT_EQ(got.trace, base.trace);
   EXPECT_EQ(got.provenance, base.provenance);
   EXPECT_EQ(got.blocks, base.blocks);
-  if (batch != nullptr) {
-    EXPECT_EQ(got.exec_blocks, batch->exec_blocks);
-  }
+  EXPECT_EQ(got.exec_blocks, same_exec.exec_blocks);
 }
 
 void FillFromStats(const ParkStats& stats, Observation& obs) {
@@ -718,22 +714,19 @@ void CheckCase(const Case& c, Coverage& coverage) {
     }
     const Baseline& base =
         baselines.at({config.granularity, ExecMode::kTuple});
-    const Baseline* batch = config.exec == ExecMode::kBatch
-                                ? &baselines.at({config.granularity,
-                                                 ExecMode::kBatch})
-                                : nullptr;
+    const Baseline& same_exec =
+        baselines.at({config.granularity, config.exec});
     {
       SCOPED_TRACE("Park() vs default");
-      ExpectMatchesDefault(park, base.park, batch ? &batch->park : nullptr);
+      ExpectMatchesDefault(park, base.park, same_exec.park);
     }
     {
       SCOPED_TRACE("ParkDiff() vs default");
-      ExpectMatchesDefault(diff, base.diff, batch ? &batch->diff : nullptr);
+      ExpectMatchesDefault(diff, base.diff, same_exec.diff);
     }
     {
       SCOPED_TRACE("ParkStepper vs default");
-      ExpectMatchesDefault(stepped, base.stepped,
-                           batch ? &batch->stepped : nullptr);
+      ExpectMatchesDefault(stepped, base.stepped, same_exec.stepped);
     }
     for (int on = 0; on < 2; ++on) {
       ASSERT_EQ(scripts[on].size(), base.scripts[on].size());
@@ -741,7 +734,7 @@ void CheckCase(const Case& c, Coverage& coverage) {
         SCOPED_TRACE(StrFormat("script maintenance=%s commit %zu",
                                on ? "on" : "off", k));
         ExpectMatchesDefault(scripts[on][k], base.scripts[on][k],
-                             batch ? &batch->scripts[on][k] : nullptr);
+                             same_exec.scripts[on][k]);
       }
     }
   }

@@ -1,3 +1,6 @@
+// The i-interpretation's stores, marks and provenance, and the validity
+// table (LiteralHolds) that IsValid and both executors' filters share.
+
 #include "engine/interpretation.h"
 
 #include <gtest/gtest.h>

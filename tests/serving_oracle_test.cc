@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <set>
@@ -69,8 +70,8 @@ TEST(ServingOracleTest, ConcurrentCommitsMatchSequentialJournalReplay) {
 
   Session::Params params;
   params.rules = kRules;
-  params.sync_mode = JournalSyncMode::kNone;  // speed; durability is
-                                              // bench_serve's concern
+  params.sync_mode = JournalSyncMode::kNone;  // speed; durable group
+                                              // commit is tested below
   auto session_or = Session::Open(dir, std::move(params));
   ASSERT_TRUE(session_or.ok()) << session_or.status().ToString();
   std::unique_ptr<Session> session = std::move(session_or).value();
@@ -203,6 +204,121 @@ TEST(ServingOracleTest, ConcurrentCommitsMatchSequentialJournalReplay) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->Snapshot().ToString(),
             oracle.database().ToString());
+}
+
+/// The default Env, except that every Sync takes at least a millisecond:
+/// a durable commit costs the same on any disk, so group commit has
+/// something to amortize however fast the host's fsync is.
+class SlowSyncEnv : public Env {
+ public:
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path, WriteMode mode) override {
+    auto file = base_->NewWritableFile(path, mode);
+    if (!file.ok()) return file.status();
+    return std::unique_ptr<WritableFile>(
+        std::make_unique<SlowSyncFile>(std::move(file).value()));
+  }
+  Result<std::string> ReadFileToString(const std::string& path) override {
+    return base_->ReadFileToString(path);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Result<uint64_t> FileSize(const std::string& path) override {
+    return base_->FileSize(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  Status TruncateFile(const std::string& path, uint64_t size) override {
+    return base_->TruncateFile(path, size);
+  }
+  Status CreateDir(const std::string& path) override {
+    return base_->CreateDir(path);
+  }
+
+ private:
+  class SlowSyncFile : public WritableFile {
+   public:
+    explicit SlowSyncFile(std::unique_ptr<WritableFile> file)
+        : file_(std::move(file)) {}
+    Status Append(std::string_view data) override {
+      return file_->Append(data);
+    }
+    Status Flush() override { return file_->Flush(); }
+    Status Sync() override {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      return file_->Sync();
+    }
+    Status Close() override { return file_->Close(); }
+
+   private:
+    std::unique_ptr<WritableFile> file_;
+  };
+
+  Env* base_ = Env::Default();
+};
+
+TEST(ServingOracleTest, DurableGroupCommitFoldsConcurrentWriters) {
+  // While one batch syncs, the other writers queue up: with 8 writers
+  // the batches average at least two transactions, each batch is one
+  // journal record, and the result is the sequential one.
+  const std::string dir = TempDir("park_serving_group_commit");
+  const char* kRules = "+emp(X) -> +active(X).\n";
+  constexpr int kWriters = 8;
+  constexpr int kCommitsPerWriter = 16;
+  SlowSyncEnv env;
+  Session::Params params;
+  params.rules = kRules;
+  params.env = &env;
+  params.sync_mode = JournalSyncMode::kFsync;
+  auto session_or = Session::Open(dir, std::move(params));
+  ASSERT_TRUE(session_or.ok()) << session_or.status().ToString();
+  std::unique_ptr<Session> session = std::move(session_or).value();
+
+  StartGate gate;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      gate.Wait();
+      for (int i = 0; i < kCommitsPerWriter; ++i) {
+        Transaction tx = session->Begin();
+        tx.Insert("emp", {StrFormat("w%d_%d", w, i)});
+        if (!std::move(tx).Commit().ok()) ++failures;
+      }
+    });
+  }
+  gate.Open();
+  for (std::thread& t : writers) t.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  const ParkStats::ServingCounters counters = session->serving_stats();
+  EXPECT_EQ(counters.batched_txns,
+            static_cast<uint64_t>(kWriters) * kCommitsPerWriter);
+  EXPECT_GE(counters.batched_txns, 2 * counters.batches)
+      << counters.batches << " batches";
+  auto records = TransactionJournal::ReadRecords(dir + "/journal.log",
+                                                 session->symbols());
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  EXPECT_EQ(records->size(), counters.batches);
+
+  // Insert-only, with distinct atoms: every order of the same commits
+  // reaches the state of this one.
+  ActiveDatabase sequential;
+  ASSERT_TRUE(sequential.LoadRules(kRules).ok());
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kCommitsPerWriter; ++i) {
+      Transaction tx = sequential.Begin();
+      tx.Insert("emp", {StrFormat("w%d_%d", w, i)});
+      ASSERT_TRUE(std::move(tx).Commit().ok());
+    }
+  }
+  EXPECT_EQ(session->Snapshot().ToString(),
+            sequential.database().ToString());
 }
 
 TEST(ServingOracleTest, SnapshotsPinTheirGenerationAcrossLaterCommits) {

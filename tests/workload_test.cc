@@ -27,6 +27,8 @@ TEST(GraphGenTest, PathClosureSize) {
   // Closure of a 10-node path: 9+8+...+1 = 45 paths.
   EXPECT_EQ(CountPredicate(w, result->database, "path"), 45u);
   EXPECT_EQ(result->stats.restarts, 0u);
+  // Maximal recursion depth: one Γ step per path length 1..9.
+  EXPECT_EQ(result->stats.gamma_steps, 9u);
 }
 
 TEST(GraphGenTest, CycleClosureIsComplete) {
