@@ -221,23 +221,30 @@ void RecordGammaSection(const GammaResult& gamma, ParkStats& stats) {
   stats.sched_rules_skipped += gamma.rules_skipped;
 }
 
-void RecordPlannerStats(const PlanCache& plans, ParkStats& stats) {
-  stats.plans_compiled = plans.plans_compiled();
-  stats.plan_cache_hits = plans.cache_hits();
-  stats.plan_replans = plans.replans();
-  stats.planner_estimated_rows = plans.estimated_rows();
-  stats.planner_actual_rows = plans.actual_rows();
+void RecordPlannerStats(const PlanCache& plans, const ParkStats& base,
+                        ParkStats& stats) {
+  stats.plans_compiled = plans.plans_compiled() - base.plans_compiled;
+  stats.plan_cache_hits = plans.cache_hits() - base.plan_cache_hits;
+  stats.plan_replans = plans.replans() - base.plan_replans;
+  stats.planner_estimated_rows =
+      plans.estimated_rows() - base.planner_estimated_rows;
+  stats.planner_actual_rows = plans.actual_rows() - base.planner_actual_rows;
 }
 
-void RecordParallelStats(const ParallelGamma& parallel, ParkStats& stats) {
-  stats.parallel_sections = parallel.pool().sections_run();
-  stats.parallel_tasks = parallel.pool().tasks_executed();
-  stats.parallel_sliced_units = parallel.sliced_units();
-  stats.parallel_slices = parallel.slice_tasks();
-  stats.parallel_max_queue_depth = parallel.pool().max_section_tasks();
-  stats.timings.parallel_match_ns = parallel.match_ns();
-  stats.timings.parallel_merge_ns = parallel.merge_ns();
-  stats.timings.pool_busy_ns = parallel.pool().busy_ns();
+void RecordParallelStats(const ParallelGamma& parallel,
+                         const ParkStats& base, ParkStats& stats) {
+  const ThreadPool& pool = parallel.pool();
+  stats.parallel_sections = pool.sections_run() - base.parallel_sections;
+  stats.parallel_tasks = pool.tasks_executed() - base.parallel_tasks;
+  stats.parallel_sliced_units =
+      parallel.sliced_units() - base.parallel_sliced_units;
+  stats.parallel_slices = parallel.slice_tasks() - base.parallel_slices;
+  stats.parallel_max_queue_depth = pool.max_section_tasks();
+  stats.timings.parallel_match_ns =
+      parallel.match_ns() - base.timings.parallel_match_ns;
+  stats.timings.parallel_merge_ns =
+      parallel.merge_ns() - base.timings.parallel_merge_ns;
+  stats.timings.pool_busy_ns = pool.busy_ns() - base.timings.pool_busy_ns;
 }
 
 void RecordStorageStats(const IInterpretation& interp,
@@ -288,17 +295,6 @@ Result<ParkResult> Park(const Database& db, const Program& program,
   PARK_ASSIGN_OR_RETURN(Program extended,
                         ProgramWithUpdates(program, updates));
   return Park(extended, db, options);
-}
-
-Result<ParkDiffResult> ParkDiff(const Database& db, const Program& program,
-                                const std::vector<Update>& updates,
-                                const ParkOptions& options) {
-  PARK_ASSIGN_OR_RETURN(Program extended,
-                        ProgramWithUpdates(program, updates));
-  ParkStepper stepper(extended, db, options);
-  PARK_RETURN_IF_ERROR(stepper.Run());
-  return ParkDiffResult{stepper.interpretation().MarkDiff(), stepper.stats(),
-                        stepper.trace()};
 }
 
 }  // namespace park

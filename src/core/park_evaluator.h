@@ -8,11 +8,12 @@
 // body-less rules, so update/rule conflicts are handled uniformly and the
 // updates survive restarts.
 //
-// Park() and ParkDiff() are drivers over ParkStepper (core/stepper.h), the
-// one implementation of the Δ loop: each constructs a stepper, runs it to
-// its fixpoint, and finishes the run. differential_test checks every
-// configuration of them against ReferencePark, a definition-level
-// evaluator (docs/SEMANTICS.md, "Reference evaluator").
+// Park() is a driver over ParkStepper (core/stepper.h), the one
+// implementation of the Δ loop: it constructs a stepper, runs it to its
+// fixpoint, and finishes the run; ActiveDatabase commits run the same
+// stepper. differential_test checks every configuration of both against
+// ReferencePark, a definition-level evaluator (docs/SEMANTICS.md,
+// "Reference evaluator").
 
 #ifndef PARK_CORE_PARK_EVALUATOR_H_
 #define PARK_CORE_PARK_EVALUATOR_H_
@@ -347,20 +348,11 @@ struct ParkResult {
   std::vector<AtomProvenance> provenance;
 };
 
-/// What PARK(D, P, U) changes, for a caller that already holds D: the
-/// diff of incorp(I) against I°, with the run's stats and trace (the
-/// size of the final blocked set is stats.blocked_instances).
-struct ParkDiffResult {
-  /// only_in_this: atoms the commit inserts; only_in_other: it deletes.
-  Database::Diff diff;
-  ParkStats stats;
-  Trace trace;
-};
-
 /// Computes PARK(P, D). `program` and `db` must share a symbol table.
 /// Runs a ParkStepper to its fixpoint I and returns incorp(I) as a new
-/// Database, which costs one copy of `db` (O(|D|)); a caller that only
-/// needs what changed should use ParkDiff instead.
+/// Database, which costs one copy of `db` (O(|D|)); the commit path
+/// (ActiveDatabase) reads what changed off the marks instead
+/// (IInterpretation::MarkDiff).
 /// Errors: kAborted if the policy abstains or makes no progress,
 /// kResourceExhausted past options.max_steps / max_memory_bytes /
 /// max_derivations, kDeadlineExceeded past options.deadline_ms,
@@ -374,18 +366,9 @@ Result<ParkResult> Park(const Database& db, const Program& program,
                         const std::vector<Update>& updates,
                         const ParkOptions& options = {});
 
-/// The same evaluation as Park(db, program, updates, options), finished
-/// with IInterpretation::MarkDiff instead of incorp(I): `diff` equals
-/// `Park(...).database.DiffWith(db)` in O(|marks|), never copying `db`.
-/// No provenance or rendered blocked set. The commit path
-/// (ActiveDatabase, Session, journal replay) uses this. Same errors as
-/// Park().
-Result<ParkDiffResult> ParkDiff(const Database& db, const Program& program,
-                                const std::vector<Update>& updates,
-                                const ParkOptions& options = {});
-
 /// Builds P_U: a clone of `program` extended with a body-less seed rule
-/// `-> ±a` per update. Exposed for tests and tools.
+/// `-> ±a` per update, appended after P's rules. Park(db, P, U) and the
+/// unseeded commit run evaluate it.
 Result<Program> ProgramWithUpdates(const Program& program,
                                    const std::vector<Update>& updates);
 

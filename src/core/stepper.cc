@@ -5,6 +5,7 @@
 #include "core/run_stats.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace park {
 namespace {
@@ -71,6 +72,26 @@ std::vector<std::string> RenderWithDerivations(
 
 }  // namespace
 
+void ParkStepper::WarmState::Bind(const Program& program,
+                                  const ParkOptions& options) {
+  if (!graph_.has_value()) graph_.emplace(program);
+  if (!plans_.has_value()) plans_.emplace(program);
+  const int threads = ResolveNumThreads(options.num_threads);
+  if (threads > 1) {
+    if (parallel_ == nullptr || threads_ != threads ||
+        slice_ != options.min_slice_size) {
+      parallel_ =
+          std::make_unique<ParallelGamma>(threads, options.min_slice_size);
+      threads_ = threads;
+      slice_ = options.min_slice_size;
+    }
+    parallel_->SetTiming(options.collect_timings);
+  } else {
+    parallel_.reset();
+    threads_ = 1;
+  }
+}
+
 ParkStepper::ParkStepper(const Program& program, const Database& db,
                          ParkOptions options)
     : ParkStepper(program, db, std::move(options), nullptr) {
@@ -78,27 +99,37 @@ ParkStepper::ParkStepper(const Program& program, const Database& db,
 }
 
 ParkStepper::ParkStepper(const Program& program, const Database& db,
-                         ParkOptions options,
-                         const std::vector<Update>& seeds, WarmState warm)
-    : ParkStepper(program, db, std::move(options), &warm) {
-  seeded_ = true;
-  // U's marks: exactly what the body-less seed rules of P_U would produce
-  // in a full run's first step.
-  const RuleGrounding seed;  // rule_index -1: "seeded by the transaction"
-  delta_atoms_.initial = false;
-  for (const Update& u : seeds) {
-    if (interp_.AddMarked(u.action, u.atom, seed)) {
-      (u.action == ActionKind::kInsert ? delta_atoms_.plus
-                                       : delta_atoms_.minus)
-          .push_back(u.atom);
-      ++stats_.derived_marks;
+                         ParkOptions options, WarmState& state,
+                         const std::vector<Update>* seeds)
+    : ParkStepper(program, db, std::move(options), &state) {
+  // P_U is P followed by body-less rules, which watch nothing and take
+  // the empty plan: the state built over P serves it unchanged.
+  PARK_CHECK(state.bound() && state.num_rules() <= program.size())
+      << "the warm state must be bound over a prefix of the program";
+  for (size_t r = state.num_rules(); r < program.size(); ++r) {
+    PARK_CHECK(program.rule(r).body().empty())
+        << "rule " << r << " is past the warm state's rules but has a body";
+  }
+  if (seeds != nullptr) {
+    seeded_ = true;
+    // The seeds' marks: exactly what the body-less update rules of P_U
+    // would produce in a full run's first step.
+    const RuleGrounding seed;  // rule_index -1: "seeded by the transaction"
+    delta_atoms_.initial = false;
+    for (const Update& u : *seeds) {
+      if (interp_.AddMarked(u.action, u.atom, seed)) {
+        (u.action == ActionKind::kInsert ? delta_atoms_.plus
+                                         : delta_atoms_.minus)
+            .push_back(u.atom);
+        ++stats_.derived_marks;
+      }
     }
   }
   Start();
 }
 
 ParkStepper::ParkStepper(const Program& program, const Database& db,
-                         ParkOptions options, const WarmState* warm)
+                         ParkOptions options, WarmState* state)
     : program_(program),
       db_(db),
       options_(std::move(options)),
@@ -109,44 +140,45 @@ ParkStepper::ParkStepper(const Program& program, const Database& db,
       start_time_(std::chrono::steady_clock::now()) {
   PARK_CHECK(program.symbols() == db.symbols())
       << "program and database must share a symbol table";
-  if (warm != nullptr) {
-    PARK_CHECK(warm->plans != nullptr && warm->graph != nullptr)
-        << "a seeded stepper borrows a plan cache and a dependency graph";
-    parallel_ = warm->parallel;
-    graph_ = warm->graph;
-    plans_ = warm->plans;
-    return;
+  if (state == nullptr) {
+    own_state_.emplace();
+    own_state_->Bind(program_, options_);
+    state = &*own_state_;
   }
-  const int num_threads = ResolveNumThreads(options_.num_threads);
-  if (num_threads > 1) {
-    own_parallel_.emplace(num_threads, options_.min_slice_size);
-    own_parallel_->SetTiming(options_.collect_timings);
-    parallel_ = &*own_parallel_;
-  }
-  own_graph_.emplace(program_);
-  graph_ = &*own_graph_;
-  own_plans_.emplace(program_);
-  plans_ = &*own_plans_;
+  state_ = state;
+}
+
+ParkStepper::~ParkStepper() {
   if (options_.observer != nullptr) {
-    plans_->set_compile_listener([this](const PlanExplanation& explanation) {
-      observer_.Notify(
-          [&](RunObserver& o) { o.OnPlanCompiled(explanation); });
-    });
+    state_->plans().set_compile_listener(nullptr);
   }
 }
 
 void ParkStepper::Start() {
-  const int num_threads =
-      parallel_ != nullptr ? parallel_->num_threads() : 1;
+  ParallelGamma* parallel = state_->parallel();
+  const int num_threads = parallel != nullptr ? parallel->num_threads() : 1;
   stats_.num_threads = static_cast<size_t>(num_threads);
   stats_.exec_mode = options_.exec_mode;
-  // Echoed so one-shot stats reports show the configured mode; the
-  // maintenance counters themselves are owned by FixpointMaintainer and
-  // ActiveDatabase.
+  // Echoed so one-shot stats reports show the configured mode; a commit's
+  // maintenance counters are filled by FixpointMaintainer::RecordCommit.
   stats_.maintenance_mode = options_.maintenance_mode;
   stats_.memory_limit_bytes = options_.max_memory_bytes;
   stats_.derivation_limit = options_.max_derivations;
   stats_.timings.collected = options_.collect_timings;
+  // The state outlives the run: its planner and pool counters are read
+  // as differences from here, and the pool's peak section restarts.
+  RecordPlannerStats(state_->plans(), ParkStats(), baseline_);
+  if (parallel != nullptr) {
+    RecordParallelStats(*parallel, ParkStats(), baseline_);
+    parallel->pool().ResetMaxSectionTasks();
+  }
+  if (options_.observer != nullptr) {
+    state_->plans().set_compile_listener(
+        [this](const PlanExplanation& explanation) {
+          observer_.Notify(
+              [&](RunObserver& o) { o.OnPlanCompiled(explanation); });
+        });
+  }
   cancel_ = ArmRunToken(token_, options_, start_time_);
   if (options_.collect_timings) run_start_ns_ = MonotonicNanos();
   trace_.RecordInitial(interp_, 0);
@@ -157,11 +189,13 @@ void ParkStepper::Start() {
 
 GammaResult ParkStepper::ComputeSection(bool full) {
   if (full) {
-    return ComputeGamma(program_, blocked_, interp_, *plans_, parallel_,
-                        cancel_, options_.exec_mode, &exec_stats_);
+    return ComputeGamma(program_, blocked_, interp_, state_->plans(),
+                        state_->parallel(), cancel_, options_.exec_mode,
+                        &exec_stats_);
   }
   return ComputeGammaSemiNaive(program_, blocked_, interp_, delta_atoms_,
-                               *graph_, *plans_, parallel_, cancel_,
+                               state_->graph(), state_->plans(),
+                               state_->parallel(), cancel_,
                                options_.exec_mode, &exec_stats_);
 }
 
@@ -336,8 +370,10 @@ void ParkStepper::FoldRunStats(ParkStats& stats) const {
     stats.derivations_charged = cancel_->work_charged();
   }
   RecordStorageStats(interp_, exec_stats_, stats);
-  RecordPlannerStats(*plans_, stats);
-  if (parallel_ != nullptr) RecordParallelStats(*parallel_, stats);
+  RecordPlannerStats(state_->plans(), baseline_, stats);
+  if (const ParallelGamma* parallel = state_->parallel()) {
+    RecordParallelStats(*parallel, baseline_, stats);
+  }
 }
 
 ParkStats ParkStepper::stats() const {

@@ -1,18 +1,21 @@
 // ParkStepper: the Δ transition operator exposed one step at a time.
 //
-// This is the engine's one Δ loop. Park() and ParkDiff() are drivers that
-// construct a stepper, run it to done(), and finish the run (incorp(I)
-// plus the rendered blocked set and provenance, or the mark diff);
-// FixpointMaintainer drives a seeded stepper over its warm caches. A
-// debugger, visualizer, or interactive tool drives the same computation
-// transition by transition and inspects the live bi-structure ⟨B, I⟩
-// between steps. Every option behaves as in Park(), trace_level included:
-// the trace is recorded step by step and readable through trace().
+// This is the engine's one Δ loop. Park() is a driver that constructs a
+// stepper, runs it to done(), and finishes the run (incorp(I) plus the
+// rendered blocked set and provenance). ActiveDatabase runs every commit
+// as one stepper over the WarmState it keeps across commits: a seeded
+// closure over P when the incremental maintainer admits the commit, else
+// the unseeded run over P_U. A debugger, visualizer, or interactive tool
+// drives the same computation transition by transition and inspects the
+// live bi-structure ⟨B, I⟩ between steps. Every option behaves as in
+// Park(), trace_level included: the trace is recorded step by step and
+// readable through trace().
 
 #ifndef PARK_CORE_STEPPER_H_
 #define PARK_CORE_STEPPER_H_
 
 #include <chrono>
+#include <memory>
 #include <optional>
 
 #include "core/conflict.h"
@@ -44,27 +47,64 @@ struct StepOutcome {
 /// database must outlive the stepper; neither is modified.
 class ParkStepper {
  public:
+  /// Evaluation state that outlives one run: the rule dependency graph
+  /// (docs/SCHEDULER.md), the plan cache (docs/PLANNER.md) and, when
+  /// num_threads resolves to > 1, the Γ pool (docs/PARALLELISM.md). Built
+  /// over a program P, it serves P and every P_U, P followed by body-less
+  /// update rules: such a rule watches nothing and needs no plan. It holds
+  /// no address of P, so it moves with its owner. ActiveDatabase keeps one
+  /// across commits; a one-shot ParkStepper builds its own.
+  class WarmState {
+   public:
+    /// Builds the graph and plan cache over `program` unless already built,
+    /// and (re)builds the pool when the resolved num_threads or
+    /// min_slice_size differ from the pool's. The pool follows
+    /// options.collect_timings on every call, so a pool kept across runs
+    /// never keeps the timing setting of the run that built it.
+    void Bind(const Program& program, const ParkOptions& options);
+
+    /// Drops everything; the next Bind rebuilds over its program.
+    void Reset() { *this = WarmState(); }
+
+    /// The number of rules the state was built over (0 before Bind).
+    size_t num_rules() const { return graph_ ? graph_->size() : 0; }
+    bool bound() const { return graph_.has_value(); }
+
+    const RuleDependencyGraph& graph() const { return *graph_; }
+    PlanCache& plans() { return *plans_; }
+    /// Null on sequential runs.
+    ParallelGamma* parallel() { return parallel_.get(); }
+
+   private:
+    std::optional<RuleDependencyGraph> graph_;
+    std::optional<PlanCache> plans_;
+    // unique_ptr, not optional: ParallelGamma owns a thread pool and is
+    // immovable, but the state must move with its ActiveDatabase.
+    std::unique_ptr<ParallelGamma> parallel_;
+    int threads_ = 1;  // resolved
+    size_t slice_ = 0;
+  };
+
+  /// A one-shot run: builds and owns its evaluation state.
   ParkStepper(const Program& program, const Database& db,
               ParkOptions options = {});
 
-  /// Warm evaluation state a seeded stepper borrows instead of building
-  /// its own; every pointer must outlive the stepper. `parallel` may be
-  /// null (sequential Γ).
-  struct WarmState {
-    PlanCache* plans = nullptr;
-    const RuleDependencyGraph* graph = nullptr;
-    ParallelGamma* parallel = nullptr;
-  };
-
-  /// The seeded closure of incremental maintenance (docs/INCREMENTAL.md):
-  /// starts from I = I° plus U's marks (counted in derived_marks, not as
-  /// a step) and runs semi-naive Γ from that delta. The closure owns no
-  /// conflict machinery: the first inconsistent Γ section ends the run
-  /// with kAborted, before any conflict or SELECT work. Planner and pool
-  /// counters in stats() are the borrowed objects' lifetime totals.
+  /// A run over `state`, which must outlive the stepper and be bound over
+  /// P, where `program` is P or a P_U (checked: every rule past the
+  /// state's is body-less). Without `seeds` this is the run of `program`
+  /// from I°. With `seeds` it is the seeded closure of incremental
+  /// maintenance (docs/INCREMENTAL.md): it starts from I = I° plus the
+  /// seeds' marks (counted in derived_marks, not as a step) and runs
+  /// semi-naive Γ from that delta. The closure owns no conflict
+  /// machinery: the first inconsistent Γ section ends the run with
+  /// kAborted, before any conflict or SELECT work.
   ParkStepper(const Program& program, const Database& db,
-              ParkOptions options, const std::vector<Update>& seeds,
-              WarmState warm);
+              ParkOptions options, WarmState& state,
+              const std::vector<Update>* seeds = nullptr);
+
+  /// Removes the compile listener an observed run installed on the plan
+  /// cache, which outlives the stepper.
+  ~ParkStepper();
 
   ParkStepper(const ParkStepper&) = delete;
   ParkStepper& operator=(const ParkStepper&) = delete;
@@ -87,9 +127,10 @@ class ParkStepper {
     return SnapshotBiStructure(blocked_, interp_, program_);
   }
 
-  /// The run's counters. The storage, planner, pool and budget counters
-  /// are folded in once at the fixpoint; before it (mid-run, or after an
-  /// error) they are computed on each call.
+  /// The run's counters; the planner and pool counters count this run
+  /// only. The storage, planner, pool and budget counters are folded in
+  /// once at the fixpoint; before it (mid-run, or after an error) they
+  /// are computed on each call.
   ParkStats stats() const;
 
   /// The events recorded so far at options.trace_level.
@@ -103,11 +144,12 @@ class ParkStepper {
   Result<Database> Finish();
 
  private:
-  /// Shared construction head: owns the evaluation state, or borrows
-  /// `warm`'s when non-null.
+  /// Shared construction head: borrows `state`, or builds and owns one
+  /// when it is null.
   ParkStepper(const Program& program, const Database& db,
-              ParkOptions options, const WarmState* warm);
-  /// Shared construction tail: stats echoes, governance, observer start.
+              ParkOptions options, WarmState* state);
+  /// Shared construction tail: stats echoes, counter baselines,
+  /// governance, observer start.
   void Start();
   /// The one Γ dispatch: the semi-naive section seeded by the last
   /// step's delta, or the full Γ when `full` (maximal conflict sides).
@@ -126,17 +168,12 @@ class ParkStepper {
   PolicyPtr policy_;
   /// Seeded maintenance closure: an inconsistent section aborts the run.
   bool seeded_ = false;
-  /// Owned evaluation state; a seeded stepper borrows it instead. The
-  /// pool is engaged iff options_.num_threads resolves to > 1; the
-  /// dependency graph (docs/SCHEDULER.md) schedules every semi-naive
-  /// section.
-  std::optional<ParallelGamma> own_parallel_;
-  std::optional<RuleDependencyGraph> own_graph_;
-  std::optional<PlanCache> own_plans_;
-  ParallelGamma* parallel_ = nullptr;
-  const RuleDependencyGraph* graph_ = nullptr;
-  /// Compiled rule plans shared by every Γ section (docs/PLANNER.md).
-  PlanCache* plans_ = nullptr;
+  /// A one-shot run's own state; `state_` points at it or at the
+  /// borrowed one.
+  std::optional<WarmState> own_state_;
+  WarmState* state_ = nullptr;
+  /// The planner and pool totals of `state_` when the run started.
+  ParkStats baseline_;
   IInterpretation interp_;
   BlockedSet blocked_;
   DeltaAtoms delta_atoms_;

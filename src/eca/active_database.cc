@@ -29,10 +29,15 @@ ActiveDatabase::ActiveDatabase(std::shared_ptr<SymbolTable> symbols)
     : database_(symbols ? symbols : MakeSymbolTable()),
       program_(database_.symbols()) {}
 
+void ActiveDatabase::Invalidate() {
+  maintainer_.Invalidate();
+  state_.Reset();
+}
+
 Status ActiveDatabase::LoadRules(std::string_view program_text) {
   PARK_ASSIGN_OR_RETURN(Program parsed,
                         ParseProgram(program_text, database_.symbols()));
-  maintainer_.Invalidate();
+  Invalidate();
   for (const Rule& rule : parsed.rules()) {
     // Re-add into the installed program so indexes/labels stay coherent.
     Rule copy = rule;
@@ -42,7 +47,7 @@ Status ActiveDatabase::LoadRules(std::string_view program_text) {
 }
 
 Status ActiveDatabase::AddRule(Rule rule) {
-  maintainer_.Invalidate();
+  Invalidate();
   return program_.AddRule(std::move(rule));
 }
 
@@ -50,14 +55,14 @@ Status ActiveDatabase::Configure(ParkOptions options) {
   PARK_RETURN_IF_ERROR(
       ValidateOptions(options).WithContext("ActiveDatabase::Configure"));
   options_ = std::move(options);
-  maintainer_.Invalidate();
+  Invalidate();
   return Status::OK();
 }
 
 Status ActiveDatabase::LoadFacts(std::string_view facts_text) {
   // Bulk loads bypass rule evaluation, so the stored instance can no
   // longer be assumed rule-stable.
-  maintainer_.Invalidate();
+  Invalidate();
   return ParseFactsInto(facts_text, database_);
 }
 
@@ -96,45 +101,54 @@ CommitResult ActiveDatabase::CommitUpdates(const UpdateSet& updates,
   observer.Notify(
       [&](RunObserver& o) { o.OnCommitStart(updates.updates().size()); });
 
+  // The one commit driver: one ParkStepper over the warm state, bound to
+  // P. If the maintainer admits the commit it is the seeded closure over
+  // P with U as seeds; otherwise, or when that closure meets a conflict,
+  // it is the unseeded run of P_U from D (§4.3), which the same state
+  // serves because P_U only appends body-less rules to P.
+  const std::vector<Update>& u = updates.updates();
   const bool maintaining =
       options_.maintenance_mode == MaintenanceMode::kIncremental;
-  CommitReport report;
-  bool served_incrementally = false;
-  bool full_conflict_free = false;
-  if (maintaining) {
-    std::optional<ParkDiffResult> maintained =
-        maintainer_.TryCommit(database_, program_, updates.updates(),
-                              options_);
-    if (maintained.has_value()) {
-      served_incrementally = true;
-      report.inserted = std::move(maintained->diff.only_in_this);
-      report.deleted = std::move(maintained->diff.only_in_other);
-      report.stats = std::move(maintained->stats);
+  state_.Bind(program_, options_);
+  std::optional<Program> extended;  // P_U, for the unseeded run
+  std::optional<ParkStepper> stepper;
+  auto evaluate = [&](bool seeded) -> Status {
+    if (!seeded) {
+      PARK_ASSIGN_OR_RETURN(Program p_u, ProgramWithUpdates(program_, u));
+      extended.emplace(std::move(p_u));
     }
+    stepper.emplace(seeded ? program_ : *extended, database_, options_,
+                    state_, seeded ? &u : nullptr);
+    return stepper->Run();
+  };
+  bool seeded = maintaining && maintainer_.Admits(program_, u, options_);
+  Status evaluated = evaluate(seeded);
+  if (seeded && !evaluated.ok()) {
+    // A clash inside the cone (or max_steps): the unseeded run owns
+    // conflicts and SELECT policies, and gives the authoritative answer.
+    seeded = false;
+    evaluated = evaluate(false);
   }
-  if (!served_incrementally) {
-    // The diff comes straight off the run's marks: the commit never
-    // materializes incorp(I) as a second copy of the stored instance.
-    auto evaluated =
-        ParkDiff(database_, program_, updates.updates(), options_);
-    if (!evaluated.ok()) {
-      // Evaluation is copy-on-write, so the stored instance is untouched.
-      CommitFailure failure;
-      failure.stage = CommitFailure::Stage::kEvaluate;
-      failure.cause = evaluated.status();
-      return CommitResult(evaluated.status(), std::move(failure));
-    }
-    ParkDiffResult park = std::move(*evaluated);
-    report.inserted = std::move(park.diff.only_in_this);
-    report.deleted = std::move(park.diff.only_in_other);
-    report.stats = std::move(park.stats);
-    report.trace = std::move(park.trace);
-    full_conflict_free = report.stats.blocked_instances == 0 &&
-                         report.stats.restarts == 0;
-    if (maintaining) {
-      report.stats.maintenance_mode = MaintenanceMode::kIncremental;
-      report.stats.maint_full_recompute_fallbacks = 1;
-    }
+  if (!evaluated.ok()) {
+    // Evaluation is copy-on-write, so the stored instance is untouched.
+    CommitFailure failure;
+    failure.stage = CommitFailure::Stage::kEvaluate;
+    failure.cause = evaluated;
+    return CommitResult(evaluated, std::move(failure));
+  }
+  // The diff comes straight off the run's marks: the commit never
+  // materializes incorp(I) as a second copy of the stored instance.
+  CommitReport report;
+  Database::Diff diff = stepper->interpretation().MarkDiff();
+  report.inserted = std::move(diff.only_in_this);
+  report.deleted = std::move(diff.only_in_other);
+  report.stats = stepper->stats();
+  report.trace = stepper->trace();
+  const bool full_conflict_free =
+      report.stats.blocked_instances == 0 && report.stats.restarts == 0;
+  if (maintaining) {
+    maintainer_.RecordCommit(seeded, u, state_.graph(),
+                             report.deleted.size(), report.stats);
   }
 
   const int64_t evaluated_ns = MonotonicNanos();
@@ -176,11 +190,12 @@ CommitResult ActiveDatabase::CommitUpdates(const UpdateSet& updates,
     observer.Notify(
         [&](RunObserver& o) { o.OnJournalAppend(report.journal_seq); });
   }
-  if (maintaining && !served_incrementally) {
+  if (maintaining && !seeded) {
     // A full run's result database is now durably installed: a
     // conflict-free run of a gated program (re-)establishes INV, so the
-    // NEXT commit can go incrementally.
-    maintainer_.NoteFullCommit(program_, options_, full_conflict_free);
+    // NEXT commit can go incrementally. (A maintained commit preserves
+    // INV, docs/INCREMENTAL.md.)
+    maintainer_.NoteFullCommit(program_, full_conflict_free);
   }
   report.timings.evaluate_ns =
       static_cast<uint64_t>(evaluated_ns - commit_start_ns);
@@ -218,7 +233,7 @@ Result<uint64_t> ActiveDatabase::LoadSnapshotContents(
   }
   // The header is a `#` comment, which the fact parser skips, so the
   // whole contents parse as one fact file.
-  maintainer_.Invalidate();
+  Invalidate();
   Status status = ParseFactsInto(contents, database_);
   if (!status.ok()) {
     return status.WithContext(
@@ -431,7 +446,7 @@ Status ActiveDatabase::SaveSnapshot(const std::string& path) const {
 Status ActiveDatabase::LoadSnapshot(const std::string& path) {
   PARK_ASSIGN_OR_RETURN(Database loaded,
                         ReadDatabaseFile(path, symbols()));
-  maintainer_.Invalidate();
+  Invalidate();
   loaded.ForEach([this](const GroundAtom& atom) { database_.Insert(atom); });
   return Status::OK();
 }

@@ -26,6 +26,7 @@
 #include <optional>
 
 #include "core/maintenance.h"
+#include "core/stepper.h"
 #include "eca/journal.h"
 #include "eca/transaction.h"
 
@@ -193,7 +194,11 @@ class ActiveDatabase {
   friend class Transaction;
   friend class Session;
 
-  /// Shared commit path: PARK(D, P, U) then swap in the result. `txns`
+  /// Drops INV and the warm state: rules, facts, or options changed
+  /// outside the commit path.
+  void Invalidate();
+
+  /// Shared commit path: PARK(D, P, U) then apply its diff. `txns`
   /// is the number of transactions folded into `updates` by a group
   /// commit (stamped into the journal record; 1 = plain commit).
   CommitResult CommitUpdates(const UpdateSet& updates, uint64_t txns = 1);
@@ -208,10 +213,12 @@ class ActiveDatabase {
   Program program_;
   ParkOptions options_;
   std::optional<TransactionJournal> journal_;
+  /// The evaluation state every commit's ParkStepper borrows (dependency
+  /// graph, plan cache, pool), bound to (program_, options_).
+  ParkStepper::WarmState state_;
   /// Incremental fixpoint maintenance (ParkOptions::maintenance_mode,
   /// docs/INCREMENTAL.md). Consulted by CommitUpdates when the mode is
-  /// kIncremental; invalidated whenever rules, facts, or options change
-  /// outside the commit path.
+  /// kIncremental.
   FixpointMaintainer maintainer_;
 
   // Directory mode (set by Open).

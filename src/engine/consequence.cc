@@ -412,11 +412,17 @@ GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
   // One unseeded unit per rule, in program order. Γ never mutates I, so
   // fetching every plan up front gives the plans (and planner counters)
   // that fetching them one by one would. Even a one-rule program fans
-  // out: intra-rule slicing can split it.
+  // out: intra-rule slicing can split it. A body-less rule (an update of
+  // P_U) has nothing to plan: it takes the empty plan, which emits its
+  // one empty binding, and never asks the cache — so a cache sized to P
+  // serves every P_U.
+  static const CompiledPlan kBodyless;
   std::vector<GammaUnit> units;
   units.reserve(program.size());
   for (const Rule& rule : program.rules()) {
-    const CompiledPlan& plan = plans.Get(rule, /*seed_index=*/-1, interp);
+    const CompiledPlan& plan =
+        rule.body().empty() ? kBodyless
+                            : plans.Get(rule, /*seed_index=*/-1, interp);
     plans.AddEstimatedRows(plan.estimated_candidates);
     units.push_back(GammaUnit{&rule, &plan, nullptr, {}});
   }

@@ -86,8 +86,8 @@ struct GammaResult {
 inline constexpr size_t kDefaultMinSliceSize = 256;
 
 /// Shared state for parallel Γ evaluation: the worker pool plus the
-/// slicing policy and counters. One evaluation (a ParkStepper, or the
-/// FixpointMaintainer across commits) owns at most one and threads it
+/// slicing policy and counters. A ParkStepper's warm state (one run's,
+/// or an ActiveDatabase's across commits) owns at most one and threads it
 /// through every ComputeGamma* call; passing nullptr selects the
 /// sequential path. The indexes a parallel section prewarms come from
 /// the PlanCache's requirements().
@@ -146,7 +146,8 @@ class ParallelGamma {
 ///
 /// Matching runs through the compiled plans of `plans` (ExecutePlan), and
 /// the frozen parallel sections prewarm from the cache's accumulated
-/// requirements. The enumeration ORDER (hence derivation order) follows
+/// requirements. Body-less rules take the empty plan without a fetch, so
+/// `plans` need only cover the rules with a body. The enumeration ORDER (hence derivation order) follows
 /// the cached plan's literal order — see docs/PLANNER.md. The cache's
 /// plan/row counters are advanced by the coordinator only, in unit order,
 /// so they are thread-count invariant.

@@ -1259,8 +1259,7 @@ void AddPlanRequirements(const CompiledPlan& plan, IndexRequirements& out) {
   }
 }
 
-PlanCache::PlanCache(const Program& program)
-    : program_(program), plans_(program.size()) {
+PlanCache::PlanCache(const Program& program) : plans_(program.size()) {
   for (size_t r = 0; r < program.size(); ++r) {
     plans_[r].resize(program.rules()[r].body().size() + 1);
   }

@@ -262,14 +262,17 @@ void AddPlanRequirements(const CompiledPlan& plan, IndexRequirements& out);
 /// recompiled only when those statistics drift past a threshold
 /// (docs/PLANNER.md). Single-threaded by design: the evaluator
 /// coordinator calls Get before fanning a parallel section out, and
-/// workers only execute the returned plans.
+/// workers only execute the returned plans. The cache is sized to the
+/// program it is built from and keeps no reference to it, so it outlives
+/// one evaluation and also serves P_U, P extended with body-less update
+/// rules: those take the empty plan and never ask the cache for one.
 class PlanCache {
  public:
   explicit PlanCache(const Program& program);
 
   /// The plan for (`rule`, `seed_index`), compiling or replanning as
   /// needed. The reference stays valid until the next Get for the same
-  /// slot. `rule` must belong to the cache's program.
+  /// slot. `rule` must be one of the rules the cache was sized for.
   const CompiledPlan& Get(const Rule& rule, int seed_index,
                           const IInterpretation& interp);
 
@@ -304,7 +307,6 @@ class PlanCache {
                               const Rule& rule, int seed_index,
                               const IInterpretation& interp, bool replan);
 
-  const Program& program_;
   // plans_[rule][seed_index + 1]; null = not compiled yet.
   std::vector<std::vector<std::unique_ptr<CompiledPlan>>> plans_;
   IndexRequirements requirements_;

@@ -1,11 +1,12 @@
 // The static rule/predicate dependency graph behind delta-driven Γ
 // scheduling (docs/SCHEDULER.md).
 //
-// Built once per (program, evaluation): for every rule, which predicates
-// its body WATCHES — split by the polarity of the marks that can wake it
-// (positive and +event literals gain witnesses from new `+` marks;
-// negated and -event literals from new `-` marks, see
-// engine/consequence.h) — and which predicate its head WRITES. Inverting
+// Built once per program (an ActiveDatabase keeps it across commits):
+// for every rule, which predicates its body WATCHES — split by the
+// polarity of the marks that can wake it (positive and +event literals
+// gain witnesses from new `+` marks; negated and -event literals from
+// new `-` marks, see engine/consequence.h) — and which predicate its
+// head WRITES. Inverting
 // the watch relation gives the per-predicate watcher index the scheduler
 // uses to turn a Γ step's delta into its affected rule set in
 // O(|changed predicates|) instead of an O(|P|) all-rules RuleIsAffected
@@ -27,8 +28,9 @@
 
 namespace park {
 
-/// Immutable dependency analysis of one Program. The program must outlive
-/// the graph. Thread-compatible: built on the coordinator, read-only
+/// Immutable dependency analysis of one Program; it keeps no reference to
+/// the program, and also serves P extended with body-less rules, which
+/// watch nothing. Thread-compatible: built on the coordinator, read-only
 /// afterwards (workers never touch it).
 class RuleDependencyGraph {
  public:

@@ -67,9 +67,12 @@ class ThreadPool {
   uint64_t tasks_executed() const { return tasks_executed_; }
   uint64_t sections_run() const { return sections_run_; }
 
-  /// Largest single section (peak queue depth) so far. Tracked always:
-  /// one compare per section.
+  /// Largest single section (peak queue depth) since construction or the
+  /// last ResetMaxSectionTasks(). Tracked always: one compare per
+  /// section. A pool kept across evaluations is reset as each one starts,
+  /// so the peak is that evaluation's.
   size_t max_section_tasks() const { return max_section_tasks_; }
+  void ResetMaxSectionTasks() { max_section_tasks_ = 0; }
 
   /// When enabled, ParallelFor accumulates its wall time (two clock reads
   /// per section — the observability layer's pool-busy / mean-task-latency

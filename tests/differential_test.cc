@@ -4,18 +4,19 @@
 // Every case (a program, facts, a sequence of update sets U_1..U_n and a
 // SELECT policy) runs through every production configuration — threads
 // {1, 4} × exec {tuple, batch} × min_slice_size {1, default} at 4 threads
-// × block granularity — and every driver: Park(), ParkDiff(), a stepped
-// ParkStepper, ActiveDatabase commit scripts with maintenance off and on,
-// and a Session whose concurrent group commits are replayed from the
-// journal through the reference.
+// × block granularity — and every driver: Park(), a stepped ParkStepper,
+// ActiveDatabase commit scripts with maintenance off and on, and a Session
+// whose concurrent group commits are replayed from the journal through
+// the reference.
 //
 //  - Layer 1: each evaluation matches the reference on the result
 //    database, the rendered blocked set, `restarts` and `gamma_steps`
-//    (and, for Park(), the provenance; for ParkDiff() and every commit,
-//    the reported inserted/deleted lists, entry for entry).
+//    (and, for Park(), the provenance; for every commit, the reported
+//    inserted/deleted lists, entry for entry).
 //  - Layer 2: each configuration matches the default one (1 thread, tuple,
-//    default slice, same granularity) on the trace, the provenance, and
-//    the park-stats-v1 counters/planner/scheduler blocks (plus the
+//    default slice, same granularity) on the trace (Park(), the stepper,
+//    and each commit with maintenance off), the provenance, and the
+//    park-stats-v1 counters/planner/scheduler blocks (plus the
 //    maintenance block for commit scripts), and the single-thread run
 //    with the same executor on the storage/exec blocks.
 //  - Theorem 4.1 on every case, for the engine and the reference: the run
@@ -251,8 +252,8 @@ struct Observation {
   size_t restarts = 0;
   size_t gamma_steps = 0;
   std::optional<std::vector<std::string>> provenance;
-  /// The commit diff as reported (ParkDiff(), CommitReport), entries and
-  /// order verbatim.
+  /// The commit diff as reported (CommitReport), entries and order
+  /// verbatim.
   std::optional<std::vector<GroundAtom>> inserted;
   std::optional<std::vector<GroundAtom>> deleted;
   std::string trace;
@@ -384,27 +385,6 @@ Observation RunPark(const Parsed& parsed, ParkOptions options) {
   return obs;
 }
 
-Observation RunParkDiff(const Parsed& parsed, ParkOptions options) {
-  options.trace_level = TraceLevel::kFull;
-  auto result =
-      ParkDiff(parsed.db, parsed.program, FirstCommit(parsed), options);
-  Observation obs;
-  if (!result.ok()) {
-    obs.code = result.status().code();
-    return obs;
-  }
-  Atoms atoms = AtomsOf(parsed.db);
-  for (const GroundAtom& atom : result->diff.only_in_other) atoms.erase(atom);
-  atoms.insert(result->diff.only_in_this.begin(),
-               result->diff.only_in_this.end());
-  obs.database = Render(atoms, *parsed.symbols);
-  obs.inserted = result->diff.only_in_this;
-  obs.deleted = result->diff.only_in_other;
-  FillFromStats(result->stats, obs);
-  obs.trace = result->trace.ToString();
-  return obs;
-}
-
 /// The stepper, one Δ transition at a time, asserting Theorem 4.1 along
 /// the way: ⟨B, I⟩ grows in the bi-structure order, B grows strictly at
 /// each restart, the run reaches a fixpoint, and I there is consistent.
@@ -456,9 +436,14 @@ Observation RunStepped(const Parsed& parsed, ParkOptions options,
 }
 
 /// Stabilize, then commit U_1..U_n, on a fresh ActiveDatabase: one
-/// observation per commit.
+/// observation per commit. With maintenance off every commit records its
+/// trace at kFull (the options gate would keep a traced commit off the
+/// maintained path).
 std::vector<Observation> RunScript(const Case& c, const Parsed& parsed,
                                    ParkOptions options) {
+  if (options.maintenance_mode == MaintenanceMode::kOff) {
+    options.trace_level = TraceLevel::kFull;
+  }
   ActiveDatabase db(parsed.symbols);
   EXPECT_TRUE(db.LoadRules(c.rules).ok());
   EXPECT_TRUE(db.LoadFacts(c.facts).ok());
@@ -472,6 +457,7 @@ std::vector<Observation> RunScript(const Case& c, const Parsed& parsed,
       obs.maintained = report->stats.maint_commits == 1;
       obs.inserted = report->inserted;
       obs.deleted = report->deleted;
+      obs.trace = report->trace.ToString();
     } else {
       obs.code = report.status().code();
     }
@@ -645,7 +631,7 @@ void CheckCase(const Case& c, Coverage& coverage) {
   // Layer 2 baselines: the single-thread observations of each executor;
   // the tuple ones are the default configuration's.
   struct Baseline {
-    Observation park, diff, stepped;
+    Observation park, stepped;
     std::vector<Observation> scripts[2];  // maintenance off, on
   };
   std::map<std::pair<BlockGranularity, ExecMode>, Baseline> baselines;
@@ -661,16 +647,11 @@ void CheckCase(const Case& c, Coverage& coverage) {
         want.code == StatusCode::kOk ? want.run.ground_instances : 0;
 
     Observation park = RunPark(*parsed, options);
-    Observation diff = RunParkDiff(*parsed, options);
     Observation stepped = RunStepped(*parsed, options, ground_instances);
     coverage.Tally(config, park.stats);
     {
       SCOPED_TRACE("Park()");
       ExpectMatchesReference(park, want, symbols);
-    }
-    {
-      SCOPED_TRACE("ParkDiff()");
-      ExpectMatchesReference(diff, want, symbols);
     }
     {
       SCOPED_TRACE("ParkStepper");
@@ -709,7 +690,7 @@ void CheckCase(const Case& c, Coverage& coverage) {
 
     if (config.threads == 1) {
       baselines[{config.granularity, config.exec}] =
-          Baseline{park, diff, stepped, {scripts[0], scripts[1]}};
+          Baseline{park, stepped, {scripts[0], scripts[1]}};
       if (config.exec == ExecMode::kTuple) continue;  // the default
     }
     const Baseline& base =
@@ -719,10 +700,6 @@ void CheckCase(const Case& c, Coverage& coverage) {
     {
       SCOPED_TRACE("Park() vs default");
       ExpectMatchesDefault(park, base.park, same_exec.park);
-    }
-    {
-      SCOPED_TRACE("ParkDiff() vs default");
-      ExpectMatchesDefault(diff, base.diff, same_exec.diff);
     }
     {
       SCOPED_TRACE("ParkStepper vs default");
@@ -975,12 +952,21 @@ TEST(DifferentialTest, MaintenanceGateScripts) {
                   {"+e(n5, n6)"}},
                  PolicyKind::kInertia},
             coverage);
-  // An insert into a negated (non-head) predicate trips the dynamic gate.
-  CheckCase(Case{"r: e(X, Y), !blocked(X) -> +t(X, Y).",
-                 "",
-                 {{"+e(n0, n1)"}, {"+blocked(n0)"}, {"+e(n2, n3)"}},
-                 PolicyKind::kInertia},
-            coverage);
+  // An insert into a negated (non-head) predicate needs no gate
+  // (docs/INCREMENTAL.md): every commit after Stabilize is maintained, in
+  // every configuration.
+  {
+    Coverage negated;
+    CheckCase(Case{"r: e(X, Y), !blocked(X) -> +t(X, Y).",
+                   "",
+                   {{"+e(n0, n1)"},
+                    {"+blocked(n0)", "+e(n0, n2)"},
+                    {"+e(n2, n3)"}},
+                   PolicyKind::kInertia},
+              negated);
+    EXPECT_EQ(negated.maintained_commits, 3 * AllConfigs().size());
+    coverage.maintained_commits += negated.maintained_commits;
+  }
   // Statically ineligible: delete heads, negation and events over heads.
   CheckCase(Case{"onboard: +emp(X) -> +active(X). "
                  "cleanup: emp(X), !active(X), payroll(X, S) -> "

@@ -192,21 +192,32 @@ TEST(IncrementalOracleTest, EventFeedbackOntoHeadPredicateIsGated) {
   ExpectNeverMaintained(rules, script);
 }
 
-TEST(IncrementalOracleTest, InsertIntoNegatedPredicateFallsBack) {
+TEST(IncrementalOracleTest, InsertIntoNegatedPredicateIsMaintained) {
   // `!blocked` reads a non-head predicate, so the program is statically
-  // eligible — but inserting into `blocked` trips the dynamic gate.
+  // eligible, and an insert into `blocked` needs no gate of its own: the
+  // full run's extra first-step firings of `!blocked(n0)` only re-mark
+  // stored atoms (docs/INCREMENTAL.md, "Inserts into negated
+  // predicates"). Commit 2 also adds an edge the new fact suppresses.
   const std::string rules = "r: e(X, Y), !blocked(X) -> +t(X, Y).\n";
   Script script = {
       {"+e(n0, n1)"},
-      {"+blocked(n0)"},
+      {"+blocked(n0)", "+e(n0, n2)"},
       {"+e(n2, n3)"},
   };
-  Config config;
-  config.maint = MaintenanceMode::kIncremental;
-  ScriptOutcome run = RunScript(rules, "", script, config);
-  EXPECT_EQ(run.commits[0].stats.maint_commits, 1u);
-  EXPECT_EQ(run.commits[1].stats.maint_full_recompute_fallbacks, 1u);
-  EXPECT_EQ(run.commits[2].stats.maint_commits, 1u);
+  ScriptOutcome off = RunScript(rules, "", script, Config{});
+  ScriptOutcome on = RunScript(rules, "", script,
+                               Config{MaintenanceMode::kIncremental, 1});
+  ASSERT_EQ(on.commits.size(), script.size());
+  for (size_t k = 0; k < script.size(); ++k) {
+    SCOPED_TRACE(StrFormat("commit %zu", k));
+    EXPECT_EQ(on.commits[k].stats.maint_commits, 1u);
+    EXPECT_EQ(on.commits[k].inserted, off.commits[k].inserted);
+    EXPECT_EQ(on.commits[k].deleted, off.commits[k].deleted);
+  }
+  EXPECT_EQ(on.commits[1].inserted,
+            (std::vector<std::string>{"e(n0, n2)", "blocked(n0)"}));
+  EXPECT_EQ(on.fallbacks, 0u);
+  EXPECT_EQ(on.final_database, off.final_database);
 }
 
 TEST(IncrementalOracleTest, IncrementalCommitReportsConeAndRederivations) {
@@ -384,6 +395,74 @@ TEST(IncrementalOracleTest, AddingARuleInvalidates) {
   EXPECT_EQ(report->stats.maint_commits, 0u);
   EXPECT_EQ(report->stats.maint_full_recompute_fallbacks, 1u);
   auto rows = QueryDatabase(db.database(), "t(a, c)", db.symbols());
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 1u);
+}
+
+TEST(IncrementalOracleTest, FullCommitsReuseTheWarmPlanCache) {
+  // Maintenance off, so every commit is the unseeded run of P_U. It runs
+  // over the state the database keeps bound to P: once the first commit
+  // has compiled the payroll rules' plans, later commits compile none
+  // (the update rules of P_U take the empty plan) and find every plan in
+  // the cache, whose statistics stay close enough not to drift.
+  const std::string rules =
+      "cleanup: emp(X), !active(X), payroll(X, S) -> -payroll(X, S).\n"
+      "cascade: -payroll(X, S) -> +audit(X).\n"
+      "onboard: +emp(X) -> +active(X).\n";
+  std::string facts;
+  for (int i = 0; i < 64; ++i) {
+    facts += StrFormat("emp(e%d). active(e%d). payroll(e%d, %d). ", i, i, i,
+                       1000 + i);
+  }
+  // The first commit onboards and deactivates; the rest alternate.
+  Script script = {{"+emp(n0)", "-active(e0)"}};
+  for (int k = 1; k <= 6; ++k) {
+    script.push_back({k % 2 == 1 ? StrFormat("+emp(n%d)", k)
+                                 : StrFormat("-active(e%d)", k)});
+  }
+  ScriptOutcome run = RunScript(rules, facts, script, Config{});
+  ASSERT_EQ(run.commits.size(), script.size());
+  EXPECT_GT(run.commits[0].stats.plans_compiled, 0u);
+  for (size_t k = 1; k < run.commits.size(); ++k) {
+    SCOPED_TRACE(StrFormat("commit %zu", k + 1));
+    const ParkStats& stats = run.commits[k].stats;
+    EXPECT_EQ(stats.plans_compiled, 0u);
+    EXPECT_EQ(stats.plan_replans, 0u);
+    EXPECT_GT(stats.plan_cache_hits, 0u);
+  }
+  // The deactivations cascaded as they do on a cold cache.
+  EXPECT_EQ(run.commits[2].deleted,
+            (std::vector<std::string>{"active(e2)", "payroll(e2, 1002)"}));
+  EXPECT_EQ(run.commits[2].inserted, (std::vector<std::string>{"audit(e2)"}));
+}
+
+TEST(IncrementalOracleTest, OpenedDatabaseKeepsTheInvariantOfItsReplay) {
+  // Journal replay runs through the commit path and establishes INV; the
+  // database Open returns (moved out of the replaying one) keeps it, so
+  // its first eligible commit is maintained.
+  const std::string dir = TempDir("park_incremental_reopen");
+  ActiveDatabase::OpenParams params;
+  params.rules = kClosureRules;
+  params.options.maintenance_mode = MaintenanceMode::kIncremental;
+  {
+    auto db = ActiveDatabase::Open(dir, params);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    for (const char* edge : {"+e(n0, n1)", "+e(n1, n2)"}) {
+      Transaction tx = db->Begin();
+      ASSERT_TRUE(tx.Stage(edge).ok());
+      ASSERT_TRUE(std::move(tx).Commit().ok());
+    }
+  }
+  auto reopened = ActiveDatabase::Open(dir, params);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  Transaction tx = reopened->Begin();
+  ASSERT_TRUE(tx.Stage("+e(n2, n3)").ok());
+  auto report = std::move(tx).Commit();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->stats.maint_commits, 1u);
+  EXPECT_EQ(report->stats.maint_full_recompute_fallbacks, 0u);
+  auto rows = QueryDatabase(reopened->database(), "t(n0, n3)",
+                            reopened->symbols());
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 1u);
 }

@@ -60,8 +60,13 @@ struct CommitObservation {
   uint32_t batch_position = 0;
 };
 
-TEST(ServingOracleTest, ConcurrentCommitsMatchSequentialJournalReplay) {
-  const std::string dir = TempDir("park_serving_oracle");
+/// Writers commit concurrently through a Session whose Γ runs on
+/// `num_threads`; readers snapshot meanwhile. The journal, replayed one
+/// record at a time, must reproduce every observed state.
+void CheckConcurrentCommitsAgainstReplay(int num_threads) {
+  SCOPED_TRACE(StrFormat("num_threads=%d", num_threads));
+  const std::string dir =
+      TempDir(StrFormat("park_serving_oracle_%d", num_threads));
   const char* kRules = "+emp(X) -> +active(X).\n"
                        "-emp(X), payroll(X, S) -> -payroll(X, S).\n";
   constexpr int kWriters = 4;
@@ -72,6 +77,7 @@ TEST(ServingOracleTest, ConcurrentCommitsMatchSequentialJournalReplay) {
   params.rules = kRules;
   params.sync_mode = JournalSyncMode::kNone;  // speed; durable group
                                               // commit is tested below
+  params.options.num_threads = num_threads;
   auto session_or = Session::Open(dir, std::move(params));
   ASSERT_TRUE(session_or.ok()) << session_or.status().ToString();
   std::unique_ptr<Session> session = std::move(session_or).value();
@@ -200,10 +206,20 @@ TEST(ServingOracleTest, ConcurrentCommitsMatchSequentialJournalReplay) {
   session.reset();
   Session::Params reopen;
   reopen.rules = kRules;
+  reopen.options.num_threads = num_threads;
   auto reopened = Session::Open(dir, std::move(reopen));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->Snapshot().ToString(),
             oracle.database().ToString());
+}
+
+TEST(ServingOracleTest, ConcurrentCommitsMatchSequentialJournalReplay) {
+  // At 4 threads successive batches are led by different writer threads
+  // over the one pool the database keeps across commits.
+  for (int num_threads : {1, 4}) {
+    CheckConcurrentCommitsAgainstReplay(num_threads);
+    if (HasFatalFailure()) return;
+  }
 }
 
 /// The default Env, except that every Sync takes at least a millisecond:

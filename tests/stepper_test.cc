@@ -1,6 +1,7 @@
-// ParkStepper: the engine's one Δ loop. Park() and ParkDiff() drive it to
-// its fixpoint, so a hand-stepped stepper must agree with both on every
-// observable: result bytes, stats, trace, observer events, and errors.
+// ParkStepper: the engine's one Δ loop. Park() and ActiveDatabase commits
+// drive it to its fixpoint, so a hand-stepped stepper must agree with both
+// on every observable: result bytes, stats, trace, observer events, and
+// errors.
 
 #include "core/stepper.h"
 
@@ -10,6 +11,7 @@
 #include <sstream>
 #include <thread>
 
+#include "eca/active_database.h"
 #include "test_util.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -82,7 +84,7 @@ TEST(StepperTest, SnapshotsGrowPerTheorem41) {
   }
 }
 
-// --- One loop: Park(), ParkDiff() and a hand-stepped ParkStepper ---
+// --- One loop: Park(), a commit and a hand-stepped ParkStepper ---
 
 /// Records every Δ-loop observer event, with its payload, as one line.
 class RecordingObserver : public RunObserver {
@@ -172,7 +174,7 @@ void OnFreshThread(Fn fn) {
   thread.join();
 }
 
-enum class Driver { kPark, kParkDiff, kStepped };
+enum class Driver { kPark, kCommit, kStepped };
 
 LoopOutcome RunLoop(Driver driver, const Program& program,
                     const Database& db, const std::vector<Update>& updates,
@@ -195,21 +197,35 @@ LoopOutcome RunLoop(Driver driver, const Program& program,
         out.trace = result->trace.ToString();
         break;
       }
-      case Driver::kParkDiff: {
-        auto result = ParkDiff(db, program, updates, options);
-        out.status = result.status().ToString();
-        if (!result.ok()) return;
-        Database applied = db.Clone();
-        for (const GroundAtom& atom : result->diff.only_in_this) {
-          applied.Insert(atom);
+      case Driver::kCommit: {
+        // A fresh ActiveDatabase over P and D commits U: the one commit
+        // path, with maintenance off.
+        ActiveDatabase active(program.symbols());
+        for (const Rule& rule : program.rules()) {
+          ASSERT_TRUE(active.AddRule(rule).ok());
         }
-        for (const GroundAtom& atom : result->diff.only_in_other) {
-          applied.Erase(atom);
+        std::string facts;
+        for (const std::string& atom : db.SortedAtomStrings()) {
+          facts += atom + ". ";
         }
-        out.database = applied.ToString();
-        out.diff = RenderDiff(result->diff, symbols);
-        out.stats = RenderStats(result->stats);
-        out.trace = result->trace.ToString();
+        ASSERT_TRUE(active.LoadFacts(facts).ok());
+        ASSERT_TRUE(active.Configure(options).ok());
+        Transaction tx = active.Begin();
+        for (const Update& u : updates) {
+          if (u.action == ActionKind::kInsert) {
+            tx.Insert(u.atom);
+          } else {
+            tx.Delete(u.atom);
+          }
+        }
+        auto report = std::move(tx).Commit();
+        out.status = report.status().ToString();
+        if (!report.ok()) return;
+        out.database = active.database().ToString();
+        out.diff = RenderDiff(
+            Database::Diff{report->inserted, report->deleted}, symbols);
+        out.stats = RenderStats(report->stats);
+        out.trace = report->trace.ToString();
         break;
       }
       case Driver::kStepped: {
@@ -271,16 +287,20 @@ RandomCase MakeRandomCase(Rng& rng) {
 }
 
 void ExpectOneLoop(const Program& program, const Database& db,
-                   const std::vector<Update>& updates,
+                   const std::vector<Update>& raw_updates,
                    const ParkOptions& options) {
+  // A transaction drops repeated updates; every driver evaluates that U.
+  UpdateSet set;
+  for (const Update& u : raw_updates) set.Add(u.action, u.atom);
+  const std::vector<Update>& updates = set.updates();
   const LoopOutcome park =
       RunLoop(Driver::kPark, program, db, updates, options);
-  const LoopOutcome diff =
-      RunLoop(Driver::kParkDiff, program, db, updates, options);
+  const LoopOutcome commit =
+      RunLoop(Driver::kCommit, program, db, updates, options);
   const LoopOutcome stepped =
       RunLoop(Driver::kStepped, program, db, updates, options);
-  for (const LoopOutcome* other : {&diff, &stepped}) {
-    const char* name = other == &diff ? "ParkDiff" : "stepped";
+  for (const LoopOutcome* other : {&commit, &stepped}) {
+    const char* name = other == &commit ? "commit" : "stepped";
     EXPECT_EQ(park.status, other->status) << name;
     EXPECT_EQ(park.database, other->database) << name;
     EXPECT_EQ(park.diff, other->diff) << name;
@@ -290,7 +310,7 @@ void ExpectOneLoop(const Program& program, const Database& db,
   }
 }
 
-TEST(StepperTest, ParkParkDiffAndSteppingAreOneLoop) {
+TEST(StepperTest, ParkCommitAndSteppingAreOneLoop) {
   Rng rng(99);
   size_t with_restarts = 0;
   for (int trial = 0; trial < 8; ++trial) {
