@@ -1,6 +1,7 @@
 #include "core/conflict.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "util/logging.h"
 
@@ -32,30 +33,41 @@ std::string Conflict::ToString(const Program& program,
   return out;
 }
 
-std::vector<Conflict> BuildConflicts(const GammaResult& gamma,
-                                     const IInterpretation& interp) {
-  std::vector<Conflict> conflicts;
-  conflicts.reserve(gamma.clashing_atoms.size());
-  for (const GroundAtom& atom : gamma.clashing_atoms) {
-    Conflict conflict;
-    conflict.atom = atom;
-    // Currently firable instances — the paper's one-step lookahead.
-    for (const Derivation& d : gamma.derivations) {
-      if (d.atom != atom) continue;
-      if (d.action == ActionKind::kInsert) {
-        conflict.inserters.push_back(d.grounding);
-      } else {
-        conflict.deleters.push_back(d.grounding);
-      }
-    }
+std::vector<Conflict> BuildConflicts(GammaResult gamma,
+                                     const IInterpretation& interp,
+                                     BlockGranularity granularity) {
+  size_t count = gamma.clashing_atoms.size();
+  if (granularity == BlockGranularity::kFirstConflictOnly && count > 1) {
+    count = 1;  // atoms are sorted: the first conflict is the smallest atom's
+  }
+  std::vector<Conflict> conflicts(count);
+  std::unordered_map<GroundAtom, Conflict*, GroundAtomHash> by_atom;
+  by_atom.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    conflicts[i].atom = std::move(gamma.clashing_atoms[i]);
+    by_atom.emplace(conflicts[i].atom, &conflicts[i]);
+  }
+  // Currently firable instances — the paper's one-step lookahead.
+  for (Derivation& d : gamma.derivations) {
+    auto it = by_atom.find(d.atom);
+    if (it == by_atom.end()) continue;
+    Conflict& conflict = *it->second;
+    (d.action == ActionKind::kInsert ? conflict.inserters : conflict.deleters)
+        .push_back(std::move(d.grounding));
+  }
+  for (Conflict& conflict : conflicts) {
     // Provenance completion: if one side of the clash is a mark already in
     // I whose deriving bodies are no longer valid, the instances that
     // derived it are still the ones to hold responsible (DESIGN.md §2).
-    if (const auto* prov = interp.Provenance(ActionKind::kInsert, atom)) {
+    // It also holds every instance an earlier step of the round fired,
+    // which the semi-naive section omits.
+    if (const auto* prov =
+            interp.Provenance(ActionKind::kInsert, conflict.atom)) {
       conflict.inserters.insert(conflict.inserters.end(), prov->begin(),
                                 prov->end());
     }
-    if (const auto* prov = interp.Provenance(ActionKind::kDelete, atom)) {
+    if (const auto* prov =
+            interp.Provenance(ActionKind::kDelete, conflict.atom)) {
       conflict.deleters.insert(conflict.deleters.end(), prov->begin(),
                                prov->end());
     }
@@ -63,7 +75,6 @@ std::vector<Conflict> BuildConflicts(const GammaResult& gamma,
     SortUnique(conflict.deleters);
     PARK_CHECK(!conflict.inserters.empty() && !conflict.deleters.empty())
         << "conflict with an empty side";
-    conflicts.push_back(std::move(conflict));
   }
   return conflicts;
 }

@@ -5,7 +5,8 @@
 // Conflicts are built from a Γ derivation list ("one step into the
 // future"), restricted to non-blocked instances, and augmented with the
 // provenance of marked atoms already in I — see DESIGN.md §2 for why both
-// refinements are necessary and faithful.
+// refinements are necessary and faithful, and why the semi-naive section
+// of the inconsistent step is as good a list as the full Γ.
 
 #ifndef PARK_CORE_CONFLICT_H_
 #define PARK_CORE_CONFLICT_H_
@@ -17,6 +18,19 @@
 
 namespace park {
 
+/// How much of `conflicts(P, I)` is blocked per resolution round.
+enum class BlockGranularity {
+  /// Block the losing side of every conflict found in the round — the
+  /// paper's main definition of `blocked(D, P, I, SELECT)`.
+  kAllConflicts,
+  /// Block the losing side of only the first conflict (atom-sorted), then
+  /// restart — the paper's §4.2 refinement ("include only a non-empty part
+  /// of conflicts into blocked"), which avoids blocking instances that
+  /// later rounds would never find in conflict. More restarts, fewer
+  /// unnecessarily blocked instances.
+  kFirstConflictOnly,
+};
+
 /// One conflict triple (a, ins, del). Both sides are non-empty, sorted,
 /// and duplicate-free.
 struct Conflict {
@@ -27,13 +41,19 @@ struct Conflict {
   /// "q(a): ins={(r1, [x <- a])} del={(r2, [x <- a])}"
   std::string ToString(const Program& program,
                        const SymbolTable& symbols) const;
+
+  friend bool operator==(const Conflict&, const Conflict&) = default;
 };
 
-/// Builds conflicts(P, I) for the Γ evaluation `gamma` of a program over
-/// `interp`. One Conflict per clashing atom, sorted by atom for
-/// determinism. `gamma` must have been computed against `interp`.
-std::vector<Conflict> BuildConflicts(const GammaResult& gamma,
-                                     const IInterpretation& interp);
+/// Builds conflicts(P, I) from the Γ section `gamma` computed against
+/// `interp`: the full Γ, or the semi-naive section of a step of the
+/// current round (DESIGN.md §2). One Conflict per clashing atom, sorted by
+/// atom for determinism; with kFirstConflictOnly, only the smallest
+/// clashing atom's. The derivations are grouped in one hash pass and their
+/// groundings moved into the triples.
+std::vector<Conflict> BuildConflicts(
+    GammaResult gamma, const IInterpretation& interp,
+    BlockGranularity granularity = BlockGranularity::kAllConflicts);
 
 }  // namespace park
 

@@ -18,6 +18,7 @@
 #ifndef PARK_CORE_PARK_EVALUATOR_H_
 #define PARK_CORE_PARK_EVALUATOR_H_
 
+#include "core/conflict.h"
 #include "core/observer.h"
 #include "core/policy.h"
 #include "core/trace.h"
@@ -34,19 +35,6 @@ struct Update {
   friend bool operator==(const Update& a, const Update& b) {
     return a.action == b.action && a.atom == b.atom;
   }
-};
-
-/// How much of `conflicts(P, I)` is blocked per resolution round.
-enum class BlockGranularity {
-  /// Block the losing side of every conflict found in the round — the
-  /// paper's main definition of `blocked(D, P, I, SELECT)`.
-  kAllConflicts,
-  /// Block the losing side of only the first conflict (atom-sorted), then
-  /// restart — the paper's §4.2 refinement ("include only a non-empty part
-  /// of conflicts into blocked"), which avoids blocking instances that
-  /// later rounds would never find in conflict. More restarts, fewer
-  /// unnecessarily blocked instances.
-  kFirstConflictOnly,
 };
 
 /// Whether ActiveDatabase commits maintain the materialized PARK
@@ -164,7 +152,7 @@ Status ValidateOptions(const ParkOptions& options);
 struct PhaseTimings {
   bool collected = false;
   uint64_t total_ns = 0;           // whole evaluation, entry to result
-  uint64_t gamma_ns = 0;           // Γ sections (incl. conflict recompute)
+  uint64_t gamma_ns = 0;           // Γ sections, one per step
   uint64_t apply_ns = 0;           // ApplyDerivations* after consistent Γ
   uint64_t conflict_ns = 0;        // conflict build + policy loop
   uint64_t policy_ns = 0;          // SELECT calls (subset of conflict_ns)

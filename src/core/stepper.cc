@@ -35,6 +35,26 @@ CancellationToken* ArmRunToken(CancellationToken& token,
   return &token;
 }
 
+/// Adds the wall time from construction to destruction to `*total`, on
+/// every exit from the scope; a null `total` (timings off) reads no clock.
+class ElapsedNs {
+ public:
+  explicit ElapsedNs(uint64_t* total)
+      : total_(total), start_ns_(total != nullptr ? MonotonicNanos() : 0) {}
+  ~ElapsedNs() {
+    if (total_ != nullptr) {
+      *total_ += static_cast<uint64_t>(MonotonicNanos() - start_ns_);
+    }
+  }
+
+  ElapsedNs(const ElapsedNs&) = delete;
+  ElapsedNs& operator=(const ElapsedNs&) = delete;
+
+ private:
+  uint64_t* total_;
+  int64_t start_ns_;
+};
+
 /// Renders I ∪ {Γ-derived marks} — the inconsistent interpretation the
 /// paper prints as a numbered step before resolving, never applied to I.
 std::vector<std::string> RenderWithDerivations(
@@ -187,22 +207,17 @@ void ParkStepper::Start() {
   });
 }
 
-GammaResult ParkStepper::ComputeSection(bool full) {
-  if (full) {
-    return ComputeGamma(program_, blocked_, interp_, state_->plans(),
-                        state_->parallel(), cancel_, options_.exec_mode,
-                        &exec_stats_);
-  }
+GammaResult ParkStepper::ComputeSection() {
   return ComputeGammaSemiNaive(program_, blocked_, interp_, delta_atoms_,
                                state_->graph(), state_->plans(),
                                state_->parallel(), cancel_,
                                options_.exec_mode, &exec_stats_);
 }
 
-Result<GammaResult> ParkStepper::GammaSection(int step, bool full) {
+Result<GammaResult> ParkStepper::GammaSection(int step) {
   const bool timed = options_.collect_timings;
   const int64_t gamma_start_ns = timed ? MonotonicNanos() : 0;
-  GammaResult gamma = ComputeSection(full);
+  GammaResult gamma = ComputeSection();
   if (timed) {
     stats_.timings.gamma_ns +=
         static_cast<uint64_t>(MonotonicNanos() - gamma_start_ns);
@@ -234,7 +249,7 @@ Result<StepOutcome> ParkStepper::Step() {
   if (cancel_ != nullptr && cancel_->Check()) return cancel_->ToStatus();
   const int step = static_cast<int>(steps_taken_++);
   observer_.Notify([&](RunObserver& o) { o.OnStepStart(step); });
-  PARK_ASSIGN_OR_RETURN(GammaResult gamma, GammaSection(step, /*full=*/false));
+  PARK_ASSIGN_OR_RETURN(GammaResult gamma, GammaSection(step));
 
   if (!gamma.consistent) {
     if (seeded_) {
@@ -278,10 +293,9 @@ Result<StepOutcome> ParkStepper::Resolve(GammaResult gamma, int step) {
   // paper's traces include it) but never applied; instead conflicts are
   // resolved, B is extended, and the computation restarts from I°.
   //
-  // Conflict triples must be MAXIMAL (§4.2) — they need every currently
-  // firable instance on each side, which a delta-driven evaluation may
-  // have skipped — so recompute the full Γ before building them.
-  PARK_ASSIGN_OR_RETURN(gamma, GammaSection(step, /*full=*/true));
+  // The triples are built from this step's semi-naive section: every
+  // firable instance it omits fired at an earlier step of the round, and
+  // BuildConflicts adds it back from the provenance (DESIGN.md §2).
   const int shown = step + 1;
   const SymbolTable& symbols = *program_.symbols();
   const bool tracing = trace_.level() != TraceLevel::kNone;
@@ -290,62 +304,58 @@ Result<StepOutcome> ParkStepper::Resolve(GammaResult gamma, int step) {
         RenderWithDerivations(interp_, gamma.derivations, symbols), shown);
   }
   const bool timed = options_.collect_timings;
-  const int64_t conflict_start_ns = timed ? MonotonicNanos() : 0;
-  std::vector<Conflict> conflicts = BuildConflicts(gamma, interp_);
-  if (options_.block_granularity == BlockGranularity::kFirstConflictOnly &&
-      conflicts.size() > 1) {
-    conflicts.resize(1);
-  }
-  if (tracing) {
-    std::vector<std::string> descriptions;
-    descriptions.reserve(conflicts.size());
-    for (const Conflict& c : conflicts) {
-      descriptions.push_back(c.ToString(program_, symbols));
-    }
-    trace_.RecordConflict(std::move(descriptions), shown);
-  }
-
   StepOutcome outcome;
   outcome.kind = StepOutcome::Kind::kResolution;
-  PolicyContext context{db_, program_, interp_,
-                        static_cast<int>(stats_.restarts)};
   std::vector<std::string> resolution_notes;
-  for (const Conflict& conflict : conflicts) {
-    ++stats_.policy_invocations;
-    const int64_t policy_start_ns = timed ? MonotonicNanos() : 0;
-    PARK_ASSIGN_OR_RETURN(Vote vote, policy_->Select(context, conflict));
-    if (timed) {
-      stats_.timings.policy_ns +=
-          static_cast<uint64_t>(MonotonicNanos() - policy_start_ns);
-    }
-    if (vote == Vote::kAbstain) {
-      return AbortedError(StrFormat(
-          "policy '%s' abstained on conflict over %s; wrap it in a "
-          "composite with a complete fallback (e.g. inertia)",
-          std::string(policy_->name()).c_str(),
-          conflict.atom.ToString(symbols).c_str()));
-    }
-    ++stats_.conflicts_resolved;
-    observer_.Notify(
-        [&](RunObserver& o) { o.OnPolicyDecision(conflict, vote); });
-    const std::vector<RuleGrounding>& losing =
-        vote == Vote::kInsert ? conflict.deleters : conflict.inserters;
-    for (const RuleGrounding& g : losing) {
-      if (blocked_.insert(g).second) ++outcome.newly_blocked;
-    }
+  {
+    // Conflict building and the SELECT loop, timed on every exit.
+    ElapsedNs conflict_time(timed ? &stats_.timings.conflict_ns : nullptr);
+    outcome.conflicts = BuildConflicts(std::move(gamma), interp_,
+                                       options_.block_granularity);
+    const std::vector<Conflict>& conflicts = outcome.conflicts;
     if (tracing) {
-      resolution_notes.push_back(StrFormat(
-          "%s on %s: block %zu instance(s)", VoteToString(vote),
-          conflict.atom.ToString(symbols).c_str(), losing.size()));
+      std::vector<std::string> descriptions;
+      descriptions.reserve(conflicts.size());
+      for (const Conflict& c : conflicts) {
+        descriptions.push_back(c.ToString(program_, symbols));
+      }
+      trace_.RecordConflict(std::move(descriptions), shown);
     }
-  }
-  observer_.Notify([&](RunObserver& o) {
-    o.OnConflictRound(ConflictRoundInfo{stats_.restarts, conflicts.size(),
-                                        outcome.newly_blocked});
-  });
-  if (timed) {
-    stats_.timings.conflict_ns +=
-        static_cast<uint64_t>(MonotonicNanos() - conflict_start_ns);
+
+    PolicyContext context{db_, program_, interp_,
+                          static_cast<int>(stats_.restarts)};
+    for (const Conflict& conflict : conflicts) {
+      ++stats_.policy_invocations;
+      Vote vote = Vote::kAbstain;
+      {
+        ElapsedNs policy_time(timed ? &stats_.timings.policy_ns : nullptr);
+        PARK_ASSIGN_OR_RETURN(vote, policy_->Select(context, conflict));
+      }
+      if (vote == Vote::kAbstain) {
+        return AbortedError(StrFormat(
+            "policy '%s' abstained on conflict over %s; wrap it in a "
+            "composite with a complete fallback (e.g. inertia)",
+            std::string(policy_->name()).c_str(),
+            conflict.atom.ToString(symbols).c_str()));
+      }
+      ++stats_.conflicts_resolved;
+      observer_.Notify(
+          [&](RunObserver& o) { o.OnPolicyDecision(conflict, vote); });
+      const std::vector<RuleGrounding>& losing =
+          vote == Vote::kInsert ? conflict.deleters : conflict.inserters;
+      for (const RuleGrounding& g : losing) {
+        if (blocked_.insert(g).second) ++outcome.newly_blocked;
+      }
+      if (tracing) {
+        resolution_notes.push_back(StrFormat(
+            "%s on %s: block %zu instance(s)", VoteToString(vote),
+            conflict.atom.ToString(symbols).c_str(), losing.size()));
+      }
+    }
+    observer_.Notify([&](RunObserver& o) {
+      o.OnConflictRound(ConflictRoundInfo{stats_.restarts, conflicts.size(),
+                                          outcome.newly_blocked});
+    });
   }
   if (outcome.newly_blocked == 0) {
     return AbortedError(
@@ -359,7 +369,6 @@ Result<StepOutcome> ParkStepper::Resolve(GammaResult gamma, int step) {
   observer_.Notify([&](RunObserver& o) { o.OnRestart(stats_.restarts); });
   trace_.RecordRestart(shown);
   trace_.RecordInitial(interp_, shown);
-  outcome.conflicts = std::move(conflicts);
   return outcome;
 }
 

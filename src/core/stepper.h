@@ -152,12 +152,13 @@ class ParkStepper {
   /// governance, observer start.
   void Start();
   /// The one Γ dispatch: the semi-naive section seeded by the last
-  /// step's delta, or the full Γ when `full` (maximal conflict sides).
-  GammaResult ComputeSection(bool full);
-  /// Computes one Γ section and does its bookkeeping (timings, budgets,
-  /// counters, observer). Errors only when the run token fired.
-  Result<GammaResult> GammaSection(int step, bool full);
-  /// Conflict construction, SELECT, and the restart from I°.
+  /// step's delta (the full Γ at the first step of a round).
+  GammaResult ComputeSection();
+  /// Computes the step's one Γ section and does its bookkeeping (timings,
+  /// budgets, counters, observer). Errors only when the run token fired.
+  Result<GammaResult> GammaSection(int step);
+  /// Conflict construction from the step's section, SELECT, and the
+  /// restart from I°.
   Result<StepOutcome> Resolve(GammaResult gamma, int step);
   /// Sets the counters read off the run's storage, caches and token.
   void FoldRunStats(ParkStats& stats) const;

@@ -184,8 +184,10 @@ GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
 // SEEDS the body literals it can satisfy and only the completions of
 // those seeds are enumerated (ExecutePlan with a seed atom) — seeding is
 // complete.
-// The result omits re-derivations of already-present marks, which is why
-// the evaluator recomputes a full Γ before building (maximal) conflicts.
+// The result omits re-derivations that need no Δ atom. Each of those
+// fired at an earlier step of the round and sits in the provenance, which
+// is why conflicts built from the section are still maximal (DESIGN.md
+// §2).
 //
 // A grounding g whose body holds Δ atoms at several literals is reachable
 // from several seeds. It belongs to the FIRST such literal: the task

@@ -109,6 +109,23 @@ TEST_F(ConflictTest, ConflictsSortedByAtom) {
   EXPECT_LT(conflicts[1].atom, conflicts[2].atom);
 }
 
+TEST_F(ConflictTest, FirstConflictOnlyBuildsTheSmallestAtomsTriple) {
+  Program program = MustProgram(R"(
+    p -> +z. p -> -z.
+    p -> +m. q -> +m. p -> -m.
+    p -> +a. p -> -a.
+  )");
+  Database db = ParseDatabase("p. q.", symbols_).value();
+  IInterpretation interp(&db);
+  GammaResult gamma = FreshGamma(program, {}, interp);
+  std::vector<Conflict> all = BuildConflicts(gamma, interp);
+  ASSERT_EQ(all.size(), 3u);
+  std::vector<Conflict> first =
+      BuildConflicts(gamma, interp, BlockGranularity::kFirstConflictOnly);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0], all[0]);
+}
+
 TEST_F(ConflictTest, NoConflictNoTriples) {
   Program program = MustProgram("p -> +x. p -> +y.");
   Database db = ParseDatabase("p.", symbols_).value();

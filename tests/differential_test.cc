@@ -22,6 +22,9 @@
 //  - Theorem 4.1 on every case, for the engine and the reference: the run
 //    terminates, the result is consistent, B grows strictly at each
 //    restart, and restarts ≤ the number of ground instances of P_U.
+//  - The conflict lemma (DESIGN.md §2), on every stepped resolution: the
+//    triples the stepper builds from the step's semi-naive section equal
+//    those BuildConflicts builds from a full Γ over the same ⟨B, I⟩.
 
 #include <gtest/gtest.h>
 
@@ -263,6 +266,9 @@ struct Observation {
   /// Served by the incremental maintainer: its counters describe the
   /// seeded closure, not the full Δ loop the reference runs.
   bool maintained = false;
+  /// Stepped runs: resolution steps past the first step of their round,
+  /// whose conflicts come from a semi-naive section.
+  size_t seeded_resolutions = 0;
 };
 
 /// One reference evaluation, or its error, with the diff it makes to D:
@@ -385,9 +391,29 @@ Observation RunPark(const Parsed& parsed, ParkOptions options) {
   return obs;
 }
 
+/// The conflicts the stepper must resolve from ⟨B, I⟩, built from a
+/// sequential full Γ rather than the stepper's semi-naive section; empty
+/// when that Γ is consistent. Under kFirstConflictOnly, the first triple.
+std::vector<Conflict> FullGammaConflicts(const Program& program,
+                                         const ParkStepper& stepper,
+                                         PlanCache& plans,
+                                         BlockGranularity granularity) {
+  GammaResult full = ComputeGamma(program, stepper.blocked(),
+                                  stepper.interpretation(), plans);
+  if (full.consistent) return {};
+  std::vector<Conflict> conflicts =
+      BuildConflicts(std::move(full), stepper.interpretation());
+  if (granularity == BlockGranularity::kFirstConflictOnly) {
+    conflicts.resize(1);
+  }
+  return conflicts;
+}
+
 /// The stepper, one Δ transition at a time, asserting Theorem 4.1 along
 /// the way: ⟨B, I⟩ grows in the bi-structure order, B grows strictly at
 /// each restart, the run reaches a fixpoint, and I there is consistent.
+/// Every resolution step's conflicts, built from the step's own section,
+/// must equal those of a full Γ over the same ⟨B, I⟩ (DESIGN.md §2).
 Observation RunStepped(const Parsed& parsed, ParkOptions options,
                        size_t ground_instances) {
   options.trace_level = TraceLevel::kFull;
@@ -396,22 +422,33 @@ Observation RunStepped(const Parsed& parsed, ParkOptions options,
   Observation obs;
   if (!extended.ok()) return obs;
   ParkStepper stepper(*extended, parsed.db, options);
+  PlanCache full_gamma_plans(*extended);
   BiStructureSnapshot before = stepper.Snapshot();
+  size_t round_steps = 0;  // steps taken since the round began
   // Any terminating run takes fewer transitions than this.
   const size_t kTransitionBound = 1'000'000;
   size_t transitions = 0;
   while (!stepper.done() && transitions++ < kTransitionBound) {
     const size_t blocked_before = stepper.blocked().size();
+    const std::vector<Conflict> full_conflicts = FullGammaConflicts(
+        *extended, stepper, full_gamma_plans, options.block_granularity);
     auto outcome = stepper.Step();
     if (!outcome.ok()) {
       obs.code = outcome.status().code();
       return obs;
     }
     BiStructureSnapshot after = stepper.Snapshot();
+    EXPECT_EQ(outcome->kind == StepOutcome::Kind::kResolution,
+              !full_conflicts.empty());
     if (outcome->kind == StepOutcome::Kind::kResolution) {
+      EXPECT_EQ(outcome->conflicts, full_conflicts);
+      if (round_steps > 0) ++obs.seeded_resolutions;
+      round_steps = 0;
       EXPECT_GT(stepper.blocked().size(), blocked_before);
       EXPECT_EQ(outcome->newly_blocked,
                 stepper.blocked().size() - blocked_before);
+    } else {
+      ++round_steps;
     }
     EXPECT_TRUE(BiStructureLeq(before, after))
         << before.ToString() << " then " << after.ToString();
@@ -557,6 +594,7 @@ void RunSessionAndReplay(const Case& c, const Parsed& parsed,
 struct Coverage {
   size_t cases = 0;
   size_t restarts = 0;
+  size_t seeded_resolutions = 0;
   size_t granularity_splits = 0;
   size_t maintained_commits = 0;
   size_t inserted = 0;  // atoms in commit reports' inserted lists
@@ -649,6 +687,7 @@ void CheckCase(const Case& c, Coverage& coverage) {
     Observation park = RunPark(*parsed, options);
     Observation stepped = RunStepped(*parsed, options, ground_instances);
     coverage.Tally(config, park.stats);
+    coverage.seeded_resolutions += stepped.seeded_resolutions;
     {
       SCOPED_TRACE("Park()");
       ExpectMatchesReference(park, want, symbols);
@@ -821,6 +860,7 @@ TEST(DifferentialTest, GeneratedCases) {
   }
   EXPECT_EQ(coverage.cases, 60u);
   EXPECT_GT(coverage.restarts, 60u);
+  EXPECT_GT(coverage.seeded_resolutions, 0u);
   EXPECT_GT(coverage.granularity_splits, 0u);
   EXPECT_GT(coverage.inserted, 0u);
   EXPECT_GT(coverage.deleted, 0u);
@@ -859,10 +899,16 @@ TEST(DifferentialTest, PaperExamples) {
                  {{"+q(a, a)"}, {"+q(a, b)", "-p(a, c)"}},
                  PolicyKind::kInertia},
             coverage);
-  // E4: the §4.2 graph example, whose SELECT is the workload's own.
-  CheckCase(FromWorkload(MakeIrreflexiveGraphWorkload(4),
-                         PolicyKind::kIrreflexiveGraph),
-            coverage);
+  // E4: the §4.2 graph example, whose SELECT is the workload's own, at
+  // the paper's size and at two larger ones whose rounds clash on many
+  // atoms at once.
+  for (int nodes : {4, 6, 8}) {
+    SCOPED_TRACE(StrFormat("irreflexive graph, %d nodes", nodes));
+    CheckCase(FromWorkload(MakeIrreflexiveGraphWorkload(nodes),
+                           PolicyKind::kIrreflexiveGraph),
+              coverage);
+  }
+  EXPECT_GT(coverage.seeded_resolutions, 0u);
   ExpectMachineryRan(coverage, /*slices=*/true);
 }
 
@@ -1000,6 +1046,7 @@ TEST(DifferentialTest, ConflictPairs) {
                          PolicyKind::kPriorityOverInertia),
             coverage);
   EXPECT_GT(coverage.restarts, 0u);
+  EXPECT_GT(coverage.seeded_resolutions, 0u);
   EXPECT_GT(coverage.parallel_tasks, 0u);
 }
 

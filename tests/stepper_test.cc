@@ -345,6 +345,40 @@ TEST(StepperTest, OneLoopOnTheConflictWorkload) {
   ExpectOneLoop(w.program, w.database, {}, options);
 }
 
+/// Counts the Δ loop's steps, Γ sections and section derivations.
+class SectionCounter : public RunObserver {
+ public:
+  void OnStepStart(int) override { ++steps; }
+  void OnGammaSection(const GammaSectionInfo& info) override {
+    ++sections;
+    derivations += info.derivations;
+  }
+
+  size_t steps = 0;
+  size_t sections = 0;
+  size_t derivations = 0;
+};
+
+TEST(StepperTest, OneGammaSectionPerStepOnTheConflictWorkload) {
+  // A work gate in counts, on park_bench's conflict_eval program: an
+  // inconsistent step builds its conflicts from the section that found
+  // the clash (DESIGN.md §2), so every step runs exactly one Γ section,
+  // and no full Γ is recomputed for conflicts. The pinned counts are the
+  // deterministic work of one sequential Park().
+  Workload w = MakeIrreflexiveGraphWorkload(24);
+  SectionCounter counter;
+  ParkOptions options;
+  options.policy = MakeIrreflexiveGraphPolicy();
+  options.observer = &counter;
+  auto result = Park(w.database, w.program, w.updates.updates(), options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(counter.sections, counter.steps);
+  EXPECT_EQ(counter.steps, 4u);
+  EXPECT_EQ(counter.derivations, 14470u);
+  EXPECT_EQ(result->stats.restarts, 1u);
+  EXPECT_EQ(result->stats.rule_evaluations, 10u);
+}
+
 TEST(StepperTest, OneLoopErrors) {
   // Abstention, max_steps, and an exhausted derivation budget: the same
   // code and message from every driver.
@@ -400,6 +434,23 @@ TEST(StepperTest, ErrorsMatchBatchSemantics) {
   EXPECT_EQ(outcome.status().code(), StatusCode::kAborted);
   EXPECT_NE(outcome.status().ToString().find("wrap it in a composite"),
             std::string::npos);
+}
+
+TEST(StepperTest, AbstentionKeepsTheConflictClock) {
+  // The round's clock stops on every exit, an abstention included, and
+  // the SELECT clock runs inside it.
+  auto symbols = MakeSymbolTable();
+  Program program = MustParseProgram("p -> +a. p -> -a.", symbols);
+  Database db = MustParseDatabase("p.", symbols);
+  ParkOptions options;
+  options.policy = MakeSpecificityPolicy();  // abstains on this tie
+  options.collect_timings = true;
+  ParkStepper stepper(program, db, options);
+  ASSERT_FALSE(stepper.Step().ok());
+  const PhaseTimings timings = stepper.stats().timings;
+  EXPECT_EQ(stepper.stats().policy_invocations, 1u);
+  EXPECT_GT(timings.conflict_ns, 0u);
+  EXPECT_LE(timings.policy_ns, timings.conflict_ns);
 }
 
 TEST(StepperTest, MaxStepsGuard) {

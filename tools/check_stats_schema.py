@@ -5,8 +5,18 @@ parkcli --stats-json).
 Usage:
     tools/check_stats_schema.py FILE [FILE...]
 
-Exit status 0 iff every file parses and matches the schema. The checker is deliberately stdlib-only (json + sys) so it
-runs on a bare CI image; it checks structure and types, not values.
+Exit status 0 iff every file parses, matches the schema, and keeps the
+value invariants below. The checker is deliberately stdlib-only (json +
+sys) so it runs on a bare CI image. Values are checked only where the
+engine guarantees a relation between them:
+
+  - every restart blocks at least one new instance after at least one
+    resolved conflict: conflicts_resolved >= restarts and
+    blocked_instances >= restarts;
+  - a conflict is resolved only after a SELECT call:
+    policy_invocations >= conflicts_resolved;
+  - with timings.collected, the phase clocks nest: policy_ns <=
+    conflict_ns, and gamma_ns + apply_ns + conflict_ns <= total_ns.
 
 The authoritative schema documentation lives in docs/OBSERVABILITY.md;
 keep the two in sync — stats_invariance_test.cc pins the C++ emitter to
@@ -147,6 +157,28 @@ def check_park_stats(errors, doc):
     _check_keys(errors, "$.timings", doc.get("timings", {}), timings_spec)
 
 
+def check_park_stats_values(errors, doc):
+    """The value invariants of the module docstring. Runs only on a
+    document whose structure already checked out."""
+    counters = doc["counters"]
+    for lhs, rhs in [("conflicts_resolved", "restarts"),
+                     ("blocked_instances", "restarts"),
+                     ("policy_invocations", "conflicts_resolved")]:
+        if counters[lhs] < counters[rhs]:
+            errors.append(f"$.counters: {lhs} ({counters[lhs]}) < "
+                          f"{rhs} ({counters[rhs]})")
+    timings = doc["timings"]
+    if not timings["collected"]:
+        return
+    if timings["policy_ns"] > timings["conflict_ns"]:
+        errors.append(f"$.timings: policy_ns ({timings['policy_ns']}) > "
+                      f"conflict_ns ({timings['conflict_ns']})")
+    phases = timings["gamma_ns"] + timings["apply_ns"] + timings["conflict_ns"]
+    if phases > timings["total_ns"]:
+        errors.append(f"$.timings: gamma_ns + apply_ns + conflict_ns "
+                      f"({phases}) > total_ns ({timings['total_ns']})")
+
+
 def check_file(path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -155,6 +187,8 @@ def check_file(path):
         return [f"cannot parse: {e}"]
     errors = []
     check_park_stats(errors, doc)
+    if not errors:
+        check_park_stats_values(errors, doc)
     return errors
 
 
