@@ -34,7 +34,8 @@ Result<InflationaryResult> InflationaryFixpoint(const Program& program,
                         UnblockedFixpoint(program, db, max_steps, &steps));
   InflationaryResult result{Database(db.symbols()), interp.IsConsistent(),
                             steps, interp.SortedLiteralStrings()};
-  result.database = result.consistent ? interp.Incorporate() : db.Clone();
+  result.database =
+      result.consistent ? std::move(interp).Incorporate() : db.Clone();
   return result;
 }
 

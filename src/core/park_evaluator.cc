@@ -280,12 +280,13 @@ Result<ParkResult> Park(const Program& program, const Database& db,
                         const ParkOptions& options) {
   ParkStepper stepper(program, db, options);
   PARK_RETURN_IF_ERROR(stepper.Run());
-  const IInterpretation& interp = stepper.interpretation();
-  ParkResult result{interp.Incorporate(), stepper.stats(), stepper.trace(),
+  ParkResult result{Database(db.symbols()), stepper.stats(), stepper.trace(),
                     RenderBlocked(stepper.blocked(), program), {}};
   if (options.record_provenance) {
-    result.provenance = RenderProvenance(interp, program);
+    result.provenance = RenderProvenance(stepper.interpretation(), program);
   }
+  // Last: incorporation consumes the marks the provenance was read from.
+  PARK_ASSIGN_OR_RETURN(result.database, stepper.Finish());
   return result;
 }
 

@@ -44,7 +44,11 @@ const char* VoteToString(Vote vote);
 struct PolicyContext {
   const Database& database;            // D — the original instance
   const Program& program;              // P (or P_U)
-  const IInterpretation& interpretation;  // I — current state
+  /// I, the current state. Its provenance (IInterpretation::Provenance)
+  /// is present for the predicates with heads of both signs in the
+  /// program, which include every conflict's atom, and for all
+  /// predicates under ParkOptions::record_provenance.
+  const IInterpretation& interpretation;
   int restart_count = 0;               // conflict-resolution rounds so far
 };
 

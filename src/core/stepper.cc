@@ -90,11 +90,25 @@ std::vector<std::string> RenderWithDerivations(
   return out;
 }
 
+/// The bit of a head sign in WarmState's head-sign masks.
+unsigned SignBit(ActionKind action) {
+  return action == ActionKind::kInsert ? 1u : 2u;
+}
+constexpr unsigned kBothSigns = 3u;
+
 }  // namespace
 
 void ParkStepper::WarmState::Bind(const Program& program,
                                   const ParkOptions& options) {
-  if (!graph_.has_value()) graph_.emplace(program);
+  if (!graph_.has_value()) {
+    graph_.emplace(program);
+    for (const Rule& rule : program.rules()) {
+      const PredicateId pred = rule.head().atom.predicate;
+      if ((head_signs_[pred] |= SignBit(rule.head().action)) == kBothSigns) {
+        both_signed_.insert(pred);
+      }
+    }
+  }
   if (!plans_.has_value()) plans_.emplace(program);
   const int threads = ResolveNumThreads(options.num_threads);
   if (threads > 1) {
@@ -112,16 +126,35 @@ void ParkStepper::WarmState::Bind(const Program& program,
   }
 }
 
+std::unordered_set<PredicateId> ParkStepper::WarmState::ProvenanceScope(
+    const Program& program) const {
+  std::unordered_set<PredicateId> scope = both_signed_;
+  std::unordered_map<PredicateId, unsigned> update_signs;
+  for (size_t r = num_rules(); r < program.size(); ++r) {
+    const RuleHead& head = program.rule(r).head();
+    update_signs[head.atom.predicate] |= SignBit(head.action);
+  }
+  for (const auto& [pred, signs] : update_signs) {
+    auto it = head_signs_.find(pred);
+    if ((signs | (it != head_signs_.end() ? it->second : 0u)) == kBothSigns) {
+      scope.insert(pred);
+    }
+  }
+  return scope;
+}
+
 ParkStepper::ParkStepper(const Program& program, const Database& db,
                          ParkOptions options)
-    : ParkStepper(program, db, std::move(options), nullptr) {
+    : ParkStepper(program, db, std::move(options), nullptr,
+                  /*seeded=*/false) {
   Start();
 }
 
 ParkStepper::ParkStepper(const Program& program, const Database& db,
                          ParkOptions options, WarmState& state,
                          const std::vector<Update>* seeds)
-    : ParkStepper(program, db, std::move(options), &state) {
+    : ParkStepper(program, db, std::move(options), &state,
+                  seeds != nullptr) {
   // P_U is P followed by body-less rules, which watch nothing and take
   // the empty plan: the state built over P serves it unchanged.
   PARK_CHECK(state.bound() && state.num_rules() <= program.size())
@@ -131,7 +164,6 @@ ParkStepper::ParkStepper(const Program& program, const Database& db,
         << "rule " << r << " is past the warm state's rules but has a body";
   }
   if (seeds != nullptr) {
-    seeded_ = true;
     // The seeds' marks: exactly what the body-less update rules of P_U
     // would produce in a full run's first step.
     const RuleGrounding seed;  // rule_index -1: "seeded by the transaction"
@@ -149,11 +181,12 @@ ParkStepper::ParkStepper(const Program& program, const Database& db,
 }
 
 ParkStepper::ParkStepper(const Program& program, const Database& db,
-                         ParkOptions options, WarmState* state)
+                         ParkOptions options, WarmState* state, bool seeded)
     : program_(program),
       db_(db),
       options_(std::move(options)),
       policy_(options_.policy ? options_.policy : MakeInertiaPolicy()),
+      seeded_(seeded),
       interp_(&db),
       observer_(options_.observer),
       trace_(options_.trace_level),
@@ -166,6 +199,14 @@ ParkStepper::ParkStepper(const Program& program, const Database& db,
     state = &*own_state_;
   }
   state_ = state;
+  // Only conflict construction reads provenance, and only for atoms
+  // marked both ways, whose predicates carry heads of both signs; the
+  // seeded closure builds no conflicts (docs/SEMANTICS.md "Conflicts").
+  // record_provenance renders every marked atom's, so it records all.
+  if (!options_.record_provenance) {
+    interp_.ScopeProvenance(seeded_ ? std::unordered_set<PredicateId>()
+                                    : state_->ProvenanceScope(program_));
+  }
 }
 
 ParkStepper::~ParkStepper() {
@@ -399,7 +440,7 @@ Status ParkStepper::Run() {
 
 Result<Database> ParkStepper::Finish() {
   PARK_RETURN_IF_ERROR(Run());
-  return interp_.Incorporate();
+  return std::move(interp_).Incorporate();
 }
 
 }  // namespace park

@@ -17,6 +17,8 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "core/conflict.h"
 #include "core/park_evaluator.h"
@@ -56,12 +58,22 @@ class ParkStepper {
   /// across commits; a one-shot ParkStepper builds its own.
   class WarmState {
    public:
-    /// Builds the graph and plan cache over `program` unless already built,
-    /// and (re)builds the pool when the resolved num_threads or
-    /// min_slice_size differ from the pool's. The pool follows
-    /// options.collect_timings on every call, so a pool kept across runs
-    /// never keeps the timing setting of the run that built it.
+    /// Builds the graph, the plan cache and the head signs over `program`
+    /// unless already built, and (re)builds the pool when the resolved
+    /// num_threads or min_slice_size differ from the pool's. The pool
+    /// follows options.collect_timings on every call, so a pool kept
+    /// across runs never keeps the timing setting of the run that built
+    /// it.
     void Bind(const Program& program, const ParkOptions& options);
+
+    /// The provenance scope of an unseeded run of `program`, P or a P_U
+    /// over the state's P: the predicates with heads of both signs in it,
+    /// the only ones a conflict can be built for (docs/SEMANTICS.md
+    /// "Conflicts"). P's are computed by Bind; this adds those the update
+    /// rules past num_rules() make both-signed, in O(|U|) plus a copy of
+    /// P's, never a scan of P.
+    std::unordered_set<PredicateId> ProvenanceScope(
+        const Program& program) const;
 
     /// Drops everything; the next Bind rebuilds over its program.
     void Reset() { *this = WarmState(); }
@@ -78,6 +90,10 @@ class ParkStepper {
    private:
     std::optional<RuleDependencyGraph> graph_;
     std::optional<PlanCache> plans_;
+    // Per head predicate of P, the signs its heads carry (a bit per
+    // ActionKind), and the predicates that carry both.
+    std::unordered_map<PredicateId, unsigned> head_signs_;
+    std::unordered_set<PredicateId> both_signed_;
     // unique_ptr, not optional: ParallelGamma owns a thread pool and is
     // immovable, but the state must move with its ActiveDatabase.
     std::unique_ptr<ParallelGamma> parallel_;
@@ -116,7 +132,10 @@ class ParkStepper {
 
   bool done() const { return done_; }
 
-  /// The live i-interpretation I.
+  /// The live i-interpretation I. Its provenance covers the predicates
+  /// with heads of both signs in the program (none in a seeded closure),
+  /// or all of them under options.record_provenance (see
+  /// IInterpretation::Provenance). After Finish() it holds I° only.
   const IInterpretation& interpretation() const { return interp_; }
 
   /// The live blocked set B.
@@ -140,14 +159,16 @@ class ParkStepper {
   Status Run();
 
   /// Run() and incorporate: the result database equals
-  /// Park(program, db, options).database.
+  /// Park(program, db, options).database. Incorporation consumes the
+  /// marks (IInterpretation::Incorporate), so read anything off
+  /// interpretation() first.
   Result<Database> Finish();
 
  private:
   /// Shared construction head: borrows `state`, or builds and owns one
-  /// when it is null.
+  /// when it is null, and scopes the interpretation's provenance.
   ParkStepper(const Program& program, const Database& db,
-              ParkOptions options, WarmState* state);
+              ParkOptions options, WarmState* state, bool seeded);
   /// Shared construction tail: stats echoes, counter baselines,
   /// governance, observer start.
   void Start();

@@ -12,28 +12,41 @@
 namespace park {
 namespace {
 
+/// A set of derived atoms keyed by pointer into a derivation list, hashed
+/// and compared by value: nothing is copied until an atom clashes.
+struct AtomPtrHash {
+  size_t operator()(const GroundAtom* atom) const { return atom->Hash(); }
+};
+struct AtomPtrEq {
+  bool operator()(const GroundAtom* a, const GroundAtom* b) const {
+    return *a == *b;
+  }
+};
+using AtomPtrSet =
+    std::unordered_set<const GroundAtom*, AtomPtrHash, AtomPtrEq>;
+
 /// Fills consistency / newly_marked / clashing_atoms of `result` from its
 /// derivation list against `interp`.
 void AnalyzeDerivations(const IInterpretation& interp, GammaResult& result) {
-  std::unordered_set<GroundAtom, GroundAtomHash> derived_plus;
-  std::unordered_set<GroundAtom, GroundAtomHash> derived_minus;
+  AtomPtrSet derived_plus;
+  AtomPtrSet derived_minus;
   for (const Derivation& d : result.derivations) {
     if (d.action == ActionKind::kInsert) {
-      derived_plus.insert(d.atom);
+      derived_plus.insert(&d.atom);
     } else {
-      derived_minus.insert(d.atom);
+      derived_minus.insert(&d.atom);
     }
   }
-  for (const GroundAtom& atom : derived_plus) {
-    if (!interp.HasPlus(atom)) ++result.newly_marked;
-    if (derived_minus.contains(atom) || interp.HasMinus(atom)) {
-      result.clashing_atoms.push_back(atom);
+  for (const GroundAtom* atom : derived_plus) {
+    if (!interp.HasPlus(*atom)) ++result.newly_marked;
+    if (derived_minus.contains(atom) || interp.HasMinus(*atom)) {
+      result.clashing_atoms.push_back(*atom);
     }
   }
-  for (const GroundAtom& atom : derived_minus) {
-    if (!interp.HasMinus(atom)) ++result.newly_marked;
-    if (!derived_plus.contains(atom) && interp.HasPlus(atom)) {
-      result.clashing_atoms.push_back(atom);
+  for (const GroundAtom* atom : derived_minus) {
+    if (!interp.HasMinus(*atom)) ++result.newly_marked;
+    if (!derived_plus.contains(atom) && interp.HasPlus(*atom)) {
+      result.clashing_atoms.push_back(*atom);
     }
   }
   std::sort(result.clashing_atoms.begin(), result.clashing_atoms.end());

@@ -19,12 +19,16 @@ bool IInterpretation::AddMarked(ActionKind action, const GroundAtom& atom,
                                   ? plus_provenance_
                                   : minus_provenance_;
   bool added = target.Insert(atom);
+  if (added && opposite.Contains(atom)) ++inconsistent_count_;
+  if (provenance_scope_.has_value() &&
+      !provenance_scope_->contains(atom.predicate())) {
+    return added;
+  }
   std::vector<RuleGrounding>& derivations = provenance[atom];
   if (std::find(derivations.begin(), derivations.end(), by) ==
       derivations.end()) {
     derivations.push_back(by);
   }
-  if (added && opposite.Contains(atom)) ++inconsistent_count_;
   return added;
 }
 
@@ -46,11 +50,12 @@ void IInterpretation::ClearMarks() {
   inconsistent_count_ = 0;
 }
 
-Database IInterpretation::Incorporate() const {
+Database IInterpretation::Incorporate() && {
   PARK_CHECK(IsConsistent()) << "incorp on an inconsistent i-interpretation";
   Database result = base_->Clone();
-  plus_.ForEach([&](const GroundAtom& atom) { result.Insert(atom); });
+  result.InsertAll(std::move(plus_));
   minus_.ForEach([&](const GroundAtom& atom) { result.Erase(atom); });
+  ClearMarks();
   return result;
 }
 

@@ -7,8 +7,10 @@
 #ifndef PARK_ENGINE_INTERPRETATION_H_
 #define PARK_ENGINE_INTERPRETATION_H_
 
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "engine/rule_grounding.h"
@@ -46,9 +48,10 @@ bool LiteralHolds(LiteralKind kind, In in) {
 ///
 /// The base (I°) is borrowed and never mutated; marked atoms accumulate via
 /// AddMarked and are discarded wholesale by ClearMarks (the "restart from
-/// I°" step of the Δ operator). The class also records, for every marked
-/// atom, which rule groundings derived it — used to build conflict sides
-/// when a stale derivation clashes with a current one (see DESIGN.md §2).
+/// I°" step of the Δ operator). The class also records, for marked atoms,
+/// which rule groundings derived them — used to build conflict sides when
+/// a stale derivation clashes with a current one (see DESIGN.md §2). It
+/// records every predicate's unless ScopeProvenance narrows it.
 class IInterpretation {
  public:
   /// `base` must outlive this interpretation.
@@ -95,9 +98,21 @@ class IInterpretation {
   bool AddMarked(ActionKind action, const GroundAtom& atom,
                  const RuleGrounding& by);
 
-  /// All groundings that ever derived `±atom` since the last ClearMarks.
+  /// All groundings that ever derived `±atom` since the last ClearMarks,
+  /// or null. Null as well when the atom's predicate is outside the
+  /// provenance scope: during a ParkStepper run, provenance is present for
+  /// the predicates with heads of both signs in P_U (the only ones a
+  /// conflict can be built for, docs/SEMANTICS.md "Conflicts"), and for
+  /// all predicates under ParkOptions::record_provenance.
   const std::vector<RuleGrounding>* Provenance(ActionKind action,
                                                const GroundAtom& atom) const;
+
+  /// Records provenance from now on only for the predicates in `scope`
+  /// (an empty scope records none). Without a call, every predicate's is
+  /// recorded. ClearMarks keeps the scope.
+  void ScopeProvenance(std::unordered_set<PredicateId> scope) {
+    provenance_scope_ = std::move(scope);
+  }
 
   /// Discards all marked atoms and provenance: I becomes I° again.
   void ClearMarks();
@@ -109,9 +124,13 @@ class IInterpretation {
   size_t num_minus() const { return minus_.size(); }
 
   /// incorp(I) (paper §4.2): (I° ∪ {a | +a ∈ I⁺}) − {a | -a ∈ I⁻}.
-  /// Must only be called on a consistent interpretation. O(|I°|): it
-  /// copies the base.
-  Database Incorporate() const;
+  /// Must only be called on a consistent interpretation. Consumes the
+  /// marks: it copies the base's relations and moves I⁺'s in
+  /// (Database::InsertAll, so a predicate with no relation in I° takes
+  /// its I⁺ relation whole), then erases I⁻'s atoms; afterwards I is I°
+  /// again, as after ClearMarks. Render anything read off the marks or
+  /// the provenance first.
+  Database Incorporate() &&;
 
   /// How incorp(I) differs from I°, equal to
   /// `Incorporate().DiffWith(base())`: only_in_this = {a | +a ∈ I⁺,
@@ -138,6 +157,8 @@ class IInterpretation {
   Database minus_;
   ProvenanceMap plus_provenance_;
   ProvenanceMap minus_provenance_;
+  // The predicates whose provenance AddMarked records; nullopt: all.
+  std::optional<std::unordered_set<PredicateId>> provenance_scope_;
   // Number of atoms currently marked both ways.
   size_t inconsistent_count_ = 0;
 };

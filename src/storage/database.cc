@@ -38,6 +38,29 @@ bool Database::InsertAtom(std::string_view predicate,
   return Insert(GroundAtom(pred, std::move(tuple)));
 }
 
+void Database::InsertAll(Database&& other) {
+  PARK_CHECK(other.symbols_ == symbols_)
+      << "InsertAll across symbol tables";
+  for (auto& [pred, rel] : other.relations_) {
+    auto it = relations_.find(pred);
+    if (it == relations_.end()) {
+      rel.DropColumnar();
+      total_atoms_ += rel.size();
+      relations_.emplace(pred, std::move(rel));
+      continue;
+    }
+    Relation& target = it->second;
+    PARK_CHECK_EQ(target.arity(), rel.arity())
+        << "predicate " << symbols_->PredicateName(pred)
+        << " used with inconsistent arity";
+    rel.ForEach([&](const Tuple& t) {
+      if (target.Insert(t)) ++total_atoms_;
+    });
+  }
+  other.relations_.clear();
+  other.total_atoms_ = 0;
+}
+
 bool Database::Erase(const GroundAtom& atom) {
   auto it = relations_.find(atom.predicate());
   if (it == relations_.end()) return false;

@@ -46,6 +46,14 @@ class Database {
   bool InsertAtom(std::string_view predicate,
                   const std::vector<std::string>& args);
 
+  /// Inserts every atom of `other`, which must share the symbol table,
+  /// and leaves `other` empty. A predicate with no relation here takes
+  /// other's relation whole: its tuples, stats and hash indexes, with its
+  /// columnar view dropped and thawed (Relation::DropColumnar), so
+  /// ColumnarStats() reads as if the atoms had been inserted one by one.
+  /// Every other predicate's atoms are inserted one by one.
+  void InsertAll(Database&& other);
+
   /// Removes `atom`; returns true if it was present.
   bool Erase(const GroundAtom& atom);
 

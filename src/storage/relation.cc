@@ -190,6 +190,16 @@ void Relation::CompactColumnar() const {
   CompactColumnarImpl();
 }
 
+void Relation::DropColumnar() {
+  segment_.reset();
+  segment_rows_.clear();
+  delta_adds_.clear();
+  tombstones_.clear();
+  graveyard_.clear();
+  compactions_ = 0;
+  frozen_ = false;
+}
+
 void Relation::CompactColumnarImpl() const {
   if (segment_ == nullptr) {
     // First build: sort the whole set.

@@ -144,6 +144,12 @@ class Relation {
   /// of the thread count.
   void CompactColumnar() const;
 
+  /// Discards the columnar view (segment, delta store, tombstones) and
+  /// its compaction count, and thaws the relation: it then reads like one
+  /// built by Insert alone, as Clone() would copy it, but keeps its tuple
+  /// storage and hash indexes.
+  void DropColumnar();
+
   bool HasSegment() const { return segment_ != nullptr; }
   bool ColumnarDirty() const {
     return segment_ == nullptr || !delta_adds_.empty() || !tombstones_.empty();

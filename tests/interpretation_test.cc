@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/stepper.h"
 #include "lang/parser.h"
 
 namespace park {
@@ -105,7 +106,7 @@ TEST_F(InterpretationTest, IncorporateAppliesMarks) {
   IInterpretation interp(&base_);
   interp.AddMarked(ActionKind::kInsert, Atom("q(b)"), G(0));
   interp.AddMarked(ActionKind::kDelete, Atom("s(a)"), G(1));
-  Database result = interp.Incorporate();
+  Database result = std::move(interp).Incorporate();
   EXPECT_EQ(result.ToString(), "{p(a), q(b)}");
   // The base is untouched.
   EXPECT_EQ(base_.ToString(), "{p(a), s(a)}");
@@ -114,7 +115,96 @@ TEST_F(InterpretationTest, IncorporateAppliesMarks) {
 TEST_F(InterpretationTest, IncorporateOfDeleteAbsentAtomIsNoop) {
   IInterpretation interp(&base_);
   interp.AddMarked(ActionKind::kDelete, Atom("ghost(x)"), G(0));
-  EXPECT_EQ(interp.Incorporate().ToString(), "{p(a), s(a)}");
+  EXPECT_EQ(std::move(interp).Incorporate().ToString(), "{p(a), s(a)}");
+}
+
+/// incorp(I) built by inserting I⁺'s and erasing I⁻'s atoms one by one
+/// into a copy of the base: what the consuming Incorporate must equal.
+Database IncorporateOneByOne(const IInterpretation& interp) {
+  Database result = interp.base().Clone();
+  interp.plus().ForEach([&](const GroundAtom& atom) { result.Insert(atom); });
+  interp.minus().ForEach([&](const GroundAtom& atom) { result.Erase(atom); });
+  return result;
+}
+
+/// Same atoms, the same per-relation stats, no columnar state, and
+/// relations that accept writes (not frozen).
+void ExpectSameIncorporation(Database got, const Database& want) {
+  EXPECT_EQ(got.SortedAtomStrings(), want.SortedAtomStrings());
+  EXPECT_EQ(got.size(), want.size());
+  want.ForEachRelation([&](PredicateId pred, const Relation& expected) {
+    const Relation* rel = got.GetRelation(pred);
+    ASSERT_NE(rel, nullptr);
+    EXPECT_EQ(rel->stats().rows(), expected.stats().rows());
+    for (int c = 0; c < expected.arity(); ++c) {
+      EXPECT_EQ(rel->stats().DistinctEstimate(c),
+                expected.stats().DistinctEstimate(c));
+    }
+    EXPECT_FALSE(rel->frozen());
+    EXPECT_FALSE(rel->HasSegment());
+  });
+  const Database::ColumnarFootprint fp = got.ColumnarStats();
+  EXPECT_EQ(fp.segments, 0u);
+  EXPECT_EQ(fp.segment_rows, 0u);
+  EXPECT_EQ(fp.compactions, 0u);
+  EXPECT_EQ(fp.dict_entries, 0u);
+  // Writable: every relation takes an insert and an erase.
+  std::vector<GroundAtom> atoms;
+  got.ForEach([&](const GroundAtom& atom) { atoms.push_back(atom); });
+  for (const GroundAtom& atom : atoms) {
+    EXPECT_TRUE(got.Erase(atom));
+    EXPECT_TRUE(got.Insert(atom));
+  }
+}
+
+TEST_F(InterpretationTest, IncorporateMovesOrMergesPlusRelations) {
+  IInterpretation interp(&base_);
+  // q is absent from D: its I⁺ relation moves whole.
+  interp.AddMarked(ActionKind::kInsert, Atom("q(b)"), G(0));
+  interp.AddMarked(ActionKind::kInsert, Atom("q(c)"), G(0));
+  // p is in D: merged.
+  interp.AddMarked(ActionKind::kInsert, Atom("p(b)"), G(1));
+  // s is in D and carries a `-` mark: merged, then erased.
+  interp.AddMarked(ActionKind::kInsert, Atom("s(b)"), G(2));
+  interp.AddMarked(ActionKind::kDelete, Atom("s(a)"), G(3));
+  // The I⁺ relations were compacted and frozen by a batch-mode section.
+  interp.plus().CompactColumnar();
+  interp.plus().FreezeIndexes();
+  const Database want = IncorporateOneByOne(interp);
+  EXPECT_EQ(want.ToString(), "{p(a), p(b), q(b), q(c), s(b)}");
+  Database got = std::move(interp).Incorporate();
+  ExpectSameIncorporation(std::move(got), want);
+  // Incorporate consumed the marks.
+  EXPECT_EQ(interp.num_plus(), 0u);
+  EXPECT_EQ(interp.num_minus(), 0u);
+  EXPECT_EQ(interp.Provenance(ActionKind::kInsert, Atom("q(b)")), nullptr);
+}
+
+TEST_F(InterpretationTest, IncorporateAfterABatchModeRun) {
+  // A batch-mode run compacts I⁺ at every Γ section and freezes it for
+  // the parallel ones; path is derived from nothing in D, so its
+  // compacted relation moves into the result.
+  Program program =
+      ParseProgram("edge(X, Y) -> +path(X, Y). "
+                   "path(X, Y), edge(Y, Z) -> +path(X, Z).",
+                   symbols_)
+          .value();
+  Database db =
+      ParseDatabase("edge(a, b). edge(b, c). edge(c, d).", symbols_).value();
+  ParkOptions options;
+  options.exec_mode = ExecMode::kBatch;
+  options.num_threads = 2;  // frozen parallel sections, under TSan in CI
+  ParkStepper stepper(program, db, options);
+  ASSERT_TRUE(stepper.Run().ok());
+  const PredicateId path = Atom("path(a, b)").predicate();
+  ASSERT_NE(stepper.interpretation().plus().GetRelation(path), nullptr);
+  EXPECT_TRUE(
+      stepper.interpretation().plus().GetRelation(path)->HasSegment());
+  const Database want = IncorporateOneByOne(stepper.interpretation());
+  auto got = stepper.Finish();
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->size(), 9u);
+  ExpectSameIncorporation(std::move(got).value(), want);
 }
 
 TEST_F(InterpretationTest, RenderingOrdersUnmarkedPlusMinus) {

@@ -236,10 +236,12 @@ LoopOutcome RunLoop(Driver driver, const Program& program,
         }
         out.status = status.ToString();
         if (!status.ok()) return;
-        out.database = stepper.interpretation().Incorporate().ToString();
         out.diff = RenderDiff(stepper.interpretation().MarkDiff(), symbols);
         out.stats = RenderStats(stepper.stats());
         out.trace = stepper.trace().ToString();
+        auto database = stepper.Finish();
+        ASSERT_TRUE(database.ok());
+        out.database = database->ToString();
         break;
       }
     }
@@ -377,6 +379,105 @@ TEST(StepperTest, OneGammaSectionPerStepOnTheConflictWorkload) {
   EXPECT_EQ(counter.derivations, 14470u);
   EXPECT_EQ(result->stats.restarts, 1u);
   EXPECT_EQ(result->stats.rule_evaluations, 10u);
+}
+
+// --- Provenance scope: recorded only where a conflict can read it ---
+
+constexpr char kClosureRules[] =
+    "tc1: edge(X, Y) -> +path(X, Y). "
+    "tc2: path(X, Y), edge(Y, Z) -> +path(X, Z).";
+
+TEST(StepperTest, ProvenanceOnlyForBothSignedPredicates) {
+  // path has only insert heads: no conflict can be built on it, so a run
+  // records none of its provenance unless record_provenance asks.
+  auto symbols = MakeSymbolTable();
+  Program program = MustParseProgram(kClosureRules, symbols);
+  Database db = MustParseDatabase("edge(a, b). edge(b, c).", symbols);
+  const GroundAtom path_ac = ParseGroundAtom("path(a, c)", symbols).value();
+  for (bool record : {false, true}) {
+    SCOPED_TRACE(record ? "record_provenance" : "default");
+    ParkOptions options;
+    options.record_provenance = record;
+    ParkStepper stepper(program, db, options);
+    ASSERT_TRUE(stepper.Run().ok());
+    ASSERT_TRUE(stepper.interpretation().HasPlus(path_ac));
+    const auto* prov =
+        stepper.interpretation().Provenance(ActionKind::kInsert, path_ac);
+    if (record) {
+      ASSERT_NE(prov, nullptr);
+      EXPECT_EQ(prov->size(), 1u);
+    } else {
+      EXPECT_EQ(prov, nullptr);
+    }
+  }
+}
+
+TEST(StepperTest, ConflictPredicatesKeepTheirProvenance) {
+  // The irreflexive-graph program inserts and deletes q: every marked q
+  // atom of the fixpoint has its provenance.
+  Workload w = MakeIrreflexiveGraphWorkload(4);
+  ParkOptions options;
+  options.policy = MakeIrreflexiveGraphPolicy();
+  ParkStepper stepper(w.program, w.database, options);
+  ASSERT_TRUE(stepper.Run().ok());
+  ASSERT_GT(stepper.stats().restarts, 0u);
+  const IInterpretation& interp = stepper.interpretation();
+  size_t marked = 0;
+  for (ActionKind action : {ActionKind::kInsert, ActionKind::kDelete}) {
+    const Database& store =
+        action == ActionKind::kInsert ? interp.plus() : interp.minus();
+    store.ForEach([&](const GroundAtom& atom) {
+      ++marked;
+      EXPECT_NE(interp.Provenance(action, atom), nullptr)
+          << ActionKindSign(action) << atom.ToString(*w.symbols);
+    });
+  }
+  EXPECT_GT(marked, 0u);
+}
+
+TEST(StepperTest, UpdateRulesWidenTheProvenanceScope) {
+  // P inserts path only; U deletes the derivable path(a, b), so under P_U
+  // path carries both signs and its provenance is recorded — by a
+  // one-shot run over P_U and by a run over a warm state bound to P,
+  // which adds its own update rules to P's scope. The seeded closure
+  // over the same state builds no conflicts and records nothing.
+  auto symbols = MakeSymbolTable();
+  Program program = MustParseProgram(kClosureRules, symbols);
+  Database db = MustParseDatabase("edge(a, b). edge(b, c).", symbols);
+  auto atom = [&](std::string_view text) {
+    return ParseGroundAtom(text, symbols).value();
+  };
+  auto p_u = ProgramWithUpdates(
+      program, {Update{ActionKind::kDelete, atom("path(a, b)")}});
+  ASSERT_TRUE(p_u.ok());
+  ParkOptions options;
+  ParkStepper::WarmState state;
+  state.Bind(program, options);
+  ParkStepper one_shot(*p_u, db, options);
+  ParkStepper warm(*p_u, db, options, state);
+  for (ParkStepper* stepper : {&one_shot, &warm}) {
+    ASSERT_TRUE(stepper->Run().ok());
+    const IInterpretation& interp = stepper->interpretation();
+    // Inertia deleted path(a, b), which is not in D; path(b, c) stays.
+    ASSERT_TRUE(interp.HasMinus(atom("path(a, b)")));
+    ASSERT_TRUE(interp.HasPlus(atom("path(b, c)")));
+    EXPECT_NE(interp.Provenance(ActionKind::kDelete, atom("path(a, b)")),
+              nullptr);
+    EXPECT_NE(interp.Provenance(ActionKind::kInsert, atom("path(b, c)")),
+              nullptr);
+  }
+
+  const std::vector<Update> seeds = {
+      Update{ActionKind::kInsert, atom("edge(c, d)")}};
+  ParkStepper seeded(program, db, options, state, &seeds);
+  ASSERT_TRUE(seeded.Run().ok());
+  ASSERT_TRUE(seeded.interpretation().HasPlus(atom("path(c, d)")));
+  EXPECT_EQ(seeded.interpretation().Provenance(ActionKind::kInsert,
+                                               atom("path(c, d)")),
+            nullptr);
+  EXPECT_EQ(seeded.interpretation().Provenance(ActionKind::kInsert,
+                                               atom("edge(c, d)")),
+            nullptr);
 }
 
 TEST(StepperTest, OneLoopErrors) {
