@@ -17,9 +17,10 @@ Result<IInterpretation> UnblockedFixpoint(const Program& program,
       return ResourceExhaustedError(StrFormat(
           "inflationary fixpoint exceeded max_steps=%zu", max_steps));
     }
+    // Applied consistent or not: this fixpoint ignores conflicts. A
+    // section that adds no mark is the fixpoint's and leaves I as it was.
     GammaResult gamma = ComputeGamma(program, no_blocked, interp, plans);
-    if (gamma.newly_marked == 0) break;
-    ApplyDerivations(gamma.derivations, interp);
+    if (ApplyDerivations(gamma.derivations, interp) == 0) break;
     ++steps;
   }
   if (steps_out != nullptr) *steps_out = steps;

@@ -41,19 +41,25 @@ std::vector<Conflict> BuildConflicts(GammaResult gamma,
     count = 1;  // atoms are sorted: the first conflict is the smallest atom's
   }
   std::vector<Conflict> conflicts(count);
-  std::unordered_map<GroundAtom, Conflict*, GroundAtomHash> by_atom;
+  std::unordered_map<GroundAtom, Conflict*, GroundAtomHash, GroundAtomEq>
+      by_atom;
   by_atom.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     conflicts[i].atom = std::move(gamma.clashing_atoms[i]);
     by_atom.emplace(conflicts[i].atom, &conflicts[i]);
   }
-  // Currently firable instances — the paper's one-step lookahead.
-  for (Derivation& d : gamma.derivations) {
-    auto it = by_atom.find(d.atom);
+  // Currently firable instances — the paper's one-step lookahead. Only a
+  // derivation in the clash scope can head a clashing atom, and each of
+  // those keeps its grounding.
+  const Derivations& derived = gamma.derivations;
+  for (const Derivations::Record& r : derived) {
+    if (!r.can_clash) continue;
+    auto it = by_atom.find(derived.atom(r));
     if (it == by_atom.end()) continue;
     Conflict& conflict = *it->second;
-    (d.action == ActionKind::kInsert ? conflict.inserters : conflict.deleters)
-        .push_back(std::move(d.grounding));
+    const GroundingView g = derived.grounding(r);
+    (r.action == ActionKind::kInsert ? conflict.inserters : conflict.deleters)
+        .emplace_back(g.rule_index, Tuple(g.binding));
   }
   for (Conflict& conflict : conflicts) {
     // Provenance completion: if one side of the clash is a mark already in

@@ -49,8 +49,8 @@ struct Conflict {
 /// `interp`: the full Γ, or the semi-naive section of a step of the
 /// current round (DESIGN.md §2). One Conflict per clashing atom, sorted by
 /// atom for determinism; with kFirstConflictOnly, only the smallest
-/// clashing atom's. The derivations are grouped in one hash pass and their
-/// groundings moved into the triples.
+/// clashing atom's. The clash-scope derivations are grouped in one hash
+/// pass and their groundings copied into the triples.
 std::vector<Conflict> BuildConflicts(
     GammaResult gamma, const IInterpretation& interp,
     BlockGranularity granularity = BlockGranularity::kAllConflicts);

@@ -1,6 +1,7 @@
 #include "core/stepper.h"
 
 #include <set>
+#include <unordered_map>
 
 #include "core/run_stats.h"
 #include "util/metrics.h"
@@ -58,7 +59,7 @@ class ElapsedNs {
 /// Renders I ∪ {Γ-derived marks} — the inconsistent interpretation the
 /// paper prints as a numbered step before resolving, never applied to I.
 std::vector<std::string> RenderWithDerivations(
-    const IInterpretation& interp, const std::vector<Derivation>& derived,
+    const IInterpretation& interp, const Derivations& derived,
     const SymbolTable& symbols) {
   auto marked = [&](char sign, const GroundAtom& atom) {
     std::string out(1, sign);
@@ -75,11 +76,12 @@ std::vector<std::string> RenderWithDerivations(
       [&](const GroundAtom& atom) { plus.insert(marked('+', atom)); });
   interp.minus().ForEach(
       [&](const GroundAtom& atom) { minus.insert(marked('-', atom)); });
-  for (const Derivation& d : derived) {
-    if (d.action == ActionKind::kInsert) {
-      plus.insert(marked('+', d.atom));
+  for (const Derivations::Record& r : derived) {
+    const GroundAtom atom(derived.atom(r));
+    if (r.action == ActionKind::kInsert) {
+      plus.insert(marked('+', atom));
     } else {
-      minus.insert(marked('-', d.atom));
+      minus.insert(marked('-', atom));
     }
   }
   std::vector<std::string> out;
@@ -90,12 +92,6 @@ std::vector<std::string> RenderWithDerivations(
   return out;
 }
 
-/// The bit of a head sign in WarmState's head-sign masks.
-unsigned SignBit(ActionKind action) {
-  return action == ActionKind::kInsert ? 1u : 2u;
-}
-constexpr unsigned kBothSigns = 3u;
-
 }  // namespace
 
 void ParkStepper::WarmState::Bind(const Program& program,
@@ -104,9 +100,8 @@ void ParkStepper::WarmState::Bind(const Program& program,
     graph_.emplace(program);
     for (const Rule& rule : program.rules()) {
       const PredicateId pred = rule.head().atom.predicate;
-      if ((head_signs_[pred] |= SignBit(rule.head().action)) == kBothSigns) {
-        both_signed_.insert(pred);
-      }
+      if (pred >= head_signs_.size()) head_signs_.resize(pred + 1, 0);
+      head_signs_[pred] |= SignBit(rule.head().action);
     }
   }
   if (!plans_.has_value()) plans_.emplace(program);
@@ -126,35 +121,44 @@ void ParkStepper::WarmState::Bind(const Program& program,
   }
 }
 
-std::unordered_set<PredicateId> ParkStepper::WarmState::ProvenanceScope(
-    const Program& program) const {
-  std::unordered_set<PredicateId> scope = both_signed_;
-  std::unordered_map<PredicateId, unsigned> update_signs;
+DerivationScope ParkStepper::WarmState::Scope(
+    const Program& program, const std::vector<Update>* seeds,
+    bool record_provenance) const {
+  std::unordered_map<PredicateId, uint8_t> update_signs;
   for (size_t r = num_rules(); r < program.size(); ++r) {
     const RuleHead& head = program.rule(r).head();
     update_signs[head.atom.predicate] |= SignBit(head.action);
   }
-  for (const auto& [pred, signs] : update_signs) {
-    auto it = head_signs_.find(pred);
-    if ((signs | (it != head_signs_.end() ? it->second : 0u)) == kBothSigns) {
-      scope.insert(pred);
+  if (seeds != nullptr) {
+    for (const Update& u : *seeds) {
+      update_signs[u.atom.predicate()] |= SignBit(u.action);
     }
   }
-  return scope;
+  std::vector<PredicateId> extra;
+  for (const auto& [pred, signs] : update_signs) {
+    const uint8_t in_p = pred < head_signs_.size() ? head_signs_[pred] : 0;
+    if (in_p != kBothSigns && (signs | in_p) == kBothSigns) {
+      extra.push_back(pred);
+    }
+  }
+  using Groundings = DerivationScope::Groundings;
+  const Groundings groundings = record_provenance ? Groundings::kAll
+                                : seeds != nullptr ? Groundings::kNone
+                                                   : Groundings::kClashScope;
+  return DerivationScope(&head_signs_, std::move(extra), groundings);
 }
 
 ParkStepper::ParkStepper(const Program& program, const Database& db,
                          ParkOptions options)
     : ParkStepper(program, db, std::move(options), nullptr,
-                  /*seeded=*/false) {
+                  /*seeds=*/nullptr) {
   Start();
 }
 
 ParkStepper::ParkStepper(const Program& program, const Database& db,
                          ParkOptions options, WarmState& state,
                          const std::vector<Update>* seeds)
-    : ParkStepper(program, db, std::move(options), &state,
-                  seeds != nullptr) {
+    : ParkStepper(program, db, std::move(options), &state, seeds) {
   // P_U is P followed by body-less rules, which watch nothing and take
   // the empty plan: the state built over P serves it unchanged.
   PARK_CHECK(state.bound() && state.num_rules() <= program.size())
@@ -165,14 +169,19 @@ ParkStepper::ParkStepper(const Program& program, const Database& db,
   }
   if (seeds != nullptr) {
     // The seeds' marks: exactly what the body-less update rules of P_U
-    // would produce in a full run's first step.
-    const RuleGrounding seed;  // rule_index -1: "seeded by the transaction"
+    // would produce in a full run's first step. Only record_provenance
+    // reads a seeded closure's provenance.
+    const GroundingView seed{-1, {}};  // "seeded by the transaction"
     delta_atoms_.initial = false;
     for (const Update& u : *seeds) {
-      if (interp_.AddMarked(u.action, u.atom, seed)) {
+      auto [stored, added] = interp_.Mark(u.action, u.atom.view());
+      if (options_.record_provenance) {
+        interp_.RecordProvenance(u.action, u.atom.view(), seed);
+      }
+      if (added) {
         (u.action == ActionKind::kInsert ? delta_atoms_.plus
                                          : delta_atoms_.minus)
-            .push_back(u.atom);
+            .push_back(AtomView{u.atom.predicate(), stored->span()});
         ++stats_.derived_marks;
       }
     }
@@ -181,12 +190,13 @@ ParkStepper::ParkStepper(const Program& program, const Database& db,
 }
 
 ParkStepper::ParkStepper(const Program& program, const Database& db,
-                         ParkOptions options, WarmState* state, bool seeded)
+                         ParkOptions options, WarmState* state,
+                         const std::vector<Update>* seeds)
     : program_(program),
       db_(db),
       options_(std::move(options)),
       policy_(options_.policy ? options_.policy : MakeInertiaPolicy()),
-      seeded_(seeded),
+      seeded_(seeds != nullptr),
       interp_(&db),
       observer_(options_.observer),
       trace_(options_.trace_level),
@@ -199,14 +209,7 @@ ParkStepper::ParkStepper(const Program& program, const Database& db,
     state = &*own_state_;
   }
   state_ = state;
-  // Only conflict construction reads provenance, and only for atoms
-  // marked both ways, whose predicates carry heads of both signs; the
-  // seeded closure builds no conflicts (docs/SEMANTICS.md "Conflicts").
-  // record_provenance renders every marked atom's, so it records all.
-  if (!options_.record_provenance) {
-    interp_.ScopeProvenance(seeded_ ? std::unordered_set<PredicateId>()
-                                    : state_->ProvenanceScope(program_));
-  }
+  scope_ = state_->Scope(program_, seeds, options_.record_provenance);
 }
 
 ParkStepper::~ParkStepper() {
@@ -252,10 +255,10 @@ GammaResult ParkStepper::ComputeSection() {
   return ComputeGammaSemiNaive(program_, blocked_, interp_, delta_atoms_,
                                state_->graph(), state_->plans(),
                                state_->parallel(), cancel_,
-                               options_.exec_mode, &exec_stats_);
+                               options_.exec_mode, &exec_stats_, &scope_);
 }
 
-Result<GammaResult> ParkStepper::GammaSection(int step) {
+Result<GammaResult> ParkStepper::GammaSection() {
   const bool timed = options_.collect_timings;
   const int64_t gamma_start_ns = timed ? MonotonicNanos() : 0;
   GammaResult gamma = ComputeSection();
@@ -268,17 +271,20 @@ Result<GammaResult> ParkStepper::GammaSection(int step) {
     // A fired token makes the Γ result partial: discard it and surface
     // the cause (the input database is untouched — evaluation mutates
     // only the copy-on-write interpretation).
-    cancel_->UpdateScope(gamma_scope_,
-                         gamma.derivations.capacity() * sizeof(Derivation));
+    cancel_->UpdateScope(gamma_scope_, gamma.derivations.bytes());
     if (cancel_->Check()) return cancel_->ToStatus();
   }
   RecordGammaSection(gamma, stats_);
-  observer_.Notify([&](RunObserver& o) {
-    o.OnGammaSection(GammaSectionInfo{
-        step, gamma.rules_evaluated, gamma.derivations.size(),
-        gamma.newly_marked, gamma.consistent});
-  });
   return gamma;
+}
+
+void ParkStepper::NotifySection(int step, const GammaResult& gamma,
+                                size_t newly_marked) {
+  observer_.Notify([&](RunObserver& o) {
+    o.OnGammaSection(GammaSectionInfo{step, gamma.rules_evaluated,
+                                      gamma.derivations.size(), newly_marked,
+                                      gamma.consistent});
+  });
 }
 
 Result<StepOutcome> ParkStepper::Step() {
@@ -290,9 +296,14 @@ Result<StepOutcome> ParkStepper::Step() {
   if (cancel_ != nullptr && cancel_->Check()) return cancel_->ToStatus();
   const int step = static_cast<int>(steps_taken_++);
   observer_.Notify([&](RunObserver& o) { o.OnStepStart(step); });
-  PARK_ASSIGN_OR_RETURN(GammaResult gamma, GammaSection(step));
+  PARK_ASSIGN_OR_RETURN(GammaResult gamma, GammaSection());
 
   if (!gamma.consistent) {
+    // Only an observer reads an unapplied section's count of new marks.
+    NotifySection(step, gamma,
+                  options_.observer != nullptr
+                      ? CountNewMarks(gamma.derivations, interp_)
+                      : 0);
     if (seeded_) {
       // A clash inside the cone means the commit has real conflicts; the
       // full evaluator owns conflict construction and SELECT policies.
@@ -300,8 +311,18 @@ Result<StepOutcome> ParkStepper::Step() {
     }
     return Resolve(std::move(gamma), step);
   }
+  // A consistent section is applied in one pass, which counts its new
+  // marks; with none it left I as it was: Γ(P,B)(I) = I.
   const bool timed = options_.collect_timings;
-  if (gamma.newly_marked == 0) {
+  const int64_t apply_start_ns = timed ? MonotonicNanos() : 0;
+  const size_t new_marks =
+      ApplyDerivations(gamma.derivations, interp_, &delta_atoms_);
+  if (timed) {
+    stats_.timings.apply_ns +=
+        static_cast<uint64_t>(MonotonicNanos() - apply_start_ns);
+  }
+  NotifySection(step, gamma, new_marks);
+  if (new_marks == 0) {
     // Γ(P,B)(I) = I: the bi-structure is a fixpoint of Δ.
     done_ = true;
     FoldRunStats(stats_);
@@ -316,14 +337,8 @@ Result<StepOutcome> ParkStepper::Step() {
   }
   StepOutcome outcome;
   outcome.kind = StepOutcome::Kind::kGamma;
-  const int64_t apply_start_ns = timed ? MonotonicNanos() : 0;
-  outcome.new_marks =
-      ApplyDerivations(gamma.derivations, interp_, &delta_atoms_);
-  if (timed) {
-    stats_.timings.apply_ns +=
-        static_cast<uint64_t>(MonotonicNanos() - apply_start_ns);
-  }
-  stats_.derived_marks += outcome.new_marks;
+  outcome.new_marks = new_marks;
+  stats_.derived_marks += new_marks;
   ++stats_.gamma_steps;
   trace_.RecordGammaStep(interp_, step + 1);
   return outcome;

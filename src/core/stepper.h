@@ -17,8 +17,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "core/conflict.h"
 #include "core/park_evaluator.h"
@@ -66,14 +65,19 @@ class ParkStepper {
     /// it.
     void Bind(const Program& program, const ParkOptions& options);
 
-    /// The provenance scope of an unseeded run of `program`, P or a P_U
-    /// over the state's P: the predicates with heads of both signs in it,
-    /// the only ones a conflict can be built for (docs/SEMANTICS.md
-    /// "Conflicts"). P's are computed by Bind; this adds those the update
-    /// rules past num_rules() make both-signed, in O(|U|) plus a copy of
-    /// P's, never a scan of P.
-    std::unordered_set<PredicateId> ProvenanceScope(
-        const Program& program) const;
+    /// The derivation scope of a run of `program`, P or a P_U over the
+    /// state's P, seeded by `seeds` when non-null (docs/SEMANTICS.md "Γ"
+    /// and "Conflicts"). Its clash scope is the predicates with heads of
+    /// both signs over P plus the run's updates: the update rules past
+    /// num_rules(), or the seeds. Groundings are kept for that scope on
+    /// an unseeded run, for none on a seeded closure, and for every
+    /// predicate under `record_provenance`. P's head signs come from
+    /// Bind; this reads only the updates, in O(|U| log |U|), never P. The
+    /// scope borrows the state's sign table, so the state must outlive it
+    /// unmoved.
+    DerivationScope Scope(const Program& program,
+                          const std::vector<Update>* seeds,
+                          bool record_provenance) const;
 
     /// Drops everything; the next Bind rebuilds over its program.
     void Reset() { *this = WarmState(); }
@@ -90,10 +94,8 @@ class ParkStepper {
    private:
     std::optional<RuleDependencyGraph> graph_;
     std::optional<PlanCache> plans_;
-    // Per head predicate of P, the signs its heads carry (a bit per
-    // ActionKind), and the predicates that carry both.
-    std::unordered_map<PredicateId, unsigned> head_signs_;
-    std::unordered_set<PredicateId> both_signed_;
+    // Per predicate id, the SignBit mask of P's heads on it.
+    std::vector<uint8_t> head_signs_;
     // unique_ptr, not optional: ParallelGamma owns a thread pool and is
     // immovable, but the state must move with its ActiveDatabase.
     std::unique_ptr<ParallelGamma> parallel_;
@@ -166,9 +168,10 @@ class ParkStepper {
 
  private:
   /// Shared construction head: borrows `state`, or builds and owns one
-  /// when it is null, and scopes the interpretation's provenance.
+  /// when it is null, and sets the run's derivation scope.
   ParkStepper(const Program& program, const Database& db,
-              ParkOptions options, WarmState* state, bool seeded);
+              ParkOptions options, WarmState* state,
+              const std::vector<Update>* seeds);
   /// Shared construction tail: stats echoes, counter baselines,
   /// governance, observer start.
   void Start();
@@ -176,8 +179,11 @@ class ParkStepper {
   /// step's delta (the full Γ at the first step of a round).
   GammaResult ComputeSection();
   /// Computes the step's one Γ section and does its bookkeeping (timings,
-  /// budgets, counters, observer). Errors only when the run token fired.
-  Result<GammaResult> GammaSection(int step);
+  /// budgets, counters). Errors only when the run token fired.
+  Result<GammaResult> GammaSection();
+  /// Reports the step's section to the observer, with `newly_marked`
+  /// marks not already in I.
+  void NotifySection(int step, const GammaResult& gamma, size_t newly_marked);
   /// Conflict construction from the step's section, SELECT, and the
   /// restart from I°.
   Result<StepOutcome> Resolve(GammaResult gamma, int step);
@@ -194,6 +200,8 @@ class ParkStepper {
   /// borrowed one.
   std::optional<WarmState> own_state_;
   WarmState* state_ = nullptr;
+  /// Which derivations the clash test reads and which keep groundings.
+  DerivationScope scope_;
   /// The planner and pool totals of `state_` when the run started.
   ParkStats baseline_;
   IInterpretation interp_;

@@ -12,60 +12,46 @@
 namespace park {
 namespace {
 
-/// A set of derived atoms keyed by pointer into a derivation list, hashed
-/// and compared by value: nothing is copied until an atom clashes.
-struct AtomPtrHash {
-  size_t operator()(const GroundAtom* atom) const { return atom->Hash(); }
-};
-struct AtomPtrEq {
-  bool operator()(const GroundAtom* a, const GroundAtom* b) const {
-    return *a == *b;
-  }
-};
-using AtomPtrSet =
-    std::unordered_set<const GroundAtom*, AtomPtrHash, AtomPtrEq>;
+/// A set of derived atoms as views into a section's arena: nothing is
+/// copied until an atom clashes.
+using AtomViewSet = std::unordered_set<AtomView, GroundAtomHash, GroundAtomEq>;
 
-/// Fills consistency / newly_marked / clashing_atoms of `result` from its
-/// derivation list against `interp`.
-void AnalyzeDerivations(const IInterpretation& interp, GammaResult& result) {
-  AtomPtrSet derived_plus;
-  AtomPtrSet derived_minus;
-  for (const Derivation& d : result.derivations) {
-    if (d.action == ActionKind::kInsert) {
-      derived_plus.insert(&d.atom);
-    } else {
-      derived_minus.insert(&d.atom);
-    }
+/// Fills consistent / clashing_atoms of `result` from its derivation list
+/// against `interp`. Only derivations in the clash scope are read: no
+/// other head can meet a mark of the opposite sign (docs/SEMANTICS.md
+/// "Γ").
+void AnalyzeClashes(const IInterpretation& interp, GammaResult& result) {
+  const Derivations& derived = result.derivations;
+  std::unordered_map<AtomView, uint8_t, GroundAtomHash, GroundAtomEq> signs;
+  for (const Derivations::Record& r : derived) {
+    if (r.can_clash) signs[derived.atom(r)] |= SignBit(r.action);
   }
-  for (const GroundAtom* atom : derived_plus) {
-    if (!interp.HasPlus(*atom)) ++result.newly_marked;
-    if (derived_minus.contains(atom) || interp.HasMinus(*atom)) {
-      result.clashing_atoms.push_back(*atom);
-    }
-  }
-  for (const GroundAtom* atom : derived_minus) {
-    if (!interp.HasMinus(*atom)) ++result.newly_marked;
-    if (!derived_plus.contains(atom) && interp.HasPlus(*atom)) {
-      result.clashing_atoms.push_back(*atom);
-    }
+  for (const auto& [atom, mask] : signs) {
+    const bool clash =
+        mask == kBothSigns ||
+        (mask == SignBit(ActionKind::kInsert) ? interp.minus() : interp.plus())
+            .Contains(atom);
+    if (clash) result.clashing_atoms.emplace_back(atom);
   }
   std::sort(result.clashing_atoms.begin(), result.clashing_atoms.end());
-  result.clashing_atoms.erase(
-      std::unique(result.clashing_atoms.begin(),
-                  result.clashing_atoms.end()),
-      result.clashing_atoms.end());
   result.consistent = result.clashing_atoms.empty();
+}
+
+/// `scope`, or the scope of every predicate when null.
+const DerivationScope& ScopeOrAll(const DerivationScope* scope) {
+  static const DerivationScope kEveryPredicate;
+  return scope != nullptr ? *scope : kEveryPredicate;
 }
 
 // --- Semi-naive seed ownership ---
 
 /// Δ atoms of one sign class, bucketed by predicate in Δ order.
 using DeltaBuckets =
-    std::unordered_map<PredicateId, std::vector<const GroundAtom*>>;
+    std::unordered_map<PredicateId, std::vector<const AtomView*>>;
 
-/// The Δ atoms of one predicate as a tuple set, probed by span (no Tuple
-/// is materialized per probe).
-using DeltaTupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
+/// The Δ atoms of one predicate as a set of views of their stored
+/// tuples, probed by span: no Tuple is copied or materialized.
+using DeltaTupleSet = std::unordered_set<TupleSpan, TupleHash, TupleEq>;
 
 /// True for the literal kinds seeded by (and owning through) Δ⁺ —
 /// positive and +event literals; negated and -event literals go with Δ⁻.
@@ -108,12 +94,14 @@ struct OwnerProbe {
 /// True iff some owner probe claims the completion `binding` (`key` is
 /// reused scratch).
 bool OwnedByEarlierSeed(std::span<const OwnerProbe> owners,
-                        const Tuple& binding, std::vector<Value>& key) {
+                        std::span<const Value> binding,
+                        std::vector<Value>& key) {
   for (const OwnerProbe& owner : owners) {
     key.clear();
     for (const Term& term : owner.atom->terms) {
       key.push_back(term.is_constant() ? term.constant()
-                                       : binding[term.var_index()]);
+                                       : binding[static_cast<size_t>(
+                                             term.var_index())]);
     }
     if (owner.atoms->contains(TupleSpan{key.data(), key.size()})) return true;
   }
@@ -131,7 +119,7 @@ bool OwnedByEarlierSeed(std::span<const OwnerProbe> owners,
 struct GammaUnit {
   const Rule* rule;
   const CompiledPlan* plan;
-  const GroundAtom* seed;
+  const AtomView* seed;
   std::span<const OwnerProbe> owners;
 };
 
@@ -281,30 +269,35 @@ void RunUnits(const std::vector<GammaUnit>& units, const BlockedSet& blocked,
               const IInterpretation& interp, PlanCache& plans,
               ParallelGamma* parallel, CancellationToken* cancel,
               ExecMode exec, ExecStats* exec_stats,
-              std::vector<Derivation>& out) {
+              const DerivationScope& scope, Derivations& out) {
   // Matches one unit, restricted to first-literal candidates in `slice`,
   // into `buffer`; returns the claimed step-0 candidates (the planner's
-  // actual-rows counter). Governance: each derivation is charged to the
-  // token's work budget and the buffer's capacity to its memory budget
-  // (UpdateScope is a no-op branch while the capacity is unchanged). A
-  // fired token stops emission — the evaluator discards the partial Γ.
+  // actual-rows counter). B is probed with the matcher's binding in
+  // place, and the buffer copies the head's values (plus the binding,
+  // where the scope keeps the grounding) into its arena. Governance: each
+  // derivation is charged to the token's work budget and the buffer's
+  // bytes to its memory budget (UpdateScope is a no-op branch while the
+  // capacity is unchanged). A fired token stops emission — the evaluator
+  // discards the partial Γ.
   auto run = [&](const GammaUnit& unit, CandidateSlice slice,
-                 std::vector<Derivation>& buffer) -> size_t {
+                 Derivations& buffer) -> size_t {
     const Rule& rule = *unit.rule;
+    const PredicateId head = rule.head().atom.predicate;
+    const bool can_clash = scope.CanClash(head);
+    const bool keep_grounding = scope.KeepsGrounding(head);
     std::vector<Value> key;  // ownership probe scratch
     CancellationToken::MemoryScope mem_scope;
-    auto emit = [&](const Tuple& binding) {
+    auto emit = [&](std::span<const Value> binding) {
       if (cancel != nullptr && cancel->fired()) return;
       if (OwnedByEarlierSeed(unit.owners, binding, key)) return;
-      RuleGrounding grounding(rule.index(), binding);
-      if (blocked.contains(grounding)) return;
-      GroundAtom head = rule.head().atom.Ground(binding.values());
-      buffer.push_back(Derivation{
-          std::move(grounding), rule.head().action, std::move(head)});
+      if (!blocked.empty() &&
+          blocked.contains(GroundingView{rule.index(), binding})) {
+        return;
+      }
+      buffer.Add(rule, binding, can_clash, keep_grounding);
       if (cancel != nullptr) {
         cancel->ChargeWork(1);
-        cancel->UpdateScope(mem_scope,
-                            buffer.capacity() * sizeof(Derivation));
+        cancel->UpdateScope(mem_scope, buffer.bytes());
       }
     };
     const size_t claimed = ExecutePlan(*unit.plan, rule, interp, unit.seed,
@@ -325,7 +318,7 @@ void RunUnits(const std::vector<GammaUnit>& units, const BlockedSet& blocked,
 
   std::vector<UnitTask> tasks;
   tasks.reserve(units.size());
-  std::vector<std::vector<Derivation>> buffers;
+  std::vector<Derivations> buffers;
   std::vector<size_t> claimed;
   {
     FrozenInterpretation frozen(interp, plans.requirements(),
@@ -387,12 +380,14 @@ void RunUnits(const std::vector<GammaUnit>& units, const BlockedSet& blocked,
   plans.AddActualRows(total_claimed);
   const int64_t merge_start =
       parallel->timing_enabled() ? MonotonicNanos() : 0;
-  size_t total = 0;
-  for (const auto& buffer : buffers) total += buffer.size();
-  out.reserve(out.size() + total);
-  for (auto& buffer : buffers) {
-    for (Derivation& d : buffer) out.push_back(std::move(d));
+  size_t records = 0;
+  size_t values = 0;
+  for (const Derivations& buffer : buffers) {
+    records += buffer.size();
+    values += buffer.num_values();
   }
+  out.Reserve(records, values);
+  for (const Derivations& buffer : buffers) out.Append(buffer);
   if (parallel->timing_enabled()) {
     parallel->RecordMergeNs(
         static_cast<uint64_t>(MonotonicNanos() - merge_start));
@@ -419,7 +414,8 @@ void CompactForBatch(const IInterpretation& interp, ExecMode exec) {
 GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
                          const IInterpretation& interp, PlanCache& plans,
                          ParallelGamma* parallel, CancellationToken* cancel,
-                         ExecMode exec, ExecStats* exec_stats) {
+                         ExecMode exec, ExecStats* exec_stats,
+                         const DerivationScope* scope) {
   GammaResult result;
   CompactForBatch(interp, exec);
   // One unseeded unit per rule, in program order. Γ never mutates I, so
@@ -440,10 +436,10 @@ GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
     units.push_back(GammaUnit{&rule, &plan, nullptr, {}});
   }
   RunUnits(units, blocked, interp, plans, parallel, cancel, exec, exec_stats,
-           result.derivations);
+           ScopeOrAll(scope), result.derivations);
   result.rules_evaluated = program.size();
   result.rules_considered = program.size();
-  AnalyzeDerivations(interp, result);
+  AnalyzeClashes(interp, result);
   return result;
 }
 
@@ -471,10 +467,11 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
                                   const RuleDependencyGraph& graph,
                                   PlanCache& plans, ParallelGamma* parallel,
                                   CancellationToken* cancel, ExecMode exec,
-                                  ExecStats* exec_stats) {
+                                  ExecStats* exec_stats,
+                                  const DerivationScope* scope) {
   if (delta.initial) {
     return ComputeGamma(program, blocked, interp, plans, parallel, cancel,
-                        exec, exec_stats);
+                        exec, exec_stats, scope);
   }
   GammaResult result;
   CompactForBatch(interp, exec);
@@ -487,13 +484,13 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
   DeltaBuckets minus_atoms;
   DeltaState changed;
   changed.initial = false;
-  for (const GroundAtom& atom : delta.plus) {
-    plus_atoms[atom.predicate()].push_back(&atom);
-    changed.plus_changed.insert(atom.predicate());
+  for (const AtomView& atom : delta.plus) {
+    plus_atoms[atom.predicate].push_back(&atom);
+    changed.plus_changed.insert(atom.predicate);
   }
-  for (const GroundAtom& atom : delta.minus) {
-    minus_atoms[atom.predicate()].push_back(&atom);
-    changed.minus_changed.insert(atom.predicate());
+  for (const AtomView& atom : delta.minus) {
+    minus_atoms[atom.predicate].push_back(&atom);
+    changed.minus_changed.insert(atom.predicate);
   }
   const std::vector<int> affected = graph.Schedule(changed);
   result.rules_considered = affected.size();
@@ -520,12 +517,14 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
   std::unordered_map<PredicateId, DeltaTupleSet> plus_sets;
   std::unordered_map<PredicateId, DeltaTupleSet> minus_sets;
   auto tuple_set = [&](const BodyLiteral& lit,
-                       const std::vector<const GroundAtom*>& atoms) {
+                       const std::vector<const AtomView*>& atoms) {
     auto& sets = SeededByPlus(lit.kind) ? plus_sets : minus_sets;
     auto [it, inserted] = sets.try_emplace(lit.atom.predicate);
     if (inserted) {
       it->second.reserve(atoms.size());
-      for (const GroundAtom* atom : atoms) it->second.insert(atom->args());
+      for (const AtomView* atom : atoms) {
+        it->second.insert(TupleSpan{atom->args.data(), atom->args.size()});
+      }
     }
     return &it->second;
   };
@@ -535,7 +534,7 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
   struct SeedGroup {
     const Rule* rule;
     const CompiledPlan* plan;
-    const std::vector<const GroundAtom*>* seeds;
+    const std::vector<const AtomView*>* seeds;
     std::vector<OwnerProbe> owners;
   };
   std::vector<SeedGroup> groups;
@@ -544,13 +543,13 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
     const std::vector<BodyLiteral>& body = rule.body();
     bool evaluated = false;
     for (size_t i = 0; i < body.size(); ++i) {
-      const std::vector<const GroundAtom*>* seeds = seeds_of(body[i]);
+      const std::vector<const AtomView*>* seeds = seeds_of(body[i]);
       if (seeds == nullptr) continue;
       // An earlier literal that only Δ atoms can satisfy owns every
       // completion of this group.
       bool owned = false;
       for (size_t j = 0; j < i && !owned; ++j) {
-        const std::vector<const GroundAtom*>* earlier = seeds_of(body[j]);
+        const std::vector<const AtomView*>* earlier = seeds_of(body[j]);
         owned = earlier != nullptr &&
                 StoreInsideDelta(body[j], interp, earlier->size());
       }
@@ -576,18 +575,79 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
   // is fed per unit, like the actual rows.
   std::vector<GammaUnit> units;
   for (const SeedGroup& group : groups) {
-    for (const GroundAtom* atom : *group.seeds) {
+    for (const AtomView* atom : *group.seeds) {
       units.push_back(GammaUnit{group.rule, group.plan, atom, group.owners});
       plans.AddEstimatedRows(group.plan->estimated_candidates);
     }
   }
   RunUnits(units, blocked, interp, plans, parallel, cancel, exec, exec_stats,
-           result.derivations);
-  AnalyzeDerivations(interp, result);
+           ScopeOrAll(scope), result.derivations);
+  AnalyzeClashes(interp, result);
   return result;
 }
 
-size_t ApplyDerivations(const std::vector<Derivation>& derivations,
+DerivationScope::DerivationScope(const std::vector<uint8_t>* signs,
+                                 std::vector<PredicateId> extra,
+                                 Groundings groundings)
+    : signs_(signs), extra_(std::move(extra)), groundings_(groundings) {
+  std::sort(extra_.begin(), extra_.end());
+}
+
+bool DerivationScope::CanClash(PredicateId predicate) const {
+  if (signs_ == nullptr) return true;
+  if (predicate < signs_->size() && (*signs_)[predicate] == kBothSigns) {
+    return true;
+  }
+  return std::binary_search(extra_.begin(), extra_.end(), predicate);
+}
+
+bool DerivationScope::KeepsGrounding(PredicateId predicate) const {
+  switch (groundings_) {
+    case Groundings::kAll:
+      return true;
+    case Groundings::kClashScope:
+      return CanClash(predicate);
+    case Groundings::kNone:
+      return false;
+  }
+  return true;
+}
+
+GroundingView Derivations::grounding(const Record& r) const {
+  PARK_CHECK(r.has_grounding) << "derivation of rule " << r.rule
+                              << " kept no grounding";
+  return GroundingView{
+      r.rule, {arena_.data() + r.offset + r.arity, r.binding_size}};
+}
+
+void Derivations::Add(const Rule& rule, std::span<const Value> binding,
+                      bool can_clash, bool keep_grounding) {
+  const AtomPattern& head = rule.head().atom;
+  records_.push_back(Record{
+      arena_.size(), rule.index(), head.predicate,
+      static_cast<uint32_t>(head.terms.size()),
+      keep_grounding ? static_cast<uint32_t>(binding.size()) : 0u,
+      rule.head().action, can_clash, keep_grounding});
+  for (const Term& term : head.terms) {
+    arena_.push_back(term.is_constant()
+                         ? term.constant()
+                         : binding[static_cast<size_t>(term.var_index())]);
+  }
+  if (keep_grounding) {
+    arena_.insert(arena_.end(), binding.begin(), binding.end());
+  }
+}
+
+void Derivations::Append(const Derivations& other) {
+  const size_t base = arena_.size();
+  arena_.insert(arena_.end(), other.arena_.begin(), other.arena_.end());
+  for (Record r : other.records_) {
+    r.offset += base;
+    records_.push_back(r);
+  }
+}
+
+size_t ApplyDerivations(const Derivations& derivations,
                         IInterpretation& interp, DeltaAtoms* next_atoms) {
   if (next_atoms != nullptr) {
     next_atoms->initial = false;
@@ -595,15 +655,44 @@ size_t ApplyDerivations(const std::vector<Derivation>& derivations,
     next_atoms->minus.clear();
   }
   size_t added = 0;
-  for (const Derivation& d : derivations) {
-    if (!interp.AddMarked(d.action, d.atom, d.grounding)) continue;
+  bool groundings = false;
+  for (const Derivations::Record& r : derivations) {
+    groundings = groundings || r.has_grounding;
+    auto [stored, is_new] =
+        interp.Mark(r.action, derivations.atom(r), r.can_clash);
+    if (!is_new) continue;
     ++added;
     if (next_atoms != nullptr) {
-      (d.action == ActionKind::kInsert ? next_atoms->plus : next_atoms->minus)
-          .push_back(d.atom);
+      (r.action == ActionKind::kInsert ? next_atoms->plus : next_atoms->minus)
+          .push_back(AtomView{r.predicate, stored->span()});
+    }
+  }
+  // Provenance only once the section is known to add a mark: a section
+  // that adds none is the fixpoint's, and leaves I as it was.
+  if (added > 0 && groundings) {
+    for (const Derivations::Record& r : derivations) {
+      if (!r.has_grounding) continue;
+      interp.RecordProvenance(r.action, derivations.atom(r),
+                              derivations.grounding(r));
     }
   }
   return added;
+}
+
+size_t CountNewMarks(const Derivations& derivations,
+                     const IInterpretation& interp) {
+  AtomViewSet plus_seen;
+  AtomViewSet minus_seen;
+  size_t count = 0;
+  for (const Derivations::Record& r : derivations) {
+    const AtomView atom = derivations.atom(r);
+    const bool insert = r.action == ActionKind::kInsert;
+    if ((insert ? plus_seen : minus_seen).insert(atom).second &&
+        !(insert ? interp.plus() : interp.minus()).Contains(atom)) {
+      ++count;
+    }
+  }
+  return count;
 }
 
 }  // namespace park

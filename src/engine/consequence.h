@@ -29,6 +29,8 @@
 #ifndef PARK_ENGINE_CONSEQUENCE_H_
 #define PARK_ENGINE_CONSEQUENCE_H_
 
+#include <cstdint>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -40,26 +42,113 @@ namespace park {
 
 class RuleDependencyGraph;  // engine/rule_graph.h
 
-/// One firing: the grounding (r, θ), the head action it commands, and the
-/// ground head atom.
-struct Derivation {
-  RuleGrounding grounding;
-  ActionKind action = ActionKind::kInsert;
-  GroundAtom atom;
+/// The sign bit of a head action in per-predicate sign masks; a predicate
+/// whose mask is kBothSigns has heads of both signs.
+inline uint8_t SignBit(ActionKind action) {
+  return action == ActionKind::kInsert ? 1 : 2;
+}
+inline constexpr uint8_t kBothSigns = 3;
+
+/// What the Δ loop reads of a Γ section's derivations beyond their head
+/// atoms, per head predicate (docs/SEMANTICS.md "Γ"):
+///  - the clash test runs over the predicates that can clash: those on
+///    which the run can place marks of both signs, i.e. with heads of
+///    both signs in P_U, or in P plus the seeds of a seeded closure;
+///  - a derivation keeps its grounding only where something reads it:
+///    conflict sides and provenance of an unseeded run read the clash
+///    scope's, record_provenance every predicate's, a seeded closure
+///    none (its first clash aborts it before any conflict is built).
+/// The default scope puts every predicate in both, which is what a bare
+/// evaluation (tests, the inflationary baseline) needs.
+class DerivationScope {
+ public:
+  enum class Groundings { kAll, kClashScope, kNone };
+
+  DerivationScope() = default;
+  /// `signs` maps a predicate id to the SignBit mask of P's heads on it
+  /// (ids past its end have none) and must outlive the scope; `extra`
+  /// lists the predicates the run's updates or seeds make both-signed.
+  DerivationScope(const std::vector<uint8_t>* signs,
+                  std::vector<PredicateId> extra, Groundings groundings);
+
+  bool CanClash(PredicateId predicate) const;
+  bool KeepsGrounding(PredicateId predicate) const;
+
+ private:
+  const std::vector<uint8_t>* signs_ = nullptr;  // null: all can clash
+  std::vector<PredicateId> extra_;                // sorted
+  Groundings groundings_ = Groundings::kAll;
+};
+
+/// The firings of one Γ section, flat, the way VLog's SemiNaiver keeps
+/// derivations as tables of values rather than objects per row: one
+/// Record per firing (the rule, the head action and predicate, an offset)
+/// over a single Value arena, so a firing allocates nothing of its own.
+/// A record's head arguments sit at [offset, offset + arity) of the
+/// arena; its grounding's binding follows them only where the section's
+/// DerivationScope keeps it.
+class Derivations {
+ public:
+  struct Record {
+    size_t offset;
+    int rule;               // index of the firing rule in its program
+    PredicateId predicate;  // of the head
+    uint32_t arity;         // of the head
+    uint32_t binding_size;  // 0 without a grounding
+    ActionKind action;
+    bool can_clash;         // the head predicate is in the clash scope
+    bool has_grounding;
+  };
+  using const_iterator = std::vector<Record>::const_iterator;
+
+  size_t size() const { return records_.size(); }
+  bool empty() const { return records_.empty(); }
+  const Record& operator[](size_t i) const { return records_[i]; }
+  const_iterator begin() const { return records_.begin(); }
+  const_iterator end() const { return records_.end(); }
+
+  /// The ground head atom, a view into the arena.
+  AtomView atom(const Record& r) const {
+    return AtomView{r.predicate, {arena_.data() + r.offset, r.arity}};
+  }
+  /// The grounding (r, θ); the record must have one.
+  GroundingView grounding(const Record& r) const;
+
+  /// Bytes held: the arena's and the records' capacity. What the memory
+  /// budget charges for the section.
+  size_t bytes() const {
+    return arena_.capacity() * sizeof(Value) +
+           records_.capacity() * sizeof(Record);
+  }
+
+  /// Appends the firing of `rule` under `binding` (indexed by variable).
+  void Add(const Rule& rule, std::span<const Value> binding, bool can_clash,
+           bool keep_grounding);
+
+  /// Appends `other`'s records after this list's, offsets rebased.
+  void Append(const Derivations& other);
+
+  /// Reserves room for `records` more records over `values` more values.
+  void Reserve(size_t records, size_t values) {
+    records_.reserve(records_.size() + records);
+    arena_.reserve(arena_.size() + values);
+  }
+  size_t num_values() const { return arena_.size(); }
+
+ private:
+  std::vector<Record> records_;
+  std::vector<Value> arena_;
 };
 
 /// The outcome of one Γ(P,B)(I) evaluation.
 struct GammaResult {
   /// Every firable, non-blocked rule instance (including those whose head
   /// atom is already marked in I).
-  std::vector<Derivation> derivations;
+  Derivations derivations;
 
-  /// True iff I ∪ {derived marks} contains no +a/-a pair.
+  /// True iff I ∪ {derived marks} contains no +a/-a pair. Only derivations
+  /// in the clash scope are tested; no other can clash.
   bool consistent = true;
-
-  /// Number of derived marked atoms not already present in I. Zero (with
-  /// `consistent`) means Γ(P,B)(I) = I: the fixpoint is reached.
-  size_t newly_marked = 0;
 
   /// The atoms that would be marked both + and -, sorted and de-duplicated
   /// (non-empty iff !consistent).
@@ -142,7 +231,9 @@ class ParallelGamma {
 };
 
 /// Evaluates Γ(P,B)(I) as a derivation list; does not modify `interp`
-/// (with `parallel`, rule matching fans out over the pool).
+/// (with `parallel`, rule matching fans out over the pool). `scope` (null:
+/// every predicate) decides which derivations the clash test reads and
+/// which keep their groundings.
 ///
 /// Matching runs through the compiled plans of `plans` (ExecutePlan), and
 /// the frozen parallel sections prewarm from the cache's accumulated
@@ -158,8 +249,8 @@ class ParallelGamma {
 /// token fires the returned GammaResult is PARTIAL and must be discarded
 /// — the evaluator checks the token after each Γ and converts its cause
 /// into the run's error status. Derivations are charged to the token's
-/// work budget and the per-task buffers to its memory budget as they
-/// grow.
+/// work budget and the per-task buffers' bytes (Derivations::bytes) to
+/// its memory budget as they grow.
 ///
 /// `exec` selects the plan executor. In batch mode each Γ call first
 /// compacts every relation's columnar view on the coordinator —
@@ -172,7 +263,8 @@ GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
                          ParallelGamma* parallel = nullptr,
                          CancellationToken* cancel = nullptr,
                          ExecMode exec = ExecMode::kTuple,
-                         ExecStats* exec_stats = nullptr);
+                         ExecStats* exec_stats = nullptr,
+                         const DerivationScope* scope = nullptr);
 
 // --- Semi-naive evaluation (per-literal delta joins) ---
 //
@@ -213,11 +305,12 @@ struct DeltaState {
 bool RuleIsAffected(const Rule& rule, const DeltaState& delta);
 
 /// The actual atoms newly marked by the previous Γ application (each at
-/// most once).
+/// most once), as views of their tuples stored in I⁺ / I⁻: valid until
+/// the marks are cleared.
 struct DeltaAtoms {
   bool initial = true;
-  std::vector<GroundAtom> plus;
-  std::vector<GroundAtom> minus;
+  std::vector<AtomView> plus;
+  std::vector<AtomView> minus;
 
   void Reset() {
     initial = true;
@@ -248,15 +341,24 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
                                   ParallelGamma* parallel = nullptr,
                                   CancellationToken* cancel = nullptr,
                                   ExecMode exec = ExecMode::kTuple,
-                                  ExecStats* exec_stats = nullptr);
+                                  ExecStats* exec_stats = nullptr,
+                                  const DerivationScope* scope = nullptr);
 
-/// Applies `derivations` to `interp` (AddMarked + provenance). The caller
-/// must have checked `consistent`. Returns the number of marked atoms that
-/// were new. When given, `next_atoms` is reset to the newly marked atoms —
-/// the delta the next semi-naive step reads.
-size_t ApplyDerivations(const std::vector<Derivation>& derivations,
+/// Applies `derivations` to `interp` in one pass, one IInterpretation::Mark
+/// per derivation, and returns the number of marked atoms that were new.
+/// The caller must have checked `consistent`. When given, `next_atoms` is
+/// reset to the newly marked atoms — the delta the next semi-naive step
+/// reads. The groundings a derivation keeps go into the provenance, but
+/// only when some mark was new: a section that adds nothing (the
+/// fixpoint's) leaves `interp` exactly as it was.
+size_t ApplyDerivations(const Derivations& derivations,
                         IInterpretation& interp,
                         DeltaAtoms* next_atoms = nullptr);
+
+/// The number of distinct marks among `derivations` not already in
+/// `interp`: what ApplyDerivations would return, without applying.
+size_t CountNewMarks(const Derivations& derivations,
+                     const IInterpretation& interp);
 
 }  // namespace park
 

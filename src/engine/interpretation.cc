@@ -11,24 +11,41 @@ IInterpretation::IInterpretation(const Database* base)
   PARK_CHECK(base != nullptr) << "IInterpretation requires a base database";
 }
 
-bool IInterpretation::AddMarked(ActionKind action, const GroundAtom& atom,
-                                const RuleGrounding& by) {
+std::pair<const Tuple*, bool> IInterpretation::Mark(ActionKind action,
+                                                    AtomView atom,
+                                                    bool can_clash) {
   Database& target = action == ActionKind::kInsert ? plus_ : minus_;
   const Database& opposite = action == ActionKind::kInsert ? minus_ : plus_;
+  auto stored = target.Emplace(atom);
+  if (stored.second && can_clash && opposite.Contains(atom)) {
+    ++inconsistent_count_;
+  }
+  return stored;
+}
+
+void IInterpretation::RecordProvenance(ActionKind action, AtomView atom,
+                                       GroundingView by) {
   ProvenanceMap& provenance = action == ActionKind::kInsert
                                   ? plus_provenance_
                                   : minus_provenance_;
-  bool added = target.Insert(atom);
-  if (added && opposite.Contains(atom)) ++inconsistent_count_;
-  if (provenance_scope_.has_value() &&
-      !provenance_scope_->contains(atom.predicate())) {
-    return added;
+  auto it = provenance.find(atom);
+  if (it == provenance.end()) {
+    it = provenance.try_emplace(GroundAtom(atom)).first;
   }
-  std::vector<RuleGrounding>& derivations = provenance[atom];
-  if (std::find(derivations.begin(), derivations.end(), by) ==
-      derivations.end()) {
-    derivations.push_back(by);
+  std::vector<RuleGrounding>& derivations = it->second;
+  if (std::find_if(derivations.begin(), derivations.end(),
+                   [&](const RuleGrounding& g) {
+                     return RuleGroundingEq()(g, by);
+                   }) == derivations.end()) {
+    derivations.emplace_back(by.rule_index, Tuple(by.binding));
   }
+}
+
+bool IInterpretation::AddMarked(ActionKind action, const GroundAtom& atom,
+                                const RuleGrounding& by) {
+  const bool added = Mark(action, atom.view()).second;
+  RecordProvenance(action, atom.view(),
+                   GroundingView{by.rule_index(), by.binding().span()});
   return added;
 }
 

@@ -7,10 +7,9 @@
 #ifndef PARK_ENGINE_INTERPRETATION_H_
 #define PARK_ENGINE_INTERPRETATION_H_
 
-#include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "engine/rule_grounding.h"
@@ -51,7 +50,7 @@ bool LiteralHolds(LiteralKind kind, In in) {
 /// I°" step of the Δ operator). The class also records, for marked atoms,
 /// which rule groundings derived them — used to build conflict sides when
 /// a stale derivation clashes with a current one (see DESIGN.md §2). It
-/// records every predicate's unless ScopeProvenance narrows it.
+/// holds what its callers record (RecordProvenance, AddMarked).
 class IInterpretation {
  public:
   /// `base` must outlive this interpretation.
@@ -91,28 +90,31 @@ class IInterpretation {
     return base_->Contains(atom);
   }
 
-  /// Adds `±atom` and records `by` as one of its derivations. Returns true
-  /// if the marked atom is new. Does NOT check consistency — the caller
-  /// (the Δ operator) decides whether a would-be-inconsistent Γ result is
-  /// ever applied.
+  /// Marks `±atom` unless already marked, and returns the stored tuple
+  /// (stable until ClearMarks) and whether the mark is new. Records no
+  /// provenance and does NOT check consistency — the caller (the Δ
+  /// operator) decides whether a would-be-inconsistent Γ result is ever
+  /// applied. A new mark probes the opposite store so that IsConsistent()
+  /// stays exact, unless `can_clash` is false: the caller then vouches
+  /// that `∓atom` is never marked (its predicate lies outside the run's
+  /// clash scope, DerivationScope).
+  std::pair<const Tuple*, bool> Mark(ActionKind action, AtomView atom,
+                                     bool can_clash = true);
+
+  /// Records `by` as one of the groundings that derived `±atom`, once.
+  void RecordProvenance(ActionKind action, AtomView atom, GroundingView by);
+
+  /// Mark plus RecordProvenance. Returns true if the marked atom is new.
   bool AddMarked(ActionKind action, const GroundAtom& atom,
                  const RuleGrounding& by);
 
-  /// All groundings that ever derived `±atom` since the last ClearMarks,
-  /// or null. Null as well when the atom's predicate is outside the
-  /// provenance scope: during a ParkStepper run, provenance is present for
-  /// the predicates with heads of both signs in P_U (the only ones a
+  /// All groundings recorded as deriving `±atom` since the last
+  /// ClearMarks, or null. During a ParkStepper run, provenance is present
+  /// for the predicates with heads of both signs in P_U (the only ones a
   /// conflict can be built for, docs/SEMANTICS.md "Conflicts"), and for
   /// all predicates under ParkOptions::record_provenance.
   const std::vector<RuleGrounding>* Provenance(ActionKind action,
                                                const GroundAtom& atom) const;
-
-  /// Records provenance from now on only for the predicates in `scope`
-  /// (an empty scope records none). Without a call, every predicate's is
-  /// recorded. ClearMarks keeps the scope.
-  void ScopeProvenance(std::unordered_set<PredicateId> scope) {
-    provenance_scope_ = std::move(scope);
-  }
 
   /// Discards all marked atoms and provenance: I becomes I° again.
   void ClearMarks();
@@ -150,15 +152,13 @@ class IInterpretation {
  private:
   using ProvenanceMap =
       std::unordered_map<GroundAtom, std::vector<RuleGrounding>,
-                         GroundAtomHash>;
+                         GroundAtomHash, GroundAtomEq>;
 
   const Database* base_;
   Database plus_;
   Database minus_;
   ProvenanceMap plus_provenance_;
   ProvenanceMap minus_provenance_;
-  // The predicates whose provenance AddMarked records; nullopt: all.
-  std::optional<std::unordered_set<PredicateId>> provenance_scope_;
   // Number of atoms currently marked both ways.
   size_t inconsistent_count_ = 0;
 };

@@ -249,14 +249,14 @@ MatchScratch& ThreadScratch() {
 /// (another predicate, or a constant / repeated variable disagrees). An
 /// unseeded plan binds nothing.
 bool BindSeed(const CompiledPlan& plan, const Rule& rule,
-              const GroundAtom* seed, std::vector<Value>& binding) {
+              const AtomView* seed, std::vector<Value>& binding) {
   if (plan.seed_index < 0) return true;
   const AtomPattern& pattern =
       rule.body()[static_cast<size_t>(plan.seed_index)].atom;
-  if (pattern.predicate != seed->predicate()) return false;
+  if (pattern.predicate != seed->predicate) return false;
   for (size_t i = 0; i < plan.seed_slots.size(); ++i) {
     const CompiledStep::Slot& slot = plan.seed_slots[i];
-    const Value& value = seed->args()[static_cast<int>(i)];
+    const Value& value = seed->args[i];
     switch (slot.kind) {
       case CompiledStep::Slot::Kind::kConst:
         if (slot.constant != value) return false;
@@ -279,8 +279,9 @@ bool BindSeed(const CompiledPlan& plan, const Rule& rule,
 /// fires, so a deadline interrupts even one giant stream within a bounded
 /// number of tuples.
 size_t RunPlan(const CompiledPlan& plan, const Rule& rule,
-               const IInterpretation& interp, const GroundAtom* seed_atom,
-               CandidateSlice slice, FunctionRef<void(const Tuple&)> fn,
+               const IInterpretation& interp, const AtomView* seed_atom,
+               CandidateSlice slice,
+               FunctionRef<void(std::span<const Value>)> fn,
                CancellationToken* cancel) {
   MatchScratch* scratch_ptr = &ThreadScratch();
   std::unique_ptr<MatchScratch> fallback;
@@ -301,9 +302,7 @@ size_t RunPlan(const CompiledPlan& plan, const Rule& rule,
   if (!BindSeed(plan, rule, seed_atom, scratch.binding)) return 0;
 
   auto emit = [&]() {
-    Tuple result;
-    for (size_t i = 0; i < nvars; ++i) result.Append(scratch.binding[i]);
-    fn(result);
+    fn(std::span<const Value>(scratch.binding.data(), nvars));
   };
 
   const size_t nsteps = plan.steps.size();
@@ -592,8 +591,8 @@ BatchScratch& ThreadBatchScratch() {
 /// unfrozen relations compact lazily inside Relation::Columnar().
 size_t RunPlanBatch(const CompiledPlan& plan, const Rule& rule,
                     const IInterpretation& interp,
-                    const GroundAtom* seed_atom, CandidateSlice slice,
-                    FunctionRef<void(const Tuple&)> fn,
+                    const AtomView* seed_atom, CandidateSlice slice,
+                    FunctionRef<void(std::span<const Value>)> fn,
                     CancellationToken* cancel, ExecStats* exec_stats) {
   BatchScratch* scratch_ptr = &ThreadBatchScratch();
   std::unique_ptr<BatchScratch> fallback;
@@ -615,9 +614,7 @@ size_t RunPlanBatch(const CompiledPlan& plan, const Rule& rule,
   if (!BindSeed(plan, rule, seed_atom, scratch.cur)) return 0;
 
   if (plan.steps.empty()) {
-    Tuple result;
-    for (size_t v = 0; v < nvars; ++v) result.Append(scratch.cur[v]);
-    fn(result);
+    fn(std::span<const Value>(scratch.cur.data(), nvars));
     return 0;
   }
 
@@ -956,10 +953,7 @@ size_t RunPlanBatch(const CompiledPlan& plan, const Rule& rule,
     }
     if (interrupted) break;
     for (size_t r = 0; r < src_rows && !poll(); ++r) {
-      Tuple result;
-      const Value* brow = src + r * nvars;
-      for (size_t v = 0; v < nvars; ++v) result.Append(brow[v]);
-      fn(result);
+      fn(std::span<const Value>(src + r * nvars, nvars));
     }
   }
 
@@ -1200,9 +1194,9 @@ CompiledPlan CompilePlan(const Rule& rule, int seed_index,
 }
 
 size_t ExecutePlan(const CompiledPlan& plan, const Rule& rule,
-                   const IInterpretation& interp, const GroundAtom* seed,
+                   const IInterpretation& interp, const AtomView* seed,
                    CandidateSlice slice,
-                   FunctionRef<void(const Tuple& binding)> fn,
+                   FunctionRef<void(std::span<const Value> binding)> fn,
                    CancellationToken* cancel, ExecMode exec,
                    ExecStats* exec_stats) {
   PARK_CHECK_EQ(plan.seed_index >= 0, seed != nullptr)
@@ -1216,7 +1210,7 @@ size_t ExecutePlan(const CompiledPlan& plan, const Rule& rule,
 
 size_t CountPlanCandidates(const CompiledPlan& plan, const Rule& rule,
                            const IInterpretation& interp,
-                           const GroundAtom* seed, ExecMode exec) {
+                           const AtomView* seed, ExecMode exec) {
   PARK_CHECK_EQ(plan.seed_index >= 0, seed != nullptr)
       << "seed atom and plan.seed_index disagree";
   if (plan.steps.empty() || plan.steps[0].filter) return 0;

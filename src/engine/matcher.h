@@ -33,6 +33,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -196,7 +197,9 @@ CompiledPlan CompilePlan(const Rule& rule, int seed_index,
                          const IInterpretation& interp);
 
 /// Executes `plan` over `interp`, restricted to first-generator-step
-/// candidates with ordinals in `slice`; `fn` is invoked once per match.
+/// candidates with ordinals in `slice`; `fn` is invoked once per match
+/// with the binding (indexed by variable), a view of the executor's
+/// scratch valid only during the call.
 /// Returns the number of step-0 candidates the slice claimed (pre-dedup;
 /// the planner's actual-rows counter — slice counts of a partition sum to
 /// the full stream count). `rule` must be the rule the plan was compiled
@@ -222,9 +225,9 @@ CompiledPlan CompilePlan(const Rule& rule, int seed_index,
 /// slice's ordinals resolve by range arithmetic (no per-tuple claiming),
 /// and `exec_stats` (optional) accumulates the batch row counters.
 size_t ExecutePlan(const CompiledPlan& plan, const Rule& rule,
-                   const IInterpretation& interp, const GroundAtom* seed,
+                   const IInterpretation& interp, const AtomView* seed,
                    CandidateSlice slice,
-                   FunctionRef<void(const Tuple& binding)> fn,
+                   FunctionRef<void(std::span<const Value> binding)> fn,
                    CancellationToken* cancel = nullptr,
                    ExecMode exec = ExecMode::kTuple,
                    ExecStats* exec_stats = nullptr);
@@ -237,7 +240,7 @@ size_t ExecutePlan(const CompiledPlan& plan, const Rule& rule,
 /// of the columnar segments — O(log rows) arithmetic, no scan.
 size_t CountPlanCandidates(const CompiledPlan& plan, const Rule& rule,
                            const IInterpretation& interp,
-                           const GroundAtom* seed,
+                           const AtomView* seed,
                            ExecMode exec = ExecMode::kTuple);
 
 /// The column indexes that evaluating a program's bodies can probe, per

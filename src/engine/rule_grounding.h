@@ -5,6 +5,8 @@
 #ifndef PARK_ENGINE_RULE_GROUNDING_H_
 #define PARK_ENGINE_RULE_GROUNDING_H_
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <unordered_set>
 
@@ -48,12 +50,42 @@ class RuleGrounding {
   Tuple binding_;
 };
 
+/// A borrowed grounding: a rule index and a binding stored elsewhere (the
+/// matcher's scratch). Probes a BlockedSet without building a
+/// RuleGrounding.
+struct GroundingView {
+  int rule_index;
+  std::span<const Value> binding;
+
+  size_t Hash() const {
+    return HashCombine(static_cast<size_t>(rule_index),
+                       HashValues(binding.data(), binding.size()));
+  }
+};
+
 struct RuleGroundingHash {
+  using is_transparent = void;
   size_t operator()(const RuleGrounding& g) const { return g.Hash(); }
+  size_t operator()(const GroundingView& g) const { return g.Hash(); }
+};
+
+struct RuleGroundingEq {
+  using is_transparent = void;
+  bool operator()(const RuleGrounding& a, const RuleGrounding& b) const {
+    return a == b;
+  }
+  bool operator()(const GroundingView& a, const RuleGrounding& b) const {
+    return a.rule_index == b.rule_index() &&
+           std::ranges::equal(a.binding, b.binding().span());
+  }
+  bool operator()(const RuleGrounding& a, const GroundingView& b) const {
+    return (*this)(b, a);
+  }
 };
 
 /// The `B` of a bi-structure ⟨B, I⟩: rule instances barred from firing.
-using BlockedSet = std::unordered_set<RuleGrounding, RuleGroundingHash>;
+using BlockedSet =
+    std::unordered_set<RuleGrounding, RuleGroundingHash, RuleGroundingEq>;
 
 }  // namespace park
 

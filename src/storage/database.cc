@@ -27,6 +27,14 @@ bool Database::Insert(const GroundAtom& atom) {
   return added;
 }
 
+std::pair<const Tuple*, bool> Database::Emplace(AtomView atom) {
+  Relation& rel = GetOrCreateRelation(atom.predicate,
+                                      static_cast<int>(atom.args.size()));
+  auto stored = rel.Emplace(atom.args);
+  if (stored.second) ++total_atoms_;
+  return stored;
+}
+
 bool Database::InsertAtom(std::string_view predicate,
                           const std::vector<std::string>& args) {
   PredicateId pred = symbols_->InternPredicate(

@@ -40,6 +40,11 @@ class Database {
   /// Inserts `atom`; returns true if it was not already present.
   bool Insert(const GroundAtom& atom);
 
+  /// Inserts `atom` unless present, and returns the stored tuple and
+  /// whether it was new (Relation::Emplace): a present atom costs one
+  /// probe and no allocation.
+  std::pair<const Tuple*, bool> Emplace(AtomView atom);
+
   /// Convenience: interns `predicate` (with arity = args.size()) and the
   /// symbol constants in `args`, then inserts. Example:
   ///   db.InsertAtom("edge", {"a", "b"});
@@ -63,6 +68,9 @@ class Database {
   /// as Contains(GroundAtom(...)) without materializing the atom — the
   /// executors' per-candidate dedup and filter checks go through here.
   bool Contains(PredicateId predicate, const Value* args, size_t n) const;
+  bool Contains(AtomView atom) const {
+    return Contains(atom.predicate, atom.args.data(), atom.args.size());
+  }
 
   /// Number of atoms across all predicates.
   size_t size() const { return total_atoms_; }

@@ -20,15 +20,29 @@ bool Relation::Insert(const Tuple& t) {
   PARK_CHECK(!frozen_) << "Insert on a frozen relation";
   auto [it, inserted] = tuples_.insert(t);
   if (!inserted) return false;
-  stats_.OnInsert(t);
-  const Tuple* stored = &*it;
+  OnStored(&*it);
+  return true;
+}
+
+std::pair<const Tuple*, bool> Relation::Emplace(std::span<const Value> args) {
+  PARK_CHECK_EQ(static_cast<int>(args.size()), arity_)
+      << "arity mismatch on insert";
+  PARK_CHECK(!frozen_) << "Insert on a frozen relation";
+  auto found = tuples_.find(TupleSpan{args.data(), args.size()});
+  if (found != tuples_.end()) return {&*found, false};
+  const Tuple* stored = &*tuples_.emplace(args).first;
+  OnStored(stored);
+  return {stored, true};
+}
+
+void Relation::OnStored(const Tuple* stored) {
+  stats_.OnInsert(*stored);
   for (int c = 0; c < static_cast<int>(indexes_.size()); ++c) {
     if (indexes_[static_cast<size_t>(c)].has_value()) {
       indexes_[static_cast<size_t>(c)]->emplace((*stored)[c], stored);
     }
   }
   if (segment_ != nullptr) delta_adds_.push_back(stored);
-  return true;
 }
 
 bool Relation::Erase(const Tuple& t) {
@@ -134,9 +148,19 @@ void Relation::ForEachMatching(const TuplePattern& pattern,
   bool all_bound = true;
   for (const auto& slot : pattern) all_bound = all_bound && slot.has_value();
   if (all_bound) {
-    Tuple probe;
-    for (const auto& slot : pattern) probe.Append(*slot);
-    if (tuples_.contains(probe)) fn(probe);
+    // Probe by span through a stack row (heap only past kInlineArity)
+    // and hand `fn` the stored tuple.
+    constexpr int kInlineArity = 8;
+    Value inline_row[kInlineArity];
+    std::vector<Value> heap_row;
+    Value* row = inline_row;
+    if (arity_ > kInlineArity) {
+      heap_row.resize(static_cast<size_t>(arity_));
+      row = heap_row.data();
+    }
+    for (int c = 0; c < arity_; ++c) row[c] = *pattern[static_cast<size_t>(c)];
+    auto it = tuples_.find(TupleSpan{row, static_cast<size_t>(arity_)});
+    if (it != tuples_.end()) fn(*it);
     return;
   }
   EnsureIndex(bound_column);

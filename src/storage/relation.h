@@ -58,6 +58,12 @@ class Relation {
   /// `t.arity()` must equal the relation arity. Must not be frozen.
   bool Insert(const Tuple& t);
 
+  /// Inserts the row `args` unless present, and returns the stored tuple
+  /// and whether it was new. A present row costs one probe and no
+  /// allocation; an absent one is hashed again on insertion. Same
+  /// preconditions as Insert.
+  std::pair<const Tuple*, bool> Emplace(std::span<const Value> args);
+
   /// Removes `t`; returns true if it was present. Must not be frozen.
   bool Erase(const Tuple& t);
 
@@ -184,6 +190,9 @@ class Relation {
   // into `tuples_` (node-based, so stable until erase).
   using ColumnIndex = std::unordered_multimap<Value, const Tuple*, ValueHash>;
 
+  /// The bookkeeping of a newly stored tuple: stats, built indexes, the
+  /// columnar delta.
+  void OnStored(const Tuple* stored);
   void EnsureIndex(int column) const;
   void CompactColumnarImpl() const;
   static bool Matches(const Tuple& t, const TuplePattern& pattern);

@@ -13,10 +13,4 @@ std::string Tuple::ToString(const SymbolTable& table) const {
   return out;
 }
 
-size_t Tuple::Hash() const {
-  size_t seed = 0x51ed270b;
-  for (const Value& v : values_) seed = HashCombine(seed, v.Hash());
-  return seed;
-}
-
 }  // namespace park

@@ -4,12 +4,22 @@
 #define PARK_STORAGE_TUPLE_H_
 
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "storage/value.h"
 
 namespace park {
+
+/// The hash of the row `values[0..n)`: Tuple::Hash and every borrowed
+/// view of a row (TupleSpan, AtomView) hash through here, so a view
+/// probes a set of Tuples.
+inline size_t HashValues(const Value* values, size_t n) {
+  size_t seed = 0x51ed270b;
+  for (size_t i = 0; i < n; ++i) seed = HashCombine(seed, values[i].Hash());
+  return seed;
+}
 
 /// A fixed-arity row. Tuples are value types: copyable, hashable,
 /// lexicographically ordered.
@@ -18,6 +28,8 @@ class Tuple {
   Tuple() = default;
   explicit Tuple(std::vector<Value> values) : values_(std::move(values)) {}
   Tuple(std::initializer_list<Value> values) : values_(values) {}
+  explicit Tuple(std::span<const Value> values)
+      : values_(values.begin(), values.end()) {}
 
   int arity() const { return static_cast<int>(values_.size()); }
   bool empty() const { return values_.empty(); }
@@ -26,13 +38,14 @@ class Tuple {
   Value& operator[](int i) { return values_[static_cast<size_t>(i)]; }
 
   const std::vector<Value>& values() const { return values_; }
+  std::span<const Value> span() const { return values_; }
 
   void Append(Value v) { values_.push_back(v); }
 
   /// "(v1, v2, ...)" — or "" for the 0-ary tuple.
   std::string ToString(const SymbolTable& table) const;
 
-  size_t Hash() const;
+  size_t Hash() const { return HashValues(values_.data(), values_.size()); }
 
   friend bool operator==(const Tuple& a, const Tuple& b) {
     return a.values_ == b.values_;
@@ -59,12 +72,7 @@ struct TupleHash {
   using is_transparent = void;
   size_t operator()(const Tuple& t) const { return t.Hash(); }
   size_t operator()(const TupleSpan& s) const {
-    // Must match Tuple::Hash exactly (same seed, same combine).
-    size_t seed = 0x51ed270b;
-    for (size_t i = 0; i < s.size; ++i) {
-      seed = HashCombine(seed, s.data[i].Hash());
-    }
-    return seed;
+    return HashValues(s.data, s.size);
   }
 };
 

@@ -4,6 +4,7 @@
 // memory budgets, and derivation budgets. The fault-free oracle sweeps in
 // parallel_oracle_test.cc guarantee ungoverned runs are unaffected.
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -198,6 +199,40 @@ TEST(ParkCancellationTest, MemoryBudgetFires) {
         << "threads=" << threads;
     EXPECT_NE(result.status().ToString().find("max_memory_bytes"),
               std::string::npos);
+  }
+}
+
+/// The largest Γ section's derivation count.
+class LargestSection : public RunObserver {
+ public:
+  void OnGammaSection(const GammaSectionInfo& info) override {
+    derivations = std::max(derivations, info.derivations);
+  }
+  size_t derivations = 0;
+};
+
+TEST(ParkCancellationTest, MemoryBudgetChargesTheDerivationValues) {
+  // One section of 12^3 derivations with 8-ary heads: its head values
+  // alone take derivations x 8 x sizeof(Value) bytes, which the budget
+  // must see whatever the thread count.
+  auto symbols = MakeSymbolTable();
+  Program program = MustParseProgram(
+      "e(X), e(Y), e(Z) -> +w(X, Y, Z, X, Y, Z, X, Y).", symbols);
+  std::string facts;
+  for (int i = 0; i < 12; ++i) facts += "e(v" + std::to_string(i) + "). ";
+  Database db = MustParseDatabase(facts, symbols);
+  for (int threads : {1, 4}) {
+    LargestSection largest;
+    ParkOptions options;
+    options.num_threads = threads;
+    options.max_memory_bytes = 1ull << 32;
+    options.observer = &largest;
+    auto result = Park(program, db, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(largest.derivations, 12u * 12u * 12u);
+    EXPECT_GE(result->stats.peak_memory_bytes,
+              largest.derivations * 8 * sizeof(Value))
+        << "threads=" << threads;
   }
 }
 

@@ -36,7 +36,7 @@ TEST_F(ConsequenceTest, DerivationsFromValidBodies) {
   GammaResult gamma = FreshGamma(program, blocked, interp);
   EXPECT_TRUE(gamma.consistent);
   EXPECT_EQ(gamma.derivations.size(), 2u);  // q not valid yet
-  EXPECT_EQ(gamma.newly_marked, 2u);
+  EXPECT_EQ(CountNewMarks(gamma.derivations, interp), 2u);
 }
 
 TEST_F(ConsequenceTest, BlockedInstancesDoNotFire) {
@@ -46,7 +46,7 @@ TEST_F(ConsequenceTest, BlockedInstancesDoNotFire) {
   BlockedSet blocked{RuleGrounding(0, Tuple{})};
   GammaResult gamma = FreshGamma(program, blocked, interp);
   EXPECT_TRUE(gamma.derivations.empty());
-  EXPECT_EQ(gamma.newly_marked, 0u);
+  EXPECT_EQ(CountNewMarks(gamma.derivations, interp), 0u);
 }
 
 TEST_F(ConsequenceTest, InconsistencyWithinOneStep) {
@@ -79,7 +79,7 @@ TEST_F(ConsequenceTest, RederivationIsNotNew) {
   ApplyDerivations(first.derivations, interp);
   GammaResult second = FreshGamma(program, {}, interp);
   EXPECT_EQ(second.derivations.size(), 1u);  // still fires
-  EXPECT_EQ(second.newly_marked, 0u);        // but derives nothing new
+  EXPECT_EQ(CountNewMarks(second.derivations, interp), 0u);  // nothing new
 }
 
 TEST_F(ConsequenceTest, ApplyDerivationsCountsNewMarks) {
@@ -88,7 +88,7 @@ TEST_F(ConsequenceTest, ApplyDerivationsCountsNewMarks) {
   IInterpretation interp(&db);
   GammaResult gamma = FreshGamma(program, {}, interp);
   EXPECT_EQ(gamma.derivations.size(), 2u);
-  EXPECT_EQ(gamma.newly_marked, 1u);
+  EXPECT_EQ(CountNewMarks(gamma.derivations, interp), 1u);
   EXPECT_EQ(ApplyDerivations(gamma.derivations, interp), 1u);
   // Provenance keeps both groundings.
   const auto* prov = interp.Provenance(
@@ -103,10 +103,11 @@ TEST_F(ConsequenceTest, FirstOrderGroundingsCarryBindings) {
   IInterpretation interp(&db);
   GammaResult gamma = FreshGamma(program, {}, interp);
   ASSERT_EQ(gamma.derivations.size(), 2u);
-  for (const Derivation& d : gamma.derivations) {
-    EXPECT_EQ(d.grounding.rule_index(), 0);
-    EXPECT_EQ(d.grounding.binding().arity(), 1);
-    EXPECT_EQ(d.atom.args()[0], d.grounding.binding()[0]);
+  for (const Derivations::Record& r : gamma.derivations) {
+    const GroundingView grounding = gamma.derivations.grounding(r);
+    EXPECT_EQ(grounding.rule_index, 0);
+    ASSERT_EQ(grounding.binding.size(), 1u);
+    EXPECT_EQ(gamma.derivations.atom(r).args[0], grounding.binding[0]);
   }
 }
 
@@ -118,7 +119,9 @@ TEST_F(ConsequenceTest, BlockingOneGroundingKeepsOthers) {
   BlockedSet blocked{RuleGrounding(0, Tuple{Value::Symbol(a)})};
   GammaResult gamma = FreshGamma(program, blocked, interp);
   ASSERT_EQ(gamma.derivations.size(), 1u);
-  EXPECT_EQ(gamma.derivations[0].atom.ToString(*symbols_), "q(b)");
+  EXPECT_EQ(GroundAtom(gamma.derivations.atom(gamma.derivations[0]))
+                .ToString(*symbols_),
+            "q(b)");
 }
 
 TEST_F(ConsequenceTest, ClashingAtomsSortedAndUnique) {

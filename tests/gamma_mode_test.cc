@@ -77,31 +77,49 @@ TEST(GammaModeTest, SemiNaiveSkipsRulesOnClosure) {
 // +event and -event literals over changed predicates; `p3` has no base
 // facts, so after the seed step its groups' pre-Δ stores lie inside Δ.
 
-std::vector<Derivation> ReferenceSeededGamma(const Program& program,
-                                             const BlockedSet& blocked,
-                                             const IInterpretation& interp,
-                                             const DeltaAtoms& delta,
-                                             PlanCache& plans, ExecMode exec) {
-  std::vector<Derivation> out;
+/// One firing, materialized: the grounding, its head action and atom.
+struct Firing {
+  RuleGrounding grounding;
+  ActionKind action;
+  GroundAtom atom;
+};
+
+/// The firings of a Γ section, materialized in order.
+std::vector<Firing> Firings(const Derivations& derivations) {
+  std::vector<Firing> out;
+  for (const Derivations::Record& r : derivations) {
+    const GroundingView g = derivations.grounding(r);
+    out.push_back(Firing{RuleGrounding(g.rule_index, Tuple(g.binding)),
+                         r.action, GroundAtom(derivations.atom(r))});
+  }
+  return out;
+}
+
+std::vector<Firing> ReferenceSeededGamma(const Program& program,
+                                         const BlockedSet& blocked,
+                                         const IInterpretation& interp,
+                                         const DeltaAtoms& delta,
+                                         PlanCache& plans, ExecMode exec) {
+  std::vector<Firing> out;
   std::unordered_set<RuleGrounding, RuleGroundingHash> seen;
   for (const Rule& rule : program.rules()) {
     for (size_t i = 0; i < rule.body().size(); ++i) {
       const BodyLiteral& lit = rule.body()[i];
       const bool plus_class = lit.kind == LiteralKind::kPositive ||
                               lit.kind == LiteralKind::kEventInsert;
-      for (const GroundAtom& atom : plus_class ? delta.plus : delta.minus) {
-        if (atom.predicate() != lit.atom.predicate) continue;
+      for (const AtomView& atom : plus_class ? delta.plus : delta.minus) {
+        if (atom.predicate != lit.atom.predicate) continue;
         const CompiledPlan& plan =
             plans.Get(rule, static_cast<int>(i), interp);
         ExecutePlan(
             plan, rule, interp, &atom, CandidateSlice{},
-            [&](const Tuple& binding) {
-              RuleGrounding grounding(rule.index(), binding);
+            [&](std::span<const Value> binding) {
+              RuleGrounding grounding(rule.index(), Tuple(binding));
               if (blocked.contains(grounding)) return;
               if (!seen.insert(grounding).second) return;
-              out.push_back(Derivation{
+              out.push_back(Firing{
                   grounding, rule.head().action,
-                  rule.head().atom.Ground(binding.values())});
+                  rule.head().atom.Ground({binding.begin(), binding.end()})});
             },
             nullptr, exec);
       }
@@ -176,8 +194,9 @@ TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
   const SeededCase c = GetParam();
   std::optional<ParallelGamma> parallel;
   if (c.threads > 1) parallel.emplace(c.threads, /*min_slice_size=*/2);
-  auto expect_same = [](const std::vector<Derivation>& got,
-                        const std::vector<Derivation>& want) {
+  auto expect_same = [](const Derivations& derivations,
+                        const std::vector<Firing>& want) {
+    const std::vector<Firing> got = Firings(derivations);
     ASSERT_EQ(got.size(), want.size());
     for (size_t k = 0; k < want.size(); ++k) {
       EXPECT_EQ(got[k].grounding, want[k].grounding) << k;
@@ -215,9 +234,10 @@ TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
               roll < 0.25 ? ActionKind::kInsert : ActionKind::kDelete;
           GroundAtom atom(symbols->InternPredicate("p" + std::to_string(p), 2),
                           Tuple{Value::Int(x), Value::Int(y)});
-          if (interp.AddMarked(action, atom, RuleGrounding())) {
+          auto [stored, added] = interp.Mark(action, atom.view());
+          if (added) {
             (action == ActionKind::kInsert ? delta.plus : delta.minus)
-                .push_back(atom);
+                .push_back(AtomView{atom.predicate(), stored->span()});
           }
         }
       }
@@ -228,9 +248,10 @@ TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
     for (int step = 0; step < 4; ++step) {
       SCOPED_TRACE(StrFormat("step %d", step));
       // Block a random fifth of the currently firable instances.
-      for (const Derivation& d :
-           testing_util::FreshGamma(program, blocked, interp).derivations) {
-        if (rng.Bernoulli(0.2)) blocked.insert(d.grounding);
+      for (const Firing& f :
+           Firings(testing_util::FreshGamma(program, blocked, interp)
+                       .derivations)) {
+        if (rng.Bernoulli(0.2)) blocked.insert(f.grounding);
       }
       ExecStats exec_stats;
       // The unseeded section through a fresh cache, like FreshGamma: the
@@ -242,8 +263,9 @@ TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
           program, blocked, interp, initial, graph, fresh_plans,
           parallel ? &*parallel : nullptr, nullptr, c.exec, &exec_stats);
       expect_same(full.derivations,
-                  testing_util::FreshGamma(program, blocked, interp, c.exec)
-                      .derivations);
+                  Firings(testing_util::FreshGamma(program, blocked, interp,
+                                                   c.exec)
+                              .derivations));
       // One seeded section against the reference; returns its result and
       // counts the seeded units the fan-out split into slices.
       auto seeded_section = [&](const DeltaAtoms& d) {
@@ -255,7 +277,7 @@ TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
         if (parallel) {
           seeded_sliced_units += parallel->sliced_units() - sliced_before;
         }
-        std::vector<Derivation> want =
+        std::vector<Firing> want =
             ReferenceSeededGamma(program, blocked, interp, d, plans, c.exec);
         expect_same(got.derivations, want);
         return std::make_pair(std::move(got), want.size());
@@ -269,8 +291,8 @@ TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
       seeded_section(thin);
       auto [got, num_compared] = seeded_section(delta);
       compared += num_compared;
-      if (!got.consistent || got.newly_marked == 0) break;
-      ApplyDerivations(got.derivations, interp, &delta);
+      if (!got.consistent) break;
+      if (ApplyDerivations(got.derivations, interp, &delta) == 0) break;
     }
   }
   EXPECT_GT(compared, 500u);  // the sweep must exercise real completions

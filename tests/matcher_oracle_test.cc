@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "engine/matcher.h"
@@ -128,17 +129,20 @@ std::vector<std::string> ExecuteSliced(const CompiledPlan& plan,
                                        const IInterpretation& interp,
                                        const GroundAtom* seed, ExecMode exec,
                                        const SymbolTable& symbols, Rng& rng) {
+  std::optional<AtomView> view;
+  if (seed != nullptr) view = seed->view();
+  const AtomView* seed_view = view ? &*view : nullptr;
   auto run = [&](CandidateSlice slice) {
     std::vector<std::string> out;
-    auto emit = [&](const Tuple& binding) {
-      out.push_back(BindingKey(binding.values(), symbols));
+    auto emit = [&](std::span<const Value> binding) {
+      out.push_back(BindingKey({binding.begin(), binding.end()}, symbols));
     };
-    ExecutePlan(plan, rule, interp, seed, slice, emit, nullptr, exec);
+    ExecutePlan(plan, rule, interp, seed_view, slice, emit, nullptr, exec);
     return out;
   };
   std::vector<std::string> whole = run(CandidateSlice{});
   const size_t candidates =
-      CountPlanCandidates(plan, rule, interp, seed, exec);
+      CountPlanCandidates(plan, rule, interp, seed_view, exec);
   // 0 means unsliceable (or an empty stream): callers run it unsliced.
   if (candidates == 0) return whole;
   const size_t parts = 2 + rng.Uniform(3);

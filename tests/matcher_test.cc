@@ -10,11 +10,13 @@
 namespace park {
 namespace {
 
-/// Enumerates `rule`'s matches through its compiled plan.
+/// Enumerates `rule`'s matches through its compiled plan, each binding
+/// copied into a Tuple.
 void ForEachMatch(const Rule& rule, const IInterpretation& interp,
                   CandidateSlice slice, FunctionRef<void(const Tuple&)> fn) {
   ExecutePlan(CompilePlan(rule, /*seed_index=*/-1, interp), rule, interp,
-              /*seed=*/nullptr, slice, fn);
+              /*seed=*/nullptr, slice,
+              [&](std::span<const Value> binding) { fn(Tuple(binding)); });
 }
 
 /// Seeded enumeration through the rule's seeded plan.
@@ -22,8 +24,10 @@ void ForEachSeededMatch(const Rule& rule, const IInterpretation& interp,
                         int seed_index, const GroundAtom& seed,
                         CandidateSlice slice,
                         FunctionRef<void(const Tuple&)> fn) {
-  ExecutePlan(CompilePlan(rule, seed_index, interp), rule, interp, &seed,
-              slice, fn);
+  const AtomView view = seed.view();
+  ExecutePlan(CompilePlan(rule, seed_index, interp), rule, interp, &view,
+              slice,
+              [&](std::span<const Value> binding) { fn(Tuple(binding)); });
 }
 
 /// The planned literal order of `rule` over `interp`'s statistics.
@@ -44,8 +48,9 @@ size_t CountCandidates(const Rule& rule, const IInterpretation& interp) {
 
 size_t CountSeededCandidates(const Rule& rule, const IInterpretation& interp,
                              int seed_index, const GroundAtom& seed) {
+  const AtomView view = seed.view();
   return CountPlanCandidates(CompilePlan(rule, seed_index, interp), rule,
-                             interp, &seed);
+                             interp, &view);
 }
 
 class MatcherTest : public ::testing::Test {

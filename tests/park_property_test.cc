@@ -152,9 +152,8 @@ class DeltaHarness {
   bool Step() {
     GammaResult gamma = FreshGamma(program_, blocked_, interp_);
     if (gamma.consistent) {
-      if (gamma.newly_marked == 0) return false;
-      ApplyDerivations(gamma.derivations, interp_);
-      return true;
+      // No new mark: the fixpoint, and the section left I as it was.
+      return ApplyDerivations(gamma.derivations, interp_) > 0;
     }
     std::vector<Conflict> conflicts = BuildConflicts(gamma, interp_);
     PolicyContext context{db_, program_, interp_, 0};

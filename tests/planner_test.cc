@@ -43,12 +43,12 @@ class PlannerTest : public ::testing::Test {
                                        const IInterpretation& interp) {
     std::vector<std::string> out;
     ExecutePlan(plan, rule, interp, /*seed=*/nullptr, CandidateSlice{},
-                [&](const Tuple& binding) {
+                [&](std::span<const Value> binding) {
                   std::string s;
-                  for (int i = 0; i < binding.arity(); ++i) {
+                  for (size_t i = 0; i < binding.size(); ++i) {
                     if (i > 0) s += ",";
-                    s += rule.variable_names()[static_cast<size_t>(i)] +
-                         "=" + binding[i].ToString(*symbols_);
+                    s += rule.variable_names()[i] + "=" +
+                         binding[i].ToString(*symbols_);
                   }
                   out.push_back(s);
                 });

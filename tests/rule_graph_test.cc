@@ -107,8 +107,8 @@ TEST(RuleGraphTest, SemiNaiveScheduleIsTheSeededSet) {
       DeltaAtoms delta;
       delta.initial = false;
       for (const GroundAtom& atom : atoms) {
-        if (rng.Bernoulli(0.2)) delta.plus.push_back(atom);
-        if (rng.Bernoulli(0.2)) delta.minus.push_back(atom);
+        if (rng.Bernoulli(0.2)) delta.plus.push_back(atom.view());
+        if (rng.Bernoulli(0.2)) delta.minus.push_back(atom.view());
       }
       std::vector<int> seeded;
       for (const Rule& rule : program.rules()) {
@@ -116,19 +116,19 @@ TEST(RuleGraphTest, SemiNaiveScheduleIsTheSeededSet) {
         for (const BodyLiteral& lit : rule.body()) {
           const bool plus_side = lit.kind == LiteralKind::kPositive ||
                                  lit.kind == LiteralKind::kEventInsert;
-          for (const GroundAtom& atom : plus_side ? delta.plus : delta.minus) {
-            if (atom.predicate() == lit.atom.predicate) has_seed = true;
+          for (const AtomView& atom : plus_side ? delta.plus : delta.minus) {
+            if (atom.predicate == lit.atom.predicate) has_seed = true;
           }
         }
         if (has_seed) seeded.push_back(rule.index());
       }
       DeltaState changed;
       changed.initial = false;
-      for (const GroundAtom& atom : delta.plus) {
-        changed.plus_changed.insert(atom.predicate());
+      for (const AtomView& atom : delta.plus) {
+        changed.plus_changed.insert(atom.predicate);
       }
-      for (const GroundAtom& atom : delta.minus) {
-        changed.minus_changed.insert(atom.predicate());
+      for (const AtomView& atom : delta.minus) {
+        changed.minus_changed.insert(atom.predicate);
       }
       EXPECT_EQ(graph.Schedule(changed), seeded);
     }

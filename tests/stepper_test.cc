@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <thread>
@@ -478,6 +479,96 @@ TEST(StepperTest, UpdateRulesWidenTheProvenanceScope) {
   EXPECT_EQ(seeded.interpretation().Provenance(ActionKind::kInsert,
                                                atom("edge(c, d)")),
             nullptr);
+}
+
+TEST(StepperTest, UpdatesWidenTheClashScope) {
+  // P inserts path only, so P alone puts path outside the clash scope;
+  // only the updates delete it. The clash on path(a, b) must still be
+  // found: through P_U with U = {-path(a, b)}, by a one-shot run and by a
+  // run over a warm state bound to P, and by the seeded closure of that
+  // state, whose seeds +edge(a, b) and -path(a, b) make tc1 derive
+  // +path(a, b) against the seeded -path(a, b).
+  auto symbols = MakeSymbolTable();
+  Program program = MustParseProgram(kClosureRules, symbols);
+  auto atom = [&](std::string_view text) {
+    return ParseGroundAtom(text, symbols).value();
+  };
+  Database db = MustParseDatabase("edge(a, b). edge(b, c).", symbols);
+  auto p_u = ProgramWithUpdates(
+      program, {Update{ActionKind::kDelete, atom("path(a, b)")}});
+  ASSERT_TRUE(p_u.ok());
+  ParkOptions options;
+  ParkStepper::WarmState state;
+  state.Bind(program, options);
+  ParkStepper one_shot(*p_u, db, options);
+  ParkStepper warm(*p_u, db, options, state);
+  for (ParkStepper* stepper : {&one_shot, &warm}) {
+    std::vector<std::string> clashes;
+    while (!stepper->done()) {
+      auto outcome = stepper->Step();
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      for (const Conflict& conflict : outcome->conflicts) {
+        clashes.push_back(conflict.atom.ToString(*symbols));
+      }
+    }
+    EXPECT_EQ(clashes, std::vector<std::string>{"path(a, b)"});
+  }
+
+  Database without_ab = MustParseDatabase("edge(b, c).", symbols);
+  const std::vector<Update> seeds = {
+      Update{ActionKind::kInsert, atom("edge(a, b)")},
+      Update{ActionKind::kDelete, atom("path(a, b)")}};
+  ParkStepper seeded(program, without_ab, options, state, &seeds);
+  const Status status = seeded.Run();
+  EXPECT_EQ(status.code(), StatusCode::kAborted) << status.ToString();
+}
+
+/// The last Γ section's counts.
+class LastSection : public RunObserver {
+ public:
+  void OnGammaSection(const GammaSectionInfo& info) override { last = info; }
+  GammaSectionInfo last;
+};
+
+TEST(StepperTest, FixpointSectionLeavesProvenanceAlone) {
+  // Over a 3-cycle the closure's last section re-derives marked paths
+  // (tc2 seeded by the self-loops the step before added) and adds no
+  // mark. It is the fixpoint's section and must leave I as it was, the
+  // provenance recorded under record_provenance included.
+  auto symbols = MakeSymbolTable();
+  Program program = MustParseProgram(kClosureRules, symbols);
+  Database db =
+      MustParseDatabase("edge(a, b). edge(b, c). edge(c, a).", symbols);
+  LastSection sections;
+  ParkOptions options;
+  options.record_provenance = true;
+  options.observer = &sections;
+  ParkStepper stepper(program, db, options);
+  auto provenance = [&] {
+    std::vector<std::string> out;
+    stepper.interpretation().plus().ForEach([&](const GroundAtom& atom) {
+      std::string line = atom.ToString(*symbols) + ":";
+      const auto* prov =
+          stepper.interpretation().Provenance(ActionKind::kInsert, atom);
+      if (prov != nullptr) {
+        for (const RuleGrounding& g : *prov) {
+          line += " " + g.ToString(program, *symbols);
+        }
+      }
+      out.push_back(std::move(line));
+    });
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  std::vector<std::string> before;
+  while (!stepper.done()) {
+    before = provenance();
+    ASSERT_TRUE(stepper.Step().ok());
+  }
+  EXPECT_GT(sections.last.derivations, 0u);
+  EXPECT_EQ(sections.last.newly_marked, 0u);
+  EXPECT_EQ(before.size(), 9u);
+  EXPECT_EQ(provenance(), before);
 }
 
 TEST(StepperTest, OneLoopErrors) {
