@@ -75,7 +75,6 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,16 +84,6 @@
 #include "park/park.h"
 
 namespace {
-
-park::Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return park::NotFoundError("cannot open file: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 park::Result<park::PolicyPtr> MakePolicy(const std::string& name) {
   if (name == "inertia") return park::MakeInertiaPolicy();
@@ -447,28 +436,18 @@ int main(int argc, char** argv) {
   }
   if (rules_path.empty() || facts_path.empty()) return Usage(argv[0]);
 
-  auto rules_text = ReadFile(rules_path);
-  if (!rules_text.ok()) {
-    std::fprintf(stderr, "%s\n", rules_text.status().ToString().c_str());
-    return 1;
-  }
-  auto facts_text = ReadFile(facts_path);
-  if (!facts_text.ok()) {
-    std::fprintf(stderr, "%s\n", facts_text.status().ToString().c_str());
-    return 1;
-  }
-
+  // A missing, unreadable or unparsable file (a directory included) is a
+  // bad input file; the status names the path.
   auto symbols = park::MakeSymbolTable();
-  auto program = park::ParseProgram(*rules_text, symbols);
+  auto program = park::ReadProgramFile(rules_path, symbols);
   if (!program.ok()) {
-    std::fprintf(stderr, "%s: %s\n", rules_path.c_str(),
+    std::fprintf(stderr, "--rules: %s\n",
                  program.status().ToString().c_str());
     return 1;
   }
-  auto db = park::ParseDatabase(*facts_text, symbols);
+  auto db = park::ReadDatabaseFile(facts_path, symbols);
   if (!db.ok()) {
-    std::fprintf(stderr, "%s: %s\n", facts_path.c_str(),
-                 db.status().ToString().c_str());
+    std::fprintf(stderr, "--facts: %s\n", db.status().ToString().c_str());
     return 1;
   }
 

@@ -140,9 +140,9 @@ struct ParkOptions {
 /// Validates an options bundle before use. Rejects (kInvalidArgument):
 /// negative num_threads, min_slice_size == 0, max_steps == 0, negative
 /// deadline_ms, negative io_max_retries, negative io_backoff_ms.
-/// ActiveDatabase::Configure and parkcli call this at the boundary; the
-/// commit path re-checks as a backstop against direct mutation through
-/// deprecated accessors.
+/// ActiveDatabase::Configure and parkcli call this at the boundary;
+/// Configure is the only way options reach an ActiveDatabase, so its
+/// commits never re-check.
 Status ValidateOptions(const ParkOptions& options);
 
 /// Wall-clock decomposition of one evaluation, collected only when

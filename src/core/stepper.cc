@@ -96,28 +96,19 @@ std::vector<std::string> RenderWithDerivations(
 
 void ParkStepper::WarmState::Bind(const Program& program,
                                   const ParkOptions& options) {
-  if (!graph_.has_value()) {
-    graph_.emplace(program);
-    for (const Rule& rule : program.rules()) {
-      const PredicateId pred = rule.head().atom.predicate;
-      if (pred >= head_signs_.size()) head_signs_.resize(pred + 1, 0);
-      head_signs_[pred] |= SignBit(rule.head().action);
-    }
+  if (bound()) return;
+  graph_.emplace(program);
+  for (const Rule& rule : program.rules()) {
+    const PredicateId pred = rule.head().atom.predicate;
+    if (pred >= head_signs_.size()) head_signs_.resize(pred + 1, 0);
+    head_signs_[pred] |= SignBit(rule.head().action);
   }
-  if (!plans_.has_value()) plans_.emplace(program);
+  plans_.emplace(program);
   const int threads = ResolveNumThreads(options.num_threads);
   if (threads > 1) {
-    if (parallel_ == nullptr || threads_ != threads ||
-        slice_ != options.min_slice_size) {
-      parallel_ =
-          std::make_unique<ParallelGamma>(threads, options.min_slice_size);
-      threads_ = threads;
-      slice_ = options.min_slice_size;
-    }
+    parallel_ =
+        std::make_unique<ParallelGamma>(threads, options.min_slice_size);
     parallel_->SetTiming(options.collect_timings);
-  } else {
-    parallel_.reset();
-    threads_ = 1;
   }
 }
 

@@ -57,12 +57,12 @@ class ParkStepper {
   /// across commits; a one-shot ParkStepper builds its own.
   class WarmState {
    public:
-    /// Builds the graph, the plan cache and the head signs over `program`
-    /// unless already built, and (re)builds the pool when the resolved
-    /// num_threads or min_slice_size differ from the pool's. The pool
-    /// follows options.collect_timings on every call, so a pool kept
-    /// across runs never keeps the timing setting of the run that built
-    /// it.
+    /// Builds the graph, the plan cache, the head signs and, when
+    /// options.num_threads resolves to > 1, the pool (with
+    /// options.collect_timings) over `program`, unless already built.
+    /// Build-once: a later call with other options changes nothing, so an
+    /// owner whose options change must Reset() first (as
+    /// ActiveDatabase::Configure does).
     void Bind(const Program& program, const ParkOptions& options);
 
     /// The derivation scope of a run of `program`, P or a P_U over the
@@ -99,8 +99,6 @@ class ParkStepper {
     // unique_ptr, not optional: ParallelGamma owns a thread pool and is
     // immovable, but the state must move with its ActiveDatabase.
     std::unique_ptr<ParallelGamma> parallel_;
-    int threads_ = 1;  // resolved
-    size_t slice_ = 0;
   };
 
   /// A one-shot run: builds and owns its evaluation state.

@@ -10,7 +10,7 @@ namespace park {
 
 namespace {
 
-// On-disk layout of a directory-mode database (see docs/DURABILITY.md).
+// On-disk layout of a durable database (see docs/DURABILITY.md).
 std::string SnapshotPath(const std::string& dir) {
   return dir + "/snapshot.facts";
 }
@@ -83,19 +83,6 @@ CommitResult ActiveDatabase::Stabilize() {
 
 CommitResult ActiveDatabase::CommitUpdates(const UpdateSet& updates,
                                            uint64_t txns) {
-  // Backstop for options installed around Configure() (direct writes via
-  // mutable_options()): an invalid bundle fails here, before any
-  // evaluation, instead of misbehaving mid-commit.
-  {
-    Status valid =
-        ValidateOptions(options_).WithContext("ActiveDatabase options");
-    if (!valid.ok()) {
-      CommitFailure failure;
-      failure.stage = CommitFailure::Stage::kValidate;
-      failure.cause = valid;
-      return CommitResult(valid, std::move(failure));
-    }
-  }
   ObserverHook observer(options_.observer);
   const int64_t commit_start_ns = MonotonicNanos();
   observer.Notify(
@@ -211,7 +198,7 @@ CommitResult ActiveDatabase::CommitUpdates(const UpdateSet& updates,
   return report;
 }
 
-// --- crash-safe durability (directory mode) ------------------------------
+// --- crash-safe durability ------------------------------------------------
 
 Result<uint64_t> ActiveDatabase::LoadSnapshotContents(
     const std::string& contents, const std::string& path_for_errors) {
@@ -251,11 +238,7 @@ Result<ActiveDatabase> ActiveDatabase::Open(const std::string& dir,
     Status status = db.LoadRules(params.rules);
     if (!status.ok()) return status.WithContext("installing rules");
   }
-  // Install the options bundle through the validated path; the legacy
-  // top-level policy field wins over options.policy when both are set.
-  if (params.policy != nullptr) {
-    params.options.policy = std::move(params.policy);
-  }
+  // Install the options bundle through the validated path.
   {
     Status configured = db.Configure(std::move(params.options));
     if (!configured.ok()) {
@@ -318,22 +301,30 @@ Result<ActiveDatabase> ActiveDatabase::Open(const std::string& dir,
     last_seq = record.seq;
   }
 
-  // 4. Attach the journal for new commits, numbering from where the
+  // 4. Open the journal for new commits, numbering from where the
   //    recovered history ends.
-  JournalOptions journal_options;
-  journal_options.env = env;
-  journal_options.sync_mode = params.sync_mode;
-  journal_options.first_seq = last_seq + 1;
-  journal_options.max_retries = db.options_.io_max_retries;
-  journal_options.backoff_ms = db.options_.io_backoff_ms;
-  PARK_ASSIGN_OR_RETURN(TransactionJournal journal,
-                        TransactionJournal::Open(journal_path,
-                                                 journal_options));
-  db.journal_.emplace(std::move(journal));
   db.dir_ = dir;
   db.env_ = env;
   db.sync_mode_ = params.sync_mode;
+  PARK_RETURN_IF_ERROR(db.OpenJournal(last_seq + 1));
   return db;
+}
+
+Status ActiveDatabase::OpenJournal(uint64_t first_seq) {
+  // The evaluation options own the retry policy (ParkOptions::
+  // io_max_retries / io_backoff_ms), so one Configure() governs the
+  // whole commit pipeline.
+  JournalOptions journal_options;
+  journal_options.env = env_;
+  journal_options.sync_mode = sync_mode_;
+  journal_options.first_seq = first_seq;
+  journal_options.max_retries = options_.io_max_retries;
+  journal_options.backoff_ms = options_.io_backoff_ms;
+  PARK_ASSIGN_OR_RETURN(
+      TransactionJournal journal,
+      TransactionJournal::Open(JournalPath(dir_), journal_options));
+  journal_.emplace(std::move(journal));
+  return Status::OK();
 }
 
 Status ActiveDatabase::Checkpoint() {
@@ -384,70 +375,13 @@ Status ActiveDatabase::Checkpoint() {
     PARK_LOG(kWarning) << "checkpoint: could not truncate journal "
                        << journal_path << ": " << removed.ToString();
   }
-  JournalOptions journal_options;
-  journal_options.env = env;
-  journal_options.sync_mode = sync_mode_;
-  journal_options.first_seq = seq + 1;
-  journal_options.max_retries = options_.io_max_retries;
-  journal_options.backoff_ms = options_.io_backoff_ms;
-  PARK_ASSIGN_OR_RETURN(
-      TransactionJournal journal,
-      TransactionJournal::Open(journal_path, journal_options));
-  journal_.emplace(std::move(journal));
+  PARK_RETURN_IF_ERROR(OpenJournal(seq + 1));
 
   // 4. Checkpoint complete; retire the marker.
   PARK_RETURN_IF_ERROR(env->RemoveFile(marker_path)
                            .WithContext("removing checkpoint marker"));
   ObserverHook observer(options_.observer);
   observer.Notify([&](RunObserver& o) { o.OnCheckpoint(seq); });
-  return Status::OK();
-}
-
-// --- durability (single-file mode) ---------------------------------------
-
-Status ActiveDatabase::AttachJournal(const std::string& path,
-                                     const JournalOptions& options) {
-  if (journal_.has_value()) {
-    return FailedPreconditionError("a journal is already attached");
-  }
-  // The evaluation options own the retry policy (ParkOptions::
-  // io_max_retries / io_backoff_ms), so one Configure() governs the
-  // whole commit pipeline.
-  JournalOptions journal_options = options;
-  journal_options.max_retries = options_.io_max_retries;
-  journal_options.backoff_ms = options_.io_backoff_ms;
-  PARK_ASSIGN_OR_RETURN(TransactionJournal journal,
-                        TransactionJournal::Open(path, journal_options));
-  journal_.emplace(std::move(journal));
-  return Status::OK();
-}
-
-Status ActiveDatabase::RecoverFromJournal(const std::string& path) {
-  if (journal_.has_value()) {
-    return FailedPreconditionError(
-        "recover before attaching the journal, not after");
-  }
-  PARK_ASSIGN_OR_RETURN(std::vector<UpdateSet> records,
-                        TransactionJournal::ReadAll(path, symbols()));
-  for (size_t i = 0; i < records.size(); ++i) {
-    auto report = CommitUpdates(records[i]);
-    if (!report.ok()) {
-      return report.status().WithContext(
-          "replaying journal record #" + std::to_string(i));
-    }
-  }
-  return Status::OK();
-}
-
-Status ActiveDatabase::SaveSnapshot(const std::string& path) const {
-  return WriteDatabaseFile(database_, path);
-}
-
-Status ActiveDatabase::LoadSnapshot(const std::string& path) {
-  PARK_ASSIGN_OR_RETURN(Database loaded,
-                        ReadDatabaseFile(path, symbols()));
-  Invalidate();
-  loaded.ForEach([this](const GroundAtom& atom) { database_.Insert(atom); });
   return Status::OK();
 }
 

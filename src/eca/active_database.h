@@ -58,9 +58,12 @@ class ActiveDatabase {
   // --- policy / options ---
 
   /// Installs a complete evaluation-options bundle after validating it
-  /// (ValidateOptions in core/park_evaluator.h). This is THE way to
-  /// configure an ActiveDatabase. On rejection the previous options
-  /// are left untouched and a kInvalidArgument status names the bad knob.
+  /// (ValidateOptions in core/park_evaluator.h). This is the only way to
+  /// change an ActiveDatabase's options. On rejection the previous
+  /// options are left untouched and a kInvalidArgument status names the
+  /// bad knob. Success drops the warm evaluation state (plan cache,
+  /// pool, incremental maintenance's INV); the next commit rebuilds it
+  /// under the new bundle.
   ///
   /// Two kinds of knobs live in ParkOptions (see docs/OBSERVABILITY.md):
   ///   - replay-stable: policy, block_granularity — these pin down WHICH
@@ -70,14 +73,7 @@ class ActiveDatabase {
   ///     collect_timings — performance/observability only; results are
   ///     bit-identical whatever they are set to.
   Status Configure(ParkOptions options);
-
-  /// DEPRECATED — prefer Configure().
-  void SetTraceLevel(TraceLevel level) { options_.trace_level = level; }
   const ParkOptions& options() const { return options_; }
-  /// DEPRECATED — prefer Configure(). Mutations made through this
-  /// reference bypass validation; CommitUpdates re-validates as a
-  /// backstop, so an invalid bundle fails at the next commit instead.
-  ParkOptions& mutable_options() { return options_; }
 
   // --- data ---
 
@@ -109,7 +105,7 @@ class ActiveDatabase {
   /// database to a rule-consistent state.
   CommitResult Stabilize();
 
-  // --- crash-safe durability (directory mode) ---
+  // --- crash-safe durability ---
 
   /// Configuration for Open. The rules and the replay-stable options
   /// (options.policy, options.block_granularity) must be the same on
@@ -121,18 +117,15 @@ class ActiveDatabase {
   struct OpenParams {
     /// Program text installed before recovery (may be empty).
     std::string rules;
-    /// DEPRECATED — prefer options.policy. When non-null this wins over
-    /// options.policy (old callers keep their behavior).
-    PolicyPtr policy;
     /// Symbol table to share; null creates a fresh one.
     std::shared_ptr<SymbolTable> symbols;
     /// Filesystem to use; null means Env::Default().
     Env* env = nullptr;
     /// Durability of each commit's journal record.
     JournalSyncMode sync_mode = JournalSyncMode::kFsync;
-    /// Full evaluation-options bundle, installed via Configure() (i.e.
-    /// validated) before replay, so recovery itself runs with the
-    /// configured threads/policy/trace settings.
+    /// Full evaluation-options bundle, policy included, installed via
+    /// Configure() (i.e. validated) before replay, so recovery itself
+    /// runs with the configured threads/policy/trace settings.
     ParkOptions options;
   };
 
@@ -160,35 +153,11 @@ class ActiveDatabase {
   /// Directory of a database opened with Open(); empty otherwise.
   const std::string& dir() const { return dir_; }
 
-  /// Sequence number of the newest durable transaction (0 if none or no
-  /// journal is attached).
+  /// Sequence number of the newest durable transaction (0 if none or the
+  /// database was not opened with Open()).
   uint64_t durable_seq() const {
     return journal_.has_value() ? journal_->last_seq() : 0;
   }
-
-  // --- durability (single-file mode, no checkpointing) ---
-
-  /// Attaches a redo journal: every subsequent successful commit is
-  /// appended to `path` (created if absent; a torn tail from a previous
-  /// crash is truncated away). Recovery order on restart: LoadSnapshot
-  /// (optional), RecoverFromJournal, then AttachJournal.
-  Status AttachJournal(const std::string& path,
-                       const JournalOptions& options = {});
-  bool has_journal() const { return journal_.has_value(); }
-
-  /// Replays every committed record of the journal at `path` through the
-  /// normal commit path (rules fire, policies decide — PARK's determinism
-  /// makes replay reproduce the pre-crash state exactly). Must be called
-  /// before AttachJournal; fails if a journal is already attached.
-  Status RecoverFromJournal(const std::string& path);
-
-  /// Writes the current instance as a fact-file snapshot (atomic and
-  /// fsynced before the rename).
-  Status SaveSnapshot(const std::string& path) const;
-
-  /// Bulk-loads a fact-file snapshot into the stored instance (no rules
-  /// fire, like LoadFacts).
-  Status LoadSnapshot(const std::string& path);
 
  private:
   friend class Transaction;
@@ -209,6 +178,11 @@ class ActiveDatabase {
   Result<uint64_t> LoadSnapshotContents(const std::string& contents,
                                         const std::string& path_for_errors);
 
+  /// Opens the directory's journal for new commits, numbering from
+  /// `first_seq`, with the sync mode and env set by Open and the retry
+  /// policy of the installed options.
+  Status OpenJournal(uint64_t first_seq);
+
   Database database_;
   Program program_;
   ParkOptions options_;
@@ -221,7 +195,7 @@ class ActiveDatabase {
   /// kIncremental.
   FixpointMaintainer maintainer_;
 
-  // Directory mode (set by Open).
+  // Set by Open.
   std::string dir_;
   Env* env_ = nullptr;
   JournalSyncMode sync_mode_ = JournalSyncMode::kFlush;

@@ -462,17 +462,4 @@ Result<std::vector<JournalRecord>> TransactionJournal::ReadRecords(
   return records;
 }
 
-Result<std::vector<UpdateSet>> TransactionJournal::ReadAll(
-    const std::string& path,
-    const std::shared_ptr<SymbolTable>& symbols) {
-  PARK_ASSIGN_OR_RETURN(std::vector<JournalRecord> records,
-                        ReadRecords(path, symbols));
-  std::vector<UpdateSet> updates;
-  updates.reserve(records.size());
-  for (JournalRecord& record : records) {
-    updates.push_back(std::move(record.updates));
-  }
-  return updates;
-}
-
 }  // namespace park

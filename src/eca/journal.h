@@ -164,11 +164,6 @@ class TransactionJournal {
       const std::shared_ptr<SymbolTable>& symbols, Env* env = nullptr,
       bool* torn_tail = nullptr);
 
-  /// ReadRecords with the sequence numbers stripped.
-  static Result<std::vector<UpdateSet>> ReadAll(
-      const std::string& path,
-      const std::shared_ptr<SymbolTable>& symbols);
-
  private:
   TransactionJournal(std::string path, JournalOptions options,
                      std::unique_ptr<WritableFile> file, uint64_t next_seq,

@@ -35,7 +35,6 @@ struct CommitTimings {
 /// history) without reopening.
 struct CommitFailure {
   enum class Stage {
-    kValidate,  // options bundle rejected before evaluation
     kEvaluate,  // PARK(D, P, U) failed (deadline, budget, abstention, ...)
     kJournal,   // durability failed after retries; in-memory diff undone
   };

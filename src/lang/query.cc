@@ -1,39 +1,8 @@
 #include "lang/query.h"
 
 #include <algorithm>
-#include <optional>
 
 namespace park {
-namespace {
-
-/// Attempts to bind the pattern's variables against `tuple`; returns the
-/// projected row (named variables only, in variable-index order of the
-/// projection) or nullopt when repeated variables disagree. Constants and
-/// already-bound pattern positions were pre-filtered by the TuplePattern,
-/// except repeated variables, which are checked here.
-std::optional<Tuple> BindRow(const AtomPattern& atom, const Tuple& tuple,
-                             int num_variables,
-                             const std::vector<int>& projection) {
-  std::vector<std::optional<Value>> binding(
-      static_cast<size_t>(num_variables));
-  for (size_t i = 0; i < atom.terms.size(); ++i) {
-    const Term& term = atom.terms[i];
-    if (term.is_constant()) continue;
-    auto& slot = binding[static_cast<size_t>(term.var_index())];
-    const Value& value = tuple[static_cast<int>(i)];
-    if (slot.has_value()) {
-      if (*slot != value) return std::nullopt;
-    } else {
-      slot = value;
-    }
-  }
-  Tuple row;
-  for (int var : projection) row.Append(*binding[static_cast<size_t>(var)]);
-  return row;
-}
-
-}  // namespace
-
 std::vector<std::string> QueryResult::ToStrings(
     const SymbolTable& symbols) const {
   std::vector<std::string> out;
@@ -82,9 +51,9 @@ Result<QueryResult> QueryDatabase(
   }
 
   relation->ForEachMatching(tuple_pattern, [&](const Tuple& tuple) {
-    auto row = BindRow(parsed.atom, tuple,
-                       static_cast<int>(parsed.variable_names.size()),
-                       projection);
+    auto row = query_internal::BindRow(parsed.atom, tuple.values(),
+                                       parsed.variable_names.size(),
+                                       projection);
     if (row.has_value()) result.bindings.push_back(std::move(*row));
   });
   std::sort(result.bindings.begin(), result.bindings.end());

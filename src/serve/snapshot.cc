@@ -1,7 +1,6 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "core/observer.h"
 #include "lang/parser.h"
@@ -49,37 +48,6 @@ bool Snapshot::Contains(const GroundAtom& atom) const {
       args.data(), args.size(), TupleHash{}(atom.args()));
 }
 
-namespace {
-
-/// Mirror of lang/query.cc's BindRow over a flat segment row: binds the
-/// pattern's variables against `row`, returning the projected tuple or
-/// nullopt when a constant or repeated variable disagrees.
-std::optional<Tuple> BindSegmentRow(const AtomPattern& atom,
-                                    const Value* row, int num_variables,
-                                    const std::vector<int>& projection) {
-  std::vector<std::optional<Value>> binding(
-      static_cast<size_t>(num_variables));
-  for (size_t i = 0; i < atom.terms.size(); ++i) {
-    const Term& term = atom.terms[i];
-    const Value& value = row[i];
-    if (term.is_constant()) {
-      if (term.constant() != value) return std::nullopt;
-      continue;
-    }
-    auto& slot = binding[static_cast<size_t>(term.var_index())];
-    if (slot.has_value()) {
-      if (*slot != value) return std::nullopt;
-    } else {
-      slot = value;
-    }
-  }
-  Tuple out;
-  for (int var : projection) out.Append(*binding[static_cast<size_t>(var)]);
-  return out;
-}
-
-}  // namespace
-
 Result<QueryResult> Snapshot::Query(std::string_view pattern_text) const {
   PARK_ASSIGN_OR_RETURN(ParsedAtomPattern parsed,
                         ParseAtomPattern(pattern_text, state_->symbols));
@@ -96,11 +64,12 @@ Result<QueryResult> Snapshot::Query(std::string_view pattern_text) const {
   auto it = state_->relations.find(parsed.atom.predicate);
   if (it == state_->relations.end()) return result;  // never populated
   const Segment& segment = *it->second.segment;
+  const size_t arity = static_cast<size_t>(it->second.arity);
 
   for (uint32_t r = 0; r < segment.num_rows(); ++r) {
-    auto row = BindSegmentRow(parsed.atom, segment.row(r),
-                              static_cast<int>(parsed.variable_names.size()),
-                              projection);
+    auto row = query_internal::BindRow(parsed.atom, {segment.row(r), arity},
+                                       parsed.variable_names.size(),
+                                       projection);
     if (row.has_value()) result.bindings.push_back(std::move(*row));
   }
   // Segment rows are sorted, but the projection can reorder — sort and

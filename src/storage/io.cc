@@ -10,29 +10,7 @@ Result<std::string> ReadFileToString(const std::string& path) {
 
 Status WriteStringToFile(const std::string& contents,
                          const std::string& path) {
-  return WriteStringToFile(contents, path, Env::Default(), /*sync=*/false);
-}
-
-Status WriteStringToFile(const std::string& contents,
-                         const std::string& path, Env* env, bool sync) {
-  return AtomicWriteFile(env, contents, path, sync);
-}
-
-Status WriteDatabaseFile(const Database& db, const std::string& path,
-                         Env* env, bool sync) {
-  std::string contents;
-  for (const std::string& atom : db.SortedAtomStrings()) {
-    contents += atom;
-    contents += ".\n";
-  }
-  return WriteStringToFile(contents, path, env, sync);
-}
-
-Status WriteDatabaseFile(const Database& db, const std::string& path) {
-  // Snapshots default to a durable write: the temp file is fsynced
-  // before the rename, so a crash leaves either the old or the new
-  // snapshot, never a torn or empty one.
-  return WriteDatabaseFile(db, path, Env::Default(), /*sync=*/true);
+  return AtomicWriteFile(Env::Default(), contents, path, /*sync=*/false);
 }
 
 }  // namespace park

@@ -1,45 +1,28 @@
-// File persistence for databases and programs.
-//
-// The on-disk formats are exactly the surface syntax the parser accepts
-// (fact files and rule files), so snapshots are human-readable, diffable,
-// and round-trip losslessly through the parser/printer pair.
+// Whole-file read and write helpers for the lang-level readers and
+// writers (lang/io.h), whose formats are the parser's surface syntax.
 //
 // All writes route through a park::Env (util/env.h) and are atomic
-// (temp file + rename), so durability code can be exercised under fault
-// injection. See docs/DURABILITY.md.
+// (temp file + rename). Durable snapshots are ActiveDatabase::Checkpoint's
+// (eca/active_database.h, docs/DURABILITY.md).
 
 #ifndef PARK_STORAGE_IO_H_
 #define PARK_STORAGE_IO_H_
 
-#include <memory>
 #include <string>
 
-#include "storage/database.h"
 #include "util/env.h"
 
 namespace park {
-
-/// Writes `db` as a fact file (one sorted atom per line, trailing '.').
-/// The write is atomic (temp file + rename) and, in the two-argument
-/// form, durable (the temp file is fsynced before the rename). The
-/// reader side (ReadDatabaseFile) lives in lang/io.h, which has the
-/// parser available.
-Status WriteDatabaseFile(const Database& db, const std::string& path);
-Status WriteDatabaseFile(const Database& db, const std::string& path,
-                         Env* env, bool sync);
 
 /// Reads an entire file into a string. Shared helper for the lang-level
 /// readers; returns kNotFound iff the file does not exist, and kInternal
 /// for any other failure (permissions, path is a directory, read error).
 Result<std::string> ReadFileToString(const std::string& path);
 
-/// Writes `contents` to `path` atomically (temp file + rename). The
-/// four-argument form selects the Env and whether the temp file is
-/// fsynced before the rename.
+/// Writes `contents` to `path` atomically (temp file + rename), without
+/// an fsync.
 Status WriteStringToFile(const std::string& contents,
                          const std::string& path);
-Status WriteStringToFile(const std::string& contents,
-                         const std::string& path, Env* env, bool sync);
 
 }  // namespace park
 

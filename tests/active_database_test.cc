@@ -117,9 +117,9 @@ TEST(ActiveDatabaseTest, PolicyAndOptionsAreConfigurable) {
     ParkOptions options;
     options.policy = MakeAlwaysInsertPolicy();
     options.block_granularity = BlockGranularity::kFirstConflictOnly;
+    options.trace_level = TraceLevel::kFull;
     ASSERT_TRUE(db.Configure(std::move(options)).ok());
   }
-  db.SetTraceLevel(TraceLevel::kFull);
   ASSERT_TRUE(db.LoadRules("p -> +a. p -> -a.").ok());
   ASSERT_TRUE(db.LoadFacts("p.").ok());
   auto report = db.Stabilize();

@@ -140,19 +140,18 @@ TEST(CommitDiffTest, JournalFailureRollbackRestoresDatabase) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE(StrFormat("seed %llu", static_cast<unsigned long long>(seed)));
     Rng rng(seed + 1000);
-    ActiveDatabase db;
-    ASSERT_TRUE(db.LoadRules(RandomRules(rng, 10)).ok());
+    ActiveDatabase::OpenParams params;
+    params.rules = RandomRules(rng, 10);
+    params.env = &env;
+    params.sync_mode = JournalSyncMode::kFlush;
+    params.options.io_max_retries = 0;
+    auto opened = ActiveDatabase::Open(
+        StrFormat("%s/db%llu", dir.c_str(),
+                  static_cast<unsigned long long>(seed)),
+        std::move(params));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ActiveDatabase& db = *opened;
     ASSERT_TRUE(db.LoadFacts(RandomFacts(rng)).ok());
-    ParkOptions options;
-    options.io_max_retries = 0;
-    ASSERT_TRUE(db.Configure(std::move(options)).ok());
-    JournalOptions journal_options;
-    journal_options.env = &env;
-    ASSERT_TRUE(db.AttachJournal(StrFormat("%s/j%llu.log", dir.c_str(),
-                                           static_cast<unsigned long long>(
-                                               seed)),
-                                 journal_options)
-                    .ok());
     for (int c = 0; c < 8; ++c) {
       const std::vector<std::string> updates = RandomCommit(rng);
       if (c % 2 == 0) {

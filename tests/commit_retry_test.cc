@@ -30,6 +30,19 @@ class CommitRetryTest : public ::testing::Test {
 
   std::string Path(const std::string& name) const { return dir_ + "/" + name; }
 
+  /// Opens the durable database in Path("db") over `env`, so the commit
+  /// journal (Path("db/journal.log")) writes through the fault injector.
+  Result<ActiveDatabase> OpenOver(FaultInjectingEnv& env,
+                                  ParkOptions options,
+                                  std::string rules = "") {
+    ActiveDatabase::OpenParams params;
+    params.rules = std::move(rules);
+    params.env = &env;
+    params.sync_mode = JournalSyncMode::kFlush;
+    params.options = std::move(options);
+    return ActiveDatabase::Open(Path("db"), std::move(params));
+  }
+
   std::string dir_;
 };
 
@@ -225,14 +238,11 @@ TEST_F(CommitRetryTest, BackoffDoublesAndAccumulates) {
 TEST_F(CommitRetryTest, ExhaustedJournalRetriesRollTheCommitBack) {
   FaultInjectingEnv env(Env::Default());
 
-  ActiveDatabase db;
-  ASSERT_TRUE(db.LoadRules("p(X) -> +q(X).").ok());
   ParkOptions options;
   options.io_max_retries = 1;
-  ASSERT_TRUE(db.Configure(std::move(options)).ok());
-  JournalOptions journal_options;
-  journal_options.env = &env;
-  ASSERT_TRUE(db.AttachJournal(Path("j.log"), journal_options).ok());
+  auto opened = OpenOver(env, std::move(options), "p(X) -> +q(X).");
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ActiveDatabase& db = *opened;
 
   // A committed baseline transaction, then permanent-looking transients.
   ASSERT_TRUE(std::move(db.Begin().Insert("p", {"a"})).Commit().ok());
@@ -262,7 +272,7 @@ TEST_F(CommitRetryTest, ExhaustedJournalRetriesRollTheCommitBack) {
   EXPECT_GT(report->stats.io_attempts, 0u);
 
   auto records =
-      TransactionJournal::ReadRecords(Path("j.log"), db.symbols());
+      TransactionJournal::ReadRecords(Path("db/journal.log"), db.symbols());
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(records->size(), 2u);  // the two successful commits only
 }
@@ -270,13 +280,11 @@ TEST_F(CommitRetryTest, ExhaustedJournalRetriesRollTheCommitBack) {
 TEST_F(CommitRetryTest, RetriedCommitSucceedsTransparently) {
   FaultInjectingEnv env(Env::Default());
 
-  ActiveDatabase db;
   ParkOptions options;
   options.io_max_retries = 3;
-  ASSERT_TRUE(db.Configure(std::move(options)).ok());
-  JournalOptions journal_options;
-  journal_options.env = &env;
-  ASSERT_TRUE(db.AttachJournal(Path("j.log"), journal_options).ok());
+  auto opened = OpenOver(env, std::move(options));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ActiveDatabase& db = *opened;
 
   TransientFaults transient;
   transient.fail_appends = 2;
@@ -318,14 +326,12 @@ TEST_F(CommitRetryTest, ObserverThrowingOnCommitStartDuringRetries) {
   ThrowingObserver observer(/*throw_on_start=*/true,
                             /*throw_on_append=*/false);
 
-  ActiveDatabase db;
   ParkOptions options;
   options.io_max_retries = 3;
   options.observer = &observer;
-  ASSERT_TRUE(db.Configure(std::move(options)).ok());
-  JournalOptions journal_options;
-  journal_options.env = &env;
-  ASSERT_TRUE(db.AttachJournal(Path("j.log"), journal_options).ok());
+  auto opened = OpenOver(env, std::move(options));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ActiveDatabase& db = *opened;
 
   TransientFaults transient;
   transient.fail_appends = 2;
@@ -335,7 +341,7 @@ TEST_F(CommitRetryTest, ObserverThrowingOnCommitStartDuringRetries) {
 
   // Applied exactly once, durable exactly once.
   auto records =
-      TransactionJournal::ReadRecords(Path("j.log"), db.symbols());
+      TransactionJournal::ReadRecords(Path("db/journal.log"), db.symbols());
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(records->size(), 1u);
 }
@@ -345,14 +351,12 @@ TEST_F(CommitRetryTest, ObserverThrowingOnJournalAppendAfterRollback) {
   ThrowingObserver observer(/*throw_on_start=*/false,
                             /*throw_on_append=*/true);
 
-  ActiveDatabase db;
   ParkOptions options;
   options.io_max_retries = 1;
   options.observer = &observer;
-  ASSERT_TRUE(db.Configure(std::move(options)).ok());
-  JournalOptions journal_options;
-  journal_options.env = &env;
-  ASSERT_TRUE(db.AttachJournal(Path("j.log"), journal_options).ok());
+  auto opened = OpenOver(env, std::move(options));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ActiveDatabase& db = *opened;
 
   const std::string before = db.database().ToString();
   TransientFaults transient;

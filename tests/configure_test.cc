@@ -1,7 +1,5 @@
 // ActiveDatabase::Configure and ValidateOptions: the single validated
-// entry point for evaluation options, the deprecated setters that remain
-// as thin wrappers, and the commit-time backstop that catches options
-// smuggled in around validation.
+// entry point for evaluation options, directly and through OpenParams.
 
 #include <gtest/gtest.h>
 
@@ -82,36 +80,6 @@ TEST(ConfigureTest, RejectionLeavesPreviousOptionsUntouched) {
   EXPECT_EQ(db.options().num_threads, 3);
 }
 
-TEST(ConfigureTest, SurvivingDeprecatedSettersStillWork) {
-  // SetPolicy/SetBlockGranularity/SetNumThreads/SetMinSliceSize are gone
-  // (use Configure); only SetTraceLevel and mutable_options() survive.
-  ActiveDatabase db;
-  db.SetTraceLevel(TraceLevel::kFull);
-  EXPECT_EQ(db.options().trace_level, TraceLevel::kFull);
-}
-
-TEST(ConfigureTest, MutableOptionsBypassIsCaughtAtCommit) {
-  ActiveDatabase db;
-  ASSERT_TRUE(db.LoadRules("r1: p(X) -> +q(X).").ok());
-  // mutable_options() skips validation by construction; the commit-time
-  // backstop must refuse to evaluate with the invalid bundle...
-  db.mutable_options().num_threads = -1;
-  auto tx = db.Begin();
-  tx.Insert("p", {"a"});
-  auto report = std::move(tx).Commit();
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
-  // ...and refuse atomically: nothing was evaluated or stored.
-  EXPECT_EQ(db.database().size(), 0u);
-
-  // Repairing the options un-wedges the database.
-  db.mutable_options().num_threads = 1;
-  auto tx2 = db.Begin();
-  tx2.Insert("p", {"a"});
-  EXPECT_TRUE(std::move(tx2).Commit().ok());
-  EXPECT_EQ(db.database().size(), 2u);
-}
-
 TEST(ConfigureTest, OpenValidatesOptionsBundle) {
   const std::string dir = ::testing::TempDir() + "park_configure_open";
   ActiveDatabase::OpenParams params;
@@ -129,24 +97,14 @@ TEST(ConfigureTest, OpenParamsOptionsReachTheDatabase) {
   params.sync_mode = JournalSyncMode::kNone;
   params.options.num_threads = 2;
   params.options.block_granularity = BlockGranularity::kFirstConflictOnly;
+  params.options.policy = MakeAlwaysDeletePolicy();
   auto db = ActiveDatabase::Open(dir, std::move(params));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   EXPECT_EQ(db->options().num_threads, 2);
   EXPECT_EQ(db->options().block_granularity,
             BlockGranularity::kFirstConflictOnly);
-}
-
-TEST(ConfigureTest, LegacyOpenPolicyOverridesOptionsPolicy) {
-  const std::string dir = ::testing::TempDir() + "park_configure_policy";
-  std::filesystem::remove_all(dir);
-  ActiveDatabase::OpenParams params;
-  params.sync_mode = JournalSyncMode::kNone;
-  params.policy = MakeAlwaysInsertPolicy();       // deprecated field...
-  params.options.policy = MakeAlwaysDeletePolicy();  // ...wins over this
-  auto db = ActiveDatabase::Open(dir, std::move(params));
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_NE(db->options().policy, nullptr);
-  EXPECT_EQ(db->options().policy->name(), "always-insert");
+  EXPECT_EQ(db->options().policy->name(), "always-delete");
 }
 
 }  // namespace

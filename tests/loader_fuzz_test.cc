@@ -205,17 +205,23 @@ TEST_P(LoaderFuzzTest, MidJournalCorruptionIsDataLoss) {
 }
 
 TEST_P(LoaderFuzzTest, MutatedSnapshotsLoadOrReturnStatus) {
+  // The snapshot loader recovery runs, `# park-snapshot last_seq=` header
+  // parse included: a damaged snapshot with no journal beside it.
   const ValidFiles valid = MakeValidFiles(/*records=*/2);
   ASSERT_FALSE(valid.snapshot.empty());
   const std::string dir = FreshDir("park_loader_fuzz_snapshot");
   const std::string path = dir + "/snapshot.facts";
   Rng rng(GetParam() ^ 0x7777);
   for (int trial = 0; trial < 150; ++trial) {
+    // Open leaves an empty journal behind; drop it so every trial starts
+    // from the snapshot alone.
+    std::filesystem::remove(dir + "/journal.log");
     ASSERT_TRUE(WriteStringToFile(Mutate(rng, valid.snapshot), path).ok());
-    ActiveDatabase db;
-    Status loaded = db.LoadSnapshot(path);
-    if (!loaded.ok()) {
-      EXPECT_FALSE(loaded.message().empty());
+    ActiveDatabase::OpenParams params;
+    params.sync_mode = JournalSyncMode::kNone;
+    auto db = ActiveDatabase::Open(dir, params);
+    if (!db.ok()) {
+      EXPECT_FALSE(db.status().message().empty());
     }
   }
 }

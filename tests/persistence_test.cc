@@ -1,9 +1,10 @@
-// Persistence: file round trips for databases and programs, the
-// transaction journal, and ActiveDatabase crash recovery.
+// Persistence: file round trips for fact files and programs, the
+// transaction journal, and ActiveDatabase crash recovery (Open and
+// Checkpoint).
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "park/park.h"
@@ -28,20 +29,30 @@ class PersistenceTest : public ::testing::Test {
 
   void TearDown() override {
     for (const std::string& path : created_) {
-      std::remove(path.c_str());
-      std::remove((path + ".tmp").c_str());
+      std::filesystem::remove_all(path);
+      std::filesystem::remove_all(path + ".tmp");
     }
   }
 
   std::vector<std::string> created_;
 };
 
+/// Writes `db` as a fact file: one sorted atom per line, as a checkpoint
+/// snapshot holds them.
+Status WriteFactFile(const Database& db, const std::string& path) {
+  std::string contents;
+  for (const std::string& atom : db.SortedAtomStrings()) {
+    contents += atom + ".\n";
+  }
+  return WriteStringToFile(contents, path);
+}
+
 TEST_F(PersistenceTest, DatabaseRoundTrip) {
   auto symbols = MakeSymbolTable();
   Database db = ParseDatabase(
       "p(a). q(a, 7). r. name(x, \"J. \\\"Q\\\" Doe\").", symbols).value();
   std::string path = TempPath("db.facts");
-  ASSERT_TRUE(WriteDatabaseFile(db, path).ok());
+  ASSERT_TRUE(WriteFactFile(db, path).ok());
 
   auto loaded = ReadDatabaseFile(path, symbols);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -52,7 +63,7 @@ TEST_F(PersistenceTest, DatabaseLoadIntoFreshSymbolTable) {
   auto symbols = MakeSymbolTable();
   Database db = ParseDatabase("p(alpha). q(beta).", symbols).value();
   std::string path = TempPath("db.facts");
-  ASSERT_TRUE(WriteDatabaseFile(db, path).ok());
+  ASSERT_TRUE(WriteFactFile(db, path).ok());
   // A different process would have a different symbol table.
   auto fresh = ReadDatabaseFile(path, MakeSymbolTable());
   ASSERT_TRUE(fresh.ok());
@@ -80,7 +91,7 @@ TEST_F(PersistenceTest, ReadMissingFileIsNotFound) {
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
 }
 
-TEST_F(PersistenceTest, JournalAppendAndReadAll) {
+TEST_F(PersistenceTest, JournalAppendAndReadRecords) {
   auto symbols = MakeSymbolTable();
   std::string path = TempPath("journal");
   {
@@ -94,17 +105,19 @@ TEST_F(PersistenceTest, JournalAppendAndReadAll) {
     ASSERT_TRUE(tx2.AddParsed("+r(c)", symbols).ok());
     ASSERT_TRUE(journal->Append(tx2, *symbols).ok());
   }
-  auto records = TransactionJournal::ReadAll(path, symbols);
+  auto records = TransactionJournal::ReadRecords(path, symbols);
   ASSERT_TRUE(records.ok()) << records.status().ToString();
   ASSERT_EQ(records->size(), 2u);
-  EXPECT_EQ((*records)[0].ToString(*symbols), "{+q(b), -p(a)}");
-  EXPECT_EQ((*records)[1].ToString(*symbols), "{+r(c)}");
+  EXPECT_EQ((*records)[0].seq, 1u);
+  EXPECT_EQ((*records)[0].updates.ToString(*symbols), "{+q(b), -p(a)}");
+  EXPECT_EQ((*records)[1].seq, 2u);
+  EXPECT_EQ((*records)[1].updates.ToString(*symbols), "{+r(c)}");
 }
 
 TEST_F(PersistenceTest, JournalMissingFileIsEmpty) {
   auto records =
-      TransactionJournal::ReadAll(TempPath("never_created"),
-                                  MakeSymbolTable());
+      TransactionJournal::ReadRecords(TempPath("never_created"),
+                                      MakeSymbolTable());
   ASSERT_TRUE(records.ok());
   EXPECT_TRUE(records->empty());
 }
@@ -131,10 +144,10 @@ TEST_F(PersistenceTest, JournalTornTailIsIgnored) {
     out << MakeRecord(1, {"+a(1)"})
         << "begin 2\n+b(2)\n";  // crash before the commit footer
   }
-  auto records = TransactionJournal::ReadAll(path, symbols);
+  auto records = TransactionJournal::ReadRecords(path, symbols);
   ASSERT_TRUE(records.ok()) << records.status().ToString();
   ASSERT_EQ(records->size(), 1u);
-  EXPECT_EQ((*records)[0].ToString(*symbols), "{+a(1)}");
+  EXPECT_EQ((*records)[0].updates.ToString(*symbols), "{+a(1)}");
 }
 
 TEST_F(PersistenceTest, JournalTornRecordFollowedByValidOneIsDataLoss) {
@@ -146,7 +159,7 @@ TEST_F(PersistenceTest, JournalTornRecordFollowedByValidOneIsDataLoss) {
     std::ofstream out(path);
     out << "begin 1\n+a(1)\n" << MakeRecord(2, {"+b(2)"});
   }
-  auto records = TransactionJournal::ReadAll(path, symbols);
+  auto records = TransactionJournal::ReadRecords(path, symbols);
   ASSERT_FALSE(records.ok());
   EXPECT_EQ(records.status().code(), StatusCode::kDataLoss);
 }
@@ -160,7 +173,7 @@ TEST_F(PersistenceTest, JournalMalformedUpdateIsAnError) {
     std::ofstream out(path);
     out << MakeRecord(1, {"not_an_update"});
   }
-  auto records = TransactionJournal::ReadAll(path, MakeSymbolTable());
+  auto records = TransactionJournal::ReadRecords(path, MakeSymbolTable());
   EXPECT_FALSE(records.ok());
 }
 
@@ -170,7 +183,7 @@ TEST_F(PersistenceTest, JournalLineOutsideRecordIsAnError) {
     std::ofstream out(path);
     out << "+a(1)\n";
   }
-  auto records = TransactionJournal::ReadAll(path, MakeSymbolTable());
+  auto records = TransactionJournal::ReadRecords(path, MakeSymbolTable());
   ASSERT_FALSE(records.ok());
   EXPECT_EQ(records.status().code(), StatusCode::kDataLoss);
 }
@@ -180,104 +193,97 @@ constexpr char kRules[] = R"(
   onboard: +emp(X) -> +active(X).
 )";
 
+/// Every Open of one directory installs the same rules.
+ActiveDatabase::OpenParams RulesParams() {
+  ActiveDatabase::OpenParams params;
+  params.rules = kRules;
+  params.sync_mode = JournalSyncMode::kFlush;
+  return params;
+}
+
 TEST_F(PersistenceTest, ActiveDatabaseJournalRecovery) {
-  std::string journal_path = TempPath("journal");
+  std::string dir = TempPath("db");
   std::string final_state;
 
   {
-    // "Process 1": attach a journal and run some transactions.
-    ActiveDatabase db;
-    ASSERT_TRUE(db.LoadRules(kRules).ok());
-    ASSERT_TRUE(db.AttachJournal(journal_path).ok());
-    EXPECT_TRUE(db.has_journal());
+    // "Process 1": open a fresh directory and run some transactions.
+    auto db = ActiveDatabase::Open(dir, RulesParams());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
 
-    Transaction tx1 = db.Begin();
+    Transaction tx1 = db->Begin();
     tx1.Insert("emp", {"ada"});
     tx1.Insert("payroll", {"ada", "x"});
     ASSERT_TRUE(std::move(tx1).Commit().ok());
 
-    Transaction tx2 = db.Begin();
+    Transaction tx2 = db->Begin();
     tx2.Insert("emp", {"bob"});
     ASSERT_TRUE(std::move(tx2).Commit().ok());
 
-    Transaction tx3 = db.Begin();
+    Transaction tx3 = db->Begin();
     tx3.Delete("active", {"bob"});
     ASSERT_TRUE(std::move(tx3).Commit().ok());
 
-    final_state = db.database().ToString();
+    final_state = db->database().ToString();
   }
   {
     // "Process 2": fresh instance, same rules, replay the journal.
-    ActiveDatabase db;
-    ASSERT_TRUE(db.LoadRules(kRules).ok());
-    ASSERT_TRUE(db.RecoverFromJournal(journal_path).ok());
-    EXPECT_EQ(db.database().ToString(), final_state);
+    auto db = ActiveDatabase::Open(dir, RulesParams());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ(db->database().ToString(), final_state);
+    EXPECT_EQ(db->durable_seq(), 3u);
     // And keep journaling from here.
-    ASSERT_TRUE(db.AttachJournal(journal_path).ok());
-    Transaction tx = db.Begin();
+    Transaction tx = db->Begin();
     tx.Insert("emp", {"eve"});
-    ASSERT_TRUE(std::move(tx).Commit().ok());
+    auto report = std::move(tx).Commit();
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->journal_seq, 4u);
   }
   {
     // "Process 3": the journal now has four records.
-    ActiveDatabase db;
-    ASSERT_TRUE(db.LoadRules(kRules).ok());
-    ASSERT_TRUE(db.RecoverFromJournal(journal_path).ok());
-    EXPECT_TRUE(db.Contains(
-        ParseGroundAtom("active(eve)", db.symbols()).value()));
-    EXPECT_NE(db.database().ToString(), final_state);
+    auto db = ActiveDatabase::Open(dir, RulesParams());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ(db->durable_seq(), 4u);
+    EXPECT_TRUE(db->Contains(
+        ParseGroundAtom("active(eve)", db->symbols()).value()));
+    EXPECT_NE(db->database().ToString(), final_state);
   }
 }
 
-TEST_F(PersistenceTest, RecoverAfterAttachFails) {
-  ActiveDatabase db;
-  ASSERT_TRUE(db.AttachJournal(TempPath("journal")).ok());
-  EXPECT_EQ(db.RecoverFromJournal(TempPath("journal")).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(db.AttachJournal(TempPath("other")).code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST_F(PersistenceTest, SnapshotSaveAndLoad) {
-  std::string snapshot_path = TempPath("snapshot.facts");
+TEST_F(PersistenceTest, CheckpointSaveAndLoad) {
+  std::string dir = TempPath("db");
   std::string state;
   {
-    ActiveDatabase db;
-    ASSERT_TRUE(db.LoadRules(kRules).ok());
-    ASSERT_TRUE(db.LoadFacts("emp(a). active(a). payroll(a, 100).").ok());
-    ASSERT_TRUE(db.Stabilize().ok());
-    ASSERT_TRUE(db.SaveSnapshot(snapshot_path).ok());
-    state = db.database().ToString();
+    auto db = ActiveDatabase::Open(dir, RulesParams());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE(db->LoadFacts("emp(a). active(a). payroll(a, 100).").ok());
+    ASSERT_TRUE(db->Stabilize().ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+    state = db->database().ToString();
   }
   {
-    ActiveDatabase db;
-    ASSERT_TRUE(db.LoadRules(kRules).ok());
-    ASSERT_TRUE(db.LoadSnapshot(snapshot_path).ok());
-    EXPECT_EQ(db.database().ToString(), state);
+    auto db = ActiveDatabase::Open(dir, RulesParams());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ(db->database().ToString(), state);
   }
 }
 
-TEST_F(PersistenceTest, SnapshotPlusJournalWorkflow) {
-  std::string snapshot_path = TempPath("snapshot.facts");
-  std::string journal_path = TempPath("journal");
+TEST_F(PersistenceTest, CheckpointPlusJournalWorkflow) {
+  std::string dir = TempPath("db");
   std::string state_after_tx;
   {
-    ActiveDatabase db;
-    ASSERT_TRUE(db.LoadRules(kRules).ok());
-    ASSERT_TRUE(db.LoadFacts("emp(a). active(a).").ok());
-    ASSERT_TRUE(db.SaveSnapshot(snapshot_path).ok());
-    ASSERT_TRUE(db.AttachJournal(journal_path).ok());
-    Transaction tx = db.Begin();
+    auto db = ActiveDatabase::Open(dir, RulesParams());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE(db->LoadFacts("emp(a). active(a).").ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+    Transaction tx = db->Begin();
     tx.Insert("emp", {"b"});
     ASSERT_TRUE(std::move(tx).Commit().ok());
-    state_after_tx = db.database().ToString();
+    state_after_tx = db->database().ToString();
   }
   {
-    ActiveDatabase db;
-    ASSERT_TRUE(db.LoadRules(kRules).ok());
-    ASSERT_TRUE(db.LoadSnapshot(snapshot_path).ok());
-    ASSERT_TRUE(db.RecoverFromJournal(journal_path).ok());
-    EXPECT_EQ(db.database().ToString(), state_after_tx);
+    auto db = ActiveDatabase::Open(dir, RulesParams());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ(db->database().ToString(), state_after_tx);
   }
 }
 

@@ -1,11 +1,12 @@
 // End-to-end durability property: after any sequence of random
-// transactions against an ActiveDatabase with a journal attached,
-// replaying the journal into a fresh instance reproduces the exact final
-// state — the determinism of PARK (paper §3) made operational.
+// transactions against a durable ActiveDatabase (Open), reopening its
+// directory replays the journal into a fresh instance and reproduces the
+// exact final state — the determinism of PARK (paper §3) made
+// operational.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 
 #include "park/park.h"
 #include "util/random.h"
@@ -29,31 +30,34 @@ PolicyPtr MakeTestPolicy() {
       {MakeRulePriorityPolicy(), MakeInertiaPolicy()});
 }
 
+/// Same rules and policy on every Open, as replay requires.
+ActiveDatabase::OpenParams TestParams() {
+  ActiveDatabase::OpenParams params;
+  params.rules = kRules;
+  params.sync_mode = JournalSyncMode::kFlush;
+  params.options.policy = MakeTestPolicy();
+  return params;
+}
+
 class ReplayStressTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void TearDown() override {
-    if (!journal_path_.empty()) std::remove(journal_path_.c_str());
+    if (!dir_.empty()) std::filesystem::remove_all(dir_);
   }
-  std::string journal_path_;
+  std::string dir_;
 };
 
 TEST_P(ReplayStressTest, JournalReplayReproducesState) {
-  journal_path_ = ::testing::TempDir() + "park_replay_" +
-                  std::to_string(GetParam());
-  std::remove(journal_path_.c_str());
+  dir_ = ::testing::TempDir() + "park_replay_" + std::to_string(GetParam());
+  std::filesystem::remove_all(dir_);
 
   Rng rng(GetParam());
   std::string final_state;
   size_t committed = 0;
   {
-    ActiveDatabase db;
-    ASSERT_TRUE(db.LoadRules(kRules).ok());
-    {
-      ParkOptions options;
-      options.policy = MakeTestPolicy();
-      ASSERT_TRUE(db.Configure(std::move(options)).ok());
-    }
-    ASSERT_TRUE(db.AttachJournal(journal_path_).ok());
+    auto opened = ActiveDatabase::Open(dir_, TestParams());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ActiveDatabase& db = *opened;
 
     for (int t = 0; t < 40; ++t) {
       Transaction tx = db.Begin();
@@ -85,22 +89,16 @@ TEST_P(ReplayStressTest, JournalReplayReproducesState) {
     final_state = db.database().ToString();
   }
 
-  // Crash. New process: same rules + policy, empty database, replay.
+  // Crash. New process: same rules + policy, no snapshot, replay.
   {
-    ActiveDatabase db;
-    ASSERT_TRUE(db.LoadRules(kRules).ok());
-    {
-      ParkOptions options;
-      options.policy = MakeTestPolicy();
-      ASSERT_TRUE(db.Configure(std::move(options)).ok());
-    }
-    ASSERT_TRUE(db.RecoverFromJournal(journal_path_).ok());
-    EXPECT_EQ(db.database().ToString(), final_state);
+    auto recovered = ActiveDatabase::Open(dir_, TestParams());
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered->database().ToString(), final_state);
   }
 
   // The journal holds exactly the committed records.
-  auto records =
-      TransactionJournal::ReadAll(journal_path_, MakeSymbolTable());
+  auto records = TransactionJournal::ReadRecords(dir_ + "/journal.log",
+                                                 MakeSymbolTable());
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(records->size(), committed);
 }
