@@ -19,8 +19,6 @@
 //                      abort evaluation after N derivations (exit code 4)
 //   --threads N        Γ evaluation threads (default 1 = sequential;
 //                      0 = one per hardware thread); results identical
-//   --min-slice-size N smallest per-slice candidate count for intra-rule
-//                      parallelism (default 256, min 1); results identical
 //   --exec-mode NAME   tuple (default) | batch — how compiled plans are
 //                      executed (docs/STORAGE.md). batch runs column
 //                      batches over the relations' sorted segments with
@@ -250,7 +248,7 @@ int Usage(const char* argv0) {
                "usage: %s --rules FILE --facts FILE [--update ±atom]...\n"
                "          [--policy NAME] [--block-first] [--max-steps N]\n"
                "          [--deadline-ms N] [--threads N]\n"
-               "          [--min-slice-size N] [--exec-mode tuple|batch]\n"
+               "          [--exec-mode tuple|batch]\n"
                "          [--maintenance on|off] [--stats-json FILE]\n"
                "          [--max-memory-bytes N] [--max-derivations N]\n"
                "          [--observe] [--trace] [--explain]\n"
@@ -382,15 +380,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.num_threads = static_cast<int>(threads);
-    } else if (arg == "--min-slice-size") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      int64_t slice = 0;
-      int64_t max = static_cast<int64_t>(
-          std::min<uint64_t>(std::numeric_limits<size_t>::max(),
-                             std::numeric_limits<int64_t>::max()));
-      if (!ParseIntFlag("--min-slice-size", v, 1, max, &slice)) return 2;
-      options.min_slice_size = static_cast<size_t>(slice);
     } else if (arg == "--exec-mode") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);

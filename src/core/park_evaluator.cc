@@ -73,10 +73,6 @@ Status ValidateOptions(const ParkOptions& options) {
         "num_threads must be >= 0 (0 = one per hardware thread), got %d",
         options.num_threads));
   }
-  if (options.min_slice_size == 0) {
-    return InvalidArgumentError(
-        "min_slice_size must be >= 1 (1 = finest intra-rule slicing)");
-  }
   if (options.max_steps == 0) {
     return InvalidArgumentError("max_steps must be >= 1");
   }
@@ -115,8 +111,6 @@ std::string ParkStats::ToJson() const {
   w.Key("num_threads").UInt(num_threads);
   w.Key("sections").UInt(parallel_sections);
   w.Key("tasks").UInt(parallel_tasks);
-  w.Key("sliced_units").UInt(parallel_sliced_units);
-  w.Key("slices").UInt(parallel_slices);
   w.Key("max_queue_depth").UInt(parallel_max_queue_depth);
   w.Key("mean_task_latency_ns")
       .UInt(parallel_tasks == 0 ? 0
@@ -236,9 +230,6 @@ void RecordParallelStats(const ParallelGamma& parallel,
   const ThreadPool& pool = parallel.pool();
   stats.parallel_sections = pool.sections_run() - base.parallel_sections;
   stats.parallel_tasks = pool.tasks_executed() - base.parallel_tasks;
-  stats.parallel_sliced_units =
-      parallel.sliced_units() - base.parallel_sliced_units;
-  stats.parallel_slices = parallel.slice_tasks() - base.parallel_slices;
   stats.parallel_max_queue_depth = pool.max_section_tasks();
   stats.timings.parallel_match_ns =
       parallel.match_ns() - base.timings.parallel_match_ns;

@@ -102,13 +102,6 @@ struct ParkOptions {
   /// bit-identical across all settings — parallel Γ preserves PARK's
   /// determinism (see docs/PARALLELISM.md).
   int num_threads = 1;
-  /// Intra-rule parallelism granularity: the smallest first-literal
-  /// candidate count one slice of a rule's (or Δ-seed's) work may carry.
-  /// Rules below 2x this stay one task; ValidateOptions requires >= 1
-  /// (1 = finest slicing). Only consulted when num_threads resolves to
-  /// > 1, and never affects results — only how the identical work is
-  /// partitioned.
-  size_t min_slice_size = kDefaultMinSliceSize;
   /// How compiled plans are executed (see docs/STORAGE.md). kTuple
   /// (default) streams one candidate tuple at a time through the plan;
   /// kBatch runs batch-at-a-time over the relations' columnar segments
@@ -138,7 +131,7 @@ struct ParkOptions {
 };
 
 /// Validates an options bundle before use. Rejects (kInvalidArgument):
-/// negative num_threads, min_slice_size == 0, max_steps == 0, negative
+/// negative num_threads, max_steps == 0, negative
 /// deadline_ms, negative io_max_retries, negative io_backoff_ms.
 /// ActiveDatabase::Configure and parkcli call this at the boundary;
 /// Configure is the only way options reach an ActiveDatabase, so its
@@ -159,7 +152,7 @@ struct PhaseTimings {
   // Parallel split of gamma_ns (0 on sequential runs): time inside the
   // pool fan-out vs. concatenating the per-task buffers afterwards.
   uint64_t parallel_match_ns = 0;  // inside ThreadPool::ParallelFor
-  uint64_t parallel_merge_ns = 0;  // slice-ordered buffer merge
+  uint64_t parallel_merge_ns = 0;  // task-ordered buffer merge
   /// The pool's own section clock (ThreadPool::busy_ns); divided by
   /// parallel_tasks it bounds mean task latency from above.
   uint64_t pool_busy_ns = 0;
@@ -175,15 +168,11 @@ struct ParkStats {
   size_t policy_invocations = 0;  // SELECT calls
   size_t rule_evaluations = 0;    // rule-body matchings across all steps
   // Parallel-Γ counters (see ParkOptions::num_threads). `parallel_tasks`
-  // counts pool tasks, which with intra-rule slicing can exceed the
-  // number of rules/seeds evaluated: a skewed unit contributes one task
-  // per slice.
+  // counts pool tasks: each runs a contiguous chunk of whole units
+  // (rules or Δ-seeds), so it never exceeds the units evaluated.
   size_t num_threads = 1;         // resolved thread count for the run
   size_t parallel_sections = 0;   // non-empty Γ fan-outs on the pool
   size_t parallel_tasks = 0;      // matching tasks queued across sections
-  // Intra-rule slicing counters (see ParkOptions::min_slice_size).
-  size_t parallel_sliced_units = 0;  // rules/Δ-seeds split into slices
-  size_t parallel_slices = 0;        // slice tasks those splits produced
   /// Largest single ParallelFor section of the run — the peak "queue
   /// depth" the pool saw (0 on sequential runs).
   size_t parallel_max_queue_depth = 0;
@@ -308,8 +297,8 @@ struct ParkStats {
   ///    "serving": {...},    // group-commit + snapshot counters
   ///    "maintenance": {...},// incremental-fixpoint counters
   ///    "timings": {"collected": bool, <phase>_ns...}}
-  /// The "counters" object is invariant across num_threads /
-  /// min_slice_size settings (asserted in stats_invariance_test);
+  /// The "counters" object is invariant across num_threads settings
+  /// (asserted in stats_invariance_test);
   /// "parallel" and "timings" are explicitly not. "planner" is invariant
   /// across thread counts too (differential_test).
   std::string ToJson() const;

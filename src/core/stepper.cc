@@ -106,8 +106,7 @@ void ParkStepper::WarmState::Bind(const Program& program,
   plans_.emplace(program);
   const int threads = ResolveNumThreads(options.num_threads);
   if (threads > 1) {
-    parallel_ =
-        std::make_unique<ParallelGamma>(threads, options.min_slice_size);
+    parallel_ = std::make_unique<ParallelGamma>(threads);
     parallel_->SetTiming(options.collect_timings);
   }
 }

@@ -55,6 +55,11 @@ Status ActiveDatabase::Configure(ParkOptions options) {
   PARK_RETURN_IF_ERROR(
       ValidateOptions(options).WithContext("ActiveDatabase::Configure"));
   options_ = std::move(options);
+  // The options own the commit pipeline's retry policy too, so an open
+  // journal follows every Configure().
+  if (journal_.has_value()) {
+    journal_->SetRetryPolicy(options_.io_max_retries, options_.io_backoff_ms);
+  }
   Invalidate();
   return Status::OK();
 }
@@ -302,29 +307,20 @@ Result<ActiveDatabase> ActiveDatabase::Open(const std::string& dir,
   }
 
   // 4. Open the journal for new commits, numbering from where the
-  //    recovered history ends.
-  db.dir_ = dir;
-  db.env_ = env;
-  db.sync_mode_ = params.sync_mode;
-  PARK_RETURN_IF_ERROR(db.OpenJournal(last_seq + 1));
-  return db;
-}
-
-Status ActiveDatabase::OpenJournal(uint64_t first_seq) {
-  // The evaluation options own the retry policy (ParkOptions::
-  // io_max_retries / io_backoff_ms), so one Configure() governs the
-  // whole commit pipeline.
+  //    recovered history ends, under the installed retry policy.
   JournalOptions journal_options;
-  journal_options.env = env_;
-  journal_options.sync_mode = sync_mode_;
-  journal_options.first_seq = first_seq;
-  journal_options.max_retries = options_.io_max_retries;
-  journal_options.backoff_ms = options_.io_backoff_ms;
+  journal_options.env = env;
+  journal_options.sync_mode = params.sync_mode;
+  journal_options.first_seq = last_seq + 1;
+  journal_options.max_retries = db.options_.io_max_retries;
+  journal_options.backoff_ms = db.options_.io_backoff_ms;
   PARK_ASSIGN_OR_RETURN(
       TransactionJournal journal,
-      TransactionJournal::Open(JournalPath(dir_), journal_options));
-  journal_.emplace(std::move(journal));
-  return Status::OK();
+      TransactionJournal::Open(journal_path, journal_options));
+  db.journal_.emplace(std::move(journal));
+  db.dir_ = dir;
+  db.env_ = env;
+  return db;
 }
 
 Status ActiveDatabase::Checkpoint() {
@@ -334,7 +330,6 @@ Status ActiveDatabase::Checkpoint() {
   }
   Env* env = env_;
   const std::string snapshot_path = SnapshotPath(dir_);
-  const std::string journal_path = JournalPath(dir_);
   const std::string marker_path = CheckpointMarkerPath(dir_);
   const uint64_t seq = journal_->last_seq();
 
@@ -366,16 +361,15 @@ Status ActiveDatabase::Checkpoint() {
       AtomicWriteFile(env, contents, snapshot_path, /*sync=*/true)
           .WithContext("writing checkpoint snapshot"));
 
-  // 3. Truncate the journal: close the handle, remove the file, reopen
-  //    numbering from seq + 1. If the removal fails the old records
-  //    simply stay behind — the watermark already makes them inert.
-  journal_.reset();
-  Status removed = env->RemoveFile(journal_path);
-  if (!removed.ok()) {
+  // 3. Truncate the journal through the open handle; numbering goes on
+  //    at seq + 1. If the truncation fails the old records simply stay
+  //    behind — the watermark already makes them inert — and the handle
+  //    keeps appending after them.
+  Status truncated = journal_->Truncate();
+  if (!truncated.ok()) {
     PARK_LOG(kWarning) << "checkpoint: could not truncate journal "
-                       << journal_path << ": " << removed.ToString();
+                       << journal_->path() << ": " << truncated.ToString();
   }
-  PARK_RETURN_IF_ERROR(OpenJournal(seq + 1));
 
   // 4. Checkpoint complete; retire the marker.
   PARK_RETURN_IF_ERROR(env->RemoveFile(marker_path)

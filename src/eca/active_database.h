@@ -69,9 +69,9 @@ class ActiveDatabase {
   ///   - replay-stable: policy, block_granularity — these pin down WHICH
   ///     database a commit produces, so they must match across journal
   ///     replays of the same directory;
-  ///   - free: num_threads, min_slice_size, trace_level, observer,
-  ///     collect_timings — performance/observability only; results are
-  ///     bit-identical whatever they are set to.
+  ///   - free: num_threads, trace_level, observer, collect_timings —
+  ///     performance/observability only; results are bit-identical
+  ///     whatever they are set to.
   Status Configure(ParkOptions options);
   const ParkOptions& options() const { return options_; }
 
@@ -112,8 +112,8 @@ class ActiveDatabase {
   /// every Open of a directory: journal replay re-runs PARK, and the
   /// semantics' determinism (paper §3) only pins down the recovered state
   /// when the program and SELECT policy match the original run. The free
-  /// knobs (options.num_threads, options.min_slice_size, observer,
-  /// collect_timings) may differ per Open without affecting recovery.
+  /// knobs (options.num_threads, observer, collect_timings) may differ
+  /// per Open without affecting recovery.
   struct OpenParams {
     /// Program text installed before recovery (may be empty).
     std::string rules;
@@ -178,11 +178,6 @@ class ActiveDatabase {
   Result<uint64_t> LoadSnapshotContents(const std::string& contents,
                                         const std::string& path_for_errors);
 
-  /// Opens the directory's journal for new commits, numbering from
-  /// `first_seq`, with the sync mode and env set by Open and the retry
-  /// policy of the installed options.
-  Status OpenJournal(uint64_t first_seq);
-
   Database database_;
   Program program_;
   ParkOptions options_;
@@ -198,7 +193,6 @@ class ActiveDatabase {
   // Set by Open.
   std::string dir_;
   Env* env_ = nullptr;
-  JournalSyncMode sync_mode_ = JournalSyncMode::kFlush;
 };
 
 }  // namespace park

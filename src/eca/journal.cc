@@ -411,6 +411,17 @@ Status TransactionJournal::Append(const UpdateSet& updates,
   return Status::OK();
 }
 
+Status TransactionJournal::Truncate() {
+  if (file_ == nullptr) {
+    return FailedPreconditionError("journal has been moved from");
+  }
+  // The file is open for appending, so the next record lands at byte 0.
+  PARK_RETURN_IF_ERROR(options_.env->TruncateFile(path_, 0));
+  durable_bytes_ = 0;
+  broken_ = false;  // an empty file has no torn tail
+  return Status::OK();
+}
+
 Result<std::vector<JournalRecord>> TransactionJournal::ReadRecords(
     const std::string& path,
     const std::shared_ptr<SymbolTable>& symbols, Env* env,

@@ -66,8 +66,9 @@ struct JournalOptions {
   Env* env = nullptr;
   JournalSyncMode sync_mode = JournalSyncMode::kFlush;
   /// Sequence number of the first record if the journal is empty or
-  /// missing (an existing journal resumes after its last record). A
-  /// checkpoint at sequence S reopens the journal with first_seq = S + 1.
+  /// missing (an existing journal resumes after its last record).
+  /// ActiveDatabase::Open passes the last recovered seq + 1, so a journal
+  /// that a checkpoint at sequence S truncated resumes at S + 1.
   uint64_t first_seq = 1;
   /// Retries after the first attempt when an append fails TRANSIENTLY
   /// (kUnavailable — EAGAIN-class conditions). Permanent failures are
@@ -120,6 +121,19 @@ class TransactionJournal {
   /// record format is byte-identical to the pre-batch journal.
   Status Append(const UpdateSet& updates, const SymbolTable& symbols,
                 uint64_t txns = 1);
+
+  /// Drops every record: truncates the file to zero bytes through this
+  /// handle, which keeps appending with the same numbering (the next
+  /// record is still last_seq() + 1). On failure the records stay and the
+  /// handle keeps appending after them.
+  Status Truncate();
+
+  /// Replaces the retry policy (JournalOptions::max_retries, backoff_ms)
+  /// for every later Append.
+  void SetRetryPolicy(int max_retries, int64_t backoff_ms) {
+    options_.max_retries = max_retries;
+    options_.backoff_ms = backoff_ms;
+  }
 
   const std::string& path() const { return path_; }
 

@@ -123,90 +123,42 @@ struct GammaUnit {
   std::span<const OwnerProbe> owners;
 };
 
-// --- Intra-rule slicing policy ---
-//
-// A unit is split into candidate slices only when splitting can pay for
-// the counting pass: the section must not already have ample units to
-// fill the pool, and the unit's first-literal candidate stream must be
-// big enough that every slice carries at least min_slice_size
-// candidates. The resulting partition NEVER affects the merged
-// derivation list (slices of a unit concatenate back to the unit's
-// sequential enumeration), so any policy change here is a pure
-// performance knob.
+/// Chunk tasks per pool thread: enough that an uneven chunk leaves the
+/// other threads work to steal, few enough that per-task dispatch and
+/// buffer overhead stay in the noise.
+constexpr size_t kChunksPerThread = 4;
 
-/// Slice-task fan-out cap per unit, in multiples of the pool size; also
-/// the unit-count threshold above which sections skip slicing entirely.
-constexpr size_t kSlicesPerThread = 4;
-
-/// One pool task: the units [begin, end), each restricted to `slice`. A
-/// sliced task always covers exactly one unit; a chunk task covers a run
-/// of whole units.
+/// One pool task: the whole units [begin, end).
 struct UnitTask {
   size_t begin;
   size_t end;
-  CandidateSlice slice;
 };
 
-/// True if a section with `units` tasks should consider splitting them.
-bool ShouldConsiderSlicing(size_t units, int threads) {
-  return units < kSlicesPerThread * static_cast<size_t>(threads);
-}
-
-/// Number of slices for a unit with `candidates` stream tuples.
-size_t NumSlicesFor(size_t candidates, size_t min_slice_size, int threads) {
-  if (min_slice_size == 0) min_slice_size = 1;
-  size_t by_size = candidates / min_slice_size;
-  size_t cap = kSlicesPerThread * static_cast<size_t>(threads);
-  size_t n = by_size < cap ? by_size : cap;
-  return n < 2 ? 1 : n;
-}
-
-/// Appends the `num_slices`-way partition of [0, candidates) for `unit`.
-/// The last slice is open-ended (kSliceEnd) so coverage never depends on
-/// the counted total.
-void AppendSliceTasks(size_t unit, size_t candidates, size_t num_slices,
-                      std::vector<UnitTask>& out) {
-  if (num_slices <= 1) {
-    out.push_back(UnitTask{unit, unit + 1, CandidateSlice{}});
-    return;
-  }
-  for (size_t s = 0; s < num_slices; ++s) {
-    CandidateSlice slice;
-    slice.begin = candidates * s / num_slices;
-    slice.end = s + 1 == num_slices ? CandidateSlice::kSliceEnd
-                                    : candidates * (s + 1) / num_slices;
-    out.push_back(UnitTask{unit, unit + 1, slice});
-  }
-}
-
-/// Partitions [0, units) into at most kSlicesPerThread * threads
-/// contiguous chunks balanced by `weight(unit)`, one full-slice task per
-/// chunk. Used when a section has many more units than the pool can keep
-/// busy: one pool task per (often tiny) unit pays per-task dispatch and
-/// buffer overhead that can swamp the matching itself — the regression
-/// profile of fine-grained ECA workloads. Chunks preserve unit order, so
-/// the merged buffers still concatenate to the sequential enumeration.
+/// Partitions [0, units) into at most kChunksPerThread * threads
+/// contiguous chunks balanced by `weight(unit)`, one task per chunk. One
+/// pool task per (often tiny) unit would pay per-task dispatch and buffer
+/// overhead that can swamp the matching itself — the regression profile
+/// of fine-grained ECA workloads. Chunks preserve unit order, so the
+/// merged buffers still concatenate to the sequential enumeration.
 template <typename WeightFn>
-void AppendChunkTasks(size_t units, int threads, WeightFn weight,
-                      std::vector<UnitTask>& out) {
-  const size_t num_chunks =
-      kSlicesPerThread * static_cast<size_t>(threads);
+std::vector<UnitTask> ChunkTasks(size_t units, int threads, WeightFn weight) {
+  const size_t num_chunks = kChunksPerThread * static_cast<size_t>(threads);
   double total_weight = 0;
   for (size_t i = 0; i < units; ++i) total_weight += weight(i);
+  std::vector<UnitTask> out;
   size_t begin = 0;
-  size_t chunk = 0;
   double acc = 0;
   for (size_t i = 0; i < units; ++i) {
     acc += weight(i);
-    bool cut = chunk + 1 < num_chunks &&
-               acc >= total_weight * static_cast<double>(chunk + 1) /
+    bool cut = out.size() + 1 < num_chunks &&
+               acc >= total_weight * static_cast<double>(out.size() + 1) /
                           static_cast<double>(num_chunks);
     if (cut || i + 1 == units) {
-      out.push_back(UnitTask{begin, i + 1, CandidateSlice{}});
+      out.push_back(UnitTask{begin, i + 1});
       begin = i + 1;
-      ++chunk;
     }
   }
+  return out;
 }
 
 /// Builds the index for every (predicate, column) of `columns` whose
@@ -260,27 +212,24 @@ class FrozenInterpretation {
 
 /// Appends the derivations of `units` to `out` in unit order and feeds
 /// the cache's actual-rows counter. Sequentially, the units run one after
-/// another. With `parallel`, they fan out over the pool as a flat task
-/// list — large units split into candidate slices, many small units
-/// grouped into chunks — and the per-task buffers are concatenated in
-/// task order, which is exactly the sequential order: ownership is
-/// decided per completion, never per buffer.
+/// another. With `parallel`, contiguous chunks of whole units fan out over
+/// the pool, and the per-task buffers are concatenated in task order,
+/// which is exactly the sequential order: ownership is decided per
+/// completion, never per buffer.
 void RunUnits(const std::vector<GammaUnit>& units, const BlockedSet& blocked,
               const IInterpretation& interp, PlanCache& plans,
               ParallelGamma* parallel, CancellationToken* cancel,
               ExecMode exec, ExecStats* exec_stats,
               const DerivationScope& scope, Derivations& out) {
-  // Matches one unit, restricted to first-literal candidates in `slice`,
-  // into `buffer`; returns the claimed step-0 candidates (the planner's
-  // actual-rows counter). B is probed with the matcher's binding in
-  // place, and the buffer copies the head's values (plus the binding,
+  // Matches one unit into `buffer`; returns its step-0 candidates (the
+  // planner's actual-rows counter). B is probed with the matcher's binding
+  // in place, and the buffer copies the head's values (plus the binding,
   // where the scope keeps the grounding) into its arena. Governance: each
   // derivation is charged to the token's work budget and the buffer's
   // bytes to its memory budget (UpdateScope is a no-op branch while the
   // capacity is unchanged). A fired token stops emission — the evaluator
   // discards the partial Γ.
-  auto run = [&](const GammaUnit& unit, CandidateSlice slice,
-                 Derivations& buffer) -> size_t {
+  auto run = [&](const GammaUnit& unit, Derivations& buffer) -> size_t {
     const Rule& rule = *unit.rule;
     const PredicateId head = rule.head().atom.predicate;
     const bool can_clash = scope.CanClash(head);
@@ -301,7 +250,7 @@ void RunUnits(const std::vector<GammaUnit>& units, const BlockedSet& blocked,
       }
     };
     const size_t claimed = ExecutePlan(*unit.plan, rule, interp, unit.seed,
-                                       slice, emit, cancel, exec, exec_stats);
+                                       emit, cancel, exec, exec_stats);
     if (cancel != nullptr) cancel->CloseScope(mem_scope);
     return claimed;
   };
@@ -310,52 +259,21 @@ void RunUnits(const std::vector<GammaUnit>& units, const BlockedSet& blocked,
     size_t claimed = 0;
     for (const GammaUnit& unit : units) {
       if (cancel != nullptr && cancel->fired()) break;
-      claimed += run(unit, CandidateSlice{}, out);
+      claimed += run(unit, out);
     }
     plans.AddActualRows(claimed);
     return;
   }
 
-  std::vector<UnitTask> tasks;
-  tasks.reserve(units.size());
-  std::vector<Derivations> buffers;
-  std::vector<size_t> claimed;
+  const std::vector<UnitTask> tasks =
+      ChunkTasks(units.size(), parallel->num_threads(), [&](size_t i) {
+        return 1.0 + units[i].plan->estimated_candidates;
+      });
+  std::vector<Derivations> buffers(tasks.size());
+  std::vector<size_t> claimed(tasks.size(), 0);
   {
     FrozenInterpretation frozen(interp, plans.requirements(),
                                 /*prewarm_indexes=*/exec == ExecMode::kTuple);
-    const int threads = parallel->num_threads();
-    const size_t min_slice = parallel->min_slice_size();
-    if (ShouldConsiderSlicing(units.size(), threads)) {
-      size_t sliced_units = 0;
-      size_t slice_tasks = 0;
-      for (size_t i = 0; i < units.size(); ++i) {
-        const GammaUnit& unit = units[i];
-        // Estimate gate: when the planner already predicts the unit's
-        // stream is well below one slice's worth, skip the counting probe
-        // — for many tiny units the counting pass itself was the
-        // dominant parallel overhead.
-        size_t candidates = 0;
-        if (unit.plan->estimated_candidates >=
-            2.0 * static_cast<double>(min_slice)) {
-          candidates = CountPlanCandidates(*unit.plan, *unit.rule, interp,
-                                           unit.seed, exec);
-        }
-        size_t num_slices = NumSlicesFor(candidates, min_slice, threads);
-        if (num_slices > 1) {
-          ++sliced_units;
-          slice_tasks += num_slices;
-        }
-        AppendSliceTasks(i, candidates, num_slices, tasks);
-      }
-      parallel->RecordSlicing(sliced_units, slice_tasks);
-    } else {
-      AppendChunkTasks(
-          units.size(), threads,
-          [&](size_t i) { return 1.0 + units[i].plan->estimated_candidates; },
-          tasks);
-    }
-    buffers.resize(tasks.size());
-    claimed.assign(tasks.size(), 0);
     const int64_t match_start =
         parallel->timing_enabled() ? MonotonicNanos() : 0;
     parallel->pool().ParallelFor(tasks.size(), [&](size_t i) {
@@ -364,7 +282,7 @@ void RunUnits(const std::vector<GammaUnit>& units, const BlockedSet& blocked,
       if (cancel != nullptr && cancel->fired()) return;
       size_t task_claimed = 0;
       for (size_t u = tasks[i].begin; u < tasks[i].end; ++u) {
-        task_claimed += run(units[u], tasks[i].slice, buffers[i]);
+        task_claimed += run(units[u], buffers[i]);
       }
       claimed[i] = task_claimed;
     });
@@ -373,8 +291,6 @@ void RunUnits(const std::vector<GammaUnit>& units, const BlockedSet& blocked,
           static_cast<uint64_t>(MonotonicNanos() - match_start));
     }
   }
-  // Slices of a unit claim disjoint ordinal ranges, so this sum is the
-  // full per-unit stream count — independent of the task partition.
   size_t total_claimed = 0;
   for (size_t c : claimed) total_claimed += c;
   plans.AddActualRows(total_claimed);
@@ -395,9 +311,6 @@ void RunUnits(const std::vector<GammaUnit>& units, const BlockedSet& blocked,
 }
 
 }  // namespace
-
-ParallelGamma::ParallelGamma(int num_threads, size_t min_slice_size)
-    : min_slice_size_(min_slice_size), pool_(num_threads) {}
 
 /// Batch-mode Γ-section prewarm: compact every relation's columnar view
 /// on the coordinator, in BOTH the sequential and parallel paths, so (a)
@@ -420,8 +333,7 @@ GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
   CompactForBatch(interp, exec);
   // One unseeded unit per rule, in program order. Γ never mutates I, so
   // fetching every plan up front gives the plans (and planner counters)
-  // that fetching them one by one would. Even a one-rule program fans
-  // out: intra-rule slicing can split it. A body-less rule (an update of
+  // that fetching them one by one would. A body-less rule (an update of
   // P_U) has nothing to plan: it takes the empty plan, which emits its
   // one empty binding, and never asks the cache — so a cache sized to P
   // serves every P_U.

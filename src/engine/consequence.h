@@ -14,17 +14,12 @@
 // below). Parallel evaluation is an implementation detail, never a
 // semantic one: matching is read-only (the storage layer's lazy index
 // builds are hoisted out and the relations frozen for the section), every
-// task writes into its own buffer, and the buffers are merged in task
-// order — which is exactly the sequential unit order, with the candidate
-// slices of one unit in ordinal order. The resulting derivation list, and
-// hence every downstream artifact (traces, conflicts, provenance, the
-// fixpoint itself), is bit-identical to the sequential engine's.
-// docs/PARALLELISM.md spells out the argument.
-//
-// A unit whose first-literal candidate stream is large enough (see
-// ParkOptions::min_slice_size) is split into [begin, end) candidate
-// slices, each its own pool task — so a single skewed rule no longer
-// serializes its whole section.
+// task runs a contiguous chunk of whole units into its own buffer, and the
+// buffers are merged in task order — which is exactly the sequential unit
+// order. The resulting derivation list, and hence every downstream
+// artifact (traces, conflicts, provenance, the fixpoint itself), is
+// bit-identical to the sequential engine's. docs/PARALLELISM.md spells
+// out the argument.
 
 #ifndef PARK_ENGINE_CONSEQUENCE_H_
 #define PARK_ENGINE_CONSEQUENCE_H_
@@ -168,14 +163,8 @@ struct GammaResult {
   size_t rules_skipped = 0;
 };
 
-/// Default for ParkOptions::min_slice_size / ParallelGamma: small enough
-/// that a genuinely skewed rule (thousands of candidates) splits, large
-/// enough that tiny rules stay one task and the per-unit counting pass
-/// stays in the noise.
-inline constexpr size_t kDefaultMinSliceSize = 256;
-
-/// Shared state for parallel Γ evaluation: the worker pool plus the
-/// slicing policy and counters. A ParkStepper's warm state (one run's,
+/// Shared state for parallel Γ evaluation: the worker pool plus its
+/// timing counters. A ParkStepper's warm state (one run's,
 /// or an ActiveDatabase's across commits) owns at most one and threads it
 /// through every ComputeGamma* call; passing nullptr selects the
 /// sequential path. The indexes a parallel section prewarms come from
@@ -183,26 +172,12 @@ inline constexpr size_t kDefaultMinSliceSize = 256;
 class ParallelGamma {
  public:
   /// `num_threads` must be >= 2 (1 thread IS the sequential path; callers
-  /// simply don't construct a ParallelGamma for it). `min_slice_size` is
-  /// the smallest first-literal candidate count one intra-rule slice may
-  /// carry (0 behaves as 1).
-  explicit ParallelGamma(int num_threads,
-                         size_t min_slice_size = kDefaultMinSliceSize);
+  /// simply don't construct a ParallelGamma for it).
+  explicit ParallelGamma(int num_threads) : pool_(num_threads) {}
 
   int num_threads() const { return pool_.num_threads(); }
   ThreadPool& pool() { return pool_; }
   const ThreadPool& pool() const { return pool_; }
-  size_t min_slice_size() const { return min_slice_size_; }
-
-  /// Intra-rule slicing counters, accumulated across sections by the
-  /// coordinator (never from worker threads): how many units (rules or
-  /// Δ-seeds) were split, and how many slice tasks the splits produced.
-  uint64_t sliced_units() const { return sliced_units_; }
-  uint64_t slice_tasks() const { return slice_tasks_; }
-  void RecordSlicing(size_t units, size_t slices) {
-    sliced_units_ += units;
-    slice_tasks_ += slices;
-  }
 
   /// Switches wall-clock instrumentation of the parallel sections (see
   /// ParkOptions::collect_timings): fan-out time vs. merge time, plus the
@@ -221,9 +196,6 @@ class ParallelGamma {
   void RecordMergeNs(uint64_t ns) { merge_ns_ += ns; }
 
  private:
-  size_t min_slice_size_;
-  uint64_t sliced_units_ = 0;
-  uint64_t slice_tasks_ = 0;
   bool timing_enabled_ = false;
   uint64_t match_ns_ = 0;
   uint64_t merge_ns_ = 0;

@@ -273,14 +273,13 @@ bool BindSeed(const CompiledPlan& plan, const Rule& rule,
 }
 
 /// Shared executor for seeded and unseeded plans (see ExecutePlan).
-/// Returns the number of step-0 stream candidates the slice claimed.
+/// Returns the number of step-0 stream candidates.
 /// `cancel` (may be null) is polled every kCheckStride visited tuples —
 /// candidate materialization and the join loop both stop early once it
 /// fires, so a deadline interrupts even one giant stream within a bounded
 /// number of tuples.
 size_t RunPlan(const CompiledPlan& plan, const Rule& rule,
                const IInterpretation& interp, const AtomView* seed_atom,
-               CandidateSlice slice,
                FunctionRef<void(std::span<const Value>)> fn,
                CancellationToken* cancel) {
   MatchScratch* scratch_ptr = &ThreadScratch();
@@ -316,8 +315,6 @@ size_t RunPlan(const CompiledPlan& plan, const Rule& rule,
   if (scratch.patterns.size() < nsteps) scratch.patterns.resize(nsteps);
   scratch.filter_stores.assign(nsteps, {});
 
-  const bool slicing = !slice.IsFull();
-  size_t ordinal = 0;
   size_t claimed = 0;
 
   // Cooperative cancellation + memory accounting. `poll` trips at most
@@ -372,25 +369,21 @@ size_t RunPlan(const CompiledPlan& plan, const Rule& rule,
     return pattern;
   };
 
-  // Collects step `s`'s candidate tuples into an arena buffer. Step 0 is
-  // the slicing gate: every stream candidate gets the next ordinal (BEFORE
-  // the positive-literal base/plus dedup skip, so the stream count is a
-  // property of the stores alone) and only in-slice ordinals are kept.
+  // Collects step `s`'s candidate tuples into an arena buffer. Step 0
+  // counts every stream candidate (BEFORE the positive-literal base/plus
+  // dedup skip, so the count is a property of the stores alone).
   auto materialize = [&](const CompiledStep& st, size_t s) {
     StepState& state = scratch.states[s];
     state.mark = scratch.arena.mark();
     state.cands = ArenaVec<const Tuple*>(&scratch.arena);
     state.next = 0;
     const TuplePattern& pattern = fill_pattern(st, s);
-    const bool gate = s == 0;
+    const bool first = s == 0;
     auto claim = [&]() -> bool {
       // A fired token stops materialization: remaining candidates are
       // dropped (the whole result is discarded by the caller anyway).
       if (poll()) return false;
-      if (!gate) return true;
-      size_t o = ordinal++;
-      if (slicing && (o < slice.begin || o >= slice.end)) return false;
-      ++claimed;
+      if (first) ++claimed;
       return true;
     };
     const Relation* base = nullptr;
@@ -398,7 +391,7 @@ size_t RunPlan(const CompiledPlan& plan, const Rule& rule,
       case LiteralKind::kPositive:
         // Valid sources: unmarked base atoms and +marked atoms. An atom in
         // both would be enumerated twice; skip base duplicates in the plus
-        // scan (after the ordinal claim).
+        // scan (after the claim).
         base = interp.base().GetRelation(st.predicate);
         if (base != nullptr) {
           base->ForEachMatchingProbe(pattern, st.probe_column,
@@ -518,21 +511,19 @@ size_t RunPlan(const CompiledPlan& plan, const Rule& rule,
 // --- Batch-at-a-time execution (ExecMode::kBatch) ---
 //
 // The batch executor replaces the per-candidate backtracking walk with
-// whole-batch transformations against the storage layer's columnar
-// segments (storage/segment.h). A batch is a flat Value array of binding
-// rows with stride nvars. Step 0 materializes its candidate stream from
-// the probe column's sorted equal range — so a CandidateSlice intersects
-// it by pure range arithmetic, with no per-tuple ordinal claiming — and
-// every later generator step maps the batch through a probe or sorted-
-// merge join chosen at compile time (CompiledStep::join). Joins emit in
-// binding-major order with candidates in segment-row order per binding,
-// which is exactly the depth-first order of the tuple executor over the
-// same candidate sequences; only the per-step candidate order differs
-// between the modes (sorted segment order here vs. hash-index order
-// there), so the two modes are set-identical and each is bit-identical
+// whole-batch transformations against the storage layer's columnar segments
+// (storage/segment.h). A batch is a flat Value array of binding rows with
+// stride nvars. Step 0 materializes its candidate stream from the probe
+// column's sorted equal range, and every later generator step maps the batch
+// through a probe or sorted-merge join chosen at compile time
+// (CompiledStep::join). Joins emit in binding-major order with candidates in
+// segment-row order per binding, which is exactly the depth-first order of the
+// tuple executor over the same candidate sequences; only the per-step candidate
+// order differs between the modes (sorted segment order here vs. hash-index
+// order there), so the two modes are set-identical and each is bit-identical
 // for a fixed configuration (docs/STORAGE.md).
 
-/// The stores one generator step reads, in stream (claim) order, each
+/// The stores one generator step reads, in stream order, each
 /// with the store to dedup against: a positive literal enumerates base
 /// then plus, and a tuple present in both must be enumerated once, so
 /// the plus entry skips tuples contained in base.
@@ -584,14 +575,14 @@ BatchScratch& ThreadBatchScratch() {
   return scratch;
 }
 
-/// Batch counterpart of RunPlan; same contract (claimed count, cancel
+/// Batch counterpart of RunPlan; same contract (candidate count, cancel
 /// semantics), plus local row counters flushed into `exec_stats` (may be
 /// null) at the end. Relations touched must be columnar-compact when
 /// frozen (the batch evaluator compacts at every Γ-section boundary);
 /// unfrozen relations compact lazily inside Relation::Columnar().
 size_t RunPlanBatch(const CompiledPlan& plan, const Rule& rule,
                     const IInterpretation& interp,
-                    const AtomView* seed_atom, CandidateSlice slice,
+                    const AtomView* seed_atom,
                     FunctionRef<void(std::span<const Value>)> fn,
                     CancellationToken* cancel, ExecStats* exec_stats) {
   BatchScratch* scratch_ptr = &ThreadBatchScratch();
@@ -710,15 +701,12 @@ size_t RunPlanBatch(const CompiledPlan& plan, const Rule& rule,
                : brow[static_cast<size_t>(slot.var)];
   };
 
-  // Step 0: the slicing gate. The candidate stream is the concatenation
-  // of the stores' probe ranges (or whole segments when unprobed), in
-  // store order — ordinals are positions in that stream, so intersecting
-  // the slice is range arithmetic and `claimed` needs no per-tuple work.
+  // Step 0. The candidate stream is the concatenation of the stores'
+  // probe ranges (or whole segments when unprobed), in store order, so
+  // `claimed` is range arithmetic with no per-tuple work.
   auto run_scan = [&](const CompiledStep& st) {
     BatchStores stores = BatchStoresFor(st, interp);
     const Value* brow = scratch.cur.data();
-    const bool slicing = !slice.IsFull();
-    size_t ordinal_base = 0;
     for (int i = 0; i < stores.count && !interrupted; ++i) {
       const BatchStores::Entry& entry =
           stores.entries[static_cast<size_t>(i)];
@@ -733,26 +721,12 @@ size_t RunPlanBatch(const CompiledPlan& plan, const Rule& rule,
         lo = range.first;
         hi = range.second;
       }
-      const size_t n = hi - lo;
-      size_t b = 0;
-      size_t e = n;
-      if (slicing) {
-        b = slice.begin > ordinal_base
-                ? std::min(slice.begin - ordinal_base, n)
-                : 0;
-        e = slice.end > ordinal_base
-                ? std::min(slice.end - ordinal_base, n)
-                : 0;
-        if (e < b) e = b;
-      }
-      claimed += e - b;
-      for (size_t p = b; p < e && !poll(); ++p) {
-        uint32_t pos = static_cast<uint32_t>(lo + p);
+      claimed += hi - lo;
+      for (uint32_t pos = lo; pos < hi && !poll(); ++pos) {
         uint32_t row = col != nullptr ? col->RowAt(pos) : pos;
         try_append(st, view.segment->row(row), brow, entry.dedup,
                    col != nullptr ? st.probe_column : -1);
       }
-      ordinal_base += n;
     }
   };
 
@@ -898,17 +872,15 @@ size_t RunPlanBatch(const CompiledPlan& plan, const Rule& rule,
     }
   };
 
-  // Step 0 (the slicing gate) materializes its full output — `claimed`
-  // is range arithmetic over global stream ordinals, so it cannot be
-  // chunked — and everything downstream runs morsel-at-a-time: each
-  // kChunk-row slice of the step-0 batch is pushed through the whole
-  // remaining pipeline before the next slice starts. Joins fan out by
-  // the duplicate factor per step, so full intermediate batches can be
-  // orders of magnitude larger than their inputs; chunking keeps every
-  // intermediate cache-resident instead of streaming hundreds of
-  // megabytes through memory. Chunks run in step-0 order and each step
-  // preserves row order, so the emission sequence is byte-identical to
-  // the unchunked execution.
+  // Step 0 materializes its full output and everything downstream runs
+  // morsel-at-a-time: each kChunk-row chunk of the step-0 batch is pushed
+  // through the whole remaining pipeline before the next chunk starts. Joins
+  // fan out by the duplicate factor per step, so full intermediate batches can
+  // be orders of magnitude larger than their inputs; chunking keeps every
+  // intermediate cache-resident instead of streaming hundreds of megabytes
+  // through memory. Chunks run in step-0 order and each step preserves row
+  // order, so the emission sequence is byte-identical to the unchunked
+  // execution.
   scratch.merge_cache.resize(plan.steps.size());
   for (BatchScratch::MergeCache& cache : scratch.merge_cache) {
     cache.ranges.clear();
@@ -963,73 +935,6 @@ size_t RunPlanBatch(const CompiledPlan& plan, const Rule& rule,
     exec_stats->merge_rows.fetch_add(merge_rows, std::memory_order_relaxed);
   }
   return claimed;
-}
-
-/// Batch-mode stream size of one generator step: the probe range (or
-/// whole segment) length summed over the stores — the exact ordinal
-/// count RunPlanBatch's step 0 partitions, at O(log rows) per store.
-/// `binding` supplies kBoundVar probe slots (seeded plans only).
-size_t CountStreamBatch(const CompiledStep& st, const IInterpretation& interp,
-                        const std::vector<Value>* binding) {
-  size_t total = 0;
-  LiteralStores stores = StoresFor(st.kind, st.predicate, interp);
-  ForEachStore(stores, [&](const Relation& rel) {
-    Relation::ColumnarView view = rel.Columnar();
-    if (st.probe_column < 0) {
-      total += view.segment->num_rows();
-      return;
-    }
-    const CompiledStep::Slot& slot =
-        st.slots[static_cast<size_t>(st.probe_column)];
-    const Value* v = nullptr;
-    if (slot.kind == CompiledStep::Slot::Kind::kConst) {
-      v = &slot.constant;
-    } else {
-      PARK_CHECK(binding != nullptr)
-          << "unseeded plan with a pre-bound step-0 variable";
-      v = &(*binding)[static_cast<size_t>(slot.var)];
-    }
-    std::pair<uint32_t, uint32_t> range =
-        view.segment->column(st.probe_column).EqualRange(*v);
-    total += range.second - range.first;
-  });
-  return total;
-}
-
-/// Stream size of one generator step under `pattern` (pre-dedup).
-size_t CountStream(const CompiledStep& st, const IInterpretation& interp,
-                   const TuplePattern& pattern) {
-  size_t n = 0;
-  auto count = [&n](const Tuple&) { ++n; };
-  LiteralStores stores = StoresFor(st.kind, st.predicate, interp);
-  ForEachStore(stores, [&](const Relation& rel) {
-    rel.ForEachMatchingProbe(pattern, st.probe_column, count);
-  });
-  return n;
-}
-
-/// Fills the step-0 pattern for counting. `binding` supplies kBoundVar
-/// slots (non-null only for seeded plans).
-TuplePattern CountPattern(const CompiledStep& st,
-                          const std::vector<Value>* binding) {
-  TuplePattern pattern(st.slots.size());
-  for (size_t i = 0; i < st.slots.size(); ++i) {
-    const CompiledStep::Slot& slot = st.slots[i];
-    switch (slot.kind) {
-      case CompiledStep::Slot::Kind::kConst:
-        pattern[i] = slot.constant;
-        break;
-      case CompiledStep::Slot::Kind::kBoundVar:
-        PARK_CHECK(binding != nullptr)
-            << "unseeded plan with a pre-bound step-0 variable";
-        pattern[i] = (*binding)[static_cast<size_t>(slot.var)];
-        break;
-      case CompiledStep::Slot::Kind::kFree:
-        pattern[i] = std::nullopt;
-        break;
-    }
-  }
-  return pattern;
 }
 
 PlanExplanation ExplainFromPlan(const CompiledPlan& plan, bool replan) {
@@ -1195,35 +1100,15 @@ CompiledPlan CompilePlan(const Rule& rule, int seed_index,
 
 size_t ExecutePlan(const CompiledPlan& plan, const Rule& rule,
                    const IInterpretation& interp, const AtomView* seed,
-                   CandidateSlice slice,
                    FunctionRef<void(std::span<const Value> binding)> fn,
                    CancellationToken* cancel, ExecMode exec,
                    ExecStats* exec_stats) {
   PARK_CHECK_EQ(plan.seed_index >= 0, seed != nullptr)
       << "seed atom and plan.seed_index disagree";
   if (exec == ExecMode::kBatch) {
-    return RunPlanBatch(plan, rule, interp, seed, slice, fn, cancel,
-                        exec_stats);
+    return RunPlanBatch(plan, rule, interp, seed, fn, cancel, exec_stats);
   }
-  return RunPlan(plan, rule, interp, seed, slice, fn, cancel);
-}
-
-size_t CountPlanCandidates(const CompiledPlan& plan, const Rule& rule,
-                           const IInterpretation& interp,
-                           const AtomView* seed, ExecMode exec) {
-  PARK_CHECK_EQ(plan.seed_index >= 0, seed != nullptr)
-      << "seed atom and plan.seed_index disagree";
-  if (plan.steps.empty() || plan.steps[0].filter) return 0;
-  // The seed binding resolves step-0 kBoundVar slots (unseeded: none).
-  std::vector<Value> binding(
-      seed != nullptr ? static_cast<size_t>(rule.num_variables()) : 0);
-  if (!BindSeed(plan, rule, seed, binding)) return 0;
-  const std::vector<Value>* bound = seed != nullptr ? &binding : nullptr;
-  if (exec == ExecMode::kBatch) {
-    return CountStreamBatch(plan.steps[0], interp, bound);
-  }
-  TuplePattern pattern = CountPattern(plan.steps[0], bound);
-  return CountStream(plan.steps[0], interp, pattern);
+  return RunPlan(plan, rule, interp, seed, fn, cancel);
 }
 
 void AddPlanRequirements(const CompiledPlan& plan, IndexRequirements& out) {

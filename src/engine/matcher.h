@@ -31,7 +31,6 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -49,7 +48,7 @@ class CancellationToken;
 /// indexes. kBatch is batch-at-a-time: steps consume and produce whole
 /// binding batches against the storage layer's sorted, dictionary-encoded
 /// columnar segments (storage/segment.h), with per-step probe or
-/// sorted-merge joins and candidate slices that are plain segment ranges.
+/// sorted-merge joins.
 /// The two modes enumerate the same match SET for every plan — the batch
 /// candidate stream is the canonical sorted segment order instead of hash
 /// order — and each mode is bit-identical across thread counts
@@ -136,7 +135,8 @@ struct CompiledPlan {
   /// rule's variables against the seed atom.
   std::vector<CompiledStep::Slot> seed_slots;
   /// Estimate of the first generator step's candidate stream (the
-  /// planner's predicted `actual_rows` per execution; 0 if unsliceable).
+  /// planner's predicted `actual_rows` per execution; 0 when the first
+  /// step is a filter or the body is empty).
   double estimated_candidates = 0;
 
   /// Row counts of every store the plan's cost depends on, at compile
@@ -167,28 +167,6 @@ struct PlanExplanation {
   std::vector<Step> steps;
 };
 
-// --- Candidate-range slicing (intra-rule parallelism) ---
-//
-// The first generator step of a plan draws its candidate tuples from a
-// deterministic stream: the relation scan or index probe order of the
-// stores it reads (base then plus for positive literals). Assigning each
-// candidate an ordinal in that stream lets the parallel evaluator split
-// ONE rule's work into [begin, end) slices whose per-slice match lists,
-// concatenated in slice order, are byte-identical to the unsliced
-// enumeration — the stream order is stable as long as the relations are
-// not mutated, which the frozen parallel section guarantees.
-
-/// A sub-range of the first generator step's candidate ordinals.
-/// `kSliceEnd` as `end` means "through the last candidate" (the final
-/// slice uses it so coverage never depends on the counted total).
-struct CandidateSlice {
-  static constexpr size_t kSliceEnd = std::numeric_limits<size_t>::max();
-  size_t begin = 0;
-  size_t end = kSliceEnd;
-
-  bool IsFull() const { return begin == 0 && end == kSliceEnd; }
-};
-
 // --- Compiled-plan interface ---
 
 /// Compiles `rule` (with `seed_index` pre-bound; -1 for unseeded) against
@@ -196,13 +174,11 @@ struct CandidateSlice {
 CompiledPlan CompilePlan(const Rule& rule, int seed_index,
                          const IInterpretation& interp);
 
-/// Executes `plan` over `interp`, restricted to first-generator-step
-/// candidates with ordinals in `slice`; `fn` is invoked once per match
-/// with the binding (indexed by variable), a view of the executor's
-/// scratch valid only during the call.
-/// Returns the number of step-0 candidates the slice claimed (pre-dedup;
-/// the planner's actual-rows counter — slice counts of a partition sum to
-/// the full stream count). `rule` must be the rule the plan was compiled
+/// Executes `plan` over `interp`; `fn` is invoked once per match with the
+/// binding (indexed by variable), a view of the executor's scratch valid
+/// only during the call.
+/// Returns the number of step-0 candidates (pre-dedup; the planner's
+/// actual-rows counter). `rule` must be the rule the plan was compiled
 /// from. A rule with an empty body yields exactly one (empty) binding.
 ///
 /// `seed` is non-null exactly when the plan is seeded (`plan.seed_index`
@@ -215,33 +191,19 @@ CompiledPlan CompilePlan(const Rule& rule, int seed_index,
 ///
 /// `cancel` is the run's cooperative cancellation token, polled every
 /// CancellationToken::kCheckStride visited tuples; nullptr disables
-/// polling. Once the token fires, enumeration stops early: the claimed
+/// polling. Once the token fires, enumeration stops early: the candidate
 /// count and emitted matches are partial and MUST be discarded by the
 /// caller — the evaluator converts the token's cause into the run's error
 /// status.
 ///
-/// `exec` picks the executor (see ExecMode). In batch mode the step-0
-/// stream is the probe range of the stores' columnar segments, so a
-/// slice's ordinals resolve by range arithmetic (no per-tuple claiming),
-/// and `exec_stats` (optional) accumulates the batch row counters.
+/// `exec` picks the executor (see ExecMode); in batch mode `exec_stats`
+/// (optional) accumulates the batch row counters.
 size_t ExecutePlan(const CompiledPlan& plan, const Rule& rule,
                    const IInterpretation& interp, const AtomView* seed,
-                   CandidateSlice slice,
                    FunctionRef<void(std::span<const Value> binding)> fn,
                    CancellationToken* cancel = nullptr,
                    ExecMode exec = ExecMode::kTuple,
                    ExecStats* exec_stats = nullptr);
-
-/// Size of the plan's first generator step candidate stream under `seed`
-/// (null exactly for unseeded plans, as for ExecutePlan; 0 when
-/// unsliceable), consistent with the ordinals the matching executor
-/// claims. Tuple mode counts full-pattern index matches (touching
-/// exactly the indexes execution would); batch mode is the probe range
-/// of the columnar segments — O(log rows) arithmetic, no scan.
-size_t CountPlanCandidates(const CompiledPlan& plan, const Rule& rule,
-                           const IInterpretation& interp,
-                           const AtomView* seed,
-                           ExecMode exec = ExecMode::kTuple);
 
 /// The column indexes that evaluating a program's bodies can probe, per
 /// predicate, split by which part of the i-interpretation the matcher

@@ -158,58 +158,48 @@ void Session::RunBatch(std::vector<PendingCommit*>& batch) {
   bool poisoned = false;
   uint64_t journal_seq = 0;
 
-  if (k == 1) {
-    CommitResult result = db_.CommitUpdates(batch[0]->updates, 1);
-    if (result.ok()) {
-      committed_any = true;
-      journal_seq = result->journal_seq;
-      result->batch_seq = batch_seq;
-      batch_counters_.RecordBatch(1);
+  // Fold U1 ∪ ... ∪ Uk: one deterministic firing, one journal record.
+  // UpdateSet dedups, so overlapping members fold cleanly.
+  UpdateSet folded = batch[0]->updates;
+  for (size_t i = 1; i < k; ++i) {
+    for (const Update& update : batch[i]->updates.updates()) {
+      folded.Add(update.action, update.atom);
     }
+  }
+  CommitResult result = db_.CommitUpdates(folded, k);
+  if (result.ok()) {
+    committed_any = true;
+    journal_seq = result->journal_seq;
+    batch_counters_.RecordBatch(k);
+    for (size_t i = 0; i < k; ++i) {
+      // Every member reports the whole batch's effect (the firing is one
+      // PARK run) plus its own placement within the batch.
+      CommitReport member_report = *result;
+      member_report.batch_seq = batch_seq;
+      member_report.batch_size = static_cast<uint32_t>(k);
+      member_report.batch_position = static_cast<uint32_t>(i);
+      batch[i]->result =
+          std::make_unique<CommitResult>(std::move(member_report));
+    }
+  } else if (k == 1) {
     batch[0]->result = std::make_unique<CommitResult>(std::move(result));
   } else {
-    // Fold U1 ∪ ... ∪ Uk: one deterministic firing, one journal record.
-    // UpdateSet dedups, so overlapping members fold cleanly.
-    UpdateSet folded;
+    // Poisoned batch: the folded firing failed (conflicting members, a
+    // budget, ...). Fall back to committing members individually in
+    // arrival order so one bad transaction cannot fail its batchmates;
+    // each retry is its own firing and journal record.
+    poisoned = true;
+    ++batch_counters_.poisoned_batches;
     for (PendingCommit* member : batch) {
-      for (const Update& update : member->updates.updates()) {
-        folded.Add(update.action, update.atom);
+      CommitResult member_result = db_.CommitUpdates(member->updates, 1);
+      ++batch_counters_.individual_retries;
+      if (member_result.ok()) {
+        committed_any = true;
+        journal_seq = member_result->journal_seq;
+        member_result->batch_seq = batch_seq;
+        batch_counters_.RecordBatch(1);
       }
-    }
-    CommitResult result = db_.CommitUpdates(folded, k);
-    if (result.ok()) {
-      committed_any = true;
-      journal_seq = result->journal_seq;
-      batch_counters_.RecordBatch(k);
-      for (size_t i = 0; i < k; ++i) {
-        // Every member reports the whole batch's effect (the firing is
-        // one PARK run) plus its own placement within the batch.
-        CommitReport member_report = *result;
-        member_report.batch_seq = batch_seq;
-        member_report.batch_size = static_cast<uint32_t>(k);
-        member_report.batch_position = static_cast<uint32_t>(i);
-        batch[i]->result =
-            std::make_unique<CommitResult>(std::move(member_report));
-      }
-    } else {
-      // Poisoned batch: the folded firing failed (conflicting members,
-      // a budget, ...). Fall back to committing members individually in
-      // arrival order so one bad transaction cannot fail its batchmates;
-      // each retry is its own firing and journal record.
-      poisoned = true;
-      ++batch_counters_.poisoned_batches;
-      for (size_t i = 0; i < k; ++i) {
-        CommitResult member_result = db_.CommitUpdates(batch[i]->updates, 1);
-        ++batch_counters_.individual_retries;
-        if (member_result.ok()) {
-          committed_any = true;
-          journal_seq = member_result->journal_seq;
-          member_result->batch_seq = batch_seq;
-          batch_counters_.RecordBatch(1);
-        }
-        batch[i]->result =
-            std::make_unique<CommitResult>(std::move(member_result));
-      }
+      member->result = std::make_unique<CommitResult>(std::move(member_result));
     }
   }
 

@@ -4,7 +4,7 @@
 // independent trip conditions — an external cancel request, a wall-clock
 // deadline, a memory budget, and a work (derivation) budget — into a
 // single sticky "fired" state with a cause. Workers poll `Check()` at a
-// bounded stride (every few hundred tuples) and abandon their slice as
+// bounded stride (every few hundred tuples) and abandon their work as
 // soon as the token fires; the evaluator then converts the cause into a
 // Status (`kCancelled` / `kDeadlineExceeded` / `kResourceExhausted`).
 //

@@ -10,10 +10,10 @@
 //
 // Concurrency contract: only one thread may call ParallelFor at a time
 // (the PARK evaluators are single-coordinator by construction). The task
-// body must not call back into the same pool — the Γ evaluator flattens
-// its two-level (unit, slice) work into ONE task list per section
-// precisely so sections never nest; ParallelFor enforces this with a
-// PARK_CHECK against re-entry.
+// body must not call back into the same pool — the Γ evaluator cuts each
+// section's units into ONE flat list of chunk tasks precisely so sections
+// never nest; ParallelFor enforces this with a PARK_CHECK against
+// re-entry.
 
 #ifndef PARK_UTIL_THREAD_POOL_H_
 #define PARK_UTIL_THREAD_POOL_H_

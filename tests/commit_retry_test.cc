@@ -298,6 +298,28 @@ TEST_F(CommitRetryTest, RetriedCommitSucceedsTransparently) {
   EXPECT_TRUE(db.Contains(*atom));
 }
 
+TEST_F(CommitRetryTest, ConfigureReachesTheOpenJournal) {
+  FaultInjectingEnv env(Env::Default());
+
+  ParkOptions options;
+  options.io_max_retries = 3;
+  auto opened = OpenOver(env, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ActiveDatabase& db = *opened;
+
+  // A later Configure() governs the journal Open attached.
+  options.io_max_retries = 0;
+  ASSERT_TRUE(db.Configure(options).ok());
+  TransientFaults transient;
+  transient.fail_appends = 1;
+  env.set_transient(transient);
+  auto failed = std::move(db.Begin().Insert("p", {"a"})).Commit();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+  ASSERT_TRUE(failed.failure().has_value());
+  EXPECT_EQ(failed.failure()->journal_attempts, 1);
+}
+
 // --- observers that throw mid-pipeline ------------------------------------
 
 class ThrowingObserver : public RunObserver {

@@ -24,14 +24,6 @@ TEST(ValidateOptionsTest, RejectsNegativeThreads) {
   EXPECT_NE(status.message().find("num_threads"), std::string::npos);
 }
 
-TEST(ValidateOptionsTest, RejectsZeroSliceSize) {
-  ParkOptions options;
-  options.min_slice_size = 0;
-  Status status = ValidateOptions(options);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("min_slice_size"), std::string::npos);
-}
-
 TEST(ValidateOptionsTest, RejectsZeroMaxSteps) {
   ParkOptions options;
   options.max_steps = 0;
@@ -49,7 +41,6 @@ TEST(ValidateOptionsTest, RejectsNegativeDeadline) {
 TEST(ValidateOptionsTest, AcceptsFreeKnobExtremes) {
   ParkOptions options;
   options.num_threads = 0;  // hardware concurrency
-  options.min_slice_size = 1;
   options.deadline_ms = 0;  // no deadline
   EXPECT_TRUE(ValidateOptions(options).ok());
 }
@@ -58,11 +49,9 @@ TEST(ConfigureTest, InstallsValidatedBundle) {
   ActiveDatabase db;
   ParkOptions options;
   options.num_threads = 2;
-  options.min_slice_size = 64;
   options.block_granularity = BlockGranularity::kFirstConflictOnly;
   ASSERT_TRUE(db.Configure(std::move(options)).ok());
   EXPECT_EQ(db.options().num_threads, 2);
-  EXPECT_EQ(db.options().min_slice_size, 64u);
   EXPECT_EQ(db.options().block_granularity,
             BlockGranularity::kFirstConflictOnly);
 }

@@ -3,18 +3,17 @@
 //
 // Every case (a program, facts, a sequence of update sets U_1..U_n and a
 // SELECT policy) runs through every production configuration — threads
-// {1, 4} × exec {tuple, batch} × min_slice_size {1, default} at 4 threads
-// × block granularity — and every driver: Park(), a stepped ParkStepper,
-// ActiveDatabase commit scripts with maintenance off and on, and a Session
-// whose concurrent group commits are replayed from the journal through
-// the reference.
+// {1, 4} × exec {tuple, batch} × block granularity — and every driver:
+// Park(), a stepped ParkStepper, ActiveDatabase commit scripts with
+// maintenance off and on, and a Session whose concurrent group commits
+// are replayed from the journal through the reference.
 //
 //  - Layer 1: each evaluation matches the reference on the result
 //    database, the rendered blocked set, `restarts` and `gamma_steps`
 //    (and, for Park(), the provenance; for every commit, the reported
 //    inserted/deleted lists, entry for entry).
 //  - Layer 2: each configuration matches the default one (1 thread, tuple,
-//    default slice, same granularity) on the trace (Park(), the stepper,
+//    same granularity) on the trace (Park(), the stepper,
 //    and each commit with maintenance off), the provenance, and the
 //    park-stats-v1 counters/planner/scheduler blocks (plus the
 //    maintenance block for commit scripts), and the single-thread run
@@ -153,7 +152,6 @@ const std::vector<Update>& FirstCommit(const Parsed& parsed) {
 struct Config {
   int threads = 1;
   ExecMode exec = ExecMode::kTuple;
-  size_t min_slice_size = kDefaultMinSliceSize;
   BlockGranularity granularity = BlockGranularity::kAllConflicts;
 };
 
@@ -163,12 +161,9 @@ std::vector<Config> AllConfigs() {
   std::vector<Config> configs;
   for (BlockGranularity g : {BlockGranularity::kAllConflicts,
                              BlockGranularity::kFirstConflictOnly}) {
-    for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
-      configs.push_back({1, exec, kDefaultMinSliceSize, g});
-    }
-    for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
-      for (size_t slice : {size_t{1}, kDefaultMinSliceSize}) {
-        configs.push_back({4, exec, slice, g});
+    for (int threads : {1, 4}) {
+      for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
+        configs.push_back({threads, exec, g});
       }
     }
   }
@@ -177,8 +172,8 @@ std::vector<Config> AllConfigs() {
 
 std::string ConfigName(const Config& c) {
   return StrFormat(
-      "threads=%d exec=%s min_slice_size=%zu granularity=%s", c.threads,
-      c.exec == ExecMode::kTuple ? "tuple" : "batch", c.min_slice_size,
+      "threads=%d exec=%s granularity=%s", c.threads,
+      c.exec == ExecMode::kTuple ? "tuple" : "batch",
       c.granularity == BlockGranularity::kAllConflicts ? "all" : "first");
 }
 
@@ -187,7 +182,6 @@ ParkOptions OptionsFor(const Config& c, PolicyKind policy) {
   options.policy = MakePolicy(policy);
   options.num_threads = c.threads;
   options.exec_mode = c.exec;
-  options.min_slice_size = c.min_slice_size;
   options.block_granularity = c.granularity;
   return options;
 }
@@ -601,21 +595,15 @@ struct Coverage {
   size_t deleted = 0;   // ... and deleted lists
   size_t plans_compiled = 0;
   size_t planner_actual_rows = 0;
-  size_t parallel_tasks = 0;         // threads 4
-  size_t parallel_sliced_units = 0;  // threads 4, min_slice_size 1
-  uint64_t exec_batch_rows = 0;      // exec batch
-  size_t storage_compactions = 0;    // exec batch
-  size_t storage_dict_entries = 0;   // exec batch
+  size_t parallel_tasks = 0;        // threads 4
+  uint64_t exec_batch_rows = 0;     // exec batch
+  size_t storage_compactions = 0;   // exec batch
+  size_t storage_dict_entries = 0;  // exec batch
 
   void Tally(const Config& config, const ParkStats& stats) {
     plans_compiled += stats.plans_compiled;
     planner_actual_rows += stats.planner_actual_rows;
-    if (config.threads > 1) {
-      parallel_tasks += stats.parallel_tasks;
-      if (config.min_slice_size == 1) {
-        parallel_sliced_units += stats.parallel_sliced_units;
-      }
-    }
+    if (config.threads > 1) parallel_tasks += stats.parallel_tasks;
     if (config.exec == ExecMode::kBatch) {
       exec_batch_rows += stats.exec_batch_rows;
       storage_compactions += stats.storage_compactions;
@@ -626,14 +614,10 @@ struct Coverage {
 
 /// The configurations really ran what they select: the planner, the
 /// 4-thread fan-out, and the batch executor over columnar storage.
-/// `slices`: some rule or Δ-seed was split into slices at min_slice_size 1.
-void ExpectMachineryRan(const Coverage& coverage, bool slices) {
+void ExpectMachineryRan(const Coverage& coverage) {
   EXPECT_GT(coverage.plans_compiled, 0u);
   EXPECT_GT(coverage.planner_actual_rows, 0u);
   EXPECT_GT(coverage.parallel_tasks, 0u);
-  if (slices) {
-    EXPECT_GT(coverage.parallel_sliced_units, 0u);
-  }
   EXPECT_GT(coverage.exec_batch_rows, 0u);
   EXPECT_GT(coverage.storage_compactions, 0u);
   EXPECT_GT(coverage.storage_dict_entries, 0u);
@@ -864,7 +848,7 @@ TEST(DifferentialTest, GeneratedCases) {
   EXPECT_GT(coverage.granularity_splits, 0u);
   EXPECT_GT(coverage.inserted, 0u);
   EXPECT_GT(coverage.deleted, 0u);
-  ExpectMachineryRan(coverage, /*slices=*/true);
+  ExpectMachineryRan(coverage);
 }
 
 // --- fixed cases ---
@@ -909,12 +893,12 @@ TEST(DifferentialTest, PaperExamples) {
               coverage);
   }
   EXPECT_GT(coverage.seeded_resolutions, 0u);
-  ExpectMachineryRan(coverage, /*slices=*/true);
+  ExpectMachineryRan(coverage);
 }
 
 TEST(DifferentialTest, ValidityCorners) {
-  // Propositional, like ConflictPairs' workloads: no rows to plan, batch
-  // or slice, so neither holds its coverage to ExpectMachineryRan.
+  // Propositional, like ConflictPairs' workloads: no rows to plan or
+  // batch, so neither holds its coverage to ExpectMachineryRan.
   //
   // A pending deletion keeps `q` valid and makes `!q` valid; `+s`/`-q`
   // events hold only once marked; `+u` falsifies `!u`. r3 is matched
@@ -981,7 +965,7 @@ TEST(DifferentialTest, ClosureScripts) {
   EXPECT_GT(coverage.maintained_commits, 0u);
   EXPECT_GT(coverage.inserted, 0u);
   EXPECT_GT(coverage.deleted, 0u);
-  ExpectMachineryRan(coverage, /*slices=*/true);
+  ExpectMachineryRan(coverage);
 }
 
 TEST(DifferentialTest, MaintenanceGateScripts) {
@@ -1031,7 +1015,7 @@ TEST(DifferentialTest, MaintenanceGateScripts) {
                  PolicyKind::kInertia},
             coverage);
   EXPECT_GT(coverage.maintained_commits, 0u);
-  ExpectMachineryRan(coverage, /*slices=*/true);
+  ExpectMachineryRan(coverage);
 }
 
 TEST(DifferentialTest, ConflictPairs) {
@@ -1057,8 +1041,7 @@ TEST(DifferentialTest, KiloruleChain) {
                          PolicyKind::kInertia,
                          {{"+p_0_0(7)"}, {"-p_1_0(0)"}}),
             coverage);
-  // Each rule matches a handful of rows: too few to slice.
-  ExpectMachineryRan(coverage, /*slices=*/false);
+  ExpectMachineryRan(coverage);
 }
 
 TEST(DifferentialTest, PayrollEca) {
@@ -1071,13 +1054,12 @@ TEST(DifferentialTest, PayrollEca) {
   CheckCase(FromWorkload(MakePayrollWorkload(params), PolicyKind::kInertia,
                          {{"+emp(e_new)", "+payroll(e_new, 900)"}}),
             coverage);
-  ExpectMachineryRan(coverage, /*slices=*/true);
+  ExpectMachineryRan(coverage);
 }
 
 TEST(DifferentialTest, SkewedJoins) {
   // One small literal next to a large scan, so the planner reorders the
-  // body, the batch executor picks sorted-merge joins, and at
-  // min_slice_size 1 the 4-thread runs slice the skewed rule.
+  // body and the batch executor picks sorted-merge joins.
   std::string facts = "sel(c0). sel(c1). ";
   Rng rng(17);
   for (int i = 0; i < 150; ++i) {
@@ -1091,7 +1073,7 @@ TEST(DifferentialTest, SkewedJoins) {
                  {{"+sel(c2)"}, {"-sel(c0)"}},
                  PolicyKind::kInertia},
             coverage);
-  ExpectMachineryRan(coverage, /*slices=*/true);
+  ExpectMachineryRan(coverage);
 }
 
 }  // namespace

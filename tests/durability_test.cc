@@ -606,6 +606,56 @@ TEST_F(DurabilityTest, CheckpointRequiresOpen) {
   EXPECT_EQ(db.Checkpoint().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST_F(DurabilityTest, CommitAfterAFailedCheckpointStepIsDurable) {
+  // A fault at any one mutating operation inside Checkpoint must never
+  // leave the database committing without a journal: the next commit
+  // either fails or survives a reopen.
+  auto open_over = [&](const std::string& db_dir, Env* env) {
+    ActiveDatabase::OpenParams params = DirParams();
+    params.env = env;
+    return ActiveDatabase::Open(db_dir, std::move(params));
+  };
+  // A fault-free run numbers the operations Checkpoint performs.
+  int64_t first = 0;
+  int64_t last = 0;
+  {
+    FaultInjectingEnv env(Env::Default());
+    auto db = open_over(Path("counted"), &env);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE(CommitInsert(*db, "emp", {"ada"}).ok());
+    first = env.op_count();
+    ASSERT_TRUE(db->Checkpoint().ok());
+    last = env.op_count();
+  }
+  ASSERT_GT(last, first);
+  for (int64_t op = first; op < last; ++op) {
+    SCOPED_TRACE(StrFormat("fault at op %lld", static_cast<long long>(op)));
+    const std::string db_dir =
+        Path(StrFormat("db%lld", static_cast<long long>(op)));
+    FaultPlan plan;
+    plan.fault_at = op;
+    plan.kind = FaultPlan::Kind::kFailOp;
+    bool committed = false;
+    {
+      FaultInjectingEnv env(Env::Default(), plan);
+      auto db = open_over(db_dir, &env);
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      ASSERT_TRUE(CommitInsert(*db, "emp", {"ada"}).ok());
+      Status checkpoint = db->Checkpoint();  // the fault fires in here
+      (void)checkpoint;
+      committed = CommitInsert(*db, "emp", {"bob"}).ok();
+    }
+    auto reopened = ActiveDatabase::Open(db_dir, DirParams());
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_TRUE(reopened->Contains(
+        ParseGroundAtom("emp(ada)", reopened->symbols()).value()));
+    if (committed) {
+      EXPECT_TRUE(reopened->Contains(
+          ParseGroundAtom("emp(bob)", reopened->symbols()).value()));
+    }
+  }
+}
+
 TEST_F(DurabilityTest, InterruptedCheckpointDebrisIsSwept) {
   std::string db_dir = Path("db");
   std::string state;

@@ -71,8 +71,7 @@ TEST(GammaModeTest, SemiNaiveSkipsRulesOnClosure) {
 // the plan executor with it: every (rule, literal, Δ-atom) completion in
 // nested-loop order, de-duplicated by grounding, first occurrence kept.
 // Its unseeded case (a `delta.initial` section) must equal FreshGamma,
-// and at 4 threads the sweep must split seeded units into slices, so both
-// unit kinds run through the parallel fan-out.
+// and at 4 threads both unit kinds run through the parallel fan-out.
 // The programs self-join changed predicates (r3-style), and put negated,
 // +event and -event literals over changed predicates; `p3` has no base
 // facts, so after the seed step its groups' pre-Δ stores lie inside Δ.
@@ -112,7 +111,7 @@ std::vector<Firing> ReferenceSeededGamma(const Program& program,
         const CompiledPlan& plan =
             plans.Get(rule, static_cast<int>(i), interp);
         ExecutePlan(
-            plan, rule, interp, &atom, CandidateSlice{},
+            plan, rule, interp, &atom,
             [&](std::span<const Value> binding) {
               RuleGrounding grounding(rule.index(), Tuple(binding));
               if (blocked.contains(grounding)) return;
@@ -193,7 +192,7 @@ class SeededGammaExactnessTest
 TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
   const SeededCase c = GetParam();
   std::optional<ParallelGamma> parallel;
-  if (c.threads > 1) parallel.emplace(c.threads, /*min_slice_size=*/2);
+  if (c.threads > 1) parallel.emplace(c.threads);
   auto expect_same = [](const Derivations& derivations,
                         const std::vector<Firing>& want) {
     const std::vector<Firing> got = Firings(derivations);
@@ -205,7 +204,6 @@ TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
     }
   };
   size_t compared = 0;
-  uint64_t seeded_sliced_units = 0;
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE(StrFormat("seed %llu", static_cast<unsigned long long>(seed)));
     Rng rng(seed);
@@ -267,23 +265,18 @@ TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
                                                    c.exec)
                               .derivations));
       // One seeded section against the reference; returns its result and
-      // counts the seeded units the fan-out split into slices.
+      // the reference's size.
       auto seeded_section = [&](const DeltaAtoms& d) {
-        const uint64_t sliced_before =
-            parallel ? parallel->sliced_units() : 0;
         GammaResult got = ComputeGammaSemiNaive(
             program, blocked, interp, d, graph, plans,
             parallel ? &*parallel : nullptr, nullptr, c.exec, &exec_stats);
-        if (parallel) {
-          seeded_sliced_units += parallel->sliced_units() - sliced_before;
-        }
         std::vector<Firing> want =
             ReferenceSeededGamma(program, blocked, interp, d, plans, c.exec);
         expect_same(got.derivations, want);
         return std::make_pair(std::move(got), want.size());
       };
-      // A thin Δ (the step's first + and first - atom) keeps the section
-      // below the pool's chunking threshold, where seeded units can split.
+      // A thin Δ (the step's first + and first - atom) gives a section of
+      // a few units, fewer than the pool has chunks.
       DeltaAtoms thin;
       thin.initial = false;
       if (!delta.plus.empty()) thin.plus.push_back(delta.plus.front());
@@ -297,7 +290,7 @@ TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
   }
   EXPECT_GT(compared, 500u);  // the sweep must exercise real completions
   if (parallel) {
-    EXPECT_GT(seeded_sliced_units, 0u);
+    EXPECT_GT(parallel->pool().tasks_executed(), 0u);
   }
 }
 

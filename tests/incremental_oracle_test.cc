@@ -267,7 +267,6 @@ TEST(IncrementalOracleTest, MaintainedCommitsReportParallelTimings) {
   ParkOptions options;
   options.maintenance_mode = MaintenanceMode::kIncremental;
   options.num_threads = 4;
-  options.min_slice_size = 1;
   ASSERT_TRUE(db.Configure(options).ok());
   ASSERT_TRUE(db.Stabilize().ok());
   int node = 200;

@@ -2,8 +2,7 @@
 // executed by ExecutePlan (unseeded or seeded) must return exactly the
 // substitutions a brute-force enumeration over the active domain accepts,
 // for random rules, random databases, and random marked atoms — under
-// both executors, for every seed literal, and for any candidate-slice
-// partition (slices concatenate back to the unsliced list). Half the
+// both executors and for every seed literal. Half the
 // scenarios skew the stores so the planner reorders bodies away from
 // source order. This pins down the trickiest module (join planning, index
 // usage, repeated variables, negation ordering, event literals) against a
@@ -120,51 +119,21 @@ std::set<std::string> OracleMatches(const Rule& rule,
   return accepted;
 }
 
-/// Runs `plan` (seeded with `seed` when non-null) unsliced and, when it is
-/// sliceable, over a random 2–4-way partition of its candidate stream,
-/// checks that the slices concatenate to the unsliced enumeration, and
-/// returns the matches as keys.
-std::vector<std::string> ExecuteSliced(const CompiledPlan& plan,
-                                       const Rule& rule,
-                                       const IInterpretation& interp,
-                                       const GroundAtom* seed, ExecMode exec,
-                                       const SymbolTable& symbols, Rng& rng) {
+/// Runs `plan` (seeded with `seed` when non-null) and returns the
+/// matches as keys, in enumeration order.
+std::vector<std::string> Execute(const CompiledPlan& plan, const Rule& rule,
+                                 const IInterpretation& interp,
+                                 const GroundAtom* seed, ExecMode exec,
+                                 const SymbolTable& symbols) {
   std::optional<AtomView> view;
   if (seed != nullptr) view = seed->view();
-  const AtomView* seed_view = view ? &*view : nullptr;
-  auto run = [&](CandidateSlice slice) {
-    std::vector<std::string> out;
-    auto emit = [&](std::span<const Value> binding) {
-      out.push_back(BindingKey({binding.begin(), binding.end()}, symbols));
-    };
-    ExecutePlan(plan, rule, interp, seed_view, slice, emit, nullptr, exec);
-    return out;
+  std::vector<std::string> out;
+  auto emit = [&](std::span<const Value> binding) {
+    out.push_back(BindingKey({binding.begin(), binding.end()}, symbols));
   };
-  std::vector<std::string> whole = run(CandidateSlice{});
-  const size_t candidates =
-      CountPlanCandidates(plan, rule, interp, seed_view, exec);
-  // 0 means unsliceable (or an empty stream): callers run it unsliced.
-  if (candidates == 0) return whole;
-  const size_t parts = 2 + rng.Uniform(3);
-  std::vector<size_t> cuts;
-  for (size_t i = 1; i < parts; ++i) {
-    cuts.push_back(rng.Uniform(candidates + 1));
-  }
-  std::sort(cuts.begin(), cuts.end());
-  std::vector<std::string> concatenated;
-  size_t begin = 0;
-  for (size_t i = 0; i < parts; ++i) {
-    CandidateSlice slice;
-    slice.begin = begin;
-    slice.end = i + 1 < parts ? cuts[i] : CandidateSlice::kSliceEnd;
-    for (std::string& key : run(slice)) {
-      concatenated.push_back(std::move(key));
-    }
-    begin = slice.end;
-  }
-  EXPECT_EQ(whole, concatenated)
-      << parts << "-way slicing of " << candidates << " candidates";
-  return whole;
+  ExecutePlan(plan, rule, interp, view ? &*view : nullptr, emit, nullptr,
+              exec);
+  return out;
 }
 
 /// The matches as a set, failing on duplicate bindings.
@@ -251,8 +220,7 @@ TEST_P(MatcherOracleTest, MatcherAgreesWithBruteForce) {
         OracleMatches(rule, interp, domain, *symbols);
     for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
       SCOPED_TRACE(exec == ExecMode::kBatch ? "batch" : "tuple");
-      EXPECT_EQ(AsSet(ExecuteSliced(plan, rule, interp, nullptr, exec,
-                                    *symbols, rng)),
+      EXPECT_EQ(AsSet(Execute(plan, rule, interp, nullptr, exec, *symbols)),
                 oracle);
     }
 
@@ -276,8 +244,8 @@ TEST_P(MatcherOracleTest, MatcherAgreesWithBruteForce) {
             rule, interp, domain, *symbols, static_cast<int>(s), &seed);
         for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
           SCOPED_TRACE(exec == ExecMode::kBatch ? "batch" : "tuple");
-          EXPECT_EQ(AsSet(ExecuteSliced(seeded, rule, interp, &seed, exec,
-                                        *symbols, rng)),
+          EXPECT_EQ(AsSet(Execute(seeded, rule, interp, &seed, exec,
+                                  *symbols)),
                     seeded_oracle);
         }
       }

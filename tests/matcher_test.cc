@@ -11,23 +11,24 @@ namespace park {
 namespace {
 
 /// Enumerates `rule`'s matches through its compiled plan, each binding
-/// copied into a Tuple.
-void ForEachMatch(const Rule& rule, const IInterpretation& interp,
-                  CandidateSlice slice, FunctionRef<void(const Tuple&)> fn) {
-  ExecutePlan(CompilePlan(rule, /*seed_index=*/-1, interp), rule, interp,
-              /*seed=*/nullptr, slice,
-              [&](std::span<const Value> binding) { fn(Tuple(binding)); });
+/// copied into a Tuple; returns ExecutePlan's step-0 candidate count.
+size_t ForEachMatch(const Rule& rule, const IInterpretation& interp,
+                    FunctionRef<void(const Tuple&)> fn) {
+  return ExecutePlan(
+      CompilePlan(rule, /*seed_index=*/-1, interp), rule, interp,
+      /*seed=*/nullptr,
+      [&](std::span<const Value> binding) { fn(Tuple(binding)); });
 }
 
-/// Seeded enumeration through the rule's seeded plan.
-void ForEachSeededMatch(const Rule& rule, const IInterpretation& interp,
-                        int seed_index, const GroundAtom& seed,
-                        CandidateSlice slice,
-                        FunctionRef<void(const Tuple&)> fn) {
+/// Seeded enumeration through the rule's seeded plan; returns the step-0
+/// candidate count.
+size_t ForEachSeededMatch(const Rule& rule, const IInterpretation& interp,
+                          int seed_index, const GroundAtom& seed,
+                          FunctionRef<void(const Tuple&)> fn) {
   const AtomView view = seed.view();
-  ExecutePlan(CompilePlan(rule, seed_index, interp), rule, interp, &view,
-              slice,
-              [&](std::span<const Value> binding) { fn(Tuple(binding)); });
+  return ExecutePlan(
+      CompilePlan(rule, seed_index, interp), rule, interp, &view,
+      [&](std::span<const Value> binding) { fn(Tuple(binding)); });
 }
 
 /// The planned literal order of `rule` over `interp`'s statistics.
@@ -42,15 +43,7 @@ std::vector<int> PlannedOrder(const Rule& rule,
 }
 
 size_t CountCandidates(const Rule& rule, const IInterpretation& interp) {
-  return CountPlanCandidates(CompilePlan(rule, /*seed_index=*/-1, interp),
-                             rule, interp, /*seed=*/nullptr);
-}
-
-size_t CountSeededCandidates(const Rule& rule, const IInterpretation& interp,
-                             int seed_index, const GroundAtom& seed) {
-  const AtomView view = seed.view();
-  return CountPlanCandidates(CompilePlan(rule, seed_index, interp), rule,
-                             interp, &view);
+  return ForEachMatch(rule, interp, [](const Tuple&) {});
 }
 
 class MatcherTest : public ::testing::Test {
@@ -71,7 +64,7 @@ class MatcherTest : public ::testing::Test {
   std::vector<std::string> Matches(const Rule& rule,
                                    const IInterpretation& interp) {
     std::vector<std::string> out;
-    ForEachMatch(rule, interp, CandidateSlice{}, [&](const Tuple& binding) {
+    ForEachMatch(rule, interp, [&](const Tuple& binding) {
       std::string s;
       for (int i = 0; i < binding.arity(); ++i) {
         if (i > 0) s += ",";
@@ -246,7 +239,7 @@ std::vector<std::string> SeededMatches(const Rule& rule,
                                        const GroundAtom& seed_atom,
                                        const SymbolTable& symbols) {
   std::vector<std::string> out;
-  ForEachSeededMatch(rule, interp, seed_index, seed_atom, CandidateSlice{},
+  ForEachSeededMatch(rule, interp, seed_index, seed_atom,
                      [&](const Tuple& binding) {
                        std::string s;
                        for (int i = 0; i < binding.arity(); ++i) {
@@ -309,66 +302,11 @@ TEST_F(MatcherTest, SeededMatchOnNegatedLiteral) {
             (std::vector<std::string>{"b"}));
 }
 
-// --- Candidate slicing (intra-rule parallelism building blocks) ---
+// --- Step-0 candidate count (the planner's actual-rows counter) ---
 
-class MatcherSliceTest : public MatcherTest {
- protected:
-  /// Bindings of one slice, in enumeration order (NOT sorted: slicing is
-  /// about preserving the stream order).
-  std::vector<std::string> SliceMatches(const Rule& rule,
-                                        const IInterpretation& interp,
-                                        CandidateSlice slice) {
-    std::vector<std::string> out;
-    ForEachMatch(rule, interp, slice, [&](const Tuple& binding) {
-      out.push_back(Render(rule, binding));
-    });
-    return out;
-  }
-
-  std::vector<std::string> FullMatches(const Rule& rule,
-                                       const IInterpretation& interp) {
-    return SliceMatches(rule, interp, CandidateSlice{});
-  }
-
-  std::string Render(const Rule& rule, const Tuple& binding) {
-    std::string s;
-    for (int i = 0; i < binding.arity(); ++i) {
-      if (i > 0) s += ",";
-      s += rule.variable_names()[static_cast<size_t>(i)] + "=" +
-           binding[i].ToString(*symbols_);
-    }
-    return s;
-  }
-};
-
-TEST_F(MatcherSliceTest, SliceConcatenationEqualsFullEnumeration) {
-  Database db = MustDb(
-      "e(a, b). e(b, c). e(c, d). e(d, a). e(a, c). e(b, d). e(c, a).");
-  IInterpretation interp(&db);
-  Rule rule = MustRule("e(X, Y), e(Y, Z) -> +r(X, Z).");
-  size_t candidates = CountCandidates(rule, interp);
-  EXPECT_EQ(candidates, 7u);
-  std::vector<std::string> full = FullMatches(rule, interp);
-  // Every partition of the ordinal space must concatenate back to the
-  // full enumeration, in order, for any slice boundaries.
-  for (size_t cut1 = 0; cut1 <= candidates; ++cut1) {
-    for (size_t cut2 = cut1; cut2 <= candidates; ++cut2) {
-      std::vector<std::string> merged =
-          SliceMatches(rule, interp, CandidateSlice{0, cut1});
-      std::vector<std::string> mid =
-          SliceMatches(rule, interp, CandidateSlice{cut1, cut2});
-      std::vector<std::string> last = SliceMatches(
-          rule, interp, CandidateSlice{cut2, CandidateSlice::kSliceEnd});
-      merged.insert(merged.end(), mid.begin(), mid.end());
-      merged.insert(merged.end(), last.begin(), last.end());
-      EXPECT_EQ(merged, full) << "cuts at " << cut1 << "," << cut2;
-    }
-  }
-}
-
-TEST_F(MatcherSliceTest, CountsBaseAndPlusStreams) {
+TEST_F(MatcherTest, CountsBaseAndPlusStreams) {
   // Positive literals draw from base AND plus; the count is raw (the
-  // base-duplicate skip happens per candidate, after ordinal claim).
+  // base-duplicate skip happens per candidate, after it is counted).
   Database db = MustDb("p(a). p(b).");
   IInterpretation interp(&db);
   RuleGrounding g(0, Tuple{});
@@ -378,58 +316,42 @@ TEST_F(MatcherSliceTest, CountsBaseAndPlusStreams) {
                    ParseGroundAtom("p(a)", symbols_).value(), g);  // dup
   Rule rule = MustRule("p(X) -> +q(X).");
   EXPECT_EQ(CountCandidates(rule, interp), 4u);
-  // The duplicate is still enumerated exactly once across any partition.
-  std::vector<std::string> merged;
-  for (size_t i = 0; i < 4; ++i) {
-    auto part = SliceMatches(rule, interp, CandidateSlice{i, i + 1});
-    merged.insert(merged.end(), part.begin(), part.end());
-  }
-  EXPECT_EQ(merged, FullMatches(rule, interp));
-  EXPECT_EQ(merged.size(), 3u);
+  // The duplicate is still enumerated exactly once.
+  EXPECT_EQ(Matches(rule, interp),
+            (std::vector<std::string>{"X=a", "X=b", "X=c"}));
 }
 
-TEST_F(MatcherSliceTest, UnsliceableRulesReportZero) {
+TEST_F(MatcherTest, GeneratorlessRulesCountZero) {
   Database db = MustDb("p(a).");
   IInterpretation interp(&db);
-  // Empty body: nothing to slice.
+  // Empty body: no candidate stream.
   EXPECT_EQ(CountCandidates(MustRule("-> +q(c)."), interp), 0u);
   // Fully ground first literal: a constant-time filter, not a generator.
-  EXPECT_EQ(CountCandidates(MustRule("p(a) -> +q(c)."), interp),
-            0u);
+  EXPECT_EQ(CountCandidates(MustRule("p(a) -> +q(c)."), interp), 0u);
 }
 
-TEST_F(MatcherSliceTest, SeededSlicesConcatenate) {
+TEST_F(MatcherTest, SeededCountIsTheProbedStream) {
   Database db = MustDb("e(a, b). e(b, c). e(b, d). e(b, f). e(c, a).");
   IInterpretation interp(&db);
   Rule rule = MustRule("e(X, Y), e(Y, Z) -> +r(X, Z).");
   GroundAtom seed = ParseGroundAtom("e(a, b)", symbols_).value();
   // Seeding literal 0 with e(a, b) binds X=a, Y=b; literal 1's stream is
   // the index probe for e(b, _).
-  size_t candidates =
-      CountSeededCandidates(rule, interp, 0, seed);
-  EXPECT_EQ(candidates, 3u);
-  std::vector<std::string> full;
-  ForEachSeededMatch(rule, interp, 0, seed, CandidateSlice{},
-                     [&](const Tuple& b) { full.push_back(Render(rule, b)); });
-  EXPECT_EQ(full.size(), 3u);
-  std::vector<std::string> merged;
-  for (size_t i = 0; i < candidates; ++i) {
-    CandidateSlice slice{i, i + 1 == candidates ? CandidateSlice::kSliceEnd
-                                                : i + 1};
-    ForEachSeededMatch(rule, interp, 0, seed, slice, [&](const Tuple& b) {
-      merged.push_back(Render(rule, b));
-    });
-  }
-  EXPECT_EQ(merged, full);
+  size_t matches = 0;
+  EXPECT_EQ(ForEachSeededMatch(rule, interp, 0, seed,
+                               [&](const Tuple&) { ++matches; }),
+            3u);
+  EXPECT_EQ(matches, 3u);
 }
 
-TEST_F(MatcherSliceTest, SeededCountZeroOnSeedMismatch) {
+TEST_F(MatcherTest, SeededCountZeroOnSeedMismatch) {
   Database db = MustDb("e(a, b).");
   IInterpretation interp(&db);
   Rule rule = MustRule("e(X, X), e(X, Y) -> +r(X, Y).");
   GroundAtom seed = ParseGroundAtom("e(a, b)", symbols_).value();
   // Seed literal requires a repeated variable; e(a, b) cannot bind it.
-  EXPECT_EQ(CountSeededCandidates(rule, interp, 0, seed), 0u);
+  EXPECT_EQ(ForEachSeededMatch(rule, interp, 0, seed, [](const Tuple&) {}),
+            0u);
 }
 
 }  // namespace

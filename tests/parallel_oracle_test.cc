@@ -1,11 +1,11 @@
-// Parallel Γ structure: the pool is actually used, and skewed units are
-// actually sliced, with the counters surfaced in ParkStats. That the
-// parallel runs reproduce the reference results bit-for-bit (databases,
-// traces, blocked sets, provenance, deterministic counters) at every
-// thread count and slice size is differential_test's job. Any lazy index
-// build attempted inside a frozen parallel section aborts the process, so
-// a green run here also certifies the index prewarm pass (exercised
-// further in relation_test).
+// Parallel Γ structure: the pool is actually used, each task runs whole
+// units, and the counters are surfaced in ParkStats. That the parallel
+// runs reproduce the reference results bit-for-bit (databases, traces,
+// blocked sets, provenance, deterministic counters) at every thread
+// count is differential_test's job. Any lazy index build attempted
+// inside a frozen parallel section aborts the process, so a green run
+// here also certifies the index prewarm pass (exercised further in
+// relation_test).
 
 #include <gtest/gtest.h>
 
@@ -21,10 +21,9 @@ using ::park::testing_util::MustParseDatabase;
 using ::park::testing_util::MustParseProgram;
 
 ParkStats RunWithThreads(const Program& program, const Database& db,
-                         int num_threads, size_t min_slice_size) {
+                         int num_threads) {
   ParkOptions options;
   options.num_threads = num_threads;
-  options.min_slice_size = min_slice_size;
   auto result = Park(program, db, options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   if (!result.ok()) return {};
@@ -48,21 +47,21 @@ TEST(ParallelOracleTest, ParallelStatsAreReported) {
   EXPECT_EQ(sequential->stats.parallel_sections, 0u);
 }
 
-// --- Intra-rule slicing ---
+// --- Whole-unit tasks ---
 //
 // A skewed program: ONE join rule dominates the candidate space (every
-// `edge` tuple seeds it) next to a couple of tiny rules, so intra-rule
-// slicing is what parallelizes the section.
+// `edge` tuple feeds its first literal) next to a few tiny rules.
 
 Workload MakeSkewedJoinWorkload() {
   auto symbols = MakeSymbolTable();
   std::string facts;
-  // A dense-ish random digraph: ~3 out-edges per node over 40 nodes.
+  // A dense-ish random digraph: ~3 out-edges per node over 200 nodes, so
+  // the dominant rule's first literal streams ~600 candidates.
   Rng rng(91);
-  for (int n = 0; n < 40; ++n) {
+  for (int n = 0; n < 200; ++n) {
     for (int e = 0; e < 3; ++e) {
       facts += StrFormat("edge(n%d, n%d). ", n,
-                         static_cast<int>(rng.UniformInt(0, 39)));
+                         static_cast<int>(rng.UniformInt(0, 199)));
     }
   }
   facts += "flag. ";
@@ -79,27 +78,18 @@ Workload MakeSkewedJoinWorkload() {
   return w;
 }
 
-TEST(ParallelOracleTest, SkewedRuleActuallySlices) {
-  // With fine slicing, the dominant rule must split: more slice tasks
-  // than rule evaluations in at least one section, surfaced in ParkStats.
+TEST(ParallelOracleTest, SkewedRuleRunsAsOneWholeTask) {
+  // Every section here has fewer units than the pool has chunks, so each
+  // unit is its own task: the dominant rule is never split, however large
+  // its candidate stream.
   Workload w = MakeSkewedJoinWorkload();
-  ParkStats stats =
-      RunWithThreads(w.program, w.database, 4, /*min_slice_size=*/1);
-  EXPECT_GT(stats.parallel_sliced_units, 0u);
-  EXPECT_GT(stats.parallel_slices, stats.parallel_sliced_units);
-  // Slice tasks inflate the pool task count past the units evaluated.
-  EXPECT_GT(stats.parallel_tasks, stats.rule_evaluations);
-  // Conservative default: a tiny workload with a large min_slice_size
-  // must NOT slice.
-  ParkStats unsliced =
-      RunWithThreads(w.program, w.database, 4, /*min_slice_size=*/100000);
-  EXPECT_EQ(unsliced.parallel_sliced_units, 0u);
-  EXPECT_EQ(unsliced.parallel_slices, 0u);
+  ParkStats stats = RunWithThreads(w.program, w.database, 4);
+  EXPECT_GT(stats.parallel_sections, 0u);
+  EXPECT_EQ(stats.parallel_tasks, stats.rule_evaluations);
 }
 
 TEST(ParallelOracleTest, SingleRuleProgramFansOut) {
-  // Pre-slicing, a one-rule program never used the pool at all; now its
-  // candidate space is what gets split.
+  // A one-rule program still runs its sections on the pool, as one task.
   auto symbols = MakeSymbolTable();
   std::string facts;
   for (int i = 0; i < 64; ++i) {
@@ -108,9 +98,9 @@ TEST(ParallelOracleTest, SingleRuleProgramFansOut) {
   Program program =
       MustParseProgram("r: p(X, Y), p(Y, Z) -> +q(X, Z).", symbols);
   Database db = MustParseDatabase(facts, symbols);
-  ParkStats stats = RunWithThreads(program, db, 2, /*min_slice_size=*/1);
+  ParkStats stats = RunWithThreads(program, db, 2);
   EXPECT_GT(stats.parallel_sections, 0u);
-  EXPECT_GT(stats.parallel_slices, 0u);
+  EXPECT_EQ(stats.parallel_tasks, stats.parallel_sections);
 }
 
 }  // namespace

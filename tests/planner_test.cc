@@ -42,7 +42,7 @@ class PlannerTest : public ::testing::Test {
                                        const Rule& rule,
                                        const IInterpretation& interp) {
     std::vector<std::string> out;
-    ExecutePlan(plan, rule, interp, /*seed=*/nullptr, CandidateSlice{},
+    ExecutePlan(plan, rule, interp, /*seed=*/nullptr,
                 [&](std::span<const Value> binding) {
                   std::string s;
                   for (size_t i = 0; i < binding.size(); ++i) {

@@ -55,8 +55,8 @@ PARK_STATS_COUNTERS = [
     "derived_marks", "policy_invocations", "rule_evaluations",
 ]
 PARK_STATS_PARALLEL = [
-    "num_threads", "sections", "tasks", "sliced_units", "slices",
-    "max_queue_depth", "mean_task_latency_ns",
+    "num_threads", "sections", "tasks", "max_queue_depth",
+    "mean_task_latency_ns",
 ]
 PARK_STATS_TIMINGS = [
     "total_ns", "gamma_ns", "apply_ns", "conflict_ns", "policy_ns",
