@@ -171,7 +171,7 @@ ParkStepper::ParkStepper(const Program& program, const Database& db,
       if (added) {
         (u.action == ActionKind::kInsert ? delta_atoms_.plus
                                          : delta_atoms_.minus)
-            .push_back(AtomView{u.atom.predicate(), stored->span()});
+            .push_back(AtomView{u.atom.predicate(), stored});
         ++stats_.derived_marks;
       }
     }

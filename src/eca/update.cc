@@ -1,14 +1,14 @@
 #include "eca/update.h"
 
-#include <algorithm>
-
 #include "lang/parser.h"
 #include "util/string_util.h"
 
 namespace park {
 
 UpdateSet& UpdateSet::Add(ActionKind action, const GroundAtom& atom) {
-  if (!Contains(action, atom)) updates_.push_back(Update{action, atom});
+  if (Staged(action).insert(atom).second) {
+    updates_.push_back(Update{action, atom});
+  }
   return *this;
 }
 
@@ -35,8 +35,7 @@ Status UpdateSet::AddParsed(std::string_view text,
 }
 
 bool UpdateSet::Contains(ActionKind action, const GroundAtom& atom) const {
-  return std::find(updates_.begin(), updates_.end(),
-                   Update{action, atom}) != updates_.end();
+  return Staged(action).contains(atom);
 }
 
 std::string UpdateSet::ToString(const SymbolTable& symbols) const {

@@ -5,6 +5,7 @@
 #define PARK_ECA_UPDATE_H_
 
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/park_evaluator.h"
@@ -12,7 +13,8 @@
 namespace park {
 
 /// An ordered, duplicate-free collection of ±a updates. Order is kept for
-/// reporting only; the semantics is set-based.
+/// reporting only; the semantics is set-based. Add and Contains are
+/// hashed, so staging n updates costs O(n).
 class UpdateSet {
  public:
   UpdateSet() = default;
@@ -33,7 +35,11 @@ class UpdateSet {
   const std::vector<Update>& updates() const { return updates_; }
   size_t size() const { return updates_.size(); }
   bool empty() const { return updates_.empty(); }
-  void clear() { updates_.clear(); }
+  void clear() {
+    updates_.clear();
+    staged_[0].clear();
+    staged_[1].clear();
+  }
 
   bool Contains(ActionKind action, const GroundAtom& atom) const;
 
@@ -41,7 +47,17 @@ class UpdateSet {
   std::string ToString(const SymbolTable& symbols) const;
 
  private:
-  std::vector<Update> updates_;
+  using AtomSet = std::unordered_set<GroundAtom, GroundAtomHash, GroundAtomEq>;
+
+  AtomSet& Staged(ActionKind action) {
+    return staged_[action == ActionKind::kInsert ? 0 : 1];
+  }
+  const AtomSet& Staged(ActionKind action) const {
+    return staged_[action == ActionKind::kInsert ? 0 : 1];
+  }
+
+  std::vector<Update> updates_;  // insertion order
+  AtomSet staged_[2];            // the atoms of updates_, + and -
 };
 
 }  // namespace park

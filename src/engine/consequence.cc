@@ -576,7 +576,7 @@ size_t ApplyDerivations(const Derivations& derivations,
     ++added;
     if (next_atoms != nullptr) {
       (r.action == ActionKind::kInsert ? next_atoms->plus : next_atoms->minus)
-          .push_back(AtomView{r.predicate, stored->span()});
+          .push_back(AtomView{r.predicate, stored});
     }
   }
   // Provenance only once the section is known to add a mark: a section

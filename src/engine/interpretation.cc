@@ -11,9 +11,8 @@ IInterpretation::IInterpretation(const Database* base)
   PARK_CHECK(base != nullptr) << "IInterpretation requires a base database";
 }
 
-std::pair<const Tuple*, bool> IInterpretation::Mark(ActionKind action,
-                                                    AtomView atom,
-                                                    bool can_clash) {
+std::pair<std::span<const Value>, bool> IInterpretation::Mark(
+    ActionKind action, AtomView atom, bool can_clash) {
   Database& target = action == ActionKind::kInsert ? plus_ : minus_;
   const Database& opposite = action == ActionKind::kInsert ? minus_ : plus_;
   auto stored = target.Emplace(atom);
@@ -71,7 +70,10 @@ Database IInterpretation::Incorporate() && {
   PARK_CHECK(IsConsistent()) << "incorp on an inconsistent i-interpretation";
   Database result = base_->Clone();
   result.InsertAll(std::move(plus_));
-  minus_.ForEach([&](const GroundAtom& atom) { result.Erase(atom); });
+  minus_.ForEachRelation([&](PredicateId pred, const Relation& rel) {
+    rel.ForEach(
+        [&](std::span<const Value> row) { result.Erase(AtomView{pred, row}); });
+  });
   ClearMarks();
   return result;
 }
@@ -79,12 +81,20 @@ Database IInterpretation::Incorporate() && {
 Database::Diff IInterpretation::MarkDiff() const {
   PARK_CHECK(IsConsistent()) << "incorp on an inconsistent i-interpretation";
   Database::Diff diff;
-  plus_.ForEach([&](const GroundAtom& atom) {
-    if (!base_->Contains(atom)) diff.only_in_this.push_back(atom);
-  });
-  minus_.ForEach([&](const GroundAtom& atom) {
-    if (base_->Contains(atom)) diff.only_in_other.push_back(atom);
-  });
+  // Walks the marks as rows; only the atoms that enter the diff are
+  // copied.
+  auto collect = [&](const Database& marks, bool in_base,
+                     std::vector<GroundAtom>& out) {
+    marks.ForEachRelation([&](PredicateId pred, const Relation& rel) {
+      rel.ForEach([&](std::span<const Value> row) {
+        if (base_->Contains(pred, row.data(), row.size()) == in_base) {
+          out.emplace_back(AtomView{pred, row});
+        }
+      });
+    });
+  };
+  collect(plus_, false, diff.only_in_this);
+  collect(minus_, true, diff.only_in_other);
   std::sort(diff.only_in_this.begin(), diff.only_in_this.end());
   std::sort(diff.only_in_other.begin(), diff.only_in_other.end());
   return diff;

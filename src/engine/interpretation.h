@@ -90,7 +90,7 @@ class IInterpretation {
     return base_->Contains(atom);
   }
 
-  /// Marks `±atom` unless already marked, and returns the stored tuple
+  /// Marks `±atom` unless already marked, and returns the stored row
   /// (stable until ClearMarks) and whether the mark is new. Records no
   /// provenance and does NOT check consistency — the caller (the Δ
   /// operator) decides whether a would-be-inconsistent Γ result is ever
@@ -98,8 +98,9 @@ class IInterpretation {
   /// stays exact, unless `can_clash` is false: the caller then vouches
   /// that `∓atom` is never marked (its predicate lies outside the run's
   /// clash scope, DerivationScope).
-  std::pair<const Tuple*, bool> Mark(ActionKind action, AtomView atom,
-                                     bool can_clash = true);
+  std::pair<std::span<const Value>, bool> Mark(ActionKind action,
+                                              AtomView atom,
+                                              bool can_clash = true);
 
   /// Records `by` as one of the groundings that derived `±atom`, once.
   void RecordProvenance(ActionKind action, AtomView atom, GroundingView by);

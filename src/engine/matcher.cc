@@ -191,7 +191,7 @@ void SnapshotStore(uint8_t store, PredicateId pred, const Relation* rel,
 /// reentrant call (a match callback that matches again) falls back to a
 /// heap-allocated scratch.
 struct StepState {
-  ArenaVec<const Tuple*> cands;
+  ArenaVec<const Value*> cands;
   size_t next = 0;
   Arena::Mark mark;
 };
@@ -218,7 +218,7 @@ bool FilterValid(const FilterStores& fs, LiteralKind kind, const Value* args,
                  size_t n) {
   return LiteralHolds(kind, [&](MarkStore store) {
     const Relation* r = fs[static_cast<size_t>(store)];
-    return r != nullptr && r->Contains(args, n);
+    return r != nullptr && r->Contains({args, n});
   });
 }
 
@@ -375,7 +375,7 @@ size_t RunPlan(const CompiledPlan& plan, const Rule& rule,
   auto materialize = [&](const CompiledStep& st, size_t s) {
     StepState& state = scratch.states[s];
     state.mark = scratch.arena.mark();
-    state.cands = ArenaVec<const Tuple*>(&scratch.arena);
+    state.cands = ArenaVec<const Value*>(&scratch.arena);
     state.next = 0;
     const TuplePattern& pattern = fill_pattern(st, s);
     const bool first = s == 0;
@@ -395,26 +395,26 @@ size_t RunPlan(const CompiledPlan& plan, const Rule& rule,
         base = interp.base().GetRelation(st.predicate);
         if (base != nullptr) {
           base->ForEachMatchingProbe(pattern, st.probe_column,
-                                     [&](const Tuple& t) {
+                                     [&](std::span<const Value> t) {
                                        if (!claim()) return;
-                                       state.cands.push_back(&t);
+                                       state.cands.push_back(t.data());
                                      });
         }
         if (const Relation* plus = interp.plus().GetRelation(st.predicate)) {
           plus->ForEachMatchingProbe(
-              pattern, st.probe_column, [&](const Tuple& t) {
+              pattern, st.probe_column, [&](std::span<const Value> t) {
                 if (!claim()) return;
                 if (base != nullptr && base->Contains(t)) return;
-                state.cands.push_back(&t);
+                state.cands.push_back(t.data());
               });
         }
         break;
       case LiteralKind::kEventInsert:
         if (const Relation* plus = interp.plus().GetRelation(st.predicate)) {
           plus->ForEachMatchingProbe(pattern, st.probe_column,
-                                     [&](const Tuple& t) {
+                                     [&](std::span<const Value> t) {
                                        if (!claim()) return;
-                                       state.cands.push_back(&t);
+                                       state.cands.push_back(t.data());
                                      });
         }
         break;
@@ -422,9 +422,9 @@ size_t RunPlan(const CompiledPlan& plan, const Rule& rule,
         if (const Relation* minus =
                 interp.minus().GetRelation(st.predicate)) {
           minus->ForEachMatchingProbe(pattern, st.probe_column,
-                                      [&](const Tuple& t) {
+                                      [&](std::span<const Value> t) {
                                         if (!claim()) return;
-                                        state.cands.push_back(&t);
+                                        state.cands.push_back(t.data());
                                       });
         }
         break;
@@ -433,10 +433,10 @@ size_t RunPlan(const CompiledPlan& plan, const Rule& rule,
     }
   };
 
-  // Binds the step's free variables from `t`; false iff a repeated free
-  // variable within the literal disagrees (the pattern already guaranteed
-  // constants and earlier-bound variables).
-  auto try_bind = [&](const CompiledStep& st, const Tuple& t) -> bool {
+  // Binds the step's free variables from row `t`; false iff a repeated
+  // free variable within the literal disagrees (the pattern already
+  // guaranteed constants and earlier-bound variables).
+  auto try_bind = [&](const CompiledStep& st, const Value* t) -> bool {
     for (const auto& [pos, var] : st.binds) {
       scratch.binding[static_cast<size_t>(var)] = t[pos];
     }
@@ -482,8 +482,7 @@ size_t RunPlan(const CompiledPlan& plan, const Rule& rule,
       if (entering) materialize(st, static_cast<size_t>(s));
       StepState& state = scratch.states[static_cast<size_t>(s)];
       while (state.next < state.cands.size()) {
-        const Tuple* t = state.cands[state.next++];
-        if (try_bind(st, *t)) {
+        if (try_bind(st, state.cands[state.next++])) {
           advanced = true;
           break;
         }
@@ -676,7 +675,7 @@ size_t RunPlanBatch(const CompiledPlan& plan, const Rule& rule,
         }
       }
     }
-    if (dedup != nullptr && dedup->Contains(t, st.slots.size())) return;
+    if (dedup != nullptr && dedup->Contains({t, st.slots.size()})) return;
     size_t base_off = scratch.next.size();
     scratch.next.insert(scratch.next.end(), brow, brow + nvars);
     Value* out = scratch.next.data() + base_off;

@@ -50,8 +50,8 @@ Result<QueryResult> QueryDatabase(
     }
   }
 
-  relation->ForEachMatching(tuple_pattern, [&](const Tuple& tuple) {
-    auto row = query_internal::BindRow(parsed.atom, tuple.values(),
+  relation->ForEachMatching(tuple_pattern, [&](std::span<const Value> args) {
+    auto row = query_internal::BindRow(parsed.atom, args,
                                        parsed.variable_names.size(),
                                        projection);
     if (row.has_value()) result.bindings.push_back(std::move(*row));

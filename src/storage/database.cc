@@ -27,7 +27,7 @@ bool Database::Insert(const GroundAtom& atom) {
   return added;
 }
 
-std::pair<const Tuple*, bool> Database::Emplace(AtomView atom) {
+std::pair<std::span<const Value>, bool> Database::Emplace(AtomView atom) {
   Relation& rel = GetOrCreateRelation(atom.predicate,
                                       static_cast<int>(atom.args.size()));
   auto stored = rel.Emplace(atom.args);
@@ -61,18 +61,18 @@ void Database::InsertAll(Database&& other) {
     PARK_CHECK_EQ(target.arity(), rel.arity())
         << "predicate " << symbols_->PredicateName(pred)
         << " used with inconsistent arity";
-    rel.ForEach([&](const Tuple& t) {
-      if (target.Insert(t)) ++total_atoms_;
+    rel.ForEach([&](std::span<const Value> row) {
+      if (target.Insert(row)) ++total_atoms_;
     });
   }
   other.relations_.clear();
   other.total_atoms_ = 0;
 }
 
-bool Database::Erase(const GroundAtom& atom) {
-  auto it = relations_.find(atom.predicate());
+bool Database::Erase(AtomView atom) {
+  auto it = relations_.find(atom.predicate);
   if (it == relations_.end()) return false;
-  bool removed = it->second.Erase(atom.args());
+  bool removed = it->second.Erase(atom.args);
   if (removed) --total_atoms_;
   return removed;
 }
@@ -87,7 +87,7 @@ bool Database::Contains(PredicateId predicate, const Value* args,
                         size_t n) const {
   auto it = relations_.find(predicate);
   if (it == relations_.end()) return false;
-  return it->second.Contains(args, n);
+  return it->second.Contains({args, n});
 }
 
 const Relation* Database::GetRelation(PredicateId predicate) const {
@@ -111,7 +111,9 @@ Relation& Database::GetOrCreateRelation(PredicateId predicate, int arity) {
 void Database::ForEach(
     const std::function<void(const GroundAtom&)>& fn) const {
   for (const auto& [pred, rel] : relations_) {
-    rel.ForEach([&](const Tuple& t) { fn(GroundAtom(pred, t)); });
+    rel.ForEach([&](std::span<const Value> row) {
+      fn(GroundAtom(AtomView{pred, row}));
+    });
   }
 }
 
@@ -162,23 +164,37 @@ std::string Database::ToString() const {
   return out;
 }
 
+namespace {
+
+/// Appends every atom of `from` that `other` lacks to `out`.
+void AppendMissing(const Database& from, const Database& other,
+                   std::vector<GroundAtom>& out) {
+  from.ForEachRelation([&](PredicateId pred, const Relation& rel) {
+    rel.ForEach([&](std::span<const Value> row) {
+      if (!other.Contains(pred, row.data(), row.size())) {
+        out.emplace_back(AtomView{pred, row});
+      }
+    });
+  });
+}
+
+}  // namespace
+
 bool Database::SameAtoms(const Database& other) const {
   if (total_atoms_ != other.total_atoms_) return false;
   bool same = true;
-  ForEach([&](const GroundAtom& atom) {
-    if (!other.Contains(atom)) same = false;
-  });
+  for (const auto& [pred, rel] : relations_) {
+    rel.ForEach([&](std::span<const Value> row) {
+      same = same && other.Contains(pred, row.data(), row.size());
+    });
+  }
   return same;
 }
 
 Database::Diff Database::DiffWith(const Database& other) const {
   Diff diff;
-  ForEach([&](const GroundAtom& atom) {
-    if (!other.Contains(atom)) diff.only_in_this.push_back(atom);
-  });
-  other.ForEach([&](const GroundAtom& atom) {
-    if (!Contains(atom)) diff.only_in_other.push_back(atom);
-  });
+  AppendMissing(*this, other, diff.only_in_this);
+  AppendMissing(other, *this, diff.only_in_other);
   std::sort(diff.only_in_this.begin(), diff.only_in_this.end());
   std::sort(diff.only_in_other.begin(), diff.only_in_other.end());
   return diff;

@@ -40,10 +40,10 @@ class Database {
   /// Inserts `atom`; returns true if it was not already present.
   bool Insert(const GroundAtom& atom);
 
-  /// Inserts `atom` unless present, and returns the stored tuple and
+  /// Inserts `atom` unless present, and returns the stored row and
   /// whether it was new (Relation::Emplace): a present atom costs one
   /// probe and no allocation.
-  std::pair<const Tuple*, bool> Emplace(AtomView atom);
+  std::pair<std::span<const Value>, bool> Emplace(AtomView atom);
 
   /// Convenience: interns `predicate` (with arity = args.size()) and the
   /// symbol constants in `args`, then inserts. Example:
@@ -53,14 +53,15 @@ class Database {
 
   /// Inserts every atom of `other`, which must share the symbol table,
   /// and leaves `other` empty. A predicate with no relation here takes
-  /// other's relation whole: its tuples, stats and hash indexes, with its
+  /// other's relation whole: its rows, stats and hash indexes, with its
   /// columnar view dropped and thawed (Relation::DropColumnar), so
   /// ColumnarStats() reads as if the atoms had been inserted one by one.
   /// Every other predicate's atoms are inserted one by one.
   void InsertAll(Database&& other);
 
   /// Removes `atom`; returns true if it was present.
-  bool Erase(const GroundAtom& atom);
+  bool Erase(AtomView atom);
+  bool Erase(const GroundAtom& atom) { return Erase(atom.view()); }
 
   bool Contains(const GroundAtom& atom) const;
 
@@ -83,7 +84,9 @@ class Database {
   /// The relation for `predicate`, created (with `arity`) if absent.
   Relation& GetOrCreateRelation(PredicateId predicate, int arity);
 
-  /// Invokes `fn` for every atom, in unspecified order.
+  /// Invokes `fn` for every atom, in unspecified order. Each visited atom
+  /// is copied into a GroundAtom; walk ForEachRelation's rows instead
+  /// where that copy matters.
   void ForEach(const std::function<void(const GroundAtom&)>& fn) const;
 
   /// Invokes `fn` for every (predicate, relation) pair, in unspecified

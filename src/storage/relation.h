@@ -1,17 +1,21 @@
 // Relation: the tuple store for one predicate.
 //
-// A Relation is an unordered set of Tuples plus lazily built, incrementally
-// maintained per-column hash indexes. The engine's body matcher asks for
-// tuples matching a partial binding; when some column of the binding is
-// bound, the relation answers via a column index instead of a full scan.
+// A Relation is a set of fixed-arity rows plus lazily built, incrementally
+// maintained per-column hash indexes. Rows are flat Value[arity] blocks in
+// chunks that never move, found through one open-addressing set of row
+// ids; a column index is an open-addressing map from a value to the first
+// row holding it, with the rest of the rows chained through a per-row
+// `next` array. The engine's body matcher asks for rows matching a partial
+// binding; when some column of the binding is bound, the relation answers
+// via a column index instead of a full scan.
 
 #ifndef PARK_STORAGE_RELATION_H_
 #define PARK_STORAGE_RELATION_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "storage/relation_stats.h"
@@ -26,7 +30,12 @@ namespace park {
 /// "any value". Used as the query form for Relation::ForEachMatching.
 using TuplePattern = std::vector<std::optional<Value>>;
 
-/// Tuple set with on-demand column indexes.
+/// Row set with on-demand column indexes.
+///
+/// Rows are handed out as `std::span<const Value>` views into the
+/// relation's chunks. A view stays valid until its row is erased or the
+/// relation is destroyed: chunks never move, not even when the relation
+/// grows or is moved.
 ///
 /// Thread safety: mutation is single-threaded, but read-only access from
 /// many threads is supported via index freezing. The lazy index build in
@@ -46,55 +55,53 @@ class Relation {
   Relation(Relation&&) = default;
   Relation& operator=(Relation&&) = default;
 
-  /// Deep copy without the indexes (they rebuild on demand) and without
-  /// the frozen flag.
+  /// Deep copy of the rows (chunk by chunk, with the row set copied
+  /// as is — nothing is rehashed) and the stats, without the indexes
+  /// (they rebuild on demand), the columnar view and the frozen flag.
   Relation Clone() const;
 
   int arity() const { return arity_; }
-  size_t size() const { return tuples_.size(); }
-  bool empty() const { return tuples_.empty(); }
+  size_t size() const { return live_; }
+  bool empty() const { return live_ == 0; }
 
-  /// Inserts `t`; returns true if the tuple was not already present.
-  /// `t.arity()` must equal the relation arity. Must not be frozen.
-  bool Insert(const Tuple& t);
+  /// Inserts `row`; returns true if it was not already present.
+  /// `row.size()` must equal the relation arity. Must not be frozen.
+  bool Insert(std::span<const Value> row) { return Emplace(row).second; }
 
-  /// Inserts the row `args` unless present, and returns the stored tuple
-  /// and whether it was new. A present row costs one probe and no
-  /// allocation; an absent one is hashed again on insertion. Same
-  /// preconditions as Insert.
-  std::pair<const Tuple*, bool> Emplace(std::span<const Value> args);
+  /// Inserts `row` unless present, and returns the stored row and
+  /// whether it was new. The row is hashed once: a present row costs one
+  /// probe, an absent one is written into the slot that probe found.
+  /// Same preconditions as Insert.
+  std::pair<std::span<const Value>, bool> Emplace(std::span<const Value> row);
 
-  /// Removes `t`; returns true if it was present. Must not be frozen.
-  bool Erase(const Tuple& t);
+  /// Removes `row`; returns true if it was present. Must not be frozen.
+  bool Erase(std::span<const Value> row);
 
-  bool Contains(const Tuple& t) const { return tuples_.contains(t); }
-
-  /// Heterogeneous lookup from a flat Value[n] span — no Tuple is
-  /// materialized. The batch executor's dedup and filter checks run on
-  /// segment rows and binding rows stored this way.
-  bool Contains(const Value* data, size_t n) const {
-    return tuples_.find(TupleSpan{data, n}) != tuples_.end();
+  /// Whole-row membership. A span of the wrong arity is never contained.
+  bool Contains(std::span<const Value> row) const {
+    return row.size() == static_cast<size_t>(arity_) &&
+           FindRow(row.data(), RowHash(row.data())) != kNoRow;
   }
 
-  /// Invokes `fn` for every tuple, in unspecified order. `fn` must not
+  /// Invokes `fn` for every row, in unspecified order. `fn` must not
   /// mutate this relation.
-  void ForEach(FunctionRef<void(const Tuple&)> fn) const;
+  void ForEach(FunctionRef<void(std::span<const Value>)> fn) const;
 
-  /// Invokes `fn` for every tuple consistent with `pattern` (same arity;
-  /// bound positions must match exactly). Uses the most selective column
-  /// index among bound positions, building it on first use — unless the
-  /// relation is frozen, in which case the index must already exist.
+  /// Invokes `fn` for every row consistent with `pattern` (same arity;
+  /// bound positions must match exactly). Uses the first bound column's
+  /// index, building it on first use — unless the relation is frozen, in
+  /// which case the index must already exist.
   void ForEachMatching(const TuplePattern& pattern,
-                       FunctionRef<void(const Tuple&)> fn) const;
+                       FunctionRef<void(std::span<const Value>)> fn) const;
 
   /// ForEachMatching with the probe column chosen by the caller (the
   /// cost-based planner picks the most selective bound column instead of
   /// the first one). `probe_column` must be a bound pattern position, or
-  /// -1 for a full scan. Every tuple passed to `fn` is a stable pointer
-  /// into this relation's storage (no temporary fast path), which is what
-  /// lets the compiled matcher buffer `const Tuple*` candidates.
+  /// -1 for a full scan. Every row passed to `fn` is a stable view into
+  /// this relation's chunks, which is what lets the compiled matcher
+  /// buffer `const Value*` candidates.
   void ForEachMatchingProbe(const TuplePattern& pattern, int probe_column,
-                            FunctionRef<void(const Tuple&)> fn) const;
+                            FunctionRef<void(std::span<const Value>)> fn) const;
 
   /// Builds the hash index for `column` now (no-op if already built).
   /// This is the explicit prewarm used before a frozen parallel section;
@@ -118,24 +125,24 @@ class Relation {
   /// planner reads these; see storage/relation_stats.h.
   const RelationStats& stats() const { return stats_; }
 
-  /// All tuples, sorted — for deterministic printing and diffs.
+  /// All rows as Tuples, sorted — for deterministic printing and diffs.
   std::vector<Tuple> SortedTuples() const;
 
   // --- Columnar view (batch execution; see docs/STORAGE.md) ---
   //
   // The columnar view is an immutable dictionary-encoded Segment over the
-  // lexicographically sorted tuple set plus `rows`, the segment-row ->
-  // stable-tuple-pointer map (into `tuples_`, node-based, so pointers
-  // survive rehash). Between compactions, Insert appends to a small delta
-  // store and Erase records a tombstone; Columnar() merges all three back
-  // into a fresh segment. Because the merged row order is the canonical
+  // lexicographically sorted row set; `segment_rows_` maps each segment
+  // row to the row id it was built from. Between compactions, Insert
+  // appends the new row id to a small delta store and Erase marks the row
+  // dead; Columnar() merges the live segment rows with the sorted delta
+  // into a fresh segment. An erased row's id is not reused until that
+  // merge has run, so every id the merge reads still names the row the
+  // segment was built from. Because the merged row order is the canonical
   // sorted order of the set, the view is independent of mutation history
   // — the determinism anchor of batch-at-a-time execution.
 
   struct ColumnarView {
     const Segment* segment = nullptr;
-    /// rows[r] is the tuple at segment row r.
-    const std::vector<const Tuple*>* rows = nullptr;
   };
 
   /// The compacted view, building or merging on demand. Like the lazy
@@ -150,15 +157,16 @@ class Relation {
   /// of the thread count.
   void CompactColumnar() const;
 
-  /// Discards the columnar view (segment, delta store, tombstones) and
-  /// its compaction count, and thaws the relation: it then reads like one
-  /// built by Insert alone, as Clone() would copy it, but keeps its tuple
-  /// storage and hash indexes.
+  /// Discards the columnar view (segment, delta store, dead-row bookkeeping)
+  /// and its compaction count, and thaws the relation: it then reads like
+  /// one built by Insert alone, as Clone() would copy it, but keeps its
+  /// rows and hash indexes.
   void DropColumnar();
 
   bool HasSegment() const { return segment_ != nullptr; }
   bool ColumnarDirty() const {
-    return segment_ == nullptr || !delta_adds_.empty() || !tombstones_.empty();
+    return segment_ == nullptr || !delta_adds_.empty() ||
+           !retired_rows_.empty();
   }
   uint64_t compactions() const { return compactions_; }
   uint64_t segment_rows() const {
@@ -172,7 +180,7 @@ class Relation {
   /// serving Snapshot holds the returned pointer, so compaction (which
   /// installs a fresh segment) defers reclamation of this generation
   /// until the last pinning snapshot drops. Segments are self-contained
-  /// (they copy row values out of the tuple set), so a pinned segment
+  /// (they copy row values out of the relation), so a pinned segment
   /// stays readable across any later mutation of this relation. The
   /// relation must be compact (CompactColumnar first).
   std::shared_ptr<const Segment> SharedSegment() const {
@@ -186,33 +194,103 @@ class Relation {
   uint64_t segment_generation() const { return compactions_; }
 
  private:
-  // Value -> tuples having that value in the indexed column. Pointers are
-  // into `tuples_` (node-based, so stable until erase).
-  using ColumnIndex = std::unordered_multimap<Value, const Tuple*, ValueHash>;
+  static constexpr uint32_t kNoRow = UINT32_MAX;
+  // Chunk k holds kFirstChunkRows << k rows, so the thousands of tiny
+  // relations of a large program each pay for a few rows only, and row
+  // r's chunk is found from the bit width of r.
+  static constexpr int kFirstChunkShift = 2;
+  static constexpr uint32_t kFirstChunkRows = 1u << kFirstChunkShift;
 
-  /// The bookkeeping of a newly stored tuple: stats, built indexes, the
-  /// columnar delta.
-  void OnStored(const Tuple* stored);
+  /// One open-addressing entry: a row id (kNoRow = empty) and the low 32
+  /// bits of its key's mixed hash, which both place it (hash & mask) and
+  /// screen probes before any row is read. Tables are power-of-two sized,
+  /// probe linearly, are at most half full, and delete by backward shift.
+  struct Slot {
+    uint32_t row = kNoRow;
+    uint32_t hash = 0;
+  };
+
+  /// Column index: `slots` maps each distinct value of the column to the
+  /// first row holding it (the value is read from that row); `next[r]` is
+  /// the following row with row r's value, or kNoRow. Only live rows are
+  /// chained.
+  struct ColumnIndex {
+    std::vector<Slot> slots;
+    size_t distinct = 0;
+    std::vector<uint32_t> next;
+  };
+
+  /// The slot hashes of a row (`row[0..arity)`) and of an index key.
+  uint32_t RowHash(const Value* row) const {
+    return static_cast<uint32_t>(
+        MixHash(HashValues(row, static_cast<size_t>(arity_))));
+  }
+  static uint32_t ValueHash(const Value& v) {
+    return static_cast<uint32_t>(MixHash(v.Hash()));
+  }
+
+  /// The slot holding the entry with `hash` that `same(row)` accepts,
+  /// or else the empty slot ending its probe run. `slots` is non-empty.
+  template <typename Same>
+  static size_t ProbeSlot(const std::vector<Slot>& slots, uint32_t hash,
+                          Same same);
+  /// Doubles `slots` (or makes the smallest table) and reinserts.
+  static void GrowSlots(std::vector<Slot>& slots);
+  static void EraseSlot(std::vector<Slot>& slots, size_t i);
+
+  const Value* RowData(uint32_t row) const;
+  bool IsDead(uint32_t row) const { return !dead_.empty() && dead_[row] != 0; }
+  bool RowLess(uint32_t a, uint32_t b) const;
+  /// The row-set slot holding the row equal to `row[0..arity)` (with
+  /// `hash` = RowHash(row)), or the empty slot where it would go.
+  /// `slots_` is non-empty.
+  size_t RowSlot(const Value* row, uint32_t hash) const;
+  /// The id of the stored row equal to `row[0..arity)`, or kNoRow.
+  uint32_t FindRow(const Value* row, uint32_t hash) const;
+  /// Invokes `fn(id, row)` for every live row, in row-id order.
+  template <typename Fn>
+  void ScanRows(Fn&& fn) const;
+  /// Stores `row` under a recycled or fresh row id and returns the id.
+  uint32_t AllocateRow(std::span<const Value> row);
+  static bool Matches(const Value* row, const TuplePattern& pattern);
+
+  /// The slot of `index` holding the chain of `column` value `v`, or
+  /// the empty slot where that chain would go.
+  size_t IndexSlot(const ColumnIndex& index, int column,
+                   const Value& v) const;
+  void IndexInsert(ColumnIndex& index, int column, uint32_t row) const;
+  void IndexErase(ColumnIndex& index, int column, uint32_t row);
   void EnsureIndex(int column) const;
+  /// Calls `fn` for every row on `column`'s index chain for the
+  /// pattern's value that matches the whole pattern.
+  void ProbeIndex(const TuplePattern& pattern, int column,
+                  FunctionRef<void(std::span<const Value>)> fn) const;
   void CompactColumnarImpl() const;
-  static bool Matches(const Tuple& t, const TuplePattern& pattern);
 
   int arity_;
   RelationStats stats_;
-  std::unordered_set<Tuple, TupleHash, TupleEq> tuples_;
+  // Row storage: chunk k is reserved to its full size once and only
+  // appended to, so its buffer never moves.
+  std::vector<std::vector<Value>> chunks_;
+  uint32_t num_rows_ = 0;  // row ids handed out: live, dead or recycled
+  size_t live_ = 0;
+  std::vector<Slot> slots_;  // the row set
+  // dead_[r] != 0 iff row id r holds no row. Empty until the first erase.
+  std::vector<uint8_t> dead_;
+  // Dead row ids ready for reuse. Compaction (const) refills it from
+  // `retired_rows_`, hence mutable.
+  mutable std::vector<uint32_t> free_rows_;
   // indexes_[c] is built lazily; nullopt means "not built".
   mutable std::vector<std::optional<ColumnIndex>> indexes_;
   // Columnar state: nothing is tracked until the first Columnar() /
   // CompactColumnar() call builds a segment, so tuple-mode-only runs pay
-  // zero overhead here. Erased segment rows are tombstoned by index and
-  // their set nodes parked in `graveyard_` so every `segment_rows_`
-  // pointer stays dereferenceable until the merge rebuilds the view.
+  // zero overhead here.
   mutable std::shared_ptr<const Segment> segment_;
-  mutable std::vector<const Tuple*> segment_rows_;
-  mutable std::vector<const Tuple*> delta_adds_;  // insertion order
-  mutable std::vector<uint32_t> tombstones_;      // erased segment rows
-  mutable std::vector<std::unordered_set<Tuple, TupleHash, TupleEq>::node_type>
-      graveyard_;
+  mutable std::vector<uint32_t> segment_rows_;  // row ids, sorted by row
+  mutable std::vector<uint32_t> delta_adds_;    // insertion order
+  // Ids erased since the segment was built: the merge still reads them
+  // (as dead), so they are recycled only once it has run.
+  mutable std::vector<uint32_t> retired_rows_;
   mutable uint64_t compactions_ = 0;
   mutable bool frozen_ = false;
 };

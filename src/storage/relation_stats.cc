@@ -19,23 +19,25 @@ size_t BucketFor(const Value& v) {
 
 }  // namespace
 
-void RelationStats::OnInsert(const Tuple& t) {
-  PARK_CHECK_EQ(t.arity(), arity_) << "stats arity mismatch";
+void RelationStats::OnInsert(std::span<const Value> row) {
+  PARK_CHECK_EQ(row.size(), static_cast<size_t>(arity_))
+      << "stats arity mismatch";
   if (sketches_.empty()) {
     sketches_.assign(static_cast<size_t>(arity_),
                      std::vector<uint32_t>(kBuckets, 0));
   }
-  for (int c = 0; c < arity_; ++c) {
-    ++sketches_[static_cast<size_t>(c)][BucketFor(t[c])];
+  for (size_t c = 0; c < row.size(); ++c) {
+    ++sketches_[c][BucketFor(row[c])];
   }
   ++rows_;
 }
 
-void RelationStats::OnErase(const Tuple& t) {
-  PARK_CHECK_EQ(t.arity(), arity_) << "stats arity mismatch";
+void RelationStats::OnErase(std::span<const Value> row) {
+  PARK_CHECK_EQ(row.size(), static_cast<size_t>(arity_))
+      << "stats arity mismatch";
   PARK_CHECK_GT(rows_, 0u) << "erase from empty stats";
-  for (int c = 0; c < arity_; ++c) {
-    uint32_t& bucket = sketches_[static_cast<size_t>(c)][BucketFor(t[c])];
+  for (size_t c = 0; c < row.size(); ++c) {
+    uint32_t& bucket = sketches_[c][BucketFor(row[c])];
     PARK_CHECK_GT(bucket, 0u) << "stats sketch underflow";
     --bucket;
   }

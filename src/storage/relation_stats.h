@@ -24,6 +24,7 @@
 #define PARK_STORAGE_RELATION_STATS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "storage/tuple.h"
@@ -45,9 +46,9 @@ class RelationStats {
   size_t rows() const { return rows_; }
 
   /// Incremental maintenance; called by Relation::Insert / Erase with
-  /// tuples that actually entered / left the set.
-  void OnInsert(const Tuple& t);
-  void OnErase(const Tuple& t);
+  /// rows that actually entered / left the set.
+  void OnInsert(std::span<const Value> row);
+  void OnErase(std::span<const Value> row);
 
   /// Estimated number of distinct values in `column`, in [0, rows()].
   /// Exact (0) for an empty relation; never returns 0 for a non-empty one.

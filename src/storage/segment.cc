@@ -6,7 +6,7 @@
 
 namespace park {
 
-Segment Segment::Build(int arity, const std::vector<const Tuple*>& rows) {
+Segment Segment::Build(int arity, std::span<const Value* const> rows) {
   Segment seg;
   seg.arity_ = arity;
   PARK_CHECK(rows.size() < UINT32_MAX) << "segment row count overflow";
@@ -14,17 +14,17 @@ Segment Segment::Build(int arity, const std::vector<const Tuple*>& rows) {
   seg.columns_.reserve(static_cast<size_t>(arity));
   std::vector<Value> values(rows.size());
   for (int c = 0; c < arity; ++c) {
-    for (size_t r = 0; r < rows.size(); ++r) values[r] = (*rows[r])[c];
+    for (size_t r = 0; r < rows.size(); ++r) values[r] = rows[r][c];
     ColumnDictionary dict = ColumnDictionary::FromValues(values);
     std::vector<uint32_t> codes(rows.size());
     for (size_t r = 0; r < rows.size(); ++r) {
-      codes[r] = *dict.CodeFor((*rows[r])[c]);
+      codes[r] = *dict.CodeFor(rows[r][c]);
     }
     seg.columns_.emplace_back(std::move(dict), std::move(codes));
   }
   seg.row_values_.reserve(rows.size() * static_cast<size_t>(arity));
-  for (const Tuple* row : rows) {
-    for (int c = 0; c < arity; ++c) seg.row_values_.push_back((*row)[c]);
+  for (const Value* row : rows) {
+    seg.row_values_.insert(seg.row_values_.end(), row, row + arity);
   }
   if (!rows.empty()) {
     size_t slots = 4;

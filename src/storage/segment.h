@@ -4,9 +4,9 @@
 // Rows are lexicographically sorted tuples; each attribute is a Column
 // (storage/column.h) whose codes preserve value order. A Segment never
 // changes after Build — the Relation that owns it accumulates inserts in
-// a small delta store and erases as tombstones, and merges all three
-// into a fresh Segment at a compaction point (Δ-step boundaries in batch
-// execution). Because the row order is the canonical sorted order of the
+// a small delta store and marks erased rows dead, and merges the live
+// rows into a fresh Segment at a compaction point (Δ-step boundaries in
+// batch execution). Because the row order is the canonical sorted order of the
 // tuple set, a segment built from the same set is byte-for-byte the same
 // whatever insertion history produced it — the determinism anchor for
 // batch-at-a-time execution (docs/STORAGE.md).
@@ -15,6 +15,7 @@
 #define PARK_STORAGE_SEGMENT_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "storage/column.h"
@@ -26,13 +27,14 @@ class Segment {
  public:
   Segment() = default;
 
-  /// Builds from `rows`, which MUST be lexicographically sorted and
-  /// duplicate-free. The segment copies every value out of the tuples —
-  /// it holds no pointers into the owning Relation afterwards, which is
-  /// what lets serve::Snapshot pin a segment past later mutations,
-  /// compactions, and even the Relation's destruction. 0-ary relations
-  /// yield a segment with num_rows in {0, 1} and no columns.
-  static Segment Build(int arity, const std::vector<const Tuple*>& rows);
+  /// Builds from `rows` (each a Value[arity] row), which MUST be
+  /// lexicographically sorted and duplicate-free. The segment copies
+  /// every value out of the rows — it holds no pointers into the owning
+  /// Relation afterwards, which is what lets serve::Snapshot pin a
+  /// segment past later mutations, compactions, and even the Relation's
+  /// destruction. 0-ary relations yield a segment with num_rows in
+  /// {0, 1} and no columns.
+  static Segment Build(int arity, std::span<const Value* const> rows);
 
   int arity() const { return arity_; }
   uint32_t num_rows() const { return num_rows_; }
@@ -43,20 +45,19 @@ class Segment {
 
   /// Row `r` as a contiguous Value[arity] span. The flat copy exists so
   /// the batch executor's candidate checks read one cache line instead
-  /// of chasing the owning set's heap-backed Tuple nodes; because rows
-  /// are stored in sorted order, a probe on column 0 (the common case
-  /// for compiled join steps) walks this array sequentially.
+  /// of jumping between the owning relation's chunks; because rows are
+  /// stored in sorted order, a probe on column 0 (the common case for
+  /// compiled join steps) walks this array sequentially.
   const Value* row(uint32_t r) const {
     return row_values_.data() + static_cast<size_t>(r) * arity_;
   }
 
   /// Whole-row membership probe through the segment's flat
   /// open-addressing index: `hash` must be TupleHash over `args[0..n)`
-  /// (n == arity). Unlike the owning set's node-based probe (bucket →
-  /// node → heap tuple, three dependent cache misses), this touches one
-  /// slot array line and one flat row span — and the slot line can be
-  /// prefetched a block ahead via PrefetchRow, which is what makes the
-  /// batch executor's filter steps faster than per-candidate probing.
+  /// (n == arity). It touches one slot array line and one flat row span,
+  /// and the slot line can be prefetched a block ahead via PrefetchRow,
+  /// which is what makes the batch executor's filter steps faster than
+  /// per-candidate probing.
   bool ContainsRow(const Value* args, size_t n, size_t hash) const {
     if (probe_slots_.empty()) return false;
     size_t slot = MixHash(hash) & probe_mask_;
@@ -77,20 +78,6 @@ class Segment {
     if (!probe_slots_.empty()) {
       __builtin_prefetch(probe_slots_.data() + (MixHash(hash) & probe_mask_));
     }
-  }
-
-  /// Finalizer applied before masking. TupleHash is close to affine in
-  /// small integer payloads; the node-based sets hide that by bucketing
-  /// modulo a prime, but a power-of-two mask keeps only the (correlated)
-  /// low bits, which clusters linear probing into long runs. Two rounds
-  /// of multiply-xorshift spread the entropy across the word first.
-  static size_t MixHash(size_t h) {
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ULL;
-    h ^= h >> 33;
-    return h;
   }
 
   /// Sum of per-column dictionary sizes (the `dict_entries` stats

@@ -3,6 +3,7 @@
 #ifndef PARK_STORAGE_TUPLE_H_
 #define PARK_STORAGE_TUPLE_H_
 
+#include <algorithm>
 #include <initializer_list>
 #include <span>
 #include <string>
@@ -40,6 +41,11 @@ class Tuple {
   const std::vector<Value>& values() const { return values_; }
   std::span<const Value> span() const { return values_; }
 
+  /// A Tuple is a contiguous range of Values, so it converts implicitly
+  /// to the `std::span<const Value>` rows that storage takes.
+  const Value* begin() const { return values_.data(); }
+  const Value* end() const { return values_.data() + values_.size(); }
+
   void Append(Value v) { values_.push_back(v); }
 
   /// "(v1, v2, ...)" — or "" for the 0-ary tuple.
@@ -59,17 +65,15 @@ class Tuple {
   std::vector<Value> values_;
 };
 
-/// A borrowed view of a tuple's values — the heterogeneous-lookup key for
-/// tuple sets. The batch executor stores rows as flat Value spans; probing
-/// a relation through a TupleSpan skips materializing a heap-backed Tuple
-/// per lookup.
+/// A borrowed view of a row's values, hashed like the Tuple it names: the
+/// key of sets of rows stored elsewhere (Γ's Δ-atom sets), and the
+/// hashing form of the batch executor's flat Value rows.
 struct TupleSpan {
   const Value* data = nullptr;
   size_t size = 0;
 };
 
 struct TupleHash {
-  using is_transparent = void;
   size_t operator()(const Tuple& t) const { return t.Hash(); }
   size_t operator()(const TupleSpan& s) const {
     return HashValues(s.data, s.size);
@@ -77,24 +81,8 @@ struct TupleHash {
 };
 
 struct TupleEq {
-  using is_transparent = void;
-  bool operator()(const Tuple& a, const Tuple& b) const { return a == b; }
-  bool operator()(const TupleSpan& s, const Tuple& t) const {
-    if (s.size != static_cast<size_t>(t.arity())) return false;
-    for (size_t i = 0; i < s.size; ++i) {
-      if (s.data[i] != t[static_cast<int>(i)]) return false;
-    }
-    return true;
-  }
-  bool operator()(const Tuple& t, const TupleSpan& s) const {
-    return (*this)(s, t);
-  }
   bool operator()(const TupleSpan& a, const TupleSpan& b) const {
-    if (a.size != b.size) return false;
-    for (size_t i = 0; i < a.size; ++i) {
-      if (a.data[i] != b.data[i]) return false;
-    }
-    return true;
+    return std::equal(a.data, a.data + a.size, b.data, b.data + b.size);
   }
 };
 

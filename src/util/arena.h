@@ -42,7 +42,7 @@ class Arena {
 
   /// Typed array allocation. T must be trivially destructible (nothing in
   /// an arena is ever destroyed) — trivially copyable covers every matcher
-  /// scratch type (Value, const Tuple*, int).
+  /// scratch type (Value, const Value*, int).
   template <typename T>
   T* AllocArray(size_t n) {
     static_assert(std::is_trivially_destructible_v<T>,

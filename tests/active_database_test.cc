@@ -60,6 +60,32 @@ TEST(ActiveDatabaseTest, TransactionStagesParsedUpdates) {
   EXPECT_EQ(db.database().ToString(), "{q(b)}");
 }
 
+TEST(ActiveDatabaseTest, ManyStagedUpdatesDedupInInsertionOrder) {
+  // 20,000 stagings of 10,000 distinct atoms: each atom is staged again
+  // right after its successor. The set keeps the first staging of each,
+  // in order; +p(0) and -p(0) stay distinct updates.
+  constexpr int kAtoms = 10000;
+  ActiveDatabase db;
+  Transaction tx = db.Begin();
+  for (int i = 0; i < kAtoms; ++i) {
+    tx.Insert("p", {std::to_string(i)});
+    if (i > 0) tx.Insert("p", {std::to_string(i - 1)});
+  }
+  tx.Insert("p", {std::to_string(kAtoms - 1)});
+  tx.Delete("p", {"0"});
+  const std::vector<Update>& updates = tx.pending().updates();
+  ASSERT_EQ(updates.size(), static_cast<size_t>(kAtoms) + 1);
+  for (int i = 0; i < kAtoms; ++i) {
+    ASSERT_EQ(updates[static_cast<size_t>(i)].action, ActionKind::kInsert);
+    ASSERT_EQ(updates[static_cast<size_t>(i)].atom.args()[0], Value::Int(i))
+        << "at position " << i;
+  }
+  EXPECT_EQ(updates.back().action, ActionKind::kDelete);
+  EXPECT_EQ(updates.back().atom.ToString(*db.symbols()), "p(0)");
+  EXPECT_TRUE(tx.pending().Contains(ActionKind::kInsert,
+                                    updates[kAtoms - 1].atom));
+}
+
 TEST(ActiveDatabaseTest, ApplyConvenience) {
   ActiveDatabase db;
   ASSERT_TRUE(db.LoadRules("+p(X) -> +echo(X).").ok());

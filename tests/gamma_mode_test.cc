@@ -235,7 +235,7 @@ TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
           auto [stored, added] = interp.Mark(action, atom.view());
           if (added) {
             (action == ActionKind::kInsert ? delta.plus : delta.minus)
-                .push_back(AtomView{atom.predicate(), stored->span()});
+                .push_back(AtomView{atom.predicate(), stored});
           }
         }
       }

@@ -49,8 +49,8 @@ TEST(SegmentTest, EqualRangeOnDuplicateHeavyColumn) {
   std::vector<Tuple> tuples;
   for (int64_t i = 0; i < 40; ++i) tuples.push_back(T2(i, i % 4));
   std::sort(tuples.begin(), tuples.end());
-  std::vector<const Tuple*> rows;
-  for (const Tuple& t : tuples) rows.push_back(&t);
+  std::vector<const Value*> rows;
+  for (const Tuple& t : tuples) rows.push_back(t.begin());
   Segment seg = Segment::Build(2, rows);
   ASSERT_EQ(seg.num_rows(), 40u);
 
@@ -173,7 +173,7 @@ TEST(SegmentTest, DeltaAndTombstonesMergeAtCompaction) {
 
   // The merged segment equals a from-scratch build of the same set.
   Relation fresh(2);
-  rel.ForEach([&](const Tuple& t) { fresh.Insert(t); });
+  rel.ForEach([&](std::span<const Value> t) { fresh.Insert(t); });
   fresh.CompactColumnar();
   EXPECT_EQ(RenderSegment(rel), RenderSegment(fresh));
 }
