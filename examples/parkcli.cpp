@@ -8,7 +8,10 @@
 //   --update ±atom     transaction update; repeatable (e.g. --update +q(b))
 //   --policy NAME      inertia (default) | priority | specificity |
 //                      insert | delete | random:<seed> | interactive
-//   --block-first      resolve one conflict per restart (§4.2 refinement)
+//   --block-first      resolve one conflict per restart (§4.2 refinement):
+//                      the smallest clashing atom by interned id, so the
+//                      choice follows where names first appear in the
+//                      rule and fact text
 //   --max-steps N      abort evaluation after N Γ steps (default 1000000)
 //   --deadline-ms N    abort evaluation after N wall-clock milliseconds
 //                      (cooperative: fires mid-step, exit code 3)
@@ -255,7 +258,10 @@ int Usage(const char* argv0) {
                "       %s --serve-demo\n"
                "exit codes: 0 ok, 1 error, 2 usage, 3 deadline,\n"
                "            4 resource-exhausted, 5 data-loss,\n"
-               "            6 transient-io, 7 cancelled\n",
+               "            6 transient-io, 7 cancelled\n"
+               "--block-first resolves the smallest clashing atom first,\n"
+               "ordered by interned ids: by where its predicate and\n"
+               "constants first appear in the rule and fact text\n",
                argv0, argv0);
   return 2;
 }

@@ -28,6 +28,13 @@ enum class BlockGranularity {
   /// of conflicts into blocked"), which avoids blocking instances that
   /// later rounds would never find in conflict. More restarts, fewer
   /// unnecessarily blocked instances.
+  ///
+  /// "First" is the smallest clashing atom by GroundAtom order, which
+  /// compares interned predicate and symbol ids, not names. Ids are handed
+  /// out where a predicate or constant first appears in the rule and fact
+  /// text, so reordering that text (even adding an inert rule in front)
+  /// can change which conflict is resolved first, hence B and the number
+  /// of restarts. The paper leaves the choice open; this order is kept.
   kFirstConflictOnly,
 };
 
@@ -49,8 +56,11 @@ struct Conflict {
 /// `interp`: the full Γ, or the semi-naive section of a step of the
 /// current round (DESIGN.md §2). One Conflict per clashing atom, sorted by
 /// atom for determinism; with kFirstConflictOnly, only the smallest
-/// clashing atom's. The clash-scope derivations are grouped in one hash
-/// pass and their groundings copied into the triples.
+/// clashing atom's. The clash-scope derivations are grouped by
+/// (conflict, side) in one counting pass over the thread's flat atom
+/// table; each group is sorted by (rule, binding) straight from the
+/// section's arena, and its groundings are copied once, merged with the
+/// atom's provenance where it has any (docs/SEMANTICS.md "Conflicts").
 std::vector<Conflict> BuildConflicts(
     GammaResult gamma, const IInterpretation& interp,
     BlockGranularity granularity = BlockGranularity::kAllConflicts);

@@ -4,8 +4,10 @@
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "engine/rule_graph.h"
+#include "storage/atom_table.h"
 #include "util/cancellation.h"
 #include "util/metrics.h"
 
@@ -16,17 +18,66 @@ namespace {
 /// copied until an atom clashes.
 using AtomViewSet = std::unordered_set<AtomView, GroundAtomHash, GroundAtomEq>;
 
+/// What a thread keeps from one Γ section for the next, so a warm Δ loop
+/// allocates nothing per section: the spare derivation list (the one the
+/// last GammaResult held), the per-task lists of a parallel section, and
+/// the clash test's atom table. Within kRetainedSectionBytes in total.
+struct SectionSpare {
+  Derivations section;
+  std::vector<Derivations> tasks;
+  AtomTable clash_atoms;
+  std::vector<uint8_t> clash_signs;  // SignBit mask per clash_atoms id
+
+  size_t RetainedBytes() const {
+    size_t bytes = section.capacity_bytes() + clash_atoms.capacity_bytes() +
+                   clash_signs.capacity();
+    for (const Derivations& task : tasks) bytes += task.capacity_bytes();
+    return bytes;
+  }
+
+  /// Frees buffers, the per-task lists first, until the spare is within
+  /// kRetainedSectionBytes.
+  void TrimToCap() {
+    size_t bytes = RetainedBytes();
+    while (bytes > kRetainedSectionBytes && !tasks.empty()) {
+      bytes -= tasks.back().capacity_bytes();
+      tasks.pop_back();
+    }
+    if (bytes > kRetainedSectionBytes) {
+      bytes -= clash_atoms.capacity_bytes() + clash_signs.capacity();
+      clash_atoms.Release();
+      clash_signs = {};
+    }
+    if (bytes > kRetainedSectionBytes) section = Derivations();
+  }
+};
+
+SectionSpare& ThreadSpare() {
+  thread_local SectionSpare spare;
+  return spare;
+}
+
 /// Fills consistent / clashing_atoms of `result` from its derivation list
 /// against `interp`. Only derivations in the clash scope are read: no
 /// other head can meet a mark of the opposite sign (docs/SEMANTICS.md
-/// "Γ").
+/// "Γ"). Their head atoms are grouped in the thread's flat atom table,
+/// which ORs together each atom's signs.
 void AnalyzeClashes(const IInterpretation& interp, GammaResult& result) {
   const Derivations& derived = result.derivations;
-  std::unordered_map<AtomView, uint8_t, GroundAtomHash, GroundAtomEq> signs;
+  SectionSpare& spare = ThreadSpare();
+  AtomTable& atoms = spare.clash_atoms;
+  std::vector<uint8_t>& signs = spare.clash_signs;
+  atoms.Clear();
+  signs.clear();
   for (const Derivations::Record& r : derived) {
-    if (r.can_clash) signs[derived.atom(r)] |= SignBit(r.action);
+    if (!r.can_clash) continue;
+    const uint32_t id = atoms.Insert(derived.atom(r));
+    if (id == signs.size()) signs.push_back(0);
+    signs[id] |= SignBit(r.action);
   }
-  for (const auto& [atom, mask] : signs) {
+  for (uint32_t id = 0; id < atoms.size(); ++id) {
+    const AtomView atom = atoms.atom(id);
+    const uint8_t mask = signs[id];
     const bool clash =
         mask == kBothSigns ||
         (mask == SignBit(ActionKind::kInsert) ? interp.minus() : interp.plus())
@@ -35,6 +86,7 @@ void AnalyzeClashes(const IInterpretation& interp, GammaResult& result) {
   }
   std::sort(result.clashing_atoms.begin(), result.clashing_atoms.end());
   result.consistent = result.clashing_atoms.empty();
+  spare.TrimToCap();
 }
 
 /// `scope`, or the scope of every predicate when null.
@@ -269,7 +321,11 @@ void RunUnits(const std::vector<GammaUnit>& units, const BlockedSet& blocked,
       ChunkTasks(units.size(), parallel->num_threads(), [&](size_t i) {
         return 1.0 + units[i].plan->estimated_candidates;
       });
-  std::vector<Derivations> buffers(tasks.size());
+  // The per-task lists are the thread's retained ones, emptied after the
+  // merge: a warm section allocates none.
+  SectionSpare& spare = ThreadSpare();
+  if (spare.tasks.size() < tasks.size()) spare.tasks.resize(tasks.size());
+  std::vector<Derivations>& buffers = spare.tasks;
   std::vector<size_t> claimed(tasks.size(), 0);
   {
     FrozenInterpretation frozen(interp, plans.requirements(),
@@ -298,19 +354,39 @@ void RunUnits(const std::vector<GammaUnit>& units, const BlockedSet& blocked,
       parallel->timing_enabled() ? MonotonicNanos() : 0;
   size_t records = 0;
   size_t values = 0;
-  for (const Derivations& buffer : buffers) {
-    records += buffer.size();
-    values += buffer.num_values();
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    records += buffers[i].size();
+    values += buffers[i].num_values();
   }
   out.Reserve(records, values);
-  for (const Derivations& buffer : buffers) out.Append(buffer);
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    out.Append(buffers[i]);
+    buffers[i].Clear();
+  }
+  spare.TrimToCap();
   if (parallel->timing_enabled()) {
     parallel->RecordMergeNs(
         static_cast<uint64_t>(MonotonicNanos() - merge_start));
   }
 }
 
+/// The thread's spare derivation list, empty, for a new section.
+Derivations TakeSpareSection() {
+  return std::exchange(ThreadSpare().section, Derivations());
+}
+
 }  // namespace
+
+GammaResult::~GammaResult() {
+  // Keep the larger list: the spare is empty unless two results were
+  // alive at once.
+  if (derivations.capacity_bytes() == 0) return;  // moved from, or empty
+  SectionSpare& spare = ThreadSpare();
+  if (derivations.capacity_bytes() <= spare.section.capacity_bytes()) return;
+  derivations.Clear();
+  spare.section = std::move(derivations);
+  spare.TrimToCap();
+}
 
 /// Batch-mode Γ-section prewarm: compact every relation's columnar view
 /// on the coordinator, in BOTH the sequential and parallel paths, so (a)
@@ -330,6 +406,7 @@ GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
                          ExecMode exec, ExecStats* exec_stats,
                          const DerivationScope* scope) {
   GammaResult result;
+  result.derivations = TakeSpareSection();
   CompactForBatch(interp, exec);
   // One unseeded unit per rule, in program order. Γ never mutates I, so
   // fetching every plan up front gives the plans (and planner counters)
@@ -485,6 +562,7 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
 
   // One unit per (group, seed atom), in nested-loop order; the estimate
   // is fed per unit, like the actual rows.
+  result.derivations = TakeSpareSection();
   std::vector<GammaUnit> units;
   for (const SeedGroup& group : groups) {
     for (const AtomView* atom : *group.seeds) {
@@ -523,13 +601,6 @@ bool DerivationScope::KeepsGrounding(PredicateId predicate) const {
       return false;
   }
   return true;
-}
-
-GroundingView Derivations::grounding(const Record& r) const {
-  PARK_CHECK(r.has_grounding) << "derivation of rule " << r.rule
-                              << " kept no grounding";
-  return GroundingView{
-      r.rule, {arena_.data() + r.offset + r.arity, r.binding_size}};
 }
 
 void Derivations::Add(const Rule& rule, std::span<const Value> binding,

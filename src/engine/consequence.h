@@ -24,6 +24,7 @@
 #ifndef PARK_ENGINE_CONSEQUENCE_H_
 #define PARK_ENGINE_CONSEQUENCE_H_
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <unordered_set>
@@ -31,6 +32,7 @@
 
 #include "engine/interpretation.h"
 #include "engine/matcher.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace park {
@@ -107,13 +109,31 @@ class Derivations {
     return AtomView{r.predicate, {arena_.data() + r.offset, r.arity}};
   }
   /// The grounding (r, θ); the record must have one.
-  GroundingView grounding(const Record& r) const;
+  GroundingView grounding(const Record& r) const {
+    PARK_CHECK(r.has_grounding) << "derivation of rule " << r.rule
+                                << " kept no grounding";
+    return GroundingView{
+        r.rule, {arena_.data() + r.offset + r.arity, r.binding_size}};
+  }
 
-  /// Bytes held: the arena's and the records' capacity. What the memory
-  /// budget charges for the section.
+  /// What the memory budget charges for the list: the bytes its records
+  /// and values use, each rounded up to a power of two — the capacity a
+  /// list grown from empty by doubling would hold. It depends on the
+  /// list alone, never on the capacity a reused buffer brought along, and
+  /// moves only when a size crosses a power of two.
   size_t bytes() const {
+    return PowerOfTwoCharge(arena_.size() * sizeof(Value)) +
+           PowerOfTwoCharge(records_.size() * sizeof(Record));
+  }
+  /// Bytes held: the arena's and the records' capacity.
+  size_t capacity_bytes() const {
     return arena_.capacity() * sizeof(Value) +
            records_.capacity() * sizeof(Record);
+  }
+  /// Empties the list and keeps its capacity.
+  void Clear() {
+    records_.clear();
+    arena_.clear();
   }
 
   /// Appends the firing of `rule` under `binding` (indexed by variable).
@@ -131,12 +151,37 @@ class Derivations {
   size_t num_values() const { return arena_.size(); }
 
  private:
+  static size_t PowerOfTwoCharge(size_t used) {
+    return used == 0 ? 0 : std::bit_ceil(used);
+  }
+
   std::vector<Record> records_;
   std::vector<Value> arena_;
 };
 
+/// The most bytes each of a thread's two scratch stores keeps for the
+/// next section: the Γ section's (its derivation list, the per-task lists
+/// of a parallel section, the clash test's atom table) and conflict
+/// construction's (its atom table and grouping arrays). Buffers that take
+/// a store past it are freed when their section ends, so one giant
+/// evaluation pins no memory afterwards.
+inline constexpr size_t kRetainedSectionBytes = size_t{16} << 20;
+
 /// The outcome of one Γ(P,B)(I) evaluation.
+///
+/// Its derivation list lives in a buffer the thread keeps between
+/// sections: a Γ evaluation takes the thread's spare list (empty, with
+/// the capacity of earlier sections), and the GammaResult hands it back
+/// when it dies, within kRetainedSectionBytes. A warm Δ loop thus
+/// allocates no derivation storage, whichever driver runs it.
 struct GammaResult {
+  GammaResult() = default;
+  GammaResult(const GammaResult&) = default;
+  GammaResult(GammaResult&&) = default;
+  GammaResult& operator=(const GammaResult&) = default;
+  GammaResult& operator=(GammaResult&&) = default;
+  ~GammaResult();
+
   /// Every firable, non-blocked rule instance (including those whose head
   /// atom is already marked in I).
   Derivations derivations;

@@ -20,6 +20,20 @@ Database Database::Clone() const {
   return copy;
 }
 
+const Relation* Database::FindRelation(PredicateId predicate) const {
+  if (const Relation* cached = last_.Get(predicate)) return cached;
+  auto it = relations_.find(predicate);
+  return it == relations_.end() ? nullptr : &it->second;
+}
+
+Relation* Database::FindRelation(PredicateId predicate) {
+  if (Relation* cached = last_.Get(predicate)) return cached;
+  auto it = relations_.find(predicate);
+  if (it == relations_.end()) return nullptr;
+  last_.Set(predicate, &it->second);
+  return &it->second;
+}
+
 bool Database::Insert(const GroundAtom& atom) {
   Relation& rel = GetOrCreateRelation(atom.predicate(), atom.arity());
   bool added = rel.Insert(atom.args());
@@ -66,46 +80,44 @@ void Database::InsertAll(Database&& other) {
     });
   }
   other.relations_.clear();
+  other.last_.Forget();
   other.total_atoms_ = 0;
 }
 
 bool Database::Erase(AtomView atom) {
-  auto it = relations_.find(atom.predicate);
-  if (it == relations_.end()) return false;
-  bool removed = it->second.Erase(atom.args);
+  Relation* rel = FindRelation(atom.predicate);
+  if (rel == nullptr) return false;
+  bool removed = rel->Erase(atom.args);
   if (removed) --total_atoms_;
   return removed;
 }
 
 bool Database::Contains(const GroundAtom& atom) const {
-  auto it = relations_.find(atom.predicate());
-  if (it == relations_.end()) return false;
-  return it->second.Contains(atom.args());
+  const Relation* rel = FindRelation(atom.predicate());
+  return rel != nullptr && rel->Contains(atom.args());
 }
 
 bool Database::Contains(PredicateId predicate, const Value* args,
                         size_t n) const {
-  auto it = relations_.find(predicate);
-  if (it == relations_.end()) return false;
-  return it->second.Contains({args, n});
+  const Relation* rel = FindRelation(predicate);
+  return rel != nullptr && rel->Contains({args, n});
 }
 
 const Relation* Database::GetRelation(PredicateId predicate) const {
-  auto it = relations_.find(predicate);
-  if (it == relations_.end()) return nullptr;
-  return &it->second;
+  return FindRelation(predicate);
 }
 
 Relation& Database::GetOrCreateRelation(PredicateId predicate, int arity) {
-  auto it = relations_.find(predicate);
-  if (it != relations_.end()) {
-    PARK_CHECK_EQ(it->second.arity(), arity)
+  if (Relation* rel = FindRelation(predicate)) {
+    PARK_CHECK_EQ(rel->arity(), arity)
         << "predicate " << symbols_->PredicateName(predicate)
         << " used with inconsistent arity";
-    return it->second;
+    return *rel;
   }
-  auto [inserted, _] = relations_.emplace(predicate, Relation(arity));
-  return inserted->second;
+  Relation& created =
+      relations_.emplace(predicate, Relation(arity)).first->second;
+  last_.Set(predicate, &created);
+  return created;
 }
 
 void Database::ForEach(

@@ -138,9 +138,47 @@ class Database {
   Diff DiffWith(const Database& other) const;
 
  private:
+  /// A one-entry cache of the last relation a mutating call found:
+  /// consecutive marks and probes of a Γ section mostly share a
+  /// predicate. Only mutating calls fill it, so const readers, which may
+  /// run concurrently (frozen parallel sections, snapshot readers), only
+  /// read it. Map nodes never move while in the map, so the entry is
+  /// invalidated only where `relations_` loses nodes or moves whole: a
+  /// move of the Database empties both ends' caches, and InsertAll
+  /// forgets the source's.
+  class LastRelation {
+   public:
+    LastRelation() = default;
+    LastRelation(LastRelation&& other) noexcept { other.Forget(); }
+    LastRelation& operator=(LastRelation&& other) noexcept {
+      Forget();
+      other.Forget();
+      return *this;
+    }
+
+    Relation* Get(PredicateId predicate) const {
+      return predicate == predicate_ ? relation_ : nullptr;
+    }
+    void Set(PredicateId predicate, Relation* relation) {
+      predicate_ = predicate;
+      relation_ = relation;
+    }
+    void Forget() { relation_ = nullptr; }
+
+   private:
+    PredicateId predicate_ = 0;
+    Relation* relation_ = nullptr;
+  };
+
+  /// The relation of `predicate`, or nullptr; the const form reads the
+  /// cache, the mutating form also fills it.
+  const Relation* FindRelation(PredicateId predicate) const;
+  Relation* FindRelation(PredicateId predicate);
+
   std::shared_ptr<SymbolTable> symbols_;
   std::unordered_map<PredicateId, Relation> relations_;
   size_t total_atoms_ = 0;
+  LastRelation last_;
 };
 
 }  // namespace park

@@ -187,18 +187,45 @@ TEST(ParkCancellationTest, DerivationBudgetFires) {
   }
 }
 
+/// Runs `fn` on a thread of its own, after an ungoverned evaluation of
+/// `warm_up` at `threads` when given: a thread keeps its Γ section
+/// buffers between evaluations, so `fn` then runs with buffers whose
+/// capacity an earlier evaluation left behind.
+template <typename Fn>
+void OnThread(const GiantStep* warm_up, int threads, Fn fn) {
+  std::thread thread([&] {
+    if (warm_up != nullptr) {
+      ParkOptions options;
+      options.num_threads = threads;
+      auto warmed = Park(warm_up->program, warm_up->db, options);
+      ASSERT_TRUE(warmed.ok()) << warmed.status().ToString();
+    }
+    fn();
+  });
+  thread.join();
+}
+
 TEST(ParkCancellationTest, MemoryBudgetFires) {
+  // Cold, and again after a warm-up whose sections hold far more than
+  // the budget: a retained buffer's capacity is never charged, so the
+  // budget fires the same way on both.
+  const GiantStep warm_up(30);  // 27k groundings
   for (int threads : {1, 4}) {
-    GiantStep giant(60);  // 216k groundings, megabytes of derivations
-    ParkOptions options;
-    options.num_threads = threads;
-    options.max_memory_bytes = 16 * 1024;
-    auto result = Park(giant.program, giant.db, options);
-    ASSERT_FALSE(result.ok()) << "threads=" << threads;
-    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
-        << "threads=" << threads;
-    EXPECT_NE(result.status().ToString().find("max_memory_bytes"),
-              std::string::npos);
+    for (const GiantStep* warm : {static_cast<const GiantStep*>(nullptr),
+                                  &warm_up}) {
+      OnThread(warm, threads, [&] {
+        GiantStep giant(60);  // 216k groundings, megabytes of derivations
+        ParkOptions options;
+        options.num_threads = threads;
+        options.max_memory_bytes = 16 * 1024;
+        auto result = Park(giant.program, giant.db, options);
+        ASSERT_FALSE(result.ok()) << "threads=" << threads;
+        EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+            << "threads=" << threads;
+        EXPECT_NE(result.status().ToString().find("max_memory_bytes"),
+                  std::string::npos);
+      });
+    }
   }
 }
 
@@ -221,18 +248,25 @@ TEST(ParkCancellationTest, MemoryBudgetChargesTheDerivationValues) {
   std::string facts;
   for (int i = 0; i < 12; ++i) facts += "e(v" + std::to_string(i) + "). ";
   Database db = MustParseDatabase(facts, symbols);
+  // Cold, and again on a thread whose buffers a larger section warmed.
+  const GiantStep warm_up(30);
   for (int threads : {1, 4}) {
-    LargestSection largest;
-    ParkOptions options;
-    options.num_threads = threads;
-    options.max_memory_bytes = 1ull << 32;
-    options.observer = &largest;
-    auto result = Park(program, db, options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_EQ(largest.derivations, 12u * 12u * 12u);
-    EXPECT_GE(result->stats.peak_memory_bytes,
-              largest.derivations * 8 * sizeof(Value))
-        << "threads=" << threads;
+    for (const GiantStep* warm : {static_cast<const GiantStep*>(nullptr),
+                                  &warm_up}) {
+      OnThread(warm, threads, [&] {
+        LargestSection largest;
+        ParkOptions options;
+        options.num_threads = threads;
+        options.max_memory_bytes = 1ull << 32;
+        options.observer = &largest;
+        auto result = Park(program, db, options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ASSERT_EQ(largest.derivations, 12u * 12u * 12u);
+        EXPECT_GE(result->stats.peak_memory_bytes,
+                  largest.derivations * 8 * sizeof(Value))
+            << "threads=" << threads << " warm=" << (warm != nullptr);
+      });
+    }
   }
 }
 

@@ -1,0 +1,156 @@
+// A warm Δ loop allocates nothing large. This binary replaces the global
+// operator new/delete (every overload, over malloc/free) and counts the
+// allocations of at least kLargeBytes made while counting is on: glibc
+// serves those by mmap by default, so each one is mapped, page-faulted and
+// unmapped again. The §4.2 irreflexive-graph program is evaluated twice on
+// one thread; the first run warms the thread's retained section buffers,
+// and the second must make no large allocation at all, while returning
+// exactly what the first returned.
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "park/park.h"
+#include "workload/graph_gen.h"
+
+namespace {
+
+constexpr size_t kLargeBytes = 128 * 1024;
+
+std::atomic<bool> counting{false};
+std::atomic<size_t> large_allocations{0};
+
+void* Allocate(size_t size, size_t alignment, bool nothrow) {
+  if (size == 0) size = 1;
+  if (size >= kLargeBytes && counting.load(std::memory_order_relaxed)) {
+    large_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  void* p = nullptr;
+  if (alignment <= alignof(std::max_align_t)) {
+    p = std::malloc(size);
+  } else if (posix_memalign(&p, alignment, size) != 0) {
+    p = nullptr;
+  }
+  if (p == nullptr && !nothrow) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(size_t size) { return Allocate(size, 0, false); }
+void* operator new[](size_t size) { return Allocate(size, 0, false); }
+void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  return Allocate(size, 0, true);
+}
+void* operator new[](size_t size, const std::nothrow_t&) noexcept {
+  return Allocate(size, 0, true);
+}
+void* operator new(size_t size, std::align_val_t align) {
+  return Allocate(size, static_cast<size_t>(align), false);
+}
+void* operator new[](size_t size, std::align_val_t align) {
+  return Allocate(size, static_cast<size_t>(align), false);
+}
+void* operator new(size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return Allocate(size, static_cast<size_t>(align), true);
+}
+void* operator new[](size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return Allocate(size, static_cast<size_t>(align), true);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace park {
+namespace {
+
+/// What one evaluation returns, rendered.
+struct Outcome {
+  std::string database;
+  std::string blocked;
+  std::string trace;
+  std::string stats;
+};
+
+Outcome Evaluate(const Workload& w, int threads, size_t* large) {
+  ParkOptions options;
+  options.policy = MakeIrreflexiveGraphPolicy();
+  options.num_threads = threads;
+  options.trace_level = TraceLevel::kSummary;
+  large_allocations.store(0);
+  counting.store(true);
+  auto result = Park(w.program, w.database, options);
+  counting.store(false);
+  *large = large_allocations.load();
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return {};
+  Outcome out;
+  out.database = result->database.ToString();
+  for (const std::string& b : result->blocked) out.blocked += b + " ";
+  out.trace = result->trace.ToString();
+  out.stats = result->stats.ToJson();
+  return out;
+}
+
+void ExpectWarmRunAllocatesNothingLarge(int threads) {
+  const Workload w = MakeIrreflexiveGraphWorkload(24);
+  size_t cold_large = 0;
+  size_t warm_large = 0;
+  const Outcome cold = Evaluate(w, threads, &cold_large);
+  const Outcome warm = Evaluate(w, threads, &warm_large);
+  EXPECT_EQ(warm_large, 0u) << "threads=" << threads << " (the cold run made "
+                            << cold_large << ")";
+  EXPECT_EQ(warm.database, cold.database);
+  EXPECT_EQ(warm.blocked, cold.blocked);
+  EXPECT_EQ(warm.trace, cold.trace);
+  EXPECT_EQ(warm.stats, cold.stats);
+  EXPECT_FALSE(cold.blocked.empty());
+}
+
+TEST(SteadyStateAllocTest, WarmSequentialRunAllocatesNothingLarge) {
+  ExpectWarmRunAllocatesNothingLarge(1);
+}
+
+TEST(SteadyStateAllocTest, WarmParallelRunAllocatesNothingLarge) {
+  ExpectWarmRunAllocatesNothingLarge(4);
+}
+
+TEST(SteadyStateAllocTest, CountsLargeAllocations) {
+  // The counter itself works: a large buffer made while counting counts.
+  large_allocations.store(0);
+  counting.store(true);
+  std::string big(2 * kLargeBytes, 'x');
+  counting.store(false);
+  EXPECT_EQ(large_allocations.load(), 1u);
+  EXPECT_EQ(big.size(), 2 * kLargeBytes);
+}
+
+}  // namespace
+}  // namespace park
