@@ -32,12 +32,7 @@ BiStructureSnapshot SnapshotBiStructure(const BlockedSet& blocked,
                                         const IInterpretation& interp,
                                         const Program& program) {
   BiStructureSnapshot snapshot;
-  snapshot.blocked.reserve(blocked.size());
-  const SymbolTable& symbols = *program.symbols();
-  for (const RuleGrounding& g : blocked) {
-    snapshot.blocked.push_back(g.ToString(program, symbols));
-  }
-  std::sort(snapshot.blocked.begin(), snapshot.blocked.end());
+  snapshot.blocked = RenderSortedGroundings(blocked, program);
   snapshot.interpretation = interp.SortedLiteralStrings();
   return snapshot;
 }

@@ -10,22 +10,6 @@
 namespace park {
 namespace {
 
-/// RuleGrounding::operator< on views: rule, then binding
-/// lexicographically (Tuple's vector<Value> order).
-bool GroundingLess(const GroundingView& a, const GroundingView& b) {
-  if (a.rule_index != b.rule_index) return a.rule_index < b.rule_index;
-  const size_t n = std::min(a.binding.size(), b.binding.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (a.binding[i] != b.binding[i]) return a.binding[i] < b.binding[i];
-  }
-  return a.binding.size() < b.binding.size();
-}
-
-bool GroundingEq(const GroundingView& a, const GroundingView& b) {
-  return a.rule_index == b.rule_index &&
-         std::ranges::equal(a.binding, b.binding);
-}
-
 /// What BuildConflicts keeps on a thread between conflict rounds, within
 /// kRetainedSectionBytes: the conflicting atoms' table and the arrays that
 /// group the section's groundings by (conflict, side).
@@ -35,13 +19,15 @@ struct ConflictScratch {
   std::vector<uint32_t> group_start;  // by group, then the end
   std::vector<uint32_t> group_fill;
   std::vector<GroundingView> grouped;  // group by group
-  std::vector<GroundingView> side;     // one side with its provenance
+  // A side merged with its provenance: inserting, deleting.
+  std::vector<GroundingView> side[2];
 
   size_t RetainedBytes() const {
     return atoms.capacity_bytes() + hits.capacity() * sizeof(hits[0]) +
            (group_start.capacity() + group_fill.capacity()) *
                sizeof(uint32_t) +
-           (grouped.capacity() + side.capacity()) * sizeof(GroundingView);
+           (grouped.capacity() + side[0].capacity() + side[1].capacity()) *
+               sizeof(GroundingView);
   }
 
   void TrimToCap() {
@@ -51,7 +37,8 @@ struct ConflictScratch {
     group_start = {};
     group_fill = {};
     grouped = {};
-    side = {};
+    side[0] = {};
+    side[1] = {};
   }
 };
 
@@ -60,48 +47,59 @@ ConflictScratch& ThreadScratch() {
   return scratch;
 }
 
-/// Builds one conflict side from a group of the section's groundings:
-/// with the atom's `provenance` on that side, if it has any, sorted and
-/// de-duplicated, then copied once into an exactly reserved vector.
-/// `scratch` holds the union when there is provenance to merge in.
-std::vector<RuleGrounding> BuildSide(
-    std::span<GroundingView> group,
-    const std::vector<RuleGrounding>* provenance,
-    std::vector<GroundingView>& scratch) {
+/// Sorts and de-duplicates one conflict side: a group of the section's
+/// groundings (sorted in place) together with the atom's `provenance` on
+/// that side, if it has any, which is merged in `scratch`. Returns the
+/// side's views.
+std::span<const GroundingView> SortSide(std::span<GroundingView> group,
+                                        ProvenanceRange provenance,
+                                        std::vector<GroundingView>& scratch) {
   std::span<GroundingView> views = group;
-  if (provenance != nullptr && !provenance->empty()) {
+  if (!provenance.empty()) {
     scratch.assign(group.begin(), group.end());
-    for (const RuleGrounding& g : *provenance) {
-      scratch.push_back(GroundingView{g.rule_index(), g.binding().span()});
-    }
+    scratch.insert(scratch.end(), provenance.begin(), provenance.end());
     views = scratch;
   }
-  std::sort(views.begin(), views.end(), GroundingLess);
-  views = views.first(static_cast<size_t>(
-      std::unique(views.begin(), views.end(), GroundingEq) - views.begin()));
-  std::vector<RuleGrounding> side;
-  side.reserve(views.size());
-  for (const GroundingView& g : views) {
-    side.emplace_back(g.rule_index, Tuple(g.binding));
-  }
-  return side;
+  std::sort(views.begin(), views.end());
+  return views.first(static_cast<size_t>(
+      std::unique(views.begin(), views.end()) - views.begin()));
 }
 
 }  // namespace
 
+Conflict::Conflict(GroundAtom atom, std::span<const GroundingView> inserters,
+                   std::span<const GroundingView> deleters)
+    : atom(std::move(atom)), num_inserters_(inserters.size()) {
+  size_t num_values = 0;
+  for (const auto side : {inserters, deleters}) {
+    for (const GroundingView& g : side) num_values += g.binding().size();
+  }
+  values_.reserve(num_values);
+  refs_.reserve(inserters.size() + deleters.size() + 1);
+  for (const auto side : {inserters, deleters}) {
+    for (const GroundingView& g : side) {
+      refs_.push_back(ConflictSide::Ref{
+          g.rule_index(), static_cast<uint32_t>(values_.size())});
+      values_.insert(values_.end(), g.binding().begin(), g.binding().end());
+    }
+  }
+  refs_.push_back(
+      ConflictSide::Ref{-1, static_cast<uint32_t>(values_.size())});
+}
+
 std::string Conflict::ToString(const Program& program,
                                const SymbolTable& symbols) const {
   std::string out = atom.ToString(symbols);
+  auto append_side = [&](const ConflictSide& side) {
+    for (size_t i = 0; i < side.size(); ++i) {
+      if (i > 0) out += ", ";
+      AppendGrounding(out, side[i], program, symbols);
+    }
+  };
   out += ": ins={";
-  for (size_t i = 0; i < inserters.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += inserters[i].ToString(program, symbols);
-  }
+  append_side(inserters());
   out += "} del={";
-  for (size_t i = 0; i < deleters.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += deleters[i].ToString(program, symbols);
-  }
+  append_side(deleters());
   out += "}";
   return out;
 }
@@ -114,11 +112,10 @@ std::vector<Conflict> BuildConflicts(GammaResult gamma,
     count = 1;  // atoms are sorted: the first conflict is the smallest atom's
   }
   ConflictScratch& s = ThreadScratch();
-  std::vector<Conflict> conflicts(count);
   s.atoms.Clear();
   for (size_t i = 0; i < count; ++i) {
-    conflicts[i].atom = std::move(gamma.clashing_atoms[i]);
-    s.atoms.Insert(conflicts[i].atom.view());  // id i: the atoms are distinct
+    // Id i: the atoms are distinct.
+    s.atoms.Insert(gamma.clashing_atoms[i].view());
   }
   // Currently firable instances — the paper's one-step lookahead. Only a
   // derivation in the clash scope can head a clashing atom, and each of
@@ -148,21 +145,24 @@ std::vector<Conflict> BuildConflicts(GammaResult gamma,
     return std::span<GroundingView>(s.grouped.data() + s.group_start[g],
                                     s.grouped.data() + s.group_start[g + 1]);
   };
+  std::vector<Conflict> conflicts;
+  conflicts.reserve(count);
   for (size_t c = 0; c < count; ++c) {
-    Conflict& conflict = conflicts[c];
+    GroundAtom& atom = gamma.clashing_atoms[c];
     // Provenance completion: if one side of the clash is a mark already in
     // I whose deriving bodies are no longer valid, the instances that
     // derived it are still the ones to hold responsible (DESIGN.md §2).
     // It also holds every instance an earlier step of the round fired,
     // which the semi-naive section omits.
-    conflict.inserters = BuildSide(
-        group_views(2 * c),
-        interp.Provenance(ActionKind::kInsert, conflict.atom), s.side);
-    conflict.deleters = BuildSide(
-        group_views(2 * c + 1),
-        interp.Provenance(ActionKind::kDelete, conflict.atom), s.side);
-    PARK_CHECK(!conflict.inserters.empty() && !conflict.deleters.empty())
+    const std::span<const GroundingView> inserters = SortSide(
+        group_views(2 * c), interp.Provenance(ActionKind::kInsert, atom),
+        s.side[0]);
+    const std::span<const GroundingView> deleters = SortSide(
+        group_views(2 * c + 1), interp.Provenance(ActionKind::kDelete, atom),
+        s.side[1]);
+    PARK_CHECK(!inserters.empty() && !deleters.empty())
         << "conflict with an empty side";
+    conflicts.emplace_back(std::move(atom), inserters, deleters);
   }
   s.TrimToCap();
   return conflicts;

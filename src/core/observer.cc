@@ -51,8 +51,8 @@ void TracingObserver::OnPolicyDecision(const Conflict& conflict,
   if (symbols_ != nullptr) {
     out_ << " on " << conflict.atom.ToString(*symbols_);
   }
-  out_ << " (ins=" << conflict.inserters.size()
-       << " del=" << conflict.deleters.size() << ")\n";
+  out_ << " (ins=" << conflict.inserters().size()
+       << " del=" << conflict.deleters().size() << ")\n";
 }
 
 void TracingObserver::OnConflictRound(const ConflictRoundInfo& info) {

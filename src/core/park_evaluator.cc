@@ -33,15 +33,11 @@ std::vector<AtomProvenance> RenderProvenance(const IInterpretation& interp,
   std::vector<AtomProvenance> out;
   auto collect = [&](ActionKind action, const Database& marked) {
     marked.ForEach([&](const GroundAtom& atom) {
-      AtomProvenance entry;
-      entry.atom = ActionKindSign(action) + atom.ToString(symbols);
-      if (const auto* derivations = interp.Provenance(action, atom)) {
-        for (const RuleGrounding& g : *derivations) {
-          entry.derived_by.push_back(g.ToString(program, symbols));
-        }
-        std::sort(entry.derived_by.begin(), entry.derived_by.end());
-      }
-      out.push_back(std::move(entry));
+      AtomProvenance& entry = out.emplace_back();
+      entry.atom = ActionKindSign(action);
+      entry.atom += atom.ToString(symbols);
+      entry.derived_by =
+          RenderSortedGroundings(interp.Provenance(action, atom), program);
     });
   };
   collect(ActionKind::kInsert, interp.plus());
@@ -50,18 +46,6 @@ std::vector<AtomProvenance> RenderProvenance(const IInterpretation& interp,
             [](const AtomProvenance& a, const AtomProvenance& b) {
               return a.atom < b.atom;
             });
-  return out;
-}
-
-/// Renders the final blocked set, sorted, for ParkResult.
-std::vector<std::string> RenderBlocked(const BlockedSet& blocked,
-                                       const Program& program) {
-  std::vector<std::string> out;
-  out.reserve(blocked.size());
-  for (const RuleGrounding& g : blocked) {
-    out.push_back(g.ToString(program, *program.symbols()));
-  }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -272,7 +256,7 @@ Result<ParkResult> Park(const Program& program, const Database& db,
   ParkStepper stepper(program, db, options);
   PARK_RETURN_IF_ERROR(stepper.Run());
   ParkResult result{Database(db.symbols()), stepper.stats(), stepper.trace(),
-                    RenderBlocked(stepper.blocked(), program), {}};
+                    RenderSortedGroundings(stepper.blocked(), program), {}};
   if (options.record_provenance) {
     result.provenance = RenderProvenance(stepper.interpretation(), program);
   }

@@ -11,15 +11,15 @@
 namespace park {
 namespace {
 
-int EffectivePriority(const Program& program, const RuleGrounding& g) {
+int EffectivePriority(const Program& program, GroundingView g) {
   const Rule& rule = program.rule(g.rule_index());
   return rule.priority().value_or(rule.index() + 1);
 }
 
 int MaxPriority(const Program& program,
-                const std::vector<RuleGrounding>& side) {
+                const ConflictSide& side) {
   int best = std::numeric_limits<int>::min();
-  for (const RuleGrounding& g : side) {
+  for (GroundingView g : side) {
     best = std::max(best, EffectivePriority(program, g));
   }
   return best;
@@ -31,8 +31,8 @@ class RulePriorityPolicy final : public ConflictResolutionPolicy {
 
   Result<Vote> Select(const PolicyContext& context,
                       const Conflict& conflict) override {
-    int ins = MaxPriority(context.program, conflict.inserters);
-    int del = MaxPriority(context.program, conflict.deleters);
+    int ins = MaxPriority(context.program, conflict.inserters());
+    int del = MaxPriority(context.program, conflict.deleters());
     if (ins > del) return Vote::kInsert;
     if (del > ins) return Vote::kDelete;
     return Vote::kAbstain;

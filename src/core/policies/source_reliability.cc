@@ -22,8 +22,8 @@ class SourceReliabilityPolicy final : public ConflictResolutionPolicy {
 
   Result<Vote> Select(const PolicyContext& context,
                       const Conflict& conflict) override {
-    int ins = SideReliability(context.program, conflict.inserters);
-    int del = SideReliability(context.program, conflict.deleters);
+    int ins = SideReliability(context.program, conflict.inserters());
+    int del = SideReliability(context.program, conflict.deleters());
     if (ins > del) return Vote::kInsert;
     if (del > ins) return Vote::kDelete;
     return Vote::kAbstain;
@@ -37,9 +37,9 @@ class SourceReliabilityPolicy final : public ConflictResolutionPolicy {
   }
 
   int SideReliability(const Program& program,
-                      const std::vector<RuleGrounding>& side) const {
+                      const ConflictSide& side) const {
     int best = std::numeric_limits<int>::min();
-    for (const RuleGrounding& g : side) {
+    for (GroundingView g : side) {
       best = std::max(best, RuleReliability(program.rule(g.rule_index())));
     }
     return best;

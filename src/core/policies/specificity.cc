@@ -29,9 +29,9 @@ std::pair<int, int> RuleSpecificity(const Rule& rule) {
 }
 
 std::pair<int, int> MaxSpecificity(const Program& program,
-                                   const std::vector<RuleGrounding>& side) {
+                                   const ConflictSide& side) {
   std::pair<int, int> best{-1, -1};
-  for (const RuleGrounding& g : side) {
+  for (GroundingView g : side) {
     best = std::max(best, RuleSpecificity(program.rule(g.rule_index())));
   }
   return best;
@@ -43,8 +43,8 @@ class SpecificityPolicy final : public ConflictResolutionPolicy {
 
   Result<Vote> Select(const PolicyContext& context,
                       const Conflict& conflict) override {
-    auto ins = MaxSpecificity(context.program, conflict.inserters);
-    auto del = MaxSpecificity(context.program, conflict.deleters);
+    auto ins = MaxSpecificity(context.program, conflict.inserters());
+    auto del = MaxSpecificity(context.program, conflict.deleters());
     if (ins > del) return Vote::kInsert;
     if (del > ins) return Vote::kDelete;
     return Vote::kAbstain;

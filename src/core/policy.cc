@@ -52,14 +52,17 @@ std::string DescribeConflict(const PolicyContext& context,
                          ? "present in"
                          : "absent from") +
          " the database\n";
+  auto append_side = [&](const ConflictSide& side) {
+    for (GroundingView g : side) {
+      out += "    ";
+      AppendGrounding(out, g, context.program, symbols);
+      out += "\n";
+    }
+  };
   out += "  insert commanded by:\n";
-  for (const RuleGrounding& g : conflict.inserters) {
-    out += "    " + g.ToString(context.program, symbols) + "\n";
-  }
+  append_side(conflict.inserters());
   out += "  delete commanded by:\n";
-  for (const RuleGrounding& g : conflict.deleters) {
-    out += "    " + g.ToString(context.program, symbols) + "\n";
-  }
+  append_side(conflict.deleters());
   return out;
 }
 

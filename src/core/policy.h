@@ -44,10 +44,11 @@ const char* VoteToString(Vote vote);
 struct PolicyContext {
   const Database& database;            // D — the original instance
   const Program& program;              // P (or P_U)
-  /// I, the current state. Its provenance (IInterpretation::Provenance)
-  /// is present for the predicates with heads of both signs in the
-  /// program, which include every conflict's atom, and for all
-  /// predicates under ParkOptions::record_provenance.
+  /// I, the current state. Its provenance (IInterpretation::Provenance,
+  /// a range of GroundingViews valid until the restart) is present for
+  /// the predicates with heads of both signs in the program, which
+  /// include every conflict's atom, and for all predicates under
+  /// ParkOptions::record_provenance.
   const IInterpretation& interpretation;
   int restart_count = 0;               // conflict-resolution rounds so far
 };
@@ -62,7 +63,10 @@ class ConflictResolutionPolicy {
   /// Short identifier used in traces and bench tables ("inertia", ...).
   virtual std::string_view name() const = 0;
 
-  /// Resolves one conflict. See Vote for the meaning of the result.
+  /// Resolves one conflict. See Vote for the meaning of the result. The
+  /// conflict's sides (`conflict.inserters()`, `conflict.deleters()`)
+  /// are ranges of GroundingViews with `rule_index()` and `binding()`;
+  /// copy a grounding into a RuleGrounding to keep it past the conflict.
   virtual Result<Vote> Select(const PolicyContext& context,
                               const Conflict& conflict) = 0;
 };

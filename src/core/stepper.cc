@@ -387,10 +387,10 @@ Result<StepOutcome> ParkStepper::Resolve(GammaResult gamma, int step) {
       ++stats_.conflicts_resolved;
       observer_.Notify(
           [&](RunObserver& o) { o.OnPolicyDecision(conflict, vote); });
-      const std::vector<RuleGrounding>& losing =
-          vote == Vote::kInsert ? conflict.deleters : conflict.inserters;
-      for (const RuleGrounding& g : losing) {
-        if (blocked_.insert(g).second) ++outcome.newly_blocked;
+      const ConflictSide losing =
+          vote == Vote::kInsert ? conflict.deleters() : conflict.inserters();
+      for (GroundingView g : losing) {
+        if (blocked_.Insert(g)) ++outcome.newly_blocked;
       }
       if (tracing) {
         resolution_notes.push_back(StrFormat(

@@ -292,7 +292,7 @@ void RunUnits(const std::vector<GammaUnit>& units, const BlockedSet& blocked,
       if (cancel != nullptr && cancel->fired()) return;
       if (OwnedByEarlierSeed(unit.owners, binding, key)) return;
       if (!blocked.empty() &&
-          blocked.contains(GroundingView{rule.index(), binding})) {
+          blocked.Contains(GroundingView(rule.index(), binding))) {
         return;
       }
       buffer.Add(rule, binding, can_clash, keep_grounding);

@@ -24,45 +24,70 @@ std::pair<std::span<const Value>, bool> IInterpretation::Mark(
 
 void IInterpretation::RecordProvenance(ActionKind action, AtomView atom,
                                        GroundingView by) {
-  ProvenanceMap& provenance = action == ActionKind::kInsert
-                                  ? plus_provenance_
-                                  : minus_provenance_;
-  auto it = provenance.find(atom);
-  if (it == provenance.end()) {
-    it = provenance.try_emplace(GroundAtom(atom)).first;
+  SignProvenance& p = action == ActionKind::kInsert ? plus_provenance_
+                                                    : minus_provenance_;
+  uint32_t a = p.atoms.Find(atom);
+  if (a == AtomTable::kAbsent) {
+    // Keyed on the stored mark, which outlives the entry.
+    const auto [stored, added] =
+        (action == ActionKind::kInsert ? plus_ : minus_).Emplace(atom);
+    PARK_CHECK(!added) << "provenance recorded for an unmarked atom";
+    a = p.atoms.Insert(AtomView{atom.predicate, stored});
+    p.lists.emplace_back(ProvenanceRange::kEnd, ProvenanceRange::kEnd);
   }
-  std::vector<RuleGrounding>& derivations = it->second;
-  if (std::find_if(derivations.begin(), derivations.end(),
-                   [&](const RuleGrounding& g) {
-                     return RuleGroundingEq()(g, by);
-                   }) == derivations.end()) {
-    derivations.emplace_back(by.rule_index, Tuple(by.binding));
+  const auto [g, new_grounding] = p.groundings.Emplace(by);
+  if (new_grounding) {
+    p.owner.push_back(a);
+  } else if (p.owner[g] == a) {
+    return;  // listed already
+  } else {
+    // One grounding recorded for a second atom: only a head-less grounding
+    // (a transaction's seed) derives more than one. Listed once per atom.
+    for (uint32_t l = p.lists[a].first; l != ProvenanceRange::kEnd;
+         l = p.links[l].next) {
+      if (p.links[l].grounding == g) return;
+    }
   }
+  const uint32_t link = static_cast<uint32_t>(p.links.size());
+  p.links.push_back(ProvenanceRange::Link{g, ProvenanceRange::kEnd});
+  auto& [first, last] = p.lists[a];
+  if (first == ProvenanceRange::kEnd) {
+    first = link;
+  } else {
+    p.links[last].next = link;
+  }
+  last = link;
 }
 
 bool IInterpretation::AddMarked(ActionKind action, const GroundAtom& atom,
-                                const RuleGrounding& by) {
+                                GroundingView by) {
   const bool added = Mark(action, atom.view()).second;
-  RecordProvenance(action, atom.view(),
-                   GroundingView{by.rule_index(), by.binding().span()});
+  RecordProvenance(action, atom.view(), by);
   return added;
 }
 
-const std::vector<RuleGrounding>* IInterpretation::Provenance(
-    ActionKind action, const GroundAtom& atom) const {
-  const ProvenanceMap& provenance = action == ActionKind::kInsert
-                                        ? plus_provenance_
-                                        : minus_provenance_;
-  auto it = provenance.find(atom);
-  if (it == provenance.end()) return nullptr;
-  return &it->second;
+ProvenanceRange IInterpretation::Provenance(ActionKind action,
+                                            AtomView atom) const {
+  const SignProvenance& p = action == ActionKind::kInsert ? plus_provenance_
+                                                          : minus_provenance_;
+  const uint32_t a = p.atoms.Find(atom);
+  if (a == AtomTable::kAbsent) return ProvenanceRange();
+  return ProvenanceRange(&p.groundings, &p.links, p.lists[a].first);
+}
+
+void IInterpretation::SignProvenance::Clear() {
+  groundings.Clear();
+  owner.clear();
+  atoms.Clear();
+  lists.clear();
+  links.clear();
 }
 
 void IInterpretation::ClearMarks() {
   plus_ = Database(base_->symbols());
   minus_ = Database(base_->symbols());
-  plus_provenance_.clear();
-  minus_provenance_.clear();
+  plus_provenance_.Clear();
+  minus_provenance_.Clear();
   inconsistent_count_ = 0;
 }
 

@@ -7,15 +7,88 @@
 #ifndef PARK_ENGINE_INTERPRETATION_H_
 #define PARK_ENGINE_INTERPRETATION_H_
 
+#include <cstdint>
+#include <iterator>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "engine/rule_grounding.h"
+#include "storage/atom_table.h"
 #include "storage/database.h"
 
 namespace park {
+
+/// The provenance of one marked atom: the groundings recorded as deriving
+/// it, in the order they were first recorded, as GroundingViews into the
+/// interpretation's provenance store (valid until ClearMarks). An atom
+/// with no provenance gives an empty range.
+class ProvenanceRange {
+ public:
+  /// One entry of a per-atom list: a grounding's id in the sign's store
+  /// and the next entry (kEnd ends the list).
+  struct Link {
+    uint32_t grounding;
+    uint32_t next;
+  };
+  static constexpr uint32_t kEnd = UINT32_MAX;
+
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = GroundingView;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = GroundingView;
+
+    const_iterator() = default;
+    const_iterator(const GroundingSet* groundings,
+                   const std::vector<Link>* links, uint32_t link)
+        : groundings_(groundings), links_(links), link_(link) {}
+    GroundingView operator*() const {
+      return (*groundings_)[(*links_)[link_].grounding];
+    }
+    const_iterator& operator++() {
+      link_ = (*links_)[link_].next;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++*this;
+      return before;
+    }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.link_ == b.link_;
+    }
+
+   private:
+    const GroundingSet* groundings_ = nullptr;
+    const std::vector<Link>* links_ = nullptr;
+    uint32_t link_ = kEnd;
+  };
+
+  ProvenanceRange() = default;
+  ProvenanceRange(const GroundingSet* groundings,
+                  const std::vector<Link>* links, uint32_t first)
+      : groundings_(groundings), links_(links), first_(first) {}
+
+  const_iterator begin() const {
+    return const_iterator(groundings_, links_, first_);
+  }
+  const_iterator end() const {
+    return const_iterator(groundings_, links_, kEnd);
+  }
+  bool empty() const { return first_ == kEnd; }
+  /// The number of groundings; walks the list.
+  size_t size() const {
+    return static_cast<size_t>(std::distance(begin(), end()));
+  }
+
+ private:
+  const GroundingSet* groundings_ = nullptr;
+  const std::vector<Link>* links_ = nullptr;
+  uint32_t first_ = kEnd;
+};
 
 /// The three stores of an i-interpretation: I°, I⁺ and I⁻.
 enum class MarkStore { kUnmarked, kPlus, kMinus };
@@ -51,6 +124,12 @@ bool LiteralHolds(LiteralKind kind, In in) {
 /// which rule groundings derived them — used to build conflict sides when
 /// a stale derivation clashes with a current one (see DESIGN.md §2). It
 /// holds what its callers record (RecordProvenance, AddMarked).
+///
+/// Provenance is stored flat, per sign: a GroundingSet holds each
+/// grounding once (a grounding has exactly one head atom), an AtomTable
+/// keyed on the stored marks numbers the atoms, and each atom's groundings
+/// are a list of grounding ids. ClearMarks empties all three and keeps
+/// their memory for the next round.
 class IInterpretation {
  public:
   /// `base` must outlive this interpretation.
@@ -103,19 +182,21 @@ class IInterpretation {
                                               bool can_clash = true);
 
   /// Records `by` as one of the groundings that derived `±atom`, once.
+  /// `±atom` must be marked.
   void RecordProvenance(ActionKind action, AtomView atom, GroundingView by);
 
   /// Mark plus RecordProvenance. Returns true if the marked atom is new.
-  bool AddMarked(ActionKind action, const GroundAtom& atom,
-                 const RuleGrounding& by);
+  bool AddMarked(ActionKind action, const GroundAtom& atom, GroundingView by);
 
   /// All groundings recorded as deriving `±atom` since the last
-  /// ClearMarks, or null. During a ParkStepper run, provenance is present
-  /// for the predicates with heads of both signs in P_U (the only ones a
-  /// conflict can be built for, docs/SEMANTICS.md "Conflicts"), and for
-  /// all predicates under ParkOptions::record_provenance.
-  const std::vector<RuleGrounding>* Provenance(ActionKind action,
-                                               const GroundAtom& atom) const;
+  /// ClearMarks; empty if none. During a ParkStepper run, provenance is
+  /// present for the predicates with heads of both signs in P_U (the only
+  /// ones a conflict can be built for, docs/SEMANTICS.md "Conflicts"), and
+  /// for all predicates under ParkOptions::record_provenance.
+  ProvenanceRange Provenance(ActionKind action, AtomView atom) const;
+  ProvenanceRange Provenance(ActionKind action, const GroundAtom& atom) const {
+    return Provenance(action, atom.view());
+  }
 
   /// Discards all marked atoms and provenance: I becomes I° again.
   void ClearMarks();
@@ -151,15 +232,25 @@ class IInterpretation {
   std::vector<std::string> SortedLiteralStrings() const;
 
  private:
-  using ProvenanceMap =
-      std::unordered_map<GroundAtom, std::vector<RuleGrounding>,
-                         GroundAtomHash, GroundAtomEq>;
+  /// One sign's provenance.
+  struct SignProvenance {
+    GroundingSet groundings;
+    // By grounding id: the atom it was first recorded for.
+    std::vector<uint32_t> owner;
+    // Keyed on the stored marks, stable until ClearMarks.
+    AtomTable atoms;
+    // By atom id: the first and last entries of its list in `links`.
+    std::vector<std::pair<uint32_t, uint32_t>> lists;
+    std::vector<ProvenanceRange::Link> links;
+
+    void Clear();
+  };
 
   const Database* base_;
   Database plus_;
   Database minus_;
-  ProvenanceMap plus_provenance_;
-  ProvenanceMap minus_provenance_;
+  SignProvenance plus_provenance_;
+  SignProvenance minus_provenance_;
   // Number of atoms currently marked both ways.
   size_t inconsistent_count_ = 0;
 };

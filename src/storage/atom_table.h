@@ -14,6 +14,7 @@
 #define PARK_STORAGE_ATOM_TABLE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "storage/ground_atom.h"
@@ -33,18 +34,29 @@ class AtomTable {
   /// The id of `atom`; an absent atom is added with id size(). The atom's
   /// storage must outlive its entry.
   uint32_t Insert(const AtomView& atom) {
+    return Emplace(atom, [](const AtomView& a) { return a; }).first;
+  }
+  /// The id of `atom` and whether it was absent. An absent atom is added
+  /// with id size(), keyed by `store(atom)`: an equal view whose storage
+  /// outlives the entry, made only when the atom is new.
+  template <typename Store>
+  std::pair<uint32_t, bool> Emplace(const AtomView& atom, Store store) {
     if (slots_.empty()) Grow();
     const uint32_t hash = SlotHash(atom);
     size_t i = Probe(atom, hash);
-    if (slots_[i].id != kAbsent) return slots_[i].id;
+    if (slots_[i].id != kAbsent) return {slots_[i].id, false};
     if ((atoms_.size() + 1) * 2 > slots_.size()) {
       Grow();
       i = Probe(atom, hash);
     }
     const uint32_t id = static_cast<uint32_t>(atoms_.size());
     slots_[i] = Slot{id, hash};
-    atoms_.push_back(atom);
-    return id;
+    // Pushed as an lvalue, as Insert always was: sharing the rvalue
+    // push_back instantiation with ApplyDerivations' hot loop got that
+    // loop's push_back out-lined by GCC, and closure_eval's apply slower.
+    const AtomView stored = store(atom);
+    atoms_.push_back(stored);
+    return {id, true};
   }
   /// The id of `atom`, or kAbsent.
   uint32_t Find(const AtomView& atom) const {

@@ -1,5 +1,7 @@
 #include "storage/value.h"
 
+#include <charconv>
+
 #include "util/string_util.h"
 
 namespace park {
@@ -15,24 +17,36 @@ Value ConstantFromText(std::string_view text, SymbolTable& symbols) {
 }
 
 std::string Value::ToString(const SymbolTable& table) const {
+  std::string out;
+  AppendTo(out, table);
+  return out;
+}
+
+void Value::AppendTo(std::string& out, const SymbolTable& table) const {
   switch (type_) {
     case ValueType::kSymbol:
-      return table.SymbolName(static_cast<SymbolId>(payload_));
-    case ValueType::kInt:
-      return std::to_string(static_cast<int64_t>(payload_));
+      out += table.SymbolName(static_cast<SymbolId>(payload_));
+      return;
+    case ValueType::kInt: {
+      char digits[24];
+      const auto end = std::to_chars(digits, digits + sizeof(digits),
+                                     static_cast<int64_t>(payload_));
+      out.append(digits, end.ptr);
+      return;
+    }
     case ValueType::kString: {
       const std::string& raw =
           table.SymbolName(static_cast<SymbolId>(payload_));
-      std::string out = "\"";
+      out += '"';
       for (char c : raw) {
         if (c == '"' || c == '\\') out += '\\';
         out += c;
       }
       out += '"';
-      return out;
+      return;
     }
   }
-  return "<invalid>";
+  out += "<invalid>";
 }
 
 }  // namespace park

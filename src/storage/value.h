@@ -61,6 +61,8 @@ class Value {
   /// Renders the value using `table` for interned names. Strings are quoted
   /// with C-style escaping of `"` and `\`.
   std::string ToString(const SymbolTable& table) const;
+  /// Appends ToString's rendering to `out`.
+  void AppendTo(std::string& out, const SymbolTable& table) const;
 
   friend bool operator==(const Value& a, const Value& b) {
     return a.type_ == b.type_ && a.payload_ == b.payload_;

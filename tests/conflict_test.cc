@@ -36,10 +36,10 @@ TEST_F(ConflictTest, PaperExampleTwoSidedConflict) {
   std::vector<Conflict> conflicts = BuildConflicts(gamma, interp);
   ASSERT_EQ(conflicts.size(), 1u);
   EXPECT_EQ(conflicts[0].atom.ToString(*symbols_), "q(a)");
-  ASSERT_EQ(conflicts[0].inserters.size(), 1u);
-  ASSERT_EQ(conflicts[0].deleters.size(), 1u);
-  EXPECT_EQ(conflicts[0].inserters[0].rule_index(), 0);
-  EXPECT_EQ(conflicts[0].deleters[0].rule_index(), 1);
+  ASSERT_EQ(conflicts[0].inserters().size(), 1u);
+  ASSERT_EQ(conflicts[0].deleters().size(), 1u);
+  EXPECT_EQ(conflicts[0].inserters()[0].rule_index(), 0);
+  EXPECT_EQ(conflicts[0].deleters()[0].rule_index(), 1);
   EXPECT_EQ(conflicts[0].ToString(program, *symbols_),
             "q(a): ins={(r1, [X <- a])} del={(r2, [X <- a])}");
 }
@@ -56,8 +56,8 @@ TEST_F(ConflictTest, MaximalityAllGroundingsIncluded) {
   GammaResult gamma = FreshGamma(program, {}, interp);
   std::vector<Conflict> conflicts = BuildConflicts(gamma, interp);
   ASSERT_EQ(conflicts.size(), 1u);
-  EXPECT_EQ(conflicts[0].inserters.size(), 3u);
-  EXPECT_EQ(conflicts[0].deleters.size(), 2u);
+  EXPECT_EQ(conflicts[0].inserters().size(), 3u);
+  EXPECT_EQ(conflicts[0].deleters().size(), 2u);
 }
 
 TEST_F(ConflictTest, ProvenanceCompletesStaleSide) {
@@ -73,10 +73,10 @@ TEST_F(ConflictTest, ProvenanceCompletesStaleSide) {
   ASSERT_FALSE(gamma.consistent);
   std::vector<Conflict> conflicts = BuildConflicts(gamma, interp);
   ASSERT_EQ(conflicts.size(), 1u);
-  ASSERT_EQ(conflicts[0].inserters.size(), 1u);
-  EXPECT_EQ(conflicts[0].inserters[0].rule_index(), 99);
-  ASSERT_EQ(conflicts[0].deleters.size(), 1u);
-  EXPECT_EQ(conflicts[0].deleters[0].rule_index(), 0);
+  ASSERT_EQ(conflicts[0].inserters().size(), 1u);
+  EXPECT_EQ(conflicts[0].inserters()[0].rule_index(), 99);
+  ASSERT_EQ(conflicts[0].deleters().size(), 1u);
+  EXPECT_EQ(conflicts[0].deleters()[0].rule_index(), 0);
 }
 
 TEST_F(ConflictTest, CurrentAndProvenanceSidesDeduplicate) {
@@ -91,7 +91,7 @@ TEST_F(ConflictTest, CurrentAndProvenanceSidesDeduplicate) {
   GammaResult gamma = FreshGamma(program, {}, interp);
   std::vector<Conflict> conflicts = BuildConflicts(gamma, interp);
   ASSERT_EQ(conflicts.size(), 1u);
-  EXPECT_EQ(conflicts[0].inserters.size(), 1u);
+  EXPECT_EQ(conflicts[0].inserters().size(), 1u);
 }
 
 TEST_F(ConflictTest, ConflictsSortedByAtom) {

@@ -43,7 +43,8 @@ TEST_F(ConsequenceTest, BlockedInstancesDoNotFire) {
   Program program = MustProgram("p -> +q.");
   Database db = MustDb("p.");
   IInterpretation interp(&db);
-  BlockedSet blocked{RuleGrounding(0, Tuple{})};
+  BlockedSet blocked;
+  blocked.Insert(RuleGrounding(0, Tuple{}));
   GammaResult gamma = FreshGamma(program, blocked, interp);
   EXPECT_TRUE(gamma.derivations.empty());
   EXPECT_EQ(CountNewMarks(gamma.derivations, interp), 0u);
@@ -91,10 +92,9 @@ TEST_F(ConsequenceTest, ApplyDerivationsCountsNewMarks) {
   EXPECT_EQ(CountNewMarks(gamma.derivations, interp), 1u);
   EXPECT_EQ(ApplyDerivations(gamma.derivations, interp), 1u);
   // Provenance keeps both groundings.
-  const auto* prov = interp.Provenance(
+  const ProvenanceRange prov = interp.Provenance(
       ActionKind::kInsert, ParseGroundAtom("q", symbols_).value());
-  ASSERT_NE(prov, nullptr);
-  EXPECT_EQ(prov->size(), 2u);
+  EXPECT_EQ(prov.size(), 2u);
 }
 
 TEST_F(ConsequenceTest, FirstOrderGroundingsCarryBindings) {
@@ -105,9 +105,9 @@ TEST_F(ConsequenceTest, FirstOrderGroundingsCarryBindings) {
   ASSERT_EQ(gamma.derivations.size(), 2u);
   for (const Derivations::Record& r : gamma.derivations) {
     const GroundingView grounding = gamma.derivations.grounding(r);
-    EXPECT_EQ(grounding.rule_index, 0);
-    ASSERT_EQ(grounding.binding.size(), 1u);
-    EXPECT_EQ(gamma.derivations.atom(r).args[0], grounding.binding[0]);
+    EXPECT_EQ(grounding.rule_index(), 0);
+    ASSERT_EQ(grounding.binding().size(), 1u);
+    EXPECT_EQ(gamma.derivations.atom(r).args[0], grounding.binding()[0]);
   }
 }
 
@@ -116,7 +116,8 @@ TEST_F(ConsequenceTest, BlockingOneGroundingKeepsOthers) {
   Database db = MustDb("p(a). p(b).");
   IInterpretation interp(&db);
   SymbolId a = symbols_->InternSymbol("a");
-  BlockedSet blocked{RuleGrounding(0, Tuple{Value::Symbol(a)})};
+  BlockedSet blocked;
+  blocked.Insert(RuleGrounding(0, Tuple{Value::Symbol(a)}));
   GammaResult gamma = FreshGamma(program, blocked, interp);
   ASSERT_EQ(gamma.derivations.size(), 1u);
   EXPECT_EQ(GroundAtom(gamma.derivations.atom(gamma.derivations[0]))

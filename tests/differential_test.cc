@@ -29,7 +29,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <filesystem>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <optional>
@@ -455,12 +457,7 @@ Observation RunStepped(const Parsed& parsed, ParkOptions options,
   EXPECT_TRUE(database.ok());
   if (!database.ok()) return obs;
   obs.database = database->SortedAtomStrings();
-  std::vector<std::string> blocked;
-  for (const RuleGrounding& g : stepper.blocked()) {
-    blocked.push_back(g.ToString(*extended, *parsed.symbols));
-  }
-  std::sort(blocked.begin(), blocked.end());
-  obs.blocked = std::move(blocked);
+  obs.blocked = RenderSortedGroundings(stepper.blocked(), *extended);
   FillFromStats(stepper.stats(), obs);
   obs.trace = stepper.trace().ToString();
   return obs;
@@ -849,6 +846,223 @@ TEST(DifferentialTest, GeneratedCases) {
   EXPECT_GT(coverage.inserted, 0u);
   EXPECT_GT(coverage.deleted, 0u);
   ExpectMachineryRan(coverage);
+}
+
+// --- metamorphic: renaming and reordering ---
+//
+// Under kAllConflicts every conflict of a round is resolved, so neither
+// the order of the rule and fact text nor the names in it may change what
+// PARK returns: map constants and predicates through a bijection, shuffle
+// the rules and the facts, and the result and B, mapped back, must be
+// the same. A policy that reads names (predicate bias) or positions
+// (rule priority's default) could tell the difference; rule priority
+// takes part only with an explicit priority on every rule.
+
+/// Renames whole identifier tokens of `text` through `names`; every
+/// other token (rule labels, variables, annotations) stays.
+std::string RenameTokens(const std::string& text,
+                         const std::map<std::string, std::string>& names) {
+  std::string out;
+  size_t i = 0;
+  while (i < text.size()) {
+    const auto word = [&](size_t k) {
+      return k < text.size() &&
+             (std::isalnum(static_cast<unsigned char>(text[k])) ||
+              text[k] == '_');
+    };
+    if (!word(i)) {
+      out += text[i++];
+      continue;
+    }
+    size_t end = i;
+    while (word(end)) ++end;
+    const std::string token = text.substr(i, end - i);
+    auto it = names.find(token);
+    out += it == names.end() ? token : it->second;
+    i = end;
+  }
+  return out;
+}
+
+/// Splits "x. y. z. " (facts) or one rule per line (rules) into items.
+std::vector<std::string> SplitItems(const std::string& text, char end) {
+  std::vector<std::string> items;
+  std::string item;
+  for (char ch : text) {
+    item += ch;
+    if (ch == end) {
+      const size_t first = item.find_first_not_of(" \n");
+      if (first != std::string::npos) items.push_back(item.substr(first));
+      item.clear();
+    }
+  }
+  return items;
+}
+
+/// The result database and the rendered B of PARK(D, P_U) under
+/// kAllConflicts, or the failure's status code.
+struct Outcome {
+  StatusCode code = StatusCode::kOk;
+  std::vector<std::string> database;
+  std::vector<std::string> blocked;
+
+  friend bool operator==(const Outcome&, const Outcome&) = default;
+};
+
+void PrintTo(const Outcome& o, std::ostream* os) {
+  *os << "code " << static_cast<int>(o.code) << ", database {"
+      << Join(o.database, ", ") << "}, blocked {" << Join(o.blocked, " ")
+      << "}";
+}
+
+Outcome Evaluate(const Case& c, PolicyPtr policy) {
+  const std::unique_ptr<Parsed> parsed = Parse(c);
+  ParkOptions options;
+  options.policy = std::move(policy);
+  auto result = Park(parsed->db, parsed->program, FirstCommit(*parsed),
+                     options);
+  Outcome out;
+  if (!result.ok()) {
+    out.code = result.status().code();
+    return out;
+  }
+  out.database = result->database.SortedAtomStrings();
+  out.blocked = result->blocked;
+  return out;
+}
+
+/// `c` renamed through `names` with its rules and facts shuffled.
+Case Disguise(const Case& c, const std::map<std::string, std::string>& names,
+              Rng& rng) {
+  Case out;
+  std::vector<std::string> rules = SplitItems(c.rules, '\n');
+  std::vector<std::string> facts = SplitItems(c.facts, '.');
+  rng.Shuffle(rules);
+  rng.Shuffle(facts);
+  for (const std::string& rule : rules) out.rules += RenameTokens(rule, names);
+  for (const std::string& fact : facts) {
+    out.facts += RenameTokens(fact, names) + " ";
+  }
+  for (const std::vector<std::string>& commit : c.commits) {
+    std::vector<std::string> renamed;
+    for (const std::string& u : commit) {
+      renamed.push_back(RenameTokens(u, names));
+    }
+    out.commits.push_back(std::move(renamed));
+  }
+  out.policy = c.policy;
+  return out;
+}
+
+/// Maps a disguised outcome's names back, and sorts again.
+Outcome Unmask(Outcome outcome,
+               const std::map<std::string, std::string>& inverse) {
+  for (auto* list : {&outcome.database, &outcome.blocked}) {
+    for (std::string& item : *list) item = RenameTokens(item, inverse);
+    std::sort(list->begin(), list->end());
+  }
+  return outcome;
+}
+
+/// A random bijection of `from` onto fresh names `prefix`0, `prefix`1, ...
+void AddBijection(const std::vector<std::string>& from,
+                  const std::string& prefix, Rng& rng,
+                  std::map<std::string, std::string>& names) {
+  std::vector<std::string> to;
+  for (size_t i = 0; i < from.size(); ++i) {
+    to.push_back(prefix + std::to_string(i));
+  }
+  rng.Shuffle(to);
+  for (size_t i = 0; i < from.size(); ++i) names[from[i]] = to[i];
+}
+
+/// Checks `c` under `policy` against two disguises of itself.
+void ExpectOrderAndNameFree(const Case& c,
+                            const std::function<PolicyPtr()>& policy,
+                            const std::vector<std::string>& constants,
+                            const std::vector<std::string>& predicates,
+                            uint64_t seed, size_t& resolved) {
+  const Outcome plain = Evaluate(c, policy());
+  resolved += plain.code == StatusCode::kOk && !plain.blocked.empty();
+  Rng rng(seed);
+  for (int variant = 0; variant < 2; ++variant) {
+    SCOPED_TRACE(StrFormat("variant %d", variant));
+    std::map<std::string, std::string> names;
+    AddBijection(constants, "k", rng, names);
+    AddBijection(predicates, "pred", rng, names);
+    std::map<std::string, std::string> inverse;
+    for (const auto& [from, to] : names) inverse[to] = from;
+    const Case disguised = Disguise(c, names, rng);
+    SCOPED_TRACE(disguised.rules + disguised.facts);
+    EXPECT_EQ(Unmask(Evaluate(disguised, policy()), inverse), plain);
+  }
+}
+
+TEST(DifferentialTest, RenamingAndReorderingKeepResultAndBlocked) {
+  const std::vector<std::string> constants = {"a", "b", "c"};
+  std::vector<std::string> predicates;
+  for (const Predicate& p : kPredicates) predicates.push_back(p.name);
+  const std::vector<std::pair<const char*, std::function<PolicyPtr()>>>
+      policies = {
+          {"inertia", [] { return MakeInertiaPolicy(); }},
+          {"insert", [] { return MakeAlwaysInsertPolicy(); }},
+          {"delete", [] { return MakeAlwaysDeletePolicy(); }},
+          // Reads only whether an atom's two arguments are equal; unary
+          // atoms fall through to inertia.
+          {"irreflexive",
+           [] {
+             return MakeCompositePolicy(
+                 {MakeIrreflexiveGraphPolicy(), MakeInertiaPolicy()});
+           }},
+      };
+  size_t resolved = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(StrFormat("seed %llu", static_cast<unsigned long long>(seed)));
+    const Case c = RandomCase(seed);
+    SCOPED_TRACE(c.rules + c.facts);
+    for (const auto& [name, policy] : policies) {
+      SCOPED_TRACE(name);
+      ExpectOrderAndNameFree(c, policy, constants, predicates, seed,
+                             resolved);
+    }
+    // Rule priority, with a distinct explicit priority on every rule.
+    Case prioritized = c;
+    prioritized.rules.clear();
+    std::vector<std::string> rules = SplitItems(c.rules, '\n');
+    std::vector<int> priorities(rules.size());
+    for (size_t i = 0; i < rules.size(); ++i) {
+      priorities[i] = static_cast<int>(i) + 1;
+    }
+    Rng rng(seed + 1000);
+    rng.Shuffle(priorities);
+    for (size_t i = 0; i < rules.size(); ++i) {
+      const size_t colon = rules[i].find(':');
+      prioritized.rules += rules[i].substr(0, colon) +
+                           StrFormat(" [prio=%d]", priorities[i]) +
+                           rules[i].substr(colon);
+    }
+    SCOPED_TRACE("priority");
+    ExpectOrderAndNameFree(
+        prioritized,
+        [] {
+          return MakeCompositePolicy(
+              {MakeRulePriorityPolicy(), MakeInertiaPolicy()});
+        },
+        constants, predicates, seed, resolved);
+    if (HasFatalFailure()) return;
+  }
+  // The §4.2 graph example with its own SELECT, which compares the
+  // integer node labels: predicates renamed, labels kept, text shuffled.
+  for (int nodes : {4, 6}) {
+    SCOPED_TRACE(StrFormat("irreflexive graph, %d nodes", nodes));
+    ExpectOrderAndNameFree(
+        FromWorkload(MakeIrreflexiveGraphWorkload(nodes),
+                     PolicyKind::kIrreflexiveGraph),
+        [] { return MakeIrreflexiveGraphPolicy(); }, {}, {"p", "q"},
+        static_cast<uint64_t>(nodes), resolved);
+  }
+  // Most cases resolve conflicts, so B is compared, not only the result.
+  EXPECT_GT(resolved, 150u);
 }
 
 // --- fixed cases ---

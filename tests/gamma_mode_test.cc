@@ -88,7 +88,7 @@ std::vector<Firing> Firings(const Derivations& derivations) {
   std::vector<Firing> out;
   for (const Derivations::Record& r : derivations) {
     const GroundingView g = derivations.grounding(r);
-    out.push_back(Firing{RuleGrounding(g.rule_index, Tuple(g.binding)),
+    out.push_back(Firing{RuleGrounding(g),
                          r.action, GroundAtom(derivations.atom(r))});
   }
   return out;
@@ -114,7 +114,7 @@ std::vector<Firing> ReferenceSeededGamma(const Program& program,
             plan, rule, interp, &atom,
             [&](std::span<const Value> binding) {
               RuleGrounding grounding(rule.index(), Tuple(binding));
-              if (blocked.contains(grounding)) return;
+              if (blocked.Contains(grounding)) return;
               if (!seen.insert(grounding).second) return;
               out.push_back(Firing{
                   grounding, rule.head().action,
@@ -249,7 +249,7 @@ TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
       for (const Firing& f :
            Firings(testing_util::FreshGamma(program, blocked, interp)
                        .derivations)) {
-        if (rng.Bernoulli(0.2)) blocked.insert(f.grounding);
+        if (rng.Bernoulli(0.2)) blocked.Insert(f.grounding);
       }
       ExecStats exec_stats;
       // The unseeded section through a fresh cache, like FreshGamma: the

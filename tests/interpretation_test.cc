@@ -3,6 +3,8 @@
 
 #include "engine/interpretation.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/stepper.h"
@@ -94,12 +96,33 @@ TEST_F(InterpretationTest, ProvenanceAccumulates) {
   interp.AddMarked(ActionKind::kInsert, Atom("q(a)"), G(0));
   interp.AddMarked(ActionKind::kInsert, Atom("q(a)"), G(2));
   interp.AddMarked(ActionKind::kInsert, Atom("q(a)"), G(0));  // duplicate
-  const auto* prov = interp.Provenance(ActionKind::kInsert, Atom("q(a)"));
-  ASSERT_NE(prov, nullptr);
-  EXPECT_EQ(prov->size(), 2u);
-  EXPECT_EQ(interp.Provenance(ActionKind::kDelete, Atom("q(a)")), nullptr);
+  std::vector<RuleGrounding> prov;
+  for (GroundingView g : interp.Provenance(ActionKind::kInsert, Atom("q(a)"))) {
+    prov.emplace_back(g);
+  }
+  EXPECT_EQ(prov, (std::vector<RuleGrounding>{G(0), G(2)}));  // as recorded
+  EXPECT_TRUE(interp.Provenance(ActionKind::kDelete, Atom("q(a)")).empty());
   interp.ClearMarks();
-  EXPECT_EQ(interp.Provenance(ActionKind::kInsert, Atom("q(a)")), nullptr);
+  EXPECT_TRUE(interp.Provenance(ActionKind::kInsert, Atom("q(a)")).empty());
+}
+
+TEST_F(InterpretationTest, OneGroundingListedForEachAtomItDerived) {
+  // Only a transaction's head-less seed grounding derives several atoms;
+  // it is listed once under each.
+  IInterpretation interp(&base_);
+  interp.AddMarked(ActionKind::kInsert, Atom("q(a)"), G(0));
+  interp.AddMarked(ActionKind::kInsert, Atom("q(b)"), G(0));
+  interp.AddMarked(ActionKind::kInsert, Atom("q(b)"), G(1));
+  interp.AddMarked(ActionKind::kInsert, Atom("q(b)"), G(0));  // duplicate
+  EXPECT_EQ(interp.Provenance(ActionKind::kInsert, Atom("q(a)")).size(), 1u);
+  EXPECT_EQ(interp.Provenance(ActionKind::kInsert, Atom("q(b)")).size(), 2u);
+}
+
+TEST_F(InterpretationTest, ProvenanceNeedsAMark) {
+  IInterpretation interp(&base_);
+  EXPECT_DEATH(interp.RecordProvenance(ActionKind::kInsert,
+                                       Atom("q(a)").view(), G(0)),
+               "unmarked");
 }
 
 TEST_F(InterpretationTest, IncorporateAppliesMarks) {
@@ -177,7 +200,7 @@ TEST_F(InterpretationTest, IncorporateMovesOrMergesPlusRelations) {
   // Incorporate consumed the marks.
   EXPECT_EQ(interp.num_plus(), 0u);
   EXPECT_EQ(interp.num_minus(), 0u);
-  EXPECT_EQ(interp.Provenance(ActionKind::kInsert, Atom("q(b)")), nullptr);
+  EXPECT_TRUE(interp.Provenance(ActionKind::kInsert, Atom("q(b)")).empty());
 }
 
 TEST_F(InterpretationTest, IncorporateAfterABatchModeRun) {

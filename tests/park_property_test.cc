@@ -159,9 +159,10 @@ class DeltaHarness {
     PolicyContext context{db_, program_, interp_, 0};
     for (const Conflict& conflict : conflicts) {
       Vote vote = policy_->Select(context, conflict).value();
-      const auto& losing =
-          vote == Vote::kInsert ? conflict.deleters : conflict.inserters;
-      blocked_.insert(losing.begin(), losing.end());
+      for (GroundingView g :
+           vote == Vote::kInsert ? conflict.deleters() : conflict.inserters()) {
+        blocked_.Insert(g);
+      }
     }
     interp_.ClearMarks();
     return true;

@@ -107,14 +107,14 @@ class Evaluator {
       // conflicts(P, I) over the clashing atoms, in atom order.
       std::vector<Conflict> conflicts;
       for (const GroundAtom& atom : clashing) {
-        Conflict c;
-        c.atom = atom;
-        c.inserters = Side(fire_plus, plus_provenance_, atom);
-        c.deleters = Side(fire_minus, minus_provenance_, atom);
-        if (c.inserters.empty() || c.deleters.empty()) {
+        const std::vector<RuleGrounding> ins =
+            Side(fire_plus, plus_provenance_, atom);
+        const std::vector<RuleGrounding> del =
+            Side(fire_minus, minus_provenance_, atom);
+        if (ins.empty() || del.empty()) {
           return InternalError("reference conflict with an empty side");
         }
-        conflicts.push_back(std::move(c));
+        conflicts.emplace_back(atom, Views(ins), Views(del));
       }
       if (granularity == BlockGranularity::kFirstConflictOnly) {
         conflicts.resize(1);
@@ -140,10 +140,10 @@ class Evaluator {
         if (vote == Vote::kAbstain) {
           return AbortedError("the policy abstained");
         }
-        for (const RuleGrounding& g : vote == Vote::kInsert
-                                          ? conflict.deleters
-                                          : conflict.inserters) {
-          newly_blocked += blocked_.insert(g).second;
+        for (GroundingView g : vote == Vote::kInsert
+                                   ? conflict.deleters()
+                                   : conflict.inserters()) {
+          newly_blocked += blocked_.insert(RuleGrounding(g)).second;
         }
       }
       if (newly_blocked == 0) {
@@ -262,6 +262,11 @@ class Evaluator {
       side.insert(it->second.begin(), it->second.end());
     }
     return std::vector<RuleGrounding>(side.begin(), side.end());
+  }
+
+  static std::vector<GroundingView> Views(
+      const std::vector<RuleGrounding>& side) {
+    return std::vector<GroundingView>(side.begin(), side.end());
   }
 
   size_t GroundInstances() const {

@@ -402,14 +402,9 @@ TEST(StepperTest, ProvenanceOnlyForBothSignedPredicates) {
     ParkStepper stepper(program, db, options);
     ASSERT_TRUE(stepper.Run().ok());
     ASSERT_TRUE(stepper.interpretation().HasPlus(path_ac));
-    const auto* prov =
+    const ProvenanceRange prov =
         stepper.interpretation().Provenance(ActionKind::kInsert, path_ac);
-    if (record) {
-      ASSERT_NE(prov, nullptr);
-      EXPECT_EQ(prov->size(), 1u);
-    } else {
-      EXPECT_EQ(prov, nullptr);
-    }
+    EXPECT_EQ(prov.size(), record ? 1u : 0u);
   }
 }
 
@@ -429,7 +424,7 @@ TEST(StepperTest, ConflictPredicatesKeepTheirProvenance) {
         action == ActionKind::kInsert ? interp.plus() : interp.minus();
     store.ForEach([&](const GroundAtom& atom) {
       ++marked;
-      EXPECT_NE(interp.Provenance(action, atom), nullptr)
+      EXPECT_FALSE(interp.Provenance(action, atom).empty())
           << ActionKindSign(action) << atom.ToString(*w.symbols);
     });
   }
@@ -462,10 +457,10 @@ TEST(StepperTest, UpdateRulesWidenTheProvenanceScope) {
     // Inertia deleted path(a, b), which is not in D; path(b, c) stays.
     ASSERT_TRUE(interp.HasMinus(atom("path(a, b)")));
     ASSERT_TRUE(interp.HasPlus(atom("path(b, c)")));
-    EXPECT_NE(interp.Provenance(ActionKind::kDelete, atom("path(a, b)")),
-              nullptr);
-    EXPECT_NE(interp.Provenance(ActionKind::kInsert, atom("path(b, c)")),
-              nullptr);
+    EXPECT_FALSE(
+        interp.Provenance(ActionKind::kDelete, atom("path(a, b)")).empty());
+    EXPECT_FALSE(
+        interp.Provenance(ActionKind::kInsert, atom("path(b, c)")).empty());
   }
 
   const std::vector<Update> seeds = {
@@ -473,12 +468,12 @@ TEST(StepperTest, UpdateRulesWidenTheProvenanceScope) {
   ParkStepper seeded(program, db, options, state, &seeds);
   ASSERT_TRUE(seeded.Run().ok());
   ASSERT_TRUE(seeded.interpretation().HasPlus(atom("path(c, d)")));
-  EXPECT_EQ(seeded.interpretation().Provenance(ActionKind::kInsert,
-                                               atom("path(c, d)")),
-            nullptr);
-  EXPECT_EQ(seeded.interpretation().Provenance(ActionKind::kInsert,
-                                               atom("edge(c, d)")),
-            nullptr);
+  EXPECT_TRUE(seeded.interpretation()
+                  .Provenance(ActionKind::kInsert, atom("path(c, d)"))
+                  .empty());
+  EXPECT_TRUE(seeded.interpretation()
+                  .Provenance(ActionKind::kInsert, atom("edge(c, d)"))
+                  .empty());
 }
 
 TEST(StepperTest, UpdatesWidenTheClashScope) {
@@ -548,12 +543,10 @@ TEST(StepperTest, FixpointSectionLeavesProvenanceAlone) {
     std::vector<std::string> out;
     stepper.interpretation().plus().ForEach([&](const GroundAtom& atom) {
       std::string line = atom.ToString(*symbols) + ":";
-      const auto* prov =
-          stepper.interpretation().Provenance(ActionKind::kInsert, atom);
-      if (prov != nullptr) {
-        for (const RuleGrounding& g : *prov) {
-          line += " " + g.ToString(program, *symbols);
-        }
+      for (GroundingView g :
+           stepper.interpretation().Provenance(ActionKind::kInsert, atom)) {
+        line += " ";
+        AppendGrounding(line, g, program, *symbols);
       }
       out.push_back(std::move(line));
     });

@@ -133,7 +133,8 @@ TEST_F(BiStructureTest, SnapshotFromLiveState) {
   interp.AddMarked(ActionKind::kInsert,
                    ParseGroundAtom("q", symbols).value(),
                    RuleGrounding(0, Tuple{}));
-  BlockedSet blocked{RuleGrounding(0, Tuple{})};
+  BlockedSet blocked;
+  blocked.Insert(RuleGrounding(0, Tuple{}));
   BiStructureSnapshot snapshot =
       SnapshotBiStructure(blocked, interp, *program);
   EXPECT_EQ(snapshot.ToString(), "<{(r1)}, {p, +q}>");
