@@ -139,7 +139,7 @@ class RunObserver {
   /// the leader thread after the batch's members were all reported.
   virtual void OnBatchCommit(const BatchCommitInfo& info) { (void)info; }
   /// A snapshot was opened pinning the generation committed at
-  /// `journal_seq` / released (its pinned segments became reclaimable).
+  /// `journal_seq` / released (what it pinned became reclaimable).
   /// Fire on the opening thread and on whichever thread dropped the last
   /// handle, respectively.
   virtual void OnSnapshotOpen(uint64_t journal_seq) { (void)journal_seq; }

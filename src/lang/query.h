@@ -40,8 +40,9 @@ namespace query_internal {
 /// of `atom`, and returns the projection onto the variable indexes in
 /// `projection`, or nullopt when a constant or a repeated variable
 /// disagrees. The one binder of QueryDatabase (over a relation's index
-/// probe) and of serve's Snapshot::Query (over a segment scan), so both
-/// answer a pattern alike. Inline because it runs once per scanned row.
+/// probe) and of serve's Snapshot::Query (over a published relation's
+/// rows), so both answer a pattern alike. Inline because it runs once
+/// per scanned row.
 inline std::optional<Tuple> BindRow(const AtomPattern& atom,
                                     std::span<const Value> row,
                                     size_t num_variables,

@@ -1,5 +1,6 @@
 #include "serve/session.h"
 
+#include <map>
 #include <utility>
 
 #include "util/logging.h"
@@ -12,7 +13,7 @@ Session::Session(ActiveDatabase db, size_t max_group_size)
       shared_(std::make_shared<serve_internal::ServingShared>()) {
   shared_->observer = db_.options().observer;
   std::lock_guard<std::mutex> lock(commit_mutex_);
-  PublishSnapshotLocked();
+  PublishAllLocked();
 }
 
 Session::~Session() {
@@ -53,15 +54,21 @@ Transaction Session::Begin() { return Transaction(this, db_.symbols()); }
 CommitResult Session::Stabilize() {
   std::lock_guard<std::mutex> lock(commit_mutex_);
   CommitResult result = db_.Stabilize();
-  if (result.ok()) PublishSnapshotLocked();
+  if (result.ok()) {
+    const CommitReport* diff = &*result;
+    PublishDiffsLocked({&diff, 1});
+  }
   return result;
 }
 
 Status Session::LoadFacts(std::string_view facts_text) {
   std::lock_guard<std::mutex> lock(commit_mutex_);
-  PARK_RETURN_IF_ERROR(db_.LoadFacts(facts_text));
-  PublishSnapshotLocked();
-  return Status::OK();
+  Status loaded = db_.LoadFacts(facts_text);
+  // A load that fails part-way keeps the atoms parsed before the error,
+  // so publish in either case: the published generation always equals
+  // the committed database, which the next commit's diff applies to.
+  PublishAllLocked();
+  return loaded;
 }
 
 Status Session::Checkpoint() {
@@ -154,7 +161,7 @@ void Session::RunBatch(std::vector<PendingCommit*>& batch) {
   const uint64_t batch_seq = ++batch_seq_;
   const size_t k = batch.size();
 
-  bool committed_any = false;
+  std::vector<const CommitReport*> diffs;  // the committed ones, in order
   bool poisoned = false;
   uint64_t journal_seq = 0;
 
@@ -168,7 +175,7 @@ void Session::RunBatch(std::vector<PendingCommit*>& batch) {
   }
   CommitResult result = db_.CommitUpdates(folded, k);
   if (result.ok()) {
-    committed_any = true;
+    diffs.push_back(&*result);
     journal_seq = result->journal_seq;
     batch_counters_.RecordBatch(k);
     for (size_t i = 0; i < k; ++i) {
@@ -194,16 +201,16 @@ void Session::RunBatch(std::vector<PendingCommit*>& batch) {
       CommitResult member_result = db_.CommitUpdates(member->updates, 1);
       ++batch_counters_.individual_retries;
       if (member_result.ok()) {
-        committed_any = true;
         journal_seq = member_result->journal_seq;
         member_result->batch_seq = batch_seq;
         batch_counters_.RecordBatch(1);
       }
       member->result = std::make_unique<CommitResult>(std::move(member_result));
+      if (member->result->ok()) diffs.push_back(&**member->result);
     }
   }
 
-  if (committed_any) PublishSnapshotLocked();
+  if (!diffs.empty()) PublishDiffsLocked(diffs);
 
   // Stamp the serving counters (batch + snapshot lifecycle) into every
   // successful member's stats so one report renders a complete
@@ -230,18 +237,49 @@ void Session::RunBatch(std::vector<PendingCommit*>& batch) {
   });
 }
 
-void Session::PublishSnapshotLocked() {
-  const Database& database = db_.database();
-  database.CompactColumnar();
+void Session::PublishDiffsLocked(std::span<const CommitReport* const> diffs) {
   auto state = std::make_shared<serve_internal::SnapshotState>();
+  state->relations = current_->relations;
+  for (const CommitReport* report : diffs) {
+    // One commit's diff, grouped by predicate.
+    struct PredicateDiff {
+      std::vector<const GroundAtom*> inserted;
+      std::vector<const GroundAtom*> deleted;
+    };
+    std::map<PredicateId, PredicateDiff> touched;
+    for (const GroundAtom& atom : report->inserted) {
+      touched[atom.predicate()].inserted.push_back(&atom);
+    }
+    for (const GroundAtom& atom : report->deleted) {
+      touched[atom.predicate()].deleted.push_back(&atom);
+    }
+    for (const auto& [pred, diff] : touched) {
+      std::shared_ptr<const serve_internal::PublishedRelation>& rel =
+          state->relations[pred];
+      if (rel == nullptr) {
+        const GroundAtom& any = diff.inserted.empty() ? *diff.deleted[0]
+                                                      : *diff.inserted[0];
+        rel = serve_internal::PublishedRelation::Empty(any.arity());
+      }
+      rel = rel->WithDiff(diff.inserted, diff.deleted);
+    }
+  }
+  Install(std::move(state));
+}
+
+void Session::PublishAllLocked() {
+  auto state = std::make_shared<serve_internal::SnapshotState>();
+  db_.database().ForEachRelation([&](PredicateId pred, const Relation& rel) {
+    state->relations.emplace(pred,
+                             serve_internal::PublishedRelation::Build(rel));
+  });
+  Install(std::move(state));
+}
+
+void Session::Install(std::shared_ptr<serve_internal::SnapshotState> state) {
   state->journal_seq = db_.durable_seq();
   state->generation = ++generation_;
   state->symbols = db_.symbols();
-  database.ForEachRelation([&](PredicateId pred, const Relation& rel) {
-    state->relations.emplace(
-        pred, serve_internal::SnapshotState::PinnedRelation{
-                  rel.arity(), rel.SharedSegment()});
-  });
   std::lock_guard<std::mutex> lock(snapshot_mutex_);
   current_ = std::move(state);
 }

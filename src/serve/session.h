@@ -3,9 +3,10 @@
 //
 // A Session owns an ActiveDatabase and fronts it with:
 //
-//   - Snapshot-isolated reads: Snapshot() pins the current committed
-//     columnar generation; any number of readers query it lock-free and
-//     wait-free while commits proceed (src/serve/snapshot.h).
+//   - Snapshot-isolated reads: Snapshot() pins the current published
+//     generation, each relation a shared base run plus a small overlay
+//     built from the commits' diffs; any number of readers query it
+//     lock-free and wait-free while commits proceed (src/serve/snapshot.h).
 //   - Group commit: concurrent Transaction::Commit() calls queue up; one
 //     caller becomes the batch leader, folds every queued update set into
 //     ONE PARK(D, P, U1 ∪ ... ∪ Uk) firing and ONE journal append +
@@ -36,6 +37,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -150,9 +152,17 @@ class Session : public CommitSink {
   /// result. Takes commit_mutex_ internally.
   void RunBatch(std::vector<PendingCommit*>& batch);
 
-  /// Rebuilds and publishes the pinned snapshot state from the current
-  /// committed database. Caller holds commit_mutex_.
-  void PublishSnapshotLocked();
+  /// Publishes the next generation: the current one with each of
+  /// `diffs` applied in order to the relations it touches; the others
+  /// are shared. Caller holds commit_mutex_.
+  void PublishDiffsLocked(std::span<const CommitReport* const> diffs);
+
+  /// Publishes a generation built in full from the committed database
+  /// (construction and LoadFacts). Caller holds commit_mutex_.
+  void PublishAllLocked();
+
+  /// Installs `state` as the generation new snapshots pin.
+  void Install(std::shared_ptr<serve_internal::SnapshotState> state);
 
   ActiveDatabase db_;
   const size_t max_group_size_;
@@ -171,7 +181,8 @@ class Session : public CommitSink {
   bool commit_in_progress_ = false;
   std::deque<PendingCommit*> queue_;
 
-  /// Published read state; swapped under snapshot_mutex_ only.
+  /// Published read state. Written only by publication, which holds
+  /// commit_mutex_ too, so a publisher reads it without snapshot_mutex_.
   std::mutex snapshot_mutex_;
   std::shared_ptr<const serve_internal::SnapshotState> current_;
 

@@ -34,7 +34,7 @@ size_t Snapshot::size() const {
   size_t total = 0;
   for (const auto& [pred, rel] : state_->relations) {
     (void)pred;
-    total += rel.segment->num_rows();
+    total += rel->size();
   }
   return total;
 }
@@ -42,10 +42,8 @@ size_t Snapshot::size() const {
 bool Snapshot::Contains(const GroundAtom& atom) const {
   auto it = state_->relations.find(atom.predicate());
   if (it == state_->relations.end()) return false;
-  if (atom.arity() != it->second.arity) return false;
-  const std::vector<Value>& args = atom.args().values();
-  return it->second.segment->ContainsRow(
-      args.data(), args.size(), TupleHash{}(atom.args()));
+  if (atom.arity() != it->second->arity()) return false;
+  return it->second->Contains(atom.args().values().data());
 }
 
 Result<QueryResult> Snapshot::Query(std::string_view pattern_text) const {
@@ -63,17 +61,33 @@ Result<QueryResult> Snapshot::Query(std::string_view pattern_text) const {
 
   auto it = state_->relations.find(parsed.atom.predicate);
   if (it == state_->relations.end()) return result;  // never populated
-  const Segment& segment = *it->second.segment;
-  const size_t arity = static_cast<size_t>(it->second.arity);
+  const serve_internal::PublishedRelation& rel = *it->second;
+  const serve_internal::BaseRun& base = rel.base();
+  const size_t arity = static_cast<size_t>(rel.arity());
 
-  for (uint32_t r = 0; r < segment.num_rows(); ++r) {
-    auto row = query_internal::BindRow(parsed.atom, {segment.row(r), arity},
-                                       parsed.variable_names.size(),
-                                       projection);
-    if (row.has_value()) result.bindings.push_back(std::move(*row));
+  // The base's rows, then the overlay's added rows, in one loop body:
+  // with a second call site GCC at -O2 stopped inlining BindRow, and a
+  // scan read about a tenth slower. A base row is looked up among the
+  // tombstones only once it matches the pattern.
+  struct Run {
+    const Value* rows;
+    uint32_t count;
+    bool base;
+  };
+  const Run runs[] = {{base.row(0), base.num_rows(), true},
+                      {rel.added_row(0), rel.num_added(), false}};
+  for (const Run& run : runs) {
+    for (uint32_t r = 0; r < run.count; ++r) {
+      auto row = query_internal::BindRow(
+          parsed.atom, {run.rows + r * arity, arity},
+          parsed.variable_names.size(), projection);
+      if (row.has_value() && !(run.base && rel.Tombstoned(r))) {
+        result.bindings.push_back(std::move(*row));
+      }
+    }
   }
-  // Segment rows are sorted, but the projection can reorder — sort and
-  // dedup exactly like QueryDatabase so results are bit-identical.
+  // Each part is sorted, but the projection can reorder — sort and dedup
+  // exactly like QueryDatabase so results are bit-identical.
   std::sort(result.bindings.begin(), result.bindings.end());
   result.bindings.erase(
       std::unique(result.bindings.begin(), result.bindings.end()),
@@ -91,13 +105,11 @@ std::vector<std::string> Snapshot::SortedAtomStrings() const {
   std::vector<std::string> out;
   out.reserve(size());
   for (const auto& [pred, rel] : state_->relations) {
-    const Segment& segment = *rel.segment;
-    for (uint32_t r = 0; r < segment.num_rows(); ++r) {
+    rel->ForEachRow([&](const Value* row) {
       Tuple args;
-      const Value* row = segment.row(r);
-      for (int c = 0; c < rel.arity; ++c) args.Append(row[c]);
+      for (int c = 0; c < rel->arity(); ++c) args.Append(row[c]);
       out.push_back(GroundAtom(pred, std::move(args)).ToString(symbols));
-    }
+    });
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -1,15 +1,16 @@
 // Snapshot: an immutable, refcounted, point-in-time view of a served
 // database (docs/SERVING.md).
 //
-// A Snapshot pins the columnar segment generation that was current when
-// Session::Snapshot() was called: every relation's immutable Segment is
-// held by shared_ptr, so reads are lock-free and wait-free — no reader
-// ever blocks a commit or takes the session's locks — and a later
-// compaction defers reclamation of the pinned generation until the last
-// Snapshot holding it drops. Because segments are self-contained (they
-// copy row values out of the tuple set), a Snapshot stays fully readable
-// after arbitrary later commits, after a Checkpoint, and even after the
-// issuing Session has been destroyed.
+// A Snapshot pins the generation of published relations that was current
+// when Session::Snapshot() was called. Every relation is held by
+// shared_ptr as a base run plus an overlay (serve/published_relation.h),
+// so reads are lock-free and wait-free: no reader ever blocks a commit or
+// takes the session's locks. A later commit publishes new overlays (and
+// now and then a new base) beside the pinned ones and never changes
+// them; what the pin holds lives until the last Snapshot holding it
+// drops. Published relations copy their rows out of the database, so a
+// Snapshot stays fully readable after arbitrary later commits, after a
+// Checkpoint, and even after the issuing Session has been destroyed.
 //
 // Consistency: a Snapshot observes exactly the state produced by some
 // prefix of the committed transaction sequence — never a partially
@@ -28,7 +29,7 @@
 #include <vector>
 
 #include "lang/query.h"
-#include "storage/segment.h"
+#include "serve/published_relation.h"
 #include "storage/symbol_table.h"
 
 namespace park {
@@ -47,7 +48,7 @@ struct ServingShared {
   uint64_t snapshots_opened = 0;
   uint64_t snapshots_pinned = 0;
   /// generation -> live snapshots pinning it (distinct keys = retained
-  /// segment generations).
+  /// generations).
   std::map<uint64_t, uint64_t> pinned_generations;
 };
 
@@ -57,11 +58,10 @@ struct SnapshotState {
   uint64_t journal_seq = 0;  // newest durable txn folded in (0: no journal)
   uint64_t generation = 0;   // session-wide publish counter, 1-based
   std::shared_ptr<SymbolTable> symbols;
-  struct PinnedRelation {
-    int arity = 0;
-    std::shared_ptr<const Segment> segment;
-  };
-  std::unordered_map<PredicateId, PinnedRelation> relations;
+  /// Every published relation. A generation shares the relations a
+  /// commit did not touch with the generation before it.
+  std::unordered_map<PredicateId, std::shared_ptr<const PublishedRelation>>
+      relations;
 };
 
 /// One issued Snapshot's refcount token: copies of a Snapshot share it,
@@ -89,7 +89,7 @@ class Snapshot {
   uint64_t journal_seq() const { return state_->journal_seq; }
 
   /// The session's publish counter when this snapshot was taken; two
-  /// snapshots with equal generation pin the very same segments.
+  /// snapshots with equal generation pin the very same relations.
   uint64_t generation() const { return state_->generation; }
 
   const std::shared_ptr<SymbolTable>& symbols() const {

@@ -90,7 +90,8 @@ class Database {
   void ForEach(const std::function<void(const GroundAtom&)>& fn) const;
 
   /// Invokes `fn` for every (predicate, relation) pair, in unspecified
-  /// order. The serving layer pins snapshot segments through this.
+  /// order. A serving Session builds its published relations through
+  /// this.
   void ForEachRelation(
       const std::function<void(PredicateId, const Relation&)>& fn) const {
     for (const auto& [pred, rel] : relations_) fn(pred, rel);

@@ -130,7 +130,10 @@ class Relation {
 
   // --- Columnar view (batch execution; see docs/STORAGE.md) ---
   //
-  // The columnar view is an immutable dictionary-encoded Segment over the
+  // The columnar view serves the batch executor and the park-stats-v1
+  // `storage` counters, nothing else: a serving Session publishes its own
+  // form of a relation (serve/published_relation.h), built from commit
+  // diffs. The view is an immutable dictionary-encoded Segment over the
   // lexicographically sorted row set; `segment_rows_` maps each segment
   // row to the row id it was built from. Between compactions, Insert
   // appends the new row id to a small delta store and Erase marks the row
@@ -175,23 +178,6 @@ class Relation {
   uint64_t dict_entries() const {
     return segment_ != nullptr ? segment_->DictEntries() : 0;
   }
-
-  /// Shared ownership of the current segment, for snapshot pinning: a
-  /// serving Snapshot holds the returned pointer, so compaction (which
-  /// installs a fresh segment) defers reclamation of this generation
-  /// until the last pinning snapshot drops. Segments are self-contained
-  /// (they copy row values out of the relation), so a pinned segment
-  /// stays readable across any later mutation of this relation. The
-  /// relation must be compact (CompactColumnar first).
-  std::shared_ptr<const Segment> SharedSegment() const {
-    PARK_CHECK(!ColumnarDirty()) << "SharedSegment on a dirty relation";
-    return segment_;
-  }
-
-  /// Monotone generation counter: bumps on every segment (re)build, so
-  /// two snapshots pin the same segment object iff they report the same
-  /// generation for this relation.
-  uint64_t segment_generation() const { return compactions_; }
 
  private:
   static constexpr uint32_t kNoRow = UINT32_MAX;

@@ -6,7 +6,9 @@
 // changes after Build — the Relation that owns it accumulates inserts in
 // a small delta store and marks erased rows dead, and merges the live
 // rows into a fresh Segment at a compaction point (Δ-step boundaries in
-// batch execution). Because the row order is the canonical sorted order of the
+// batch execution). Segments serve the batch executor and the
+// park-stats-v1 `storage` counters only; a serving Session's snapshots
+// read their own published relations (serve/published_relation.h). Because the row order is the canonical sorted order of the
 // tuple set, a segment built from the same set is byte-for-byte the same
 // whatever insertion history produced it — the determinism anchor for
 // batch-at-a-time execution (docs/STORAGE.md).
@@ -29,11 +31,9 @@ class Segment {
 
   /// Builds from `rows` (each a Value[arity] row), which MUST be
   /// lexicographically sorted and duplicate-free. The segment copies
-  /// every value out of the rows — it holds no pointers into the owning
-  /// Relation afterwards, which is what lets serve::Snapshot pin a
-  /// segment past later mutations, compactions, and even the Relation's
-  /// destruction. 0-ary relations yield a segment with num_rows in
-  /// {0, 1} and no columns.
+  /// every value out of the rows, so it holds no pointers into the owning
+  /// Relation afterwards. 0-ary relations yield a segment with num_rows
+  /// in {0, 1} and no columns.
   static Segment Build(int arity, std::span<const Value* const> rows);
 
   int arity() const { return arity_; }

@@ -22,7 +22,10 @@
 
 #include "core/policy.h"
 #include "eca/journal.h"
+#include "lang/query.h"
+#include "serve/published_relation.h"
 #include "serve/session.h"
+#include "util/random.h"
 #include "util/string_util.h"
 
 namespace park {
@@ -373,7 +376,7 @@ TEST(ServingOracleTest, SnapshotsPinTheirGenerationAcrossLaterCommits) {
   EXPECT_EQ(counters.segment_generations_retained, 1u);
 
   // A snapshot outlives its session: destruction of everything the
-  // session owned must not disturb the pinned segments.
+  // session owned must not disturb the pinned relations.
   session.reset();
   EXPECT_EQ(after.ToString(), "{p(a), p(b)}");
 }
@@ -479,6 +482,285 @@ TEST(ServingOracleTest, SessionQueryAndStabilizeServeCommittedState) {
   auto hits = session->Query("q(X)");
   ASSERT_TRUE(hits.ok());
   EXPECT_EQ(hits->bindings.size(), 2u);
+}
+
+/// One generation of the fold script: the snapshot the session served
+/// after a step, and the sequential replay's database after it.
+struct PinnedGeneration {
+  std::string step;
+  park::Snapshot snapshot;
+  Database expected;
+};
+
+TEST(ServingOracleTest, SnapshotsAcrossOverlayFoldsMatchSequentialReplay) {
+  // r starts with kBaseRows loaded atoms b0, b1, .... Every commit inserts
+  // two fresh r atoms. Between two folds the special cases remove at most
+  // one row from r's overlay (a re-insert revives a tombstone, a delete
+  // drops an added row, each after the commit that grew it), so m commits
+  // after a fold the overlay holds at least 2m - 1 rows. r never holds
+  // more than kMaxRows rows, so it folds again within kFoldWithin
+  // commits: the script folds r several times, and at least twice after
+  // LoadFacts rebuilds every base in full.
+  constexpr int kBaseRows = 64;
+  constexpr int kCommits = 40;
+  constexpr int kLoadStep = 10;
+  constexpr int kStabilizeStep = 20;
+  constexpr int kPoisonStep = 30;
+  constexpr int kMaxRows = kBaseRows + 3 * kCommits + 3;
+  constexpr int kFoldWithin =
+      kMaxRows /
+          (2 * static_cast<int>(
+                   serve_internal::PublishedRelation::kFoldDivisor)) +
+      2;
+  static_assert(kCommits - kLoadStep >= 2 * kFoldWithin);
+
+  // Deleting an r atom records it in gone, re-inserting it clears it; q
+  // atoms, which LoadFacts adds without firing, make Stabilize insert.
+  // The x/y pair fires only when one batch folds both events, and the
+  // abstaining policy then fails the folded firing: a poisoned batch.
+  const char* kRules = "-r(X) -> +gone(X).\n"
+                       "+r(X) -> -gone(X).\n"
+                       "q(X) -> +r(X).\n"
+                       "+x(I), +y(I) -> +a(I).\n"
+                       "+x(I), +y(I) -> -a(I).\n";
+  auto abstain = [] {
+    return MakeLambdaPolicy(
+        "abstain", [](const PolicyContext&, const Conflict&) -> Result<Vote> {
+          return Vote::kAbstain;
+        });
+  };
+  Session::Params params;
+  params.rules = kRules;
+  params.options.policy = abstain();
+  auto session_or = Session::Create(std::move(params));
+  ASSERT_TRUE(session_or.ok()) << session_or.status().ToString();
+  std::unique_ptr<Session> session = std::move(session_or).value();
+
+  ActiveDatabase oracle(session->symbols());
+  ASSERT_TRUE(oracle.LoadRules(kRules).ok());
+  ParkOptions oracle_options;
+  oracle_options.policy = abstain();
+  ASSERT_TRUE(oracle.Configure(std::move(oracle_options)).ok());
+
+  std::vector<PinnedGeneration> generations;
+  auto pin = [&](std::string step) {
+    generations.push_back(
+        {std::move(step), session->Snapshot(), oracle.database().Clone()});
+  };
+  auto load = [&](const std::string& facts) {
+    ASSERT_TRUE(session->LoadFacts(facts).ok());
+    ASSERT_TRUE(oracle.LoadFacts(facts).ok());
+    pin("load " + facts);
+  };
+  auto commit = [&](const std::vector<std::string>& updates) {
+    Transaction tx = session->Begin();
+    Transaction replay = oracle.Begin();
+    std::string step = "commit";
+    for (const std::string& update : updates) {
+      ASSERT_TRUE(tx.Stage(update).ok()) << update;
+      ASSERT_TRUE(replay.Stage(update).ok()) << update;
+      step += " " + update;
+    }
+    auto served = std::move(tx).Commit();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    auto replayed = std::move(replay).Commit();
+    ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+    pin(step);
+  };
+
+  std::string base_facts;
+  for (int i = 0; i < kBaseRows; ++i) base_facts += StrFormat("r(b%d). ", i);
+  load(base_facts);
+  for (int s = 0; s < kCommits; ++s) {
+    if (s == kLoadStep) load("r(l1). r(l2). q(z).");
+    if (s == kStabilizeStep) {
+      auto served = session->Stabilize();
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      ASSERT_TRUE(oracle.Stabilize().ok());
+      pin("stabilize");
+    }
+    if (s == kPoisonStep) {
+      // Commit +x(pK) and +y(pK) from two threads until one batch folds
+      // them. Alone, each commits without firing a rule, so the replay
+      // commits them one after the other, whatever the batching was.
+      for (int round = 0; round < 25; ++round) {
+        const std::string id = StrFormat("p%d", round);
+        StartGate gate;
+        std::atomic<int> failures{0};
+        std::vector<std::thread> threads;
+        for (const char* pred : {"x", "y"}) {
+          threads.emplace_back([&, pred] {
+            gate.Wait();
+            Transaction tx = session->Begin();
+            tx.Insert(pred, {id});
+            if (!std::move(tx).Commit().ok()) ++failures;
+          });
+        }
+        gate.Open();
+        for (std::thread& t : threads) t.join();
+        ASSERT_EQ(failures.load(), 0);
+        for (const char* pred : {"x", "y"}) {
+          Transaction replay = oracle.Begin();
+          replay.Insert(pred, {id});
+          ASSERT_TRUE(std::move(replay).Commit().ok());
+        }
+        if (session->serving_stats().poisoned_batches > 0) break;
+      }
+      pin("poisoned batch");
+    }
+    std::vector<std::string> updates = {StrFormat("+r(f%da)", s),
+                                        StrFormat("+r(f%db)", s)};
+    switch (s % 4) {
+      case 0:  // delete a base atom...
+        updates.push_back(StrFormat("-r(b%d)", s));
+        break;
+      case 1:  // ...and re-insert it in the next commit
+        updates.push_back(StrFormat("+r(b%d)", s - 1));
+        break;
+      case 2:  // insert a new atom...
+        updates.push_back(StrFormat("+r(n%d)", s));
+        break;
+      case 3:  // ...and delete it in the next commit
+        updates.push_back(StrFormat("-r(n%d)", s - 1));
+        break;
+    }
+    commit(updates);
+  }
+
+  // Every atom any generation held: Contains must answer for each.
+  std::vector<GroundAtom> touched;
+  {
+    std::set<std::string> seen;
+    for (const PinnedGeneration& g : generations) {
+      g.expected.ForEach([&](const GroundAtom& atom) {
+        if (seen.insert(atom.ToString(*session->symbols())).second) {
+          touched.push_back(atom);
+        }
+      });
+    }
+  }
+  const std::shared_ptr<SymbolTable> symbols = session->symbols();
+
+  // Every pinned snapshot outlives the session, including those taken
+  // before the later folds replaced the bases they hold.
+  session.reset();
+  for (const PinnedGeneration& g : generations) {
+    SCOPED_TRACE(g.step);
+    EXPECT_EQ(g.snapshot.SortedAtomStrings(), g.expected.SortedAtomStrings());
+    EXPECT_EQ(g.snapshot.ToString(), g.expected.ToString());
+    EXPECT_EQ(g.snapshot.size(), g.expected.size());
+    for (const GroundAtom& atom : touched) {
+      EXPECT_EQ(g.snapshot.Contains(atom), g.expected.Contains(atom))
+          << atom.ToString(*symbols);
+    }
+    for (const char* pattern :
+         {"r(X)", "gone(X)", "r(b4)", "r(b5)", "r(n6)", "r(f12a)", "r(l1)",
+          "q(X)", "x(I)", "y(I)", "a(I)", "nowhere(X)"}) {
+      auto served = g.snapshot.Query(pattern);
+      auto expected = QueryDatabase(g.expected, pattern, symbols);
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      EXPECT_EQ(served->variable_names, expected->variable_names) << pattern;
+      EXPECT_EQ(served->bindings, expected->bindings) << pattern;
+    }
+  }
+}
+
+/// The rows of `rel` in a set, checking that ForEachRow yields each once.
+std::set<Tuple> RowsOf(const serve_internal::PublishedRelation& rel) {
+  std::set<Tuple> rows;
+  size_t visited = 0;
+  rel.ForEachRow([&](const Value* row) {
+    rows.insert(Tuple(std::span<const Value>(row, rel.arity())));
+    ++visited;
+  });
+  EXPECT_EQ(visited, rows.size());
+  return rows;
+}
+
+TEST(PublishedRelationTest, EveryVersionKeepsItsRowsAcrossFolds) {
+  // Random diffs over p(i, j) with i, j < 12, checked against a set.
+  // Half the changes toggle a row an earlier diff changed, so revivals,
+  // dropped adds and tombstones of added-then-folded rows all occur.
+  using serve_internal::PublishedRelation;
+  constexpr int kSide = 12;
+  Rng rng(5);
+  auto row = [](int i, int j) { return Tuple{Value::Int(i), Value::Int(j)}; };
+  Relation relation(2);
+  std::set<Tuple> model;
+  for (int k = 0; k < 64; ++k) {
+    Tuple t = row(rng.UniformInt(0, kSide - 1), rng.UniformInt(0, kSide - 1));
+    relation.Insert(t);
+    model.insert(t);
+  }
+
+  std::shared_ptr<const PublishedRelation> current =
+      PublishedRelation::Build(relation);
+  std::vector<std::pair<std::shared_ptr<const PublishedRelation>,
+                        std::set<Tuple>>>
+      versions = {{current, model}};
+  int folds = 0;
+  std::vector<Tuple> changed;
+  for (int c = 0; c < 120; ++c) {
+    std::vector<GroundAtom> inserted, deleted;
+    std::set<Tuple> in_diff;
+    const int changes = static_cast<int>(rng.UniformInt(1, 3));
+    for (int k = 0; k < changes; ++k) {
+      Tuple t = !changed.empty() && rng.Bernoulli(0.5)
+                    ? changed[changed.size() - 1 -
+                              rng.UniformInt(0, std::min<int64_t>(
+                                                    changed.size() - 1, 7))]
+                    : row(rng.UniformInt(0, kSide - 1),
+                          rng.UniformInt(0, kSide - 1));
+      if (!in_diff.insert(t).second) continue;
+      changed.push_back(t);
+      if (model.erase(t) > 0) {
+        deleted.emplace_back(0, t);
+      } else {
+        model.insert(t);
+        inserted.emplace_back(0, t);
+      }
+    }
+    std::vector<const GroundAtom*> ins, del;
+    for (const GroundAtom& a : inserted) ins.push_back(&a);
+    for (const GroundAtom& a : deleted) del.push_back(&a);
+    std::shared_ptr<const PublishedRelation> next =
+        current->WithDiff(ins, del);
+    if (&next->base() != &current->base()) ++folds;
+    current = std::move(next);
+    versions.push_back({current, model});
+  }
+  EXPECT_GE(folds, 2);
+
+  for (size_t v = 0; v < versions.size(); ++v) {
+    SCOPED_TRACE(StrFormat("version %d", static_cast<int>(v)));
+    const PublishedRelation& rel = *versions[v].first;
+    const std::set<Tuple>& expected = versions[v].second;
+    EXPECT_EQ(rel.size(), expected.size());
+    EXPECT_EQ(RowsOf(rel), expected);
+    for (int i = 0; i < kSide; ++i) {
+      for (int j = 0; j < kSide; ++j) {
+        const Tuple t = row(i, j);
+        EXPECT_EQ(rel.Contains(t.begin()), expected.count(t) > 0);
+      }
+    }
+  }
+}
+
+TEST(PublishedRelationTest, NullaryRelationHoldsAtMostTheEmptyRow) {
+  using serve_internal::PublishedRelation;
+  const GroundAtom unit(0, Tuple{});
+  const std::vector<const GroundAtom*> one = {&unit};
+  const std::vector<const GroundAtom*> none;
+  auto empty = PublishedRelation::Empty(0);
+  auto full = empty->WithDiff(one, none);
+  auto emptied = full->WithDiff(none, one);
+  EXPECT_EQ(empty->size(), 0u);
+  EXPECT_EQ(full->size(), 1u);
+  EXPECT_EQ(emptied->size(), 0u);
+  EXPECT_FALSE(empty->Contains(nullptr));
+  EXPECT_TRUE(full->Contains(nullptr));
+  EXPECT_FALSE(emptied->Contains(nullptr));
 }
 
 }  // namespace

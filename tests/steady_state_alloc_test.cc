@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "park/park.h"
+#include "serve/published_relation.h"
 #include "workload/graph_gen.h"
 
 namespace {
@@ -202,6 +203,66 @@ TEST(SteadyStateAllocTest, WarmSequentialRunAllocatesPerConflict) {
 
 TEST(SteadyStateAllocTest, WarmParallelRunAllocatesPerConflict) {
   ExpectWarmRunAllocatesLittle(4);
+}
+
+/// Publication is O(diff): a Session commit that changes one employee of
+/// the payroll program publishes that change as an overlay on the
+/// relations it touched, so it allocates nothing that grows with the
+/// 8,192-row payroll relation. Rebuilding that relation's published rows
+/// copies 8,192 x 2 x 16 B = 256 KiB of values; while every commit did
+/// so, the kCommits commits below made 192 allocations of 128 KiB or
+/// more. kCommits stays far below the 8,192 / kFoldDivisor = 512 overlay
+/// rows at which payroll and active fold into a new base.
+TEST(SteadyStateAllocTest, SessionCommitPublishesItsDiff) {
+  constexpr int kEmployees = 8192;
+  constexpr int kCommits = 32;
+  static_assert(kCommits * serve_internal::PublishedRelation::kFoldDivisor <
+                kEmployees);
+  Session::Params params;
+  params.rules =
+      "cleanup: emp(X), !active(X), payroll(X, S) -> -payroll(X, S).\n"
+      "cascade: -payroll(X, S) -> +audit(X).\n"
+      "onboard: +emp(X) -> +active(X).\n";
+  auto session = Session::Create(std::move(params));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  std::string facts;
+  for (int i = 0; i < kEmployees; ++i) {
+    const std::string e = "e" + std::to_string(i);
+    facts += "emp(" + e + "). active(" + e + "). payroll(" + e + ", " +
+             std::to_string(30000 + i) + ").\n";
+  }
+  ASSERT_TRUE((*session)->LoadFacts(facts).ok());
+  // Commit i onboards n<i> or deactivates e<i>, which cascades to
+  // -payroll(e<i>, S) and +audit(e<i>).
+  auto commit = [&](int i) {
+    Transaction tx = (*session)->Begin();
+    if (i % 2 == 0) {
+      tx.Insert("emp", {"n" + std::to_string(i)});
+    } else {
+      tx.Delete("active", {"e" + std::to_string(i)});
+    }
+    auto report = std::move(tx).Commit();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+  };
+  commit(0);  // warm-up: builds the stored relations' column indexes
+  commit(1);
+
+  large_allocations.store(0);
+  counting.store(true);
+  for (int i = 2; i < 2 + kCommits; ++i) commit(i);
+  counting.store(false);
+  EXPECT_EQ(large_allocations.load(), 0u);
+
+  Snapshot snapshot = (*session)->Snapshot();
+  // Each onboarding adds emp and active atoms; each deactivation removes
+  // active and payroll atoms and adds an audit atom.
+  constexpr size_t kEach = (2 + kCommits) / 2;
+  EXPECT_EQ(snapshot.size(), 3 * kEmployees + 2 * kEach - kEach);
+  auto payroll = snapshot.Query("payroll(e1, S)");
+  ASSERT_TRUE(payroll.ok());
+  EXPECT_TRUE(payroll->empty());
+  EXPECT_TRUE(snapshot.Matches("audit(e1)").value());
+  EXPECT_TRUE(snapshot.Matches("active(n2)").value());
 }
 
 TEST(SteadyStateAllocTest, CountsLargeAllocations) {
