@@ -91,6 +91,17 @@ class ParkStepper {
     /// Null on sequential runs.
     ParallelGamma* parallel() { return parallel_.get(); }
 
+    /// How many relations the I⁺ and I⁻ of the last run to reach its
+    /// fixpoint held; a run over the state reserves its mark stores for
+    /// as many, so a commit's marks do not rehash the relation maps on
+    /// their way up.
+    size_t plus_relations() const { return plus_relations_; }
+    size_t minus_relations() const { return minus_relations_; }
+    void NoteMarkStores(const IInterpretation& interp) {
+      plus_relations_ = interp.plus().num_relations();
+      minus_relations_ = interp.minus().num_relations();
+    }
+
    private:
     std::optional<RuleDependencyGraph> graph_;
     std::optional<PlanCache> plans_;
@@ -99,6 +110,8 @@ class ParkStepper {
     // unique_ptr, not optional: ParallelGamma owns a thread pool and is
     // immovable, but the state must move with its ActiveDatabase.
     std::unique_ptr<ParallelGamma> parallel_;
+    size_t plus_relations_ = 0;
+    size_t minus_relations_ = 0;
   };
 
   /// A one-shot run: builds and owns its evaluation state.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -97,14 +96,6 @@ const DerivationScope& ScopeOrAll(const DerivationScope* scope) {
 
 // --- Semi-naive seed ownership ---
 
-/// Δ atoms of one sign class, bucketed by predicate in Δ order.
-using DeltaBuckets =
-    std::unordered_map<PredicateId, std::vector<const AtomView*>>;
-
-/// The Δ atoms of one predicate as a set of views of their stored
-/// tuples, probed by span: no Tuple is copied or materialized.
-using DeltaTupleSet = std::unordered_set<TupleSpan, TupleHash, TupleEq>;
-
 /// True for the literal kinds seeded by (and owning through) Δ⁺ —
 /// positive and +event literals; negated and -event literals go with Δ⁻.
 bool SeededByPlus(LiteralKind kind) {
@@ -136,11 +127,12 @@ bool StoreInsideDelta(const BodyLiteral& lit, const IInterpretation& interp,
 }
 
 /// An earlier body literal j of a seed group whose predicate has Δ atoms
-/// of j's class: a completion g with lit_j(g) among `atoms` is also a
-/// completion of the earlier seed (r, j, lit_j(g)), which owns it.
+/// of j's class: a completion g with lit_j(g) among those atoms, which
+/// `atoms` holds, is also a completion of the earlier seed
+/// (r, j, lit_j(g)), which owns it.
 struct OwnerProbe {
   const AtomPattern* atom;
-  const DeltaTupleSet* atoms;
+  const AtomTable* atoms;
 };
 
 /// True iff some owner probe claims the completion `binding` (`key` is
@@ -155,10 +147,85 @@ bool OwnedByEarlierSeed(std::span<const OwnerProbe> owners,
                                        : binding[static_cast<size_t>(
                                              term.var_index())]);
     }
-    if (owner.atoms->contains(TupleSpan{key.data(), key.size()})) return true;
+    const AtomView atom{owner.atom->predicate, key};
+    if (owner.atoms->Find(atom) != AtomTable::kAbsent) return true;
   }
   return false;
 }
+
+/// The Δ atoms of one sign class, bucketed by predicate: `views` holds
+/// them sorted by predicate, in Δ order within one, and `buckets` holds
+/// one [begin, end) range of `views` per predicate, ascending. `owned`
+/// holds the atoms of the buckets an ownership probe reads, filled on
+/// first use: a program whose seed literals never follow a literal over
+/// a changed predicate (every one-literal rule, for one) fills none.
+struct DeltaClass {
+  struct Bucket {
+    PredicateId predicate;
+    uint32_t begin;
+    uint32_t end;
+    bool owned;  // its atoms are in `owned`
+  };
+
+  std::vector<const AtomView*> views;
+  std::vector<Bucket> buckets;
+  AtomTable owned;
+
+  /// Buckets `atoms` and sets `changed` to their predicates.
+  void Build(const std::vector<AtomView>& atoms,
+             std::vector<PredicateId>& changed) {
+    views.clear();
+    buckets.clear();
+    owned.Clear();
+    changed.clear();
+    for (const AtomView& atom : atoms) views.push_back(&atom);
+    // The views point into `atoms`, so ordering equal predicates by
+    // address keeps Δ order: a stable sort that allocates nothing. A Δ of
+    // one predicate, the common case, is sorted already.
+    auto less = [](const AtomView* a, const AtomView* b) {
+      return a->predicate != b->predicate ? a->predicate < b->predicate
+                                          : std::less<>()(a, b);
+    };
+    if (!std::is_sorted(views.begin(), views.end(), less)) {
+      std::sort(views.begin(), views.end(), less);
+    }
+    for (uint32_t i = 0; i < views.size(); ++i) {
+      const PredicateId pred = views[i]->predicate;
+      if (buckets.empty() || buckets.back().predicate != pred) {
+        buckets.push_back(Bucket{pred, i, i, false});
+        changed.push_back(pred);
+      }
+      buckets.back().end = i + 1;
+    }
+  }
+
+  /// The bucket of `predicate`, or null.
+  Bucket* Find(PredicateId predicate) {
+    auto it = std::lower_bound(
+        buckets.begin(), buckets.end(), predicate,
+        [](const Bucket& b, PredicateId p) { return b.predicate < p; });
+    return it != buckets.end() && it->predicate == predicate ? &*it
+                                                              : nullptr;
+  }
+
+  std::span<const AtomView* const> Atoms(const Bucket& bucket) const {
+    return {views.data() + bucket.begin, views.data() + bucket.end};
+  }
+
+  /// `owned`, holding `bucket`'s atoms.
+  const AtomTable* Owned(Bucket& bucket) {
+    if (!bucket.owned) {
+      bucket.owned = true;
+      for (const AtomView* atom : Atoms(bucket)) owned.Insert(*atom);
+    }
+    return &owned;
+  }
+
+  size_t capacity_bytes() const {
+    return views.capacity() * sizeof(const AtomView*) +
+           buckets.capacity() * sizeof(Bucket) + owned.capacity_bytes();
+  }
+};
 
 // --- Γ units and their one runner ---
 
@@ -375,6 +442,74 @@ Derivations TakeSpareSection() {
   return std::exchange(ThreadSpare().section, Derivations());
 }
 
+/// One (rule, seed literal) group of a semi-naive section: its seeds,
+/// and its owner probes as the range [owners_begin, owners_end) of the
+/// section's probes.
+struct SeedGroup {
+  const Rule* rule;
+  const CompiledPlan* plan;
+  std::span<const AtomView* const> seeds;
+  size_t owners_begin;
+  size_t owners_end;
+};
+
+/// What a thread keeps from one semi-naive section for the next, so a
+/// warm Δ step builds no container: Δ bucketed by sign class, the changed
+/// predicates, the affected rules, the seed groups with their owner
+/// probes, and the units. Within kRetainedSectionBytes.
+struct DeltaSpare {
+  DeltaClass plus;
+  DeltaClass minus;
+  DeltaState changed;
+  std::vector<int> affected;
+  std::vector<SeedGroup> groups;
+  std::vector<OwnerProbe> owners;
+  std::vector<GammaUnit> units;
+
+  size_t RetainedBytes() const {
+    return plus.capacity_bytes() + minus.capacity_bytes() +
+           (changed.plus_changed.capacity() +
+            changed.minus_changed.capacity()) *
+               sizeof(PredicateId) +
+           affected.capacity() * sizeof(int) +
+           groups.capacity() * sizeof(SeedGroup) +
+           owners.capacity() * sizeof(OwnerProbe) +
+           units.capacity() * sizeof(GammaUnit);
+  }
+};
+
+/// Lends the thread's DeltaSpare to one semi-naive section, emptied of
+/// the last section's groups and units, and takes it back at scope exit
+/// (freed past kRetainedSectionBytes). Lent by move: a section nested in
+/// this one, as an observer's plan-compile callback could start, finds
+/// an empty spare rather than this section's live buffers.
+class LentDeltaSpare {
+ public:
+  LentDeltaSpare() : spare_(std::exchange(Retained(), DeltaSpare())) {
+    spare_.groups.clear();
+    spare_.owners.clear();
+    spare_.units.clear();
+  }
+  ~LentDeltaSpare() {
+    if (spare_.RetainedBytes() <= kRetainedSectionBytes) {
+      Retained() = std::move(spare_);
+    }
+  }
+
+  LentDeltaSpare(const LentDeltaSpare&) = delete;
+  LentDeltaSpare& operator=(const LentDeltaSpare&) = delete;
+
+  DeltaSpare& spare() { return spare_; }
+
+ private:
+  static DeltaSpare& Retained() {
+    thread_local DeltaSpare spare;
+    return spare;
+  }
+
+  DeltaSpare spare_;
+};
+
 }  // namespace
 
 GammaResult::~GammaResult() {
@@ -434,15 +569,19 @@ GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
 
 bool RuleIsAffected(const Rule& rule, const DeltaState& delta) {
   if (delta.initial) return true;
+  auto changed = [&](const std::vector<PredicateId>& preds,
+                     PredicateId pred) {
+    return std::binary_search(preds.begin(), preds.end(), pred);
+  };
   for (const BodyLiteral& lit : rule.body()) {
     switch (lit.kind) {
       case LiteralKind::kPositive:
       case LiteralKind::kEventInsert:
-        if (delta.plus_changed.contains(lit.atom.predicate)) return true;
+        if (changed(delta.plus_changed, lit.atom.predicate)) return true;
         break;
       case LiteralKind::kNegated:
       case LiteralKind::kEventDelete:
-        if (delta.minus_changed.contains(lit.atom.predicate)) return true;
+        if (changed(delta.minus_changed, lit.atom.predicate)) return true;
         break;
     }
   }
@@ -468,22 +607,16 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
   // Bucket the delta atoms by predicate (in Δ order) and let the watcher
   // index name the rules that can hold a seed — task building then
   // iterates those rules only (in program order), instead of crossing
-  // every rule's body with the delta.
-  DeltaBuckets plus_atoms;
-  DeltaBuckets minus_atoms;
-  DeltaState changed;
-  changed.initial = false;
-  for (const AtomView& atom : delta.plus) {
-    plus_atoms[atom.predicate].push_back(&atom);
-    changed.plus_changed.insert(atom.predicate);
-  }
-  for (const AtomView& atom : delta.minus) {
-    minus_atoms[atom.predicate].push_back(&atom);
-    changed.minus_changed.insert(atom.predicate);
-  }
-  const std::vector<int> affected = graph.Schedule(changed);
-  result.rules_considered = affected.size();
-  if (affected.empty()) {
+  // every rule's body with the delta. Everything below lives in the
+  // thread's retained DeltaSpare.
+  LentDeltaSpare lent;
+  DeltaSpare& spare = lent.spare();
+  spare.changed.initial = false;
+  spare.plus.Build(delta.plus, spare.changed.plus_changed);
+  spare.minus.Build(delta.minus, spare.changed.minus_changed);
+  graph.Schedule(spare.changed, spare.affected);
+  result.rules_considered = spare.affected.size();
+  if (spare.affected.empty()) {
     // Quick exit: no watched predicate changed, so no literal holds a
     // seed — an O(1) no-op step that never touches the pool, the plan
     // cache, or the derivation analysis (stepper_test pins this with the
@@ -493,67 +626,48 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
     return result;
   }
 
-  // The Δ atoms a literal can be seeded by (null: none).
-  auto seeds_of = [&](const BodyLiteral& lit) {
-    const DeltaBuckets& buckets =
-        SeededByPlus(lit.kind) ? plus_atoms : minus_atoms;
-    auto it = buckets.find(lit.atom.predicate);
-    return it == buckets.end() ? nullptr : &it->second;
+  // The Δ class a literal can be seeded by, and its bucket there (null:
+  // none).
+  auto delta_class = [&](const BodyLiteral& lit) -> DeltaClass& {
+    return SeededByPlus(lit.kind) ? spare.plus : spare.minus;
   };
-  // Ownership probes' Δ tuple sets, built on first use: a program whose
-  // seed literals never follow a literal over a changed predicate (every
-  // one-literal rule, for one) builds none.
-  std::unordered_map<PredicateId, DeltaTupleSet> plus_sets;
-  std::unordered_map<PredicateId, DeltaTupleSet> minus_sets;
-  auto tuple_set = [&](const BodyLiteral& lit,
-                       const std::vector<const AtomView*>& atoms) {
-    auto& sets = SeededByPlus(lit.kind) ? plus_sets : minus_sets;
-    auto [it, inserted] = sets.try_emplace(lit.atom.predicate);
-    if (inserted) {
-      it->second.reserve(atoms.size());
-      for (const AtomView* atom : atoms) {
-        it->second.insert(TupleSpan{atom->args.data(), atom->args.size()});
-      }
-    }
-    return &it->second;
+  auto seeds_of = [&](const BodyLiteral& lit) {
+    return delta_class(lit).Find(lit.atom.predicate);
   };
 
   // The (rule, seed literal) groups of the affected rules, in program
-  // then literal order.
-  struct SeedGroup {
-    const Rule* rule;
-    const CompiledPlan* plan;
-    const std::vector<const AtomView*>* seeds;
-    std::vector<OwnerProbe> owners;
-  };
-  std::vector<SeedGroup> groups;
-  for (int r : affected) {
+  // then literal order; each group's owner probes are a range of
+  // spare.owners.
+  for (int r : spare.affected) {
     const Rule& rule = program.rule(r);
     const std::vector<BodyLiteral>& body = rule.body();
     bool evaluated = false;
     for (size_t i = 0; i < body.size(); ++i) {
-      const std::vector<const AtomView*>* seeds = seeds_of(body[i]);
+      const DeltaClass::Bucket* seeds = seeds_of(body[i]);
       if (seeds == nullptr) continue;
       // An earlier literal that only Δ atoms can satisfy owns every
       // completion of this group.
       bool owned = false;
       for (size_t j = 0; j < i && !owned; ++j) {
-        const std::vector<const AtomView*>* earlier = seeds_of(body[j]);
+        const DeltaClass::Bucket* earlier = seeds_of(body[j]);
         owned = earlier != nullptr &&
-                StoreInsideDelta(body[j], interp, earlier->size());
+                StoreInsideDelta(body[j], interp,
+                                 earlier->end - earlier->begin);
       }
       if (owned) continue;
-      SeedGroup group{&rule, nullptr, seeds, {}};
+      SeedGroup group{&rule, nullptr, delta_class(body[i]).Atoms(*seeds),
+                      spare.owners.size(), 0};
       for (size_t j = 0; j < i; ++j) {
-        if (const auto* earlier = seeds_of(body[j])) {
-          group.owners.push_back(
-              OwnerProbe{&body[j].atom, tuple_set(body[j], *earlier)});
+        if (DeltaClass::Bucket* earlier = seeds_of(body[j])) {
+          spare.owners.push_back(OwnerProbe{
+              &body[j].atom, delta_class(body[j]).Owned(*earlier)});
         }
       }
+      group.owners_end = spare.owners.size();
       // One plan fetch per group: Γ never mutates I, so every seed of the
       // group would get the same plan.
       group.plan = &plans.Get(rule, static_cast<int>(i), interp);
-      groups.push_back(std::move(group));
+      spare.groups.push_back(group);
       evaluated = true;
     }
     if (evaluated) ++result.rules_evaluated;
@@ -563,15 +677,18 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
   // One unit per (group, seed atom), in nested-loop order; the estimate
   // is fed per unit, like the actual rows.
   result.derivations = TakeSpareSection();
-  std::vector<GammaUnit> units;
-  for (const SeedGroup& group : groups) {
-    for (const AtomView* atom : *group.seeds) {
-      units.push_back(GammaUnit{group.rule, group.plan, atom, group.owners});
+  const std::span<const OwnerProbe> owners = spare.owners;
+  for (const SeedGroup& group : spare.groups) {
+    for (const AtomView* atom : group.seeds) {
+      spare.units.push_back(GammaUnit{
+          group.rule, group.plan, atom,
+          owners.subspan(group.owners_begin,
+                         group.owners_end - group.owners_begin)});
       plans.AddEstimatedRows(group.plan->estimated_candidates);
     }
   }
-  RunUnits(units, blocked, interp, plans, parallel, cancel, exec, exec_stats,
-           ScopeOrAll(scope), result.derivations);
+  RunUnits(spare.units, blocked, interp, plans, parallel, cancel, exec,
+           exec_stats, ScopeOrAll(scope), result.derivations);
   AnalyzeClashes(interp, result);
   return result;
 }

@@ -27,7 +27,6 @@
 #include <bit>
 #include <cstdint>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "engine/interpretation.h"
@@ -311,8 +310,9 @@ GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
 /// (start of a round / after restart).
 struct DeltaState {
   bool initial = true;
-  std::unordered_set<PredicateId> plus_changed;
-  std::unordered_set<PredicateId> minus_changed;
+  /// Ascending, without duplicates.
+  std::vector<PredicateId> plus_changed;
+  std::vector<PredicateId> minus_changed;
 };
 
 /// True if `rule` may produce a new derivation given `delta`. The

@@ -207,6 +207,13 @@ class IInterpretation {
   size_t num_plus() const { return plus_.size(); }
   size_t num_minus() const { return minus_.size(); }
 
+  /// Makes room in I⁺ and I⁻ for that many relations (Database::
+  /// ReserveRelations). Changes no answer; ClearMarks drops the room.
+  void ReserveMarks(size_t plus_relations, size_t minus_relations) {
+    plus_.ReserveRelations(plus_relations);
+    minus_.ReserveRelations(minus_relations);
+  }
+
   /// incorp(I) (paper §4.2): (I° ∪ {a | +a ∈ I⁺}) − {a | -a ∈ I⁻}.
   /// Must only be called on a consistent interpretation. Consumes the
   /// marks: it copies the base's relations and moves I⁺'s in

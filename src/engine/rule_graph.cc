@@ -13,6 +13,7 @@ RuleDependencyGraph::RuleDependencyGraph(const Program& program) {
   // the back() check dedupes repeated literals of one predicate within a
   // body.
   auto watch = [](WatcherIndex& index, PredicateId pred, int rule) {
+    if (pred >= index.size()) index.resize(pred + 1);
     std::vector<int>& list = index[pred];
     if (list.empty() || list.back() != rule) list.push_back(rule);
   };
@@ -37,8 +38,7 @@ RuleDependencyGraph::RuleDependencyGraph(const Program& program) {
 
 const std::vector<int>& RuleDependencyGraph::Watchers(
     const WatcherIndex& index, PredicateId predicate) const {
-  auto it = index.find(predicate);
-  return it == index.end() ? empty_ : it->second;
+  return predicate < index.size() ? index[predicate] : empty_;
 }
 
 const std::vector<int>& RuleDependencyGraph::PlusWatchers(
@@ -51,13 +51,13 @@ const std::vector<int>& RuleDependencyGraph::MinusWatchers(
   return Watchers(minus_watchers_, predicate);
 }
 
-std::vector<int> RuleDependencyGraph::Schedule(
-    const DeltaState& delta) const {
-  std::vector<int> rules;
+void RuleDependencyGraph::Schedule(const DeltaState& delta,
+                                   std::vector<int>& rules) const {
+  rules.clear();
   if (delta.initial) {
     rules.resize(size());
     for (size_t r = 0; r < size(); ++r) rules[r] = static_cast<int>(r);
-    return rules;
+    return;
   }
   // Union of the changed predicates' watcher lists. A rule watching
   // several changed predicates appears in several lists, so sort +
@@ -73,7 +73,6 @@ std::vector<int> RuleDependencyGraph::Schedule(
   }
   std::sort(rules.begin(), rules.end());
   rules.erase(std::unique(rules.begin(), rules.end()), rules.end());
-  return rules;
 }
 
 std::vector<int> RuleDependencyGraph::ConeRules(

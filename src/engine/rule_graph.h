@@ -20,7 +20,6 @@
 #ifndef PARK_ENGINE_RULE_GRAPH_H_
 #define PARK_ENGINE_RULE_GRAPH_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "engine/consequence.h"
@@ -43,10 +42,11 @@ class RuleDependencyGraph {
   const std::vector<int>& PlusWatchers(PredicateId predicate) const;
   const std::vector<int>& MinusWatchers(PredicateId predicate) const;
 
-  /// The affected rules of a semi-naive Γ section, ascending (= program
-  /// order): gathered through the watcher index, and identical by
-  /// construction to {r : RuleIsAffected(r, delta)}.
-  std::vector<int> Schedule(const DeltaState& delta) const;
+  /// Replaces `rules` with the affected rules of a semi-naive Γ section,
+  /// ascending (= program order): gathered through the watcher index, and
+  /// identical by construction to {r : RuleIsAffected(r, delta)}. The
+  /// caller's buffer is reused, so a warm Δ loop allocates nothing here.
+  void Schedule(const DeltaState& delta, std::vector<int>& rules) const;
 
   /// Every rule transitively reachable from marks of the given polarities:
   /// the closure of the watcher wake-up relation starting from `+` marks
@@ -60,7 +60,9 @@ class RuleDependencyGraph {
       const;
 
  private:
-  using WatcherIndex = std::unordered_map<PredicateId, std::vector<int>>;
+  /// Watcher lists by predicate id, like WarmState's head signs:
+  /// predicate ids are dense, and an id past the end has no watchers.
+  using WatcherIndex = std::vector<std::vector<int>>;
 
   const std::vector<int>& Watchers(const WatcherIndex& index,
                                    PredicateId predicate) const;

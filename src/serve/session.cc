@@ -161,7 +161,6 @@ void Session::RunBatch(std::vector<PendingCommit*>& batch) {
   const uint64_t batch_seq = ++batch_seq_;
   const size_t k = batch.size();
 
-  std::vector<const CommitReport*> diffs;  // the committed ones, in order
   bool poisoned = false;
   uint64_t journal_seq = 0;
 
@@ -175,13 +174,17 @@ void Session::RunBatch(std::vector<PendingCommit*>& batch) {
   }
   CommitResult result = db_.CommitUpdates(folded, k);
   if (result.ok()) {
-    diffs.push_back(&*result);
     journal_seq = result->journal_seq;
     batch_counters_.RecordBatch(k);
+    // Published first, so that the last member can take the folded
+    // report by move: a batch of k members copies it k - 1 times.
+    const CommitReport* diff = &*result;
+    PublishDiffsLocked({&diff, 1});
     for (size_t i = 0; i < k; ++i) {
       // Every member reports the whole batch's effect (the firing is one
       // PARK run) plus its own placement within the batch.
-      CommitReport member_report = *result;
+      CommitReport member_report =
+          i + 1 < k ? *result : std::move(result).value();
       member_report.batch_seq = batch_seq;
       member_report.batch_size = static_cast<uint32_t>(k);
       member_report.batch_position = static_cast<uint32_t>(i);
@@ -197,6 +200,7 @@ void Session::RunBatch(std::vector<PendingCommit*>& batch) {
     // each retry is its own firing and journal record.
     poisoned = true;
     ++batch_counters_.poisoned_batches;
+    std::vector<const CommitReport*> diffs;  // the committed ones, in order
     for (PendingCommit* member : batch) {
       CommitResult member_result = db_.CommitUpdates(member->updates, 1);
       ++batch_counters_.individual_retries;
@@ -208,9 +212,8 @@ void Session::RunBatch(std::vector<PendingCommit*>& batch) {
       member->result = std::make_unique<CommitResult>(std::move(member_result));
       if (member->result->ok()) diffs.push_back(&**member->result);
     }
+    if (!diffs.empty()) PublishDiffsLocked(diffs);
   }
-
-  if (!diffs.empty()) PublishDiffsLocked(diffs);
 
   // Stamp the serving counters (batch + snapshot lifecycle) into every
   // successful member's stats so one report renders a complete

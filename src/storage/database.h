@@ -84,6 +84,13 @@ class Database {
   /// The relation for `predicate`, created (with `arity`) if absent.
   Relation& GetOrCreateRelation(PredicateId predicate, int arity);
 
+  /// The number of relations, empty ones included.
+  size_t num_relations() const { return relations_.size(); }
+
+  /// Makes room for `n` relations up front, so creating that many
+  /// rehashes the relation map at most once.
+  void ReserveRelations(size_t n) { relations_.reserve(n); }
+
   /// Invokes `fn` for every atom, in unspecified order. Each visited atom
   /// is copied into a GroundAtom; walk ForEachRelation's rows instead
   /// where that copy matters.

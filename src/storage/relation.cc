@@ -152,6 +152,7 @@ Relation Relation::Clone() const {
   // The stats are a pure function of the row multiset, so the sketch
   // state copies verbatim with it.
   copy.stats_ = stats_;
+  copy.has_stats_ = has_stats_;
   return copy;
 }
 
@@ -173,7 +174,7 @@ std::pair<std::span<const Value>, bool> Relation::Emplace(
   const uint32_t id = AllocateRow(row);
   slots_[slot] = Slot{id, hash};
   ++live_;
-  stats_.OnInsert(row);
+  if (has_stats_) stats_.OnInsert(row);
   for (size_t c = 0; c < indexes_.size(); ++c) {
     if (indexes_[c].has_value()) {
       IndexInsert(*indexes_[c], static_cast<int>(c), id);
@@ -193,7 +194,7 @@ bool Relation::Erase(std::span<const Value> row) {
   if (id == kNoRow) return false;
   EraseSlot(slots_, slot);
   --live_;
-  stats_.OnErase(row);
+  if (has_stats_) stats_.OnErase(row);
   for (size_t c = 0; c < indexes_.size(); ++c) {
     if (indexes_[c].has_value()) {
       IndexErase(*indexes_[c], static_cast<int>(c), id);
@@ -278,12 +279,23 @@ void Relation::EnsureIndex(int column) const {
     indexes_.resize(static_cast<size_t>(arity_));
   }
   ColumnIndex& index = indexes_[static_cast<size_t>(column)].emplace();
-  // Sized for the stats' distinct estimate; a low estimate only costs a
-  // regrowth.
-  index.slots.resize(
-      SlotsFor(static_cast<size_t>(stats_.DistinctEstimate(column))));
+  // Sized for the stats' distinct estimate when they are built, and
+  // never builds them: a low estimate only costs a regrowth.
+  const double distinct = has_stats_ ? stats_.DistinctEstimate(column) : 0;
+  index.slots.resize(SlotsFor(static_cast<size_t>(distinct)));
   index.next.assign(num_rows_, kNoRow);
   ScanRows([&](uint32_t id, const Value*) { IndexInsert(index, column, id); });
+}
+
+void Relation::BuildStats() const {
+  // An unbuilt sketch read inside a frozen (parallel, read-only) section
+  // means a plan compiled after the freeze — fail loudly rather than race
+  // on the lazy build.
+  PARK_CHECK(!frozen_) << "lazy statistics build on a frozen relation";
+  stats_ = RelationStats(arity_);
+  const size_t n = static_cast<size_t>(arity_);
+  ScanRows([&](uint32_t, const Value* row) { stats_.OnInsert({row, n}); });
+  has_stats_ = true;
 }
 
 void Relation::BuildIndex(int column) const {

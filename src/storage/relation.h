@@ -44,10 +44,11 @@ using TuplePattern = std::vector<std::optional<Value>>;
 /// BuildIndex for every column its plans will probe and then
 /// FreezeIndexes() before fanning out. While frozen, any operation that
 /// would mutate the relation — a lazy index build included — fails loudly
-/// instead of racing.
+/// instead of racing. The lazy statistics build of stats() follows the
+/// same rule; plans, its only reader, are compiled before the freeze.
 class Relation {
  public:
-  explicit Relation(int arity) : arity_(arity), stats_(arity) {}
+  explicit Relation(int arity) : arity_(arity) {}
 
   // Relations are heavyweight; copying is explicit via Clone().
   Relation(const Relation&) = delete;
@@ -56,8 +57,9 @@ class Relation {
   Relation& operator=(Relation&&) = default;
 
   /// Deep copy of the rows (chunk by chunk, with the row set copied
-  /// as is — nothing is rehashed) and the stats, without the indexes
-  /// (they rebuild on demand), the columnar view and the frozen flag.
+  /// as is — nothing is rehashed) and the stats if built, without the
+  /// indexes (they rebuild on demand), the columnar view and the frozen
+  /// flag.
   Relation Clone() const;
 
   int arity() const { return arity_; }
@@ -120,10 +122,20 @@ class Relation {
   void ThawIndexes() const { frozen_ = false; }
   bool frozen() const { return frozen_; }
 
-  /// Live storage statistics (row count, per-column distinct estimates),
-  /// maintained incrementally by Insert/Erase. The cost-based join
-  /// planner reads these; see storage/relation_stats.h.
-  const RelationStats& stats() const { return stats_; }
+  /// Storage statistics (row count, per-column distinct estimates) for
+  /// the cost-based join planner; see storage/relation_stats.h. The
+  /// first call builds them from the rows in one scan, and Insert/Erase
+  /// maintain them from then on, so a relation nothing plans over never
+  /// pays for a sketch. The sketch is a pure function of the rows, so
+  /// when it is built changes no estimate. Like the lazy index build, the
+  /// first call mutates under `const`, and on a frozen relation it fails
+  /// loudly instead of racing.
+  const RelationStats& stats() const {
+    if (!has_stats_) BuildStats();
+    return stats_;
+  }
+  /// True once stats() has built the statistics.
+  bool has_stats() const { return has_stats_; }
 
   /// All rows as Tuples, sorted — for deterministic printing and diffs.
   std::vector<Tuple> SortedTuples() const;
@@ -252,9 +264,13 @@ class Relation {
   void ProbeIndex(const TuplePattern& pattern, int column,
                   FunctionRef<void(std::span<const Value>)> fn) const;
   void CompactColumnarImpl() const;
+  void BuildStats() const;
 
   int arity_;
-  RelationStats stats_;
+  // Built on the first stats() call; until then the relation only keeps
+  // its exact row count, `live_`.
+  mutable RelationStats stats_;
+  mutable bool has_stats_ = false;
   // Row storage: chunk k is reserved to its full size once and only
   // appended to, so its buffer never moves.
   std::vector<std::vector<Value>> chunks_;

@@ -74,9 +74,4 @@ double RelationStats::SelectivityRows(int column) const {
   return static_cast<double>(rows_) / DistinctEstimate(column);
 }
 
-void RelationStats::Clear() {
-  rows_ = 0;
-  sketches_.clear();
-}
-
 }  // namespace park

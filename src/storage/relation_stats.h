@@ -1,6 +1,11 @@
 // RelationStats: cheap, incrementally maintained per-relation statistics
 // for the cost-based join planner (docs/PLANNER.md).
 //
+// A Relation builds its stats on first read (Relation::stats()), from its
+// rows in one scan, and maintains them on every Insert/Erase from then on;
+// until then it keeps only its exact row count. The mark stores of a
+// maintained commit, which nothing plans over, thus never build a sketch.
+//
 // Per relation the planner needs two numbers: how many rows a scan would
 // visit (exact — the tuple set knows its size) and, per column, roughly
 // how many distinct values a column-index probe would divide those rows
@@ -34,8 +39,9 @@ namespace park {
 class RelationStats {
  public:
   /// Buckets per column sketch. 512 × 4 bytes = 2 KiB per column — small
-  /// enough to keep always-on, large enough that the estimate is sharp
-  /// for the distinct counts that change plan choices.
+  /// enough to keep on every relation the planner reads, large enough
+  /// that the estimate is sharp for the distinct counts that change plan
+  /// choices.
   static constexpr size_t kBuckets = 512;
 
   RelationStats() = default;
@@ -45,8 +51,9 @@ class RelationStats {
   /// Exact row count (mirrors the owning Relation's size).
   size_t rows() const { return rows_; }
 
-  /// Incremental maintenance; called by Relation::Insert / Erase with
-  /// rows that actually entered / left the set.
+  /// Incremental maintenance; called with every row of the relation when
+  /// the stats are built, then by Relation::Insert / Erase with rows that
+  /// actually entered / left the set.
   void OnInsert(std::span<const Value> row);
   void OnErase(std::span<const Value> row);
 
@@ -58,14 +65,11 @@ class RelationStats {
   /// rows / distinct(column), the planner's per-bound-column selectivity.
   double SelectivityRows(int column) const;
 
-  /// Discards everything (companion to a relation-wide clear).
-  void Clear();
-
  private:
   int arity_ = 0;
   size_t rows_ = 0;
   // sketches_[c][b]: number of stored values of column c hashing to b.
-  // Built lazily on the first insert (cleared relations stay tiny).
+  // Allocated on the first row (empty relations stay tiny).
   std::vector<std::vector<uint32_t>> sketches_;
 };
 

@@ -150,6 +150,72 @@ TEST_F(PlannerTest, PlanIsAPureFunctionOfTheStatistics) {
   }
 }
 
+TEST_F(PlannerTest, PlansDoNotDependOnWhenStatisticsWereBuilt) {
+  // Statistics are built on first read. Two equal databases, one whose
+  // relations had their stats read after every mutation and one whose
+  // stats the planner builds itself, give the same explain text and the
+  // same estimates for every plan, seeded or not.
+  Program program = MustProgram(
+      "r: big(X, Y), sel(Y) -> +out(X).\n"
+      "s: src(D, K), fact(D, K, Z), big(Z, Y) -> +out(Y).\n"
+      "t: fact(D, K, Z), !sel(K), +out(Z) -> -big(Z, D).\n");
+  auto build = [&](bool read_stats) {
+    Database db(symbols_);
+    auto apply = [&](bool insert, std::string_view atom) {
+      auto parsed = ParseDatabase(std::string(atom) + ".", symbols_);
+      ASSERT_TRUE(parsed.ok());
+      parsed->ForEach([&](const GroundAtom& a) {
+        insert ? db.Insert(a) : db.Erase(a);
+        if (read_stats) db.GetRelation(a.predicate())->stats();
+      });
+    };
+    for (int i = 0; i < 240; ++i) {
+      const std::string n = std::to_string(i);
+      apply(true, "big(x" + n + ", c" + std::to_string(i % 6) + ")");
+      apply(true, "fact(d" + std::to_string(i % 3) + ", k" + n + ", x" +
+                      std::to_string(i % 50) + ")");
+      if (i % 4 == 0) apply(false, "big(x" + std::to_string(i / 2) + ", c" +
+                                       std::to_string(i / 2 % 6) + ")");
+      if (i % 40 == 0) apply(true, "sel(c" + std::to_string(i / 40) + ")");
+    }
+    apply(true, "src(d1, k7)");
+    return db;
+  };
+  Database read = build(true);
+  Database unread = build(false);
+  ASSERT_TRUE(read.SameAtoms(unread));
+  IInterpretation read_interp(&read);
+  IInterpretation unread_interp(&unread);
+  for (IInterpretation* interp : {&read_interp, &unread_interp}) {
+    auto marks = ParseDatabase("out(x3). out(x9). fact(d1, k2, x3).",
+                               symbols_);
+    ASSERT_TRUE(marks.ok());
+    marks->ForEach([&](const GroundAtom& atom) {
+      interp->Mark(ActionKind::kInsert, atom.view());
+    });
+  }
+
+  auto explain = [&](const IInterpretation& interp) {
+    std::string out;
+    for (const Rule& rule : program.rules()) {
+      for (int seed = -1; seed < static_cast<int>(rule.body().size());
+           ++seed) {
+        const CompiledPlan plan = CompilePlan(rule, seed, interp);
+        out += ExplainPlanLine(ExplainPlan(plan)) + "\n";
+        for (const CompiledStep& step : plan.steps) {
+          out += std::to_string(step.estimated_rows) + " ";
+        }
+        out += std::to_string(plan.estimated_candidates) + "\n";
+      }
+    }
+    return out;
+  };
+  EXPECT_FALSE(unread.GetRelation(
+                         symbols_->FindPredicate("big", 2).value())
+                   ->has_stats());
+  EXPECT_EQ(explain(unread_interp), explain(read_interp));
+}
+
 TEST_F(PlannerTest, CacheHitsThenDriftTriggersReplan) {
   Program program = MustProgram("r: big(X, Y), sel(Y) -> +out(X).");
   Database db = MustDb(SkewedFacts());

@@ -2,8 +2,9 @@
 // cost-based planner (docs/PLANNER.md). Pins the properties the planner
 // relies on: estimates stay within bounds, deletions are exact (the
 // sketch is a pure function of the stored multiset, so churn never
-// drifts it), Clone carries statistics along, and statistics rebuilt
-// from a checkpoint + journal recovery match the pre-crash ones.
+// drifts it), Clone carries statistics along, a sketch built on first
+// read equals one maintained all along, and statistics rebuilt from a
+// checkpoint + journal recovery match the pre-crash ones.
 
 #include "storage/relation_stats.h"
 
@@ -11,9 +12,11 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "park/park.h"
 #include "storage/relation.h"
+#include "util/random.h"
 
 namespace park {
 namespace {
@@ -116,6 +119,128 @@ TEST(RelationStatsTest, CloneCarriesStatistics) {
   copy.Insert(T2(1000, 0));
   EXPECT_EQ(rel.stats().rows(), 40u);
   EXPECT_EQ(copy.stats().rows(), 41u);
+}
+// --- statistics built on first read ----------------------------------------
+//
+// A relation builds its sketch on the first stats() call and maintains it
+// from then on. Since the sketch is a pure function of the stored
+// multiset, a sketch built late must equal, bit for bit, one that was
+// read (and so maintained) after every operation.
+
+/// Every column's estimates of `rel`, read through stats().
+std::vector<double> Estimates(const Relation& rel) {
+  std::vector<double> out = {static_cast<double>(rel.stats().rows())};
+  for (int c = 0; c < rel.arity(); ++c) {
+    out.push_back(rel.stats().DistinctEstimate(c));
+    out.push_back(rel.stats().SelectivityRows(c));
+  }
+  return out;
+}
+
+/// A random Insert (two in three) or Erase of a row over a small domain,
+/// so erases often hit and inserts often repeat.
+void RandomOp(Rng& rng, Relation& rel) {
+  const Tuple row = T2(rng.UniformInt(0, 300), rng.UniformInt(0, 40));
+  if (rng.UniformInt(0, 2) < 2) {
+    rel.Insert(row);
+  } else {
+    rel.Erase(row);
+  }
+}
+
+TEST(RelationStatsTest, StatsBuiltOnFirstReadMatchMaintainedOnes) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Relation read(2);  // stats read after every operation
+    Relation unread(2);
+    const int ops = static_cast<int>(rng.UniformInt(0, 1500));
+    for (int i = 0; i < ops; ++i) {
+      Rng same = rng;
+      RandomOp(rng, read);
+      RandomOp(same, unread);
+      Estimates(read);
+    }
+    EXPECT_TRUE(read.has_stats());
+    EXPECT_FALSE(unread.has_stats());
+    // A clone of an unbuilt relation builds its own, equal, sketch.
+    Relation clone = unread.Clone();
+    EXPECT_FALSE(clone.has_stats());
+    EXPECT_EQ(Estimates(clone), Estimates(read));
+    EXPECT_EQ(Estimates(unread), Estimates(read));
+    // Built ones are maintained from then on, through clones and moves.
+    Relation moved = std::move(unread);
+    Relation read_clone = read.Clone();
+    EXPECT_TRUE(moved.has_stats());
+    EXPECT_TRUE(read_clone.has_stats());
+    for (int i = 0; i < 200; ++i) {
+      Rng a = rng;
+      Rng b = rng;
+      RandomOp(rng, read);
+      RandomOp(a, moved);
+      RandomOp(b, read_clone);
+    }
+    Relation late(2);
+    read.ForEach([&](std::span<const Value> row) { late.Insert(row); });
+    EXPECT_EQ(Estimates(moved), Estimates(read));
+    EXPECT_EQ(Estimates(read_clone), Estimates(read));
+    EXPECT_EQ(Estimates(late), Estimates(read));
+  }
+}
+
+TEST(RelationStatsTest, InsertAllKeepsStatisticsExact) {
+  // Database::InsertAll takes a relation whole where the target has none
+  // and inserts row by row where it has one; with the target's stats
+  // built or not, and the source's built or not, the result reads as a
+  // relation built row by row.
+  auto symbols = MakeSymbolTable();
+  const PredicateId p = symbols->InternPredicate("p", 2);
+  const PredicateId q = symbols->InternPredicate("q", 2);
+  for (int variant = 0; variant < 4; ++variant) {
+    SCOPED_TRACE(variant);
+    Database target(symbols);
+    Database source(symbols);
+    Relation expected_p(2);
+    Relation expected_q(2);
+    for (int i = 0; i < 300; ++i) {
+      const Tuple row = T2(i % 37, i % 11);
+      if (i % 3 == 0) {
+        target.Insert(GroundAtom(p, row));
+        expected_p.Insert(row);
+      } else {
+        source.Insert(GroundAtom(p, row));
+        expected_p.Insert(row);
+      }
+      source.Insert(GroundAtom(q, T2(i, i % 5)));
+      expected_q.Insert(T2(i, i % 5));
+    }
+    if (variant & 1) Estimates(*target.GetRelation(p));
+    if (variant & 2) {
+      Estimates(*source.GetRelation(p));
+      Estimates(*source.GetRelation(q));
+    }
+    target.InsertAll(std::move(source));
+    EXPECT_EQ(Estimates(*target.GetRelation(p)), Estimates(expected_p));
+    EXPECT_EQ(Estimates(*target.GetRelation(q)), Estimates(expected_q));
+  }
+}
+
+TEST(RelationStatsDeathTest, UnbuiltStatsReadWhileFrozenDies) {
+  // Like the lazy index build: a plan compiled inside a frozen parallel
+  // section must abort loudly rather than race on the lazy build.
+  Relation rel(2);
+  rel.Insert(T2(1, 2));
+  rel.FreezeIndexes();
+  EXPECT_DEATH(rel.stats(), "lazy statistics build on a frozen relation");
+}
+
+TEST(RelationStatsTest, BuiltStatsServeAFrozenRelation) {
+  Relation rel(2);
+  rel.Insert(T2(1, 2));
+  EXPECT_EQ(rel.stats().rows(), 1u);
+  rel.FreezeIndexes();
+  EXPECT_EQ(rel.stats().DistinctEstimate(0), 1.0);
+  rel.ThawIndexes();
 }
 
 // --- durability interplay --------------------------------------------------

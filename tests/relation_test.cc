@@ -405,6 +405,29 @@ TEST(RelationTest, PrewarmedIndexServesMatchesWhileFrozen) {
   EXPECT_FALSE(rel.frozen());
 }
 
+TEST(RelationTest, IndexesBuildNoStatistics) {
+  // Statistics are built on first read; an index build sizes itself
+  // without them, so neither BuildIndex nor a first probe builds them.
+  Relation rel(2);
+  for (int i = 0; i < 200; ++i) rel.Insert(T2(i % 10, i));
+  rel.BuildIndex(1);
+  EXPECT_TRUE(rel.HasIndex(1));
+  EXPECT_FALSE(rel.has_stats());
+  int count = 0;
+  rel.ForEachMatching({Value::Int(7), std::nullopt},
+                      [&](std::span<const Value>) { ++count; });
+  EXPECT_EQ(count, 20);
+  EXPECT_TRUE(rel.HasIndex(0));
+  EXPECT_FALSE(rel.has_stats());
+  EXPECT_EQ(Probe(rel, {std::nullopt, Value::Int(42)}, 1),
+            (std::set<Pair>{{2, 42}}));
+  EXPECT_FALSE(rel.has_stats());
+  // Reading them builds them, and the relation answers as before.
+  EXPECT_EQ(rel.stats().rows(), 200u);
+  EXPECT_TRUE(rel.has_stats());
+  EXPECT_EQ(Probe(rel, {Value::Int(3), std::nullopt}, 0).size(), 20u);
+}
+
 TEST(RelationDeathTest, LazyIndexBuildWhileFrozenDies) {
   // The parallel Γ path relies on this check: a missed prewarm must abort
   // loudly rather than race on a lazily-built index.

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "lang/parser.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -52,15 +54,22 @@ std::string RandomProgramText(Rng& rng, int num_rules) {
   return text;
 }
 
+void SortUnique(std::vector<PredicateId>& preds) {
+  std::sort(preds.begin(), preds.end());
+  preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
+}
+
 /// Random changed-predicate sets (never `initial`).
 DeltaState RandomDelta(Rng& rng, const SymbolTable& symbols) {
   DeltaState delta;
   delta.initial = false;
   for (int p = 0; p < kNumPredicates; ++p) {
     const PredicateId pred = symbols.FindPredicate(Pred(p), 0).value();
-    if (rng.Bernoulli(0.2)) delta.plus_changed.insert(pred);
-    if (rng.Bernoulli(0.2)) delta.minus_changed.insert(pred);
+    if (rng.Bernoulli(0.2)) delta.plus_changed.push_back(pred);
+    if (rng.Bernoulli(0.2)) delta.minus_changed.push_back(pred);
   }
+  SortUnique(delta.plus_changed);
+  SortUnique(delta.minus_changed);
   return delta;
 }
 
@@ -82,7 +91,9 @@ TEST(RuleGraphTest, ScheduleIsTheAffectedSet) {
       for (const Rule& rule : program.rules()) {
         if (RuleIsAffected(rule, delta)) affected.push_back(rule.index());
       }
-      EXPECT_EQ(graph.Schedule(delta), affected);
+      std::vector<int> scheduled = {-1};  // a reused buffer is replaced
+      graph.Schedule(delta, scheduled);
+      EXPECT_EQ(scheduled, affected);
     }
   }
 }
@@ -125,12 +136,16 @@ TEST(RuleGraphTest, SemiNaiveScheduleIsTheSeededSet) {
       DeltaState changed;
       changed.initial = false;
       for (const AtomView& atom : delta.plus) {
-        changed.plus_changed.insert(atom.predicate);
+        changed.plus_changed.push_back(atom.predicate);
       }
       for (const AtomView& atom : delta.minus) {
-        changed.minus_changed.insert(atom.predicate);
+        changed.minus_changed.push_back(atom.predicate);
       }
-      EXPECT_EQ(graph.Schedule(changed), seeded);
+      SortUnique(changed.plus_changed);
+      SortUnique(changed.minus_changed);
+      std::vector<int> scheduled;
+      graph.Schedule(changed, scheduled);
+      EXPECT_EQ(scheduled, seeded);
     }
   }
 }

@@ -61,7 +61,48 @@ struct CommitObservation {
   uint64_t batch_seq = 0;
   uint32_t batch_size = 0;
   uint32_t batch_position = 0;
+  std::vector<GroundAtom> inserted;
+  std::vector<GroundAtom> deleted;
+  std::string stats;
 };
+
+CommitObservation Observe(const CommitReport& report) {
+  return {report.journal_seq, report.batch_seq,     report.batch_size,
+          report.batch_position, report.inserted, report.deleted,
+          report.stats.ToJson()};
+}
+
+/// Batch-report invariants: members of one (non-retried) batch agree on
+/// the journal record, the batch size, the folded diff and the stats,
+/// and occupy distinct positions. Returns the number of such batches.
+size_t ExpectBatchMembersAgree(
+    const std::vector<std::vector<CommitObservation>>& commits) {
+  std::map<uint64_t, std::vector<const CommitObservation*>> by_batch;
+  for (const auto& writer : commits) {
+    for (const CommitObservation& obs : writer) {
+      EXPECT_GT(obs.journal_seq, 0u);
+      EXPECT_GE(obs.batch_size, 1u);
+      EXPECT_LT(obs.batch_position, obs.batch_size);
+      if (obs.batch_size > 1) by_batch[obs.batch_seq].push_back(&obs);
+    }
+  }
+  for (const auto& [batch_seq, members] : by_batch) {
+    SCOPED_TRACE(StrFormat("batch %llu",
+                           static_cast<unsigned long long>(batch_seq)));
+    const CommitObservation& first = *members.front();
+    std::set<uint32_t> positions;
+    for (const CommitObservation* obs : members) {
+      EXPECT_EQ(obs->journal_seq, first.journal_seq);
+      EXPECT_EQ(obs->batch_size, first.batch_size);
+      EXPECT_EQ(obs->inserted, first.inserted);
+      EXPECT_EQ(obs->deleted, first.deleted);
+      EXPECT_EQ(obs->stats, first.stats);
+      positions.insert(obs->batch_position);
+    }
+    EXPECT_EQ(positions.size(), members.size()) << "a repeated position";
+  }
+  return by_batch.size();
+}
 
 /// Writers commit concurrently through a Session whose Γ runs on
 /// `num_threads`; readers snapshot meanwhile. The journal, replayed one
@@ -106,8 +147,7 @@ void CheckConcurrentCommitsAgainstReplay(int num_threads) {
           ++failures;
           continue;
         }
-        commits[w].push_back({report->journal_seq, report->batch_seq,
-                              report->batch_size, report->batch_position});
+        commits[w].push_back(Observe(*report));
       }
     });
   }
@@ -182,27 +222,7 @@ void CheckConcurrentCommitsAgainstReplay(int num_threads) {
   }
   EXPECT_GT(observations, 0u);
 
-  // Batch-report invariants: members of one (non-retried) batch agree on
-  // the journal record and batch size, and occupy distinct positions.
-  std::map<uint64_t, std::vector<CommitObservation>> by_batch;
-  for (const auto& writer : commits) {
-    for (const CommitObservation& obs : writer) {
-      ASSERT_GT(obs.journal_seq, 0u);
-      ASSERT_GE(obs.batch_size, 1u);
-      EXPECT_LT(obs.batch_position, obs.batch_size);
-      if (obs.batch_size > 1) by_batch[obs.batch_seq].push_back(obs);
-    }
-  }
-  for (const auto& [batch_seq, members] : by_batch) {
-    std::set<uint32_t> positions;
-    for (const CommitObservation& obs : members) {
-      EXPECT_EQ(obs.journal_seq, members.front().journal_seq);
-      EXPECT_EQ(obs.batch_size, members.front().batch_size);
-      positions.insert(obs.batch_position);
-    }
-    EXPECT_EQ(positions.size(), members.size())
-        << "batch " << batch_seq << " repeated a position";
-  }
+  ExpectBatchMembersAgree(commits);
 
   // Batch journal records replay through Open as well: a reopened
   // session serves the identical state.
@@ -300,6 +320,7 @@ TEST(ServingOracleTest, DurableGroupCommitFoldsConcurrentWriters) {
 
   StartGate gate;
   std::atomic<int> failures{0};
+  std::vector<std::vector<CommitObservation>> commits(kWriters);
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
@@ -307,13 +328,21 @@ TEST(ServingOracleTest, DurableGroupCommitFoldsConcurrentWriters) {
       for (int i = 0; i < kCommitsPerWriter; ++i) {
         Transaction tx = session->Begin();
         tx.Insert("emp", {StrFormat("w%d_%d", w, i)});
-        if (!std::move(tx).Commit().ok()) ++failures;
+        auto report = std::move(tx).Commit();
+        if (!report.ok()) {
+          ++failures;
+          continue;
+        }
+        commits[w].push_back(Observe(*report));
       }
     });
   }
   gate.Open();
   for (std::thread& t : writers) t.join();
   ASSERT_EQ(failures.load(), 0);
+  // Each member of a folded batch gets the whole report, its own
+  // placement aside.
+  EXPECT_GT(ExpectBatchMembersAgree(commits), 0u);
 
   const ParkStats::ServingCounters counters = session->serving_stats();
   EXPECT_EQ(counters.batched_txns,

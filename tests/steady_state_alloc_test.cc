@@ -1,8 +1,9 @@
 // A warm Δ loop allocates nothing large, and few small things. This
 // binary replaces the global operator new/delete (every overload, over
 // malloc/free) and counts the allocations made while counting is on: all
-// of them, and those of at least kLargeBytes, which glibc serves by mmap
-// by default, so each one is mapped, page-faulted and unmapped again. The
+// of them, those of at least kLargeBytes, which glibc serves by mmap
+// by default, so each one is mapped, page-faulted and unmapped again, and
+// those the size of one column's statistics sketch. The
 // §4.2 irreflexive-graph program is evaluated twice on one thread; the
 // first run warms the thread's retained section buffers, and the second
 // must make no large allocation at all, while returning exactly what the
@@ -19,6 +20,7 @@
 #include "park/park.h"
 #include "serve/published_relation.h"
 #include "workload/graph_gen.h"
+#include "workload/kilorule_gen.h"
 
 namespace {
 
@@ -27,6 +29,7 @@ constexpr size_t kLargeBytes = 128 * 1024;
 std::atomic<bool> counting{false};
 std::atomic<size_t> large_allocations{0};
 std::atomic<size_t> all_allocations{0};
+std::atomic<size_t> sketch_allocations{0};
 
 void* Allocate(size_t size, size_t alignment, bool nothrow) {
   if (size == 0) size = 1;
@@ -34,6 +37,9 @@ void* Allocate(size_t size, size_t alignment, bool nothrow) {
     all_allocations.fetch_add(1, std::memory_order_relaxed);
     if (size >= kLargeBytes) {
       large_allocations.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (size == park::RelationStats::kBuckets * sizeof(uint32_t)) {
+      sketch_allocations.fetch_add(1, std::memory_order_relaxed);
     }
   }
   void* p = nullptr;
@@ -263,6 +269,99 @@ TEST(SteadyStateAllocTest, SessionCommitPublishesItsDiff) {
   EXPECT_TRUE(payroll->empty());
   EXPECT_TRUE(snapshot.Matches("audit(e1)").value());
   EXPECT_TRUE(snapshot.Matches("active(n2)").value());
+}
+
+/// The inserted and deleted atoms of one commit, rendered.
+std::string RenderDiff(const CommitReport& report, const SymbolTable& symbols) {
+  std::string out;
+  for (const GroundAtom& atom : report.inserted) {
+    out += "+" + atom.ToString(symbols) + " ";
+  }
+  for (const GroundAtom& atom : report.deleted) {
+    out += "-" + atom.ToString(symbols) + " ";
+  }
+  return out;
+}
+
+/// An ActiveDatabase over `w`'s rules and facts.
+ActiveDatabase LoadKilorule(const Workload& w, MaintenanceMode mode) {
+  ActiveDatabase db(w.symbols);
+  for (const Rule& rule : w.program.rules()) {
+    EXPECT_TRUE(db.AddRule(rule).ok());
+  }
+  std::string facts;
+  for (const std::string& atom : w.database.SortedAtomStrings()) {
+    facts += atom + ".\n";
+  }
+  EXPECT_TRUE(db.LoadFacts(facts).ok());
+  ParkOptions options;
+  options.maintenance_mode = mode;
+  options.num_threads = 1;
+  EXPECT_TRUE(db.Configure(std::move(options)).ok());
+  return db;
+}
+
+/// Commits a fresh fact `n` to chain `chain`: its level-0 atom and the
+/// anchor and guard every rule of the chain reads.
+CommitResult WakeChain(ActiveDatabase& db, int chain, int64_t n) {
+  const std::string c = std::to_string(chain);
+  Transaction tx = db.Begin();
+  tx.Insert(IntAtom(db.symbols(), "p_" + c + "_0", n));
+  tx.Insert(IntAtom(db.symbols(), "anchor_" + c, n));
+  tx.Insert(IntAtom(db.symbols(), "guard_" + c, n));
+  return std::move(tx).Commit();
+}
+
+/// A maintained commit pays per marked atom. It wakes one chain of
+/// kLevels rules: a seeded closure of about kLevels Γ steps, each marking
+/// one atom of a predicate the run's fresh I+ has not seen. While every
+/// step built hash containers for its Δ bookkeeping, every mark relation
+/// zero-filled a 2 KiB statistics sketch and the I+ relation map rehashed
+/// its way up, one such commit made kParentAllocations allocations, 135
+/// of them sketch-sized (this test counted them). The bound is half
+/// that, with fewer sketch-sized allocations than one per eighth of the
+/// marked predicates: the few left are other buffers of that size (the
+/// commit's diff, for one). Statistics built on first read, flat Δ-step
+/// bookkeeping and presized mark stores make about 400, none a sketch.
+TEST(SteadyStateAllocTest, WarmMaintainedCommitAllocatesPerMarkedAtom) {
+  constexpr int kChains = 4;
+  constexpr int kLevels = 64;
+  constexpr size_t kParentAllocations = 1215;
+  const Workload w = MakeKiloruleWorkload(kChains, kLevels, /*facts=*/4);
+  ActiveDatabase db = LoadKilorule(w, MaintenanceMode::kIncremental);
+  ASSERT_TRUE(db.Stabilize().ok());
+  // Warm-up: one commit per chain compiles every seeded plan.
+  for (int c = 0; c < kChains; ++c) ASSERT_TRUE(WakeChain(db, c, 100 + c).ok());
+
+  // A cold database holding the same instance, for the diff.
+  ActiveDatabase cold = LoadKilorule(w, MaintenanceMode::kOff);
+  {
+    Transaction tx = cold.Begin();
+    db.database().ForEach([&](const GroundAtom& atom) {
+      if (!w.database.Contains(atom)) tx.Insert(atom);
+    });
+    ASSERT_TRUE(std::move(tx).Commit().ok());
+  }
+  ASSERT_TRUE(cold.database().SameAtoms(db.database()));
+
+  all_allocations.store(0);
+  sketch_allocations.store(0);
+  counting.store(true);
+  auto report = WakeChain(db, 1, 200);
+  counting.store(false);
+  const size_t allocations = all_allocations.load();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->stats.maint_commits, 1u);
+  EXPECT_EQ(report->inserted.size(), static_cast<size_t>(kLevels) + 3);
+  EXPECT_LE(allocations, kParentAllocations / 2);
+  EXPECT_LT(sketch_allocations.load(), static_cast<size_t>(kLevels) / 8);
+
+  auto cold_report = WakeChain(cold, 1, 200);
+  ASSERT_TRUE(cold_report.ok()) << cold_report.status().ToString();
+  EXPECT_EQ(cold_report->stats.maint_commits, 0u);
+  EXPECT_EQ(RenderDiff(*report, *w.symbols),
+            RenderDiff(*cold_report, *w.symbols));
+  EXPECT_TRUE(cold.database().SameAtoms(db.database()));
 }
 
 TEST(SteadyStateAllocTest, CountsLargeAllocations) {
