@@ -22,11 +22,6 @@
 //                      abort evaluation after N derivations (exit code 4)
 //   --threads N        Γ evaluation threads (default 1 = sequential;
 //                      0 = one per hardware thread); results identical
-//   --exec-mode NAME   tuple (default) | batch — how compiled plans are
-//                      executed (docs/STORAGE.md). batch runs column
-//                      batches over the relations' sorted segments with
-//                      merge joins where the planner chose them; results
-//                      are bit-identical to tuple mode
 //   --maintenance NAME on | off (default) — incremental fixpoint
 //                      maintenance across commits (docs/INCREMENTAL.md):
 //                      on, an ActiveDatabase keeps its materialized PARK
@@ -251,7 +246,6 @@ int Usage(const char* argv0) {
                "usage: %s --rules FILE --facts FILE [--update ±atom]...\n"
                "          [--policy NAME] [--block-first] [--max-steps N]\n"
                "          [--deadline-ms N] [--threads N]\n"
-               "          [--exec-mode tuple|batch]\n"
                "          [--maintenance on|off] [--stats-json FILE]\n"
                "          [--max-memory-bytes N] [--max-derivations N]\n"
                "          [--observe] [--trace] [--explain]\n"
@@ -386,18 +380,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.num_threads = static_cast<int>(threads);
-    } else if (arg == "--exec-mode") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      if (std::strcmp(v, "tuple") == 0) {
-        options.exec_mode = park::ExecMode::kTuple;
-      } else if (std::strcmp(v, "batch") == 0) {
-        options.exec_mode = park::ExecMode::kBatch;
-      } else {
-        std::fprintf(stderr,
-                     "--exec-mode wants 'tuple' or 'batch', got '%s'\n", v);
-        return 2;
-      }
     } else if (arg == "--maintenance") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);

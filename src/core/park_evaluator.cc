@@ -10,14 +10,6 @@
 namespace park {
 namespace {
 
-const char* ExecModeName(ExecMode mode) {
-  switch (mode) {
-    case ExecMode::kTuple: return "tuple";
-    case ExecMode::kBatch: return "batch";
-  }
-  return "unknown";
-}
-
 const char* MaintenanceModeName(MaintenanceMode mode) {
   switch (mode) {
     case MaintenanceMode::kOff: return "off";
@@ -123,18 +115,6 @@ std::string ParkStats::ToJson() const {
   w.Key("backoff_ms_total").UInt(io_backoff_ms_total);
   w.Key("retries_exhausted").UInt(io_retries_exhausted);
   w.EndObject();
-  w.Key("storage").BeginObject();
-  w.Key("segments").UInt(storage_segments);
-  w.Key("segment_rows").UInt(storage_segment_rows);
-  w.Key("compactions").UInt(storage_compactions);
-  w.Key("dict_entries").UInt(storage_dict_entries);
-  w.EndObject();
-  w.Key("exec").BeginObject();
-  w.Key("mode").String(ExecModeName(exec_mode));
-  w.Key("batch_rows").UInt(exec_batch_rows);
-  w.Key("probe_rows").UInt(exec_probe_rows);
-  w.Key("merge_rows").UInt(exec_merge_rows);
-  w.EndObject();
   w.Key("serving").BeginObject();
   w.Key("batches").UInt(serving.batches);
   w.Key("batched_txns").UInt(serving.batched_txns);
@@ -220,35 +200,6 @@ void RecordParallelStats(const ParallelGamma& parallel,
   stats.timings.parallel_merge_ns =
       parallel.merge_ns() - base.timings.parallel_merge_ns;
   stats.timings.pool_busy_ns = pool.busy_ns() - base.timings.pool_busy_ns;
-}
-
-void RecordStorageStats(const IInterpretation& interp,
-                        const ExecStats& exec_stats, ParkStats& stats) {
-  // Sum the columnar footprint over the run's three stores. All three
-  // are compacted by the coordinator at every batch-mode Γ step, so
-  // these counters are deterministic and thread-count invariant. A
-  // tuple-mode run reads no segment, so it reports none, even over a
-  // base that an earlier batch run or a Session publication compacted.
-  if (stats.exec_mode != ExecMode::kBatch) return;
-  Database::ColumnarFootprint fp;
-  for (const Database* store : {&interp.base(), &interp.plus(),
-                                &interp.minus()}) {
-    const Database::ColumnarFootprint part = store->ColumnarStats();
-    fp.segments += part.segments;
-    fp.segment_rows += part.segment_rows;
-    fp.compactions += part.compactions;
-    fp.dict_entries += part.dict_entries;
-  }
-  stats.storage_segments = static_cast<size_t>(fp.segments);
-  stats.storage_segment_rows = static_cast<size_t>(fp.segment_rows);
-  stats.storage_compactions = static_cast<size_t>(fp.compactions);
-  stats.storage_dict_entries = static_cast<size_t>(fp.dict_entries);
-  stats.exec_batch_rows =
-      exec_stats.batch_rows.load(std::memory_order_relaxed);
-  stats.exec_probe_rows =
-      exec_stats.probe_rows.load(std::memory_order_relaxed);
-  stats.exec_merge_rows =
-      exec_stats.merge_rows.load(std::memory_order_relaxed);
 }
 
 Result<ParkResult> Park(const Program& program, const Database& db,

@@ -53,6 +53,14 @@ enum class MaintenanceMode {
   kIncremental,
 };
 
+/// Kept only so ParkOptions::exec_mode still compiles for callers that set
+/// it (park_bench's traced `--exec` diagnostic). Every value runs the same
+/// tuple-at-a-time plan executor (engine/matcher.h); kBatch is ignored.
+enum class ExecMode {
+  kTuple,
+  kBatch,
+};
+
 /// Evaluation parameters. Default-constructed options use the principle
 /// of inertia and no tracing.
 struct ParkOptions {
@@ -102,14 +110,9 @@ struct ParkOptions {
   /// bit-identical across all settings — parallel Γ preserves PARK's
   /// determinism (see docs/PARALLELISM.md).
   int num_threads = 1;
-  /// How compiled plans are executed (see docs/STORAGE.md). kTuple
-  /// (default) streams one candidate tuple at a time through the plan;
-  /// kBatch runs batch-at-a-time over the relations' columnar segments
-  /// (selection vectors, sorted-merge joins where the planner chose
-  /// them), compacting each relation's columnar view at Γ-step
-  /// boundaries. Both modes give the reference results
-  /// (differential_test); each mode is bit-identical across runs and
-  /// thread counts.
+  /// Ignored: compiled plans always run tuple-at-a-time. Kept because
+  /// park_bench's traced `--exec` diagnostic still sets it; stepper_test
+  /// pins that kBatch changes no result, trace or counter.
   ExecMode exec_mode = ExecMode::kTuple;
   /// Incremental fixpoint maintenance across commits (see MaintenanceMode
   /// above and docs/INCREMENTAL.md). Default off until a deployment has
@@ -216,23 +219,9 @@ struct ParkStats {
   uint64_t io_retries = 0;
   uint64_t io_backoff_ms_total = 0;
   uint64_t io_retries_exhausted = 0;
-  // Columnar-storage counters (see ParkOptions::exec_mode and
-  // docs/STORAGE.md), summed over the base/plus/minus stores at run end.
-  // Zero on tuple-mode runs (they read no segment). Deterministic
-  // for a fixed configuration and invariant across thread counts:
-  // compaction happens on the coordinator at Γ-step boundaries in both
-  // the sequential and parallel paths.
-  ExecMode exec_mode = ExecMode::kTuple;
-  size_t storage_segments = 0;      // immutable segments alive at run end
-  size_t storage_segment_rows = 0;  // rows held in those segments
-  size_t storage_compactions = 0;   // delta-store compactions performed
-  size_t storage_dict_entries = 0;  // dictionary entries across columns
-  // Batch-executor row counters (ExecStats): rows that entered the plan's
-  // first-step stream, and rows emitted by probe vs. sorted-merge join
-  // steps. Partition sums, hence thread-count invariant.
-  uint64_t exec_batch_rows = 0;
-  uint64_t exec_probe_rows = 0;
-  uint64_t exec_merge_rows = 0;
+  // Always 0, in no stats block: park_bench's harness still reads them.
+  size_t storage_compactions = 0;
+  size_t storage_segment_rows = 0;
   // Serving-layer counters (docs/SERVING.md). Zero for a bare evaluation;
   // serve::Session fills them in the stats it exposes and in the reports
   // handed back from group commits. `batch_size_hist` buckets completed
@@ -292,8 +281,6 @@ struct ParkStats {
   ///    "scheduler": {...},  // Γ-scheduler counters (docs/SCHEDULER.md)
   ///    "resource": {...},   // budgets armed + peaks (docs/ROBUSTNESS.md)
   ///    "io_retry": {...},   // commit-pipeline retry counters
-  ///    "storage": {...},    // columnar segment counters (docs/STORAGE.md)
-  ///    "exec": {...},       // executor mode + batch row counters
   ///    "serving": {...},    // group-commit + snapshot counters
   ///    "maintenance": {...},// incremental-fixpoint counters
   ///    "timings": {"collected": bool, <phase>_ns...}}

@@ -22,11 +22,6 @@ void RecordPlannerStats(const PlanCache& plans, const ParkStats& base,
 void RecordParallelStats(const ParallelGamma& parallel,
                          const ParkStats& base, ParkStats& stats);
 
-/// Sets the storage counters (the columnar footprint summed over I°, I⁺
-/// and I⁻) and the executor row counters from `exec_stats`.
-void RecordStorageStats(const IInterpretation& interp,
-                        const ExecStats& exec_stats, ParkStats& stats);
-
 }  // namespace park
 
 #endif  // PARK_CORE_RUN_STATS_H_

@@ -213,7 +213,6 @@ void ParkStepper::Start() {
   ParallelGamma* parallel = state_->parallel();
   const int num_threads = parallel != nullptr ? parallel->num_threads() : 1;
   stats_.num_threads = static_cast<size_t>(num_threads);
-  stats_.exec_mode = options_.exec_mode;
   // Echoed so one-shot stats reports show the configured mode; a commit's
   // maintenance counters are filled by FixpointMaintainer::RecordCommit.
   stats_.maintenance_mode = options_.maintenance_mode;
@@ -245,8 +244,7 @@ void ParkStepper::Start() {
 GammaResult ParkStepper::ComputeSection() {
   return ComputeGammaSemiNaive(program_, blocked_, interp_, delta_atoms_,
                                state_->graph(), state_->plans(),
-                               state_->parallel(), cancel_,
-                               options_.exec_mode, &exec_stats_, &scope_);
+                               state_->parallel(), cancel_, &scope_);
 }
 
 Result<GammaResult> ParkStepper::GammaSection() {
@@ -426,7 +424,6 @@ void ParkStepper::FoldRunStats(ParkStats& stats) const {
     stats.peak_memory_bytes = cancel_->peak_bytes();
     stats.derivations_charged = cancel_->work_charged();
   }
-  RecordStorageStats(interp_, exec_stats_, stats);
   RecordPlannerStats(state_->plans(), baseline_, stats);
   if (const ParallelGamma* parallel = state_->parallel()) {
     RecordParallelStats(*parallel, baseline_, stats);

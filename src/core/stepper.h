@@ -160,7 +160,7 @@ class ParkStepper {
   }
 
   /// The run's counters; the planner and pool counters count this run
-  /// only. The storage, planner, pool and budget counters are folded in
+  /// only. The B, planner, pool and budget counters are folded in
   /// once at the fixpoint; before it (mid-run, or after an error) they
   /// are computed on each call.
   ParkStats stats() const;
@@ -198,7 +198,7 @@ class ParkStepper {
   /// Conflict construction from the step's section, SELECT, and the
   /// restart from I°.
   Result<StepOutcome> Resolve(GammaResult gamma, int step);
-  /// Sets the counters read off the run's storage, caches and token.
+  /// Sets the counters read off the run's B, caches and token.
   void FoldRunStats(ParkStats& stats) const;
 
   const Program& program_;
@@ -219,9 +219,6 @@ class ParkStepper {
   BlockedSet blocked_;
   DeltaAtoms delta_atoms_;
   ParkStats stats_;
-  /// Batch-executor row counters (see ParkOptions::exec_mode). All zero
-  /// on tuple-mode runs.
-  ExecStats exec_stats_;
   /// Exception-isolating view of options_.observer (see core/observer.h);
   /// OnRunStart fires at construction, OnRunEnd when the fixpoint lands.
   ObserverHook observer_;

@@ -295,22 +295,14 @@ void PrewarmDatabase(const Database& db,
 /// RAII guard for a parallel read-only matching section: builds every
 /// index the program's plans can probe, then freezes I's three databases
 /// so a missed prewarm fails loudly instead of racing on a lazy build.
-/// With `prewarm_indexes` false (batch execution through compiled plans —
-/// which probes columnar segments, never hash indexes) the index build is
-/// skipped; the coordinator has already compacted the columnar views at
-/// the Γ-section boundary, so the freeze still guarantees workers find
-/// every relation compact.
 class FrozenInterpretation {
  public:
   FrozenInterpretation(const IInterpretation& interp,
-                       const IndexRequirements& requirements,
-                       bool prewarm_indexes = true)
+                       const IndexRequirements& requirements)
       : interp_(interp) {
-    if (prewarm_indexes) {
-      PrewarmDatabase(interp_.base(), requirements.base);
-      PrewarmDatabase(interp_.plus(), requirements.plus);
-      PrewarmDatabase(interp_.minus(), requirements.minus);
-    }
+    PrewarmDatabase(interp_.base(), requirements.base);
+    PrewarmDatabase(interp_.plus(), requirements.plus);
+    PrewarmDatabase(interp_.minus(), requirements.minus);
     interp_.base().FreezeIndexes();
     interp_.plus().FreezeIndexes();
     interp_.minus().FreezeIndexes();
@@ -338,7 +330,6 @@ class FrozenInterpretation {
 void RunUnits(const std::vector<GammaUnit>& units, const BlockedSet& blocked,
               const IInterpretation& interp, PlanCache& plans,
               ParallelGamma* parallel, CancellationToken* cancel,
-              ExecMode exec, ExecStats* exec_stats,
               const DerivationScope& scope, Derivations& out) {
   // Matches one unit into `buffer`; returns its step-0 candidates (the
   // planner's actual-rows counter). B is probed with the matcher's binding
@@ -368,8 +359,8 @@ void RunUnits(const std::vector<GammaUnit>& units, const BlockedSet& blocked,
         cancel->UpdateScope(mem_scope, buffer.bytes());
       }
     };
-    const size_t claimed = ExecutePlan(*unit.plan, rule, interp, unit.seed,
-                                       emit, cancel, exec, exec_stats);
+    const size_t claimed =
+        ExecutePlan(*unit.plan, rule, interp, unit.seed, emit, cancel);
     if (cancel != nullptr) cancel->CloseScope(mem_scope);
     return claimed;
   };
@@ -395,8 +386,7 @@ void RunUnits(const std::vector<GammaUnit>& units, const BlockedSet& blocked,
   std::vector<Derivations>& buffers = spare.tasks;
   std::vector<size_t> claimed(tasks.size(), 0);
   {
-    FrozenInterpretation frozen(interp, plans.requirements(),
-                                /*prewarm_indexes=*/exec == ExecMode::kTuple);
+    FrozenInterpretation frozen(interp, plans.requirements());
     const int64_t match_start =
         parallel->timing_enabled() ? MonotonicNanos() : 0;
     parallel->pool().ParallelFor(tasks.size(), [&](size_t i) {
@@ -523,26 +513,12 @@ GammaResult::~GammaResult() {
   spare.TrimToCap();
 }
 
-/// Batch-mode Γ-section prewarm: compact every relation's columnar view
-/// on the coordinator, in BOTH the sequential and parallel paths, so (a)
-/// frozen parallel workers always find the views compact and (b) the
-/// storage compaction counters are a property of the computation, never
-/// of the thread count. No-op in tuple mode and for compact relations.
-void CompactForBatch(const IInterpretation& interp, ExecMode exec) {
-  if (exec != ExecMode::kBatch) return;
-  interp.base().CompactColumnar();
-  interp.plus().CompactColumnar();
-  interp.minus().CompactColumnar();
-}
-
 GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
                          const IInterpretation& interp, PlanCache& plans,
                          ParallelGamma* parallel, CancellationToken* cancel,
-                         ExecMode exec, ExecStats* exec_stats,
                          const DerivationScope* scope) {
   GammaResult result;
   result.derivations = TakeSpareSection();
-  CompactForBatch(interp, exec);
   // One unseeded unit per rule, in program order. Γ never mutates I, so
   // fetching every plan up front gives the plans (and planner counters)
   // that fetching them one by one would. A body-less rule (an update of
@@ -559,8 +535,8 @@ GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
     plans.AddEstimatedRows(plan.estimated_candidates);
     units.push_back(GammaUnit{&rule, &plan, nullptr, {}});
   }
-  RunUnits(units, blocked, interp, plans, parallel, cancel, exec, exec_stats,
-           ScopeOrAll(scope), result.derivations);
+  RunUnits(units, blocked, interp, plans, parallel, cancel, ScopeOrAll(scope),
+           result.derivations);
   result.rules_evaluated = program.size();
   result.rules_considered = program.size();
   AnalyzeClashes(interp, result);
@@ -594,15 +570,13 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
                                   const DeltaAtoms& delta,
                                   const RuleDependencyGraph& graph,
                                   PlanCache& plans, ParallelGamma* parallel,
-                                  CancellationToken* cancel, ExecMode exec,
-                                  ExecStats* exec_stats,
+                                  CancellationToken* cancel,
                                   const DerivationScope* scope) {
   if (delta.initial) {
     return ComputeGamma(program, blocked, interp, plans, parallel, cancel,
-                        exec, exec_stats, scope);
+                        scope);
   }
   GammaResult result;
-  CompactForBatch(interp, exec);
 
   // Bucket the delta atoms by predicate (in Δ order) and let the watcher
   // index name the rules that can hold a seed — task building then
@@ -687,8 +661,8 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
       plans.AddEstimatedRows(group.plan->estimated_candidates);
     }
   }
-  RunUnits(spare.units, blocked, interp, plans, parallel, cancel, exec,
-           exec_stats, ScopeOrAll(scope), result.derivations);
+  RunUnits(spare.units, blocked, interp, plans, parallel, cancel,
+           ScopeOrAll(scope), result.derivations);
   AnalyzeClashes(interp, result);
   return result;
 }

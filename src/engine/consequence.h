@@ -267,19 +267,10 @@ class ParallelGamma {
 /// into the run's error status. Derivations are charged to the token's
 /// work budget and the per-task buffers' bytes (Derivations::bytes) to
 /// its memory budget as they grow.
-///
-/// `exec` selects the plan executor. In batch mode each Γ call first
-/// compacts every relation's columnar view on the coordinator —
-/// sequential or parallel alike, so the storage counters stay
-/// thread-invariant — and the frozen sections skip the hash-index
-/// prewarm (batch plans probe segments, not indexes). `exec_stats` (may
-/// be null) accumulates the batch row counters across workers.
 GammaResult ComputeGamma(const Program& program, const BlockedSet& blocked,
                          const IInterpretation& interp, PlanCache& plans,
                          ParallelGamma* parallel = nullptr,
                          CancellationToken* cancel = nullptr,
-                         ExecMode exec = ExecMode::kTuple,
-                         ExecStats* exec_stats = nullptr,
                          const DerivationScope* scope = nullptr);
 
 // --- Semi-naive evaluation (per-literal delta joins) ---
@@ -357,8 +348,6 @@ GammaResult ComputeGammaSemiNaive(const Program& program,
                                   PlanCache& plans,
                                   ParallelGamma* parallel = nullptr,
                                   CancellationToken* cancel = nullptr,
-                                  ExecMode exec = ExecMode::kTuple,
-                                  ExecStats* exec_stats = nullptr,
                                   const DerivationScope* scope = nullptr);
 
 /// Applies `derivations` to `interp` in one pass, one IInterpretation::Mark

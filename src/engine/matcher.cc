@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <numeric>
 #include <optional>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "storage/relation.h"
@@ -22,12 +20,6 @@ namespace {
 /// trigger replan storms while growing 0 -> 1 -> 2...). See docs/PLANNER.md.
 constexpr size_t kDriftFactor = 2;
 constexpr size_t kDriftSlack = 8;
-
-/// Below this many rows (summed over the stores a join step reads) a
-/// sorted-merge join cannot beat per-binding probes — the batch sort and
-/// per-distinct-key dictionary lookups dominate — so the compiled step
-/// keeps JoinAlgo::kProbe. See docs/STORAGE.md for the crossover argument.
-constexpr size_t kMergeJoinMinRows = 64;
 
 bool IsBindingKind(LiteralKind kind) {
   return kind == LiteralKind::kPositive ||
@@ -507,435 +499,6 @@ size_t RunPlan(const CompiledPlan& plan, const Rule& rule,
   return claimed;
 }
 
-// --- Batch-at-a-time execution (ExecMode::kBatch) ---
-//
-// The batch executor replaces the per-candidate backtracking walk with
-// whole-batch transformations against the storage layer's columnar segments
-// (storage/segment.h). A batch is a flat Value array of binding rows with
-// stride nvars. Step 0 materializes its candidate stream from the probe
-// column's sorted equal range, and every later generator step maps the batch
-// through a probe or sorted-merge join chosen at compile time
-// (CompiledStep::join). Joins emit in binding-major order with candidates in
-// segment-row order per binding, which is exactly the depth-first order of the
-// tuple executor over the same candidate sequences; only the per-step candidate
-// order differs between the modes (sorted segment order here vs. hash-index
-// order there), so the two modes are set-identical and each is bit-identical
-// for a fixed configuration (docs/STORAGE.md).
-
-/// The stores one generator step reads, in stream order, each
-/// with the store to dedup against: a positive literal enumerates base
-/// then plus, and a tuple present in both must be enumerated once, so
-/// the plus entry skips tuples contained in base.
-struct BatchStores {
-  struct Entry {
-    const Relation* rel = nullptr;
-    const Relation* dedup = nullptr;  // skip candidates contained here
-  };
-  std::array<Entry, 3> entries;
-  int count = 0;
-};
-
-BatchStores BatchStoresFor(const CompiledStep& st,
-                           const IInterpretation& interp) {
-  BatchStores out;
-  LiteralStores stores = StoresFor(st.kind, st.predicate, interp);
-  if (stores.base != nullptr) {
-    out.entries[static_cast<size_t>(out.count++)] = {stores.base, nullptr};
-  }
-  if (stores.plus != nullptr) {
-    out.entries[static_cast<size_t>(out.count++)] = {stores.plus, stores.base};
-  }
-  if (stores.minus != nullptr) {
-    out.entries[static_cast<size_t>(out.count++)] = {stores.minus, nullptr};
-  }
-  return out;
-}
-
-/// Per-thread batch-execution scratch, reused across calls like
-/// MatchScratch (with the same reentrancy fallback).
-struct BatchScratch {
-  std::vector<Value> cur;   // step-0 output (and the seed row), stride nvars
-  std::vector<Value> pipe;  // current chunk's batch inside the pipeline
-  std::vector<Value> next;  // batch the running step builds
-  std::vector<Value> filter_args;  // reused per filter evaluation
-  // merge join: probe ranges per distinct key, memoized per step for the
-  // whole RunPlanBatch call (segments are stable while matching runs, so
-  // a resolved range stays valid across pipeline chunks).
-  struct MergeCache {
-    std::vector<std::array<std::pair<uint32_t, uint32_t>, 3>> ranges;
-    std::unordered_map<Value, uint32_t, ValueHash> memo;  // key -> ranges idx
-  };
-  std::vector<MergeCache> merge_cache;  // indexed by step
-  bool in_use = false;
-};
-
-BatchScratch& ThreadBatchScratch() {
-  thread_local BatchScratch scratch;
-  return scratch;
-}
-
-/// Batch counterpart of RunPlan; same contract (candidate count, cancel
-/// semantics), plus local row counters flushed into `exec_stats` (may be
-/// null) at the end. Relations touched must be columnar-compact when
-/// frozen (the batch evaluator compacts at every Γ-section boundary);
-/// unfrozen relations compact lazily inside Relation::Columnar().
-size_t RunPlanBatch(const CompiledPlan& plan, const Rule& rule,
-                    const IInterpretation& interp,
-                    const AtomView* seed_atom,
-                    FunctionRef<void(std::span<const Value>)> fn,
-                    CancellationToken* cancel, ExecStats* exec_stats) {
-  BatchScratch* scratch_ptr = &ThreadBatchScratch();
-  std::unique_ptr<BatchScratch> fallback;
-  if (scratch_ptr->in_use) {
-    fallback = std::make_unique<BatchScratch>();
-    scratch_ptr = fallback.get();
-  }
-  BatchScratch& scratch = *scratch_ptr;
-  scratch.in_use = true;
-  struct InUseGuard {
-    bool& flag;
-    ~InUseGuard() { flag = false; }
-  } guard{scratch.in_use};
-
-  const size_t nvars = static_cast<size_t>(rule.num_variables());
-  scratch.cur.assign(nvars, Value());
-  size_t nrows = 1;
-
-  if (!BindSeed(plan, rule, seed_atom, scratch.cur)) return 0;
-
-  if (plan.steps.empty()) {
-    fn(std::span<const Value>(scratch.cur.data(), nvars));
-    return 0;
-  }
-
-  // Cooperative cancellation + memory accounting, mirroring RunPlan:
-  // poll at most once per kCheckStride visited rows, charge the growth of
-  // the batch buffers over this call's baseline.
-  auto reserved_bytes = [&scratch]() {
-    size_t bytes = (scratch.cur.capacity() + scratch.pipe.capacity() +
-                    scratch.next.capacity()) *
-                   sizeof(Value);
-    for (const BatchScratch::MergeCache& cache : scratch.merge_cache) {
-      bytes += cache.ranges.capacity() * sizeof(cache.ranges[0]) +
-               cache.memo.bucket_count() * sizeof(void*);
-    }
-    return bytes;
-  };
-  const size_t mem_baseline = reserved_bytes();
-  CancellationToken::MemoryScope mem_scope;
-  struct MemGuard {
-    CancellationToken* cancel;
-    CancellationToken::MemoryScope& scope;
-    ~MemGuard() {
-      if (cancel != nullptr) cancel->CloseScope(scope);
-    }
-  } mem_guard{cancel, mem_scope};
-  bool interrupted = false;
-  uint64_t poll_countdown = CancellationToken::kCheckStride;
-  auto poll = [&]() -> bool {
-    if (cancel == nullptr || interrupted) return interrupted;
-    if (--poll_countdown != 0) return false;
-    poll_countdown = CancellationToken::kCheckStride;
-    size_t reserved = reserved_bytes();
-    cancel->UpdateScope(mem_scope, reserved > mem_baseline
-                                       ? reserved - mem_baseline
-                                       : 0);
-    interrupted = cancel->Check();
-    return interrupted;
-  };
-
-  size_t claimed = 0;
-  size_t next_rows = 0;
-  uint64_t batch_rows = 0;
-  uint64_t probe_rows = 0;
-  uint64_t merge_rows = 0;
-
-  // Appends (binding row `brow` extended by candidate row `t`, a flat
-  // Value[arity] span from the segment) to the next batch if the
-  // candidate agrees with every pre-resolved slot. Constants and
-  // earlier-bound variables are checked up front (the batch scan is a
-  // probe-column superset, unlike the tuple executor's full-pattern index
-  // probe), dedup filters a doubly-stored tuple via a span lookup (no
-  // Tuple materialized), then the new row is appended with this
-  // step's binds applied and intra-literal repeats verified against it
-  // (pop on disagreement).
-  // `skip_col` (< 0: none) marks a column already equality-matched by the
-  // caller's equal-range probe, so its slot check would always pass.
-  auto try_append = [&](const CompiledStep& st, const Value* t,
-                        const Value* brow, const Relation* dedup,
-                        int skip_col) {
-    for (size_t j = 0; j < st.slots.size(); ++j) {
-      if (static_cast<int>(j) == skip_col) continue;
-      const CompiledStep::Slot& slot = st.slots[j];
-      if (slot.kind == CompiledStep::Slot::Kind::kConst) {
-        if (t[j] != slot.constant) return;
-      } else if (slot.kind == CompiledStep::Slot::Kind::kBoundVar) {
-        if (t[j] != brow[static_cast<size_t>(slot.var)]) {
-          return;
-        }
-      }
-    }
-    if (dedup != nullptr && dedup->Contains({t, st.slots.size()})) return;
-    size_t base_off = scratch.next.size();
-    scratch.next.insert(scratch.next.end(), brow, brow + nvars);
-    Value* out = scratch.next.data() + base_off;
-    for (const auto& [pos, var] : st.binds) {
-      out[static_cast<size_t>(var)] = t[static_cast<size_t>(pos)];
-    }
-    for (const auto& [pos, var] : st.checks) {
-      if (out[static_cast<size_t>(var)] != t[static_cast<size_t>(pos)]) {
-        scratch.next.resize(base_off);
-        return;
-      }
-    }
-    ++next_rows;
-  };
-
-  auto probe_value = [&](const CompiledStep& st,
-                         const Value* brow) -> const Value& {
-    const CompiledStep::Slot& slot =
-        st.slots[static_cast<size_t>(st.probe_column)];
-    return slot.kind == CompiledStep::Slot::Kind::kConst
-               ? slot.constant
-               : brow[static_cast<size_t>(slot.var)];
-  };
-
-  // Step 0. The candidate stream is the concatenation of the stores'
-  // probe ranges (or whole segments when unprobed), in store order, so
-  // `claimed` is range arithmetic with no per-tuple work.
-  auto run_scan = [&](const CompiledStep& st) {
-    BatchStores stores = BatchStoresFor(st, interp);
-    const Value* brow = scratch.cur.data();
-    for (int i = 0; i < stores.count && !interrupted; ++i) {
-      const BatchStores::Entry& entry =
-          stores.entries[static_cast<size_t>(i)];
-      Relation::ColumnarView view = entry.rel->Columnar();
-      const Column* col = nullptr;
-      uint32_t lo = 0;
-      uint32_t hi = view.segment->num_rows();
-      if (st.probe_column >= 0) {
-        col = &view.segment->column(st.probe_column);
-        std::pair<uint32_t, uint32_t> range =
-            col->EqualRange(probe_value(st, brow));
-        lo = range.first;
-        hi = range.second;
-      }
-      claimed += hi - lo;
-      for (uint32_t pos = lo; pos < hi && !poll(); ++pos) {
-        uint32_t row = col != nullptr ? col->RowAt(pos) : pos;
-        try_append(st, view.segment->row(row), brow, entry.dedup,
-                   col != nullptr ? st.probe_column : -1);
-      }
-    }
-  };
-
-  // Probe join: per binding row, binary-search the probe column's equal
-  // range in each store (full segment scan when unprobed).
-  auto run_probe = [&](const CompiledStep& st, const Value* src,
-                       size_t src_rows) {
-    BatchStores stores = BatchStoresFor(st, interp);
-    std::array<Relation::ColumnarView, 3> views;
-    for (int i = 0; i < stores.count; ++i) {
-      views[static_cast<size_t>(i)] =
-          stores.entries[static_cast<size_t>(i)].rel->Columnar();
-    }
-    for (size_t r = 0; r < src_rows && !interrupted; ++r) {
-      const Value* brow = src + r * nvars;
-      for (int i = 0; i < stores.count; ++i) {
-        const Relation::ColumnarView& view = views[static_cast<size_t>(i)];
-        const Relation* dedup =
-            stores.entries[static_cast<size_t>(i)].dedup;
-        if (st.probe_column >= 0) {
-          const Column& col = view.segment->column(st.probe_column);
-          std::pair<uint32_t, uint32_t> range =
-              col.EqualRange(probe_value(st, brow));
-          for (uint32_t p = range.first; p < range.second && !poll(); ++p) {
-            try_append(st, view.segment->row(col.RowAt(p)), brow, dedup,
-                       st.probe_column);
-          }
-        } else {
-          for (uint32_t row = 0;
-               row < view.segment->num_rows() && !poll(); ++row) {
-            try_append(st, view.segment->row(row), brow, dedup, -1);
-          }
-        }
-      }
-    }
-  };
-
-  // Sorted-merge join: the inner side is the segment itself, whose rows
-  // sort by the probe column, so each DISTINCT key resolves to one
-  // contiguous run via a dictionary binary search. The resolved runs are
-  // memoized per batch (a last-key fast path catches clustered
-  // duplicates, the memo table catches scattered ones), so duplicate-
-  // heavy outer keys pay one search per distinct key instead of one per
-  // binding row. Rows are emitted in the original binding-major order —
-  // byte-identical output to run_probe.
-  auto run_merge = [&](const CompiledStep& st, size_t step,
-                       const Value* src, size_t src_rows) {
-    BatchStores stores = BatchStoresFor(st, interp);
-    std::array<Relation::ColumnarView, 3> views;
-    for (int i = 0; i < stores.count; ++i) {
-      views[static_cast<size_t>(i)] =
-          stores.entries[static_cast<size_t>(i)].rel->Columnar();
-    }
-    BatchScratch::MergeCache& cache = scratch.merge_cache[step];
-    const Value* last_key = nullptr;
-    uint32_t last_idx = 0;
-    for (size_t r = 0; r < src_rows && !interrupted; ++r) {
-      const Value* brow = src + r * nvars;
-      const Value& key = probe_value(st, brow);
-      uint32_t idx;
-      if (last_key != nullptr && key == *last_key) {
-        idx = last_idx;
-      } else {
-        auto [it, inserted] = cache.memo.try_emplace(
-            key, static_cast<uint32_t>(cache.ranges.size()));
-        if (inserted) {
-          std::array<std::pair<uint32_t, uint32_t>, 3> rg{};
-          for (int i = 0; i < stores.count; ++i) {
-            rg[static_cast<size_t>(i)] =
-                views[static_cast<size_t>(i)]
-                    .segment->column(st.probe_column)
-                    .EqualRange(key);
-          }
-          cache.ranges.push_back(rg);
-        }
-        idx = it->second;
-      }
-      last_key = &key;
-      last_idx = idx;
-      for (int i = 0; i < stores.count; ++i) {
-        const Relation::ColumnarView& view = views[static_cast<size_t>(i)];
-        const Column& col = view.segment->column(st.probe_column);
-        const Relation* dedup =
-            stores.entries[static_cast<size_t>(i)].dedup;
-        auto [lo, hi] = cache.ranges[idx][static_cast<size_t>(i)];
-        for (uint32_t p = lo; p < hi && !poll(); ++p) {
-          try_append(st, view.segment->row(col.RowAt(p)), brow, dedup,
-                     st.probe_column);
-        }
-      }
-    }
-  };
-
-  // Filter step: ground the literal per row (into a reused span — no
-  // per-row Tuple allocation) and keep rows valid in I. Membership goes
-  // through the segments' flat whole-row indexes instead of the
-  // node-based tuple sets, block-at-a-time: a block is grounded and
-  // hashed first (prefetching every probe slot), then resolved — so the
-  // probe cache misses overlap instead of serializing. That overlap is
-  // structural to batching; the tuple executor checks one candidate at a
-  // time and eats the full miss latency per row.
-  auto run_filter = [&](const CompiledStep& st, const Value* src,
-                        size_t src_rows) {
-    const FilterStores stores = ResolveFilterStores(st, interp);
-    std::array<const Segment*, 3> segs;
-    for (size_t i = 0; i < segs.size(); ++i) {
-      segs[i] = stores[i] != nullptr ? stores[i]->Columnar().segment : nullptr;
-    }
-    const size_t nargs = st.slots.size();
-    constexpr size_t kBlock = 32;
-    scratch.filter_args.resize(kBlock * nargs);
-    std::array<size_t, kBlock> hashes;
-    for (size_t r0 = 0; r0 < src_rows && !interrupted; r0 += kBlock) {
-      const size_t bn = std::min(kBlock, src_rows - r0);
-      for (size_t i = 0; i < bn; ++i) {
-        const Value* brow = src + (r0 + i) * nvars;
-        Value* args = scratch.filter_args.data() + i * nargs;
-        for (size_t j = 0; j < nargs; ++j) {
-          const CompiledStep::Slot& slot = st.slots[j];
-          args[j] = slot.kind == CompiledStep::Slot::Kind::kConst
-                        ? slot.constant
-                        : brow[static_cast<size_t>(slot.var)];
-        }
-        const size_t h = TupleHash{}(TupleSpan{args, nargs});
-        hashes[i] = h;
-        for (const Segment* seg : segs) {
-          if (seg != nullptr) seg->PrefetchRow(h);
-        }
-      }
-      for (size_t i = 0; i < bn && !poll(); ++i) {
-        const Value* brow = src + (r0 + i) * nvars;
-        const Value* args = scratch.filter_args.data() + i * nargs;
-        const size_t h = hashes[i];
-        const bool pass = LiteralHolds(st.kind, [&](MarkStore store) {
-          const Segment* seg = segs[static_cast<size_t>(store)];
-          return seg != nullptr && seg->ContainsRow(args, nargs, h);
-        });
-        if (pass) {
-          scratch.next.insert(scratch.next.end(), brow, brow + nvars);
-          ++next_rows;
-        }
-      }
-    }
-  };
-
-  // Step 0 materializes its full output and everything downstream runs
-  // morsel-at-a-time: each kChunk-row chunk of the step-0 batch is pushed
-  // through the whole remaining pipeline before the next chunk starts. Joins
-  // fan out by the duplicate factor per step, so full intermediate batches can
-  // be orders of magnitude larger than their inputs; chunking keeps every
-  // intermediate cache-resident instead of streaming hundreds of megabytes
-  // through memory. Chunks run in step-0 order and each step preserves row
-  // order, so the emission sequence is byte-identical to the unchunked
-  // execution.
-  scratch.merge_cache.resize(plan.steps.size());
-  for (BatchScratch::MergeCache& cache : scratch.merge_cache) {
-    cache.ranges.clear();
-    cache.memo.clear();
-  }
-
-  {
-    const CompiledStep& st = plan.steps[0];
-    scratch.next.clear();
-    next_rows = 0;
-    if (st.filter) {
-      run_filter(st, scratch.cur.data(), nrows);
-    } else {
-      run_scan(st);
-      batch_rows += next_rows;
-    }
-    std::swap(scratch.cur, scratch.next);
-  }
-  const size_t total0 = next_rows;
-
-  constexpr size_t kChunk = 256;
-  for (size_t c0 = 0; c0 < total0 && !interrupted; c0 += kChunk) {
-    const Value* src = scratch.cur.data() + c0 * nvars;
-    size_t src_rows = std::min(kChunk, total0 - c0);
-    for (size_t s = 1; s < plan.steps.size() && src_rows > 0 && !interrupted;
-         ++s) {
-      const CompiledStep& st = plan.steps[s];
-      scratch.next.clear();
-      next_rows = 0;
-      if (st.filter) {
-        run_filter(st, src, src_rows);
-      } else if (st.join == JoinAlgo::kMerge && st.probe_column >= 0) {
-        run_merge(st, s, src, src_rows);
-        merge_rows += next_rows;
-      } else {
-        run_probe(st, src, src_rows);
-        probe_rows += next_rows;
-      }
-      std::swap(scratch.pipe, scratch.next);
-      src = scratch.pipe.data();
-      src_rows = next_rows;
-    }
-    if (interrupted) break;
-    for (size_t r = 0; r < src_rows && !poll(); ++r) {
-      fn(std::span<const Value>(src + r * nvars, nvars));
-    }
-  }
-
-  if (exec_stats != nullptr) {
-    exec_stats->batch_rows.fetch_add(batch_rows, std::memory_order_relaxed);
-    exec_stats->probe_rows.fetch_add(probe_rows, std::memory_order_relaxed);
-    exec_stats->merge_rows.fetch_add(merge_rows, std::memory_order_relaxed);
-  }
-  return claimed;
-}
-
 PlanExplanation ExplainFromPlan(const CompiledPlan& plan, bool replan) {
   PlanExplanation out;
   out.rule_index = plan.rule_index;
@@ -946,7 +509,7 @@ PlanExplanation ExplainFromPlan(const CompiledPlan& plan, bool replan) {
   for (const CompiledStep& st : plan.steps) {
     out.steps.push_back(PlanExplanation::Step{st.literal_index, st.filter,
                                               st.probe_column,
-                                              st.estimated_rows, st.join});
+                                              st.estimated_rows});
   }
   return out;
 }
@@ -990,7 +553,6 @@ CompiledPlan CompilePlan(const Rule& rule, int seed_index,
   std::vector<int> order = CostBasedOrder(rule, seed_index, interp);
 
   plan.steps.reserve(order.size());
-  bool have_generator = false;
   for (int literal_index : order) {
     const BodyLiteral& lit = body[static_cast<size_t>(literal_index)];
     CompiledStep step;
@@ -1040,19 +602,6 @@ CompiledPlan CompilePlan(const Rule& rule, int seed_index,
       StreamEstimate est = EstimateStream(lit, bound, interp);
       step.probe_column = est.probe_column;
       step.estimated_rows = est.rows;
-
-      // Batch-mode join operator: a probed join step (not the plan's
-      // first generator — that is the step-0 scan) over enough store
-      // rows amortizes its per-distinct-key range resolution, so pick
-      // sorted-merge; everything else keeps per-binding probes. Tuple
-      // execution ignores this.
-      if (have_generator && step.probe_column >= 0) {
-        LiteralStores stores = StoresFor(step.kind, step.predicate, interp);
-        size_t rows = 0;
-        ForEachStore(stores, [&](const Relation& rel) { rows += rel.size(); });
-        if (rows >= kMergeJoinMinRows) step.join = JoinAlgo::kMerge;
-      }
-      have_generator = true;
     }
 
     // The drift snapshot covers every store whose size the ordering can
@@ -1100,13 +649,9 @@ CompiledPlan CompilePlan(const Rule& rule, int seed_index,
 size_t ExecutePlan(const CompiledPlan& plan, const Rule& rule,
                    const IInterpretation& interp, const AtomView* seed,
                    FunctionRef<void(std::span<const Value> binding)> fn,
-                   CancellationToken* cancel, ExecMode exec,
-                   ExecStats* exec_stats) {
+                   CancellationToken* cancel) {
   PARK_CHECK_EQ(plan.seed_index >= 0, seed != nullptr)
       << "seed atom and plan.seed_index disagree";
-  if (exec == ExecMode::kBatch) {
-    return RunPlanBatch(plan, rule, interp, seed, fn, cancel, exec_stats);
-  }
   return RunPlan(plan, rule, interp, seed, fn, cancel);
 }
 
@@ -1219,8 +764,7 @@ std::string ExplainPlanLine(const PlanExplanation& explanation) {
     } else {
       out << "[";
       if (step.probe_column >= 0) {
-        out << (step.join == JoinAlgo::kMerge ? "merge c" : "probe c")
-            << step.probe_column;
+        out << "probe c" << step.probe_column;
       } else {
         out << "scan";
       }

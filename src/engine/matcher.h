@@ -13,10 +13,11 @@
 //
 // Plans are cached per (rule, seed literal) in a PlanCache and invalidated
 // only when the statistics they were computed from drift past a threshold,
-// so steady-state evaluation compiles nothing. Execution is a flattened
-// iterative loop over the compiled steps with arena-backed candidate
-// buffers (util/arena.h) — no per-literal recursion and zero steady-state
-// heap allocation.
+// so steady-state evaluation compiles nothing. Execution is tuple-at-a-time,
+// the one way a plan runs: a flattened iterative loop over the compiled
+// steps that hash-probes each generator's index column, with arena-backed
+// candidate buffers (util/arena.h) — no per-literal recursion and zero
+// steady-state heap allocation.
 //
 // Matching never mutates the interpretation, with one historical
 // exception: the storage layer's lazy column-index build. The
@@ -28,7 +29,6 @@
 #ifndef PARK_ENGINE_MATCHER_H_
 #define PARK_ENGINE_MATCHER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -42,41 +42,6 @@
 namespace park {
 
 class CancellationToken;
-
-/// How compiled plans execute (ParkOptions::exec_mode). kTuple is the
-/// classic tuple-at-a-time backtracking executor over per-column hash
-/// indexes. kBatch is batch-at-a-time: steps consume and produce whole
-/// binding batches against the storage layer's sorted, dictionary-encoded
-/// columnar segments (storage/segment.h), with per-step probe or
-/// sorted-merge joins.
-/// The two modes enumerate the same match SET for every plan — the batch
-/// candidate stream is the canonical sorted segment order instead of hash
-/// order — and each mode is bit-identical across thread counts
-/// (docs/STORAGE.md; differential_test sweeps exec_mode).
-enum class ExecMode {
-  kTuple,
-  kBatch,
-};
-
-/// Physical join operator of one batch-mode generator step, chosen at
-/// plan-compile time from estimated cardinalities (tuple mode always
-/// probes). kMerge sorts the incoming batch by its probe-key and walks
-/// the segment's sorted column once per distinct key; kProbe binary-
-/// searches the segment per binding (or hash-probes in tuple mode).
-enum class JoinAlgo : uint8_t {
-  kProbe,
-  kMerge,
-};
-
-/// Batch-execution row counters, accumulated atomically by worker threads
-/// (each counter is a sum over a partition of the same row multiset, so
-/// the totals are thread-count invariant; surfaced as the park-stats-v1
-/// "exec" block). All stay 0 in tuple mode.
-struct ExecStats {
-  std::atomic<uint64_t> batch_rows{0};  // step-0 bindings materialized
-  std::atomic<uint64_t> probe_rows{0};  // bindings emitted by probe joins
-  std::atomic<uint64_t> merge_rows{0};  // bindings emitted by merge joins
-};
 
 /// One body literal of a compiled plan, in execution order, with every
 /// per-candidate decision pre-resolved at compile time. Variable boundness
@@ -117,10 +82,6 @@ struct CompiledStep {
   /// Planner's estimate of this step's candidate stream size given the
   /// statistics at compile time (for EXPLAIN; 0 for filter steps).
   double estimated_rows = 0;
-  /// Physical join operator when the plan executes in batch mode (see
-  /// JoinAlgo); tuple mode ignores it. Chosen at compile time so the
-  /// choice replays bit-identically with the plan.
-  JoinAlgo join = JoinAlgo::kProbe;
 };
 
 /// A rule body compiled against one statistics snapshot. Pure function of
@@ -162,7 +123,6 @@ struct PlanExplanation {
     bool filter = false;
     int probe_column = -1;
     double estimated_rows = 0;
-    JoinAlgo join = JoinAlgo::kProbe;
   };
   std::vector<Step> steps;
 };
@@ -195,15 +155,10 @@ CompiledPlan CompilePlan(const Rule& rule, int seed_index,
 /// count and emitted matches are partial and MUST be discarded by the
 /// caller — the evaluator converts the token's cause into the run's error
 /// status.
-///
-/// `exec` picks the executor (see ExecMode); in batch mode `exec_stats`
-/// (optional) accumulates the batch row counters.
 size_t ExecutePlan(const CompiledPlan& plan, const Rule& rule,
                    const IInterpretation& interp, const AtomView* seed,
                    FunctionRef<void(std::span<const Value> binding)> fn,
-                   CancellationToken* cancel = nullptr,
-                   ExecMode exec = ExecMode::kTuple,
-                   ExecStats* exec_stats = nullptr);
+                   CancellationToken* cancel = nullptr);
 
 /// The column indexes that evaluating a program's bodies can probe, per
 /// predicate, split by which part of the i-interpretation the matcher

@@ -1,7 +1,7 @@
 #include "storage/column.h"
 
 #include <algorithm>
-#include <numeric>
+#include <utility>
 
 namespace park {
 
@@ -20,30 +20,6 @@ std::optional<uint32_t> ColumnDictionary::CodeFor(const Value& v) const {
 }
 
 Column::Column(ColumnDictionary dict, std::vector<uint32_t> codes)
-    : dict_(std::move(dict)), codes_(std::move(codes)) {
-  perm_.resize(codes_.size());
-  std::iota(perm_.begin(), perm_.end(), 0u);
-  // stable_sort keeps equal-code rows in ascending row order, which is
-  // the order every probe and merge enumerates an equal range in.
-  std::stable_sort(perm_.begin(), perm_.end(),
-                   [this](uint32_t a, uint32_t b) {
-                     return codes_[a] < codes_[b];
-                   });
-}
-
-std::pair<uint32_t, uint32_t> Column::EqualRangeByCode(uint32_t code) const {
-  auto less = [this](uint32_t row, uint32_t c) { return codes_[row] < c; };
-  auto greater = [this](uint32_t c, uint32_t row) { return c < codes_[row]; };
-  auto lo = std::lower_bound(perm_.begin(), perm_.end(), code, less);
-  auto hi = std::upper_bound(lo, perm_.end(), code, greater);
-  return {static_cast<uint32_t>(lo - perm_.begin()),
-          static_cast<uint32_t>(hi - perm_.begin())};
-}
-
-std::pair<uint32_t, uint32_t> Column::EqualRange(const Value& v) const {
-  std::optional<uint32_t> code = dict_.CodeFor(v);
-  if (!code.has_value()) return {0, 0};
-  return EqualRangeByCode(*code);
-}
+    : dict_(std::move(dict)), codes_(std::move(codes)) {}
 
 }  // namespace park

@@ -3,18 +3,13 @@
 // A column stores, for every segment row, a 32-bit code into a sorted
 // per-column dictionary. Codes are assigned in value-sort order, so
 // comparing codes compares values: a column's code sequence ordered by
-// the segment's lexicographic row order is non-decreasing for column 0,
-// and every column additionally carries a (code, row)-sorted permutation
-// of the row indexes so equality probes on ANY column resolve to a
-// contiguous permutation range by binary search — no hash index, no
-// pointer chasing.
+// the segment's lexicographic row order is non-decreasing for column 0.
 
 #ifndef PARK_STORAGE_COLUMN_H_
 #define PARK_STORAGE_COLUMN_H_
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "storage/value.h"
@@ -44,9 +39,7 @@ class ColumnDictionary {
   std::vector<Value> sorted_;
 };
 
-/// One segment attribute: the dictionary, one code per row, and the
-/// row permutation sorted by (code, row) — stable, so rows with equal
-/// values keep segment order inside their equal range.
+/// One segment attribute: the dictionary and one code per row.
 class Column {
  public:
   Column() = default;
@@ -58,19 +51,9 @@ class Column {
   uint32_t code(uint32_t row) const { return codes_[static_cast<size_t>(row)]; }
   const Value& value(uint32_t row) const { return dict_.ValueFor(code(row)); }
 
-  /// Row index at sorted position `pos` (see EqualRange).
-  uint32_t RowAt(uint32_t pos) const { return perm_[static_cast<size_t>(pos)]; }
-
-  /// Half-open [lo, hi) of sorted positions whose rows hold `v`; empty
-  /// ({0, 0}) when `v` is absent. Positions map to rows via RowAt, in
-  /// ascending row order within the range.
-  std::pair<uint32_t, uint32_t> EqualRange(const Value& v) const;
-  std::pair<uint32_t, uint32_t> EqualRangeByCode(uint32_t code) const;
-
  private:
   ColumnDictionary dict_;
   std::vector<uint32_t> codes_;
-  std::vector<uint32_t> perm_;  // row indexes sorted by (code, row)
 };
 
 }  // namespace park

@@ -141,19 +141,6 @@ void Database::CompactColumnar() const {
   for (const auto& [pred, rel] : relations_) rel.CompactColumnar();
 }
 
-Database::ColumnarFootprint Database::ColumnarStats() const {
-  ColumnarFootprint out;
-  for (const auto& [pred, rel] : relations_) {
-    if (rel.HasSegment()) {
-      ++out.segments;
-      out.segment_rows += rel.segment_rows();
-      out.dict_entries += rel.dict_entries();
-    }
-    out.compactions += rel.compactions();
-  }
-  return out;
-}
-
 std::vector<std::string> Database::SortedAtomStrings() const {
   std::vector<std::string> out;
   out.reserve(total_atoms_);

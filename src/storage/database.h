@@ -54,8 +54,8 @@ class Database {
   /// Inserts every atom of `other`, which must share the symbol table,
   /// and leaves `other` empty. A predicate with no relation here takes
   /// other's relation whole: its rows, stats and hash indexes, with its
-  /// columnar view dropped and thawed (Relation::DropColumnar), so
-  /// ColumnarStats() reads as if the atoms had been inserted one by one.
+  /// columnar view dropped and thawed (Relation::DropColumnar), so it
+  /// reads as if the atoms had been inserted one by one.
   /// Every other predicate's atoms are inserted one by one.
   void InsertAll(Database&& other);
 
@@ -112,19 +112,10 @@ class Database {
   void ThawIndexes() const;
 
   /// Compacts the columnar view of every relation (Relation::
-  /// CompactColumnar) — the batch-mode Γ-section prewarm, run by the
-  /// coordinator before any freeze. No-op for already-compact relations.
+  /// CompactColumnar). No-op for already-compact relations. No engine
+  /// path calls it: it stays, awaiting removal with Relation's columnar
+  /// state, because park_bench times it (`storage.compact_ms`).
   void CompactColumnar() const;
-
-  /// Aggregated columnar counters across all relations, for the
-  /// park-stats-v1 "storage" block.
-  struct ColumnarFootprint {
-    uint64_t segments = 0;      // relations with a built segment
-    uint64_t segment_rows = 0;  // rows across those segments
-    uint64_t compactions = 0;   // segment (re)builds, lifetime total
-    uint64_t dict_entries = 0;  // dictionary entries across segments
-  };
-  ColumnarFootprint ColumnarStats() const;
 
   /// All atoms as sorted, rendered strings — deterministic; used in tests
   /// and tools.

@@ -377,37 +377,9 @@ void Relation::ForEachMatchingProbe(
 
 // --- Columnar view ---
 
-Relation::ColumnarView Relation::Columnar() const {
-  if (ColumnarDirty()) {
-    // Mirrors the lazy-index rule: a dirty view inside a frozen
-    // (parallel, read-only) section means the coordinator's compaction
-    // sweep missed this relation — fail loudly rather than race.
-    PARK_CHECK(!frozen_)
-        << "lazy columnar compaction on a frozen relation "
-           "(compaction sweep missed this relation)";
-    CompactColumnarImpl();
-  }
-  return ColumnarView{segment_.get()};
-}
-
 void Relation::CompactColumnar() const {
   if (!ColumnarDirty()) return;
   PARK_CHECK(!frozen_) << "CompactColumnar on a frozen relation";
-  CompactColumnarImpl();
-}
-
-void Relation::DropColumnar() {
-  segment_.reset();
-  segment_rows_ = {};
-  delta_adds_ = {};
-  free_rows_.insert(free_rows_.end(), retired_rows_.begin(),
-                    retired_rows_.end());
-  retired_rows_ = {};
-  compactions_ = 0;
-  frozen_ = false;
-}
-
-void Relation::CompactColumnarImpl() const {
   auto less = [&](uint32_t a, uint32_t b) { return RowLess(a, b); };
   if (segment_ == nullptr) {
     // First build: sort the whole set.
@@ -442,10 +414,19 @@ void Relation::CompactColumnarImpl() const {
   std::vector<const Value*> rows;
   rows.reserve(segment_rows_.size());
   for (uint32_t id : segment_rows_) rows.push_back(RowData(id));
-  // A fresh shared segment per build: snapshots pinning the previous
-  // generation keep it alive; unpinned generations free immediately.
-  segment_ = std::make_shared<const Segment>(Segment::Build(arity_, rows));
+  segment_ = std::make_unique<const Segment>(Segment::Build(arity_, rows));
   ++compactions_;
+}
+
+void Relation::DropColumnar() {
+  segment_.reset();
+  segment_rows_ = {};
+  delta_adds_ = {};
+  free_rows_.insert(free_rows_.end(), retired_rows_.begin(),
+                    retired_rows_.end());
+  retired_rows_ = {};
+  compactions_ = 0;
+  frozen_ = false;
 }
 
 std::vector<Tuple> Relation::SortedTuples() const {

@@ -140,36 +140,25 @@ class Relation {
   /// All rows as Tuples, sorted — for deterministic printing and diffs.
   std::vector<Tuple> SortedTuples() const;
 
-  // --- Columnar view (batch execution; see docs/STORAGE.md) ---
+  // --- Columnar view (awaiting removal; see docs/STORAGE.md) ---
   //
-  // The columnar view serves the batch executor and the park-stats-v1
-  // `storage` counters, nothing else: a serving Session publishes its own
-  // form of a relation (serve/published_relation.h), built from commit
-  // diffs. The view is an immutable dictionary-encoded Segment over the
+  // No engine path reads the columnar view: plans run tuple-at-a-time
+  // over the hash indexes above, and a serving Session publishes its own
+  // form of a relation (serve/published_relation.h). It stays only
+  // because park_bench times CompactColumnar (`storage.compact_ms`).
+  // The view is an immutable dictionary-encoded Segment over the
   // lexicographically sorted row set; `segment_rows_` maps each segment
   // row to the row id it was built from. Between compactions, Insert
   // appends the new row id to a small delta store and Erase marks the row
-  // dead; Columnar() merges the live segment rows with the sorted delta
-  // into a fresh segment. An erased row's id is not reused until that
-  // merge has run, so every id the merge reads still names the row the
-  // segment was built from. Because the merged row order is the canonical
-  // sorted order of the set, the view is independent of mutation history
-  // — the determinism anchor of batch-at-a-time execution.
+  // dead; CompactColumnar merges the live segment rows with the sorted
+  // delta into a fresh segment. An erased row's id is not reused until
+  // that merge has run, so every id the merge reads still names the row
+  // the segment was built from. Because the merged row order is the
+  // canonical sorted order of the set, the view is independent of
+  // mutation history.
 
-  struct ColumnarView {
-    const Segment* segment = nullptr;
-  };
-
-  /// The compacted view, building or merging on demand. Like the lazy
-  /// index build, compaction mutates under `const`; a frozen relation
-  /// must already be compact (CompactColumnar runs before the freeze) —
-  /// a dirty view inside a frozen section fails loudly instead of racing.
-  ColumnarView Columnar() const;
-
-  /// Eager compaction (no-op when the view is already compact). The
-  /// batch-mode evaluator calls this for every relation at each Γ-section
-  /// boundary, so `compactions()` is a property of the computation, not
-  /// of the thread count.
+  /// Builds or merges the segment (no-op when the view is already
+  /// compact). Fails loudly on a frozen relation.
   void CompactColumnar() const;
 
   /// Discards the columnar view (segment, delta store, dead-row bookkeeping)
@@ -178,7 +167,8 @@ class Relation {
   /// rows and hash indexes.
   void DropColumnar();
 
-  bool HasSegment() const { return segment_ != nullptr; }
+  /// The last built segment, or null before the first CompactColumnar.
+  const Segment* segment() const { return segment_.get(); }
   bool ColumnarDirty() const {
     return segment_ == nullptr || !delta_adds_.empty() ||
            !retired_rows_.empty();
@@ -186,9 +176,6 @@ class Relation {
   uint64_t compactions() const { return compactions_; }
   uint64_t segment_rows() const {
     return segment_ != nullptr ? segment_->num_rows() : 0;
-  }
-  uint64_t dict_entries() const {
-    return segment_ != nullptr ? segment_->DictEntries() : 0;
   }
 
  private:
@@ -263,7 +250,6 @@ class Relation {
   /// pattern's value that matches the whole pattern.
   void ProbeIndex(const TuplePattern& pattern, int column,
                   FunctionRef<void(std::span<const Value>)> fn) const;
-  void CompactColumnarImpl() const;
   void BuildStats() const;
 
   int arity_;
@@ -284,10 +270,10 @@ class Relation {
   mutable std::vector<uint32_t> free_rows_;
   // indexes_[c] is built lazily; nullopt means "not built".
   mutable std::vector<std::optional<ColumnIndex>> indexes_;
-  // Columnar state: nothing is tracked until the first Columnar() /
-  // CompactColumnar() call builds a segment, so tuple-mode-only runs pay
-  // zero overhead here.
-  mutable std::shared_ptr<const Segment> segment_;
+  // Columnar state: nothing is tracked until the first CompactColumnar()
+  // call builds a segment, so a relation never compacted pays nothing
+  // here.
+  mutable std::unique_ptr<const Segment> segment_;
   mutable std::vector<uint32_t> segment_rows_;  // row ids, sorted by row
   mutable std::vector<uint32_t> delta_adds_;    // insertion order
   // Ids erased since the segment was built: the merge still reads them

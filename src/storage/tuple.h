@@ -3,7 +3,6 @@
 #ifndef PARK_STORAGE_TUPLE_H_
 #define PARK_STORAGE_TUPLE_H_
 
-#include <algorithm>
 #include <initializer_list>
 #include <span>
 #include <string>
@@ -63,27 +62,6 @@ class Tuple {
 
  private:
   std::vector<Value> values_;
-};
-
-/// A borrowed view of a row's values, hashed like the Tuple it names: the
-/// key of sets of rows stored elsewhere (Γ's Δ-atom sets), and the
-/// hashing form of the batch executor's flat Value rows.
-struct TupleSpan {
-  const Value* data = nullptr;
-  size_t size = 0;
-};
-
-struct TupleHash {
-  size_t operator()(const Tuple& t) const { return t.Hash(); }
-  size_t operator()(const TupleSpan& s) const {
-    return HashValues(s.data, s.size);
-  }
-};
-
-struct TupleEq {
-  bool operator()(const TupleSpan& a, const TupleSpan& b) const {
-    return std::equal(a.data, a.data + a.size, b.data, b.data + b.size);
-  }
 };
 
 }  // namespace park

@@ -3,7 +3,7 @@
 //
 // Every case (a program, facts, a sequence of update sets U_1..U_n and a
 // SELECT policy) runs through every production configuration — threads
-// {1, 4} × exec {tuple, batch} × block granularity — and every driver:
+// {1, 4} × block granularity — and every driver:
 // Park(), a stepped ParkStepper, ActiveDatabase commit scripts with
 // maintenance off and on, and a Session whose concurrent group commits
 // are replayed from the journal through the reference.
@@ -12,12 +12,11 @@
 //    database, the rendered blocked set, `restarts` and `gamma_steps`
 //    (and, for Park(), the provenance; for every commit, the reported
 //    inserted/deleted lists, entry for entry).
-//  - Layer 2: each configuration matches the default one (1 thread, tuple,
-//    same granularity) on the trace (Park(), the stepper,
+//  - Layer 2: each configuration matches the default one (1 thread, same
+//    granularity) on the trace (Park(), the stepper,
 //    and each commit with maintenance off), the provenance, and the
 //    park-stats-v1 counters/planner/scheduler blocks (plus the
-//    maintenance block for commit scripts), and the single-thread run
-//    with the same executor on the storage/exec blocks.
+//    maintenance block for commit scripts).
 //  - Theorem 4.1 on every case, for the engine and the reference: the run
 //    terminates, the result is consistent, B grows strictly at each
 //    restart, and restarts ≤ the number of ground instances of P_U.
@@ -153,7 +152,6 @@ const std::vector<Update>& FirstCommit(const Parsed& parsed) {
 
 struct Config {
   int threads = 1;
-  ExecMode exec = ExecMode::kTuple;
   BlockGranularity granularity = BlockGranularity::kAllConflicts;
 };
 
@@ -163,19 +161,14 @@ std::vector<Config> AllConfigs() {
   std::vector<Config> configs;
   for (BlockGranularity g : {BlockGranularity::kAllConflicts,
                              BlockGranularity::kFirstConflictOnly}) {
-    for (int threads : {1, 4}) {
-      for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
-        configs.push_back({threads, exec, g});
-      }
-    }
+    for (int threads : {1, 4}) configs.push_back({threads, g});
   }
   return configs;
 }
 
 std::string ConfigName(const Config& c) {
   return StrFormat(
-      "threads=%d exec=%s granularity=%s", c.threads,
-      c.exec == ExecMode::kTuple ? "tuple" : "batch",
+      "threads=%d granularity=%s", c.threads,
       c.granularity == BlockGranularity::kAllConflicts ? "all" : "first");
 }
 
@@ -183,7 +176,6 @@ ParkOptions OptionsFor(const Config& c, PolicyKind policy) {
   ParkOptions options;
   options.policy = MakePolicy(policy);
   options.num_threads = c.threads;
-  options.exec_mode = c.exec;
   options.block_granularity = c.granularity;
   return options;
 }
@@ -228,13 +220,9 @@ std::string JsonBlock(const std::string& json, const std::string& key) {
   return "";
 }
 
-/// The blocks every configuration must agree on, and (`exec` true) the
-/// storage/exec blocks, which only configurations with the same executor
-/// share.
-std::string DeterministicBlocks(const ParkStats& stats, bool maintenance,
-                                bool exec = false) {
+/// The blocks every configuration must agree on.
+std::string DeterministicBlocks(const ParkStats& stats, bool maintenance) {
   const std::string json = stats.ToJson();
-  if (exec) return JsonBlock(json, "storage") + JsonBlock(json, "exec");
   std::string out = JsonBlock(json, "counters") + JsonBlock(json, "planner") +
                     JsonBlock(json, "scheduler");
   if (maintenance) out += JsonBlock(json, "maintenance");
@@ -257,7 +245,6 @@ struct Observation {
   std::optional<std::vector<GroundAtom>> deleted;
   std::string trace;
   std::string blocks;
-  std::string exec_blocks;
   ParkStats stats;
   /// Served by the incremental maintainer: its counters describe the
   /// seeded closure, not the full Δ loop the reference runs.
@@ -337,14 +324,11 @@ void ExpectMatchesReference(const Observation& got, const Expected& want,
   }
 }
 
-/// Layer 2: `base` is the default configuration's observation, `same_exec`
-/// the single-thread one with this configuration's executor.
-void ExpectMatchesDefault(const Observation& got, const Observation& base,
-                          const Observation& same_exec) {
+/// Layer 2: `base` is the default configuration's observation.
+void ExpectMatchesDefault(const Observation& got, const Observation& base) {
   EXPECT_EQ(got.trace, base.trace);
   EXPECT_EQ(got.provenance, base.provenance);
   EXPECT_EQ(got.blocks, base.blocks);
-  EXPECT_EQ(got.exec_blocks, same_exec.exec_blocks);
 }
 
 void FillFromStats(const ParkStats& stats, Observation& obs) {
@@ -353,7 +337,6 @@ void FillFromStats(const ParkStats& stats, Observation& obs) {
   obs.restarts = stats.restarts;
   obs.gamma_steps = stats.gamma_steps;
   obs.blocks = DeterministicBlocks(stats, /*maintenance=*/false);
-  obs.exec_blocks = DeterministicBlocks(stats, false, /*exec=*/true);
 }
 
 // --- drivers ---
@@ -592,32 +575,21 @@ struct Coverage {
   size_t deleted = 0;   // ... and deleted lists
   size_t plans_compiled = 0;
   size_t planner_actual_rows = 0;
-  size_t parallel_tasks = 0;        // threads 4
-  uint64_t exec_batch_rows = 0;     // exec batch
-  size_t storage_compactions = 0;   // exec batch
-  size_t storage_dict_entries = 0;  // exec batch
+  size_t parallel_tasks = 0;  // threads 4
 
   void Tally(const Config& config, const ParkStats& stats) {
     plans_compiled += stats.plans_compiled;
     planner_actual_rows += stats.planner_actual_rows;
     if (config.threads > 1) parallel_tasks += stats.parallel_tasks;
-    if (config.exec == ExecMode::kBatch) {
-      exec_batch_rows += stats.exec_batch_rows;
-      storage_compactions += stats.storage_compactions;
-      storage_dict_entries += stats.storage_dict_entries;
-    }
   }
 };
 
-/// The configurations really ran what they select: the planner, the
-/// 4-thread fan-out, and the batch executor over columnar storage.
+/// The configurations really ran what they select: the planner and the
+/// 4-thread fan-out.
 void ExpectMachineryRan(const Coverage& coverage) {
   EXPECT_GT(coverage.plans_compiled, 0u);
   EXPECT_GT(coverage.planner_actual_rows, 0u);
   EXPECT_GT(coverage.parallel_tasks, 0u);
-  EXPECT_GT(coverage.exec_batch_rows, 0u);
-  EXPECT_GT(coverage.storage_compactions, 0u);
-  EXPECT_GT(coverage.storage_dict_entries, 0u);
 }
 
 /// Runs `c` through every configuration and driver, adding to `coverage`.
@@ -647,13 +619,13 @@ void CheckCase(const Case& c, Coverage& coverage) {
     ++coverage.granularity_splits;
   }
 
-  // Layer 2 baselines: the single-thread observations of each executor;
-  // the tuple ones are the default configuration's.
+  // Layer 2 baselines: the default (single-thread) configuration's
+  // observations, per granularity.
   struct Baseline {
     Observation park, stepped;
     std::vector<Observation> scripts[2];  // maintenance off, on
   };
-  std::map<std::pair<BlockGranularity, ExecMode>, Baseline> baselines;
+  std::map<BlockGranularity, Baseline> baselines;
   // Per process, so concurrent runs of this binary cannot share it.
   const std::string session_dir = ::testing::TempDir() +
                                   "park_differential_session_" +
@@ -708,30 +680,26 @@ void CheckCase(const Case& c, Coverage& coverage) {
       RunSessionAndReplay(c, *parsed, script_options, session_dir);
     }
 
-    if (config.threads == 1) {
-      baselines[{config.granularity, config.exec}] =
+    if (config.threads == 1) {  // the default
+      baselines[config.granularity] =
           Baseline{park, stepped, {scripts[0], scripts[1]}};
-      if (config.exec == ExecMode::kTuple) continue;  // the default
+      continue;
     }
-    const Baseline& base =
-        baselines.at({config.granularity, ExecMode::kTuple});
-    const Baseline& same_exec =
-        baselines.at({config.granularity, config.exec});
+    const Baseline& base = baselines.at(config.granularity);
     {
       SCOPED_TRACE("Park() vs default");
-      ExpectMatchesDefault(park, base.park, same_exec.park);
+      ExpectMatchesDefault(park, base.park);
     }
     {
       SCOPED_TRACE("ParkStepper vs default");
-      ExpectMatchesDefault(stepped, base.stepped, same_exec.stepped);
+      ExpectMatchesDefault(stepped, base.stepped);
     }
     for (int on = 0; on < 2; ++on) {
       ASSERT_EQ(scripts[on].size(), base.scripts[on].size());
       for (size_t k = 0; k < scripts[on].size(); ++k) {
         SCOPED_TRACE(StrFormat("script maintenance=%s commit %zu",
                                on ? "on" : "off", k));
-        ExpectMatchesDefault(scripts[on][k], base.scripts[on][k],
-                             same_exec.scripts[on][k]);
+        ExpectMatchesDefault(scripts[on][k], base.scripts[on][k]);
       }
     }
   }
@@ -1273,7 +1241,7 @@ TEST(DifferentialTest, PayrollEca) {
 
 TEST(DifferentialTest, SkewedJoins) {
   // One small literal next to a large scan, so the planner reorders the
-  // body and the batch executor picks sorted-merge joins.
+  // body and probes the large relation on its bound column.
   std::string facts = "sel(c0). sel(c1). ";
   Rng rng(17);
   for (int i = 0; i < 150; ++i) {

@@ -98,7 +98,7 @@ std::vector<Firing> ReferenceSeededGamma(const Program& program,
                                          const BlockedSet& blocked,
                                          const IInterpretation& interp,
                                          const DeltaAtoms& delta,
-                                         PlanCache& plans, ExecMode exec) {
+                                         PlanCache& plans) {
   std::vector<Firing> out;
   std::unordered_set<RuleGrounding, RuleGroundingHash> seen;
   for (const Rule& rule : program.rules()) {
@@ -119,8 +119,7 @@ std::vector<Firing> ReferenceSeededGamma(const Program& program,
               out.push_back(Firing{
                   grounding, rule.head().action,
                   rule.head().atom.Ground({binding.begin(), binding.end()})});
-            },
-            nullptr, exec);
+            });
       }
     }
   }
@@ -176,23 +175,12 @@ std::string RandomSeededProgram(Rng& rng) {
   return rules;
 }
 
-struct SeededCase {
-  ExecMode exec;
-  int threads;
-};
-
-void PrintTo(const SeededCase& c, std::ostream* os) {
-  *os << (c.exec == ExecMode::kTuple ? "tuple" : "batch") << " x "
-      << c.threads << " thread(s)";
-}
-
-class SeededGammaExactnessTest
-    : public ::testing::TestWithParam<SeededCase> {};
+class SeededGammaExactnessTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
-  const SeededCase c = GetParam();
+  const int threads = GetParam();
   std::optional<ParallelGamma> parallel;
-  if (c.threads > 1) parallel.emplace(c.threads);
+  if (threads > 1) parallel.emplace(threads);
   auto expect_same = [](const Derivations& derivations,
                         const std::vector<Firing>& want) {
     const std::vector<Firing> got = Firings(derivations);
@@ -251,7 +239,6 @@ TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
                        .derivations)) {
         if (rng.Bernoulli(0.2)) blocked.Insert(f.grounding);
       }
-      ExecStats exec_stats;
       // The unseeded section through a fresh cache, like FreshGamma: the
       // enumeration order follows the plans, which `plans` compiled
       // against an earlier I.
@@ -259,19 +246,19 @@ TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
       PlanCache fresh_plans(program);
       GammaResult full = ComputeGammaSemiNaive(
           program, blocked, interp, initial, graph, fresh_plans,
-          parallel ? &*parallel : nullptr, nullptr, c.exec, &exec_stats);
-      expect_same(full.derivations,
-                  Firings(testing_util::FreshGamma(program, blocked, interp,
-                                                   c.exec)
-                              .derivations));
+          parallel ? &*parallel : nullptr);
+      expect_same(
+          full.derivations,
+          Firings(testing_util::FreshGamma(program, blocked, interp)
+                      .derivations));
       // One seeded section against the reference; returns its result and
       // the reference's size.
       auto seeded_section = [&](const DeltaAtoms& d) {
         GammaResult got = ComputeGammaSemiNaive(
             program, blocked, interp, d, graph, plans,
-            parallel ? &*parallel : nullptr, nullptr, c.exec, &exec_stats);
+            parallel ? &*parallel : nullptr);
         std::vector<Firing> want =
-            ReferenceSeededGamma(program, blocked, interp, d, plans, c.exec);
+            ReferenceSeededGamma(program, blocked, interp, d, plans);
         expect_same(got.derivations, want);
         return std::make_pair(std::move(got), want.size());
       };
@@ -295,15 +282,9 @@ TEST_P(SeededGammaExactnessTest, MatchesFirstOccurrenceReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ExecAndThreads, SeededGammaExactnessTest,
-    ::testing::Values(SeededCase{ExecMode::kTuple, 1},
-                      SeededCase{ExecMode::kTuple, 4},
-                      SeededCase{ExecMode::kBatch, 1},
-                      SeededCase{ExecMode::kBatch, 4}),
-    [](const ::testing::TestParamInfo<SeededCase>& info) {
-      return std::string(info.param.exec == ExecMode::kTuple ? "Tuple"
-                                                             : "Batch") +
-             std::to_string(info.param.threads) + "Threads";
+    Threads, SeededGammaExactnessTest, ::testing::Values(1, 4),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return std::to_string(info.param) + "Threads";
     });
 
 }  // namespace

@@ -1,5 +1,5 @@
 // The i-interpretation's stores, marks and provenance, and the validity
-// table (LiteralHolds) that IsValid and both executors' filters share.
+// table (LiteralHolds) that IsValid and the executor's filter steps share.
 
 #include "engine/interpretation.h"
 
@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/stepper.h"
 #include "lang/parser.h"
 
 namespace park {
@@ -164,13 +163,9 @@ void ExpectSameIncorporation(Database got, const Database& want) {
                 expected.stats().DistinctEstimate(c));
     }
     EXPECT_FALSE(rel->frozen());
-    EXPECT_FALSE(rel->HasSegment());
+    EXPECT_EQ(rel->segment(), nullptr);
+    EXPECT_EQ(rel->compactions(), 0u);
   });
-  const Database::ColumnarFootprint fp = got.ColumnarStats();
-  EXPECT_EQ(fp.segments, 0u);
-  EXPECT_EQ(fp.segment_rows, 0u);
-  EXPECT_EQ(fp.compactions, 0u);
-  EXPECT_EQ(fp.dict_entries, 0u);
   // Writable: every relation takes an insert and an erase.
   std::vector<GroundAtom> atoms;
   got.ForEach([&](const GroundAtom& atom) { atoms.push_back(atom); });
@@ -190,7 +185,8 @@ TEST_F(InterpretationTest, IncorporateMovesOrMergesPlusRelations) {
   // s is in D and carries a `-` mark: merged, then erased.
   interp.AddMarked(ActionKind::kInsert, Atom("s(b)"), G(2));
   interp.AddMarked(ActionKind::kDelete, Atom("s(a)"), G(3));
-  // The I⁺ relations were compacted and frozen by a batch-mode section.
+  // The I⁺ relations carry a columnar view and are frozen; the result
+  // must drop and thaw both.
   interp.plus().CompactColumnar();
   interp.plus().FreezeIndexes();
   const Database want = IncorporateOneByOne(interp);
@@ -201,33 +197,6 @@ TEST_F(InterpretationTest, IncorporateMovesOrMergesPlusRelations) {
   EXPECT_EQ(interp.num_plus(), 0u);
   EXPECT_EQ(interp.num_minus(), 0u);
   EXPECT_TRUE(interp.Provenance(ActionKind::kInsert, Atom("q(b)")).empty());
-}
-
-TEST_F(InterpretationTest, IncorporateAfterABatchModeRun) {
-  // A batch-mode run compacts I⁺ at every Γ section and freezes it for
-  // the parallel ones; path is derived from nothing in D, so its
-  // compacted relation moves into the result.
-  Program program =
-      ParseProgram("edge(X, Y) -> +path(X, Y). "
-                   "path(X, Y), edge(Y, Z) -> +path(X, Z).",
-                   symbols_)
-          .value();
-  Database db =
-      ParseDatabase("edge(a, b). edge(b, c). edge(c, d).", symbols_).value();
-  ParkOptions options;
-  options.exec_mode = ExecMode::kBatch;
-  options.num_threads = 2;  // frozen parallel sections, under TSan in CI
-  ParkStepper stepper(program, db, options);
-  ASSERT_TRUE(stepper.Run().ok());
-  const PredicateId path = Atom("path(a, b)").predicate();
-  ASSERT_NE(stepper.interpretation().plus().GetRelation(path), nullptr);
-  EXPECT_TRUE(
-      stepper.interpretation().plus().GetRelation(path)->HasSegment());
-  const Database want = IncorporateOneByOne(stepper.interpretation());
-  auto got = stepper.Finish();
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->size(), 9u);
-  ExpectSameIncorporation(std::move(got).value(), want);
 }
 
 TEST_F(InterpretationTest, RenderingOrdersUnmarkedPlusMinus) {

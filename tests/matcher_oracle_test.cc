@@ -1,8 +1,8 @@
 // Oracle test for the body matcher: the cost-based plan (CompilePlan)
 // executed by ExecutePlan (unseeded or seeded) must return exactly the
 // substitutions a brute-force enumeration over the active domain accepts,
-// for random rules, random databases, and random marked atoms — under
-// both executors and for every seed literal. Half the
+// for random rules, random databases, and random marked atoms, for every
+// seed literal. Half the
 // scenarios skew the stores so the planner reorders bodies away from
 // source order. This pins down the trickiest module (join planning, index
 // usage, repeated variables, negation ordering, event literals) against a
@@ -123,7 +123,7 @@ std::set<std::string> OracleMatches(const Rule& rule,
 /// matches as keys, in enumeration order.
 std::vector<std::string> Execute(const CompiledPlan& plan, const Rule& rule,
                                  const IInterpretation& interp,
-                                 const GroundAtom* seed, ExecMode exec,
+                                 const GroundAtom* seed,
                                  const SymbolTable& symbols) {
   std::optional<AtomView> view;
   if (seed != nullptr) view = seed->view();
@@ -131,8 +131,7 @@ std::vector<std::string> Execute(const CompiledPlan& plan, const Rule& rule,
   auto emit = [&](std::span<const Value> binding) {
     out.push_back(BindingKey({binding.begin(), binding.end()}, symbols));
   };
-  ExecutePlan(plan, rule, interp, view ? &*view : nullptr, emit, nullptr,
-              exec);
+  ExecutePlan(plan, rule, interp, view ? &*view : nullptr, emit);
   return out;
 }
 
@@ -218,11 +217,7 @@ TEST_P(MatcherOracleTest, MatcherAgreesWithBruteForce) {
     if (Reordered(plan)) ++reordered;
     const std::set<std::string> oracle =
         OracleMatches(rule, interp, domain, *symbols);
-    for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
-      SCOPED_TRACE(exec == ExecMode::kBatch ? "batch" : "tuple");
-      EXPECT_EQ(AsSet(Execute(plan, rule, interp, nullptr, exec, *symbols)),
-                oracle);
-    }
+    EXPECT_EQ(AsSet(Execute(plan, rule, interp, nullptr, *symbols)), oracle);
 
     // Every seed literal, seeded by every ground atom that makes it
     // valid (the semi-naive contract: seeds come from valid new marks).
@@ -242,12 +237,8 @@ TEST_P(MatcherOracleTest, MatcherAgreesWithBruteForce) {
                                seed.ToString(*symbols).c_str()));
         const std::set<std::string> seeded_oracle = OracleMatches(
             rule, interp, domain, *symbols, static_cast<int>(s), &seed);
-        for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
-          SCOPED_TRACE(exec == ExecMode::kBatch ? "batch" : "tuple");
-          EXPECT_EQ(AsSet(Execute(seeded, rule, interp, &seed, exec,
-                                  *symbols)),
-                    seeded_oracle);
-        }
+        EXPECT_EQ(AsSet(Execute(seeded, rule, interp, &seed, *symbols)),
+                  seeded_oracle);
       }
     }
   }

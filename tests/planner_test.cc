@@ -3,7 +3,7 @@
 // replanning, and the invariant that a PlanCache's index requirements are
 // exactly the probes of the plans it handed out (the prewarm contract).
 // The executor itself is pinned by matcher_test and matcher_oracle_test;
-// the thread/exec/Γ-mode sweep lives in planner_oracle_test.
+// the thread/Γ-mode sweep lives in differential_test.
 
 #include <gtest/gtest.h>
 
@@ -292,6 +292,18 @@ TEST_F(PlannerTest, ExplainRendersTheSeedOfAOneLiteralBody) {
   EXPECT_EQ(two_literals.find("plan rule=1 seed=1: lit0["), 0u)
       << two_literals;
   EXPECT_EQ(two_literals.find("[seed]"), std::string::npos) << two_literals;
+}
+
+TEST_F(PlannerTest, ExplainNamesTheProbeThatRuns) {
+  // big holds 120 rows, so its probed join step is a large one; the one
+  // executor hash-probes it, and EXPLAIN must say so.
+  Database db = MustDb(SkewedFacts());
+  IInterpretation interp(&db);
+  Rule rule = MustRule("big(X, Y), sel(Y) -> +out(X).");
+  const std::string line =
+      ExplainPlanLine(ExplainPlan(CompilePlan(rule, -1, interp)));
+  EXPECT_EQ(line,
+            "plan rule=-1: lit1[scan ~1 rows] -> lit0[probe c1 ~30 rows]");
 }
 
 // --- index requirements (the prewarm contract) -----------------------------

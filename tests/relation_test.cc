@@ -237,10 +237,11 @@ TEST(RelationTest, EraseAndReinsertBeforeCompactionMerges) {
 
   auto segment_rows = [](const Relation& r) {
     std::vector<Tuple> rows;
-    const Segment& seg = *r.Columnar().segment;
+    const Segment& seg = *r.segment();
     for (uint32_t i = 0; i < seg.num_rows(); ++i) {
-      rows.emplace_back(
-          std::span<const Value>(seg.row(i), static_cast<size_t>(seg.arity())));
+      Tuple row;
+      for (int c = 0; c < seg.arity(); ++c) row.Append(seg.column(c).value(i));
+      rows.push_back(std::move(row));
     }
     return rows;
   };
@@ -280,7 +281,7 @@ TEST(RelationTest, CloneEqualsOriginal) {
     EXPECT_EQ(copy.stats().SelectivityRows(c), rel.stats().SelectivityRows(c));
   }
   EXPECT_FALSE(copy.HasIndex(1));
-  EXPECT_FALSE(copy.HasSegment());
+  EXPECT_EQ(copy.segment(), nullptr);
 
   // The copy is independent: its recycled ids hold its own rows.
   for (int64_t i = 1000; i < 1100; ++i) {

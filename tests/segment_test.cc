@@ -1,7 +1,7 @@
-// Columnar storage layer: dictionary round-trips, equality probes on
-// duplicate-heavy and empty columns, and the determinism anchor — a
-// compacted segment depends only on the tuple SET, never on the
-// insert/erase history that produced it (docs/STORAGE.md).
+// Columnar storage layer (awaiting removal with Relation's columnar
+// state): dictionary round-trips, empty segments, and the determinism
+// anchor — a compacted segment depends only on the tuple SET, never on
+// the insert/erase history that produced it (docs/STORAGE.md).
 
 #include "storage/segment.h"
 
@@ -43,65 +43,31 @@ TEST(ColumnDictionaryTest, EmptyDictionary) {
   EXPECT_FALSE(dict.CodeFor(Value::Int(0)).has_value());
 }
 
-TEST(SegmentTest, EqualRangeOnDuplicateHeavyColumn) {
-  // 40 rows, column 1 cycles through only 4 distinct values — every
-  // equal range is 10 rows wide.
-  std::vector<Tuple> tuples;
-  for (int64_t i = 0; i < 40; ++i) tuples.push_back(T2(i, i % 4));
-  std::sort(tuples.begin(), tuples.end());
-  std::vector<const Value*> rows;
-  for (const Tuple& t : tuples) rows.push_back(t.begin());
-  Segment seg = Segment::Build(2, rows);
-  ASSERT_EQ(seg.num_rows(), 40u);
-
-  const Column& col = seg.column(1);
-  for (int64_t v = 0; v < 4; ++v) {
-    auto [lo, hi] = col.EqualRange(Value::Int(v));
-    EXPECT_EQ(hi - lo, 10u);
-    // Positions resolve to rows in ascending row order, all holding v.
-    uint32_t prev_row = 0;
-    for (uint32_t pos = lo; pos < hi; ++pos) {
-      uint32_t row = col.RowAt(pos);
-      if (pos > lo) {
-        EXPECT_LT(prev_row, row);
-      }
-      prev_row = row;
-      EXPECT_EQ(col.value(row), Value::Int(v));
-    }
-  }
-  auto [lo, hi] = col.EqualRange(Value::Int(99));
-  EXPECT_EQ(lo, hi);  // absent value: empty range
-}
-
 TEST(SegmentTest, EmptySegment) {
   Segment seg = Segment::Build(2, {});
   EXPECT_EQ(seg.num_rows(), 0u);
-  auto [lo, hi] = seg.column(0).EqualRange(Value::Int(1));
-  EXPECT_EQ(lo, hi);
-  EXPECT_EQ(seg.DictEntries(), 0u);
+  EXPECT_TRUE(seg.column(0).dictionary().empty());
+  EXPECT_TRUE(seg.column(1).dictionary().empty());
 }
 
 TEST(SegmentTest, ZeroArityRelation) {
   Relation rel(0);
   rel.Insert(Tuple{});
   rel.CompactColumnar();
-  Relation::ColumnarView view = rel.Columnar();
-  ASSERT_NE(view.segment, nullptr);
-  EXPECT_EQ(view.segment->num_rows(), 1u);
-  EXPECT_EQ(view.segment->DictEntries(), 0u);
+  ASSERT_NE(rel.segment(), nullptr);
+  EXPECT_EQ(rel.segment()->num_rows(), 1u);
+  EXPECT_EQ(rel.segment()->arity(), 0);
 }
 
 // Renders a compacted relation's segment as a portable byte string:
-// per-column dictionary sizes, the row-major code matrix in segment row
-// order, and every column's sorted permutation. Codes are value ranks,
-// so equal renderings mean equal decoded contents. Two relations with
-// the same tuple set must render identically whatever history produced
-// them.
+// per-column dictionary sizes and the row-major code matrix in segment
+// row order. Codes are value ranks, so equal renderings mean equal
+// decoded contents. Two relations with the same tuple set must render
+// identically whatever history produced them.
 std::string RenderSegment(const Relation& rel) {
-  Relation::ColumnarView view = rel.Columnar();
-  if (view.segment == nullptr) return "<none>";
+  if (rel.segment() == nullptr) return "<none>";
   std::string out;
-  const Segment& seg = *view.segment;
+  const Segment& seg = *rel.segment();
   for (int c = 0; c < seg.arity(); ++c) {
     out += "d" + std::to_string(seg.column(c).dictionary().size()) + ";";
   }
@@ -111,12 +77,6 @@ std::string RenderSegment(const Relation& rel) {
       out += std::to_string(seg.column(c).code(r)) + ",";
     }
     out += ")";
-  }
-  for (int c = 0; c < seg.arity(); ++c) {
-    out += "|";
-    for (uint32_t pos = 0; pos < seg.num_rows(); ++pos) {
-      out += std::to_string(seg.column(c).RowAt(pos)) + ",";
-    }
   }
   return out;
 }

@@ -1,7 +1,7 @@
 // The park-stats-v1 document's shape: the schema tag, the timings block
 // when collection is off, and the serving block. That the counters are
-// a property of the computation, identical across thread counts and
-// executors, is differential_test's Layer 2.
+// a property of the computation, identical across thread counts, is
+// differential_test's Layer 2.
 
 #include <gtest/gtest.h>
 

@@ -137,6 +137,7 @@ class RecordingObserver : public RunObserver {
 struct LoopOutcome {
   std::string status;
   std::string database;
+  std::string blocked;  // the rendered final B (Park() only)
   std::string diff;
   std::string stats;
   std::string trace;
@@ -193,6 +194,7 @@ LoopOutcome RunLoop(Driver driver, const Program& program,
         out.status = result.status().ToString();
         if (!result.ok()) return;
         out.database = result->database.ToString();
+        for (const std::string& g : result->blocked) out.blocked += g + " ";
         out.diff = RenderDiff(result->database.DiffWith(db), symbols);
         out.stats = RenderStats(result->stats);
         out.trace = result->trace.ToString();
@@ -289,9 +291,10 @@ RandomCase MakeRandomCase(Rng& rng) {
   return c;
 }
 
-void ExpectOneLoop(const Program& program, const Database& db,
-                   const std::vector<Update>& raw_updates,
-                   const ParkOptions& options) {
+/// Returns the Park() driver's outcome.
+LoopOutcome ExpectOneLoop(const Program& program, const Database& db,
+                          const std::vector<Update>& raw_updates,
+                          const ParkOptions& options) {
   // A transaction drops repeated updates; every driver evaluates that U.
   UpdateSet set;
   for (const Update& u : raw_updates) set.Add(u.action, u.atom);
@@ -311,6 +314,7 @@ void ExpectOneLoop(const Program& program, const Database& db,
     EXPECT_EQ(park.trace, other->trace) << name;
     EXPECT_EQ(park.events, other->events) << name;
   }
+  return park;
 }
 
 TEST(StepperTest, ParkCommitAndSteppingAreOneLoop) {
@@ -319,8 +323,9 @@ TEST(StepperTest, ParkCommitAndSteppingAreOneLoop) {
   for (int trial = 0; trial < 8; ++trial) {
     SCOPED_TRACE(StrFormat("trial %d", trial));
     RandomCase c = MakeRandomCase(rng);
-    for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
-      for (int threads : {1, 4}) {
+    for (int threads : {1, 4}) {
+      LoopOutcome by_mode[2];
+      for (ExecMode exec : {ExecMode::kTuple, ExecMode::kBatch}) {
         SCOPED_TRACE(StrFormat("exec=%d threads=%d", static_cast<int>(exec),
                                threads));
         ParkOptions options;
@@ -328,8 +333,22 @@ TEST(StepperTest, ParkCommitAndSteppingAreOneLoop) {
         options.num_threads = threads;
         options.trace_level = TraceLevel::kFull;
         options.max_memory_bytes = size_t{1} << 32;
-        ExpectOneLoop(c.program, c.db, c.updates, options);
+        by_mode[exec == ExecMode::kBatch] =
+            ExpectOneLoop(c.program, c.db, c.updates, options);
       }
+      // ParkOptions::exec_mode is ignored: kBatch runs the one executor,
+      // so it moves no byte of the result, B, the trace, the stats JSON
+      // (timings are not collected) or the observer events.
+      SCOPED_TRACE(StrFormat("kBatch vs kTuple, threads=%d", threads));
+      const LoopOutcome& tuple = by_mode[0];
+      const LoopOutcome& batch = by_mode[1];
+      EXPECT_EQ(batch.status, tuple.status);
+      EXPECT_EQ(batch.database, tuple.database);
+      EXPECT_EQ(batch.blocked, tuple.blocked);
+      EXPECT_EQ(batch.diff, tuple.diff);
+      EXPECT_EQ(batch.stats, tuple.stats);
+      EXPECT_EQ(batch.trace, tuple.trace);
+      EXPECT_EQ(batch.events, tuple.events);
     }
     auto run = Park(c.db, c.program, c.updates);
     if (run.ok() && run->stats.restarts > 0) ++with_restarts;

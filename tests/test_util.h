@@ -34,11 +34,9 @@ inline Database MustParseDatabase(std::string_view text,
 /// Sequential Γ(P,B)(I) through a fresh plan cache, for tests that
 /// evaluate Γ directly instead of through ParkStepper.
 inline GammaResult FreshGamma(const Program& program, const BlockedSet& blocked,
-                              const IInterpretation& interp,
-                              ExecMode exec = ExecMode::kTuple) {
+                              const IInterpretation& interp) {
   PlanCache plans(program);
-  return ComputeGamma(program, blocked, interp, plans, /*parallel=*/nullptr,
-                      /*cancel=*/nullptr, exec);
+  return ComputeGamma(program, blocked, interp, plans);
 }
 
 /// Runs PARK(P, D) from textual program/facts; failing the test on any

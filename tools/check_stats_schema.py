@@ -76,14 +76,6 @@ PARK_STATS_RESOURCE = [
 PARK_STATS_IO_RETRY = [
     "attempts", "retries", "backoff_ms_total", "retries_exhausted",
 ]
-# Columnar storage accounting (segments live at run end, compaction work).
-PARK_STATS_STORAGE = [
-    "segments", "segment_rows", "compactions", "dict_entries",
-]
-# Batch executor row counters (all zero under tuple-at-a-time execution).
-PARK_STATS_EXEC = [
-    "batch_rows", "probe_rows", "merge_rows",
-]
 # Dependency-scheduler accounting (docs/SCHEDULER.md): rules examined
 # for affectedness vs pruned.
 PARK_STATS_SCHEDULER = [
@@ -113,8 +105,6 @@ def check_park_stats(errors, doc):
         ("scheduler", lambda v: isinstance(v, dict), "object"),
         ("resource", lambda v: isinstance(v, dict), "object"),
         ("io_retry", lambda v: isinstance(v, dict), "object"),
-        ("storage", lambda v: isinstance(v, dict), "object"),
-        ("exec", lambda v: isinstance(v, dict), "object"),
         ("serving", lambda v: isinstance(v, dict), "object"),
         ("maintenance", lambda v: isinstance(v, dict), "object"),
         ("timings", lambda v: isinstance(v, dict), "object"),
@@ -134,12 +124,6 @@ def check_park_stats(errors, doc):
                 [(k, _is_int, "integer") for k in PARK_STATS_RESOURCE])
     _check_keys(errors, "$.io_retry", doc.get("io_retry", {}),
                 [(k, _is_int, "integer") for k in PARK_STATS_IO_RETRY])
-    _check_keys(errors, "$.storage", doc.get("storage", {}),
-                [(k, _is_int, "integer") for k in PARK_STATS_STORAGE])
-    exec_spec = [("mode", lambda v: v in ("tuple", "batch"),
-                  '"tuple" or "batch"')]
-    exec_spec += [(k, _is_int, "integer") for k in PARK_STATS_EXEC]
-    _check_keys(errors, "$.exec", doc.get("exec", {}), exec_spec)
     serving_spec = [("batch_size_hist",
                      lambda v: isinstance(v, list) and len(v) == 6
                      and all(_is_int(b) for b in v),
