@@ -200,7 +200,6 @@ ParkStepper::ParkStepper(const Program& program, const Database& db,
   }
   state_ = state;
   scope_ = state_->Scope(program_, seeds, options_.record_provenance);
-  interp_.ReserveMarks(state_->plus_relations(), state_->minus_relations());
 }
 
 ParkStepper::~ParkStepper() {
@@ -314,7 +313,6 @@ Result<StepOutcome> ParkStepper::Step() {
   if (new_marks == 0) {
     // Γ(P,B)(I) = I: the bi-structure is a fixpoint of Δ.
     done_ = true;
-    state_->NoteMarkStores(interp_);
     FoldRunStats(stats_);
     if (timed) {
       stats_.timings.total_ns =

@@ -158,14 +158,6 @@ class Derivations {
   std::vector<Value> arena_;
 };
 
-/// The most bytes each of a thread's two scratch stores keeps for the
-/// next section: the Γ section's (its derivation list, the per-task lists
-/// of a parallel section, the clash test's atom table) and conflict
-/// construction's (its atom table and grouping arrays). Buffers that take
-/// a store past it are freed when their section ends, so one giant
-/// evaluation pins no memory afterwards.
-inline constexpr size_t kRetainedSectionBytes = size_t{16} << 20;
-
 /// The outcome of one Γ(P,B)(I) evaluation.
 ///
 /// Its derivation list lives in a buffer the thread keeps between

@@ -7,7 +7,9 @@
 namespace park {
 
 IInterpretation::IInterpretation(const Database* base)
-    : base_(base), plus_(base->symbols()), minus_(base->symbols()) {
+    : base_(base),
+      plus_(Database::Pooled(base->symbols())),
+      minus_(Database::Pooled(base->symbols())) {
   PARK_CHECK(base != nullptr) << "IInterpretation requires a base database";
 }
 
@@ -83,9 +85,14 @@ void IInterpretation::SignProvenance::Clear() {
   links.clear();
 }
 
+IInterpretation::~IInterpretation() {
+  plus_.Retire();
+  minus_.Retire();
+}
+
 void IInterpretation::ClearMarks() {
-  plus_ = Database(base_->symbols());
-  minus_ = Database(base_->symbols());
+  plus_.Recycle();
+  minus_.Recycle();
   plus_provenance_.Clear();
   minus_provenance_.Clear();
   inconsistent_count_ = 0;

@@ -138,6 +138,9 @@ class IInterpretation {
   IInterpretation(const IInterpretation&) = delete;
   IInterpretation& operator=(const IInterpretation&) = delete;
   IInterpretation(IInterpretation&&) = default;
+  /// Retires the mark stores into this thread's relation pool
+  /// (Database::Retire).
+  ~IInterpretation();
 
   const Database& base() const { return *base_; }
   const Database& plus() const { return plus_; }
@@ -198,7 +201,9 @@ class IInterpretation {
     return Provenance(action, atom.view());
   }
 
-  /// Discards all marked atoms and provenance: I becomes I° again.
+  /// Discards all marked atoms and provenance: I becomes I° again. The
+  /// mark stores' relations go to this thread's relation pool
+  /// (Database::Recycle), where the next marks find them.
   void ClearMarks();
 
   /// True iff no atom is marked both + and -.
@@ -206,13 +211,6 @@ class IInterpretation {
 
   size_t num_plus() const { return plus_.size(); }
   size_t num_minus() const { return minus_.size(); }
-
-  /// Makes room in I⁺ and I⁻ for that many relations (Database::
-  /// ReserveRelations). Changes no answer; ClearMarks drops the room.
-  void ReserveMarks(size_t plus_relations, size_t minus_relations) {
-    plus_.ReserveRelations(plus_relations);
-    minus_.ReserveRelations(minus_relations);
-  }
 
   /// incorp(I) (paper §4.2): (I° ∪ {a | +a ∈ I⁺}) − {a | -a ∈ I⁻}.
   /// Must only be called on a consistent interpretation. Consumes the

@@ -6,6 +6,26 @@
 
 namespace park {
 
+/// Recycled relations, Reset, in their map nodes, and the empty maps of
+/// retired databases; see Database::Recycle.
+struct Database::RelationPool {
+  std::vector<RelationMap::node_type> nodes;
+  std::vector<RelationMap> maps;
+  size_t bytes = 0;  // NodeBytes over `nodes` plus MapBytes over `maps`
+
+  static size_t NodeBytes(const Relation& rel) {
+    return sizeof(RelationMap::value_type) + rel.capacity_bytes();
+  }
+  static size_t MapBytes(const RelationMap& map) {
+    return map.bucket_count() * sizeof(void*);
+  }
+};
+
+Database::RelationPool& Database::ThreadRelationPool() {
+  thread_local RelationPool pool;
+  return pool;
+}
+
 Database::Database(std::shared_ptr<SymbolTable> symbols)
     : symbols_(std::move(symbols)) {
   PARK_CHECK(symbols_ != nullptr) << "Database requires a symbol table";
@@ -114,10 +134,59 @@ Relation& Database::GetOrCreateRelation(PredicateId predicate, int arity) {
         << " used with inconsistent arity";
     return *rel;
   }
-  Relation& created =
-      relations_.emplace(predicate, Relation(arity)).first->second;
-  last_.Set(predicate, &created);
-  return created;
+  RelationPool& pool = ThreadRelationPool();
+  Relation* created;
+  if (pool.nodes.empty()) {
+    created = &relations_.emplace(predicate, Relation(arity)).first->second;
+  } else {
+    RelationMap::node_type node = std::move(pool.nodes.back());
+    pool.nodes.pop_back();
+    pool.bytes -= RelationPool::NodeBytes(node.mapped());
+    node.key() = predicate;
+    if (node.mapped().arity() != arity) node.mapped().Reset(arity);
+    created = &relations_.insert(std::move(node)).position->second;
+  }
+  last_.Set(predicate, created);
+  return *created;
+}
+
+void Database::Recycle() {
+  RelationPool& pool = ThreadRelationPool();
+  while (!relations_.empty()) {
+    RelationMap::node_type node = relations_.extract(relations_.begin());
+    Relation& rel = node.mapped();
+    rel.Reset(rel.arity());
+    const size_t bytes = RelationPool::NodeBytes(rel);
+    if (pool.bytes + bytes > kRetainedSectionBytes) continue;  // freed
+    pool.bytes += bytes;
+    pool.nodes.push_back(std::move(node));
+  }
+  total_atoms_ = 0;
+  last_.Forget();
+}
+
+void Database::Retire() {
+  Recycle();
+  RelationPool& pool = ThreadRelationPool();
+  const size_t bytes = RelationPool::MapBytes(relations_);
+  // A map that never held a relation has no bucket array to keep.
+  if (relations_.bucket_count() > 1 &&
+      pool.bytes + bytes <= kRetainedSectionBytes) {
+    pool.bytes += bytes;
+    pool.maps.push_back(std::move(relations_));
+  }
+  relations_ = RelationMap();
+}
+
+Database Database::Pooled(std::shared_ptr<SymbolTable> symbols) {
+  Database db(std::move(symbols));
+  RelationPool& pool = ThreadRelationPool();
+  if (!pool.maps.empty()) {
+    pool.bytes -= RelationPool::MapBytes(pool.maps.back());
+    db.relations_ = std::move(pool.maps.back());
+    pool.maps.pop_back();
+  }
+  return db;
 }
 
 void Database::ForEach(

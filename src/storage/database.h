@@ -20,6 +20,16 @@
 
 namespace park {
 
+/// The most bytes each of a thread's scratch stores keeps for the next
+/// evaluation: the Γ section's (its derivation list, the per-task lists
+/// of a parallel section, the clash test's atom table, engine/
+/// consequence.cc), conflict construction's (its atom table and grouping
+/// arrays, core/conflict.cc) and the relation pool of recycled mark
+/// stores (Database::Recycle). Buffers that take a store past it are
+/// freed when their section ends, so one giant evaluation pins no memory
+/// afterwards.
+inline constexpr size_t kRetainedSectionBytes = size_t{16} << 20;
+
 /// A set of ground atoms with per-predicate index-backed storage.
 class Database {
  public:
@@ -81,15 +91,31 @@ class Database {
   /// was ever inserted.
   const Relation* GetRelation(PredicateId predicate) const;
 
-  /// The relation for `predicate`, created (with `arity`) if absent.
+  /// The relation for `predicate`, created (with `arity`) if absent. A
+  /// created relation reuses a node of this thread's relation pool when
+  /// there is one (Recycle).
   Relation& GetOrCreateRelation(PredicateId predicate, int arity);
 
-  /// The number of relations, empty ones included.
-  size_t num_relations() const { return relations_.size(); }
+  /// Empties the database into this thread's relation pool: each
+  /// relation is Reset (Relation::Reset) and kept with its map node, and
+  /// the next relation GetOrCreateRelation creates on this thread, in any
+  /// database, takes one instead of allocating. The relation map keeps
+  /// its buckets. The pool holds at most kRetainedSectionBytes and frees
+  /// whatever would take it past. An i-interpretation's mark stores are
+  /// pooled databases: it recycles them when it clears its marks and
+  /// retires them when it dies, so a warm Δ loop builds no relation and
+  /// no relation map for a predicate it marks again.
+  void Recycle();
 
-  /// Makes room for `n` relations up front, so creating that many
-  /// rehashes the relation map at most once.
-  void ReserveRelations(size_t n) { relations_.reserve(n); }
+  /// Recycle(), then the emptied relation map, with its buckets, goes to
+  /// the pool as well, for the next Pooled database on this thread. The
+  /// database is left empty.
+  void Retire();
+
+  /// An empty database over `symbols` whose relation map is one a
+  /// Retire()d database left in this thread's pool, buckets and all, or
+  /// a fresh one if the pool holds none.
+  static Database Pooled(std::shared_ptr<SymbolTable> symbols);
 
   /// Invokes `fn` for every atom, in unspecified order. Each visited atom
   /// is copied into a GroundAtom; walk ForEachRelation's rows instead
@@ -174,8 +200,12 @@ class Database {
   const Relation* FindRelation(PredicateId predicate) const;
   Relation* FindRelation(PredicateId predicate);
 
+  using RelationMap = std::unordered_map<PredicateId, Relation>;
+  struct RelationPool;
+  static RelationPool& ThreadRelationPool();
+
   std::shared_ptr<SymbolTable> symbols_;
-  std::unordered_map<PredicateId, Relation> relations_;
+  RelationMap relations_;
   size_t total_atoms_ = 0;
   LastRelation last_;
 };

@@ -71,9 +71,9 @@ void Relation::EraseSlot(std::vector<Slot>& slots, size_t i) {
 // --- Rows ---
 
 const Value* Relation::RowData(uint32_t row) const {
-  const int k = std::bit_width((row >> kFirstChunkShift) + 1) - 1;
+  const size_t k = ChunkOf(row);
   const uint32_t first = ((1u << k) - 1) << kFirstChunkShift;
-  return chunks_[static_cast<size_t>(k)].data() +
+  return chunks_[k].data() +
          static_cast<size_t>(row - first) * static_cast<size_t>(arity_);
 }
 
@@ -120,8 +120,7 @@ uint32_t Relation::AllocateRow(std::span<const Value> row) {
   }
   PARK_CHECK_LT(num_rows_, kNoRow) << "relation row count overflow";
   const uint32_t id = num_rows_++;
-  const size_t k =
-      static_cast<size_t>(std::bit_width((id >> kFirstChunkShift) + 1) - 1);
+  const size_t k = ChunkOf(id);
   if (k == chunks_.size()) {
     // Reserved once to full size and only appended to: never moves.
     chunks_.emplace_back().reserve((size_t{kFirstChunkRows} << k) *
@@ -132,10 +131,45 @@ uint32_t Relation::AllocateRow(std::span<const Value> row) {
   return id;
 }
 
+void Relation::Reset(int arity) {
+  if (arity == arity_) {
+    for (std::vector<Value>& chunk : chunks_) chunk.clear();
+  } else {
+    chunks_.clear();
+    arity_ = arity;
+  }
+  num_rows_ = 0;
+  live_ = 0;
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  dead_.clear();
+  free_rows_.clear();
+  indexes_.clear();
+  stats_ = RelationStats();
+  has_stats_ = false;
+  segment_.reset();
+  segment_rows_ = {};
+  delta_adds_ = {};
+  retired_rows_ = {};
+  compactions_ = 0;
+  frozen_ = false;
+}
+
+size_t Relation::capacity_bytes() const {
+  size_t bytes = chunks_.capacity() * sizeof(chunks_[0]) +
+                 slots_.capacity() * sizeof(Slot) + dead_.capacity() +
+                 free_rows_.capacity() * sizeof(uint32_t);
+  for (const std::vector<Value>& chunk : chunks_) {
+    bytes += chunk.capacity() * sizeof(Value);
+  }
+  return bytes;
+}
+
 Relation Relation::Clone() const {
   Relation copy(arity_);
-  copy.chunks_.reserve(chunks_.size());
-  for (size_t k = 0; k < chunks_.size(); ++k) {
+  // Only the chunks holding rows: a Reset may have kept empty ones.
+  const size_t used = num_rows_ == 0 ? 0 : ChunkOf(num_rows_ - 1) + 1;
+  copy.chunks_.reserve(used);
+  for (size_t k = 0; k < used; ++k) {
     std::vector<Value>& chunk = copy.chunks_.emplace_back();
     chunk.reserve((size_t{kFirstChunkRows} << k) *
                   static_cast<size_t>(arity_));

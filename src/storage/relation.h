@@ -12,6 +12,7 @@
 #ifndef PARK_STORAGE_RELATION_H_
 #define PARK_STORAGE_RELATION_H_
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -61,6 +62,21 @@ class Relation {
   /// indexes (they rebuild on demand), the columnar view and the frozen
   /// flag.
   Relation Clone() const;
+
+  /// Makes this a relation of `arity` with no rows, reading exactly like
+  /// a fresh `Relation(arity)` under every operation, but keeping memory
+  /// for the next rows: the row-set slot table always, and the row
+  /// chunks' buffers when `arity` is unchanged. Indexes, statistics, the
+  /// columnar view, the dead-row marks and the free list are emptied, and
+  /// the relation is thawed. A recycled mark-store relation is Reset
+  /// before reuse (Database::Recycle).
+  void Reset(int arity);
+
+  /// The heap bytes the relation holds for rows beyond its own object:
+  /// the row chunks, the row-set slots, the dead-row marks and the free
+  /// list — all a Reset relation keeps. Indexes, statistics and the
+  /// columnar view are not counted.
+  size_t capacity_bytes() const;
 
   int arity() const { return arity_; }
   size_t size() const { return live_; }
@@ -223,6 +239,12 @@ class Relation {
   static void GrowSlots(std::vector<Slot>& slots);
   static void EraseSlot(std::vector<Slot>& slots, size_t i);
 
+  /// The chunk holding row id `row`: chunk k holds ids
+  /// [(2^k - 1) * kFirstChunkRows, (2^(k+1) - 1) * kFirstChunkRows).
+  static size_t ChunkOf(uint32_t row) {
+    return static_cast<size_t>(std::bit_width((row >> kFirstChunkShift) + 1) -
+                               1);
+  }
   const Value* RowData(uint32_t row) const;
   bool IsDead(uint32_t row) const { return !dead_.empty() && dead_[row] != 0; }
   bool RowLess(uint32_t a, uint32_t b) const;
@@ -258,7 +280,8 @@ class Relation {
   mutable RelationStats stats_;
   mutable bool has_stats_ = false;
   // Row storage: chunk k is reserved to its full size once and only
-  // appended to, so its buffer never moves.
+  // appended to, so its buffer never moves. After a Reset that kept them,
+  // chunks past the last row id are empty buffers of full capacity.
   std::vector<std::vector<Value>> chunks_;
   uint32_t num_rows_ = 0;  // row ids handed out: live, dead or recycled
   size_t live_ = 0;

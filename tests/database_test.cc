@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+
 namespace park {
 namespace {
 
@@ -109,6 +112,41 @@ TEST_F(DatabaseTest, MixedValueTypes) {
       p, Tuple{Value::Symbol(symbols_->InternSymbol("alice")),
                Value::Int(100)}));
   EXPECT_EQ(db_.ToString(), "{score(alice, 100)}");
+}
+
+TEST_F(DatabaseTest, RecycledRelationIsReusedOnAnotherThread) {
+  for (int i = 0; i < 20; ++i) {
+    db_.InsertAtom("p", {"a" + std::to_string(i), "b"});
+  }
+  const Relation* filled =
+      db_.GetRelation(symbols_->InternPredicate("p", 2));
+  Database taken(symbols_);
+  std::thread worker([&] {
+    // Recycled into the worker's pool, and reused there by another
+    // predicate of another arity.
+    db_.Recycle();
+    EXPECT_TRUE(db_.empty());
+    taken.Insert(Atom("q", {"c"}));
+    taken.Insert(Atom("q", {"d"}));
+  });
+  worker.join();
+  const Relation* reused = taken.GetRelation(symbols_->InternPredicate("q", 1));
+  EXPECT_EQ(reused, filled);
+  EXPECT_EQ(taken.ToString(), "{q(c), q(d)}");
+  EXPECT_EQ(reused->stats().rows(), 2.0);
+  EXPECT_EQ(db_.GetRelation(symbols_->InternPredicate("p", 2)), nullptr);
+  EXPECT_FALSE(db_.Contains(Atom("p", {"a0", "b"})));
+
+  // Back on this thread, retiring hands the node and the map to this
+  // thread's pool, and a pooled database takes both.
+  taken.Retire();
+  EXPECT_TRUE(taken.empty());
+  Database pooled = Database::Pooled(symbols_);
+  pooled.InsertAtom("r", {"e"});
+  EXPECT_EQ(pooled.GetRelation(symbols_->InternPredicate("r", 1)), filled);
+  EXPECT_EQ(pooled.ToString(), "{r(e)}");
+  EXPECT_TRUE(pooled.Erase(Atom("r", {"e"})));
+  EXPECT_TRUE(pooled.empty());
 }
 
 }  // namespace

@@ -24,6 +24,17 @@ class InterpretationTest : public ::testing::Test {
 
   RuleGrounding G(int rule) { return RuleGrounding(rule, Tuple{}); }
 
+  /// Marks a fixed set of atoms of several predicates and arities, with
+  /// provenance, both signs included.
+  void MarkAll(IInterpretation& interp) {
+    interp.AddMarked(ActionKind::kInsert, Atom("q(b)"), G(0));
+    interp.AddMarked(ActionKind::kInsert, Atom("q(c)"), G(0));
+    interp.AddMarked(ActionKind::kInsert, Atom("p(b)"), G(1));
+    interp.AddMarked(ActionKind::kInsert, Atom("r(a, b)"), G(2));
+    interp.AddMarked(ActionKind::kDelete, Atom("s(a)"), G(3));
+    interp.AddMarked(ActionKind::kDelete, Atom("t(a, a, a)"), G(4));
+  }
+
   std::shared_ptr<SymbolTable> symbols_;
   Database base_;
 };
@@ -208,6 +219,38 @@ TEST_F(InterpretationTest, RenderingOrdersUnmarkedPlusMinus) {
             (std::vector<std::string>{"p(a)", "s(a)", "+a(a)", "+z(z)",
                                       "-s(a)"}));
   EXPECT_EQ(interp.ToString(), "{p(a), s(a), +a(a), +z(z), -s(a)}");
+}
+
+TEST_F(InterpretationTest, RecycledMarkStoresReadLikeColdOnes) {
+  IInterpretation cold(&base_);
+  MarkAll(cold);
+
+  // Fill the thread's relation pool with relations of other predicates
+  // and arities, then mark through it, clear, and mark again.
+  IInterpretation warm(&base_);
+  {
+    IInterpretation earlier(&base_);
+    earlier.AddMarked(ActionKind::kInsert, Atom("u(a, b, c)"), G(9));
+    earlier.AddMarked(ActionKind::kDelete, Atom("v(a)"), G(9));
+  }
+  MarkAll(warm);
+  warm.AddMarked(ActionKind::kInsert, Atom("w(a)"), G(9));
+  warm.ClearMarks();
+  EXPECT_EQ(warm.num_plus(), 0u);
+  EXPECT_TRUE(warm.Provenance(ActionKind::kInsert, Atom("q(b)")).empty());
+  MarkAll(warm);
+
+  EXPECT_EQ(warm.SortedLiteralStrings(), cold.SortedLiteralStrings());
+  EXPECT_EQ(warm.num_plus(), cold.num_plus());
+  EXPECT_EQ(warm.num_minus(), cold.num_minus());
+  EXPECT_EQ(warm.Provenance(ActionKind::kInsert, Atom("r(a, b)")).size(), 1u);
+  const Database::Diff warm_diff = warm.MarkDiff();
+  const Database::Diff cold_diff = cold.MarkDiff();
+  EXPECT_EQ(warm_diff.only_in_this, cold_diff.only_in_this);
+  EXPECT_EQ(warm_diff.only_in_other, cold_diff.only_in_other);
+  const Database want = IncorporateOneByOne(cold);
+  ExpectSameIncorporation(std::move(warm).Incorporate(), want);
+  ExpectSameIncorporation(std::move(cold).Incorporate(), want);
 }
 
 }  // namespace

@@ -302,6 +302,101 @@ TEST(RelationTest, CloneEqualsOriginal) {
                              })));
 }
 
+/// Everything a caller can read off an arity-2 relation: its rows in
+/// ForEach order, membership, index probes on both columns, its stats
+/// and its clone's rows in ForEach order.
+struct Observed {
+  std::vector<Pair> rows;
+  std::vector<bool> contains;
+  std::vector<std::set<Pair>> probes;
+  size_t size = 0;
+  double stats_rows = 0;
+  std::vector<double> distinct;
+  std::vector<Pair> clone_rows;
+
+  bool operator==(const Observed&) const = default;
+};
+
+Observed Observe(const Relation& rel) {
+  Observed out;
+  rel.ForEach([&](std::span<const Value> row) {
+    out.rows.push_back(AsPair(row));
+  });
+  for (int64_t a = 0; a < 12; ++a) {
+    out.contains.push_back(rel.Contains(T2(a, a * 3)));
+    out.probes.push_back(Probe(rel, {Value::Int(a), std::nullopt}, 0));
+    out.probes.push_back(Probe(rel, {std::nullopt, Value::Int(a)}, 1));
+  }
+  out.size = rel.size();
+  out.stats_rows = rel.stats().rows();
+  for (int c = 0; c < 2; ++c) {
+    out.distinct.push_back(rel.stats().DistinctEstimate(c));
+  }
+  rel.Clone().ForEach([&](std::span<const Value> row) {
+    out.clone_rows.push_back(AsPair(row));
+  });
+  return out;
+}
+
+/// Inserts, erases and reinserts rows, with indexes built midway, and
+/// observes the relation after each phase.
+std::vector<Observed> Exercise(Relation& rel) {
+  std::vector<Observed> seen;
+  for (int64_t i = 0; i < 40; ++i) rel.Insert(T2(i % 10, i * 3));
+  seen.push_back(Observe(rel));
+  rel.BuildIndex(1);
+  for (int64_t i = 0; i < 40; i += 3) rel.Erase(T2(i % 10, i * 3));
+  seen.push_back(Observe(rel));
+  for (int64_t i = 0; i < 40; i += 6) rel.Insert(T2(i % 10, i * 3));
+  for (int64_t i = 100; i < 110; ++i) rel.Insert(T2(i % 4, i));
+  seen.push_back(Observe(rel));
+  return seen;
+}
+
+/// A relation used every way a relation can be, then Reset to arity 2.
+void UseThenReset(Relation& rel) {
+  const int arity = rel.arity();
+  for (int64_t i = 0; i < 500; ++i) {
+    Tuple row;
+    for (int c = 0; c < arity; ++c) row.Append(Value::Int(i + c));
+    rel.Insert(row);
+  }
+  rel.BuildIndex(0);
+  (void)rel.stats();
+  rel.CompactColumnar();
+  for (int64_t i = 0; i < 500; i += 2) {
+    Tuple row;
+    for (int c = 0; c < arity; ++c) row.Append(Value::Int(i + c));
+    rel.Erase(row);
+  }
+  rel.FreezeIndexes();
+  rel.Reset(2);
+}
+
+TEST(RelationTest, ResetToTheSameArityReadsLikeAFreshRelation) {
+  Relation fresh(2);
+  Relation reset(2);
+  UseThenReset(reset);
+  EXPECT_TRUE(reset.empty());
+  EXPECT_FALSE(reset.frozen());
+  EXPECT_FALSE(reset.HasIndex(0));
+  EXPECT_FALSE(reset.has_stats());
+  EXPECT_EQ(reset.segment(), nullptr);
+  EXPECT_EQ(reset.compactions(), 0u);
+  EXPECT_GT(reset.capacity_bytes(), fresh.capacity_bytes());  // kept
+  EXPECT_EQ(Exercise(reset), Exercise(fresh));
+}
+
+TEST(RelationTest, ResetToAnotherArityReadsLikeAFreshRelation) {
+  Relation fresh(2);
+  Relation reset(3);
+  UseThenReset(reset);
+  EXPECT_EQ(reset.arity(), 2);
+  EXPECT_TRUE(reset.empty());
+  EXPECT_FALSE(reset.frozen());
+  EXPECT_EQ(Exercise(reset), Exercise(fresh));
+}
+
 TEST(RelationTest, FrozenRelationServesConcurrentProbes) {
   Relation rel(2);
   for (int64_t i = 0; i < 2000; ++i) rel.Insert(T2(i % 50, i));

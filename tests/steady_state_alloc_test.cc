@@ -9,6 +9,8 @@
 // must make no large allocation at all, while returning exactly what the
 // first returned.
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -30,11 +32,17 @@ std::atomic<bool> counting{false};
 std::atomic<size_t> large_allocations{0};
 std::atomic<size_t> all_allocations{0};
 std::atomic<size_t> sketch_allocations{0};
+// Counted allocations by size in bytes; the last entry counts every
+// larger one.
+constexpr size_t kHistogramSizes = 4097;
+std::array<std::atomic<size_t>, kHistogramSizes> size_histogram{};
 
 void* Allocate(size_t size, size_t alignment, bool nothrow) {
   if (size == 0) size = 1;
   if (counting.load(std::memory_order_relaxed)) {
     all_allocations.fetch_add(1, std::memory_order_relaxed);
+    size_histogram[std::min(size, kHistogramSizes - 1)].fetch_add(
+        1, std::memory_order_relaxed);
     if (size >= kLargeBytes) {
       large_allocations.fetch_add(1, std::memory_order_relaxed);
     }
@@ -103,6 +111,19 @@ void operator delete[](void* p, std::align_val_t,
 
 namespace park {
 namespace {
+
+/// "size x count" lines for every size counted since the last call,
+/// which empties the histogram.
+std::string TakeHistogram() {
+  std::string out;
+  for (size_t size = 1; size < kHistogramSizes; ++size) {
+    const size_t count = size_histogram[size].exchange(0);
+    if (count == 0) continue;
+    out += (size + 1 == kHistogramSizes ? ">=" : "") + std::to_string(size) +
+           " x " + std::to_string(count) + "\n";
+  }
+  return out;
+}
 
 /// What one evaluation returns, rendered.
 struct Outcome {
@@ -312,21 +333,26 @@ CommitResult WakeChain(ActiveDatabase& db, int chain, int64_t n) {
   return std::move(tx).Commit();
 }
 
-/// A maintained commit pays per marked atom. It wakes one chain of
-/// kLevels rules: a seeded closure of about kLevels Γ steps, each marking
-/// one atom of a predicate the run's fresh I+ has not seen. While every
-/// step built hash containers for its Δ bookkeeping, every mark relation
-/// zero-filled a 2 KiB statistics sketch and the I+ relation map rehashed
-/// its way up, one such commit made kParentAllocations allocations, 135
-/// of them sketch-sized (this test counted them). The bound is half
-/// that, with fewer sketch-sized allocations than one per eighth of the
-/// marked predicates: the few left are other buffers of that size (the
-/// commit's diff, for one). Statistics built on first read, flat Δ-step
-/// bookkeeping and presized mark stores make about 400, none a sketch.
+/// A maintained commit pays per marked atom, not per marked predicate.
+/// It wakes one chain of kLevels rules: a seeded closure of about kLevels
+/// Γ steps, each marking one atom of a predicate new to the run's I+.
+/// While every step built hash containers for its Δ bookkeeping and every
+/// mark relation zero-filled a 2 KiB statistics sketch, one such commit
+/// made 1,215 allocations, 135 of them sketch-sized. Statistics built on
+/// first read and flat Δ-step bookkeeping brought that to
+/// kPerRelationAllocations, most of the rest being a relation built for
+/// each marked predicate (its map node, row chunk and slot table) and
+/// freed with the commit's interpretation. Mark stores recycled into the
+/// thread's relation pool build none, so the bound is half that; about
+/// 130 are left, mostly the commit's atoms. Fewer sketch-sized
+/// allocations than one per eighth of the marked predicates: the few
+/// left are other buffers of that size (the commit's diff, for one). On
+/// failure the counted allocations are listed by size, which names the
+/// block that came back.
 TEST(SteadyStateAllocTest, WarmMaintainedCommitAllocatesPerMarkedAtom) {
   constexpr int kChains = 4;
   constexpr int kLevels = 64;
-  constexpr size_t kParentAllocations = 1215;
+  constexpr size_t kPerRelationAllocations = 398;
   const Workload w = MakeKiloruleWorkload(kChains, kLevels, /*facts=*/4);
   ActiveDatabase db = LoadKilorule(w, MaintenanceMode::kIncremental);
   ASSERT_TRUE(db.Stabilize().ok());
@@ -346,14 +372,17 @@ TEST(SteadyStateAllocTest, WarmMaintainedCommitAllocatesPerMarkedAtom) {
 
   all_allocations.store(0);
   sketch_allocations.store(0);
+  TakeHistogram();
   counting.store(true);
   auto report = WakeChain(db, 1, 200);
   counting.store(false);
   const size_t allocations = all_allocations.load();
+  const std::string histogram = TakeHistogram();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->stats.maint_commits, 1u);
   EXPECT_EQ(report->inserted.size(), static_cast<size_t>(kLevels) + 3);
-  EXPECT_LE(allocations, kParentAllocations / 2);
+  EXPECT_LE(allocations, kPerRelationAllocations / 2)
+      << "allocations by size in bytes:\n" << histogram;
   EXPECT_LT(sketch_allocations.load(), static_cast<size_t>(kLevels) / 8);
 
   auto cold_report = WakeChain(cold, 1, 200);
