@@ -86,7 +86,7 @@ void Database::InsertAll(Database&& other) {
   for (auto& [pred, rel] : other.relations_) {
     auto it = relations_.find(pred);
     if (it == relations_.end()) {
-      rel.DropColumnar();
+      rel.ThawIndexes();
       total_atoms_ += rel.size();
       relations_.emplace(pred, std::move(rel));
       continue;
@@ -204,10 +204,6 @@ void Database::FreezeIndexes() const {
 
 void Database::ThawIndexes() const {
   for (const auto& [pred, rel] : relations_) rel.ThawIndexes();
-}
-
-void Database::CompactColumnar() const {
-  for (const auto& [pred, rel] : relations_) rel.CompactColumnar();
 }
 
 std::vector<std::string> Database::SortedAtomStrings() const {

@@ -63,9 +63,9 @@ class Database {
 
   /// Inserts every atom of `other`, which must share the symbol table,
   /// and leaves `other` empty. A predicate with no relation here takes
-  /// other's relation whole: its rows, stats and hash indexes, with its
-  /// columnar view dropped and thawed (Relation::DropColumnar), so it
-  /// reads as if the atoms had been inserted one by one.
+  /// other's relation whole: its rows, stats and hash indexes, thawed
+  /// (Relation::ThawIndexes), so it reads as if the atoms had been
+  /// inserted one by one.
   /// Every other predicate's atoms are inserted one by one.
   void InsertAll(Database&& other);
 
@@ -137,11 +137,9 @@ class Database {
   void FreezeIndexes() const;
   void ThawIndexes() const;
 
-  /// Compacts the columnar view of every relation (Relation::
-  /// CompactColumnar). No-op for already-compact relations. No engine
-  /// path calls it: it stays, awaiting removal with Relation's columnar
-  /// state, because park_bench times it (`storage.compact_ms`).
-  void CompactColumnar() const;
+  /// Does nothing: relations keep no columnar view any more. Kept only
+  /// because park_bench's traced runs still call it (`storage.compact_ms`).
+  void CompactColumnar() const {}
 
   /// All atoms as sorted, rendered strings — deterministic; used in tests
   /// and tools.

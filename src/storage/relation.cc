@@ -100,12 +100,6 @@ size_t Relation::RowSlot(const Value* row, uint32_t hash) const {
   });
 }
 
-bool Relation::RowLess(uint32_t a, uint32_t b) const {
-  const Value* ra = RowData(a);
-  const Value* rb = RowData(b);
-  return std::lexicographical_compare(ra, ra + arity_, rb, rb + arity_);
-}
-
 uint32_t Relation::FindRow(const Value* row, uint32_t hash) const {
   return slots_.empty() ? kNoRow : slots_[RowSlot(row, hash)].row;
 }
@@ -146,11 +140,6 @@ void Relation::Reset(int arity) {
   indexes_.clear();
   stats_ = RelationStats();
   has_stats_ = false;
-  segment_.reset();
-  segment_rows_ = {};
-  delta_adds_ = {};
-  retired_rows_ = {};
-  compactions_ = 0;
   frozen_ = false;
 }
 
@@ -179,10 +168,7 @@ Relation Relation::Clone() const {
   copy.live_ = live_;
   copy.slots_ = slots_;
   copy.dead_ = dead_;
-  // The copy has no segment, so nothing reads its dead rows any more.
   copy.free_rows_ = free_rows_;
-  copy.free_rows_.insert(copy.free_rows_.end(), retired_rows_.begin(),
-                         retired_rows_.end());
   // The stats are a pure function of the row multiset, so the sketch
   // state copies verbatim with it.
   copy.stats_ = stats_;
@@ -214,7 +200,6 @@ std::pair<std::span<const Value>, bool> Relation::Emplace(
       IndexInsert(*indexes_[c], static_cast<int>(c), id);
     }
   }
-  if (segment_ != nullptr) delta_adds_.push_back(id);
   return {{RowData(id), row.size()}, true};
 }
 
@@ -236,9 +221,7 @@ bool Relation::Erase(std::span<const Value> row) {
   }
   if (dead_.empty()) dead_.assign(num_rows_, 0);
   dead_[id] = 1;
-  // A built segment's next merge still reads the id (and skips it as
-  // dead), so it is recycled only after that merge.
-  (segment_ != nullptr ? retired_rows_ : free_rows_).push_back(id);
+  free_rows_.push_back(id);
   return true;
 }
 
@@ -407,60 +390,6 @@ void Relation::ForEachMatchingProbe(
   PARK_CHECK(pattern[static_cast<size_t>(probe_column)].has_value())
       << "probe column must be a bound pattern position";
   ProbeIndex(pattern, probe_column, fn);
-}
-
-// --- Columnar view ---
-
-void Relation::CompactColumnar() const {
-  if (!ColumnarDirty()) return;
-  PARK_CHECK(!frozen_) << "CompactColumnar on a frozen relation";
-  auto less = [&](uint32_t a, uint32_t b) { return RowLess(a, b); };
-  if (segment_ == nullptr) {
-    // First build: sort the whole set.
-    segment_rows_.clear();
-    segment_rows_.reserve(live_);
-    ScanRows([&](uint32_t id, const Value*) { segment_rows_.push_back(id); });
-    std::sort(segment_rows_.begin(), segment_rows_.end(), less);
-  } else {
-    // Merge the live segment rows with the sorted live delta. A delta
-    // add can never equal a live segment row (it was absent from the set
-    // when inserted), so strict < places every add uniquely. No id read
-    // here was recycled since the last build (Erase retires them).
-    std::erase_if(delta_adds_, [&](uint32_t id) { return IsDead(id); });
-    std::sort(delta_adds_.begin(), delta_adds_.end(), less);
-    std::vector<uint32_t> merged;
-    merged.reserve(live_);
-    size_t di = 0;
-    for (uint32_t id : segment_rows_) {
-      if (IsDead(id)) continue;
-      while (di < delta_adds_.size() && less(delta_adds_[di], id)) {
-        merged.push_back(delta_adds_[di++]);
-      }
-      merged.push_back(id);
-    }
-    merged.insert(merged.end(), delta_adds_.begin() + di, delta_adds_.end());
-    segment_rows_ = std::move(merged);
-    delta_adds_.clear();
-    free_rows_.insert(free_rows_.end(), retired_rows_.begin(),
-                      retired_rows_.end());
-    retired_rows_.clear();
-  }
-  std::vector<const Value*> rows;
-  rows.reserve(segment_rows_.size());
-  for (uint32_t id : segment_rows_) rows.push_back(RowData(id));
-  segment_ = std::make_unique<const Segment>(Segment::Build(arity_, rows));
-  ++compactions_;
-}
-
-void Relation::DropColumnar() {
-  segment_.reset();
-  segment_rows_ = {};
-  delta_adds_ = {};
-  free_rows_.insert(free_rows_.end(), retired_rows_.begin(),
-                    retired_rows_.end());
-  retired_rows_ = {};
-  compactions_ = 0;
-  frozen_ = false;
 }
 
 std::vector<Tuple> Relation::SortedTuples() const {

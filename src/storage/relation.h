@@ -14,13 +14,11 @@
 
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "storage/relation_stats.h"
-#include "storage/segment.h"
 #include "storage/tuple.h"
 #include "util/function_ref.h"
 #include "util/logging.h"
@@ -59,23 +57,22 @@ class Relation {
 
   /// Deep copy of the rows (chunk by chunk, with the row set copied
   /// as is — nothing is rehashed) and the stats if built, without the
-  /// indexes (they rebuild on demand), the columnar view and the frozen
-  /// flag.
+  /// indexes (they rebuild on demand) and the frozen flag.
   Relation Clone() const;
 
   /// Makes this a relation of `arity` with no rows, reading exactly like
   /// a fresh `Relation(arity)` under every operation, but keeping memory
   /// for the next rows: the row-set slot table always, and the row
   /// chunks' buffers when `arity` is unchanged. Indexes, statistics, the
-  /// columnar view, the dead-row marks and the free list are emptied, and
-  /// the relation is thawed. A recycled mark-store relation is Reset
-  /// before reuse (Database::Recycle).
+  /// dead-row marks and the free list are emptied, and the relation is
+  /// thawed. A recycled mark-store relation is Reset before reuse
+  /// (Database::Recycle).
   void Reset(int arity);
 
   /// The heap bytes the relation holds for rows beyond its own object:
   /// the row chunks, the row-set slots, the dead-row marks and the free
-  /// list — all a Reset relation keeps. Indexes, statistics and the
-  /// columnar view are not counted.
+  /// list — all a Reset relation keeps. Indexes and statistics are not
+  /// counted.
   size_t capacity_bytes() const;
 
   int arity() const { return arity_; }
@@ -93,6 +90,7 @@ class Relation {
   std::pair<std::span<const Value>, bool> Emplace(std::span<const Value> row);
 
   /// Removes `row`; returns true if it was present. Must not be frozen.
+  /// The freed row id goes onto the free list and is reused at once.
   bool Erase(std::span<const Value> row);
 
   /// Whole-row membership. A span of the wrong arity is never contained.
@@ -156,44 +154,6 @@ class Relation {
   /// All rows as Tuples, sorted — for deterministic printing and diffs.
   std::vector<Tuple> SortedTuples() const;
 
-  // --- Columnar view (awaiting removal; see docs/STORAGE.md) ---
-  //
-  // No engine path reads the columnar view: plans run tuple-at-a-time
-  // over the hash indexes above, and a serving Session publishes its own
-  // form of a relation (serve/published_relation.h). It stays only
-  // because park_bench times CompactColumnar (`storage.compact_ms`).
-  // The view is an immutable dictionary-encoded Segment over the
-  // lexicographically sorted row set; `segment_rows_` maps each segment
-  // row to the row id it was built from. Between compactions, Insert
-  // appends the new row id to a small delta store and Erase marks the row
-  // dead; CompactColumnar merges the live segment rows with the sorted
-  // delta into a fresh segment. An erased row's id is not reused until
-  // that merge has run, so every id the merge reads still names the row
-  // the segment was built from. Because the merged row order is the
-  // canonical sorted order of the set, the view is independent of
-  // mutation history.
-
-  /// Builds or merges the segment (no-op when the view is already
-  /// compact). Fails loudly on a frozen relation.
-  void CompactColumnar() const;
-
-  /// Discards the columnar view (segment, delta store, dead-row bookkeeping)
-  /// and its compaction count, and thaws the relation: it then reads like
-  /// one built by Insert alone, as Clone() would copy it, but keeps its
-  /// rows and hash indexes.
-  void DropColumnar();
-
-  /// The last built segment, or null before the first CompactColumnar.
-  const Segment* segment() const { return segment_.get(); }
-  bool ColumnarDirty() const {
-    return segment_ == nullptr || !delta_adds_.empty() ||
-           !retired_rows_.empty();
-  }
-  uint64_t compactions() const { return compactions_; }
-  uint64_t segment_rows() const {
-    return segment_ != nullptr ? segment_->num_rows() : 0;
-  }
-
  private:
   static constexpr uint32_t kNoRow = UINT32_MAX;
   // Chunk k holds kFirstChunkRows << k rows, so the thousands of tiny
@@ -246,8 +206,6 @@ class Relation {
                                1);
   }
   const Value* RowData(uint32_t row) const;
-  bool IsDead(uint32_t row) const { return !dead_.empty() && dead_[row] != 0; }
-  bool RowLess(uint32_t a, uint32_t b) const;
   /// The row-set slot holding the row equal to `row[0..arity)` (with
   /// `hash` = RowHash(row)), or the empty slot where it would go.
   /// `slots_` is non-empty.
@@ -288,21 +246,10 @@ class Relation {
   std::vector<Slot> slots_;  // the row set
   // dead_[r] != 0 iff row id r holds no row. Empty until the first erase.
   std::vector<uint8_t> dead_;
-  // Dead row ids ready for reuse. Compaction (const) refills it from
-  // `retired_rows_`, hence mutable.
-  mutable std::vector<uint32_t> free_rows_;
+  // Dead row ids ready for reuse.
+  std::vector<uint32_t> free_rows_;
   // indexes_[c] is built lazily; nullopt means "not built".
   mutable std::vector<std::optional<ColumnIndex>> indexes_;
-  // Columnar state: nothing is tracked until the first CompactColumnar()
-  // call builds a segment, so a relation never compacted pays nothing
-  // here.
-  mutable std::unique_ptr<const Segment> segment_;
-  mutable std::vector<uint32_t> segment_rows_;  // row ids, sorted by row
-  mutable std::vector<uint32_t> delta_adds_;    // insertion order
-  // Ids erased since the segment was built: the merge still reads them
-  // (as dead), so they are recycled only once it has run.
-  mutable std::vector<uint32_t> retired_rows_;
-  mutable uint64_t compactions_ = 0;
   mutable bool frozen_ = false;
 };
 

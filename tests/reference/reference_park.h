@@ -10,7 +10,7 @@
 //
 // It shares the parser, the AST, the value types and the SELECT interface
 // with the engine, and nothing of the evaluation machinery: no plans,
-// indexes, segments, scheduler, thread pool, or IInterpretation validity.
+// indexes, scheduler, thread pool, or IInterpretation validity.
 // The one engine type it builds is the IInterpretation a PolicyContext
 // carries, filled from the reference's own sets just before each Select.
 // It is exponential in the number of rule variables and meant for small

@@ -191,12 +191,13 @@ TEST(RelationStatsTest, StatsBuiltOnFirstReadMatchMaintainedOnes) {
 TEST(RelationStatsTest, InsertAllKeepsStatisticsExact) {
   // Database::InsertAll takes a relation whole where the target has none
   // and inserts row by row where it has one; with the target's stats
-  // built or not, and the source's built or not, the result reads as a
-  // relation built row by row.
+  // built or not, the source's built or not, and the source frozen or
+  // not, the result reads as a relation built row by row, and a relation
+  // taken whole is thawed: it takes an insert and an erase.
   auto symbols = MakeSymbolTable();
   const PredicateId p = symbols->InternPredicate("p", 2);
   const PredicateId q = symbols->InternPredicate("q", 2);
-  for (int variant = 0; variant < 4; ++variant) {
+  for (int variant = 0; variant < 8; ++variant) {
     SCOPED_TRACE(variant);
     Database target(symbols);
     Database source(symbols);
@@ -219,9 +220,16 @@ TEST(RelationStatsTest, InsertAllKeepsStatisticsExact) {
       Estimates(*source.GetRelation(p));
       Estimates(*source.GetRelation(q));
     }
+    if (variant & 4) source.FreezeIndexes();
     target.InsertAll(std::move(source));
     EXPECT_EQ(Estimates(*target.GetRelation(p)), Estimates(expected_p));
     EXPECT_EQ(Estimates(*target.GetRelation(q)), Estimates(expected_q));
+    const Relation& moved = *target.GetRelation(q);
+    EXPECT_FALSE(moved.frozen());
+    const GroundAtom extra(q, T2(1000, 0));
+    EXPECT_TRUE(target.Insert(extra));
+    EXPECT_TRUE(target.Erase(extra));
+    EXPECT_EQ(moved.size(), expected_q.size());
   }
 }
 

@@ -127,19 +127,13 @@ TEST(RelationTest, ZeroArityRelation) {
   int count = 0;
   rel.ForEachMatching({}, [&](std::span<const Value>) { ++count; });
   EXPECT_EQ(count, 1);
-  rel.CompactColumnar();
-  EXPECT_EQ(rel.segment_rows(), 1u);
 
-  // Erase and re-insert around a compaction, then clone.
+  // Erase and re-insert, then clone.
   EXPECT_TRUE(rel.Erase(Tuple{}));
   EXPECT_FALSE(rel.Erase(Tuple{}));
   EXPECT_TRUE(rel.empty());
   EXPECT_FALSE(rel.Contains(Tuple{}));
-  rel.CompactColumnar();
-  EXPECT_EQ(rel.segment_rows(), 0u);
   EXPECT_TRUE(rel.Insert(Tuple{}));
-  rel.CompactColumnar();
-  EXPECT_EQ(rel.segment_rows(), 1u);
   Relation copy = rel.Clone();
   EXPECT_EQ(copy.size(), 1u);
   EXPECT_TRUE(copy.Contains(Tuple{}));
@@ -220,45 +214,6 @@ TEST(RelationTest, IndexesServeExactlyTheLiveRowsAfterChurn) {
   }
 }
 
-TEST(RelationTest, EraseAndReinsertBeforeCompactionMerges) {
-  Relation rel(2);
-  for (int64_t i = 0; i < 10; ++i) rel.Insert(T2(i, 0));
-  rel.CompactColumnar();
-  // A segment row erased and re-inserted (under a new id), a delta add
-  // erased and re-inserted, and a segment row erased for good.
-  EXPECT_TRUE(rel.Erase(T2(3, 0)));
-  EXPECT_TRUE(rel.Insert(T2(3, 0)));
-  EXPECT_TRUE(rel.Insert(T2(100, 0)));
-  EXPECT_TRUE(rel.Erase(T2(100, 0)));
-  EXPECT_TRUE(rel.Insert(T2(100, 0)));
-  EXPECT_TRUE(rel.Erase(T2(7, 0)));
-  EXPECT_TRUE(rel.ColumnarDirty());
-  rel.CompactColumnar();
-
-  auto segment_rows = [](const Relation& r) {
-    std::vector<Tuple> rows;
-    const Segment& seg = *r.segment();
-    for (uint32_t i = 0; i < seg.num_rows(); ++i) {
-      Tuple row;
-      for (int c = 0; c < seg.arity(); ++c) row.Append(seg.column(c).value(i));
-      rows.push_back(std::move(row));
-    }
-    return rows;
-  };
-  std::vector<Tuple> want = rel.SortedTuples();
-  ASSERT_EQ(want.size(), 10u);
-  EXPECT_EQ(segment_rows(rel), want);
-
-  // The ids retired by those erases are recycled only now; the next
-  // merge still sees exactly the set.
-  for (int64_t i = 20; i < 26; ++i) rel.Insert(T2(i, 1));
-  EXPECT_TRUE(rel.Erase(T2(0, 0)));
-  rel.CompactColumnar();
-  want = rel.SortedTuples();
-  ASSERT_EQ(want.size(), 15u);
-  EXPECT_EQ(segment_rows(rel), want);
-}
-
 TEST(RelationTest, CloneEqualsOriginal) {
   Relation rel(3);
   for (int64_t i = 0; i < 300; ++i) {
@@ -268,7 +223,6 @@ TEST(RelationTest, CloneEqualsOriginal) {
     rel.Erase(Tuple{Value::Int(i % 7), Value::Int(i % 50), Value::Int(i)});
   }
   rel.BuildIndex(1);
-  rel.CompactColumnar();
   rel.Erase(Tuple{Value::Int(1), Value::Int(1), Value::Int(1)});
 
   Relation copy = rel.Clone();
@@ -281,7 +235,6 @@ TEST(RelationTest, CloneEqualsOriginal) {
     EXPECT_EQ(copy.stats().SelectivityRows(c), rel.stats().SelectivityRows(c));
   }
   EXPECT_FALSE(copy.HasIndex(1));
-  EXPECT_EQ(copy.segment(), nullptr);
 
   // The copy is independent: its recycled ids hold its own rows.
   for (int64_t i = 1000; i < 1100; ++i) {
@@ -363,7 +316,6 @@ void UseThenReset(Relation& rel) {
   }
   rel.BuildIndex(0);
   (void)rel.stats();
-  rel.CompactColumnar();
   for (int64_t i = 0; i < 500; i += 2) {
     Tuple row;
     for (int c = 0; c < arity; ++c) row.Append(Value::Int(i + c));
@@ -381,8 +333,6 @@ TEST(RelationTest, ResetToTheSameArityReadsLikeAFreshRelation) {
   EXPECT_FALSE(reset.frozen());
   EXPECT_FALSE(reset.HasIndex(0));
   EXPECT_FALSE(reset.has_stats());
-  EXPECT_EQ(reset.segment(), nullptr);
-  EXPECT_EQ(reset.compactions(), 0u);
   EXPECT_GT(reset.capacity_bytes(), fresh.capacity_bytes());  // kept
   EXPECT_EQ(Exercise(reset), Exercise(fresh));
 }
