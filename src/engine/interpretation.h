@@ -216,9 +216,10 @@ class IInterpretation {
   /// Must only be called on a consistent interpretation. Consumes the
   /// marks: it copies the base's relations and moves I⁺'s in
   /// (Database::InsertAll, so a predicate with no relation in I° takes
-  /// its I⁺ relation whole), then erases I⁻'s atoms; afterwards I is I°
-  /// again, as after ClearMarks. Render anything read off the marks or
-  /// the provenance first.
+  /// its I⁺ relation whole and leaves its row count as this thread's
+  /// hint for the next mark store, Database::Pooled), then erases I⁻'s
+  /// atoms; afterwards I is I° again, as after ClearMarks. Render
+  /// anything read off the marks or the provenance first.
   Database Incorporate() &&;
 
   /// How incorp(I) differs from I°, equal to

@@ -6,12 +6,20 @@
 
 namespace park {
 
-/// Recycled relations, Reset, in their map nodes, and the empty maps of
-/// retired databases; see Database::Recycle.
+/// Recycled relations, Reset, in their map nodes, the empty maps of
+/// retired databases (see Database::Recycle), and the row hints of
+/// Database::Pooled.
 struct Database::RelationPool {
   std::vector<RelationMap::node_type> nodes;
   std::vector<RelationMap> maps;
   size_t bytes = 0;  // NodeBytes over `nodes` plus MapBytes over `maps`
+  // row_hints[p]: the rows predicate p's relation held when it last left
+  // a pooled database whole (InsertAll), at most kMaxHintRows; 0 if none
+  // ever did.
+  std::vector<size_t> row_hints;
+  // The most rows a slot table of kRetainedSectionBytes holds.
+  static constexpr size_t kMaxHintRows =
+      kRetainedSectionBytes / (2 * Relation::kSlotBytes);
 
   static size_t NodeBytes(const Relation& rel) {
     return sizeof(RelationMap::value_type) + rel.capacity_bytes();
@@ -86,6 +94,11 @@ void Database::InsertAll(Database&& other) {
   for (auto& [pred, rel] : other.relations_) {
     auto it = relations_.find(pred);
     if (it == relations_.end()) {
+      if (other.pooled_) {
+        std::vector<size_t>& hints = ThreadRelationPool().row_hints;
+        if (hints.size() <= pred) hints.resize(size_t{pred} + 1);
+        hints[pred] = std::min(rel.size(), RelationPool::kMaxHintRows);
+      }
       rel.ThawIndexes();
       total_atoms_ += rel.size();
       relations_.emplace(pred, std::move(rel));
@@ -146,6 +159,10 @@ Relation& Database::GetOrCreateRelation(PredicateId predicate, int arity) {
     if (node.mapped().arity() != arity) node.mapped().Reset(arity);
     created = &relations_.insert(std::move(node)).position->second;
   }
+  if (pooled_ && predicate < pool.row_hints.size() &&
+      pool.row_hints[predicate] > 0) {
+    created->Reserve(pool.row_hints[predicate]);
+  }
   last_.Set(predicate, created);
   return *created;
 }
@@ -180,6 +197,7 @@ void Database::Retire() {
 
 Database Database::Pooled(std::shared_ptr<SymbolTable> symbols) {
   Database db(std::move(symbols));
+  db.pooled_ = true;
   RelationPool& pool = ThreadRelationPool();
   if (!pool.maps.empty()) {
     pool.bytes -= RelationPool::MapBytes(pool.maps.back());

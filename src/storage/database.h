@@ -65,7 +65,8 @@ class Database {
   /// and leaves `other` empty. A predicate with no relation here takes
   /// other's relation whole: its rows, stats and hash indexes, thawed
   /// (Relation::ThawIndexes), so it reads as if the atoms had been
-  /// inserted one by one.
+  /// inserted one by one; if `other` is pooled, its row count becomes
+  /// the predicate's row hint on this thread (Pooled).
   /// Every other predicate's atoms are inserted one by one.
   void InsertAll(Database&& other);
 
@@ -114,7 +115,13 @@ class Database {
 
   /// An empty database over `symbols` whose relation map is one a
   /// Retire()d database left in this thread's pool, buckets and all, or
-  /// a fresh one if the pool holds none.
+  /// a fresh one if the pool holds none. Each relation it creates is
+  /// presized (Relation::Reserve) for its predicate's row hint on this
+  /// thread: the rows that predicate's relation held when it last left
+  /// a pooled database whole, moved by InsertAll, as a bare Park()'s I⁺
+  /// does into its result. The table is capped at kRetainedSectionBytes.
+  /// A hint changes capacity only, never what the database reads, and
+  /// no other database reads the hints.
   static Database Pooled(std::shared_ptr<SymbolTable> symbols);
 
   /// Invokes `fn` for every atom, in unspecified order. Each visited atom
@@ -206,6 +213,7 @@ class Database {
   RelationMap relations_;
   size_t total_atoms_ = 0;
   LastRelation last_;
+  bool pooled_ = false;  // made by Pooled: reads and writes row hints
 };
 
 }  // namespace park

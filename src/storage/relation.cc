@@ -143,6 +143,13 @@ void Relation::Reset(int arity) {
   frozen_ = false;
 }
 
+void Relation::Reserve(size_t rows) {
+  PARK_CHECK(empty()) << "Reserve on a relation holding rows";
+  PARK_CHECK(!frozen_) << "Reserve on a frozen relation";
+  const size_t slots = SlotsFor(rows);
+  if (slots_.size() < slots) slots_.assign(slots, Slot{});
+}
+
 size_t Relation::capacity_bytes() const {
   size_t bytes = chunks_.capacity() * sizeof(chunks_[0]) +
                  slots_.capacity() * sizeof(Slot) + dead_.capacity() +

@@ -69,6 +69,18 @@ class Relation {
   /// (Database::Recycle).
   void Reset(int arity);
 
+  /// Sizes the row-set slot table of this empty relation for `rows` rows
+  /// (a table that large or larger is kept), so the first `rows` inserts
+  /// never regrow it. Only capacity changes: the relation reads exactly
+  /// like a fresh one, since rows are visited in row-id order, never in
+  /// slot order. A mark store presizes its relations from the thread's
+  /// row hints this way (Database::Pooled).
+  void Reserve(size_t rows);
+
+  /// The bytes of one row-set slot. A table for n rows has at least 2n
+  /// slots (and at least 8), a power of two.
+  static constexpr size_t kSlotBytes = 8;
+
   /// The heap bytes the relation holds for rows beyond its own object:
   /// the row chunks, the row-set slots, the dead-row marks and the free
   /// list — all a Reset relation keeps. Indexes and statistics are not
@@ -170,6 +182,7 @@ class Relation {
     uint32_t row = kNoRow;
     uint32_t hash = 0;
   };
+  static_assert(sizeof(Slot) == kSlotBytes);
 
   /// Column index: `slots` maps each distinct value of the column to the
   /// first row holding it (the value is read from that row); `next[r]` is

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <thread>
+
+#include "park/park.h"
+#include "workload/graph_gen.h"
 
 namespace park {
 namespace {
@@ -147,6 +151,171 @@ TEST_F(DatabaseTest, RecycledRelationIsReusedOnAnotherThread) {
   EXPECT_EQ(pooled.ToString(), "{r(e)}");
   EXPECT_TRUE(pooled.Erase(Atom("r", {"e"})));
   EXPECT_TRUE(pooled.empty());
+}
+
+// --- Row hints (Database::Pooled) ---
+
+/// Runs `fn` on a new thread, whose relation pool and row hints start
+/// empty.
+void OnFreshThread(const std::function<void()>& fn) {
+  std::thread thread(fn);
+  thread.join();
+}
+
+/// The row-set slots of a relation presized for `rows` rows.
+size_t TableSlots(size_t rows) {
+  size_t slots = 8;
+  while (rows * 2 > slots) slots <<= 1;
+  return slots;
+}
+
+/// The bytes by which `predicate`'s relation in `db`, which holds one
+/// row, exceeds a fresh relation holding one row: its presized slots.
+size_t PresizedBytes(const Database& db, PredicateId predicate) {
+  const Relation* rel = db.GetRelation(predicate);
+  EXPECT_NE(rel, nullptr);
+  if (rel == nullptr) return 0;
+  EXPECT_EQ(rel->size(), 1u);
+  Relation fresh(rel->arity());
+  fresh.Insert(std::vector<Value>(static_cast<size_t>(rel->arity()),
+                                  Value::Int(0)));
+  return rel->capacity_bytes() - fresh.capacity_bytes();
+}
+
+/// Moves a pooled database holding `rows` atoms `predicate(i)` into
+/// `into`, as a bare Park() moves I⁺ into its result: the predicate's row
+/// hint on this thread becomes `rows`.
+void LeavePoolWith(Database& into, PredicateId predicate, int64_t rows) {
+  Database marks = Database::Pooled(into.symbols());
+  for (int64_t i = 0; i < rows; ++i) {
+    const Value v = Value::Int(i);
+    marks.Emplace(AtomView{predicate, {&v, 1}});
+  }
+  into.InsertAll(std::move(marks));
+}
+
+TEST_F(DatabaseTest, RowHintsPresizeOnlyPooledDatabases) {
+  const PredicateId p = symbols_->InternPredicate("p", 1);
+  const PredicateId q = symbols_->InternPredicate("q", 1);
+  OnFreshThread([&] {
+    Database result(symbols_);
+    LeavePoolWith(result, p, 1000);
+    EXPECT_EQ(result.size(), 1000u);
+    Database pooled = Database::Pooled(symbols_);
+    Database plain(symbols_);
+    for (Database* db : {&pooled, &plain}) db->InsertAtom("p", {"a"});
+    EXPECT_EQ(PresizedBytes(pooled, p),
+              (TableSlots(1000) - 8) * Relation::kSlotBytes);
+    EXPECT_EQ(PresizedBytes(plain, p), 0u);
+    EXPECT_EQ(pooled.ToString(), plain.ToString());
+    // A predicate that never left a pooled database has no hint.
+    pooled.InsertAtom("q", {"a"});
+    EXPECT_EQ(PresizedBytes(pooled, q), 0u);
+    // The database InsertAll moved the hinted relation into reads none
+    // either, for another hinted predicate.
+    LeavePoolWith(plain, q, 1000);
+    result.InsertAtom("q", {"a"});
+    EXPECT_EQ(PresizedBytes(result, q), 0u);
+  });
+}
+
+TEST_F(DatabaseTest, ParkResultReadsNoRowHints) {
+  OnFreshThread([] {
+    // The closure of a 40-node path: 780 path atoms in I⁺, moved into
+    // the result, so path's hint on this thread is 780.
+    const Workload w =
+        MakeTransitiveClosureWorkload(GraphShape::kPath, 40, 0, 1);
+    const PredicateId path = w.symbols->InternPredicate("path", 2);
+    auto hinted = Park(w.program, w.database, ParkOptions());
+    ASSERT_TRUE(hinted.ok()) << hinted.status().ToString();
+    EXPECT_EQ(hinted->database.GetRelation(path)->size(), 780u);
+    Database pooled = Database::Pooled(w.symbols);
+    pooled.InsertAtom("path", {"0", "1"});
+    EXPECT_EQ(PresizedBytes(pooled, path),
+              (TableSlots(780) - 8) * Relation::kSlotBytes);
+
+    // Over no edges, the result has no path relation; one made in it
+    // reads no hint.
+    auto empty = Park(w.program, Database(w.symbols), ParkOptions());
+    ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+    ASSERT_EQ(empty->database.GetRelation(path), nullptr);
+    empty->database.InsertAtom("path", {"0", "1"});
+    EXPECT_EQ(PresizedBytes(empty->database, path), 0u);
+
+    // A warm evaluation returns what a cold one returned.
+    auto warm = Park(w.program, w.database, ParkOptions());
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ(warm->database.ToString(), hinted->database.ToString());
+  });
+}
+
+TEST_F(DatabaseTest, RowHintsArePerThread) {
+  const PredicateId p = symbols_->InternPredicate("p", 1);
+  OnFreshThread([&] {
+    Database sink(symbols_);
+    OnFreshThread([&] {
+      Database worker_sink(symbols_);
+      LeavePoolWith(worker_sink, p, 1000);
+      Database pooled = Database::Pooled(symbols_);
+      pooled.InsertAtom("p", {"a"});
+      EXPECT_EQ(PresizedBytes(pooled, p),
+                (TableSlots(1000) - 8) * Relation::kSlotBytes);
+    });
+    Database pooled = Database::Pooled(symbols_);
+    pooled.InsertAtom("p", {"a"});
+    EXPECT_EQ(PresizedBytes(pooled, p), 0u);
+  });
+}
+
+TEST_F(DatabaseTest, RowHintPresizesAtMostRetainedSectionBytes) {
+  const PredicateId p = symbols_->InternPredicate("p", 1);
+  // One row more than a kRetainedSectionBytes table holds uncrowded.
+  constexpr int64_t kRows =
+      kRetainedSectionBytes / (2 * Relation::kSlotBytes) + 1;
+  OnFreshThread([&] {
+    {
+      Database sink(symbols_);
+      LeavePoolWith(sink, p, kRows);
+    }
+    Database pooled = Database::Pooled(symbols_);
+    pooled.InsertAtom("p", {"a"});
+    EXPECT_EQ(PresizedBytes(pooled, p),
+              kRetainedSectionBytes - 8 * Relation::kSlotBytes);
+  });
+}
+
+TEST_F(DatabaseTest, RekeyedPoolNodeGrowsToItsHintOnce) {
+  const PredicateId a = symbols_->InternPredicate("a", 1);
+  const PredicateId b = symbols_->InternPredicate("b", 1);
+  OnFreshThread([&] {
+    Database sink(symbols_);
+    LeavePoolWith(sink, b, 1000);
+    // A relation of the unhinted `a` goes to the pool with its 8-slot
+    // table...
+    Database first = Database::Pooled(symbols_);
+    first.InsertAtom("a", {"x"});
+    const Relation* node = first.GetRelation(a);
+    EXPECT_EQ(PresizedBytes(first, a), 0u);
+    first.Retire();
+    // ...and, re-keyed to `b`, takes b's table on its first row, after
+    // which b's 1,000 rows regrow nothing: it ends as a relation grown
+    // row by row to them.
+    Database second = Database::Pooled(symbols_);
+    second.InsertAtom("b", {"x"});
+    ASSERT_EQ(second.GetRelation(b), node);
+    EXPECT_EQ(PresizedBytes(second, b),
+              (TableSlots(1000) - 8) * Relation::kSlotBytes);
+    Relation grown(1);
+    grown.Insert(std::vector<Value>{Value::Symbol(symbols_->InternSymbol("x"))});
+    for (int64_t i = 1; i < 1000; ++i) {
+      const Value v = Value::Int(i);
+      second.Emplace(AtomView{b, {&v, 1}});
+      grown.Insert(std::vector<Value>{v});
+    }
+    EXPECT_EQ(second.GetRelation(b)->capacity_bytes(),
+              grown.capacity_bytes());
+    EXPECT_EQ(second.GetRelation(b)->SortedTuples(), grown.SortedTuples());
+  });
 }
 
 }  // namespace

@@ -1033,6 +1033,104 @@ TEST(DifferentialTest, RenamingAndReorderingKeepResultAndBlocked) {
   EXPECT_GT(resolved, 150u);
 }
 
+// --- row hints ---
+//
+// A mark store presizes its relations for the rows each predicate's
+// relation held when it last left a mark store on this thread
+// (Database::Pooled), whatever program that was. Hints change capacity
+// only: every generated case returns the same bytes on a thread primed
+// by a much larger program whose predicate ids are the case's, and on a
+// fresh thread; so does a large run on a thread whose hints are far
+// smaller than the run.
+
+/// The closure of an n-node cycle in d0, n² atoms, copied reversed into
+/// d1 and as is into d2. d0, d1 and d2 are predicates 0, 1 and 2 of its
+/// symbol table, the ids of a generated case's u0, u1 and b0, and a bare
+/// Park() leaves each a row hint of n².
+std::unique_ptr<Parsed> CycleClosure(int n) {
+  auto parsed = std::make_unique<Parsed>();
+  for (const char* name : {"d0", "d1", "d2"}) {
+    parsed->symbols->InternPredicate(name, 2);
+  }
+  parsed->program = testing_util::MustParseProgram(
+      "t0: edge(X, Y) -> +d0(X, Y).\n"
+      "t1: d0(X, Y), edge(Y, Z) -> +d0(X, Z).\n"
+      "t2: d0(X, Y) -> +d1(Y, X).\n"
+      "t3: d0(X, Y) -> +d2(X, Y).\n",
+      parsed->symbols);
+  std::string facts;
+  for (int i = 0; i < n; ++i) {
+    facts += StrFormat("edge(%d, %d). ", i, (i + 1) % n);
+  }
+  parsed->db = testing_util::MustParseDatabase(facts, parsed->symbols);
+  return parsed;
+}
+
+/// Everything a bare Park() of `run` returns that does not vary with
+/// time, rendered: the result's atoms in iteration order (relation by
+/// relation, rows in row order), B, the provenance, the trace and the
+/// deterministic stats blocks. Evaluated on a new thread, after a bare
+/// Park() of `prime` there unless it is null.
+std::string ParkBitsOnThread(const Parsed* prime, const Parsed& run,
+                             ParkOptions options) {
+  options.trace_level = TraceLevel::kFull;
+  options.record_provenance = true;
+  std::string out;
+  std::thread thread([&] {
+    if (prime != nullptr) {
+      EXPECT_TRUE(Park(prime->db, prime->program, FirstCommit(*prime),
+                       ParkOptions())
+                      .ok());
+    }
+    auto result = Park(run.db, run.program, FirstCommit(run), options);
+    if (!result.ok()) {
+      out = result.status().ToString();
+      return;
+    }
+    result->database.ForEachRelation(
+        [&](PredicateId pred, const Relation& rel) {
+          rel.ForEach([&](std::span<const Value> row) {
+            out +=
+                GroundAtom(AtomView{pred, row}).ToString(*run.symbols) + " ";
+          });
+        });
+    out += "\nB: " + Join(result->blocked, " ");
+    for (const AtomProvenance& p : result->provenance) {
+      out += "\n" + p.atom + " <- " + Join(p.derived_by, ", ");
+    }
+    out += "\n" + result->trace.ToString() +
+           DeterministicBlocks(result->stats, /*maintenance=*/false);
+  });
+  thread.join();
+  return out;
+}
+
+TEST(DifferentialTest, RowHintsNeverChangeBits) {
+  const std::unique_ptr<Parsed> large = CycleClosure(48);
+  const std::unique_ptr<Parsed> tiny = CycleClosure(1);
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(StrFormat("seed %llu", static_cast<unsigned long long>(seed)));
+    const Case c = RandomCase(seed);
+    const std::unique_ptr<Parsed> parsed = Parse(c);
+    ASSERT_LE(parsed->symbols->NumPredicates(), 3u);
+    for (const Config& config : AllConfigs()) {
+      SCOPED_TRACE(ConfigName(config));
+      const ParkOptions options = OptionsFor(config, c.policy);
+      EXPECT_EQ(ParkBitsOnThread(large.get(), *parsed, options),
+                ParkBitsOnThread(nullptr, *parsed, options));
+    }
+  }
+  // A hint of one row where the run marks 48² = 2,304 atoms.
+  for (const Config& config : AllConfigs()) {
+    SCOPED_TRACE(ConfigName(config));
+    const ParkOptions options = OptionsFor(config, PolicyKind::kInertia);
+    const std::string fresh = ParkBitsOnThread(nullptr, *large, options);
+    EXPECT_EQ(ParkBitsOnThread(tiny.get(), *large, options), fresh);
+    const std::string atoms = fresh.substr(0, fresh.find("\nB:"));
+    EXPECT_EQ(std::count(atoms.begin(), atoms.end(), '('), 48 + 3 * 48 * 48);
+  }
+}
+
 // --- fixed cases ---
 
 TEST(DifferentialTest, PaperExamples) {

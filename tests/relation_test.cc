@@ -347,6 +347,55 @@ TEST(RelationTest, ResetToAnotherArityReadsLikeAFreshRelation) {
   EXPECT_EQ(Exercise(reset), Exercise(fresh));
 }
 
+/// The row-set slots of a relation that has held at most `rows` rows:
+/// the smallest power of two, at least 8, that is at least 2 * rows.
+size_t TableSlots(size_t rows) {
+  size_t slots = 8;
+  while (rows * 2 > slots) slots <<= 1;
+  return slots;
+}
+
+TEST(RelationTest, ReservedRelationReadsLikeAFreshRelation) {
+  // Exercise holds at most 43 live rows. Reservations for fewer, exactly
+  // as many and more rows than that change the slot table's size only.
+  constexpr size_t kPeakRows = 43;
+  for (size_t reserved : {size_t{10}, kPeakRows, size_t{1000}}) {
+    SCOPED_TRACE(reserved);
+    Relation fresh(2);
+    Relation rel(2);
+    rel.Reserve(reserved);
+    EXPECT_EQ(rel.capacity_bytes(),
+              TableSlots(reserved) * Relation::kSlotBytes);
+    EXPECT_EQ(Exercise(rel), Exercise(fresh));
+    const size_t extra_slots =
+        TableSlots(reserved) - std::min(TableSlots(reserved),
+                                        TableSlots(kPeakRows));
+    EXPECT_EQ(rel.capacity_bytes(),
+              fresh.capacity_bytes() + extra_slots * Relation::kSlotBytes);
+
+    // Reset keeps the table, a smaller Reserve keeps it too, and the
+    // relation still reads like a fresh one.
+    rel.Reset(2);
+    const size_t kept = rel.capacity_bytes();
+    rel.Reserve(1);
+    EXPECT_EQ(rel.capacity_bytes(), kept);
+    Relation fresh_again(2);
+    EXPECT_EQ(Exercise(rel), Exercise(fresh_again));
+
+    // A reservation exactly met leaves the table a fresh relation of the
+    // same rows ends with.
+    Relation met(2);
+    Relation grown(2);
+    met.Reserve(reserved);
+    for (int64_t i = 0; i < static_cast<int64_t>(reserved); ++i) {
+      met.Insert(T2(i, -i));
+      grown.Insert(T2(i, -i));
+    }
+    EXPECT_EQ(met.capacity_bytes(), grown.capacity_bytes());
+    EXPECT_EQ(Observe(met), Observe(grown));
+  }
+}
+
 TEST(RelationTest, FrozenRelationServesConcurrentProbes) {
   Relation rel(2);
   for (int64_t i = 0; i < 2000; ++i) rel.Insert(T2(i % 50, i));
@@ -498,6 +547,15 @@ TEST(RelationDeathTest, ExplicitBuildWhileFrozenDies) {
   rel.Insert(T2(1, 2));
   rel.FreezeIndexes();
   EXPECT_DEATH(rel.BuildIndex(0), "frozen");
+}
+
+TEST(RelationDeathTest, ReserveOnARelationHoldingRowsDies) {
+  Relation rel(2);
+  rel.Insert(T2(1, 2));
+  EXPECT_DEATH(rel.Reserve(100), "holding rows");
+  Relation frozen(2);
+  frozen.FreezeIndexes();
+  EXPECT_DEATH(frozen.Reserve(100), "frozen");
 }
 
 TEST(RelationTest, ThawReenablesLazyBuildsAndMutation) {

@@ -176,6 +176,60 @@ TEST(SteadyStateAllocTest, WarmParallelRunAllocatesNothingLarge) {
   ExpectWarmRunAllocatesNothingLarge(4);
 }
 
+/// What a bare Park() of `w` returns on this thread, how many allocations
+/// it made, and by size.
+Outcome EvaluateClosure(const Workload& w, size_t* allocations,
+                        std::string* histogram) {
+  ParkOptions options;
+  options.num_threads = 1;
+  options.trace_level = TraceLevel::kSummary;
+  all_allocations.store(0);
+  TakeHistogram();
+  counting.store(true);
+  auto result = Park(w.program, w.database, options);
+  counting.store(false);
+  *allocations = all_allocations.load();
+  *histogram = TakeHistogram();
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return {};
+  Outcome out;
+  out.database = result->database.ToString();
+  for (const std::string& b : result->blocked) out.blocked += b + " ";
+  out.trace = result->trace.ToString();
+  out.stats = result->stats.ToJson();
+  return out;
+}
+
+/// A warm bare Park() regrows no mark store. I⁺ leaves the thread's
+/// relation pool with the result, so each evaluation builds its path
+/// relation afresh, and the closure of this 128-node, 256-edge digraph
+/// marks 10,645 path atoms. While that relation's row set grew from 8
+/// slots, a warm run made 115 allocations, 12 of them its doublings to
+/// 32,768 slots. Presized for the thread's path hint, the table is
+/// allocated once, and this test measured kWarmAllocations: the bound is
+/// that count, so one doubling back fails it. On failure the counted
+/// allocations are listed by size.
+TEST(SteadyStateAllocTest, WarmBareParkRegrowsNoMarkStore) {
+  constexpr size_t kWarmAllocations = 103;
+  const Workload w =
+      MakeTransitiveClosureWorkload(GraphShape::kRandom, 128, 256, 5);
+  size_t cold_allocations = 0;
+  size_t warm_allocations = 0;
+  std::string cold_histogram;
+  std::string warm_histogram;
+  const Outcome cold = EvaluateClosure(w, &cold_allocations, &cold_histogram);
+  const Outcome warm = EvaluateClosure(w, &warm_allocations, &warm_histogram);
+  EXPECT_LE(warm_allocations, kWarmAllocations)
+      << "the cold run made " << cold_allocations
+      << "; warm allocations by size in bytes:\n" << warm_histogram;
+  EXPECT_EQ(std::count(cold.database.begin(), cold.database.end(), '('),
+            10645 + 256);  // the path atoms and the edges
+  EXPECT_EQ(warm.database, cold.database);
+  EXPECT_EQ(warm.blocked, cold.blocked);
+  EXPECT_EQ(warm.trace, cold.trace);
+  EXPECT_EQ(warm.stats, cold.stats);
+}
+
 /// The database and the rendered B of one ParkStepper run, and how many
 /// allocations its Run() made.
 struct SteppedRun {
