@@ -113,7 +113,7 @@ CommitResult ActiveDatabase::CommitUpdates(const UpdateSet& updates,
                     state_, seeded ? &u : nullptr);
     return stepper->Run();
   };
-  bool seeded = maintaining && maintainer_.Admits(program_, u, options_);
+  bool seeded = maintaining && maintainer_.Admits(program_, updates, options_);
   Status evaluated = evaluate(seeded);
   if (seeded && !evaluated.ok()) {
     // A clash inside the cone (or max_steps): the unseeded run owns
@@ -139,7 +139,7 @@ CommitResult ActiveDatabase::CommitUpdates(const UpdateSet& updates,
   const bool full_conflict_free =
       report.stats.blocked_instances == 0 && report.stats.restarts == 0;
   if (maintaining) {
-    maintainer_.RecordCommit(seeded, u, state_.graph(),
+    maintainer_.RecordCommit(seeded, updates, state_.graph(),
                              report.deleted.size(), report.stats);
   }
 

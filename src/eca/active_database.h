@@ -25,9 +25,9 @@
 
 #include <optional>
 
-#include "core/maintenance.h"
 #include "core/stepper.h"
 #include "eca/journal.h"
+#include "eca/maintenance.h"
 #include "eca/transaction.h"
 
 namespace park {

@@ -1,4 +1,4 @@
-#include "core/maintenance.h"
+#include "eca/maintenance.h"
 
 namespace park {
 
@@ -45,7 +45,7 @@ void FixpointMaintainer::NoteFullCommit(const Program& program,
 }
 
 bool FixpointMaintainer::Admits(const Program& program,
-                                const std::vector<Update>& updates,
+                                const UpdateSet& updates,
                                 const ParkOptions& options) {
   Analyze(program);
   if (!stable_ || !static_eligible_) return false;
@@ -65,19 +65,18 @@ bool FixpointMaintainer::Admits(const Program& program,
   // docs/INCREMENTAL.md). Inserts into negated predicates need no gate:
   // the static gate keeps them off head predicates, and the proof in
   // docs/INCREMENTAL.md shows the full run's extra firings are inert.
-  std::unordered_set<GroundAtom, GroundAtomHash> plus_seen;
-  std::unordered_set<GroundAtom, GroundAtomHash> minus_seen;
-  for (const Update& u : updates) {
-    const bool insert = u.action == ActionKind::kInsert;
-    if ((insert ? minus_seen : plus_seen).count(u.atom) > 0) return false;
-    (insert ? plus_seen : minus_seen).insert(u.atom);
-    if (!insert && head_preds_.count(u.atom.predicate()) > 0) return false;
+  // U is duplicate-free per sign, so an atom with both signs is a delete
+  // that U also inserts.
+  for (const Update& u : updates.updates()) {
+    if (u.action == ActionKind::kInsert) continue;
+    if (head_preds_.count(u.atom.predicate()) > 0) return false;
+    if (updates.Contains(ActionKind::kInsert, u.atom)) return false;
   }
   return true;
 }
 
 void FixpointMaintainer::RecordCommit(bool maintained,
-                                      const std::vector<Update>& updates,
+                                      const UpdateSet& updates,
                                       const RuleDependencyGraph& graph,
                                       size_t deleted,
                                       ParkStats& stats) const {
@@ -86,21 +85,17 @@ void FixpointMaintainer::RecordCommit(bool maintained,
     stats.maint_full_recompute_fallbacks = 1;
     return;
   }
-  std::unordered_set<GroundAtom, GroundAtomHash> plus_seen;
-  std::unordered_set<GroundAtom, GroundAtomHash> minus_seen;
   std::vector<PredicateId> plus_preds;
   std::vector<PredicateId> minus_preds;
-  for (const Update& u : updates) {
-    const bool insert = u.action == ActionKind::kInsert;
-    if ((insert ? plus_seen : minus_seen).insert(u.atom).second) {
-      (insert ? plus_preds : minus_preds).push_back(u.atom.predicate());
-    }
+  for (const Update& u : updates.updates()) {
+    (u.action == ActionKind::kInsert ? plus_preds : minus_preds)
+        .push_back(u.atom.predicate());
   }
   stats.maint_commits = 1;
   // The closure counts U's own marks in derived_marks; the rest it
-  // derived.
-  stats.maint_atoms_rederived =
-      stats.derived_marks - (plus_seen.size() + minus_seen.size());
+  // derived. U is duplicate-free per sign, and a maintained U has no
+  // atom with both signs, so each update is one mark.
+  stats.maint_atoms_rederived = stats.derived_marks - updates.size();
   stats.maint_atoms_overdeleted = deleted;
   stats.maint_cone_rules = graph.ConeRules(plus_preds, minus_preds).size();
 }

@@ -25,13 +25,13 @@
 // (re-)established. Fallbacks are transparent and counted
 // (ParkStats::maint_full_recompute_fallbacks).
 
-#ifndef PARK_CORE_MAINTENANCE_H_
-#define PARK_CORE_MAINTENANCE_H_
+#ifndef PARK_ECA_MAINTENANCE_H_
+#define PARK_ECA_MAINTENANCE_H_
 
 #include <unordered_set>
-#include <vector>
 
 #include "core/park_evaluator.h"
+#include "eca/update.h"
 #include "engine/rule_graph.h"
 
 namespace park {
@@ -43,14 +43,14 @@ class FixpointMaintainer {
  public:
   /// Whether PARK(D, P, U) may run as the seeded closure over P with U as
   /// seeds: INV holds and the static, options and dynamic gates pass.
-  bool Admits(const Program& program, const std::vector<Update>& updates,
+  bool Admits(const Program& program, const UpdateSet& updates,
               const ParkOptions& options);
 
   /// Fills the maintenance block of a commit's stats: a commit the seeded
   /// closure served (`maintained`, with `graph` the state's dependency
   /// graph of P and `deleted` the size of its delete list), or one that
   /// fell back to the unseeded run.
-  void RecordCommit(bool maintained, const std::vector<Update>& updates,
+  void RecordCommit(bool maintained, const UpdateSet& updates,
                     const RuleDependencyGraph& graph, size_t deleted,
                     ParkStats& stats) const;
 
@@ -84,4 +84,4 @@ class FixpointMaintainer {
 
 }  // namespace park
 
-#endif  // PARK_CORE_MAINTENANCE_H_
+#endif  // PARK_ECA_MAINTENANCE_H_

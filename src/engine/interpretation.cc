@@ -113,16 +113,26 @@ Database IInterpretation::Incorporate() && {
 Database::Diff IInterpretation::MarkDiff() const {
   PARK_CHECK(IsConsistent()) << "incorp on an inconsistent i-interpretation";
   Database::Diff diff;
-  // Walks the marks as rows; only the atoms that enter the diff are
-  // copied.
+  // Walks the marks as rows twice: once to count the atoms that enter
+  // the diff, so each output vector is allocated once, and once to copy
+  // them. A full run's I+ can hold many atoms already in the base, so
+  // the marks' size would overshoot.
   auto collect = [&](const Database& marks, bool in_base,
                      std::vector<GroundAtom>& out) {
-    marks.ForEachRelation([&](PredicateId pred, const Relation& rel) {
-      rel.ForEach([&](std::span<const Value> row) {
-        if (base_->Contains(pred, row.data(), row.size()) == in_base) {
-          out.emplace_back(AtomView{pred, row});
-        }
+    auto for_each_entering = [&](auto&& fn) {
+      marks.ForEachRelation([&](PredicateId pred, const Relation& rel) {
+        rel.ForEach([&](std::span<const Value> row) {
+          if (base_->Contains(pred, row.data(), row.size()) == in_base) {
+            fn(pred, row);
+          }
+        });
       });
+    };
+    size_t n = 0;
+    for_each_entering([&](PredicateId, std::span<const Value>) { ++n; });
+    out.reserve(n);
+    for_each_entering([&](PredicateId pred, std::span<const Value> row) {
+      out.emplace_back(AtomView{pred, row});
     });
   };
   collect(plus_, false, diff.only_in_this);

@@ -3,11 +3,11 @@
 namespace park {
 
 std::string Tuple::ToString(const SymbolTable& table) const {
-  if (values_.empty()) return "";
+  if (empty()) return "";
   std::string out = "(";
-  for (size_t i = 0; i < values_.size(); ++i) {
+  for (uint32_t i = 0; i < size_; ++i) {
     if (i > 0) out += ", ";
-    out += values_[i].ToString(table);
+    out += data()[i].ToString(table);
   }
   out += ")";
   return out;

@@ -1,5 +1,9 @@
 #include "storage/value.h"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "storage/ground_atom.h"
@@ -134,6 +138,104 @@ TEST(TupleTest, HashDiffersByOrder) {
   Tuple ba{Value::Int(2), Value::Int(1)};
   EXPECT_NE(ab.Hash(), ba.Hash());
 }
+
+/// Tuples of arity 0, kInlineValues and kInlineValues + 1: the empty
+/// row, the longest inline row and the shortest heap row.
+std::vector<std::vector<Value>> RowsAroundTheInlineSize() {
+  constexpr int k = static_cast<int>(Tuple::kInlineValues);
+  std::vector<std::vector<Value>> rows(3);
+  for (int i = 0; i < k; ++i) rows[1].push_back(Value::Int(10 + i));
+  for (int i = 0; i <= k; ++i) rows[2].push_back(Value::Int(20 + i));
+  return rows;
+}
+
+void ExpectHolds(const Tuple& t, const std::vector<Value>& row) {
+  ASSERT_EQ(t.arity(), static_cast<int>(row.size()));
+  EXPECT_EQ(t.empty(), row.empty());
+  for (size_t i = 0; i < row.size(); ++i) {
+    EXPECT_EQ(t[static_cast<int>(i)], row[i]);
+  }
+  EXPECT_TRUE(std::equal(t.begin(), t.end(), row.begin(), row.end()));
+  EXPECT_EQ(t.span().size(), row.size());
+  EXPECT_EQ(t.values().data(), t.begin());
+}
+
+TEST(TupleTest, CopyMoveAndAssignAroundTheInlineSize) {
+  for (const std::vector<Value>& row : RowsAroundTheInlineSize()) {
+    SCOPED_TRACE(row.size());
+    const Tuple original(row);
+    ExpectHolds(original, row);
+    Tuple copy(original);
+    ExpectHolds(copy, row);
+    Tuple moved(std::move(copy));
+    ExpectHolds(moved, row);
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+
+    // Assignment in every direction between the three sizes, including
+    // a heap Tuple assigned a shorter row (its block is reused).
+    for (const std::vector<Value>& other : RowsAroundTheInlineSize()) {
+      Tuple assigned(other);
+      assigned = original;
+      ExpectHolds(assigned, row);
+      Tuple move_assigned(other);
+      Tuple source(original);
+      move_assigned = std::move(source);
+      ExpectHolds(move_assigned, row);
+      EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+    }
+
+    Tuple self(original);
+    Tuple& alias = self;
+    self = alias;
+    ExpectHolds(self, row);
+    self = std::move(alias);
+    ExpectHolds(self, row);
+  }
+}
+
+TEST(TupleTest, AppendGrowsPastTheInlineSize) {
+  Tuple t;
+  std::vector<Value> row;
+  for (int i = 0; i < 4 * static_cast<int>(Tuple::kInlineValues) + 1; ++i) {
+    t.Append(Value::Int(i));
+    row.push_back(Value::Int(i));
+    ExpectHolds(t, row);
+  }
+  Tuple copy = t;
+  copy.Append(Value::Int(-1));
+  ExpectHolds(t, row);  // the copy owns its own block
+  row.push_back(Value::Int(-1));
+  ExpectHolds(copy, row);
+}
+
+TEST(TupleTest, OrderAndHashAreThoseOfAValueVector) {
+  SymbolTable table;
+  const Value a = Value::Symbol(table.InternSymbol("a"));
+  const Value s = Value::String(table.InternSymbol("s"));
+  std::vector<std::vector<Value>> rows = RowsAroundTheInlineSize();
+  rows.push_back({a});
+  rows.push_back({a, s});
+  rows.push_back({s, a});
+  rows.push_back({a, Value::Int(-3), s});
+  rows.push_back({Value::Int(10), Value::Int(9)});
+  for (const std::vector<Value>& x : rows) {
+    EXPECT_EQ(Tuple(x).Hash(), HashValues(x.data(), x.size()));
+    for (const std::vector<Value>& y : rows) {
+      EXPECT_EQ(Tuple(x) < Tuple(y), x < y);
+      EXPECT_EQ(Tuple(x) == Tuple(y), x == y);
+    }
+  }
+}
+
+#if defined(_GLIBCXX_ASSERTIONS)
+// Inline values sit inside the Tuple, where ASan sees no overread, so
+// the hardened build checks every index.
+TEST(TupleDeathTest, IndexIsCheckedUnderAssertions) {
+  const Tuple t{Value::Int(1)};
+  EXPECT_DEATH((void)t[1], "out of range");
+  EXPECT_DEATH((void)t[-1], "out of range");
+}
+#endif
 
 TEST(GroundAtomTest, Basics) {
   SymbolTable table;
